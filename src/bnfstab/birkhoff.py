@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 
+from . import _records
 from . import polyalg as poly
 from . import spectrum
 from .errors import (
@@ -47,10 +48,6 @@ __all__ = [
     "frequencies_of_actions",
     "compose_transform",
 ]
-
-
-def _binomial(p, t):
-    return math.comb(p, t)
 
 
 class ActionPolynomial:
@@ -145,7 +142,6 @@ class ActionPolynomial:
     def to_polynomial(self):
         """Expand back to (x, y) variables via I_l = (x_l^2 + y_l^2)/2."""
         n = self.num_dof
-        shifts = poly._shifts(n)
         out = {}
         for p, c in self._terms.items():
             acc = {0: c}
@@ -155,9 +151,9 @@ class ActionPolynomial:
                 # (x^2 + y^2)^e / 2^e expanded by the binomial theorem
                 expo = {}
                 for t in range(e + 1):
-                    key = (2 * t) << shifts[l]
-                    key |= (2 * (e - t)) << shifts[n + l]
-                    expo[key] = _binomial(e, t) / 2.0 ** e
+                    j = tuple(2 * t if i == l else 0 for i in range(n))
+                    k = tuple(2 * (e - t) if i == l else 0 for i in range(n))
+                    expo[poly._pack(n, j, k)] = math.comb(e, t) / 2.0 ** e
                 acc = poly._raw_mul(acc, expo)
             for key, v in acc.items():
                 out[key] = out.get(key, 0.0) + v
@@ -178,16 +174,6 @@ class ActionPolynomial:
 
 # -- chart-level solver and step ---------------------------------------------
 
-def _kernel_split(key, half_bits, half_mask):
-    hi = key >> half_bits
-    lo = key & half_mask
-    return hi == lo, hi, lo
-
-
-def _unpack_half(half, n):
-    return tuple((half >> (8 * (n - 1 - l))) & 0xFF for l in range(n))
-
-
 def _solve_chart(q_terms, omega, n, tol):
     """Split a chart block into generator and action coefficients.
 
@@ -195,18 +181,13 @@ def _solve_chart(q_terms, omega, n, tol):
     every monomial Z^j W^k with j != k; the j == k part maps to actions via
     Z^p W^p = i^|p| I^p.  Divisors below tol raise SmallDivisorError.
     """
-    half_bits = 8 * n
-    half_mask = (1 << half_bits) - 1
     chi = {}
     z_complex = {}
     for key, c in q_terms.items():
-        kernel, hi, lo = _kernel_split(key, half_bits, half_mask)
-        if kernel:
-            p = _unpack_half(hi, n)
-            z_complex[p] = z_complex.get(p, 0.0) + c * (1j) ** sum(p)
+        j, k = poly._unpack(n, key)
+        if j == k:
+            z_complex[j] = z_complex.get(j, 0.0) + c * (1j) ** sum(j)
         else:
-            j = _unpack_half(hi, n)
-            k = _unpack_half(lo, n)
             dot = sum(w * (kk - jj) for w, jj, kk in zip(omega, j, k))
             if abs(dot) < tol:
                 vec = tuple(kk - jj for jj, kk in zip(j, k))
@@ -232,29 +213,6 @@ def _solve_chart(q_terms, omega, n, tol):
     return chi, z_real
 
 
-def _bracket_against(g_terms, other_derivs, n):
-    """{g, other} given the precomputed derivative lists of `other`."""
-    shifts = poly._shifts(n)
-    out = {}
-    get = out.get
-    for l in range(n):
-        gx = poly._deriv_items(g_terms, shifts[l])
-        oy = other_derivs[n + l]
-        if gx and oy:
-            for ka, ca in gx:
-                for kb, cb in oy:
-                    key = ka + kb
-                    out[key] = get(key, 0.0) + ca * cb
-        gy = poly._deriv_items(g_terms, shifts[n + l])
-        ox = other_derivs[l]
-        if gy and ox:
-            for ka, ca in gy:
-                for kb, cb in ox:
-                    key = ka + kb
-                    out[key] = get(key, 0.0) - ca * cb
-    return out
-
-
 def _step_chart(blocks, s, omega, n, tol, d_cap):
     """Normalize order s in place on the chart block dict.
 
@@ -268,18 +226,14 @@ def _step_chart(blocks, s, omega, n, tol, d_cap):
         return q, {}, {}
     chi, z_act = _solve_chart(q, omega, n, tol)
 
-    half_bits = 8 * n
-    half_mask = (1 << half_bits) - 1
-    z_chart = {key: c for key, c in q.items()
-               if (key >> half_bits) == (key & half_mask)}
+    z_chart = {key: c for key, c in q.items() if poly._is_action_key(n, key)}
 
     if not chi:
         # block was already action-only; nothing moves
         blocks[m] = z_chart
         return q, chi, z_act
 
-    shifts = poly._shifts(n)
-    chi_derivs = [poly._deriv_items(chi, sh) for sh in shifts]
+    chi_derivs = poly._derivs(chi, n)
 
     def run_chain(start, deg, p_start):
         g = start
@@ -289,7 +243,7 @@ def _step_chart(blocks, s, omega, n, tol, d_cap):
             d += m - 2
             if d > d_cap:
                 return
-            g = _bracket_against(g, chi_derivs, n)
+            g = poly._bracket_terms(g, chi_derivs, n)
             g = poly._pruned(g, n)
             if not g:
                 return
@@ -315,7 +269,7 @@ def _step_chart(blocks, s, omega, n, tol, d_cap):
     # the oscillator chain: {H0, chi} equals Z - Q exactly by construction,
     # which is absorbed by replacing the block below; continue from there
     g1 = {key: -c for key, c in q.items()
-          if (key >> half_bits) != (key & half_mask)}
+          if not poly._is_action_key(n, key)}
     run_chain(g1, m, 2)
     touched.add(m)
 
@@ -427,14 +381,7 @@ class NormalFormState:
         return len(self.omega)
 
     def h0_polynomial(self):
-        n = self.num_dof
-        terms = {}
-        for l, w in enumerate(self.omega):
-            terms[(tuple(2 if t == l else 0 for t in range(n)),
-                   (0,) * n)] = 0.5 * w
-            terms[((0,) * n,
-                   tuple(2 if t == l else 0 for t in range(n)))] = 0.5 * w
-        return Polynomial(n, terms)
+        return poly.oscillator(self.omega)
 
     def h0_action(self):
         n = self.num_dof
@@ -472,12 +419,8 @@ class NormalFormState:
 
     def current_series(self):
         """The order-r Hamiltonian: H0 + Z_1..Z_r + remaining blocks."""
-        parts = {2: self.h0_polynomial()}
-        for s, v in self.z.items():
-            parts[s + 2] = v.to_polynomial()
-        for s, v in self.f.items():
-            if s > self.r:
-                parts[s + 2] = v
+        parts = dict(self.normal_form_series())
+        parts.update((s + 2, v) for s, v in self.f.items() if s > self.r)
         return GradedSeries(self.num_dof, parts, self.r_max + 2)
 
     def __eq__(self, other):
@@ -514,112 +457,66 @@ class NormalFormState:
 
     @classmethod
     def from_text(cls, text, path=None):
-        header = None
+        reader = _records.RecordReader(
+            text, "NFSTATE", {"n": int, "r": int, "rmax": int}, path=path)
+        n = reader.header["n"]
         omega = None
-        section = None          # ("z"|"chi"|"f", s)
         z, chi, f = {}, {}, {}
-        poly_accum = {}
-        action_accum = {}
-        n = r = r_max = None
-        ended = False
+        ledgers = {"Z": z, "CHI": chi, "F": f}
+        section = None          # (label, s, terms) of the open section
 
         def close_section():
-            if section is None:
-                return
-            kind, s = section
-            if kind == "z":
-                z[s] = ActionPolynomial(n, dict(action_accum))
-            else:
-                target = chi if kind == "chi" else f
-                target[s] = Polynomial(n, dict(poly_accum))
-            poly_accum.clear()
-            action_accum.clear()
+            if section is not None:
+                label, s, terms = section
+                build = ActionPolynomial if label == "Z" else Polynomial
+                ledgers[label][s] = build(n, terms)
 
-        for lineno, rawline in enumerate(text.splitlines(), start=1):
-            line = rawline.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ended:
-                raise FormatError("content after END", line=lineno, path=path)
-            tokens = line.split()
-            if header is None:
-                if tokens[0] != "NFSTATE":
-                    raise FormatError("expected NFSTATE header",
-                                      line=lineno, path=path)
-                try:
-                    kv = dict(t.split("=", 1) for t in tokens[1:])
-                    n = int(kv["n"])
-                    r = int(kv["r"])
-                    r_max = int(kv["rmax"])
-                except (ValueError, KeyError) as exc:
-                    raise FormatError(f"bad NFSTATE header: {exc}",
-                                      line=lineno, path=path) from None
-                header = True
-                continue
+        for tokens in reader:
             if tokens[0] == "OMEGA":
-                try:
-                    omega = tuple(float(v) for v in tokens[1:])
-                except ValueError as exc:
-                    raise FormatError(f"bad OMEGA line: {exc}",
-                                      line=lineno, path=path) from None
+                omega = tuple(reader.finite(tokens[1:], "OMEGA line"))
                 if len(omega) != n:
-                    raise FormatError("OMEGA length disagrees with n",
-                                      line=lineno, path=path)
+                    raise reader.error("OMEGA length disagrees with n")
                 continue
-            if tokens[0] in ("Z", "CHI", "F"):
+            if tokens[0] in ledgers:
                 if len(tokens) != 2 or not tokens[1].startswith("s="):
-                    raise FormatError("malformed section header",
-                                      line=lineno, path=path)
+                    raise reader.error("malformed section header")
                 try:
                     s = int(tokens[1][2:])
                 except ValueError:
-                    raise FormatError("bad section order",
-                                      line=lineno, path=path) from None
+                    raise reader.error("bad section order") from None
                 close_section()
-                section = (tokens[0].lower(), s)
-                continue
-            if tokens[0] == "END":
-                close_section()
-                section = None
-                ended = True
+                section = (tokens[0], s, {})
                 continue
             if section is None:
-                raise FormatError("term line outside any section",
-                                  line=lineno, path=path)
-            kind, s = section
-            if kind == "z":
+                raise reader.error("term line outside any section")
+            label, s, terms = section
+            if label == "Z":
                 if len(tokens) != n + 1:
-                    raise FormatError(
-                        f"expected {n + 1} fields on an action line",
-                        line=lineno, path=path)
+                    raise reader.error(
+                        f"expected {n + 1} fields on an action line")
                 try:
                     p = tuple(int(t) for t in tokens[:n])
-                    c = float(tokens[n])
                 except ValueError as exc:
-                    raise FormatError(f"bad action term: {exc}",
-                                      line=lineno, path=path) from None
-                if p in action_accum:
-                    raise FormatError("duplicate action exponent",
-                                      line=lineno, path=path)
-                action_accum[p] = c
+                    raise reader.error(f"bad action term: {exc}") from None
+                c = reader.finite(tokens[n:], "action term")[0]
+                if p in terms:
+                    raise reader.error("duplicate action exponent")
+                terms[p] = c
             else:
                 degree, j, k, c = poly._parse_term_line(
-                    tokens, n, "real", lineno, path)
+                    reader, tokens, n, "real")
                 if degree != s + 2:
-                    raise FormatError(
+                    raise reader.error(
                         f"term degree {degree} in section of order {s} "
-                        f"(expected {s + 2})", line=lineno, path=path)
-                if (j, k) in poly_accum:
-                    raise FormatError("duplicate exponent vector",
-                                      line=lineno, path=path)
-                poly_accum[(j, k)] = c
-        if header is None:
-            raise FormatError("empty input: no NFSTATE header", path=path)
-        if not ended:
-            raise FormatError("missing END", path=path)
+                        f"(expected {s + 2})")
+                if (j, k) in terms:
+                    raise reader.error("duplicate exponent vector")
+                terms[(j, k)] = c
+        close_section()
         if omega is None:
             raise FormatError("missing OMEGA line", path=path)
-        return cls(omega, r, r_max, z=z, chi=chi, f=f)
+        return cls(omega, reader.header["r"], reader.header["rmax"],
+                   z=z, chi=chi, f=f)
 
 
 # -- construction -------------------------------------------------------------
@@ -633,22 +530,26 @@ def _chart_blocks_from_series(h, d_cap):
 
 
 def _realify_block(terms, n):
-    if not terms:
-        return Polynomial.zero(n)
     return poly.realify(Polynomial._raw(n, dict(terms), "complex"))
 
 
+def _realify_tail(blocks, r_done, r_max, n):
+    """F entries of the blocks not yet normalized: indices r_done+1..r_max."""
+    return {s: _realify_block(blocks[s + 2], n)
+            for s in range(r_done + 1, r_max + 1) if blocks.get(s + 2)}
+
+
+def _check_r_max(r_max):
+    # a block of index s has degree s + 2, so it may hold an exponent that
+    # large; the packed monomial key has room for at most poly._MAX_EXP
+    if not 1 <= r_max <= poly._MAX_EXP - 2:
+        raise OrderRangeError(
+            f"r_max must lie in 1..{poly._MAX_EXP - 2}, got {r_max}")
+
+
 def _validate_diagonal(h, omega):
-    n = h.num_dof
-    target = {}
-    for l, w in enumerate(omega):
-        target[(tuple(2 if t == l else 0 for t in range(n)),
-                (0,) * n)] = 0.5 * w
-        target[((0,) * n,
-                tuple(2 if t == l else 0 for t in range(n)))] = 0.5 * w
-    expect = Polynomial(n, target)
-    got = h.component(2)
-    defect = poly.subtract(got, expect).max_abs_coeff()
+    expect = poly.oscillator(omega)
+    defect = poly.subtract(h.component(2), expect).max_abs_coeff()
     if defect > 1e-10 * max(expect.max_abs_coeff(), 1e-300):
         raise ValueError(
             "quadratic part is not the diagonal oscillator of the supplied "
@@ -660,7 +561,8 @@ def birkhoff_normal_form(h, omega, r_max, tol=None):
 
     h must have its quadratic component equal to
     sum omega_l (x_l^2 + y_l^2)/2; components above degree r_max + 2 are
-    ignored.  On a small divisor at some order the raised
+    ignored.  r_max may not exceed 253, because the packed monomial keys
+    hold exponents up to 255.  On a small divisor at some order the raised
     SmallDivisorError carries the partial state (normalized through the
     last completed order) in its `state` attribute.
     """
@@ -671,8 +573,7 @@ def birkhoff_normal_form(h, omega, r_max, tol=None):
             f"{len(omega)}")
     if h.field != "real":
         raise ValueError("birkhoff_normal_form expects a real series")
-    if r_max < 1:
-        raise OrderRangeError("r_max must be >= 1")
+    _check_r_max(r_max)
     if max(abs(w) for w in omega) == 0.0:
         raise ValueError("omega is identically zero")
     if tol is None:
@@ -691,11 +592,7 @@ def birkhoff_normal_form(h, omega, r_max, tol=None):
         chi = {s: _realify_block(t, n) for s, t in chis.items() if t}
         f = {s: _realify_block(t, n)
              for s, t in snapshots.items() if t}
-        for s in range(r_done + 1, r_max + 1):
-            tail = blocks.get(s + 2)
-            if tail:
-                f[s] = _realify_block(tail, n)
-        f = {s: v for s, v in f.items() if not v.is_zero}
+        f.update(_realify_tail(blocks, r_done, r_max, n))
         return NormalFormState(omega, r_done, r_max, z=z, chi=chi, f=f)
 
     for s in range(1, r_max + 1):
@@ -731,15 +628,10 @@ def normalize_step(state, omega=None, tol=None):
     if s_next > state.r_max:
         raise OrderRangeError(
             f"state is already normalized to r_max = {state.r_max}")
+    _check_r_max(state.r_max)
     n = state.num_dof
     d_cap = state.r_max + 2
-
-    blocks = {2: dict(poly.complexify(state.h0_polynomial())._terms)}
-    for s, v in state.z.items():
-        blocks[s + 2] = dict(poly.complexify(v.to_polynomial())._terms)
-    for s, v in state.f.items():
-        if s > state.r:
-            blocks[s + 2] = dict(poly.complexify(v)._terms)
+    blocks = _chart_blocks_from_series(state.current_series(), d_cap)
 
     try:
         q, chi_terms, z_terms = _step_chart(
@@ -756,16 +648,7 @@ def normalize_step(state, omega=None, tol=None):
     if chi_terms:
         chi[s_next] = _realify_block(chi_terms, n)
     f = {s: v for s, v in state.f.items() if s <= s_next}
-    for s in range(s_next + 1, state.r_max + 1):
-        tail = blocks.get(s + 2)
-        if tail:
-            block = _realify_block(tail, n)
-            if not block.is_zero:
-                f[s] = block
-            elif s in f:
-                del f[s]
-        elif s in f:
-            del f[s]
+    f.update(_realify_tail(blocks, s_next, state.r_max, n))
     return NormalFormState(omega, s_next, state.r_max, z=z, chi=chi, f=f)
 
 

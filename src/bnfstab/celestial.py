@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from . import _records
 from .errors import (
     DegenerateRadiusError,
     DimensionMismatchError,
@@ -138,61 +139,25 @@ class PoincareState:
 
     @classmethod
     def from_text(cls, text, path=None):
-        n = None
-        names, Lam, lam, xi, eta = [], [], [], [], []
+        reader = _records.RecordReader(text, "POINCARE", {"n": int},
+                                       path=path)
+        n = reader.header["n"]
+        names, rows = [], []
         radii_line = None
-        ended = False
-        for lineno, rawline in enumerate(text.splitlines(), start=1):
-            line = rawline.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ended:
-                raise FormatError("content after END", line=lineno, path=path)
-            tokens = line.split()
-            if n is None:
-                if tokens[0] != "POINCARE":
-                    raise FormatError("expected POINCARE header",
-                                      line=lineno, path=path)
-                try:
-                    kv = dict(t.split("=", 1) for t in tokens[1:])
-                    n = int(kv["n"])
-                except (ValueError, KeyError) as exc:
-                    raise FormatError(f"bad header: {exc}",
-                                      line=lineno, path=path) from None
-                continue
-            if tokens[0] == "END":
-                ended = True
-                continue
+        for tokens in reader:
             if tokens[0] == "RADII":
-                try:
-                    radii_line = tuple(float(v) for v in tokens[1:])
-                except ValueError as exc:
-                    raise FormatError(f"bad RADII line: {exc}",
-                                      line=lineno, path=path) from None
-                continue
-            if len(tokens) != 5:
-                raise FormatError("expected `name Lambda lambda xi eta`",
-                                  line=lineno, path=path)
-            try:
-                vals = [float(t) for t in tokens[1:]]
-            except ValueError as exc:
-                raise FormatError(f"bad body line: {exc}",
-                                  line=lineno, path=path) from None
-            names.append(tokens[0])
-            Lam.append(vals[0])
-            lam.append(vals[1])
-            xi.append(vals[2])
-            eta.append(vals[3])
-        if n is None:
-            raise FormatError("empty input: no POINCARE header", path=path)
-        if not ended:
-            raise FormatError("missing END", path=path)
+                radii_line = reader.finite(tokens[1:], "RADII line")
+            elif len(tokens) != 5:
+                raise reader.error("expected `name Lambda lambda xi eta`")
+            else:
+                names.append(tokens[0])
+                rows.append(reader.finite(tokens[1:], "body line"))
         if len(names) != n:
             raise FormatError(
                 f"header announces {n} bodies, found {len(names)}",
                 path=path)
-        state = cls(names=tuple(names), Lambda=tuple(Lam), lam=tuple(lam),
-                    xi=tuple(xi), eta=tuple(eta))
+        Lam, lam, xi, eta = zip(*rows) if rows else [()] * 4
+        state = cls(names=tuple(names), Lambda=Lam, lam=lam, xi=xi, eta=eta)
         if radii_line is not None and len(radii_line) != n:
             raise FormatError("RADII length disagrees with n", path=path)
         return state
@@ -258,10 +223,7 @@ def parse_elements(text, path=None):
     m0 = None
     sections = []        # (lineno, {key: value}) per [body]
     current = None
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _records.content_lines(text):
         if line.startswith("["):
             if line != "[body]":
                 raise FormatError(f"unknown section {line!r}",
@@ -282,11 +244,7 @@ def parse_elements(text, path=None):
                     "allowed there)", line=lineno, path=path)
             if m0 is not None:
                 raise FormatError("duplicate m0", line=lineno, path=path)
-            try:
-                m0 = float(value)
-            except ValueError:
-                raise FormatError(f"bad m0 value {value!r}",
-                                  line=lineno, path=path) from None
+            m0 = _records.finite_floats([value], "m0", lineno, path)[0]
             continue
         if key in current:
             raise FormatError(f"duplicate key {key!r}",
@@ -297,11 +255,7 @@ def parse_elements(text, path=None):
         if key not in _ELEMENT_KEYS:
             raise FormatError(f"unknown key {key!r}",
                               line=lineno, path=path)
-        try:
-            current[key] = float(value)
-        except ValueError:
-            raise FormatError(f"bad value for {key!r}: {value!r}",
-                              line=lineno, path=path) from None
+        current[key] = _records.finite_floats([value], key, lineno, path)[0]
 
     if m0 is None:
         raise FormatError("missing m0", path=path)

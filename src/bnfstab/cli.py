@@ -26,6 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from . import birkhoff, celestial, spectrum, stability
+from ._records import finite_floats
 from .errors import (
     ConditioningError,
     DegenerateRadiusError,
@@ -74,7 +75,10 @@ def _sha256(path):
 
 
 def _read(path):
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not a text file: {exc}", path=path) from None
 
 
 def _fmt_value(v):
@@ -103,13 +107,7 @@ def _emit(text, out):
 
 
 def _parse_radii(arg):
-    try:
-        radii = tuple(float(v) for v in arg.split(","))
-    except ValueError:
-        raise FormatError(f"bad radii list {arg!r}") from None
-    if not radii:
-        raise FormatError("empty radii list")
-    return radii
+    return tuple(finite_floats(arg.split(","), f"radii list {arg!r}"))
 
 
 def _parse_grid(arg):
@@ -117,8 +115,8 @@ def _parse_grid(arg):
     if len(parts) not in (3, 4):
         raise FormatError(
             f"grid must be min:max:points[:log|:lin], got {arg!r}")
+    lo, hi = finite_floats(parts[:2], f"grid range {arg!r}")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
         points = int(parts[2])
     except ValueError:
         raise FormatError(f"bad grid spec {arg!r}") from None
@@ -164,6 +162,7 @@ def cmd_poincare(args):
 def cmd_bnf(args):
     series = GradedSeries.from_text(_read(args.input), path=args.input)
     omega, smap = spectrum.diagonalize_quadratic(series.component(2))
+    birkhoff._check_r_max(args.order)  # before the costly divisor scan
     k_max = args.order + 2
     config = [("input", args.input), ("order", args.order),
               ("tol", "auto" if args.tol is None else args.tol),

@@ -80,12 +80,8 @@ class FormatError(Error):
     """A text file failed to parse.  Carries a 1-based line number."""
 
     def __init__(self, message, line=None, path=None):
-        loc = ""
-        if path is not None:
-            loc += f"{path}:"
-        if line is not None:
-            loc += f"{line}: "
-        super().__init__(loc + message if loc else message)
+        loc = ":".join(str(v) for v in (path, line) if v is not None)
+        super().__init__(f"{loc}: {message}" if loc else message)
         self.line = line
         self.path = path
 

@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import _records
 from .errors import (
     DimensionMismatchError,
-    FormatError,
     GradingError,
     RealityViolationError,
     TruncationOrderError,
@@ -41,7 +41,7 @@ __all__ = [
     "polydisc_norm",
     "complexify",
     "realify",
-    "reality_defect",
+    "oscillator",
     "linear_substitute",
     "evaluate",
     "evaluate_batch",
@@ -77,6 +77,12 @@ def _unpack(num_dof, key):
     shifts = _shifts(num_dof)
     exps = tuple((key >> s) & _EXP_MASK for s in shifts)
     return exps[:num_dof], exps[num_dof:]
+
+
+def _is_action_key(num_dof, key):
+    """True when the x and y exponent vectors agree, as in Z^p W^p."""
+    half = _EXP_BITS * num_dof
+    return key >> half == key & ((1 << half) - 1)
 
 
 def _key_degree(num_dof, key):
@@ -312,19 +318,26 @@ def multiply(f, g, cap=None):
     """Product of two polynomials, discarding terms of degree > cap."""
     field = _check_pair(f, g)
     n = f.num_dof
-    if f.is_zero or g.is_zero:
-        return Polynomial.zero(n, field)
-    fa = [(key, _key_degree(n, key), c) for key, c in f._terms.items()]
-    gb = [(key, _key_degree(n, key), c) for key, c in g._terms.items()]
-    raw = {}
-    get = raw.get
-    for ka, da, ca in fa:
-        for kb, db, cb in gb:
-            if cap is not None and da + db > cap:
-                continue
-            key = ka + kb
-            raw[key] = get(key, 0.0) + ca * cb
+    raw = _capped(_raw_mul(f._terms, g._terms), n, cap)
     return Polynomial._raw(n, _pruned(raw, n), field)
+
+
+def _capped(raw, num_dof, cap):
+    """The terms of degree <= cap, in a new dict; raw itself if cap is None."""
+    if cap is None:
+        return raw
+    return {key: c for key, c in raw.items()
+            if _key_degree(num_dof, key) <= cap}
+
+
+def _raw_mul(a, b):
+    out = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = ka + kb
+            out[key] = get(key, 0.0) + ca * cb
+    return out
 
 
 def _deriv_items(terms, shift):
@@ -338,6 +351,34 @@ def _deriv_items(terms, shift):
     return out
 
 
+def _derivs(terms, num_dof):
+    """_deriv_items of a term dict for every variable, in slot order."""
+    return [_deriv_items(terms, shift) for shift in _shifts(num_dof)]
+
+
+def _bracket_terms(f_terms, g_derivs, num_dof):
+    """Raw {f, g} from the terms of f and the _derivs of g."""
+    shifts = _shifts(num_dof)
+    out = {}
+    get = out.get
+    for l in range(num_dof):
+        fx = _deriv_items(f_terms, shifts[l])
+        gy = g_derivs[num_dof + l]
+        if fx and gy:
+            for ka, ca in fx:
+                for kb, cb in gy:
+                    key = ka + kb
+                    out[key] = get(key, 0.0) + ca * cb
+        fy = _deriv_items(f_terms, shifts[num_dof + l])
+        gx = g_derivs[l]
+        if fy and gx:
+            for ka, ca in fy:
+                for kb, cb in gx:
+                    key = ka + kb
+                    out[key] = get(key, 0.0) - ca * cb
+    return out
+
+
 def poisson_bracket(f, g, cap=None):
     """{f, g} = sum_l (df/dx_l dg/dy_l - df/dy_l dg/dx_l), capped by degree.
 
@@ -348,7 +389,6 @@ def poisson_bracket(f, g, cap=None):
     n = f.num_dof
     if f.is_zero or g.is_zero:
         return Polynomial.zero(n, field)
-    shifts = _shifts(n)
 
     homogeneous = f.is_homogeneous() and g.is_homogeneous()
     if homogeneous:
@@ -356,29 +396,9 @@ def poisson_bracket(f, g, cap=None):
         if target < 0 or (cap is not None and target > cap):
             return Polynomial.zero(n, field)
 
-    raw = {}
-    get = raw.get
-    ft, gt = f._terms, g._terms
-    for l in range(n):
-        sx, sy = shifts[l], shifts[n + l]
-        fx = _deriv_items(ft, sx)
-        gy = _deriv_items(gt, sy)
-        if fx and gy:
-            for ka, ca in fx:
-                for kb, cb in gy:
-                    key = ka + kb
-                    raw[key] = get(key, 0.0) + ca * cb
-        fy = _deriv_items(ft, sy)
-        gx = _deriv_items(gt, sx)
-        if fy and gx:
-            for ka, ca in fy:
-                for kb, cb in gx:
-                    key = ka + kb
-                    raw[key] = get(key, 0.0) - ca * cb
-
-    if not homogeneous and cap is not None:
-        raw = {key: c for key, c in raw.items()
-               if _key_degree(n, key) <= cap}
+    raw = _bracket_terms(f._terms, _derivs(g._terms, n), n)
+    if not homogeneous:
+        raw = _capped(raw, n, cap)
     return Polynomial._raw(n, _pruned(raw, n), field)
 
 
@@ -398,8 +418,7 @@ def lie_exp(chi, f, cap):
         raise TruncationOrderError(
             "generator has terms of degree < 3; the capped Lie series "
             "would not terminate")
-    raw = {key: c for key, c in f._terms.items()
-           if _key_degree(n, key) <= cap}
+    raw = _capped(f._terms, n, cap)
     term = Polynomial._raw(n, dict(raw), f.field)
     m = 1
     while True:
@@ -443,8 +462,8 @@ def polydisc_norm(f, radii):
     if len(radii) != f.num_dof:
         raise DimensionMismatchError(
             f"expected {f.num_dof} radii, got {len(radii)}")
-    if any(R <= 0 for R in radii):
-        raise ValueError("radii must be positive")
+    if not all(0 < R < math.inf for R in radii):
+        raise ValueError("radii must be positive and finite")
     if not f.is_homogeneous():
         raise GradingError("polydisc_norm requires a homogeneous polynomial")
     total = 0.0
@@ -483,16 +502,6 @@ def _realify_matrix(n):
         M[n + l][l] = 1j / _SQRT2
         M[n + l][n + l] = 1 / _SQRT2
     return M
-
-
-def _raw_mul(a, b):
-    out = {}
-    get = out.get
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = ka + kb
-            out[key] = get(key, 0.0) + ca * cb
-    return out
 
 
 def linear_substitute(f, matrix, field=None):
@@ -558,21 +567,6 @@ def complexify(f):
     return linear_substitute(f, _complexify_matrix(f.num_dof), field="complex")
 
 
-def _realified_raw(f):
-    return linear_substitute(f, _realify_matrix(f.num_dof), field="complex")
-
-
-def reality_defect(f):
-    """Largest imaginary residual of realify(f), relative to the largest
-    coefficient magnitude.  Zero for the zero polynomial."""
-    g = _realified_raw(f)
-    if g.is_zero:
-        return 0.0
-    top = g.max_abs_coeff()
-    worst = max(abs(c.imag) for c in g._terms.values())
-    return worst / top
-
-
 def realify(f, tol=1e-9):
     """Map a complex-chart polynomial back to real (x, y) variables.
 
@@ -582,7 +576,7 @@ def realify(f, tol=1e-9):
     """
     if f.field != "complex":
         raise ValueError("realify expects a complex-chart polynomial")
-    g = _realified_raw(f)
+    g = linear_substitute(f, _realify_matrix(f.num_dof), field="complex")
     if g.is_zero:
         return Polynomial.zero(f.num_dof, "real")
     top = g.max_abs_coeff()
@@ -592,6 +586,22 @@ def realify(f, tol=1e-9):
             f"imaginary residual {worst / top:.3e} exceeds tolerance {tol:.3e}")
     raw = {key: c.real for key, c in g._terms.items()}
     return Polynomial._raw(f.num_dof, _pruned(raw, f.num_dof), "real")
+
+
+def oscillator(omega):
+    """H0 = sum_l omega_l (x_l^2 + y_l^2)/2 as a real polynomial.
+
+    Each mode puts x_l^2 before y_l^2: term order sets the order in which
+    later sums accumulate, so every caller gets the same bits.
+    """
+    n = len(omega)
+    zero = (0,) * n
+    terms = {}
+    for l, w in enumerate(omega):
+        square = tuple(2 if t == l else 0 for t in range(n))
+        terms[(square, zero)] = 0.5 * w
+        terms[(zero, square)] = 0.5 * w
+    return Polynomial(n, terms)
 
 
 # -- evaluation ------------------------------------------------------------
@@ -702,25 +712,24 @@ def _term_lines(poly):
     return lines
 
 
-def _parse_term_line(tokens, num_dof, field, lineno, path):
+def _parse_term_line(reader, tokens, num_dof, field):
     want = 1 + 2 * num_dof + (2 if field == "complex" else 1)
     if len(tokens) != want:
-        raise FormatError(
-            f"expected {want} fields on a term line, got {len(tokens)}",
-            line=lineno, path=path)
+        raise reader.error(
+            f"expected {want} fields on a term line, got {len(tokens)}")
     try:
         degree = int(tokens[0])
         exps = [int(t) for t in tokens[1:1 + 2 * num_dof]]
         vals = [float(t) for t in tokens[1 + 2 * num_dof:]]
     except ValueError as exc:
-        raise FormatError(f"bad numeric field: {exc}",
-                          line=lineno, path=path) from None
-    if any(e < 0 for e in exps):
-        raise FormatError("negative exponent", line=lineno, path=path)
+        raise reader.error(f"bad numeric field: {exc}") from None
+    if not all(map(math.isfinite, vals)):
+        raise reader.error("non-finite coefficient")
+    if min(exps) < 0:
+        raise reader.error("negative exponent")
     if sum(exps) != degree:
-        raise FormatError(
-            f"degree column {degree} disagrees with exponent sum {sum(exps)}",
-            line=lineno, path=path)
+        raise reader.error(
+            f"degree column {degree} disagrees with exponent sum {sum(exps)}")
     j = tuple(exps[:num_dof])
     k = tuple(exps[num_dof:])
     coeff = complex(vals[0], vals[1]) if field == "complex" else vals[0]
@@ -809,50 +818,25 @@ class GradedSeries:
 
     @classmethod
     def from_text(cls, text, path=None):
-        header = None
+        reader = _records.RecordReader(
+            text, "HAM", {"n": int, "dmax": int, "field": str}, path=path,
+            end=False)
+        num_dof = reader.header["n"]
+        d_max = reader.header["dmax"]
+        field = reader.header["field"]
+        if field not in ("real", "complex"):
+            raise reader.error(f"unknown field {field!r}")
+        if num_dof < 1 or d_max < 0:
+            raise reader.error("n must be >= 1 and dmax >= 0")
         terms = {}
-        num_dof = d_max = None
-        field = None
-        for lineno, rawline in enumerate(text.splitlines(), start=1):
-            line = rawline.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if header is None:
-                if tokens[0] != "HAM":
-                    raise FormatError("expected HAM header",
-                                      line=lineno, path=path)
-                try:
-                    kv = dict(t.split("=", 1) for t in tokens[1:])
-                    num_dof = int(kv.pop("n"))
-                    d_max = int(kv.pop("dmax"))
-                    field = kv.pop("field")
-                except (ValueError, KeyError) as exc:
-                    raise FormatError(f"bad HAM header: {exc}",
-                                      line=lineno, path=path) from None
-                if kv:
-                    raise FormatError(
-                        f"unknown header fields {sorted(kv)}",
-                        line=lineno, path=path)
-                if field not in ("real", "complex"):
-                    raise FormatError(f"unknown field {field!r}",
-                                      line=lineno, path=path)
-                if num_dof < 1 or d_max < 0:
-                    raise FormatError("n must be >= 1 and dmax >= 0",
-                                      line=lineno, path=path)
-                header = True
-                continue
+        for tokens in reader:
             degree, j, k, coeff = _parse_term_line(
-                tokens, num_dof, field, lineno, path)
+                reader, tokens, num_dof, field)
             if degree > d_max:
-                raise FormatError(
-                    f"term degree {degree} exceeds dmax={d_max}",
-                    line=lineno, path=path)
+                raise reader.error(
+                    f"term degree {degree} exceeds dmax={d_max}")
             if (j, k) in terms:
-                raise FormatError("duplicate exponent vector",
-                                  line=lineno, path=path)
+                raise reader.error("duplicate exponent vector")
             terms[(j, k)] = coeff
-        if header is None:
-            raise FormatError("empty input: no HAM header", path=path)
         poly = Polynomial(num_dof, terms, field=field)
         return cls.from_polynomial(poly, d_max=d_max)

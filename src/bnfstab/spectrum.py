@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _records
 from . import polyalg as poly
 from .errors import (
     ConditioningError,
@@ -211,14 +212,7 @@ def diagonalize_quadratic(h2):
     M = np.column_stack(cols_x + cols_y)
     smap = LinearSymplecticMap(M)
 
-    target = poly.Polynomial(n, {
-        key: 0.5 * om
-        for l, om in enumerate(omega)
-        for key in (
-            (tuple(2 if t == l else 0 for t in range(n)), (0,) * n),
-            ((0,) * n, tuple(2 if t == l else 0 for t in range(n))),
-        )
-    })
+    target = poly.oscillator(omega)
     pushed = smap.pushforward(h2)
     defect = poly.subtract(pushed, target).max_abs_coeff()
     if defect > _DIAG_RTOL * target.max_abs_coeff():
@@ -244,6 +238,19 @@ def _half_lattice(num_dof, norm):
         lead = next((e for e in k if e), 0)
         if lead > 0:
             yield k
+
+
+# how each certificate body line parses; `inf` is a valid tau_dioph (an
+# exact resonance fits no finite exponent)
+_CERT_FIELDS = {
+    "omega": lambda vals: tuple(float(v) for v in vals),
+    "min_divisor": lambda vals: float(vals[0]),
+    "argmin_k": lambda vals: tuple(int(v) for v in vals),
+    "gamma": lambda vals: float(vals[0]),
+    "tau_dioph": lambda vals: float(vals[0]),
+    "tol": lambda vals: float(vals[0]),
+    "certified": lambda vals: bool(int(vals[0])),
+}
 
 
 @dataclass(frozen=True)
@@ -281,59 +288,25 @@ class ResonanceCertificate:
 
     @classmethod
     def from_text(cls, text, path=None):
+        reader = _records.RecordReader(
+            text, "NONRESONANCE", {"n": int, "kmax": int}, path=path)
+        n = reader.header["n"]
         fields = {}
-        n = k_max = None
-        ended = False
-        for lineno, rawline in enumerate(text.splitlines(), start=1):
-            line = rawline.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ended:
-                raise FormatError("content after END", line=lineno, path=path)
-            tokens = line.split()
-            if n is None:
-                if tokens[0] != "NONRESONANCE":
-                    raise FormatError("expected NONRESONANCE header",
-                                      line=lineno, path=path)
-                try:
-                    kv = dict(t.split("=", 1) for t in tokens[1:])
-                    n = int(kv["n"])
-                    k_max = int(kv["kmax"])
-                except (ValueError, KeyError) as exc:
-                    raise FormatError(f"bad header: {exc}",
-                                      line=lineno, path=path) from None
-                continue
-            if tokens[0] == "END":
-                ended = True
-                continue
+        for tokens in reader:
             key, vals = tokens[0], tokens[1:]
+            if key not in _CERT_FIELDS:
+                raise reader.error(f"unknown key {key!r}")
             try:
-                if key == "omega":
-                    fields[key] = tuple(float(v) for v in vals)
-                elif key == "argmin_k":
-                    fields[key] = tuple(int(v) for v in vals)
-                elif key == "certified":
-                    fields[key] = bool(int(vals[0]))
-                elif key in ("min_divisor", "gamma", "tau_dioph", "tol"):
-                    fields[key] = float(vals[0])
-                else:
-                    raise FormatError(f"unknown key {key!r}",
-                                      line=lineno, path=path)
+                fields[key] = _CERT_FIELDS[key](vals)
             except (ValueError, IndexError) as exc:
-                raise FormatError(f"bad value for {key!r}: {exc}",
-                                  line=lineno, path=path) from None
-        if n is None:
-            raise FormatError("empty certificate", path=path)
-        if not ended:
-            raise FormatError("missing END", path=path)
-        missing = {"omega", "min_divisor", "argmin_k", "gamma",
-                   "tau_dioph", "tol", "certified"} - set(fields)
+                raise reader.error(f"bad value for {key!r}: {exc}") from None
+        missing = set(_CERT_FIELDS) - set(fields)
         if missing:
             raise FormatError(f"missing keys {sorted(missing)}", path=path)
         if len(fields["omega"]) != n or len(fields["argmin_k"]) != n:
             raise FormatError("vector length disagrees with header n",
                               path=path)
-        return cls(k_max=k_max, **fields)
+        return cls(k_max=reader.header["kmax"], **fields)
 
 
 def check_nonresonance(omega, k_max, tol=None):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from . import polyalg as poly
 from .errors import DimensionMismatchError, OrderRangeError, \
     StabilityDomainError
-from .polyalg import Polynomial
 
 __all__ = [
     "DriftBound",
@@ -74,19 +73,13 @@ class StabilityReport:
         return math.log10(self.T)
 
 
-def _action_polynomial(num_dof, j):
-    x2 = tuple(2 if t == j else 0 for t in range(num_dof))
-    zeros = (0,) * num_dof
-    return Polynomial(num_dof, {(x2, zeros): 0.5, (zeros, x2): 0.5})
-
-
 def _check_radii(radii, num_dof):
     radii = tuple(float(R) for R in radii)
     if len(radii) != num_dof:
         raise DimensionMismatchError(
             f"expected {num_dof} radii, got {len(radii)}")
-    if any(R <= 0 for R in radii):
-        raise ValueError("radii must be positive")
+    if not all(0 < R < math.inf for R in radii):
+        raise ValueError("radii must be positive and finite")
     return radii
 
 
@@ -108,8 +101,9 @@ def drift_bound(state, r, radii, c_const=DEFAULT_C):
     block = state.remainder_block(r + 1)
     bounds = []
     for j in range(state.num_dof):
-        bracket = poly.poisson_bracket(_action_polynomial(state.num_dof, j),
-                                       block)
+        # the action I_j is the oscillator of the unit frequency vector e_j
+        unit = tuple(1.0 if t == j else 0.0 for t in range(state.num_dof))
+        bracket = poly.poisson_bracket(poly.oscillator(unit), block)
         B = c_const * poly.polydisc_norm(bracket, radii)
         bounds.append(DriftBound(r=r, j=j, B=B, c_const=c_const))
     return bounds
@@ -149,8 +143,12 @@ def _available_orders(state):
 
 
 def _per_order_bounds(state, radii, c_const):
-    return [(r, drift_bound(state, r, radii, c_const))
-            for r in _available_orders(state)]
+    order_bounds = [(r, drift_bound(state, r, radii, c_const))
+                    for r in _available_orders(state)]
+    if not order_bounds:
+        raise OrderRangeError(
+            "state has no estimable order (need r >= 1 and r_max >= 2)")
+    return order_bounds
 
 
 def _report(rho0, rho, order_bounds, radii, c_const):
@@ -188,9 +186,6 @@ def stability_time(state, rho0, radii, c_const=DEFAULT_C, rho=None):
         rho = 2.0 * rho0
     radii = _check_radii(radii, state.num_dof)
     order_bounds = _per_order_bounds(state, radii, c_const)
-    if not order_bounds:
-        raise OrderRangeError(
-            "state has no estimable order (need r >= 1 and r_max >= 2)")
     return _report(rho0, float(rho), order_bounds, radii, c_const)
 
 
@@ -211,9 +206,6 @@ def sweep(state, rho0_grid, radii, c_const=DEFAULT_C, rho_factor=2.0):
         raise StabilityDomainError("rho_factor must exceed 1")
     radii = _check_radii(radii, state.num_dof)
     order_bounds = _per_order_bounds(state, radii, c_const)
-    if not order_bounds:
-        raise OrderRangeError(
-            "state has no estimable order (need r >= 1 and r_max >= 2)")
     return [_report(rho0, rho_factor * rho0, order_bounds, radii, c_const)
             for rho0 in grid]
 

@@ -264,6 +264,12 @@ def test_state_text_errors():
         NormalFormState.from_text(text.replace("NFSTATE", "NFSTATS"))
     with pytest.raises(FormatError):
         NormalFormState.from_text("NFSTATE n=1 r=0 rmax=2\nEND\n")  # no OMEGA
+    for body, line in (("OMEGA nan\n", 2),
+                       ("OMEGA 1\nF s=1\n3 3 0 inf\n", 4),
+                       ("OMEGA 1\nZ s=2\n2 -inf\n", 4)):
+        with pytest.raises(FormatError) as info:
+            NormalFormState.from_text(f"NFSTATE n=1 r=2 rmax=2\n{body}END\n")
+        assert info.value.line == line
 
 
 def test_state_validates_grading():

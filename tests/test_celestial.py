@@ -147,6 +147,9 @@ def test_parse_elements_errors_carry_line_numbers():
     dup = elements_text(bodies, SOLAR_MASS) + "\nm0 = 2.0\n"
     with pytest.raises(FormatError):
         parse_elements(dup)
+    with pytest.raises(FormatError) as info:
+        parse_elements("m0 = nan\n")
+    assert info.value.line == 1
 
 
 def test_parse_elements_missing_field_reports_body():
@@ -166,3 +169,6 @@ def test_poincare_state_text_roundtrip():
         PoincareState.from_text(text.replace("END\n", ""))
     with pytest.raises(FormatError):
         PoincareState.from_text("POINCARE n=2\nEND\n")
+    with pytest.raises(FormatError) as info:
+        PoincareState.from_text("POINCARE n=1\nbody1 1 0 nan 0\nEND\n")
+    assert info.value.line == 2

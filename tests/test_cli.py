@@ -1,7 +1,10 @@
 """End-to-end command runs: artifacts, headers, exit codes."""
 
 import hashlib
+import importlib.util
 import math
+import time
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +178,22 @@ def test_exit_code_on_malformed_input(tmp_path, capsys):
                  "--radii", "1.0"]) == 2
     assert main(["estimate", "--input", str(nf), "--rho0", "0.5",
                  "--radii", "1.0,,2.0"]) == 2
+    assert main(["estimate", "--input", str(nf), "--rho0", "0.5",
+                 "--radii", "nan"]) == 2
+    assert main(["sweep", "--input", str(nf), "--grid", "0.5:inf:4",
+                 "--radii", "1.0"]) == 2
+    nan_ham = tmp_path / "nan.txt"
+    nan_ham.write_text("HAM n=1 dmax=4 field=real\n2 2 0 0.5\n2 0 2 0.5\n"
+                       "3 3 0 nan\n")
+    assert main(["bnf", "--input", str(nan_ham), "--out",
+                 str(tmp_path / "o.txt")]) == 2
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"HAM n=1 dmax=4 field=real\n\xff\xfe\n")
+    capsys.readouterr()
+    assert main(["bnf", "--input", str(binary), "--out",
+                 str(tmp_path / "o.txt")]) == 2
+    # a path without a line number is followed by a colon and a space
+    assert f"error: {binary}: " in capsys.readouterr().err
 
 
 def test_exit_code_on_resonance(tmp_path, capsys):
@@ -210,6 +229,12 @@ def test_exit_code_on_domain_errors(tmp_path, capsys):
                  "--radii", "1.0"]) == 4
     assert main(["estimate", "--input", str(nf), "--rho0", "0.5",
                  "--radii", "1.0,2.0"]) == 4  # wrong number of radii
+    # exponents above 255 do not fit the packed monomial keys: refused
+    # before any normalization work
+    start = time.perf_counter()
+    assert main(["bnf", "--input", str(ham), "--order", "300",
+                 "--out", str(tmp_path / "o300.txt")]) == 4
+    assert time.perf_counter() - start < 1.0
 
 
 def test_argparse_rejects_conflicting_sources(tmp_path):
@@ -233,3 +258,33 @@ def test_headers_have_no_timestamps(tmp_path):
     joined = " ".join(header)
     assert not re.search(r"\d{4}-\d{2}-\d{2}", joined)  # no dates
     assert not re.search(r"\d{2}:\d{2}:\d{2}", joined)  # no clock times
+
+
+def test_benchmark_tracer_finds_and_restores_every_target():
+    # the benchmark's per-layer spans wrap these attributes by name, so a
+    # rename or move in the package must show up here, not as a silently
+    # missing metric
+    import bnfstab
+
+    source = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", source)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+
+    def owner(module, attr_path):
+        obj = getattr(bnfstab, module)
+        return getattr(obj, attr_path) if attr_path else obj
+
+    targets = {name: (owner(module, path), attr)
+               for name, (module, path, attr, _) in spans.TARGETS.items()}
+    originals = {name: vars(obj)[attr]
+                 for name, (obj, attr) in targets.items()}
+    tracer = spans.Tracer()
+    tracer.install(bnfstab)
+    try:
+        for name, (obj, attr) in targets.items():
+            assert vars(obj)[attr] is not originals[name], name
+    finally:
+        tracer.uninstall()
+    for name, (obj, attr) in targets.items():
+        assert vars(obj)[attr] is originals[name], name

@@ -22,7 +22,6 @@ from bnfstab.polyalg import (
     poisson_bracket,
     polydisc_norm,
     realify,
-    reality_defect,
     sample_polydisc,
     theta_weight,
 )
@@ -252,7 +251,7 @@ def test_complexify_realify_roundtrip():
         g = realify(complexify(f))
         diff = g + f.scale(-1.0)
         assert diff.max_abs_coeff() <= 1e-12 * max(1.0, f.max_abs_coeff())
-        assert reality_defect(complexify(f)) <= 1e-13
+        realify(complexify(f), tol=1e-13)  # raises above 1e-13
 
 
 def test_realify_rejects_non_real():
@@ -312,6 +311,9 @@ def test_graded_series_text_errors():
         GradedSeries.from_text("HAM n=1 dmax=4 field=real\n2 2 0 oops\n")
     with pytest.raises(FormatError):
         GradedSeries.from_text("HAM n=1 dmax=4 field=real extra=1\n")
+    with pytest.raises(FormatError) as info:
+        GradedSeries.from_text("HAM n=1 dmax=4 field=real\n2 2 0 nan\n")
+    assert info.value.line == 2
 
 
 def test_graded_series_accepts_comments_and_blank_lines():
