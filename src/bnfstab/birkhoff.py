@@ -227,55 +227,27 @@ def _step_chart(blocks, s, omega, n, tol, d_cap):
     chi, z_act = _solve_chart(q, omega, n, tol)
 
     z_chart = {key: c for key, c in q.items() if poly._is_action_key(n, key)}
-
-    if not chi:
-        # block was already action-only; nothing moves
-        blocks[m] = z_chart
-        return q, chi, z_act
-
     chi_derivs = poly._derivs(chi, n)
-
-    def run_chain(start, deg, p_start):
-        g = start
-        d = deg
-        p = p_start
-        while True:
-            d += m - 2
-            if d > d_cap:
-                return
-            g = poly._bracket_terms(g, chi_derivs, n)
-            g = poly._pruned(g, n)
-            if not g:
-                return
-            if p > 1:
-                g = {key: c / p for key, c in g.items()}
-            target = blocks.setdefault(d, {})
-            for key, c in g.items():
-                target[key] = target.get(key, 0.0) + c
-            p += 1
 
     # the flow of -chi applied to every block: exp of -{chi, .} expands as
     # g_p = {g_{p-1}, chi}/p; process sources top-down so each chain reads
-    # its block before lower chains write into it
-    touched = set()
-    for d in sorted(blocks, reverse=True):
-        if d == 2:
-            continue
-        src = q if d == m else blocks[d]
-        if not src:
-            continue
-        touched.add(d)
-        run_chain(src, d, 1)
-    # the oscillator chain: {H0, chi} equals Z - Q exactly by construction,
-    # which is absorbed by replacing the block below; continue from there
-    g1 = {key: -c for key, c in q.items()
-          if not poly._is_action_key(n, key)}
-    run_chain(g1, m, 2)
-    touched.add(m)
+    # its block before lower chains write into it.  The oscillator chain
+    # goes last: {H0, chi} equals Z - Q exactly by construction, which is
+    # absorbed by replacing the block below, so it starts at g_2
+    degrees = [d for d in sorted(blocks, reverse=True) if d != 2]
+    chains = [(q if d == m else blocks[d], d, 1) for d in degrees]
+    chains.append(({key: -c for key, c in q.items()
+                    if not poly._is_action_key(n, key)}, m, 2))
+    for src, start, p in chains:
+        for d, g in poly._lie_series(src, chi_derivs, n, start, m - 2,
+                                     d_cap, p):
+            target = blocks.setdefault(d, {})
+            for key, c in g.items():
+                target[key] = target.get(key, 0.0) + c
 
     blocks[m] = z_chart
-    for d in touched:
-        if d != m and d in blocks:
+    for d in degrees:
+        if d != m:
             blocks[d] = poly._pruned(blocks[d], n)
     return q, chi, z_act
 
@@ -301,8 +273,7 @@ def solve_homological(q, omega, tol=None):
         raise ValueError("solve_homological expects a real polynomial")
     if not q.is_homogeneous():
         raise GradingError("solve_homological expects a homogeneous block")
-    if tol is None:
-        tol = spectrum.default_tolerance(omega)
+    tol = spectrum._tolerance(omega, tol)
     n = q.num_dof
     if q.is_zero:
         return Polynomial.zero(n), ActionPolynomial.zero(n)
@@ -382,12 +353,6 @@ class NormalFormState:
 
     def h0_polynomial(self):
         return poly.oscillator(self.omega)
-
-    def h0_action(self):
-        n = self.num_dof
-        return ActionPolynomial(
-            n, {tuple(1 if t == l else 0 for t in range(n)): w
-                for l, w in enumerate(self.omega)})
 
     def z_action(self, s):
         if not 1 <= s <= self.r:
@@ -556,6 +521,45 @@ def _validate_diagonal(h, omega):
             "frequencies; diagonalize it first")
 
 
+def _extend(state, blocks, r_to, tol):
+    """Normalize orders state.r+1 .. r_to on the chart blocks of state's
+    current Hamiltonian (mutated in place) and return the new state.
+
+    The only code that normalizes an order.  Each generator and snapshot
+    is realified once, when it is produced, and the tail once, at the end;
+    the first snapshot is the input ledger's own block.  A small divisor
+    raises SmallDivisorError with the state normalized through the last
+    completed order.
+    """
+    omega, r_max = state.omega, state.r_max
+    tol = spectrum._tolerance(omega, tol)
+    n = len(omega)
+    z, chi = dict(state.z), dict(state.chi)
+    f = {s: v for s, v in state.f.items() if s <= state.r + 1}
+
+    def build(r_done):
+        tail = _realify_tail(blocks, r_done, r_max, n)
+        return NormalFormState(omega, r_done, r_max, z=z, chi=chi,
+                               f={**tail, **f})
+
+    for s in range(state.r + 1, r_to + 1):
+        try:
+            q, chi_terms, z_terms = _step_chart(
+                blocks, s, omega, n, tol, r_max + 2)
+        except SmallDivisorError as exc:
+            raise SmallDivisorError(
+                f"small divisor while normalizing order {s}: {exc}",
+                k=exc.k, divisor=exc.divisor, order=s,
+                state=build(s - 1)) from None
+        if z_terms:
+            z[s] = ActionPolynomial(n, z_terms)
+        if chi_terms:
+            chi[s] = _realify_block(chi_terms, n)
+        if q and s not in f:
+            f[s] = _realify_block(q, n)
+    return build(r_to)
+
+
 def birkhoff_normal_form(h, omega, r_max, tol=None):
     """Normalize orders 1..r_max of a real graded Hamiltonian.
 
@@ -576,40 +580,9 @@ def birkhoff_normal_form(h, omega, r_max, tol=None):
     _check_r_max(r_max)
     if max(abs(w) for w in omega) == 0.0:
         raise ValueError("omega is identically zero")
-    if tol is None:
-        tol = spectrum.default_tolerance(omega)
     _validate_diagonal(h, omega)
-
-    n = len(omega)
-    d_cap = r_max + 2
-    blocks = _chart_blocks_from_series(h, d_cap)
-    snapshots = {}
-    z_acts = {}
-    chis = {}
-
-    def build_state(r_done):
-        z = {s: ActionPolynomial(n, t) for s, t in z_acts.items() if t}
-        chi = {s: _realify_block(t, n) for s, t in chis.items() if t}
-        f = {s: _realify_block(t, n)
-             for s, t in snapshots.items() if t}
-        f.update(_realify_tail(blocks, r_done, r_max, n))
-        return NormalFormState(omega, r_done, r_max, z=z, chi=chi, f=f)
-
-    for s in range(1, r_max + 1):
-        try:
-            q, chi_terms, z_terms = _step_chart(
-                blocks, s, omega, n, tol, d_cap)
-        except SmallDivisorError as exc:
-            partial = build_state(s - 1)
-            raise SmallDivisorError(
-                f"small divisor while normalizing order {s}: {exc}",
-                k=exc.k, divisor=exc.divisor, order=s,
-                state=partial) from None
-        snapshots[s] = q
-        z_acts[s] = z_terms
-        chis[s] = chi_terms
-
-    return build_state(r_max)
+    blocks = _chart_blocks_from_series(h, r_max + 2)
+    return _extend(NormalFormState(omega, 0, r_max), blocks, r_max, tol)
 
 
 def normalize_step(state, omega=None, tol=None):
@@ -622,34 +595,13 @@ def normalize_step(state, omega=None, tol=None):
     omega = state.omega if omega is None else tuple(float(w) for w in omega)
     if omega != state.omega:
         raise ValueError("omega disagrees with the state's frequencies")
-    if tol is None:
-        tol = spectrum.default_tolerance(omega)
-    s_next = state.r + 1
-    if s_next > state.r_max:
+    if state.r + 1 > state.r_max:
         raise OrderRangeError(
             f"state is already normalized to r_max = {state.r_max}")
     _check_r_max(state.r_max)
-    n = state.num_dof
-    d_cap = state.r_max + 2
-    blocks = _chart_blocks_from_series(state.current_series(), d_cap)
-
-    try:
-        q, chi_terms, z_terms = _step_chart(
-            blocks, s_next, omega, n, tol, d_cap)
-    except SmallDivisorError as exc:
-        raise SmallDivisorError(
-            f"small divisor while normalizing order {s_next}: {exc}",
-            k=exc.k, divisor=exc.divisor, order=s_next, state=state) from None
-
-    z = dict(state.z)
-    if z_terms:
-        z[s_next] = ActionPolynomial(n, z_terms)
-    chi = dict(state.chi)
-    if chi_terms:
-        chi[s_next] = _realify_block(chi_terms, n)
-    f = {s: v for s, v in state.f.items() if s <= s_next}
-    f.update(_realify_tail(blocks, s_next, state.r_max, n))
-    return NormalFormState(omega, s_next, state.r_max, z=z, chi=chi, f=f)
+    blocks = _chart_blocks_from_series(state.current_series(),
+                                       state.r_max + 2)
+    return _extend(state, blocks, state.r + 1, tol)
 
 
 # -- derived quantities --------------------------------------------------------

@@ -160,6 +160,8 @@ def cmd_poincare(args):
 
 
 def cmd_bnf(args):
+    if args.tol is not None:
+        finite_floats([args.tol], "--tol")
     series = GradedSeries.from_text(_read(args.input), path=args.input)
     omega, smap = spectrum.diagonalize_quadratic(series.component(2))
     birkhoff._check_r_max(args.order)  # before the costly divisor scan
@@ -200,6 +202,7 @@ def _load_state(path):
 
 
 def cmd_estimate(args):
+    finite_floats([args.c_const], "--c-const")
     state = _load_state(args.input)
     radii, radii_src = _resolve_radii(args)
     report = stability.stability_time(
@@ -225,6 +228,7 @@ def cmd_estimate(args):
 
 
 def cmd_sweep(args):
+    finite_floats([args.c_const], "--c-const")
     state = _load_state(args.input)
     radii, radii_src = _resolve_radii(args)
     grid = _parse_grid(args.grid) if args.grid else stability.default_grid()

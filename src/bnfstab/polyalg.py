@@ -93,7 +93,11 @@ def _key_degree(num_dof, key):
 
 
 def _pruned(raw, num_dof):
-    """Drop zeros and coefficients below PRUNE_REL of their degree block."""
+    """Drop zeros and coefficients below PRUNE_REL of their degree block.
+
+    Raises ValueError on an overflowed coefficient: an infinite block
+    maximum, or a nan (which no comparison keeps) among the dropped terms.
+    """
     if not raw:
         return {}
     block_max = {}
@@ -104,11 +108,15 @@ def _pruned(raw, num_dof):
         a = abs(c)
         if a > block_max.get(d, 0.0):
             block_max[d] = a
+    if math.inf in block_max.values():
+        raise ValueError("coefficient overflow: an infinite coefficient")
     out = {}
     for key, c in raw.items():
         a = abs(c)
         if a > 0.0 and a >= PRUNE_REL * block_max[deg_of[key]]:
             out[key] = c
+        elif a != a:
+            raise ValueError("coefficient overflow: a nan coefficient")
     return out
 
 
@@ -402,11 +410,32 @@ def poisson_bracket(f, g, cap=None):
     return Polynomial._raw(n, _pruned(raw, n), field)
 
 
+def _lie_series(g, chi_derivs, num_dof, degree, step, cap, p=1):
+    """The terms g_p = {g_(p-1), chi}/p, p = p, p+1, ..., of a Lie series.
+
+    g is the term g_(p-1), homogeneous of the given degree; chi_derivs are
+    the _derivs of chi, and step = deg(chi) - 2 is the degree each bracket
+    adds.  Yields (degree, terms) and stops at a zero term or once the
+    degree passes cap.
+    """
+    while True:
+        degree += step
+        if degree > cap:
+            return
+        g = _pruned(_bracket_terms(g, chi_derivs, num_dof), num_dof)
+        if not g:
+            return
+        if p > 1:
+            g = {key: c / p for key, c in g.items()}
+        yield degree, g
+        p += 1
+
+
 def lie_exp(chi, f, cap):
     """exp(L_chi) f = sum_m L_chi^m f / m!, truncated at total degree cap.
 
-    chi must have no terms of degree < 3, so each bracket application raises
-    the minimum degree by at least one and the sum below the cap is finite.
+    chi must be homogeneous of degree >= 3, so each bracket application
+    raises the degree by at least one and the sum below the cap is finite.
     """
     field = _check_pair(chi, f)
     n = f.num_dof
@@ -418,17 +447,17 @@ def lie_exp(chi, f, cap):
         raise TruncationOrderError(
             "generator has terms of degree < 3; the capped Lie series "
             "would not terminate")
+    if not chi.is_homogeneous():
+        raise GradingError("lie_exp requires a homogeneous generator")
     raw = _capped(f._terms, n, cap)
-    term = Polynomial._raw(n, dict(raw), f.field)
-    m = 1
-    while True:
-        term = poisson_bracket(chi, term, cap)
-        if term.is_zero:
-            break
-        term = term.scale(1.0 / m)
-        for key, c in term._terms.items():
-            raw[key] = raw.get(key, 0.0) + c
-        m += 1
+    # L_chi g = {chi, g} = {g, -chi}
+    minus_chi = _derivs({key: -c for key, c in chi._terms.items()}, n)
+    for d in f.degrees():
+        part = f.homogeneous_part(d)._terms
+        for _, g in _lie_series(part, minus_chi, n, d, chi.degree_max - 2,
+                                cap):
+            for key, c in g.items():
+                raw[key] = raw.get(key, 0.0) + c
     return Polynomial._raw(n, _pruned(raw, n), field)
 
 
@@ -480,35 +509,24 @@ def polydisc_norm(f, radii):
 _SQRT2 = math.sqrt(2.0)
 
 
-def _complexify_matrix(n):
-    # rows: old real variables expressed in the canonical complex pair
-    # x_l = (Z_l - i W_l)/sqrt2,  y_l = (W_l - i Z_l)/sqrt2, {Z_l, W_l} = 1
+def _chart_matrix(n, sign):
+    # rows: the old pair of each mode in the new one.  sign -1 complexifies,
+    # x_l = (Z_l - i W_l)/sqrt2, y_l = (W_l - i Z_l)/sqrt2 ({Z_l, W_l} = 1);
+    # sign +1 realifies, Z_l = (x_l + i y_l)/sqrt2, W_l = (y_l + i x_l)/sqrt2
     M = [[0j] * (2 * n) for _ in range(2 * n)]
     for l in range(n):
         M[l][l] = 1 / _SQRT2
-        M[l][n + l] = -1j / _SQRT2
-        M[n + l][l] = -1j / _SQRT2
+        M[l][n + l] = sign * 1j / _SQRT2
+        M[n + l][l] = sign * 1j / _SQRT2
         M[n + l][n + l] = 1 / _SQRT2
     return M
 
 
-def _realify_matrix(n):
-    # rows: chart variables expressed in the real pair
-    # Z_l = (x_l + i y_l)/sqrt2,  W_l = (y_l + i x_l)/sqrt2
-    M = [[0j] * (2 * n) for _ in range(2 * n)]
-    for l in range(n):
-        M[l][l] = 1 / _SQRT2
-        M[l][n + l] = 1j / _SQRT2
-        M[n + l][l] = 1j / _SQRT2
-        M[n + l][n + l] = 1 / _SQRT2
-    return M
-
-
-def linear_substitute(f, matrix, field=None):
+def linear_substitute(f, matrix):
     """Compose f with a linear change of variables: old_i = sum_t M[i][t] new_t.
 
-    Returns f(M v) as a polynomial in the new variables.  Degree is
-    preserved; rows of M must have length 2n.
+    Returns f(M v) as a polynomial in the new variables, complex when M
+    or f is.  Degree is preserved; rows of M must have length 2n.
     """
     n = f.num_dof
     width = 2 * n
@@ -516,9 +534,8 @@ def linear_substitute(f, matrix, field=None):
     if len(rows) != width or any(len(r) != width for r in rows):
         raise DimensionMismatchError(
             f"substitution matrix must be {width}x{width}")
-    if field is None:
-        has_complex = any(isinstance(v, complex) for r in rows for v in r)
-        field = "complex" if (has_complex or f.field == "complex") else "real"
+    has_complex = any(isinstance(v, complex) for r in rows for v in r)
+    field = "complex" if (has_complex or f.field == "complex") else "real"
 
     shifts = _shifts(n)
     unit_keys = [1 << s for s in shifts]
@@ -548,10 +565,6 @@ def linear_substitute(f, matrix, field=None):
                 acc = _raw_mul(acc, power(i, e))
         for k2, c2 in acc.items():
             out[k2] = out.get(k2, 0.0) + c2
-
-    if field == "real":
-        out = {k: (c.real if isinstance(c, complex) else c)
-               for k, c in out.items()}
     return Polynomial._raw(n, _pruned(out, n), field)
 
 
@@ -564,7 +577,7 @@ def complexify(f):
     unchanged in either chart.  Slot l holds the Z_l exponent, slot n+l the
     W_l exponent.
     """
-    return linear_substitute(f, _complexify_matrix(f.num_dof), field="complex")
+    return linear_substitute(f, _chart_matrix(f.num_dof, -1))
 
 
 def realify(f, tol=1e-9):
@@ -576,7 +589,7 @@ def realify(f, tol=1e-9):
     """
     if f.field != "complex":
         raise ValueError("realify expects a complex-chart polynomial")
-    g = linear_substitute(f, _realify_matrix(f.num_dof), field="complex")
+    g = linear_substitute(f, _chart_matrix(f.num_dof, +1))
     if g.is_zero:
         return Polynomial.zero(f.num_dof, "real")
     top = g.max_abs_coeff()

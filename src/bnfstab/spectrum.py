@@ -228,6 +228,16 @@ def default_tolerance(omega):
     return 1e-10 * max(abs(w) for w in omega)
 
 
+def _tolerance(omega, tol):
+    """tol, or the default for omega when it is None; ValueError unless the
+    result lies in (0, inf)."""
+    if tol is None:
+        tol = default_tolerance(omega)
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    return tol
+
+
 def _half_lattice(num_dof, norm):
     """Integer vectors with |k|_1 == norm whose first nonzero entry is
     positive (one representative per +-k pair), in lexicographic order."""
@@ -321,8 +331,7 @@ def check_nonresonance(omega, k_max, tol=None):
         raise DimensionMismatchError("empty frequency vector")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if tol is None:
-        tol = default_tolerance(omega)
+    tol = _tolerance(omega, tol)
 
     min_div = math.inf
     argmin = None

@@ -95,8 +95,8 @@ def drift_bound(state, r, radii, c_const=DEFAULT_C):
     if r + 1 > state.r_max:
         raise OrderRangeError(
             f"order {r} needs block {r + 1}, beyond r_max = {state.r_max}")
-    if c_const <= 1.0:
-        raise ValueError("the safety constant must exceed 1")
+    if not 1.0 < c_const < math.inf:
+        raise ValueError("the safety constant must exceed 1 and be finite")
     radii = _check_radii(radii, state.num_dof)
     block = state.remainder_block(r + 1)
     bounds = []

@@ -183,6 +183,31 @@ def test_small_divisor_carries_partial_state():
     assert _identity_residual(err.state, 1) <= 1e-12
 
 
+def test_normalize_step_small_divisor_keeps_the_input_order():
+    # the same 1:1 system, stepped: the cubic order goes through, the
+    # quartic order holds exact resonances
+    omega = (1.0, 1.0)
+    h2 = (mono(2, (2, 0), (0, 0), 0.5) + mono(2, (0, 0), (2, 0), 0.5)
+          + mono(2, (0, 2), (0, 0), 0.5) + mono(2, (0, 0), (0, 2), 0.5))
+    h = GradedSeries.from_polynomial(
+        h2 + mono(2, (3, 0), (0, 0)) + mono(2, (2, 2), (0, 0)), d_max=6)
+    state = NormalFormState(
+        omega, 0, 4, f={s: h.component(s + 2) for s in (1, 2)})
+    state = normalize_step(state)
+    with pytest.raises(SmallDivisorError) as info:
+        normalize_step(state)
+    err = info.value
+    assert err.order == state.r + 1
+    assert err.state.r == state.r
+    assert _identity_residual(err.state, 1) <= 1e-12
+    # a tolerance outside (0, inf) is refused before any division
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            normalize_step(state, tol=bad)
+        with pytest.raises(ValueError):
+            birkhoff_normal_form(h, omega, 4, tol=bad)
+
+
 def test_solve_homological_cubic():
     q = mono(1, (3,), (0,))
     chi, z = solve_homological(q, (1.0,))

@@ -2,7 +2,9 @@
 
 import hashlib
 import importlib.util
+import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -182,6 +184,13 @@ def test_exit_code_on_malformed_input(tmp_path, capsys):
                  "--radii", "nan"]) == 2
     assert main(["sweep", "--input", str(nf), "--grid", "0.5:inf:4",
                  "--radii", "1.0"]) == 2
+    for bad in ("nan", "inf"):
+        assert main(["bnf", "--input", str(ham), "--tol", bad,
+                     "--out", str(tmp_path / "o.txt")]) == 2
+        assert main(["estimate", "--input", str(nf), "--rho0", "0.5",
+                     "--radii", "1.0", "--c-const", bad]) == 2
+        assert main(["sweep", "--input", str(nf), "--radii", "1.0",
+                     "--c-const", bad]) == 2
     nan_ham = tmp_path / "nan.txt"
     nan_ham.write_text("HAM n=1 dmax=4 field=real\n2 2 0 0.5\n2 0 2 0.5\n"
                        "3 3 0 nan\n")
@@ -211,6 +220,13 @@ def test_exit_code_on_resonance(tmp_path, capsys):
     assert cert.min_divisor == 0.0
     assert not out.exists()
     assert "error:" in capsys.readouterr().err
+    # a zero tolerance would certify the exact resonance: refused before
+    # the divisor scan, so no certificate is written
+    out0 = tmp_path / "nf0.txt"
+    assert main(["bnf", "--input", str(ham), "--order", "4", "--tol", "0",
+                 "--out", str(out0)]) == 4
+    assert not (tmp_path / "nf0.txt.cert").exists()
+    assert not out0.exists()
 
 
 def test_exit_code_on_domain_errors(tmp_path, capsys):
@@ -235,6 +251,14 @@ def test_exit_code_on_domain_errors(tmp_path, capsys):
     assert main(["bnf", "--input", str(ham), "--order", "300",
                  "--out", str(tmp_path / "o300.txt")]) == 4
     assert time.perf_counter() - start < 1.0
+    assert main(["estimate", "--input", str(nf), "--rho0", "0.5",
+                 "--radii", "1.0", "--c-const", "0.5"]) == 4
+    # a coefficient that overflows in the Lie series is refused, not pruned
+    big = tmp_path / "big.txt"
+    big.write_text("HAM n=1 dmax=8 field=real\n2 2 0 0.5\n2 0 2 0.5\n"
+                   "3 3 0 1e200\n")
+    assert main(["bnf", "--input", str(big), "--order", "6",
+                 "--out", str(tmp_path / "big_nf.txt")]) == 4
 
 
 def test_argparse_rejects_conflicting_sources(tmp_path):
@@ -258,6 +282,54 @@ def test_headers_have_no_timestamps(tmp_path):
     joined = " ".join(header)
     assert not re.search(r"\d{4}-\d{2}-\d{2}", joined)  # no dates
     assert not re.search(r"\d{2}:\d{2}:\d{2}", joined)  # no clock times
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_perfbench(name):
+    source = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, source)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_quick_workloads_match_reference(tmp_path, monkeypatch):
+    # the benchmark's answer check at seed 1, so a change of its results
+    # fails here before any benchmark run
+    import bnfstab.cli
+
+    monkeypatch.setitem(sys.modules, "systems", _load_perfbench("systems"))
+    workloads = _load_perfbench("workloads")
+    refs = json.loads((PERFBENCH / "reference.json").read_text())
+
+    def body_rows(path):
+        return [line for line in Path(path).read_text().splitlines()
+                if not line.startswith("#")]
+
+    def close(got, want):
+        return abs(got - want) <= 1e-9 * abs(want)
+
+    for name, workload in workloads.QUICK.items():
+        ref = refs[f"quick/{name}"]["1"]
+        work = tmp_path / name
+        work.mkdir()
+        monkeypatch.chdir(work)
+        workloads.set_up_here(bnfstab.cli, workload, 1)
+        for step, argv in workload.op_calls():
+            assert main(argv) == 0, (name, step)
+        rows = [r.split(",") for r in body_rows(workloads.SWEEP)[1:]]
+        assert [int(r[3]) for r in rows] == ref["r_opt"], name
+        log10_t = [float(r[2]) for r in rows]
+        assert len(log10_t) == len(ref["log10_T"]), name
+        assert all(map(close, log10_t, ref["log10_T"])), name
+        if "estimate" in ref:
+            fields = dict(r.split(" ", 1)
+                          for r in body_rows(workloads.ESTIMATE))
+            r_want, t_want = ref["estimate"]
+            assert int(fields["r_opt"]) == r_want, name
+            assert close(float(fields["log10_T"]), t_want), name
 
 
 def test_benchmark_tracer_finds_and_restores_every_target():

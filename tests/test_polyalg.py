@@ -165,6 +165,21 @@ def test_lie_exp_inverse():
 def test_lie_exp_rejects_low_degree_generator():
     with pytest.raises(TruncationOrderError):
         lie_exp(mono(1, (1,), (1,)), mono(1, (1,), (0,)), cap=6)
+    with pytest.raises(GradingError):  # one Lie series per generator degree
+        lie_exp(mono(1, (3,), (0,)) + mono(1, (4,), (0,)),
+                mono(1, (1,), (0,)), cap=6)
+
+
+def test_overflowed_coefficients_are_refused_not_pruned():
+    with pytest.raises(ValueError):
+        Polynomial(1, {((3,), (0,)): math.inf})
+    with pytest.raises(ValueError):
+        Polynomial(1, {((3,), (0,)): 1.0, ((2,), (1,)): math.nan})
+    big = mono(1, (3,), (0,), 1e200)
+    with pytest.raises(ValueError):
+        big * big
+    with pytest.raises(ValueError):
+        poisson_bracket(big, mono(1, (0,), (3,), 1e200))
 
 
 def test_theta_weight_values():

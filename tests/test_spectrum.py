@@ -180,6 +180,10 @@ def test_check_nonresonance_near_resonance_tolerance():
     # explicit loose tolerance accepts the same vector
     cert = check_nonresonance(omega, 3, tol=1e-13)
     assert cert.min_divisor == pytest.approx(1e-12, rel=1e-3)
+    # a tolerance outside (0, inf) is refused before the scan
+    for bad in (0.0, -1e-13, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            check_nonresonance(omega, 3, tol=bad)
 
 
 def test_default_tolerance_scales_with_omega():

@@ -53,6 +53,9 @@ def test_drift_bound_rejects_bad_orders_and_constant():
         drift_bound(state, 0, (1.0,))
     with pytest.raises(ValueError):
         drift_bound(state, 1, (1.0,), c_const=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            drift_bound(state, 1, (1.0,), c_const=bad)
 
 
 def test_escape_time_closed_form():
