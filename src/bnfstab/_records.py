@@ -6,6 +6,9 @@ of whitespace-separated tokens, and, in every format except HAM, a closing
 ``END`` line after which nothing but comments may follow.  ``#`` starts a
 comment and blank lines are skipped.  Errors are FormatError, carrying the
 line number wherever a single line is at fault.
+
+`record` writes such a record and `number` renders every float the package
+prints, with 17 significant digits, so that it reads back exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +16,18 @@ from __future__ import annotations
 import math
 
 from .errors import FormatError
+
+
+def number(v):
+    """v with 17 significant digits: float(number(v)) == v."""
+    return format(v, ".17g")
+
+
+def record(magic, header, lines, end=True):
+    """The text of one record: the header line `magic k=v ...`, the body
+    lines and, with end=True, END."""
+    head = " ".join([magic] + [f"{k}={v}" for k, v in header.items()])
+    return "\n".join([head, *lines] + (["END"] if end else [])) + "\n"
 
 
 def content_lines(text):

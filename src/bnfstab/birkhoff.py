@@ -404,21 +404,21 @@ class NormalFormState:
     # -- serialization ---------------------------------------------------
 
     def to_text(self):
-        lines = [f"NFSTATE n={self.num_dof} r={self.r} rmax={self.r_max}",
-                 "OMEGA " + " ".join(format(w, ".17g") for w in self.omega)]
+        number = _records.number
+        lines = ["OMEGA " + " ".join(number(w) for w in self.omega)]
         for s in sorted(self.z):
             lines.append(f"Z s={s}")
             for p, c in self.z[s].terms():
-                lines.append(" ".join(str(e) for e in p)
-                             + " " + format(c, ".17g"))
+                lines.append(" ".join([str(e) for e in p] + [number(c)]))
         for s in sorted(self.chi):
             lines.append(f"CHI s={s}")
             lines.extend(poly._term_lines(self.chi[s]))
         for s in sorted(self.f):
             lines.append(f"F s={s}")
             lines.extend(poly._term_lines(self.f[s]))
-        lines.append("END")
-        return "\n".join(lines) + "\n"
+        return _records.record(
+            "NFSTATE", {"n": self.num_dof, "r": self.r, "rmax": self.r_max},
+            lines)
 
     @classmethod
     def from_text(cls, text, path=None):

@@ -125,17 +125,15 @@ class PoincareState:
         return len(self.Lambda)
 
     def to_text(self):
-        lines = [f"POINCARE n={self.num_bodies}"]
+        number = _records.number
+        lines = []
         for i in range(self.num_bodies):
             name = self.names[i] or f"body{i + 1}"
             vals = (self.Lambda[i], self.lam[i], self.xi[i], self.eta[i])
-            lines.append(name + " "
-                         + " ".join(format(v, ".17g") for v in vals))
+            lines.append(" ".join([name] + [number(v) for v in vals]))
         lines.append("RADII " + " ".join(
-            format(math.hypot(x, e), ".17g")
-            for x, e in zip(self.xi, self.eta)))
-        lines.append("END")
-        return "\n".join(lines) + "\n"
+            number(math.hypot(x, e)) for x, e in zip(self.xi, self.eta)))
+        return _records.record("POINCARE", {"n": self.num_bodies}, lines)
 
     @classmethod
     def from_text(cls, text, path=None):
@@ -274,14 +272,14 @@ def parse_elements(text, path=None):
 
 def elements_text(bodies, m0):
     """Render (bodies, m0) in the element-file format."""
-    lines = [f"m0 = {format(m0, '.17g')}"]
+    lines = [f"m0 = {_records.number(m0)}"]
     for body in bodies:
         lines.append("")
         lines.append("[body]")
         if body.name:
             lines.append(f"name = {body.name}")
         for key in _ELEMENT_KEYS:
-            lines.append(f"{key} = {format(getattr(body, key), '.17g')}")
+            lines.append(f"{key} = {_records.number(getattr(body, key))}")
     return "\n".join(lines) + "\n"
 
 

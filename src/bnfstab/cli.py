@@ -26,23 +26,8 @@ from pathlib import Path
 
 from . import __version__
 from . import birkhoff, celestial, spectrum, stability
-from ._records import finite_floats
-from .errors import (
-    ConditioningError,
-    DegenerateRadiusError,
-    DimensionMismatchError,
-    FormatError,
-    GradingError,
-    HyperbolicOrbitError,
-    NotEllipticError,
-    OrderRangeError,
-    RealityViolationError,
-    ResonanceError,
-    SmallDivisorError,
-    StabilityDomainError,
-    TruncationOrderError,
-    UnknownFixtureError,
-)
+from ._records import finite_floats, number
+from .errors import Error, FormatError, ResonanceError, SmallDivisorError
 from .polyalg import GradedSeries
 
 __all__ = ["main"]
@@ -52,21 +37,11 @@ EXIT_INPUT = 2
 EXIT_RESONANCE = 3
 EXIT_DOMAIN = 4
 
-_INPUT_ERRORS = (FormatError, OSError)
-_RESONANCE_ERRORS = (SmallDivisorError, ResonanceError)
-_DOMAIN_ERRORS = (
-    NotEllipticError,
-    ConditioningError,
-    StabilityDomainError,
-    DegenerateRadiusError,
-    HyperbolicOrbitError,
-    OrderRangeError,
-    GradingError,
-    DimensionMismatchError,
-    RealityViolationError,
-    TruncationOrderError,
-    UnknownFixtureError,
-    ValueError,
+# the exit code of an error is that of its first matching row
+_EXIT_CODES = (
+    (ResonanceError, EXIT_RESONANCE),
+    ((FormatError, OSError), EXIT_INPUT),
+    ((Error, ValueError), EXIT_DOMAIN),
 )
 
 
@@ -83,7 +58,7 @@ def _read(path):
 
 def _fmt_value(v):
     if isinstance(v, float):
-        return format(v, ".17g")
+        return number(v)
     if isinstance(v, (tuple, list)):
         return ",".join(_fmt_value(x) for x in v)
     return str(v)
@@ -318,15 +293,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _RESONANCE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESONANCE
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    except Exception as exc:
+        for kinds, code in _EXIT_CODES:
+            if isinstance(exc, kinds):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

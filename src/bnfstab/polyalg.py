@@ -708,20 +708,14 @@ def sample_polydisc(spec, size, rng):
 
 # -- graded series and text format -------------------------------------------
 
-def _fmt(v):
-    return format(float(v), ".17g")
-
-
 def _term_lines(poly):
     lines = []
     want_im = poly.field == "complex"
     for j, k, c in poly.terms():
-        head = " ".join([str(sum(j) + sum(k))]
-                        + [str(e) for e in j] + [str(e) for e in k])
-        if want_im:
-            lines.append(f"{head} {_fmt(c.real)} {_fmt(c.imag)}")
-        else:
-            lines.append(f"{head} {_fmt(c)}")
+        vals = (c.real, c.imag) if want_im else (c,)
+        lines.append(" ".join([str(sum(j) + sum(k))] + [str(e) for e in j]
+                              + [str(e) for e in k]
+                              + [_records.number(v) for v in vals]))
     return lines
 
 
@@ -824,10 +818,10 @@ class GradedSeries:
         return sum(evaluate(p, point) for _, p in self)
 
     def to_text(self):
-        lines = [f"HAM n={self.num_dof} dmax={self.d_max} field={self.field}"]
-        for _, p in self:
-            lines.extend(_term_lines(p))
-        return "\n".join(lines) + "\n"
+        lines = [line for _, p in self for line in _term_lines(p)]
+        return _records.record(
+            "HAM", {"n": self.num_dof, "dmax": self.d_max,
+                    "field": self.field}, lines, end=False)
 
     @classmethod
     def from_text(cls, text, path=None):

@@ -283,18 +283,18 @@ class ResonanceCertificate:
     certified: bool
 
     def to_text(self):
+        number = _records.number
         lines = [
-            f"NONRESONANCE n={len(self.omega)} kmax={self.k_max}",
-            "omega " + " ".join(format(w, '.17g') for w in self.omega),
-            f"min_divisor {self.min_divisor:.17g}",
+            "omega " + " ".join(number(w) for w in self.omega),
+            f"min_divisor {number(self.min_divisor)}",
             "argmin_k " + " ".join(str(e) for e in self.argmin_k),
-            f"gamma {self.gamma:.17g}",
-            f"tau_dioph {self.tau_dioph:.17g}",
-            f"tol {self.tol:.17g}",
+            f"gamma {number(self.gamma)}",
+            f"tau_dioph {number(self.tau_dioph)}",
+            f"tol {number(self.tol)}",
             f"certified {1 if self.certified else 0}",
-            "END",
         ]
-        return "\n".join(lines) + "\n"
+        return _records.record(
+            "NONRESONANCE", {"n": len(self.omega), "kmax": self.k_max}, lines)
 
     @classmethod
     def from_text(cls, text, path=None):

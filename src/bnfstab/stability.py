@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import polyalg as poly
+from ._records import number
 from .errors import DimensionMismatchError, OrderRangeError, \
     StabilityDomainError
 
@@ -137,18 +138,13 @@ def escape_time(rho0, rho, r, bounds, radii):
     return best
 
 
-def _available_orders(state):
-    top = min(state.r, state.r_max - 1)
-    return range(1, top + 1)
-
-
 def _per_order_bounds(state, radii, c_const):
-    order_bounds = [(r, drift_bound(state, r, radii, c_const))
-                    for r in _available_orders(state)]
-    if not order_bounds:
+    top = min(state.r, state.r_max - 1)
+    if top < 1:
         raise OrderRangeError(
             "state has no estimable order (need r >= 1 and r_max >= 2)")
-    return order_bounds
+    return [(r, drift_bound(state, r, radii, c_const))
+            for r in range(1, top + 1)]
 
 
 def _report(rho0, rho, order_bounds, radii, c_const):
@@ -171,25 +167,18 @@ def _report(rho0, rho, order_bounds, radii, c_const):
                            c_const=c_const)
 
 
-def stability_time(state, rho0, radii, c_const=DEFAULT_C, rho=None):
+def stability_time(state, rho0, radii, c_const=DEFAULT_C):
     """Optimize the escape time over every estimable order.
 
-    The escape target defaults to rho = 2*rho0.  Orders whose remainder
-    block vanishes identically contribute an infinite escape time; the
-    reported T is the best finite branch, or +inf when no drift is seen
-    at any order.
+    The escape target is rho = 2*rho0.  Orders whose remainder block
+    vanishes identically contribute an infinite escape time; the reported
+    T is the best finite branch, or +inf when no drift is seen at any
+    order.
     """
-    rho0 = float(rho0)
-    if rho0 <= 0.0:
-        raise StabilityDomainError("rho0 must be positive")
-    if rho is None:
-        rho = 2.0 * rho0
-    radii = _check_radii(radii, state.num_dof)
-    order_bounds = _per_order_bounds(state, radii, c_const)
-    return _report(rho0, float(rho), order_bounds, radii, c_const)
+    return sweep(state, (rho0,), radii, c_const)[0]
 
 
-def sweep(state, rho0_grid, radii, c_const=DEFAULT_C, rho_factor=2.0):
+def sweep(state, rho0_grid, radii, c_const=DEFAULT_C):
     """stability_time across a sorted grid of starting radii.
 
     Drift bounds depend only on the order, so they are computed once and
@@ -199,21 +188,13 @@ def sweep(state, rho0_grid, radii, c_const=DEFAULT_C, rho_factor=2.0):
     if not grid:
         raise ValueError("empty grid")
     if any(v <= 0.0 for v in grid):
-        raise StabilityDomainError("grid values must be positive")
+        raise StabilityDomainError("rho0 must be positive")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    if rho_factor <= 1.0:
-        raise StabilityDomainError("rho_factor must exceed 1")
     radii = _check_radii(radii, state.num_dof)
     order_bounds = _per_order_bounds(state, radii, c_const)
-    return [_report(rho0, rho_factor * rho0, order_bounds, radii, c_const)
+    return [_report(rho0, 2.0 * rho0, order_bounds, radii, c_const)
             for rho0 in grid]
-
-
-def _fmt(v):
-    if math.isinf(v):
-        return "inf"
-    return format(v, ".17g")
 
 
 def sweep_csv(reports, wide=False):
@@ -230,11 +211,11 @@ def sweep_csv(reports, wide=False):
         header += [f"tau_r{r}" for r in orders]
     lines = [",".join(header)]
     for rep in reports:
-        row = [_fmt(rep.rho0), _fmt(rep.T), _fmt(rep.log10_T),
+        row = [number(rep.rho0), number(rep.T), number(rep.log10_T),
                str(rep.r_opt)]
         if wide:
             taus = dict(rep.per_order)
-            row += [_fmt(taus[r]) for r in orders]
+            row += [number(taus[r]) for r in orders]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
