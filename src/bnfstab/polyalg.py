@@ -96,18 +96,22 @@ def _pruned(raw, num_dof):
     """Drop zeros and coefficients below PRUNE_REL of their degree block.
 
     Raises ValueError on an overflowed coefficient: an infinite block
-    maximum, or a nan (which no comparison keeps) among the dropped terms.
+    maximum (or a complex one whose abs() overflows), or a nan (which no
+    comparison keeps) among the dropped terms.
     """
     if not raw:
         return {}
     block_max = {}
     deg_of = {}
-    for key, c in raw.items():
-        d = _key_degree(num_dof, key)
-        deg_of[key] = d
-        a = abs(c)
-        if a > block_max.get(d, 0.0):
-            block_max[d] = a
+    try:
+        for key, c in raw.items():
+            d = _key_degree(num_dof, key)
+            deg_of[key] = d
+            a = abs(c)
+            if a > block_max.get(d, 0.0):
+                block_max[d] = a
+    except OverflowError:  # abs() of a huge finite complex
+        block_max[d] = math.inf
     if math.inf in block_max.values():
         raise ValueError("coefficient overflow: an infinite coefficient")
     out = {}

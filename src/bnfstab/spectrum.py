@@ -92,7 +92,7 @@ class LinearSymplecticMap:
             raise DimensionMismatchError(
                 f"polynomial has {f.num_dof} degrees of freedom, "
                 f"map has {self.num_dof}")
-        return poly.linear_substitute(f, self.matrix)
+        return poly.linear_substitute(f, self.matrix.tolist())
 
     def new_to_old(self, points):
         pts = np.asarray(points, dtype=float)

@@ -175,6 +175,10 @@ def test_overflowed_coefficients_are_refused_not_pruned():
         Polynomial(1, {((3,), (0,)): math.inf})
     with pytest.raises(ValueError):
         Polynomial(1, {((3,), (0,)): 1.0, ((2,), (1,)): math.nan})
+    with pytest.raises(ValueError):
+        # finite, but its abs() overflows
+        Polynomial(1, {((1,), (0,)): complex(1.5e308, 1.5e308)},
+                   field="complex")
     big = mono(1, (3,), (0,), 1e200)
     with pytest.raises(ValueError):
         big * big

@@ -143,6 +143,8 @@ def test_pushforward_is_composition():
     from util import random_polynomial
     f = random_polynomial(rng, 2, 3)
     g = smap.pushforward(f)
+    # plain Python floats, not numpy scalars (np.float64 subclasses float)
+    assert all(type(c) is float for _, _, c in g.terms())
     pts = rng.uniform(-0.5, 0.5, size=(20, 4))
     old = smap.new_to_old(pts)
     for p_new, p_old in zip(pts, old):
