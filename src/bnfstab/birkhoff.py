@@ -425,6 +425,8 @@ class NormalFormState:
         reader = _records.RecordReader(
             text, "NFSTATE", {"n": int, "r": int, "rmax": int}, path=path)
         n = reader.header["n"]
+        if n < 1:
+            raise reader.error("n must be >= 1")
         omega = None
         z, chi, f = {}, {}, {}
         ledgers = {"Z": z, "CHI": chi, "F": f}
@@ -450,6 +452,8 @@ class NormalFormState:
                 except ValueError:
                     raise reader.error("bad section order") from None
                 close_section()
+                if s in ledgers[tokens[0]]:
+                    raise reader.error(f"repeated section {tokens[0]} s={s}")
                 section = (tokens[0], s, {})
                 continue
             if section is None:
@@ -463,6 +467,8 @@ class NormalFormState:
                     p = tuple(int(t) for t in tokens[:n])
                 except ValueError as exc:
                     raise reader.error(f"bad action term: {exc}") from None
+                if min(p) < 0:
+                    raise reader.error("negative action exponent")
                 c = reader.finite(tokens[n:], "action term")[0]
                 if p in terms:
                     raise reader.error("duplicate action exponent")
@@ -585,16 +591,13 @@ def birkhoff_normal_form(h, omega, r_max, tol=None):
     return _extend(NormalFormState(omega, 0, r_max), blocks, r_max, tol)
 
 
-def normalize_step(state, omega=None, tol=None):
+def normalize_step(state, tol=None):
     """Normalize one more order of an existing state.
 
     Returns a new state with r incremented; the ledger keeps the consumed
     block as the order-(r+1) snapshot and replaces all higher blocks with
     their transformed versions.
     """
-    omega = state.omega if omega is None else tuple(float(w) for w in omega)
-    if omega != state.omega:
-        raise ValueError("omega disagrees with the state's frequencies")
     if state.r + 1 > state.r_max:
         raise OrderRangeError(
             f"state is already normalized to r_max = {state.r_max}")

@@ -485,18 +485,25 @@ def theta_weight(j, k):
     return w
 
 
+def _check_radii(radii, num_dof):
+    """The radii as a tuple of floats; DimensionMismatchError unless there
+    are num_dof of them, ValueError unless each lies in (0, inf)."""
+    radii = tuple(float(R) for R in radii)
+    if len(radii) != num_dof:
+        raise DimensionMismatchError(
+            f"expected {num_dof} radii, got {len(radii)}")
+    if not all(0 < R < math.inf for R in radii):
+        raise ValueError("radii must be positive and finite")
+    return radii
+
+
 def polydisc_norm(f, radii):
     """Weighted coefficient norm sum |c| R^(j+k) Theta(j, k).
 
     f must be homogeneous (a single graded component); the norm majorizes
     sup |f| over the polydisc of radii rho*R by rho^deg times this value.
     """
-    radii = tuple(radii)
-    if len(radii) != f.num_dof:
-        raise DimensionMismatchError(
-            f"expected {f.num_dof} radii, got {len(radii)}")
-    if not all(0 < R < math.inf for R in radii):
-        raise ValueError("radii must be positive and finite")
+    radii = _check_radii(radii, f.num_dof)
     if not f.is_homogeneous():
         raise GradingError("polydisc_norm requires a homogeneous polynomial")
     total = 0.0
@@ -684,11 +691,12 @@ class PolydiscSpec:
     rho: float
 
     def __post_init__(self):
-        object.__setattr__(self, "radii", tuple(float(R) for R in self.radii))
-        if not self.radii or any(R <= 0 for R in self.radii):
-            raise ValueError("radii must be positive and nonempty")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        radii = tuple(self.radii)
+        if not radii:
+            raise ValueError("radii must be nonempty")
+        object.__setattr__(self, "radii", _check_radii(radii, len(radii)))
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
 
     @property
     def num_dof(self):
@@ -736,8 +744,8 @@ def _parse_term_line(reader, tokens, num_dof, field):
         raise reader.error(f"bad numeric field: {exc}") from None
     if not all(map(math.isfinite, vals)):
         raise reader.error("non-finite coefficient")
-    if min(exps) < 0:
-        raise reader.error("negative exponent")
+    if not 0 <= min(exps) <= max(exps) <= _MAX_EXP:
+        raise reader.error(f"exponent outside [0, {_MAX_EXP}]")
     if sum(exps) != degree:
         raise reader.error(
             f"degree column {degree} disagrees with exponent sum {sum(exps)}")

@@ -50,13 +50,13 @@ class LinearSymplecticMap:
     """A real linear symplectic change of variables old = M @ new.
 
     The constructor rejects matrices whose symplectic residual
-    max |M^T J M - J| exceeds `atol` (relative to the largest entry of
-    M^T J M when that is large).
+    max |M^T J M - J| exceeds _SYMPLECTIC_ATOL (relative to the largest
+    entry of M^T J M when that is large).
     """
 
     __slots__ = ("matrix", "num_dof")
 
-    def __init__(self, matrix, atol=_SYMPLECTIC_ATOL):
+    def __init__(self, matrix):
         M = np.array(matrix, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
             raise DimensionMismatchError(
@@ -66,10 +66,10 @@ class LinearSymplecticMap:
         G = M.T @ J @ M
         residual = np.max(np.abs(G - J))
         scale = max(1.0, np.max(np.abs(G)))
-        if residual > atol * scale:
+        if residual > _SYMPLECTIC_ATOL * scale:
             raise ConditioningError(
                 f"matrix is not symplectic: residual {residual:.3e} "
-                f"(tolerance {atol * scale:.3e})")
+                f"(tolerance {_SYMPLECTIC_ATOL * scale:.3e})")
         M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
         object.__setattr__(self, "num_dof", n)

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 from . import polyalg as poly
 from ._records import number
-from .errors import DimensionMismatchError, OrderRangeError, \
-    StabilityDomainError
+from .errors import OrderRangeError, StabilityDomainError
 
 __all__ = [
     "DriftBound",
@@ -69,19 +68,7 @@ class StabilityReport:
 
     @property
     def log10_T(self):
-        if math.isinf(self.T):
-            return math.inf
         return math.log10(self.T)
-
-
-def _check_radii(radii, num_dof):
-    radii = tuple(float(R) for R in radii)
-    if len(radii) != num_dof:
-        raise DimensionMismatchError(
-            f"expected {num_dof} radii, got {len(radii)}")
-    if not all(0 < R < math.inf for R in radii):
-        raise ValueError("radii must be positive and finite")
-    return radii
 
 
 def drift_bound(state, r, radii, c_const=DEFAULT_C):
@@ -98,7 +85,7 @@ def drift_bound(state, r, radii, c_const=DEFAULT_C):
             f"order {r} needs block {r + 1}, beyond r_max = {state.r_max}")
     if not 1.0 < c_const < math.inf:
         raise ValueError("the safety constant must exceed 1 and be finite")
-    radii = _check_radii(radii, state.num_dof)
+    radii = poly._check_radii(radii, state.num_dof)
     block = state.remainder_block(r + 1)
     bounds = []
     for j in range(state.num_dof):
@@ -191,7 +178,7 @@ def sweep(state, rho0_grid, radii, c_const=DEFAULT_C):
         raise StabilityDomainError("rho0 must be positive")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    radii = _check_radii(radii, state.num_dof)
+    radii = poly._check_radii(radii, state.num_dof)
     order_bounds = _per_order_bounds(state, radii, c_const)
     return [_report(rho0, 2.0 * rho0, order_bounds, radii, c_const)
             for rho0 in grid]

@@ -289,9 +289,15 @@ def test_state_text_errors():
         NormalFormState.from_text(text.replace("NFSTATE", "NFSTATS"))
     with pytest.raises(FormatError):
         NormalFormState.from_text("NFSTATE n=1 r=0 rmax=2\nEND\n")  # no OMEGA
+    with pytest.raises(FormatError):
+        NormalFormState.from_text("NFSTATE n=0 r=0 rmax=1\nZ s=1\n1\nEND\n")
     for body, line in (("OMEGA nan\n", 2),
                        ("OMEGA 1\nF s=1\n3 3 0 inf\n", 4),
-                       ("OMEGA 1\nZ s=2\n2 -inf\n", 4)):
+                       ("OMEGA 1\nZ s=2\n2 -inf\n", 4),
+                       ("OMEGA 1\nF s=1\n3 3 0 1\nF s=1\n", 5),
+                       ("OMEGA 1\nCHI s=1\nCHI s=1\n", 4),
+                       ("OMEGA 1\nZ s=2\n2 1\nF s=1\nZ s=2\n", 6),
+                       ("OMEGA 1\nZ s=2\n-1 3\n", 4)):
         with pytest.raises(FormatError) as info:
             NormalFormState.from_text(f"NFSTATE n=1 r=2 rmax=2\n{body}END\n")
         assert info.value.line == line

@@ -243,6 +243,10 @@ def test_sample_polydisc_stays_inside():
     for l, R in enumerate(spec.radii):
         r2 = pts[:, l] ** 2 + pts[:, 2 + l] ** 2
         assert np.all(r2 <= (1.3 * R) ** 2 * (1 + 1e-12))
+    for radii, rho in (((math.nan, 1.0), 1.0), ((math.inf,), 1.0),
+                       ((1.0,), math.nan), ((1.0,), math.inf)):
+        with pytest.raises(ValueError):
+            PolydiscSpec(radii, rho)
 
 
 def test_evaluate_matches_dense_oracle():
@@ -332,6 +336,9 @@ def test_graded_series_text_errors():
         GradedSeries.from_text("HAM n=1 dmax=4 field=real extra=1\n")
     with pytest.raises(FormatError) as info:
         GradedSeries.from_text("HAM n=1 dmax=4 field=real\n2 2 0 nan\n")
+    assert info.value.line == 2
+    with pytest.raises(FormatError) as info:  # beyond a packed key's field
+        GradedSeries.from_text("HAM n=1 dmax=300 field=real\n256 256 0 1\n")
     assert info.value.line == 2
 
 
