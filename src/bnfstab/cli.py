@@ -56,18 +56,18 @@ def _read(path):
         raise FormatError(f"not a text file: {exc}", path=path) from None
 
 
-def _fmt_value(v):
+def _value_text(v):
     if isinstance(v, float):
         return number(v)
     if isinstance(v, (tuple, list)):
-        return ",".join(_fmt_value(x) for x in v)
+        return ",".join(_value_text(x) for x in v)
     return str(v)
 
 
 def _provenance(command, config, inputs):
     """Comment header lines: resolved config plus input digests."""
     lines = [f"# bnfstab {command} (version {__version__})"]
-    cfg = " ".join(f"{k}={_fmt_value(v)}" for k, v in config)
+    cfg = " ".join(f"{k}={_value_text(v)}" for k, v in config)
     lines.append(f"# config: {cfg}")
     for path in inputs:
         lines.append(f"# input: {path} sha256:{_sha256(path)}")
@@ -187,16 +187,16 @@ def cmd_estimate(args):
               ("c_const", args.c_const), ("radii", radii),
               ("out", args.out or "-")]
     lines = [
-        "rho0 " + _fmt_value(report.rho0),
-        "rho " + _fmt_value(report.rho),
-        "c_const " + _fmt_value(report.c_const),
-        "radii " + " ".join(_fmt_value(R) for R in report.radii),
-        "T " + _fmt_value(report.T),
-        "log10_T " + _fmt_value(report.log10_T),
+        "rho0 " + _value_text(report.rho0),
+        "rho " + _value_text(report.rho),
+        "c_const " + _value_text(report.c_const),
+        "radii " + " ".join(_value_text(R) for R in report.radii),
+        "T " + _value_text(report.T),
+        "log10_T " + _value_text(report.log10_T),
         "r_opt " + str(report.r_opt),
     ]
     for r, tau in report.per_order:
-        lines.append(f"tau r={r} " + _fmt_value(tau))
+        lines.append(f"tau r={r} " + _value_text(tau))
     header = _provenance("estimate", config, inputs)
     _emit(header + "\n".join(lines) + "\n", args.out)
     return EXIT_OK
