@@ -312,8 +312,9 @@ class NormalFormState:
         omega = tuple(float(w) for w in omega)
         if not omega:
             raise DimensionMismatchError("empty frequency vector")
-        if not 0 <= r <= r_max:
-            raise OrderRangeError(f"need 0 <= r <= r_max, got r={r}, "
+        if not 0 <= r <= r_max <= poly._MAX_EXP - 2:
+            raise OrderRangeError(f"need 0 <= r <= r_max <= "
+                                  f"{poly._MAX_EXP - 2}, got r={r}, "
                                   f"r_max={r_max}")
         n = len(omega)
         z = {int(s): v for s, v in (z or {}).items() if not v.is_zero}
@@ -325,7 +326,7 @@ class NormalFormState:
             if not isinstance(v, ActionPolynomial) or v.num_dof != n:
                 raise ValueError(f"Z s={s} must be an ActionPolynomial "
                                  f"in {n} actions")
-            if 2 * v.degree != s + 2:
+            if any(2 * sum(p) != s + 2 for p, _ in v.terms()):
                 raise GradingError(
                     f"Z s={s} must have action degree {(s + 2) // 2}")
         for s, v in chi.items():
@@ -424,9 +425,11 @@ class NormalFormState:
     def from_text(cls, text, path=None):
         reader = _records.RecordReader(
             text, "NFSTATE", {"n": int, "r": int, "rmax": int}, path=path)
-        n = reader.header["n"]
+        n, r, r_max = (reader.header[key] for key in ("n", "r", "rmax"))
         if n < 1:
             raise reader.error("n must be >= 1")
+        if not 0 <= r <= r_max <= poly._MAX_EXP - 2:
+            raise reader.error(f"need 0 <= r <= rmax <= {poly._MAX_EXP - 2}")
         omega = None
         z, chi, f = {}, {}, {}
         ledgers = {"Z": z, "CHI": chi, "F": f}
@@ -454,6 +457,9 @@ class NormalFormState:
                 close_section()
                 if s in ledgers[tokens[0]]:
                     raise reader.error(f"repeated section {tokens[0]} s={s}")
+                top = r_max if tokens[0] == "F" else r
+                if not 1 <= s <= top:
+                    raise reader.error(f"{tokens[0]} s={s} outside 1..{top}")
                 section = (tokens[0], s, {})
                 continue
             if section is None:
@@ -469,6 +475,8 @@ class NormalFormState:
                     raise reader.error(f"bad action term: {exc}") from None
                 if min(p) < 0:
                     raise reader.error("negative action exponent")
+                if 2 * sum(p) != s + 2:
+                    raise reader.error(f"action degree {sum(p)} in Z s={s}")
                 c = reader.finite(tokens[n:], "action term")[0]
                 if p in terms:
                     raise reader.error("duplicate action exponent")
@@ -486,8 +494,7 @@ class NormalFormState:
         close_section()
         if omega is None:
             raise FormatError("missing OMEGA line", path=path)
-        return cls(omega, reader.header["r"], reader.header["rmax"],
-                   z=z, chi=chi, f=f)
+        return cls(omega, r, r_max, z=z, chi=chi, f=f)
 
 
 # -- construction -------------------------------------------------------------

@@ -61,7 +61,7 @@ class SmallDivisorError(ResonanceError):
 
 
 class OrderRangeError(Error):
-    """Requested a normalization order outside the stored ledger."""
+    """An order outside the stored ledger, or a degree the keys cannot hold."""
 
 
 class StabilityDomainError(Error):

@@ -23,6 +23,7 @@ from . import _records
 from .errors import (
     DimensionMismatchError,
     GradingError,
+    OrderRangeError,
     RealityViolationError,
     TruncationOrderError,
 )
@@ -517,20 +518,48 @@ def polydisc_norm(f, radii):
 
 # -- chart changes ---------------------------------------------------------
 
-_SQRT2 = math.sqrt(2.0)
+def _check_degree(f):
+    """OrderRangeError unless a change of variables of f fits the keys."""
+    if (f.degree_max or 0) > _MAX_EXP:
+        raise OrderRangeError(f"degree {f.degree_max} exceeds {_MAX_EXP}, "
+                              "the largest exponent a packed key holds")
 
 
-def _chart_matrix(n, sign):
-    # rows: the old pair of each mode in the new one.  sign -1 complexifies,
-    # x_l = (Z_l - i W_l)/sqrt2, y_l = (W_l - i Z_l)/sqrt2 ({Z_l, W_l} = 1);
-    # sign +1 realifies, Z_l = (x_l + i y_l)/sqrt2, W_l = (y_l + i x_l)/sqrt2
-    M = [[0j] * (2 * n) for _ in range(2 * n)]
-    for l in range(n):
-        M[l][l] = 1 / _SQRT2
-        M[l][n + l] = sign * 1j / _SQRT2
-        M[n + l][l] = sign * 1j / _SQRT2
-        M[n + l][n + l] = 1 / _SQRT2
-    return M
+@lru_cache(maxsize=4096)
+def _mode_table(j, k, sign, sx, sy):
+    """x^j y^k of one mode in its new pair (u, v), as (key delta, coeff).
+
+    x = a u + b v and y = b u + a v with a = 1/sqrt2, b = sign i/sqrt2, so
+    the coefficient of u^m v^(j+k-m) is a^(j+k) (sign i)^(j+m) times the
+    integer sum_p (-1)^p C(j, p) C(k, m-p); sx, sy are the fields of x, y.
+    """
+    scale = 2.0 ** (-0.5 * (j + k))
+    table = []
+    for m in range(j + k + 1):
+        K = sum((-1) ** p * math.comb(j, p) * math.comb(k, m - p)
+                for p in range(max(0, m - k), min(j, m) + 1))
+        if K:
+            table.append(((m - j) * ((1 << sx) - (1 << sy)),
+                          (1, 1j, -1, -1j)[sign * (j + m) % 4] * K * scale))
+    return tuple(table)
+
+
+def _chart_change(f, sign):
+    """f, complex, with each mode changed by _mode_table, one pass a mode."""
+    _check_degree(f)
+    n = f.num_dof
+    shifts = _shifts(n)
+    terms = f._terms
+    for sx, sy in zip(shifts[:n], shifts[n:]):
+        out = {}
+        get = out.get
+        for key, c in terms.items():
+            j, k = (key >> sx) & _EXP_MASK, (key >> sy) & _EXP_MASK
+            for delta, t in _mode_table(j, k, sign, sx, sy):
+                key2 = key + delta
+                out[key2] = get(key2, 0.0) + c * t
+        terms = out
+    return Polynomial._raw(n, _pruned(terms, n), "complex")
 
 
 def linear_substitute(f, matrix):
@@ -545,6 +574,7 @@ def linear_substitute(f, matrix):
     if len(rows) != width or any(len(r) != width for r in rows):
         raise DimensionMismatchError(
             f"substitution matrix must be {width}x{width}")
+    _check_degree(f)
     has_complex = any(isinstance(v, complex) for r in rows for v in r)
     field = "complex" if (has_complex or f.field == "complex") else "real"
 
@@ -586,25 +616,26 @@ def complexify(f):
     Z_l = (x_l + i y_l)/sqrt2 and W_l = i conj(Z_l) on real points.  The
     substitution is canonical ({Z_l, W_l} = 1), so poisson_bracket applies
     unchanged in either chart.  Slot l holds the Z_l exponent, slot n+l the
-    W_l exponent.
+    W_l exponent.  The substitution is applied one mode at a time; a term
+    of degree above 255, which the keys cannot hold, is an OrderRangeError.
     """
-    return linear_substitute(f, _chart_matrix(f.num_dof, -1))
+    return _chart_change(f, -1)
 
 
 def realify(f, tol=1e-9):
     """Map a complex-chart polynomial back to real (x, y) variables.
 
-    Raises RealityViolationError when the imaginary residual exceeds tol
-    relative to the largest coefficient (the input was not conjugation
-    symmetric); otherwise imaginary parts are dropped.
+    Substitutes Z_l = (x_l + i y_l)/sqrt2, W_l = (y_l + i x_l)/sqrt2 one
+    mode at a time, as complexify does.  Raises RealityViolationError when
+    the imaginary residual exceeds tol relative to the largest coefficient
+    (the input was not conjugation symmetric); otherwise imaginary parts
+    are dropped.
     """
     if f.field != "complex":
         raise ValueError("realify expects a complex-chart polynomial")
-    g = linear_substitute(f, _chart_matrix(f.num_dof, +1))
-    if g.is_zero:
-        return Polynomial.zero(f.num_dof, "real")
+    g = _chart_change(f, +1)
     top = g.max_abs_coeff()
-    worst = max(abs(c.imag) for c in g._terms.values())
+    worst = max((abs(c.imag) for c in g._terms.values()), default=0.0)
     if worst > tol * top:
         raise RealityViolationError(
             f"imaginary residual {worst / top:.3e} exceeds tolerance {tol:.3e}")

@@ -107,6 +107,20 @@ def circle_average(jx, ky, num=8192):
     return float(np.mean(np.cos(t) ** jx * np.sin(t) ** ky))
 
 
+# -- chart change as a general linear substitution ------------------------------
+
+def chart_matrix(n, sign):
+    """The 2n x 2n matrix M of the complex chart change, old = M new:
+    x_l = (u_l + sign i v_l)/sqrt2 and y_l = (sign i u_l + v_l)/sqrt2.
+    sign -1 is complexify (new (Z, W)), sign +1 is realify (new (x, y))."""
+    a, b = 1 / math.sqrt(2.0), sign * 1j / math.sqrt(2.0)
+    M = np.zeros((2 * n, 2 * n), dtype=complex)
+    for l in range(n):
+        M[l, l] = M[n + l, n + l] = a
+        M[l, n + l] = M[n + l, l] = b
+    return M.tolist()
+
+
 # -- escape time by quadrature ---------------------------------------------------
 
 def escape_time_quadrature(rho0, rho, r, b_values, radii):

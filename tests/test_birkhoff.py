@@ -297,10 +297,22 @@ def test_state_text_errors():
                        ("OMEGA 1\nF s=1\n3 3 0 1\nF s=1\n", 5),
                        ("OMEGA 1\nCHI s=1\nCHI s=1\n", 4),
                        ("OMEGA 1\nZ s=2\n2 1\nF s=1\nZ s=2\n", 6),
-                       ("OMEGA 1\nZ s=2\n-1 3\n", 4)):
+                       ("OMEGA 1\nZ s=2\n-1 3\n", 4),
+                       # ledger invariants: sections inside 1..r (Z, CHI) or
+                       # 1..rmax (F), even when empty; Z of degree s + 2
+                       ("OMEGA 1\nF s=9\n", 3),
+                       ("OMEGA 1\nF s=0\n3 3 0 1\n", 3),
+                       ("OMEGA 1\nCHI s=3\n", 3),
+                       ("OMEGA 1\nZ s=4\n3 1\n", 3),
+                       ("OMEGA 1\nZ s=2\n1 1\n", 4)):
         with pytest.raises(FormatError) as info:
             NormalFormState.from_text(f"NFSTATE n=1 r=2 rmax=2\n{body}END\n")
         assert info.value.line == line
+    for header in ("NFSTATE n=1 r=3 rmax=2", "NFSTATE n=1 r=-1 rmax=2",
+                   "NFSTATE n=1 r=1 rmax=254"):
+        with pytest.raises(FormatError) as info:
+            NormalFormState.from_text(f"{header}\nOMEGA 1\nEND\n")
+        assert info.value.line == 1
 
 
 def test_state_validates_grading():
@@ -308,9 +320,14 @@ def test_state_validates_grading():
         NormalFormState((1.0,), 1, 3, chi={1: mono(1, (4,), (0,))})
     with pytest.raises(OrderRangeError):
         NormalFormState((1.0,), 1, 3, f={7: mono(1, (9,), (0,))})
+    with pytest.raises(OrderRangeError):  # a ledger from_text would refuse
+        NormalFormState((1.0,), 0, 254)
     with pytest.raises(GradingError):
         NormalFormState((1.0,), 2, 3,
                         z={2: ActionPolynomial(1, {(1,): 1.0})})
+    with pytest.raises(GradingError):  # every term, not only the highest
+        NormalFormState((1.0,), 2, 3,
+                        z={2: ActionPolynomial(1, {(2,): 1.0, (1,): 5.0})})
 
 
 def test_action_polynomial_to_polynomial():

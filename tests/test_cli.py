@@ -360,3 +360,68 @@ def test_benchmark_tracer_finds_and_restores_every_target():
         tracer.uninstall()
     for name, (obj, attr) in targets.items():
         assert vars(obj)[attr] is originals[name], name
+
+
+def _quick_even2_bnf(tmp_path, monkeypatch):
+    """Set up the benchmark's quick even2 workload in tmp_path and return
+    its bnf argument vector and ledger path."""
+    import bnfstab.cli
+
+    monkeypatch.setitem(sys.modules, "systems", _load_perfbench("systems"))
+    workloads = _load_perfbench("workloads")
+    workload = workloads.QUICK["even2-r18"]
+    monkeypatch.chdir(tmp_path)
+    workloads.set_up_here(bnfstab.cli, workload, 1)
+    (step, argv), *_ = workload.op_calls()
+    assert step == "bnf"
+    return argv, tmp_path / workloads.LEDGER
+
+
+def test_chart_change_cache_does_not_change_the_ledger(tmp_path, monkeypatch):
+    from bnfstab import polyalg
+
+    argv, ledger = _quick_even2_bnf(tmp_path, monkeypatch)
+    bodies = []
+    for clear in (True, False):
+        if clear:
+            polyalg._mode_table.cache_clear()
+        assert main(argv) == 0
+        bodies.append([line for line in ledger.read_bytes().splitlines()
+                       if not line.startswith(b"#")])
+    assert polyalg._mode_table.cache_info().hits > 0
+    assert bodies[0] == bodies[1]
+
+
+def test_chart_changes_bypass_the_general_substitution(tmp_path, monkeypatch):
+    # complexify/realify change one mode at a time; linear_substitute, the
+    # general expansion, serves only pushforward's matrix
+    from bnfstab import polyalg, spectrum
+
+    argv, _ = _quick_even2_bnf(tmp_path, monkeypatch)
+    calls = {"realify": 0, "complexify": 0, "linear_substitute": 0}
+    inside_pushforward = []
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "linear_substitute":
+                assert inside_pushforward, "chart change through " + name
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(polyalg, name,
+                            counted(name, getattr(polyalg, name)))
+    pushforward = spectrum.LinearSymplecticMap.pushforward
+
+    def tracked(self, f):
+        inside_pushforward.append(f)
+        try:
+            return pushforward(self, f)
+        finally:
+            inside_pushforward.pop()
+
+    monkeypatch.setattr(spectrum.LinearSymplecticMap, "pushforward", tracked)
+    assert main(argv) == 0
+    # one substitution per component of the order-6 HAM series
+    assert calls == {"realify": 6, "complexify": 3, "linear_substitute": 4}

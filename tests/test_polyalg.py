@@ -9,6 +9,7 @@ import oracles
 from bnfstab.errors import (
     FormatError,
     GradingError,
+    OrderRangeError,
     RealityViolationError,
     TruncationOrderError,
 )
@@ -281,6 +282,54 @@ def test_realify_rejects_non_real():
     z = mono(1, (1,), (0,), 1.0 + 0.0j)  # plain Z is not a real series
     with pytest.raises(RealityViolationError):
         realify(z)
+    # i f is not real when f is
+    f = random_polynomial(np.random.default_rng(23), 2, 5)
+    with pytest.raises(RealityViolationError):
+        realify(complexify(f).scale(1j))
+
+
+def _max_rel_diff(got, want):
+    keys = set(got._terms) | set(want._terms)
+    diff = max(abs(got._terms.get(k, 0.0) - want._terms.get(k, 0.0))
+               for k in keys)
+    return diff / want.max_abs_coeff()
+
+
+def test_chart_change_matches_general_substitution():
+    # the per-mode chart change against the whole-matrix expansion
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3):
+        to_complex = oracles.chart_matrix(n, -1)
+        to_real = oracles.chart_matrix(n, +1)
+        for degree in range(13):
+            f = random_polynomial(rng, n, degree, num_terms=4)
+            g = complexify(f)
+            assert _max_rel_diff(g, linear_substitute(f, to_complex)) <= 1e-13
+            back = linear_substitute(g, to_real)
+            assert _max_rel_diff(realify(g), back) <= 1e-13
+            assert _max_rel_diff(realify(g), f) <= 1e-13
+
+
+def test_complexify_evaluates_at_chart_points():
+    # complexify(f)(Z, W) = f(x, y) at Z = (x + i y)/sqrt2, W = (y + i x)/sqrt2
+    rng = np.random.default_rng(43)
+    for n in (1, 2, 3):
+        f = random_polynomial(rng, n, 5) + random_polynomial(rng, n, 2)
+        g = complexify(f)
+        for pt in rng.uniform(-1, 1, size=(10, 2 * n)):
+            x, y = pt[:n], pt[n:]
+            chart = np.concatenate([x + 1j * y, y + 1j * x]) / math.sqrt(2.0)
+            assert abs(g.evaluate(chart.tolist()) - f.evaluate(pt)) <= 1e-12
+
+
+def test_chart_change_refuses_degrees_the_keys_cannot_hold():
+    # W^400 would overflow into the Z field of the packed key
+    f = Polynomial(1, {((200,), (200,)): 1.0})
+    for change in (complexify,
+                   lambda f: realify(f.scale(1j)),
+                   lambda f: linear_substitute(f, [[1.0, 0.0], [0.0, 1.0]])):
+        with pytest.raises(OrderRangeError, match="255"):
+            change(f)
 
 
 def test_linear_substitute_rotation_preserves_actions():

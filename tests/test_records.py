@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bnfstab import Error
 from bnfstab.birkhoff import ActionPolynomial, NormalFormState
 from bnfstab.celestial import PoincareState
+from bnfstab.cli import main
 from bnfstab.polyalg import GradedSeries, Polynomial
 from bnfstab.spectrum import ResonanceCertificate
 
@@ -151,3 +152,49 @@ def test_token_soup_raises_only_package_errors(magic):
             pass
 
     soup()
+
+
+# ledgers that break an invariant in the header (r outside 0..rmax, rmax
+# above 253) or in a section header (s outside 1..r for Z and CHI, outside
+# 1..rmax for F)
+BROKEN_HEADERS = ["NFSTATE n=1 r=3 rmax=2", "NFSTATE n=1 r=-1 rmax=2",
+                  "NFSTATE n=1 r=1 rmax=254"]
+BROKEN_SECTIONS = ["F s=9", "F s=0", "CHI s=2", "Z s=2", "Z s=-1"]
+
+
+def test_refused_ledgers_exit_2_through_the_cli(tmp_path):
+    ledger = tmp_path / "nf.txt"
+    out = str(tmp_path / "out.txt")
+    lines = st.lists(st.sampled_from(TOKENS), min_size=1, max_size=6).map(
+        " ".join)
+    # (header, whether a ledger may follow it, a section to insert)
+    broken_header = st.tuples(st.sampled_from(BROKEN_HEADERS),
+                              st.just(False), st.none())
+    broken_section = st.tuples(st.just("NFSTATE n=1 r=1 rmax=2"),
+                               st.just(False),
+                               st.sampled_from(BROKEN_SECTIONS))
+    soup = st.tuples(st.sampled_from(HEADERS["NFSTATE"]), st.just(True),
+                     st.none())
+
+    @settings(PROPERTY, max_examples=60)
+    @given(broken_header | broken_section | soup, st.lists(lines, max_size=6),
+           st.integers(0, 6))
+    def refused(kind, body, at):
+        header, sound, section = kind
+        if section is not None:
+            body.insert(min(at, len(body)), section)
+        text = "\n".join([header, "OMEGA 1", *body, "END"]) + "\n"
+        try:
+            NormalFormState.from_text(text)
+        except Error:
+            pass
+        else:
+            assert sound, text
+            return
+        ledger.write_text(text)
+        assert main(["estimate", "--input", str(ledger), "--rho0", "0.5",
+                     "--radii", "1", "--out", out]) == 2
+        assert main(["sweep", "--input", str(ledger), "--radii", "1",
+                     "--grid", "0.5:1:2", "--out", out]) == 2
+
+    refused()
