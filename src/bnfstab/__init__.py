@@ -24,17 +24,13 @@ from .errors import (
     ResonanceError,
     SmallDivisorError,
     StabilityDomainError,
-    TruncationOrderError,
     UnknownFixtureError,
 )
 from .polyalg import (
     GradedSeries,
     Polynomial,
-    PolydiscSpec,
-    lie_exp,
     poisson_bracket,
     polydisc_norm,
-    sample_polydisc,
 )
 from .spectrum import (
     LinearSymplecticMap,
@@ -46,10 +42,7 @@ from .birkhoff import (
     ActionPolynomial,
     NormalFormState,
     birkhoff_normal_form,
-    compose_transform,
-    frequencies_of_actions,
     normalize_step,
-    solve_homological,
 )
 from .stability import (
     DriftBound,
@@ -84,7 +77,6 @@ __all__ = [
     "NotEllipticError",
     "OrderRangeError",
     "PoincareState",
-    "PolydiscSpec",
     "Polynomial",
     "RealityViolationError",
     "ResonanceCertificate",
@@ -92,24 +84,18 @@ __all__ = [
     "SmallDivisorError",
     "StabilityDomainError",
     "StabilityReport",
-    "TruncationOrderError",
     "UnknownFixtureError",
     "birkhoff_normal_form",
     "check_nonresonance",
-    "compose_transform",
     "diagonalize_quadratic",
     "drift_bound",
     "escape_time",
-    "frequencies_of_actions",
-    "lie_exp",
     "load_fixture",
     "normalize_step",
     "poincare_variables",
     "poisson_bracket",
     "polydisc_norm",
-    "sample_polydisc",
     "secular_radii",
-    "solve_homological",
     "stability_time",
     "sweep",
 ]

@@ -42,11 +42,8 @@ from .polyalg import GradedSeries, Polynomial
 __all__ = [
     "ActionPolynomial",
     "NormalFormState",
-    "solve_homological",
     "normalize_step",
     "birkhoff_normal_form",
-    "frequencies_of_actions",
-    "compose_transform",
 ]
 
 
@@ -92,52 +89,6 @@ class ActionPolynomial:
 
     def coefficient(self, p):
         return self._terms.get(tuple(p), 0.0)
-
-    @property
-    def degree(self):
-        """Largest total degree in the actions (None when zero)."""
-        if not self._terms:
-            return None
-        return max(sum(p) for p in self._terms)
-
-    def __add__(self, other):
-        if self.num_dof != other.num_dof:
-            raise DimensionMismatchError("operands differ in num_dof")
-        terms = dict(self._terms)
-        for p, c in other._terms.items():
-            terms[p] = terms.get(p, 0.0) + c
-        return ActionPolynomial(self.num_dof, terms)
-
-    def scale(self, factor):
-        return ActionPolynomial(
-            self.num_dof, {p: c * factor for p, c in self._terms.items()})
-
-    def partial(self, index):
-        """Derivative with respect to I_{index+1}."""
-        if not 0 <= index < self.num_dof:
-            raise DimensionMismatchError(
-                f"action index {index} outside [0, {self.num_dof})")
-        out = {}
-        for p, c in self._terms.items():
-            e = p[index]
-            if e:
-                q = p[:index] + (e - 1,) + p[index + 1:]
-                out[q] = out.get(q, 0.0) + e * c
-        return ActionPolynomial(self.num_dof, out)
-
-    def evaluate(self, actions):
-        actions = tuple(actions)
-        if len(actions) != self.num_dof:
-            raise DimensionMismatchError(
-                f"expected {self.num_dof} action values")
-        total = 0.0
-        for p, c in self._terms.items():
-            v = c
-            for e, a in zip(p, actions):
-                if e:
-                    v *= a ** e
-            total += v
-        return total
 
     def to_polynomial(self):
         """Expand back to (x, y) variables via I_l = (x_l^2 + y_l^2)/2."""
@@ -252,38 +203,6 @@ def _step_chart(blocks, s, omega, n, tol, d_cap):
     return q, chi, z_act
 
 
-# -- public solves ------------------------------------------------------------
-
-def solve_homological(q, omega, tol=None):
-    """Split one homogeneous block into a generator and an action part.
-
-    Returns (chi, z) with chi a real polynomial of the same degree as q and
-    z an ActionPolynomial, satisfying {H0, chi} - z + q = 0 where
-    H0 = sum omega_l (x_l^2 + y_l^2)/2.
-
-    Raises SmallDivisorError when a divisor |<omega, k-j>| falls below tol
-    (default: the spectrum module's tolerance for this omega).
-    """
-    omega = tuple(float(w) for w in omega)
-    if q.num_dof != len(omega):
-        raise DimensionMismatchError(
-            f"polynomial has {q.num_dof} degrees of freedom, "
-            f"omega has {len(omega)}")
-    if q.field != "real":
-        raise ValueError("solve_homological expects a real polynomial")
-    if not q.is_homogeneous():
-        raise GradingError("solve_homological expects a homogeneous block")
-    tol = spectrum._tolerance(omega, tol)
-    n = q.num_dof
-    if q.is_zero:
-        return Polynomial.zero(n), ActionPolynomial.zero(n)
-    qc = poly.complexify(q)
-    chi_terms, z_terms = _solve_chart(qc._terms, omega, n, tol)
-    chi_c = Polynomial._raw(n, poly._pruned(chi_terms, n), "complex")
-    chi = poly.realify(chi_c)
-    return chi, ActionPolynomial(n, z_terms)
-
-
 # -- the state ledger ---------------------------------------------------------
 
 def _check_block(p, s, num_dof, label):
@@ -306,7 +225,7 @@ class NormalFormState:
     data is real; index-s entries are homogeneous of degree s + 2.
     """
 
-    __slots__ = ("omega", "r", "r_max", "z", "chi", "f", "_flow_cache")
+    __slots__ = ("omega", "r", "r_max", "z", "chi", "f")
 
     def __init__(self, omega, r, r_max, z=None, chi=None, f=None):
         omega = tuple(float(w) for w in omega)
@@ -343,7 +262,6 @@ class NormalFormState:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "chi", chi)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "_flow_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("NormalFormState is immutable")
@@ -369,12 +287,6 @@ class NormalFormState:
         if not 1 <= s <= self.r_max:
             raise OrderRangeError(f"F index {s} outside 1..{self.r_max}")
         return self.f.get(s, Polynomial.zero(self.num_dof))
-
-    def z_total_action(self):
-        total = ActionPolynomial.zero(self.num_dof)
-        for s in sorted(self.z):
-            total = total + self.z[s]
-        return total
 
     def normal_form_series(self):
         """H0 + Z_1 + ... + Z_r as a real graded series in (x, y)."""
@@ -612,69 +524,3 @@ def normalize_step(state, tol=None):
     blocks = _chart_blocks_from_series(state.current_series(),
                                        state.r_max + 2)
     return _extend(state, blocks, state.r + 1, tol)
-
-
-# -- derived quantities --------------------------------------------------------
-
-def frequencies_of_actions(state, actions):
-    """Effective frequencies at given action values: the gradient of
-    H0 + Z_1 + ... + Z_r with respect to the actions."""
-    actions = tuple(float(a) for a in actions)
-    if len(actions) != state.num_dof:
-        raise DimensionMismatchError(
-            f"expected {state.num_dof} action values")
-    if any(a < 0 for a in actions):
-        raise ValueError("actions must be nonnegative")
-    total = state.z_total_action()
-    return tuple(w + total.partial(l).evaluate(actions)
-                 for l, w in enumerate(state.omega))
-
-
-def _flow_polys(state, sign):
-    """Coordinate polynomials of the time-one flow with generator
-    sign*chi_s, for each order s with a nonzero generator."""
-    cache = state._flow_cache
-    if sign in cache:
-        return cache[sign]
-    n = state.num_dof
-    cap = state.r_max + 2
-    coords = [Polynomial.x(n, l) for l in range(n)]
-    coords += [Polynomial.y(n, l) for l in range(n)]
-    flows = []
-    for s in sorted(state.chi):
-        # coordinates of the time-one flow of -sign*chi_s are exp(ad of
-        # sign*chi_s) applied to each coordinate function
-        gen = state.chi[s].scale(sign)
-        flows.append((s, [poly.lie_exp(gen, v, cap) for v in coords]))
-    cache[sign] = flows
-    return flows
-
-
-def compose_transform(state, point, direction="forward"):
-    """Map points through the accumulated normalizing transformation.
-
-    direction="forward" carries original coordinates to normal-form
-    coordinates (so the normal form evaluated at the result approximates
-    the original Hamiltonian at the input); "inverse" goes back. Accepts a
-    single point of length 2n or an (m, 2n) array; returns the same shape.
-    """
-    import numpy as np
-
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"unknown direction {direction!r}")
-    pts = np.asarray(point, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if pts.shape[1] != 2 * state.num_dof:
-        raise DimensionMismatchError(
-            f"points must have length {2 * state.num_dof}")
-
-    # forward composes the flows of -chi_s in increasing s; inverse the
-    # flows of +chi_s in decreasing s
-    flows = _flow_polys(state, +1 if direction == "forward" else -1)
-    order = flows if direction == "forward" else list(reversed(flows))
-    for _, coord_polys in order:
-        pts = np.column_stack(
-            [poly.evaluate_batch(p, pts) for p in coord_polys])
-    return pts[0] if single else pts

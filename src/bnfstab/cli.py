@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -98,12 +99,14 @@ def _parse_grid(arg):
     spacing = parts[3] if len(parts) == 4 else "log"
     if spacing not in ("log", "lin"):
         raise FormatError(f"grid spacing must be log or lin, got {spacing!r}")
-    if points < 1 or lo <= 0.0 or hi < lo:
+    if points < 1 or lo <= 0.0 or hi < lo or (hi == lo and points > 1):
         raise FormatError(f"bad grid range {arg!r}")
     if points == 1:
         return (lo,)
     if spacing == "log":
         ratio = hi / lo
+        if ratio == math.inf:
+            raise FormatError(f"grid range {arg!r} has no finite ratio")
         return tuple(lo * ratio ** (i / (points - 1)) for i in range(points))
     step = (hi - lo) / (points - 1)
     return tuple(lo + step * i for i in range(points))
@@ -177,6 +180,7 @@ def _load_state(path):
 
 
 def cmd_estimate(args):
+    finite_floats([args.rho0], "--rho0")
     finite_floats([args.c_const], "--c-const")
     state = _load_state(args.input)
     radii, radii_src = _resolve_radii(args)

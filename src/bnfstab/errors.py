@@ -15,11 +15,6 @@ class GradingError(Error):
     """An operation required homogeneous input and did not get it."""
 
 
-class TruncationOrderError(Error):
-    """Lie-series generator of degree < 3: the series would not terminate
-    under a degree cap."""
-
-
 class RealityViolationError(Error):
     """A complex-chart polynomial claimed to represent a real one has an
     imaginary residual above tolerance."""

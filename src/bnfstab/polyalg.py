@@ -16,7 +16,6 @@ homogeneous degree are pruned after every arithmetic operation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _records
@@ -25,19 +24,14 @@ from .errors import (
     GradingError,
     OrderRangeError,
     RealityViolationError,
-    TruncationOrderError,
 )
 
 __all__ = [
     "Polynomial",
     "GradedSeries",
-    "PolydiscSpec",
     "add",
     "subtract",
-    "scale",
-    "multiply",
     "poisson_bracket",
-    "lie_exp",
     "theta_weight",
     "polydisc_norm",
     "complexify",
@@ -45,9 +39,6 @@ __all__ = [
     "oscillator",
     "linear_substitute",
     "evaluate",
-    "evaluate_batch",
-    "differentiate",
-    "sample_polydisc",
 ]
 
 PRUNE_REL = 1e-15
@@ -271,7 +262,10 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            return multiply(self, other)
+            field = _check_pair(self, other)
+            n = self.num_dof
+            raw = _raw_mul(self._terms, other._terms)
+            return Polynomial._raw(n, _pruned(raw, n), field)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -296,9 +290,6 @@ class Polynomial:
     def evaluate(self, point):
         return evaluate(self, point)
 
-    def differentiate(self, var_index):
-        return differentiate(self, var_index)
-
 
 def _check_pair(f, g):
     if f.num_dof != g.num_dof:
@@ -321,18 +312,6 @@ def subtract(f, g):
     for key, c in g._terms.items():
         raw[key] = raw.get(key, 0.0) - c
     return Polynomial._raw(f.num_dof, _pruned(raw, f.num_dof), field)
-
-
-def scale(f, factor):
-    return f.scale(factor)
-
-
-def multiply(f, g, cap=None):
-    """Product of two polynomials, discarding terms of degree > cap."""
-    field = _check_pair(f, g)
-    n = f.num_dof
-    raw = _capped(_raw_mul(f._terms, g._terms), n, cap)
-    return Polynomial._raw(n, _pruned(raw, n), field)
 
 
 def _capped(raw, num_dof, cap):
@@ -436,36 +415,6 @@ def _lie_series(g, chi_derivs, num_dof, degree, step, cap, p=1):
         p += 1
 
 
-def lie_exp(chi, f, cap):
-    """exp(L_chi) f = sum_m L_chi^m f / m!, truncated at total degree cap.
-
-    chi must be homogeneous of degree >= 3, so each bracket application
-    raises the degree by at least one and the sum below the cap is finite.
-    """
-    field = _check_pair(chi, f)
-    n = f.num_dof
-    if cap is None or cap < 0:
-        raise ValueError("lie_exp requires a nonnegative degree cap")
-    if chi.is_zero:
-        return Polynomial._raw(n, dict(f._terms), field)
-    if chi.degree_min < 3:
-        raise TruncationOrderError(
-            "generator has terms of degree < 3; the capped Lie series "
-            "would not terminate")
-    if not chi.is_homogeneous():
-        raise GradingError("lie_exp requires a homogeneous generator")
-    raw = _capped(f._terms, n, cap)
-    # L_chi g = {chi, g} = {g, -chi}
-    minus_chi = _derivs({key: -c for key, c in chi._terms.items()}, n)
-    for d in f.degrees():
-        part = f.homogeneous_part(d)._terms
-        for _, g in _lie_series(part, minus_chi, n, d, chi.degree_max - 2,
-                                cap):
-            for key, c in g.items():
-                raw[key] = raw.get(key, 0.0) + c
-    return Polynomial._raw(n, _pruned(raw, n), field)
-
-
 def theta_weight(j, k):
     """Componentwise weight sqrt(j^j k^k / (j+k)^(j+k)) with 0^0 = 1.
 
@@ -503,16 +452,22 @@ def polydisc_norm(f, radii):
 
     f must be homogeneous (a single graded component); the norm majorizes
     sup |f| over the polydisc of radii rho*R by rho^deg times this value.
+    A norm that overflows the floats is a ValueError naming the radii.
     """
     radii = _check_radii(radii, f.num_dof)
     if not f.is_homogeneous():
         raise GradingError("polydisc_norm requires a homogeneous polynomial")
     total = 0.0
-    for j, k, c in f.terms():
-        w = abs(c) * theta_weight(j, k)
-        for l, R in enumerate(radii):
-            w *= R ** (j[l] + k[l])
-        total += w
+    try:
+        for j, k, c in f.terms():
+            w = abs(c) * theta_weight(j, k)
+            for l, R in enumerate(radii):
+                w *= R ** (j[l] + k[l])
+            total += w
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"the polydisc norm at radii {radii} overflows")
     return total
 
 
@@ -680,75 +635,6 @@ def evaluate(f, point):
     return total
 
 
-def evaluate_batch(f, points):
-    """Vectorized evaluate over an (m, 2n) array of points."""
-    import numpy as np
-
-    pts = np.asarray(points)
-    n = f.num_dof
-    if pts.ndim != 2 or pts.shape[1] != 2 * n:
-        raise DimensionMismatchError(f"points must have shape (m, {2 * n})")
-    shifts = _shifts(n)
-    out = np.zeros(pts.shape[0],
-                   dtype=complex if f.field == "complex" else float)
-    for key, c in f._terms.items():
-        v = np.full(pts.shape[0], c)
-        for i, s in enumerate(shifts):
-            e = (key >> s) & _EXP_MASK
-            if e:
-                v = v * pts[:, i] ** e
-        out += v
-    return out
-
-
-def differentiate(f, var_index):
-    """Partial derivative by variable index (0..n-1 are x, n..2n-1 are y)."""
-    n = f.num_dof
-    if not 0 <= var_index < 2 * n:
-        raise DimensionMismatchError(
-            f"variable index {var_index} outside [0, {2 * n})")
-    shift = _shifts(n)[var_index]
-    raw = dict(_deriv_items(f._terms, shift))
-    return Polynomial._raw(n, _pruned(raw, n), f.field)
-
-
-# -- polydisc geometry -------------------------------------------------------
-
-@dataclass(frozen=True)
-class PolydiscSpec:
-    """A polydisc x_l^2 + y_l^2 <= (rho R_l)^2 per degree of freedom."""
-
-    radii: tuple
-    rho: float
-
-    def __post_init__(self):
-        radii = tuple(self.radii)
-        if not radii:
-            raise ValueError("radii must be nonempty")
-        object.__setattr__(self, "radii", _check_radii(radii, len(radii)))
-        if not 0 < self.rho < math.inf:
-            raise ValueError("rho must be positive and finite")
-
-    @property
-    def num_dof(self):
-        return len(self.radii)
-
-
-def sample_polydisc(spec, size, rng):
-    """Uniform sample of `size` points inside the polydisc (area measure
-    per conjugate plane).  Returns an (size, 2n) array."""
-    import numpy as np
-
-    n = spec.num_dof
-    out = np.empty((size, 2 * n))
-    for l, R in enumerate(spec.radii):
-        r = spec.rho * R * np.sqrt(rng.uniform(size=size))
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=size)
-        out[:, l] = r * np.cos(phi)
-        out[:, n + l] = r * np.sin(phi)
-    return out
-
-
 # -- graded series and text format -------------------------------------------
 
 def _term_lines(poly):
@@ -856,9 +742,6 @@ class GradedSeries:
         for _, p in self:
             total = add(total, p)
         return total
-
-    def evaluate(self, point):
-        return sum(evaluate(p, point) for _, p in self)
 
     def to_text(self):
         lines = [line for _, p in self for line in _term_lines(p)]

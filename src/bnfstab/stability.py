@@ -104,7 +104,8 @@ def escape_time(rho0, rho, r, bounds, radii):
 
         tau = min_j R_j^2 (rho0^-(r+1) - rho^-(r+1)) / ((r+1) B_j)
 
-    Returns +inf when every bound coefficient is zero.
+    Returns +inf when every bound coefficient is zero.  A rho0 whose time
+    overflows the floats or underflows to zero is a StabilityDomainError.
     """
     if not 0.0 < rho0 < rho:
         raise StabilityDomainError(
@@ -114,12 +115,19 @@ def escape_time(rho0, rho, r, bounds, radii):
     if any(b.r != r for b in bounds):
         raise ValueError("drift bounds were computed at a different order")
     radii = tuple(float(R) for R in radii)
-    spread = rho0 ** (-(r + 1)) - rho ** (-(r + 1))
+    try:
+        spread = rho0 ** (-(r + 1)) - rho ** (-(r + 1))
+    except OverflowError:
+        spread = math.inf
     best = math.inf
     for b in bounds:
         if b.B == 0.0:
             continue
         tau = radii[b.j] ** 2 * spread / ((r + 1) * b.B)
+        if not 0.0 < tau < math.inf:
+            raise StabilityDomainError(
+                f"rho0={rho0} puts the order-{r} escape time outside the "
+                "float range")
         if tau < best:
             best = tau
     return best

@@ -121,6 +121,21 @@ def chart_matrix(n, sign):
     return M.tolist()
 
 
+# -- uniform samples of a polydisc -----------------------------------------------
+
+def sample_polydisc(radii, rho, size, rng):
+    """`size` points drawn uniformly (area measure per conjugate plane) from
+    the polydisc x_l^2 + y_l^2 <= (rho R_l)^2, as a (size, 2n) array."""
+    n = len(radii)
+    out = np.empty((size, 2 * n))
+    for l, R in enumerate(radii):
+        r = rho * R * np.sqrt(rng.uniform(size=size))
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=size)
+        out[:, l] = r * np.cos(phi)
+        out[:, n + l] = r * np.sin(phi)
+    return out
+
+
 # -- escape time by quadrature ---------------------------------------------------
 
 def escape_time_quadrature(rho0, rho, r, b_values, radii):

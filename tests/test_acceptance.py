@@ -28,15 +28,13 @@ from bnfstab.cli import main as cli_main
 from bnfstab.errors import SmallDivisorError
 from bnfstab.polyalg import (
     GradedSeries,
-    PolydiscSpec,
-    poisson_bracket,
     polydisc_norm,
-    sample_polydisc,
 )
 from bnfstab.spectrum import check_nonresonance
 from bnfstab.stability import drift_bound, escape_time, sweep, DriftBound
 from util import (
     TWO_DOF_OMEGA,
+    identity_residual,
     mono,
     one_dof_series,
     random_series,
@@ -48,16 +46,6 @@ def _verdict(ok, label, started):
     elapsed = time.monotonic() - started
     print(f"{'PASS' if ok else 'FAIL'} - {label} ({elapsed:.2f} s)")
     assert ok, label
-
-
-def _identity_residual(state, s):
-    chi = state.generator(s)
-    z = state.z_action(s).to_polynomial()
-    q = state.remainder_block(s)
-    resid = poisson_bracket(state.h0_polynomial(), chi, cap=s + 2) \
-        + z.scale(-1.0) + q
-    scale = max(1.0, q.max_abs_coeff(), z.max_abs_coeff())
-    return resid.max_abs_coeff() / scale
 
 
 def test_one_dof_quartic_against_both_oracles():
@@ -122,7 +110,7 @@ def test_homological_identity_every_order_every_run():
     checked = 0
     for run in runs:
         for s in range(1, run.r + 1):
-            worst = max(worst, _identity_residual(run, s))
+            worst = max(worst, identity_residual(run, s))
             checked += 1
     ok = checked >= 40 and worst <= 1e-12
     _verdict(ok, f"homological identity at all {checked} orders of "
@@ -143,7 +131,7 @@ def test_polydisc_norm_majorizes_sampled_sup():
         radii = tuple(rng.uniform(0.3, 2.0, size=n))
         rho = float(rng.uniform(0.1, 2.0))
         bound = rho ** d * polydisc_norm(f, radii)
-        pts = sample_polydisc(PolydiscSpec(radii, rho), 10_000, rng)
+        pts = oracles.sample_polydisc(radii, rho, 10_000, rng)
         sampled = float(np.max(np.abs(oracles.eval_terms(f.terms(), pts))))
         if sampled > bound * (1.0 + 1e-12):
             violations += 1
@@ -303,7 +291,7 @@ def test_drift_bound_dominates_measured_rate():
     ratios = []
     for rho in (0.1, 0.2, 0.4):
         cap = bound.B * rho ** (r + 3)
-        pts = sample_polydisc(PolydiscSpec(radii, rho), 4000, rng)
+        pts = oracles.sample_polydisc(radii, rho, 4000, rng)
         static_max = float(np.max(np.abs(
             oracles.eval_terms(rate, pts).real)))
         # short numerically integrated orbits, rate sampled along the way

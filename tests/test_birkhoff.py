@@ -1,5 +1,5 @@
 """Normal-form construction: homological identity, oracle equality,
-ledger semantics, transforms."""
+ledger semantics, and the energy carried by the generators' flows."""
 
 import math
 
@@ -11,10 +11,7 @@ from bnfstab.birkhoff import (
     ActionPolynomial,
     NormalFormState,
     birkhoff_normal_form,
-    compose_transform,
-    frequencies_of_actions,
     normalize_step,
-    solve_homological,
 )
 from bnfstab.errors import (
     FormatError,
@@ -22,25 +19,15 @@ from bnfstab.errors import (
     OrderRangeError,
     SmallDivisorError,
 )
-from bnfstab.polyalg import GradedSeries, Polynomial, poisson_bracket
+from bnfstab.polyalg import GradedSeries, poisson_bracket
 from util import (
     TWO_DOF_OMEGA,
+    identity_residual,
     mono,
     one_dof_series,
     random_series,
     two_dof_even_series,
 )
-
-
-def _identity_residual(state, s):
-    """max coeff of L_H0 chi_s - Z_s + Q_s, relative to the block scale."""
-    chi = state.generator(s)
-    z = state.z_action(s).to_polynomial()
-    q = state.remainder_block(s)
-    resid = poisson_bracket(state.h0_polynomial(), chi, cap=s + 2) \
-        + z.scale(-1.0) + q
-    scale = max(1.0, q.max_abs_coeff(), z.max_abs_coeff())
-    return resid.max_abs_coeff() / scale
 
 
 def test_quartic_kernel_matches_angular_average():
@@ -53,16 +40,6 @@ def test_quartic_kernel_matches_angular_average():
         expected, rel=1e-12)
     assert state.z_action(2).coefficient((2,)) == pytest.approx(1.5,
                                                                 rel=1e-12)
-
-
-def test_frequencies_linear_in_action_for_quartic():
-    h = one_dof_series({(4, 0): 1.0})
-    state = birkhoff_normal_form(h, (1.0,), 2)
-    for I in (0.0, 0.01, 0.3):
-        freq = frequencies_of_actions(state, (I,))
-        assert freq[0] == pytest.approx(1.0 + 3.0 * I, rel=1e-12)
-    with pytest.raises(ValueError):
-        frequencies_of_actions(state, (-0.1,))
 
 
 def test_one_dof_matches_dense_oracle():
@@ -101,21 +78,21 @@ def test_homological_identity_random_systems():
         h = random_series(rng, n, omega, d_max=7)
         state = birkhoff_normal_form(h, omega, 5)
         for s in range(1, state.r + 1):
-            assert _identity_residual(state, s) <= 1e-12, (n, s)
+            assert identity_residual(state, s) <= 1e-12, (n, s)
 
 
 def test_normalized_part_commutes_with_actions():
     h = two_dof_even_series(d_max=10)
     state = birkhoff_normal_form(h, TWO_DOF_OMEGA, 8)
-    z_total = state.z_total_action().to_polynomial()
+    normal_form = state.normal_form_series().to_polynomial()
     for l in range(2):
         action = (mono(2, tuple(2 if t == l else 0 for t in range(2)),
                        (0, 0), 0.5)
                   + mono(2, (0, 0),
                          tuple(2 if t == l else 0 for t in range(2)), 0.5))
-        br = poisson_bracket(action, z_total)
+        br = poisson_bracket(action, normal_form)
         assert br.max_abs_coeff() <= 1e-12 * max(1.0,
-                                                 z_total.max_abs_coeff())
+                                                 normal_form.max_abs_coeff())
 
 
 def test_even_hamiltonian_has_no_odd_orders():
@@ -180,7 +157,7 @@ def test_small_divisor_carries_partial_state():
     assert abs(sum(e * w for e, w in zip(err.k, omega))) == pytest.approx(
         abs(err.divisor), abs=1e-15)
     # the partial ledger still satisfies the order-1 identity
-    assert _identity_residual(err.state, 1) <= 1e-12
+    assert identity_residual(err.state, 1) <= 1e-12
 
 
 def test_normalize_step_small_divisor_keeps_the_input_order():
@@ -199,39 +176,13 @@ def test_normalize_step_small_divisor_keeps_the_input_order():
     err = info.value
     assert err.order == state.r + 1
     assert err.state.r == state.r
-    assert _identity_residual(err.state, 1) <= 1e-12
+    assert identity_residual(err.state, 1) <= 1e-12
     # a tolerance outside (0, inf) is refused before any division
     for bad in (0.0, math.nan):
         with pytest.raises(ValueError):
             normalize_step(state, tol=bad)
         with pytest.raises(ValueError):
             birkhoff_normal_form(h, omega, 4, tol=bad)
-
-
-def test_solve_homological_cubic():
-    q = mono(1, (3,), (0,))
-    chi, z = solve_homological(q, (1.0,))
-    assert z.is_zero  # x^3 has no resonant average
-    assert chi.field == "real"
-    resid = poisson_bracket(
-        Polynomial.monomial(1, (2,), (0,), 0.5)
-        + Polynomial.monomial(1, (0,), (2,), 0.5), chi, cap=3) + q
-    assert resid.max_abs_coeff() <= 1e-13
-
-
-def test_solve_homological_resonant_monomial():
-    q = mono(2, (2, 0), (0, 2))  # omega.(j - k) = 2 - 2 = 0 at the 1:1 resonance
-    with pytest.raises(SmallDivisorError):
-        solve_homological(q, (1.0, 1.0))
-
-
-def test_solve_homological_kernel_passthrough():
-    # (x^2 + y^2)^2 / 4 = I^2 is entirely resonant: chi = 0, Z = I^2
-    x2y2 = mono(1, (2,), (0,)) + mono(1, (0,), (2,))
-    q = (x2y2 * x2y2).scale(0.25)
-    chi, z = solve_homological(q, (1.0,))
-    assert chi.is_zero
-    assert z.coefficient((2,)) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_birkhoff_rejects_nondiagonal_h2():
@@ -241,32 +192,28 @@ def test_birkhoff_rejects_nondiagonal_h2():
         birkhoff_normal_form(h, (1.0,), 2)
 
 
-def test_compose_transform_roundtrip_and_energy():
+def test_generator_flows_carry_h_to_the_normal_form():
+    # the flows of -chi_1, ..., -chi_r, integrated as ODEs for unit time in
+    # increasing s, map a point p to q with H(p) = (H0 + Z)(q) up to the
+    # truncation scale (plus a rounding floor)
     rng = np.random.default_rng(99)
     omega = TWO_DOF_OMEGA
     h = random_series(rng, 2, omega, d_max=8)
     state = birkhoff_normal_form(h, omega, 6)
-
-    pts = rng.uniform(-0.04, 0.04, size=(25, 4))
-    fwd = compose_transform(state, pts, direction="forward")
-    back = compose_transform(state, fwd, direction="inverse")
-    assert np.max(np.abs(back - pts)) <= 1e-11
-
-    # energy: H(p) agrees with the normal form at the transformed point up
-    # to the truncation scale (plus a rounding floor)
-    nf = state.normal_form_series()
-    for p, q in zip(pts, fwd):
-        e_old = h.evaluate(p)
-        e_new = nf.evaluate(q)
+    h_terms = h.to_polynomial().terms()
+    nf_terms = state.normal_form_series().to_polynomial().terms()
+    flows = [[(j, k, -c) for j, k, c in state.generator(s).terms()]
+             for s in range(1, state.r + 1)]
+    for p in rng.uniform(-0.04, 0.04, size=(3, 4)):
+        q = p
+        for terms in flows:
+            if terms:
+                q = oracles.hamiltonian_flow(terms, q, (0.0, 1.0), 2,
+                                             max_step=1.0).y[:, -1]
+        e_old = oracles.eval_terms(h_terms, p).real[0]
+        e_new = oracles.eval_terms(nf_terms, q).real[0]
         trunc = 100.0 * float(np.max(np.abs(p))) ** (state.r + 3)
         assert abs(e_old - e_new) <= trunc + 1e-13 * max(1.0, abs(e_old))
-
-
-def test_compose_transform_single_point_shape():
-    h = one_dof_series({(3, 0): 0.5})
-    state = birkhoff_normal_form(h, (1.0,), 3)
-    out = compose_transform(state, [0.01, 0.02])
-    assert np.asarray(out).shape == (2,)
 
 
 def test_state_text_roundtrip():
@@ -337,6 +284,3 @@ def test_action_polynomial_to_polynomial():
     assert p.coefficient((4,), (0,)) == pytest.approx(0.25)
     assert p.coefficient((2,), (2,)) == pytest.approx(0.5)
     assert p.coefficient((0,), (4,)) == pytest.approx(0.25)
-    vals = a.evaluate((0.3,))
-    assert vals == pytest.approx(0.09)
-    assert a.partial(0).evaluate((0.3,)) == pytest.approx(0.6)

@@ -184,7 +184,13 @@ def test_exit_code_on_malformed_input(tmp_path, capsys):
                  "--radii", "nan"]) == 2
     assert main(["sweep", "--input", str(nf), "--grid", "0.5:inf:4",
                  "--radii", "1.0"]) == 2
+    # equal endpoints, and a ratio beyond the floats: no increasing grid
+    for grid in ("0.5:0.5:3", "1e-300:1e300:3"):
+        assert main(["sweep", "--input", str(nf), "--grid", grid,
+                     "--radii", "1.0"]) == 2
     for bad in ("nan", "inf"):
+        assert main(["estimate", "--input", str(nf), "--rho0", bad,
+                     "--radii", "1.0"]) == 2
         assert main(["bnf", "--input", str(ham), "--tol", bad,
                      "--out", str(tmp_path / "o.txt")]) == 2
         assert main(["estimate", "--input", str(nf), "--rho0", "0.5",
@@ -259,6 +265,22 @@ def test_exit_code_on_domain_errors(tmp_path, capsys):
                    "3 3 0 1e200\n")
     assert main(["bnf", "--input", str(big), "--order", "6",
                  "--out", str(tmp_path / "big_nf.txt")]) == 4
+    # a norm or an escape time beyond the float range names its cause
+    nf2 = tmp_path / "nf2.txt"
+    _write_two_dof(tmp_path / "h2.txt")
+    main(["bnf", "--input", str(tmp_path / "h2.txt"), "--order", "4",
+          "--out", str(nf2)])
+    capsys.readouterr()
+    for argv, cause in ((["estimate", "--rho0", "0.5",
+                          "--radii", "1e200,1e200"], "radii"),
+                        (["estimate", "--rho0", "1e-300",
+                          "--radii", "1,1"], "rho0"),
+                        (["estimate", "--rho0", "1e300",
+                          "--radii", "1,1"], "rho0"),
+                        (["sweep", "--grid", "1e-300:1e-290:3",
+                          "--radii", "1,1"], "rho0")):
+        assert main([argv[0], "--input", str(nf2), *argv[1:]]) == 4
+        assert cause in capsys.readouterr().err
 
 
 def test_argparse_rejects_conflicting_sources(tmp_path):

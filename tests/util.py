@@ -1,6 +1,6 @@
 """Shared builders for the test suite."""
 
-from bnfstab.polyalg import GradedSeries, Polynomial
+from bnfstab.polyalg import GradedSeries, Polynomial, poisson_bracket
 
 
 def mono(n, j, k, c=1.0):
@@ -68,3 +68,14 @@ def random_series(rng, n, omega, d_max, amplitude=0.3):
         h = h + random_polynomial(rng, n, d, num_terms=4,
                                   scale=amplitude ** (d - 2))
     return GradedSeries.from_polynomial(h, d_max=d_max)
+
+
+def identity_residual(state, s):
+    """max coeff of L_H0 chi_s - Z_s + Q_s, relative to the block scale."""
+    chi = state.generator(s)
+    z = state.z_action(s).to_polynomial()
+    q = state.remainder_block(s)
+    resid = poisson_bracket(state.h0_polynomial(), chi, cap=s + 2) \
+        + z.scale(-1.0) + q
+    scale = max(1.0, q.max_abs_coeff(), z.max_abs_coeff())
+    return resid.max_abs_coeff() / scale
