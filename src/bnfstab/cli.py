@@ -99,7 +99,7 @@ def _parse_grid(arg):
     spacing = parts[3] if len(parts) == 4 else "log"
     if spacing not in ("log", "lin"):
         raise FormatError(f"grid spacing must be log or lin, got {spacing!r}")
-    if points < 1 or lo <= 0.0 or hi < lo or (hi == lo and points > 1):
+    if points < 1 or lo <= 0.0 or hi < lo:
         raise FormatError(f"bad grid range {arg!r}")
     if points == 1:
         return (lo,)
@@ -107,9 +107,14 @@ def _parse_grid(arg):
         ratio = hi / lo
         if ratio == math.inf:
             raise FormatError(f"grid range {arg!r} has no finite ratio")
-        return tuple(lo * ratio ** (i / (points - 1)) for i in range(points))
-    step = (hi - lo) / (points - 1)
-    return tuple(lo + step * i for i in range(points))
+        grid = tuple(lo * ratio ** (i / (points - 1)) for i in range(points))
+    else:
+        step = (hi - lo) / (points - 1)
+        grid = tuple(lo + step * i for i in range(points))
+    # endpoints too close for the points between them round to repeats
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise FormatError(f"grid {arg!r} is not strictly increasing")
+    return grid
 
 
 def _resolve_radii(args):

@@ -5,6 +5,8 @@ A polynomial in n degrees of freedom lives on the 2n variables
 dict keyed by a packed exponent vector (8 bits per exponent, x-block most
 significant), so that monomial products are integer additions and iteration
 in increasing key order is graded-lexicographic within a degree.
+Poisson brackets unpack homogeneous blocks into exponent and coefficient
+arrays and run one numpy kernel (_bracket_terms).
 
 Polynomials are immutable once constructed; every function here is pure, so
 values can be shared freely across threads.
@@ -17,6 +19,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+import numpy as np
 
 from . import _records
 from .errors import (
@@ -46,6 +50,7 @@ PRUNE_REL = 1e-15
 _EXP_BITS = 8
 _EXP_MASK = (1 << _EXP_BITS) - 1
 _MAX_EXP = _EXP_MASK
+_WORD = (1 << 64) - 1
 
 
 @lru_cache(maxsize=None)
@@ -78,10 +83,7 @@ def _is_action_key(num_dof, key):
 
 
 def _key_degree(num_dof, key):
-    d = 0
-    for s in _shifts(num_dof):
-        d += (key >> s) & _EXP_MASK
-    return d
+    return sum(key.to_bytes(2 * num_dof, "big"))
 
 
 def _pruned(raw, num_dof):
@@ -314,14 +316,6 @@ def subtract(f, g):
     return Polynomial._raw(f.num_dof, _pruned(raw, f.num_dof), field)
 
 
-def _capped(raw, num_dof, cap):
-    """The terms of degree <= cap, in a new dict; raw itself if cap is None."""
-    if cap is None:
-        return raw
-    return {key: c for key, c in raw.items()
-            if _key_degree(num_dof, key) <= cap}
-
-
 def _raw_mul(a, b):
     out = {}
     get = out.get
@@ -332,65 +326,194 @@ def _raw_mul(a, b):
     return out
 
 
-def _deriv_items(terms, shift):
-    # d/dv of every term: exponent down by one, coefficient times old exponent
-    step = 1 << shift
-    out = []
-    for key, c in terms.items():
-        e = (key >> shift) & _EXP_MASK
-        if e:
-            out.append((key - step, e * c))
-    return out
+# -- the bracket kernel ------------------------------------------------------
+#
+# Every bracket in the package is a sum of products of homogeneous blocks.
+# An exponent vector of the output degree D is encoded in mixed radix
+# B = D + 1 over its first 2n - 1 fields (the last one follows from D).  No
+# field of a product exceeds D, so no digit carries and the index of a
+# product of monomials is the sum of their indices: each of the 2n
+# derivative pair products is an outer sum of indices and an outer product
+# of coefficients, added into a bin array.
+
+_PAIR_CHUNK = 1 << 14   # pairs per outer product: bounds its temporaries
+_MAX_BINS = 1 << 20     # bins per output block; past it the leading fields split
+
+
+def _exps(keys, width):
+    """The exponents of packed keys, as a uint8 matrix with one row a key."""
+    words = -(-width // 8)
+    cols = np.empty((len(keys), words), ">u8")
+    for w in range(words):
+        shift = 64 * (words - 1 - w)
+        # up to 4 DOF a key is one word, taken whole without a Python loop
+        cols[:, w] = keys if words == 1 else [key >> shift & _WORD
+                                              for key in keys]
+    return cols.view(np.uint8)[:, 8 * words - width:]
+
+
+def _keys(exps):
+    """The packed keys, as Python ints, of the rows of an exponent matrix."""
+    rows, width = exps.shape
+    pad = -width % 8
+    buf = np.zeros((rows, width + pad), np.uint8)
+    buf[:, pad:] = exps
+    cols = buf.view(">u8")
+    keys = cols[:, 0].tolist()
+    for w in range(1, cols.shape[1]):
+        keys = [key << 64 | low for key, low in zip(keys, cols[:, w].tolist())]
+    return keys
 
 
 def _derivs(terms, num_dof):
-    """_deriv_items of a term dict for every variable, in slot order."""
-    return [_deriv_items(terms, shift) for shift in _shifts(num_dof)]
+    """The exponent matrix (int64, one row a term) and coefficient vector of
+    a term dict, the form in which _bracket_terms takes its right operand."""
+    exps = _exps(list(terms), 2 * num_dof).astype(np.int64)
+    return exps, np.array(list(terms.values()))
+
+
+def _deriv_parts(exps, coeffs, lead, tail_w, num_dof, y_sign):
+    """(head, tail, coefficient parts) of d/dv for each variable v in slot
+    order, the y-derivatives times y_sign.  The head holds the exponents of
+    the first lead fields, the tail the index of the others."""
+    parts = [coeffs.real, coeffs.imag] if np.iscomplexobj(coeffs) else [coeffs]
+    tail = exps @ tail_w
+    out = []
+    for t in range(2 * num_dof):
+        e = exps[:, t]
+        rows = np.flatnonzero(e)
+        head = exps[rows, :lead]
+        if t < lead:
+            head[:, t] -= 1
+        scale = e[rows] if t < num_dof else y_sign * e[rows]
+        out.append((head, tail[rows] - tail_w[t],
+                    [c[rows] * scale for c in parts]))
+    return out
+
+
+def _groups(part):
+    """part split by head, as {head tuple: (tail, coefficient parts)}."""
+    head, tail, coeffs = part
+    if not len(tail):
+        return {}
+    if not head.shape[1]:
+        return {(): (tail, coeffs)}
+    rows = {}
+    for row, h in enumerate(map(tuple, head.tolist())):
+        rows.setdefault(h, []).append(row)
+    return {h: (tail[r], [c[r] for c in coeffs]) for h, r in rows.items()}
+
+
+def _add_products(bins, a, b):
+    """Add the outer product of a and b, (tail, coefficient parts) each, into
+    the bin arrays, _PAIR_CHUNK pairs at a time."""
+    a_tail, a_c = a
+    b_tail, b_c = b
+    rows = max(1, _PAIR_CHUNK // len(b_tail))
+    outer = np.multiply.outer
+    for lo in range(0, len(a_tail), rows):
+        hi = lo + rows
+        idx = np.add.outer(a_tail[lo:hi], b_tail).ravel()
+        if len(bins) == 1:
+            np.add.at(bins[0], idx, outer(a_c[0][lo:hi], b_c[0]).ravel())
+            continue
+        (ar, ai), (br, bi) = [c[lo:hi] for c in a_c], b_c
+        re = outer(ar, br)
+        re -= outer(ai, bi)
+        np.add.at(bins[0], idx, re.ravel())
+        im = outer(ar, bi)
+        im += outer(ai, br)
+        np.add.at(bins[1], idx, im.ravel())
 
 
 def _bracket_terms(f_terms, g_derivs, num_dof):
-    """Raw {f, g} from the terms of f and the _derivs of g."""
-    shifts = _shifts(num_dof)
-    out = {}
-    get = out.get
-    for l in range(num_dof):
-        fx = _deriv_items(f_terms, shifts[l])
-        gy = g_derivs[num_dof + l]
-        if fx and gy:
-            for ka, ca in fx:
-                for kb, cb in gy:
-                    key = ka + kb
-                    out[key] = get(key, 0.0) + ca * cb
-        fy = _deriv_items(f_terms, shifts[num_dof + l])
-        gx = g_derivs[l]
-        if fy and gx:
-            for ka, ca in fy:
-                for kb, cb in gx:
-                    key = ka + kb
-                    out[key] = get(key, 0.0) - ca * cb
+    """Raw {f, g} of homogeneous f, a term dict, and homogeneous g, given by
+    its _derivs; a packed-key dict of Python scalars.
+
+    When the B^(2n-1) bins of the output degree exceed _MAX_BINS, the
+    output is split by the exponents of its leading fields, and each part
+    fills the bin array in turn.  Overflowed coefficients come out as inf
+    or nan, for _pruned to refuse; an exponent above _MAX_EXP is an
+    OrderRangeError.
+    """
+    f_exps, f_coeffs = _derivs(f_terms, num_dof)
+    g_exps, g_coeffs = g_derivs
+    if not (len(f_exps) and len(g_exps)):
+        return {}
+    degree = int(f_exps[0].sum() + g_exps[0].sum()) - 2
+    if degree < 0:
+        return {}
+    width = 2 * num_dof
+    base = degree + 1
+    lead = 0
+    while base ** (width - 1 - lead) > _MAX_BINS:
+        lead += 1
+    # the place value of each tail field; the last field is not encoded
+    place = [base ** (width - 2 - t) if lead <= t < width - 1 else 0
+             for t in range(width)]
+    tail_w = np.array(place, np.int64)
+    if np.iscomplexobj(f_coeffs) != np.iscomplexobj(g_coeffs):
+        f_coeffs, g_coeffs = f_coeffs.astype(complex), g_coeffs.astype(complex)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the bracket's minus sign rides on the y-derivatives of f
+        f_parts = _deriv_parts(f_exps, f_coeffs, lead, tail_w, num_dof, -1)
+        g_parts = _deriv_parts(g_exps, g_coeffs, lead, tail_w, num_dof, 1)
+        # output head -> the (a, b) products that land in its bins
+        blocks = {}
+        for t in range(width):
+            a = _groups(f_parts[t])
+            b = _groups(g_parts[(t + num_dof) % width])
+            for ha, a_part in a.items():
+                for hb, b_part in b.items():
+                    head = tuple(p + q for p, q in zip(ha, hb))
+                    blocks.setdefault(head, []).append((a_part, b_part))
+
+        out = {}
+        bins = [np.zeros(base ** (width - 1 - lead)) for _ in f_parts[0][2]]
+        for head in sorted(blocks):
+            for a, b in blocks[head]:
+                _add_products(bins, a, b)
+            if len(bins) == 1:
+                tails = np.flatnonzero(bins[0])
+                vals = bins[0][tails]
+            else:
+                tails = np.flatnonzero((bins[0] != 0) | (bins[1] != 0))
+                vals = np.empty(len(tails), complex)
+                vals.real, vals.imag = bins[0][tails], bins[1][tails]
+            for b in bins:
+                b[tails] = 0.0
+            exps = np.empty((len(tails), width), np.int64)
+            exps[:, :lead] = head
+            for t in range(lead, width - 1):
+                exps[:, t] = tails // place[t] % base
+            exps[:, -1] = degree - exps[:, :-1].sum(axis=1)
+            if exps.max(initial=0) > _MAX_EXP:
+                raise OrderRangeError(
+                    f"an exponent of the bracket exceeds {_MAX_EXP}, the "
+                    "largest a packed key holds")
+            out.update(zip(_keys(exps.astype(np.uint8)), vals.tolist()))
     return out
 
 
 def poisson_bracket(f, g, cap=None):
     """{f, g} = sum_l (df/dx_l dg/dy_l - df/dy_l dg/dx_l), capped by degree.
 
-    Homogeneous operands of degrees p, q produce a homogeneous result of
-    degree p + q - 2 (or zero when that exceeds the cap).
+    Each pair of homogeneous parts, of degrees p and q, adds a part of
+    degree p + q - 2, skipped when that exceeds the cap.
     """
     field = _check_pair(f, g)
     n = f.num_dof
-    if f.is_zero or g.is_zero:
-        return Polynomial.zero(n, field)
-
-    homogeneous = f.is_homogeneous() and g.is_homogeneous()
-    if homogeneous:
-        target = f.degree_max + g.degree_max - 2
-        if target < 0 or (cap is not None and target > cap):
-            return Polynomial.zero(n, field)
-
-    raw = _bracket_terms(f._terms, _derivs(g._terms, n), n)
-    if not homogeneous:
-        raw = _capped(raw, n, cap)
+    g_parts = [(q, _derivs(g.homogeneous_part(q)._terms, n))
+               for q in g.degrees()]
+    raw = {}
+    for p in f.degrees():
+        f_part = f.homogeneous_part(p)._terms
+        for q, g_derivs in g_parts:
+            if cap is not None and p + q - 2 > cap:
+                continue
+            for key, c in _bracket_terms(f_part, g_derivs, n).items():
+                raw[key] = raw.get(key, 0.0) + c
     return Polynomial._raw(n, _pruned(raw, n), field)
 
 
@@ -452,7 +575,8 @@ def polydisc_norm(f, radii):
 
     f must be homogeneous (a single graded component); the norm majorizes
     sup |f| over the polydisc of radii rho*R by rho^deg times this value.
-    A norm that overflows the floats is a ValueError naming the radii.
+    A norm that overflows the floats, or that underflows to 0 although f
+    is not zero, is a ValueError naming the radii.
     """
     radii = _check_radii(radii, f.num_dof)
     if not f.is_homogeneous():
@@ -468,6 +592,8 @@ def polydisc_norm(f, radii):
         total = math.inf
     if not math.isfinite(total):
         raise ValueError(f"the polydisc norm at radii {radii} overflows")
+    if total == 0.0 and not f.is_zero:
+        raise ValueError(f"the polydisc norm at radii {radii} underflows to 0")
     return total
 
 

@@ -1,6 +1,7 @@
 """Independent cross-checks backing the test suite.
 
 Everything here recomputes package results through a different route:
+a double loop over terms instead of the bracket's array kernel,
 dense coefficient arrays instead of packed sparse keys, quadrature
 instead of closed forms, arbitrary precision instead of doubles, and
 plain lattice enumeration instead of the half-lattice generator.  No
@@ -12,6 +13,31 @@ import itertools
 import math
 
 import numpy as np
+
+
+# -- the Poisson bracket by a double loop over terms --------------------------
+
+def bracket_terms(f, g, n, cap=None):
+    """{f, g} of term lists [(j, k, coeff)] in n degrees of freedom, as a
+    dict {(j, k): coeff} summed over every pair of terms; a pair whose
+    product has degree above cap is skipped."""
+    out = {}
+    for j1, k1, c1 in f:
+        for j2, k2, c2 in g:
+            if cap is not None and sum(j1 + k1 + j2 + k2) - 2 > cap:
+                continue
+            for l in range(n):
+                # df/dx_l dg/dy_l and df/dy_l dg/dx_l are both the plain
+                # product with x_l and y_l lowered by one
+                weight = j1[l] * k2[l] - k1[l] * j2[l]
+                if not weight:
+                    continue
+                j = tuple(p + q - (t == l) for t, (p, q)
+                          in enumerate(zip(j1, j2)))
+                k = tuple(p + q - (t == l) for t, (p, q)
+                          in enumerate(zip(k1, k2)))
+                out[(j, k)] = out.get((j, k), 0.0) + weight * c1 * c2
+    return out
 
 
 # -- dense one-DOF normal form -------------------------------------------------

@@ -184,8 +184,9 @@ def test_exit_code_on_malformed_input(tmp_path, capsys):
                  "--radii", "nan"]) == 2
     assert main(["sweep", "--input", str(nf), "--grid", "0.5:inf:4",
                  "--radii", "1.0"]) == 2
-    # equal endpoints, and a ratio beyond the floats: no increasing grid
-    for grid in ("0.5:0.5:3", "1e-300:1e300:3"):
+    # equal endpoints, a ratio beyond the floats, and endpoints so close
+    # that the points between them round to repeats: no increasing grid
+    for grid in ("0.5:0.5:3", "1e-300:1e300:3", "1:1.0000000000000002:3"):
         assert main(["sweep", "--input", str(nf), "--grid", grid,
                      "--radii", "1.0"]) == 2
     for bad in ("nan", "inf"):
@@ -265,7 +266,8 @@ def test_exit_code_on_domain_errors(tmp_path, capsys):
                    "3 3 0 1e200\n")
     assert main(["bnf", "--input", str(big), "--order", "6",
                  "--out", str(tmp_path / "big_nf.txt")]) == 4
-    # a norm or an escape time beyond the float range names its cause
+    # a norm or an escape time beyond the float range names its cause; a
+    # norm that underflows to 0 would read as no drift and T = inf
     nf2 = tmp_path / "nf2.txt"
     _write_two_dof(tmp_path / "h2.txt")
     main(["bnf", "--input", str(tmp_path / "h2.txt"), "--order", "4",
@@ -273,6 +275,8 @@ def test_exit_code_on_domain_errors(tmp_path, capsys):
     capsys.readouterr()
     for argv, cause in ((["estimate", "--rho0", "0.5",
                           "--radii", "1e200,1e200"], "radii"),
+                        (["estimate", "--rho0", "0.5",
+                          "--radii", "1e-300,1e-300"], "radii"),
                         (["estimate", "--rho0", "1e-300",
                           "--radii", "1,1"], "rho0"),
                         (["estimate", "--rho0", "1e300",

@@ -1,11 +1,14 @@
 """Sparse algebra: arithmetic identities, brackets, norms, text format."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from bnfstab import polyalg
 from bnfstab.errors import (
     FormatError,
     GradingError,
@@ -120,6 +123,97 @@ def test_bracket_grading():
     # mixed degrees: the cap drops the degree-7 part {f, g}
     h = random_polynomial(rng, 2, 3)
     assert poisson_bracket(f + h, g, cap=6) == poisson_bracket(h, g)
+
+
+def _assert_matches_oracle(got, want):
+    """got, a Polynomial, against an oracle dict {(j, k): coeff}: the same
+    terms once the oracle drops what the package prunes (zeros, and values
+    below 1e-15 of the largest coefficient of their degree), and each
+    coefficient within 1e-14 of that largest coefficient."""
+    top = {}
+    for (j, k), c in want.items():
+        top[sum(j + k)] = max(top.get(sum(j + k), 0.0), abs(c))
+    want = {(j, k): c for (j, k), c in want.items()
+            if abs(c) > 0.0 and abs(c) >= 1e-15 * top[sum(j + k)]}
+    have = {(j, k): c for j, k, c in got.terms()}
+    assert set(have) == set(want)
+    for (j, k), c in want.items():
+        assert abs(have[(j, k)] - c) <= 1e-14 * top[sum(j + k)]
+
+
+@pytest.mark.parametrize("max_bins", [None, 50, 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_bracket_kernel_matches_dict_oracle(n, max_bins, monkeypatch):
+    # a bin limit below the default splits the output by its leading fields;
+    # from 5 DOF on a packed key is wider than 64 bits
+    if max_bins:
+        monkeypatch.setattr(polyalg, "_MAX_BINS", max_bins)
+    rng = np.random.default_rng(200 + n)
+    for f_field, g_field in (("real", "real"), ("complex", "complex"),
+                             ("real", "complex")):
+        f = random_polynomial(rng, n, 5, num_terms=30, field=f_field)
+        g = random_polynomial(rng, n, 4, num_terms=30, field=g_field)
+        f_mixed = f + random_polynomial(rng, n, 3, num_terms=10,
+                                        field=f_field)
+        g_mixed = g + random_polynomial(rng, n, 2, num_terms=10,
+                                        field=g_field)
+        for a, b, cap in ((f, g, None), (g, f, 6), (f_mixed, g_mixed, None),
+                          (f_mixed, g_mixed, 5)):
+            want = oracles.bracket_terms(a.terms(), b.terms(), n, cap)
+            _assert_matches_oracle(poisson_bracket(a, b, cap=cap), want)
+
+
+def test_bracket_kernel_on_full_blocks():
+    # every monomial of its degree: each derivative product spans several
+    # pair chunks
+    rng = np.random.default_rng(211)
+    n = 3
+
+    def full(degree):
+        terms = {}
+        for exps in itertools.product(range(degree + 1), repeat=2 * n):
+            if sum(exps) == degree:
+                terms[(exps[:n], exps[n:])] = complex(*rng.uniform(-1, 1, 2))
+        return Polynomial(n, terms, field="complex")
+
+    f, g = full(6), full(5)
+    want = oracles.bracket_terms(f.terms(), g.terms(), n)
+    _assert_matches_oracle(poisson_bracket(f, g), want)
+
+
+def test_wide_bracket_splits_its_bins():
+    # the degree-14 output of 4 DOF has 15^7 (171 M) bins; split by its
+    # leading fields the bracket stays under 8 MiB
+    rng = np.random.default_rng(223)
+    f = random_polynomial(rng, 4, 8, num_terms=40)
+    g = random_polynomial(rng, 4, 8, num_terms=40)
+    tracemalloc.start()
+    try:
+        got = poisson_bracket(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    _assert_matches_oracle(got, oracles.bracket_terms(f.terms(), g.terms(), 4))
+
+
+def test_bracket_refuses_exponents_the_keys_cannot_hold():
+    x200 = mono(2, (200, 0), (0, 0))
+    # degree 299, but no exponent above 255: computed
+    br = poisson_bracket(x200, mono(2, (0, 100), (1, 0)))
+    assert br.terms() == [((199, 100), (0, 0), 200.0)]
+    # x_1^299 would overflow into the next field of the packed key
+    with pytest.raises(OrderRangeError, match="255"):
+        poisson_bracket(x200, mono(2, (100, 0), (1, 0)))
+
+
+def test_key_degree_is_the_exponent_sum():
+    rng = np.random.default_rng(227)
+    for n in range(1, 5):
+        rows = rng.integers(0, 256, size=(50, 2 * n)).tolist()
+        for exps in rows + [[255] * (2 * n)]:
+            key = polyalg._pack(n, exps[:n], exps[n:])
+            assert polyalg._key_degree(n, key) == sum(exps)
 
 
 def test_overflowed_coefficients_are_refused_not_pruned():
