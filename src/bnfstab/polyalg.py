@@ -47,8 +47,12 @@ __all__ = [
 
 PRUNE_REL = 1e-15
 
+# A packed key holds one exponent a byte, big-endian, x_1 first: its
+# key.to_bytes(2n, "big") is the exponent vector.  _pack, _unpack,
+# _key_degree, _exps and _keys read and write it as bytes; _EXP_BITS is
+# that byte width for the code that shifts fields in place.
 _EXP_BITS = 8
-_EXP_MASK = (1 << _EXP_BITS) - 1
+_EXP_MASK = 0xFF
 _MAX_EXP = _EXP_MASK
 _WORD = (1 << 64) - 1
 
@@ -61,18 +65,15 @@ def _shifts(num_dof):
 
 
 def _pack(num_dof, j, k):
-    key = 0
-    shifts = _shifts(num_dof)
-    for t, e in enumerate(tuple(j) + tuple(k)):
+    exps = [int(e) for e in tuple(j) + tuple(k)]
+    for e in exps:
         if not 0 <= e <= _MAX_EXP:
             raise ValueError(f"exponent {e} outside [0, {_MAX_EXP}]")
-        key |= int(e) << shifts[t]
-    return key
+    return int.from_bytes(bytes(exps), "big")
 
 
 def _unpack(num_dof, key):
-    shifts = _shifts(num_dof)
-    exps = tuple((key >> s) & _EXP_MASK for s in shifts)
+    exps = tuple(key.to_bytes(2 * num_dof, "big"))
     return exps[:num_dof], exps[num_dof:]
 
 
@@ -97,15 +98,15 @@ def _pruned(raw, num_dof):
         return {}
     block_max = {}
     deg_of = {}
-    try:
-        for key, c in raw.items():
-            d = _key_degree(num_dof, key)
-            deg_of[key] = d
+    for key, c in raw.items():
+        d = _key_degree(num_dof, key)
+        deg_of[key] = d
+        try:
             a = abs(c)
-            if a > block_max.get(d, 0.0):
-                block_max[d] = a
-    except OverflowError:  # abs() of a huge finite complex
-        block_max[d] = math.inf
+        except OverflowError:  # abs() of a huge finite complex
+            a = math.inf
+        if a > block_max.get(d, 0.0):
+            block_max[d] = a
     if math.inf in block_max.values():
         raise ValueError("coefficient overflow: an infinite coefficient")
     out = {}
@@ -266,6 +267,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             field = _check_pair(self, other)
             n = self.num_dof
+            _check_product_exponents(self, other)
             raw = _raw_mul(self._terms, other._terms)
             return Polynomial._raw(n, _pruned(raw, n), field)
         return self.scale(other)
@@ -314,6 +316,23 @@ def subtract(f, g):
     for key, c in g._terms.items():
         raw[key] = raw.get(key, 0.0) - c
     return Polynomial._raw(f.num_dof, _pruned(raw, f.num_dof), field)
+
+
+def _check_product_exponents(f, g):
+    """OrderRangeError when an exponent of f * g would pass _MAX_EXP.
+
+    A field of the product reaches the sum of the largest exponents of f
+    and g in that field, on the product of the two terms holding them.
+    """
+    if not (f._terms and g._terms):
+        return
+    width = 2 * f.num_dof
+    top = [_exps(list(p._terms), width).max(axis=0).astype(int)
+           for p in (f, g)]
+    if (top[0] + top[1]).max() > _MAX_EXP:
+        raise OrderRangeError(
+            f"an exponent of the product exceeds {_MAX_EXP}, the largest a "
+            "packed key holds")
 
 
 def _raw_mul(a, b):
@@ -404,9 +423,10 @@ def _groups(part):
     return {h: (tail[r], [c[r] for c in coeffs]) for h, r in rows.items()}
 
 
-def _add_products(bins, a, b):
+def _add_products(bins, a, b, touched):
     """Add the outer product of a and b, (tail, coefficient parts) each, into
-    the bin arrays, _PAIR_CHUNK pairs at a time."""
+    the bin arrays, _PAIR_CHUNK pairs at a time; append the bin indices to
+    the list touched, unless it is None."""
     a_tail, a_c = a
     b_tail, b_c = b
     rows = max(1, _PAIR_CHUNK // len(b_tail))
@@ -414,6 +434,8 @@ def _add_products(bins, a, b):
     for lo in range(0, len(a_tail), rows):
         hi = lo + rows
         idx = np.add.outer(a_tail[lo:hi], b_tail).ravel()
+        if touched is not None:
+            touched.append(idx)
         if len(bins) == 1:
             np.add.at(bins[0], idx, outer(a_c[0][lo:hi], b_c[0]).ravel())
             continue
@@ -426,15 +448,24 @@ def _add_products(bins, a, b):
         np.add.at(bins[1], idx, im.ravel())
 
 
+def _nonzero(parts):
+    """The mask of the entries where any of the coefficient parts is not 0."""
+    mask = parts[0] != 0
+    for part in parts[1:]:
+        mask |= part != 0
+    return mask
+
+
 def _bracket_terms(f_terms, g_derivs, num_dof):
     """Raw {f, g} of homogeneous f, a term dict, and homogeneous g, given by
     its _derivs; a packed-key dict of Python scalars.
 
     When the B^(2n-1) bins of the output degree exceed _MAX_BINS, the
     output is split by the exponents of its leading fields, and each part
-    fills the bin array in turn.  Overflowed coefficients come out as inf
-    or nan, for _pruned to refuse; an exponent above _MAX_EXP is an
-    OrderRangeError.
+    fills the bin array in turn.  A part with fewer pairs than bins/16
+    reads and clears only the bins its pairs touch.  Overflowed
+    coefficients come out as inf or nan, for _pruned to refuse; an
+    exponent above _MAX_EXP is an OrderRangeError.
     """
     f_exps, f_coeffs = _derivs(f_terms, num_dof)
     g_exps, g_coeffs = g_derivs
@@ -470,15 +501,21 @@ def _bracket_terms(f_terms, g_derivs, num_dof):
                     blocks.setdefault(head, []).append((a_part, b_part))
 
         out = {}
-        bins = [np.zeros(base ** (width - 1 - lead)) for _ in f_parts[0][2]]
+        num_bins = base ** (width - 1 - lead)
+        bins = [np.zeros(num_bins) for _ in f_parts[0][2]]
         for head in sorted(blocks):
+            pairs = sum(len(a[0]) * len(b[0]) for a, b in blocks[head])
+            touched = [] if 16 * pairs < num_bins else None
             for a, b in blocks[head]:
-                _add_products(bins, a, b)
+                _add_products(bins, a, b, touched)
+            if touched is None:
+                tails = np.flatnonzero(_nonzero(bins))
+            else:
+                tails = np.unique(np.concatenate(touched))
+                tails = tails[_nonzero([b[tails] for b in bins])]
             if len(bins) == 1:
-                tails = np.flatnonzero(bins[0])
                 vals = bins[0][tails]
             else:
-                tails = np.flatnonzero((bins[0] != 0) | (bins[1] != 0))
                 vals = np.empty(len(tails), complex)
                 vals.real, vals.imag = bins[0][tails], bins[1][tails]
             for b in bins:

@@ -1,6 +1,5 @@
 """Sparse algebra: arithmetic identities, brackets, norms, text format."""
 
-import itertools
 import math
 import tracemalloc
 
@@ -25,7 +24,7 @@ from bnfstab.polyalg import (
     realify,
     theta_weight,
 )
-from util import mono, random_polynomial
+from util import full_block, mono, random_polynomial
 
 
 def test_monomial_basics():
@@ -167,17 +166,8 @@ def test_bracket_kernel_on_full_blocks():
     # every monomial of its degree: each derivative product spans several
     # pair chunks
     rng = np.random.default_rng(211)
-    n = 3
-
-    def full(degree):
-        terms = {}
-        for exps in itertools.product(range(degree + 1), repeat=2 * n):
-            if sum(exps) == degree:
-                terms[(exps[:n], exps[n:])] = complex(*rng.uniform(-1, 1, 2))
-        return Polynomial(n, terms, field="complex")
-
-    f, g = full(6), full(5)
-    want = oracles.bracket_terms(f.terms(), g.terms(), n)
+    f, g = full_block(rng, 3, 6), full_block(rng, 3, 5)
+    want = oracles.bracket_terms(f.terms(), g.terms(), 3)
     _assert_matches_oracle(poisson_bracket(f, g), want)
 
 
@@ -207,6 +197,16 @@ def test_bracket_refuses_exponents_the_keys_cannot_hold():
         poisson_bracket(x200, mono(2, (100, 0), (1, 0)))
 
 
+def test_product_refuses_exponents_the_keys_cannot_hold():
+    x200 = mono(1, (200,), (0,))
+    assert (x200 * mono(1, (55,), (3,))).terms() == [((255,), (3,), 1.0)]
+    # x^300 would carry into the y field of the packed key
+    with pytest.raises(OrderRangeError, match="255"):
+        x200 * mono(1, (100,), (0,))
+    with pytest.raises(OrderRangeError, match="255"):
+        (x200 + mono(1, (0,), (1,))) * mono(1, (100,), (0,))
+
+
 def test_key_degree_is_the_exponent_sum():
     rng = np.random.default_rng(227)
     for n in range(1, 5):
@@ -214,6 +214,8 @@ def test_key_degree_is_the_exponent_sum():
         for exps in rows + [[255] * (2 * n)]:
             key = polyalg._pack(n, exps[:n], exps[n:])
             assert polyalg._key_degree(n, key) == sum(exps)
+            assert polyalg._unpack(n, key) == (tuple(exps[:n]),
+                                               tuple(exps[n:]))
 
 
 def test_overflowed_coefficients_are_refused_not_pruned():

@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import itertools
+
 from bnfstab.polyalg import GradedSeries, Polynomial, poisson_bracket
 
 
@@ -54,6 +56,16 @@ def random_polynomial(rng, n, degree, num_terms=6, field="real",
     for (j, k), c in raw.items():
         p = p + Polynomial.monomial(n, j, k, c, field=field)
     return p
+
+
+def full_block(rng, n, degree):
+    """Every monomial of the degree, with seeded complex coefficients."""
+    terms = {}
+    for exps in itertools.product(range(degree + 1), repeat=2 * n):
+        if sum(exps) == degree:
+            re, im = rng.uniform(-1.0, 1.0, size=2)
+            terms[(exps[:n], exps[n:])] = complex(re, im)
+    return Polynomial(n, terms, field="complex")
 
 
 def random_series(rng, n, omega, d_max, amplitude=0.3):

@@ -4,22 +4,23 @@
         --out BENCH_bracket.json
 
 Each --src LABEL=DIR names a bnfstab source tree (the directory holding
-the `bnfstab` package).  Every round runs one fresh interpreter per tree,
-in alternating order, so that a drift in host speed falls on both sides.
+the `bnfstab` package).  Each of ROUNDS rounds runs one fresh interpreter
+per tree, in alternating order, so that a drift in host speed falls on
+both sides.
 An interpreter times, once each:
 
 - the `bnf` command on the fixed systems of the ROADMAP's north star,
   built by perfbench/systems.py with seed 1: 2-DOF even at order 18, 2-DOF
   dense at order 14 and 3-DOF dense at order 10;
-- the bracket alone on full complex blocks (every monomial of the degree,
-  seeded coefficients): 3 DOF degree 9 by degree 9, and 2 DOF degree 20 by
-  degree 4, with the tracemalloc peak of one more, untimed call.
+- the bracket alone on full complex blocks (tests/util.full_block: every
+  monomial of the degree, seeded coefficients): 3 DOF degree 9 by degree
+  9, and 2 DOF degree 20 by degree 4, with the tracemalloc peak of one
+  more, untimed call.
 
 The output holds every run and the median per input and tree.
 """
 
 import argparse
-import itertools
 import json
 import os
 import platform
@@ -35,6 +36,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
+ROUNDS = 5
 # (name, perfbench system, bnf --order)
 SYSTEMS = (("even2-r18", "even2", 18), ("dense2-r14", "dense2", 14),
            ("dense3-r10", "dense3", 10))
@@ -42,22 +44,14 @@ SYSTEMS = (("even2-r18", "even2", 18), ("dense2-r14", "dense2", 14),
 BRACKETS = (("3dof-9x9", 3, 9, 9), ("2dof-20x4", 2, 20, 4))
 
 
-def full_block(polyalg, rng, n, degree):
-    """Every monomial of the degree, with seeded complex coefficients."""
-    terms = {}
-    for exps in itertools.product(range(degree + 1), repeat=2 * n):
-        if sum(exps) == degree:
-            re, im = rng.uniform(-1.0, 1.0, size=2)
-            terms[(exps[:n], exps[n:])] = complex(re, im)
-    return polyalg.Polynomial(n, terms, field="complex")
-
-
 def measure(src):
     """One run of every input against the bnfstab under src, as a dict."""
     sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.path.insert(0, str(ROOT / "tests"))
     sys.path.insert(0, str(Path(src).resolve()))
     import systems
     from bnfstab import cli, polyalg
+    from util import full_block
 
     out = {"bnf_s": {}, "bracket_s": {}, "bracket_peak_mib": {}}
     with tempfile.TemporaryDirectory() as tmp:
@@ -72,7 +66,7 @@ def measure(src):
             out["bnf_s"][name] = time.perf_counter() - start
     rng = np.random.default_rng(1)
     for name, n, p, q in BRACKETS:
-        f, g = full_block(polyalg, rng, n, p), full_block(polyalg, rng, n, q)
+        f, g = full_block(rng, n, p), full_block(rng, n, q)
         start = time.perf_counter()
         polyalg.poisson_bracket(f, g)
         out["bracket_s"][name] = time.perf_counter() - start
@@ -88,7 +82,6 @@ def main():
     parser.add_argument("--src", action="append", metavar="LABEL=DIR",
                         help="a bnfstab source tree; repeat to compare")
     parser.add_argument("--out", help="the JSON file to write")
-    parser.add_argument("--rounds", type=int, default=5)
     # the child interpreter of one round: prints one run as JSON
     parser.add_argument("--measure", metavar="DIR", help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -100,14 +93,14 @@ def main():
 
     trees = dict(spec.split("=", 1) for spec in args.src)
     runs = {label: [] for label in trees}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         labels = list(trees) if r % 2 == 0 else list(reversed(trees))
         for label in labels:
             done = subprocess.run(
                 [sys.executable, __file__, "--measure", trees[label]],
                 check=True, capture_output=True, text=True)
             runs[label].append(json.loads(done.stdout.splitlines()[-1]))
-            print(f"round {r + 1}/{args.rounds} {label}", file=sys.stderr)
+            print(f"round {r + 1}/{ROUNDS} {label}", file=sys.stderr)
 
     sources = {}
     for label, done in runs.items():
@@ -119,7 +112,7 @@ def main():
             for metric in done[0]}
     record = {
         "tool": "tools/bench_layers.py",
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "host": {"machine": platform.machine(),
                  "processor_count": len(os.sched_getaffinity(0)),
                  "python": platform.python_version(),
