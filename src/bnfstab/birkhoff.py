@@ -345,39 +345,60 @@ class NormalFormState:
         omega = None
         z, chi, f = {}, {}, {}
         ledgers = {"Z": z, "CHI": chi, "F": f}
-        section = None          # (label, s, terms) of the open section
+        # (label, s, body) of the open section: the body is the term dict
+        # of a Z section, filled line by line, and the (token rows, line
+        # numbers) of a CHI or F section, read as one block on closing
+        section = None
 
         def close_section():
-            if section is not None:
-                label, s, terms = section
-                build = ActionPolynomial if label == "Z" else Polynomial
-                ledgers[label][s] = build(n, terms)
-
-        for tokens in reader:
-            if tokens[0] == "OMEGA":
-                omega = tuple(reader.finite(tokens[1:], "OMEGA line"))
-                if len(omega) != n:
-                    raise reader.error("OMEGA length disagrees with n")
-                continue
-            if tokens[0] in ledgers:
-                if len(tokens) != 2 or not tokens[1].startswith("s="):
-                    raise reader.error("malformed section header")
-                try:
-                    s = int(tokens[1][2:])
-                except ValueError:
-                    raise reader.error("bad section order") from None
-                close_section()
-                if s in ledgers[tokens[0]]:
-                    raise reader.error(f"repeated section {tokens[0]} s={s}")
-                top = r_max if tokens[0] == "F" else r
-                if not 1 <= s <= top:
-                    raise reader.error(f"{tokens[0]} s={s} outside 1..{top}")
-                section = (tokens[0], s, {})
-                continue
+            nonlocal section
             if section is None:
-                raise reader.error("term line outside any section")
-            label, s, terms = section
+                return
+            (label, s, body), section = section, None
             if label == "Z":
+                z[s] = ActionPolynomial(n, body)
+                return
+            blocks = poly._read_terms(
+                *body, n, "real", path, (s + 2, s + 2),
+                lambda degree: f"term degree {degree} in section of order "
+                               f"{s} (expected {s + 2})")
+            ledgers[label][s] = Polynomial._raw(n, blocks.get(s + 2, {}),
+                                                "real")
+
+        try:
+            for tokens in reader:
+                if tokens[0] == "OMEGA":
+                    if omega is not None:
+                        raise reader.error("repeated OMEGA line")
+                    omega = tuple(reader.finite(tokens[1:], "OMEGA line"))
+                    if len(omega) != n:
+                        raise reader.error("OMEGA length disagrees with n")
+                    continue
+                if tokens[0] in ledgers:
+                    if len(tokens) != 2 or not tokens[1].startswith("s="):
+                        raise reader.error("malformed section header")
+                    try:
+                        s = int(tokens[1][2:])
+                    except ValueError:
+                        raise reader.error("bad section order") from None
+                    close_section()
+                    if s in ledgers[tokens[0]]:
+                        raise reader.error(
+                            f"repeated section {tokens[0]} s={s}")
+                    top = r_max if tokens[0] == "F" else r
+                    if not 1 <= s <= top:
+                        raise reader.error(
+                            f"{tokens[0]} s={s} outside 1..{top}")
+                    body = {} if tokens[0] == "Z" else ([], [])
+                    section = (tokens[0], s, body)
+                    continue
+                if section is None:
+                    raise reader.error("term line outside any section")
+                label, s, body = section
+                if label != "Z":
+                    body[0].append(tokens)
+                    body[1].append(reader.lineno)
+                    continue
                 if len(tokens) != n + 1:
                     raise reader.error(
                         f"expected {n + 1} fields on an action line")
@@ -390,19 +411,13 @@ class NormalFormState:
                 if 2 * sum(p) != s + 2:
                     raise reader.error(f"action degree {sum(p)} in Z s={s}")
                 c = reader.finite(tokens[n:], "action term")[0]
-                if p in terms:
+                if p in body:
                     raise reader.error("duplicate action exponent")
-                terms[p] = c
-            else:
-                degree, j, k, c = poly._parse_term_line(
-                    reader, tokens, n, "real")
-                if degree != s + 2:
-                    raise reader.error(
-                        f"term degree {degree} in section of order {s} "
-                        f"(expected {s + 2})")
-                if (j, k) in terms:
-                    raise reader.error("duplicate exponent vector")
-                terms[(j, k)] = c
+                body[p] = c
+        except FormatError:
+            # the open section's lines come before the fault: theirs is first
+            close_section()
+            raise
         close_section()
         if omega is None:
             raise FormatError("missing OMEGA line", path=path)

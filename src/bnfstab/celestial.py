@@ -144,6 +144,9 @@ class PoincareState:
         radii_line = None
         for tokens in reader:
             if tokens[0] == "RADII":
+                if radii_line is not None:
+                    raise reader.error("repeated RADII line")
+                radii_at = reader.lineno
                 radii_line = reader.finite(tokens[1:], "RADII line")
             elif len(tokens) != 5:
                 raise reader.error("expected `name Lambda lambda xi eta`")
@@ -156,8 +159,15 @@ class PoincareState:
                 path=path)
         Lam, lam, xi, eta = zip(*rows) if rows else [()] * 4
         state = cls(names=tuple(names), Lambda=Lam, lam=lam, xi=xi, eta=eta)
-        if radii_line is not None and len(radii_line) != n:
-            raise FormatError("RADII length disagrees with n", path=path)
+        if radii_line is not None:
+            if len(radii_line) != n:
+                raise FormatError("RADII length disagrees with n",
+                                  line=radii_at, path=path)
+            # to_text writes hypot(xi, eta) of each body, which reads back
+            # exactly
+            if radii_line != [math.hypot(x, e) for x, e in zip(xi, eta)]:
+                raise FormatError("RADII disagrees with hypot(xi, eta) of "
+                                  "the body lines", line=radii_at, path=path)
         return state
 
 

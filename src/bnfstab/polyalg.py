@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
 from . import _records
 from .errors import (
     DimensionMismatchError,
+    FormatError,
     GradingError,
     OrderRangeError,
     RealityViolationError,
@@ -87,36 +89,38 @@ def _key_degree(num_dof, key):
     return sum(key.to_bytes(2 * num_dof, "big"))
 
 
-def _pruned(raw, num_dof):
-    """Drop zeros and coefficients below PRUNE_REL of their degree block.
+def _kept(degrees, coeffs):
+    """The mask of the coefficients that survive pruning: nonzero and at
+    least PRUNE_REL of the largest abs() in their degree block.
 
-    Raises ValueError on an overflowed coefficient: an infinite block
-    maximum (or a complex one whose abs() overflows), or a nan (which no
-    comparison keeps) among the dropped terms.
+    degrees is an integer array and coeffs a coefficient array of the same
+    length.  Raises ValueError on an overflowed coefficient: an infinite
+    abs() (a complex one may overflow in abs() alone), else a nan.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.abs(coeffs)
+    if not np.isfinite(a).all():
+        what = "an infinite" if np.isinf(a).any() else "a nan"
+        raise ValueError(f"coefficient overflow: {what} coefficient")
+    floor = np.empty_like(a)
+    for d in set(degrees.tolist()):
+        block = degrees == d
+        floor[block] = PRUNE_REL * a[block].max()
+    return (a > 0.0) & (a >= floor)
+
+
+def _degrees(keys, num_dof):
+    """The total degrees of packed keys, as an integer array."""
+    return _exps(keys, 2 * num_dof).sum(axis=1)
+
+
+def _pruned(raw, num_dof):
+    """raw without zeros and coefficients below PRUNE_REL of their degree
+    block, in raw's order; ValueError on an overflowed coefficient."""
     if not raw:
         return {}
-    block_max = {}
-    deg_of = {}
-    for key, c in raw.items():
-        d = _key_degree(num_dof, key)
-        deg_of[key] = d
-        try:
-            a = abs(c)
-        except OverflowError:  # abs() of a huge finite complex
-            a = math.inf
-        if a > block_max.get(d, 0.0):
-            block_max[d] = a
-    if math.inf in block_max.values():
-        raise ValueError("coefficient overflow: an infinite coefficient")
-    out = {}
-    for key, c in raw.items():
-        a = abs(c)
-        if a > 0.0 and a >= PRUNE_REL * block_max[deg_of[key]]:
-            out[key] = c
-        elif a != a:
-            raise ValueError("coefficient overflow: a nan coefficient")
-    return out
+    keep = _kept(_degrees(list(raw), num_dof), np.array(list(raw.values())))
+    return dict(compress(raw.items(), keep.tolist()))
 
 
 class Polynomial:
@@ -219,8 +223,8 @@ class Polynomial:
         return self._terms.get(_pack(self.num_dof, j, k), 0.0)
 
     def degrees(self):
-        n = self.num_dof
-        return tuple(sorted({_key_degree(n, key) for key in self._terms}))
+        return tuple(sorted(set(_degrees(list(self._terms),
+                                         self.num_dof).tolist())))
 
     @property
     def degree_min(self):
@@ -237,9 +241,9 @@ class Polynomial:
 
     def homogeneous_part(self, degree):
         n = self.num_dof
-        part = {key: c for key, c in self._terms.items()
-                if _key_degree(n, key) == degree}
-        return Polynomial._raw(n, part, self.field)
+        mask = _degrees(list(self._terms), n) == degree
+        return Polynomial._raw(n, dict(compress(self._terms.items(),
+                                                mask.tolist())), self.field)
 
     def max_abs_coeff(self):
         return max((abs(c) for c in self._terms.values()), default=0.0)
@@ -607,29 +611,43 @@ def _check_radii(radii, num_dof):
     return radii
 
 
+def _xlogx(e):
+    """e log e of an integer array, with 0 log 0 = 0."""
+    return e * np.log(np.maximum(e, 1))
+
+
 def polydisc_norm(f, radii):
     """Weighted coefficient norm sum |c| R^(j+k) Theta(j, k).
 
     f must be homogeneous (a single graded component); the norm majorizes
     sup |f| over the polydisc of radii rho*R by rho^deg times this value.
-    A norm that overflows the floats, or that underflows to 0 although f
-    is not zero, is a ValueError naming the radii.
+    Each term is |c| Theta(j, k) R_1^(j_1+k_1) ... R_n^(j_n+k_n), its
+    factors taken in that order, and the terms are summed one after
+    another in the order of terms(), as a term-by-term loop would.  A
+    norm that overflows the floats, or that underflows to 0 although f is
+    not zero, is a ValueError naming the radii.
     """
     radii = _check_radii(radii, f.num_dof)
     if not f.is_homogeneous():
         raise GradingError("polydisc_norm requires a homogeneous polynomial")
-    total = 0.0
-    try:
-        for j, k, c in f.terms():
-            w = abs(c) * theta_weight(j, k)
-            for l, R in enumerate(radii):
-                w *= R ** (j[l] + k[l])
-            total += w
-    except OverflowError:
-        total = math.inf
+    if f.is_zero:
+        return 0.0
+    n = f.num_dof
+    # one degree: the order of terms() is the order of the keys
+    keys = sorted(f._terms)
+    exps = _exps(keys, 2 * n).astype(np.int64)
+    j, k = exps[:, :n], exps[:, n:]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        # log Theta per pair; a pure power (j or k zero) gives exp(0) = 1
+        theta = np.exp(0.5 * (_xlogx(j) + _xlogx(k) - _xlogx(j + k)))
+        w = np.abs(np.array([f._terms[key] for key in keys]))
+        w *= theta.prod(axis=1)
+        for l, R in enumerate(radii):
+            w *= np.power(R, j[:, l] + k[:, l], dtype=float)
+        total = float(np.cumsum(w)[-1])
     if not math.isfinite(total):
         raise ValueError(f"the polydisc norm at radii {radii} overflows")
-    if total == 0.0 and not f.is_zero:
+    if total == 0.0:
         raise ValueError(f"the polydisc norm at radii {radii} underflows to 0")
     return total
 
@@ -811,28 +829,110 @@ def _term_lines(poly):
     return lines
 
 
-def _parse_term_line(reader, tokens, num_dof, field):
-    want = 1 + 2 * num_dof + (2 if field == "complex" else 1)
-    if len(tokens) != want:
-        raise reader.error(
-            f"expected {want} fields on a term line, got {len(tokens)}")
+def _int_column(values, lo, hi):
+    """Python ints as an int64 array, each clipped to [lo, hi]."""
+    if values and (min(values) < lo or max(values) > hi):
+        values = [min(max(v, lo), hi) for v in values]
+    return np.array(values, np.int64)
+
+
+def _columns(rows, ints, fields):
+    """The columns of token rows of the given number of fields: the first
+    ints of them converted by int(), the others by float()."""
+    cols = list(zip(*rows)) or [()] * fields
+    return ([list(map(int, c)) for c in cols[:ints]],
+            [list(map(float, c)) for c in cols[ints:]])
+
+
+def _first_bad_row(rows, ints, fields):
+    """(index, ValueError) of the first row that _columns refuses."""
+    for i, tokens in enumerate(rows):
+        try:
+            _columns([tokens], ints, fields)
+        except ValueError as exc:
+            return i, exc
+
+
+def _read_terms(rows, lines, num_dof, field, path, degrees, degree_error):
+    """The term lines of one block of a record, as {degree: {key: coeff}}.
+
+    rows are the token lists of the lines and lines their line numbers.  A
+    term line is `degree j_1..j_n k_1..k_n re [im]`, the imaginary part
+    only for field="complex".  Tokens convert with int() and float().  The
+    lines are checked as arrays: the field count, the conversion, finite
+    coefficients, exponents within [0, _MAX_EXP], the degree column against
+    the exponent sum, a degree within the inclusive range `degrees`
+    (degree_error(d) is the message otherwise), and no repeated exponent
+    vector.  The first fault in line order is a FormatError at its line.
+    Each degree block is then pruned with one maximum, as _pruned does;
+    the terms keep their line order.
+    """
+    width = 2 * num_dof
+    want = 1 + width + (2 if field == "complex" else 1)
+
+    def fault(i, message):
+        return FormatError(message, line=lines[i], path=path)
+
+    # rows[:end] have the right field count and convert; late is the fault
+    # that ends them, if any
+    end = next((i for i, t in enumerate(rows) if len(t) != want), len(rows))
+    late = None
+    if end < len(rows):
+        late = fault(end, f"expected {want} fields on a term line, "
+                          f"got {len(rows[end])}")
     try:
-        degree = int(tokens[0])
-        exps = [int(t) for t in tokens[1:1 + 2 * num_dof]]
-        vals = [float(t) for t in tokens[1 + 2 * num_dof:]]
-    except ValueError as exc:
-        raise reader.error(f"bad numeric field: {exc}") from None
-    if not all(map(math.isfinite, vals)):
-        raise reader.error("non-finite coefficient")
-    if not 0 <= min(exps) <= max(exps) <= _MAX_EXP:
-        raise reader.error(f"exponent outside [0, {_MAX_EXP}]")
-    if sum(exps) != degree:
-        raise reader.error(
-            f"degree column {degree} disagrees with exponent sum {sum(exps)}")
-    j = tuple(exps[:num_dof])
-    k = tuple(exps[num_dof:])
-    coeff = complex(vals[0], vals[1]) if field == "complex" else vals[0]
-    return degree, j, k, coeff
+        ints, vals = _columns(rows[:end], 1 + width, want)
+    except ValueError:
+        end, exc = _first_bad_row(rows[:end], 1 + width, want)
+        late = fault(end, f"bad numeric field: {exc}")
+        ints, vals = _columns(rows[:end], 1 + width, want)
+
+    degree = _int_column(ints[0], -1, width * _MAX_EXP + 1)
+    exps = np.stack([_int_column(c, -1, _MAX_EXP + 1) for c in ints[1:]],
+                    axis=1)
+    # -0.0 reads as 0.0, as a sum onto a 0.0 start would have it
+    coeffs = np.array(vals, float).T + 0.0
+    checks = (
+        (~np.isfinite(coeffs).all(axis=1), lambda i: "non-finite coefficient"),
+        (((exps < 0) | (exps > _MAX_EXP)).any(axis=1),
+         lambda i: f"exponent outside [0, {_MAX_EXP}]"),
+        (exps.sum(axis=1) != degree,
+         lambda i: f"degree column {ints[0][i]} disagrees with exponent sum "
+                   f"{sum(c[i] for c in ints[1:])}"),
+        ((degree < degrees[0]) | (degree > degrees[1]),
+         lambda i: degree_error(ints[0][i])),
+    )
+    bad = np.stack([mask for mask, _ in checks])
+    rows_bad = bad.any(axis=0)
+    if rows_bad.any():
+        end = int(rows_bad.argmax())
+        message = checks[int(bad[:, end].argmax())][1]
+        late = fault(end, message(end))
+    keys = _keys(exps[:end].astype(np.uint8))
+    if len(set(keys)) < end:
+        seen = set()
+        for i, key in enumerate(keys):
+            if key in seen:
+                raise fault(i, "duplicate exponent vector")
+            seen.add(key)
+    if late is not None:
+        raise late
+
+    if not end:
+        return {}
+    if field == "complex":
+        re, im = coeffs.T
+        coeffs = np.empty(end, complex)
+        coeffs.real, coeffs.imag = re, im
+    else:
+        coeffs = coeffs[:, 0]
+    keep = _kept(degree, coeffs)
+    out = {}
+    for d in sorted(set(degree[keep].tolist())):
+        block = keep & (degree == d)
+        out[d] = dict(zip(compress(keys, block.tolist()),
+                          coeffs[block].tolist()))
+    return out
 
 
 class GradedSeries:
@@ -924,15 +1024,13 @@ class GradedSeries:
             raise reader.error(f"unknown field {field!r}")
         if num_dof < 1 or d_max < 0:
             raise reader.error("n must be >= 1 and dmax >= 0")
-        terms = {}
+        rows, lines = [], []
         for tokens in reader:
-            degree, j, k, coeff = _parse_term_line(
-                reader, tokens, num_dof, field)
-            if degree > d_max:
-                raise reader.error(
-                    f"term degree {degree} exceeds dmax={d_max}")
-            if (j, k) in terms:
-                raise reader.error("duplicate exponent vector")
-            terms[(j, k)] = coeff
-        poly = Polynomial(num_dof, terms, field=field)
-        return cls.from_polynomial(poly, d_max=d_max)
+            rows.append(tokens)
+            lines.append(reader.lineno)
+        blocks = _read_terms(
+            rows, lines, num_dof, field, path, (0, d_max),
+            lambda degree: f"term degree {degree} exceeds dmax={d_max}")
+        parts = {d: Polynomial._raw(num_dof, terms, field)
+                 for d, terms in blocks.items()}
+        return cls(num_dof, parts, d_max, field=field)

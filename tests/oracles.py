@@ -2,17 +2,23 @@
 
 Everything here recomputes package results through a different route:
 a double loop over terms instead of the bracket's array kernel,
-dense coefficient arrays instead of packed sparse keys, quadrature
-instead of closed forms, arbitrary precision instead of doubles, and
-plain lattice enumeration instead of the half-lattice generator.  No
-code is shared with bnfstab beyond reading plain (j, k, coeff) term
-lists off its objects.
+one-term-at-a-time pruning and term-line reading instead of the array
+passes, dense coefficient arrays instead of packed sparse keys,
+quadrature instead of closed forms, arbitrary precision instead of
+doubles, and plain lattice enumeration instead of the half-lattice
+generator.  No code is shared with bnfstab beyond reading plain
+(j, k, coeff) term lists off its objects, and the record grammar
+(header, comments, END) that the term-line readers take from
+bnfstab._records.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from bnfstab import _records
+from bnfstab.errors import FormatError
 
 
 # -- the Poisson bracket by a double loop over terms --------------------------
@@ -38,6 +44,164 @@ def bracket_terms(f, g, n, cap=None):
                           in enumerate(zip(k1, k2)))
                 out[(j, k)] = out.get((j, k), 0.0) + weight * c1 * c2
     return out
+
+
+# -- pruning and term-line reading, one term at a time ---------------------------
+
+PRUNE_REL = 1e-15
+MAX_EXP = 255
+
+
+def pruned(terms):
+    """{(j, k): coeff} without zeros and coefficients below PRUNE_REL of the
+    largest abs() of their degree, in the input order.  ValueError when an
+    abs() overflows or a coefficient is not finite."""
+    def size(c):
+        try:
+            a = abs(c)
+        except OverflowError:
+            a = math.inf
+        if not math.isfinite(a):
+            raise ValueError(f"coefficient overflow: {c}")
+        return a
+
+    top = {}
+    for (j, k), c in terms.items():
+        top[sum(j + k)] = max(top.get(sum(j + k), 0.0), size(c))
+    return {(j, k): c for (j, k), c in terms.items()
+            if 0.0 < abs(c) >= PRUNE_REL * top[sum(j + k)]}
+
+
+def term_line(tokens, n, field):
+    """(degree, j, k, coeff) of a term line `degree j k re [im]`; a
+    ValueError naming the first fault of the line."""
+    want = 1 + 2 * n + (2 if field == "complex" else 1)
+    if len(tokens) != want:
+        raise ValueError(
+            f"expected {want} fields on a term line, got {len(tokens)}")
+    try:
+        degree = int(tokens[0])
+        exps = [int(t) for t in tokens[1:1 + 2 * n]]
+        vals = [float(t) for t in tokens[1 + 2 * n:]]
+    except ValueError as exc:
+        raise ValueError(f"bad numeric field: {exc}") from None
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("non-finite coefficient")
+    if not 0 <= min(exps) <= max(exps) <= MAX_EXP:
+        raise ValueError(f"exponent outside [0, {MAX_EXP}]")
+    if sum(exps) != degree:
+        raise ValueError(
+            f"degree column {degree} disagrees with exponent sum {sum(exps)}")
+    # a -0.0 part reads as 0.0: the package sums each term onto 0.0
+    coeff = 0.0 + (complex(*vals) if field == "complex" else vals[0])
+    return degree, tuple(exps[:n]), tuple(exps[n:]), coeff
+
+
+def _add_term(reader, terms, tokens, n, field, degree_fault):
+    """Read one term line into terms; a FormatError at the line read last
+    when it is refused.  degree_fault(d) is the message for a degree the
+    block does not take, or None."""
+    try:
+        degree, j, k, c = term_line(tokens, n, field)
+    except ValueError as exc:
+        raise reader.error(str(exc)) from None
+    if degree_fault(degree):
+        raise reader.error(degree_fault(degree))
+    if (j, k) in terms:
+        raise reader.error("duplicate exponent vector")
+    terms[(j, k)] = c
+
+
+def read_ham(text):
+    """The parts {degree: {(j, k): coeff}} of a HAM record, term lines read
+    one at a time, each degree pruned, in line order."""
+    reader = _records.RecordReader(
+        text, "HAM", {"n": int, "dmax": int, "field": str}, end=False)
+    n, d_max, field = (reader.header[key] for key in ("n", "dmax", "field"))
+    if field not in ("real", "complex"):
+        raise reader.error(f"unknown field {field!r}")
+    if n < 1 or d_max < 0:
+        raise reader.error("n must be >= 1 and dmax >= 0")
+    terms = {}
+    for tokens in reader:
+        _add_term(reader, terms, tokens, n, field,
+                  lambda d: d > d_max and f"term degree {d} exceeds dmax={d_max}")
+    parts = {}
+    for (j, k), c in pruned(terms).items():
+        parts.setdefault(sum(j + k), {})[(j, k)] = c
+    return dict(sorted(parts.items()))
+
+
+def read_nfstate(text):
+    """(omega, {(label, s): terms}) of an NFSTATE ledger, term lines read one
+    at a time: CHI and F terms {(j, k): coeff}, pruned, and Z terms
+    {p: coeff} without zeros; empty sections left out."""
+    reader = _records.RecordReader(
+        text, "NFSTATE", {"n": int, "r": int, "rmax": int})
+    n, r, r_max = (reader.header[key] for key in ("n", "r", "rmax"))
+    if n < 1:
+        raise reader.error("n must be >= 1")
+    if not 0 <= r <= r_max <= MAX_EXP - 2:
+        raise reader.error(f"need 0 <= r <= rmax <= {MAX_EXP - 2}")
+    omega = None
+    sections = {}
+    label = None
+    for tokens in reader:
+        if tokens[0] == "OMEGA":
+            if omega is not None:
+                raise reader.error("repeated OMEGA line")
+            omega = tuple(reader.finite(tokens[1:], "OMEGA line"))
+            if len(omega) != n:
+                raise reader.error("OMEGA length disagrees with n")
+            continue
+        if tokens[0] in ("Z", "CHI", "F"):
+            if len(tokens) != 2 or not tokens[1].startswith("s="):
+                raise reader.error("malformed section header")
+            try:
+                s = int(tokens[1][2:])
+            except ValueError:
+                raise reader.error("bad section order") from None
+            if (tokens[0], s) in sections:
+                raise reader.error(f"repeated section {tokens[0]} s={s}")
+            top = r_max if tokens[0] == "F" else r
+            if not 1 <= s <= top:
+                raise reader.error(f"{tokens[0]} s={s} outside 1..{top}")
+            label = tokens[0]
+            terms = sections[(label, s)] = {}
+            continue
+        if label is None:
+            raise reader.error("term line outside any section")
+        if label != "Z":
+            _add_term(reader, terms, tokens, n, "real",
+                      lambda d: d != s + 2 and (
+                          f"term degree {d} in section of order {s} "
+                          f"(expected {s + 2})"))
+            continue
+        if len(tokens) != n + 1:
+            raise reader.error(f"expected {n + 1} fields on an action line")
+        try:
+            p = tuple(int(t) for t in tokens[:n])
+        except ValueError as exc:
+            raise reader.error(f"bad action term: {exc}") from None
+        if min(p) < 0:
+            raise reader.error("negative action exponent")
+        if 2 * sum(p) != s + 2:
+            raise reader.error(f"action degree {sum(p)} in Z s={s}")
+        c = reader.finite(tokens[n:], "action term")[0]
+        if p in terms:
+            raise reader.error("duplicate action exponent")
+        terms[p] = c
+    if omega is None:
+        raise FormatError("missing OMEGA line")
+    out = {}
+    for (label, s), terms in sections.items():
+        if label == "Z":
+            terms = {p: c for p, c in terms.items() if c != 0.0}
+        else:
+            terms = pruned(terms)
+        if terms:
+            out[(label, s)] = terms
+    return omega, out
 
 
 # -- dense one-DOF normal form -------------------------------------------------

@@ -172,3 +172,13 @@ def test_poincare_state_text_roundtrip():
     with pytest.raises(FormatError) as info:
         PoincareState.from_text("POINCARE n=1\nbody1 1 0 nan 0\nEND\n")
     assert info.value.line == 2
+    # RADII appears once and repeats hypot(xi, eta) of the body lines
+    radii = next(line for line in text.splitlines()
+                 if line.startswith("RADII"))
+    for bad in (radii + "\n" + radii, "RADII 5 5", "RADII 1"):
+        with pytest.raises(FormatError, match="RADII") as info:
+            PoincareState.from_text(text.replace(radii, bad))
+        assert info.value.line == text.splitlines().index(radii) + 1 + (
+            bad.count("\n"))
+    assert PoincareState.from_text(
+        "POINCARE n=1\nbody1 1 0 3 4\nRADII 5\nEND\n").xi == (3.0,)

@@ -119,6 +119,41 @@ def test_sweep_with_radii_from_poincare_state(tmp_path, capsys):
     assert float(last[0]) == pytest.approx(1.2)
 
 
+def test_repeated_or_inconsistent_lines_exit_2(tmp_path, capsys):
+    pstate = tmp_path / "poincare.txt"
+    assert main(["poincare", "--fixture", "sjs-jd2451220.5",
+                 "--out", str(pstate)]) == 0
+    ham = tmp_path / "h2.txt"
+    _write_two_dof(ham)
+    nf = tmp_path / "nf2.txt"
+    assert main(["bnf", "--input", str(ham), "--order", "4",
+                 "--out", str(nf)]) == 0
+    estimate = ["estimate", "--input", str(nf), "--rho0", "0.5",
+                "--radii-from", str(pstate), "--out", str(tmp_path / "e")]
+    assert main(estimate) == 0
+    ledger, state = nf.read_text(), pstate.read_text()
+    radii = next(l for l in state.splitlines() if l.startswith("RADII"))
+    omega = next(l for l in ledger.splitlines() if l.startswith("OMEGA"))
+    first = radii.split()[1]
+    for path, text, message in (
+            (nf, ledger.replace(omega, omega + "\nOMEGA 5 7"),
+             "repeated OMEGA"),
+            (pstate, state.replace(radii, radii + "\n" + radii),
+             "repeated RADII"),
+            (pstate, state.replace(radii, "RADII 5 5"), "RADII disagrees"),
+            # the first radius one float up
+            (pstate, state.replace(radii, radii.replace(
+                first, format(math.nextafter(float(first), 1.0), ".17g"))),
+             "RADII disagrees")):
+        assert text != (ledger if path == nf else state)
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(estimate) == 2
+        assert message in capsys.readouterr().err
+        path.write_text(ledger if path == nf else state)
+    assert main(estimate) == 0
+
+
 def test_sweep_linear_grid_and_default_grid(tmp_path, capsys):
     ham = tmp_path / "h.txt"
     _write_one_dof(ham)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,96 @@ def test_polydisc_norm_majorizes_samples():
         pts = oracles.sample_polydisc(radii, rho, 500, rng)
         sampled = np.max(np.abs(oracles.eval_terms(f.terms(), pts)))
         assert sampled <= rho ** d * polydisc_norm(f, radii) * (1 + 1e-12)
+
+
+def _norm_term_by_term(f, radii):
+    """The polydisc norm of nonzero f one term at a time, with the
+    refusals of polydisc_norm."""
+    total = 0.0
+    try:
+        for j, k, c in f.terms():
+            w = abs(c) * theta_weight(j, k)
+            for l, R in enumerate(radii):
+                w *= R ** (j[l] + k[l])
+            total += w
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError("overflows")
+    if total == 0.0:
+        raise ValueError("underflows")
+    return total
+
+
+def test_polydisc_norm_matches_the_term_by_term_sum():
+    rng = np.random.default_rng(229)
+    for n in range(1, 5):
+        for field in ("real", "complex"):
+            for d in (1, 2, 5, 9):
+                f = random_polynomial(rng, n, d, num_terms=25, field=field)
+                radii = tuple(rng.uniform(0.05, 4.0, size=n))
+                want = _norm_term_by_term(f, radii)
+                assert polydisc_norm(f, radii) == pytest.approx(want,
+                                                                rel=1e-13)
+
+
+@pytest.mark.parametrize("f, radii, refusal", [
+    (mono(1, (200,), (0,)), (1e10,), "overflows"),
+    (mono(1, (3,), (1,), 1e300), (1e3,), "overflows"),
+    # R_1^2 underflows to 0 before R_2^2 overflows: still an overflow
+    (mono(2, (2, 2), (0, 0)), (1e-200, 1e200), "overflows"),
+    (mono(1, (2,), (2,)), (1e-300,), "underflows"),
+    (mono(2, (1, 1), (1, 1), 1e-300), (1e-10, 1e-10), "underflows"),
+])
+def test_polydisc_norm_refuses_what_the_floats_cannot_hold(f, radii,
+                                                           refusal):
+    with pytest.raises(ValueError, match=refusal):
+        _norm_term_by_term(f, radii)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=refusal):
+            polydisc_norm(f, radii)
+
+
+def _mixed_terms(rng, n, field):
+    """A packed-key dict of several degrees with zeros, signed zeros and
+    coefficients at and around the pruning threshold of their degree."""
+    raw = {}
+    for d in (2, 3, 5):
+        f = random_polynomial(rng, n, d, num_terms=12, field=field)
+        keys = list(f._terms)
+        for i, key in enumerate(keys):
+            c = f._terms[key]
+            raw[key] = (c, 0.0 * c, -0.0 * c, 1e-16 * c, 2e-15 * c)[i % 5]
+    return dict(sorted(raw.items(), key=lambda kv: rng.random()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_pass_degrees_match_per_key_oracle(n):
+    rng = np.random.default_rng(233 + n)
+    for field in ("real", "complex"):
+        raw = _mixed_terms(rng, n, field)
+        got = polyalg._pruned(raw, n)
+        by_key = {polyalg._unpack(n, key): c for key, c in raw.items()}
+        want = oracles.pruned(by_key)
+        assert [(polyalg._unpack(n, key), c) for key, c in got.items()] \
+            == list(want.items())
+        assert all(c is raw[key] for key, c in got.items())
+        p = Polynomial._raw(n, raw, field)
+        assert p.degrees() == tuple(sorted({sum(j + k) for j, k in by_key}))
+        for d in p.degrees():
+            assert list(p.homogeneous_part(d)._terms.items()) == [
+                (key, c) for key, c in raw.items()
+                if polyalg._key_degree(n, key) == d]
+
+
+def test_pruning_refuses_an_overflow_without_a_warning():
+    key = polyalg._pack(1, (1,), (0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (complex(1.5e308, 1.5e308), math.inf, complex(math.nan, 0)):
+            with pytest.raises(ValueError, match="overflow"):
+                polyalg._pruned({key: c, key + 1: 1.0}, 1)
 
 
 def test_sample_polydisc_stays_inside():

@@ -5,13 +5,15 @@ bnfstab.Error."""
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bnfstab import Error
+import oracles
+from bnfstab import Error, polyalg
 from bnfstab.birkhoff import ActionPolynomial, NormalFormState
 from bnfstab.celestial import PoincareState
 from bnfstab.cli import main
+from bnfstab.errors import FormatError
 from bnfstab.polyalg import GradedSeries, Polynomial
 from bnfstab.spectrum import ResonanceCertificate
 
@@ -198,3 +200,211 @@ def test_refused_ledgers_exit_2_through_the_cli(tmp_path):
                      "--grid", "0.5:1:2", "--out", out]) == 2
 
     refused()
+
+
+# -- the block reader of term lines against a reader of one line at a time --
+
+# accepted by int() or float() as they stand, or refused, or pruned (3e-16
+# beside 1), or a complex abs() beyond the floats (1.5e308 twice)
+COEFFS = ["1", "-2.5", "0", "-0.0", "3e-16", "1e-300", "1.5e308", "+7",
+          "1_0", "nan", "x"]
+EXPONENTS = ["+1", "0_1", "01", "256", "-1", "1.0"]
+
+
+def _composition(draw, total, parts):
+    """parts nonnegative integers that sum to total."""
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=parts - 1,
+                                max_size=parts - 1)))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+
+@st.composite
+def term_lines(draw, n, field, degree, earlier, faults):
+    """A term line of the degree, a new exponent vector unless earlier holds
+    every one.  With faults, now and then a token is swapped, dropped or
+    added, an earlier line repeats, or the line is soup."""
+    kinds = ["term"] * 8 + (["mutant"] * 3 + ["repeat", "soup"]) * faults
+    kind = draw(st.sampled_from(kinds))
+    if kind == "repeat" and earlier:
+        return draw(st.sampled_from(earlier))
+    if kind == "soup":
+        return " ".join(draw(st.lists(st.sampled_from(TOKENS), min_size=1,
+                                      max_size=6)))
+    for _ in range(5):
+        exps = " ".join(map(str, _composition(draw, degree, 2 * n)))
+        if not any(line.startswith(f"{degree} {exps} ") for line in earlier):
+            break
+    coeff = st.sampled_from(COEFFS[:8]) | values.map(repr)
+    if field == "complex":
+        coeff = (st.tuples(coeff, coeff).map(" ".join)
+                 | st.just("1.5e308 1.5e308"))
+    tokens = f"{degree} {exps} {draw(coeff)}".split()
+    if kind == "mutant":
+        at = draw(st.integers(0, len(tokens) - 1))
+        change = draw(st.sampled_from(["swap", "drop", "add"]))
+        if change == "drop":
+            del tokens[at]
+        else:
+            new = draw(st.sampled_from(COEFFS + EXPONENTS + TOKENS))
+            tokens[at:at + (change == "swap")] = [new]
+    return " ".join(tokens)
+
+
+@st.composite
+def ham_texts(draw):
+    n = draw(st.integers(1, 2))
+    field = draw(st.sampled_from(["real", "complex"]))
+    d_max = draw(st.integers(0, 4))
+    faults = draw(st.booleans())
+    # with faults, now and then a degree beyond dmax
+    degrees = st.integers(0, d_max + faults)
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        lines.append(draw(term_lines(n, field, draw(degrees), lines, faults)))
+    return "\n".join([f"HAM n={n} dmax={d_max} field={field}", *lines]) + "\n"
+
+
+@st.composite
+def nfstate_texts(draw):
+    n = draw(st.integers(1, 2))
+    r_max = draw(st.integers(1, 3))
+    faults = draw(st.booleans())
+    r = draw(st.integers(0, r_max)) if faults else r_max
+    orders = st.integers(1, r_max)
+    sections = draw(st.lists(
+        st.tuples(st.sampled_from(["F", "CHI", "Z"]), orders).filter(
+            lambda sec: faults or sec[0] == "F" or sec[1] <= r
+            and (sec[0] == "CHI" or sec[1] % 2 == 0)),
+        max_size=4, unique=True))
+    body = []
+    for label, s in sections:
+        headers = [f"{label} s={s}"] * 12 + faults * [
+            f"{label} s=x", label, f"{label} s={s} x", f"F s={r_max + 1}"]
+        body.append(draw(st.sampled_from(headers)))
+        lines = []
+        for _ in range(draw(st.integers(0, 5))):
+            if label == "Z":
+                p = _composition(draw, (s + 2) // 2, n)
+                lines.append(" ".join([*map(str, p),
+                                       draw(st.sampled_from(COEFFS[:8]))]))
+            else:
+                lines.append(draw(term_lines(n, "real", s + 2, lines,
+                                             faults)))
+        body += lines
+    for _ in range(draw(st.sampled_from([1] * 6 + [0, 2] * faults))):
+        body.insert(draw(st.integers(0, len(body))), "OMEGA" + " 1.5" * n)
+    tail = draw(st.sampled_from([["END"]] * 6 + [[], ["END", "F s=1"]] * faults))
+    return "\n".join([f"NFSTATE n={n} r={r} rmax={r_max}", *body,
+                      *tail]) + "\n"
+
+
+def _bits(c):
+    """c to the bit, the sign of a zero included."""
+    if isinstance(c, complex):
+        return c.real.hex(), c.imag.hex()
+    return c.hex()
+
+
+def _outcome(read, text):
+    try:
+        return "read", read(text)
+    except FormatError as exc:
+        return "FormatError", exc.line, str(exc)
+    except ValueError:      # a coefficient whose abs() overflows
+        return ("ValueError",)
+
+
+def _package_terms(poly):
+    return [(polyalg._unpack(poly.num_dof, key), _bits(c))
+            for key, c in poly._terms.items()]
+
+
+def _package_ham(text):
+    return {d: _package_terms(p) for d, p in GradedSeries.from_text(text)}
+
+
+def _oracle_ham(text):
+    return {d: [(key, _bits(c)) for key, c in terms.items()]
+            for d, terms in oracles.read_ham(text).items()}
+
+
+def _package_nfstate(text):
+    state = NormalFormState.from_text(text)
+    sections = {("Z", s): dict(v.terms()) for s, v in state.z.items()}
+    for label, ledger in (("CHI", state.chi), ("F", state.f)):
+        sections.update(((label, s), _package_terms(v))
+                        for s, v in ledger.items())
+    return state.omega, sections
+
+
+def _oracle_nfstate(text):
+    omega, sections = oracles.read_nfstate(text)
+    return omega, {
+        (label, s): terms if label == "Z"
+        else [(key, _bits(c)) for key, c in terms.items()]
+        for (label, s), terms in sections.items()}
+
+
+READERS = {"HAM": (ham_texts(), _package_ham, _oracle_ham),
+           "NFSTATE": (nfstate_texts(), _package_nfstate, _oracle_nfstate)}
+# signed zeros in the parts of complex coefficients that are kept
+SIGNED_ZEROS = "HAM n=1 dmax=2 field=complex\n2 1 1 1 -0.0\n2 2 0 -0.0 -1\n"
+
+
+@pytest.mark.parametrize("magic", sorted(READERS))
+def test_block_reader_matches_line_by_line_oracle(magic):
+    texts, package, oracle = READERS[magic]
+    seen = set()
+
+    @settings(PROPERTY, max_examples=400)
+    @given(texts)
+    @example(SIGNED_ZEROS)
+    def same(text):
+        got = _outcome(package, text)
+        assert got == _outcome(oracle, text), text
+        seen.add(got[0])
+
+    same()
+    assert seen >= {"read", "FormatError"}
+
+
+def test_block_reader_reports_the_first_fault_of_the_file():
+    head = "NFSTATE n=1 r=1 rmax=2\nOMEGA 1\nF s=1\n3 3 0 1\n3 3 0 nan\n"
+    for after in ("F s=x\nEND\n", "OMEGA 2\nEND\n", "END\nF s=1\n",
+                  "F s=2\n", "CHI s=2\nEND\n"):
+        with pytest.raises(FormatError) as info:
+            NormalFormState.from_text(head + after)
+        assert info.value.line == 5
+        assert "non-finite coefficient" in str(info.value)
+        assert _outcome(_package_nfstate, head + after) == _outcome(
+            _oracle_nfstate, head + after)
+    # a section that reads cleanly leaves the fault to the next line
+    clean = head.replace("3 3 0 nan\n", "")
+    with pytest.raises(FormatError) as info:
+        NormalFormState.from_text(clean + "F s=x\nEND\n")
+    assert info.value.line == 5
+
+
+# one line after a sound one, and what the package and the oracle make of
+# it: the faults of one line come in the order of the checks
+HAM_LINES = ["2 2 0 nan", "256 256 0 nan", "2 256 0 1", "3 256 0 1",
+             "3 2 0 1", "300 2 0 1", "-1 2 0 1", "9 9 0 1", "2 2 0 x",
+             "2 x 0 nan", "2 2 0", "2 2 0 1 1", "2 0 2 1", "2 2 0 1",
+             "+2 0_2 00 1_0", "4 4 0 3e-16", "2 0 2 -0.0"]
+
+
+@pytest.mark.parametrize("line", HAM_LINES)
+def test_each_fault_of_a_term_line(line):
+    for field, tail in (("real", ""), ("complex", " 0")):
+        head = f"HAM n=1 dmax=4 field={field}\n2 0 2 1{tail}\n4 4 0 1{tail}\n"
+        text = head + line + tail + "\n2 1 1 nan" + tail + "\n"
+        got = _outcome(_package_ham, text)
+        assert got == _outcome(_oracle_ham, text)
+        assert got[0] == "FormatError"
+
+
+def test_repeated_omega_is_refused():
+    text = "NFSTATE n=2 r=0 rmax=1\nOMEGA 1 2\nOMEGA 5 7\nEND\n"
+    with pytest.raises(FormatError, match="repeated OMEGA") as info:
+        NormalFormState.from_text(text)
+    assert info.value.line == 3

@@ -1,7 +1,8 @@
-"""Time `bnf` and the Poisson bracket on fixed inputs, for a BENCH_*.json.
+"""Time `bnf`, the Poisson bracket and the read side on fixed inputs, for a
+BENCH_*.json.
 
     python3 tools/bench_layers.py --src parent=../parent/src --src change=src \
-        --out BENCH_bracket.json
+        --out BENCH_readside.json
 
 Each --src LABEL=DIR names a bnfstab source tree (the directory holding
 the `bnfstab` package).  Each of ROUNDS rounds runs one fresh interpreter
@@ -15,7 +16,12 @@ An interpreter times, once each:
 - the bracket alone on full complex blocks (tests/util.full_block: every
   monomial of the degree, seeded coefficients): 3 DOF degree 9 by degree
   9, and 2 DOF degree 20 by degree 4, with the tracemalloc peak of one
-  more, untimed call.
+  more, untimed call;
+- the read side on the dense2-r14 ledger that its `bnf` wrote, as the
+  median of READ_REPEATS calls each: `NormalFormState.from_text`
+  (read_ledger_s), and the drift bounds of every order at the
+  Sun-Jupiter-Saturn radii of the packaged fixture (drift_bounds_s), with
+  the time spent in `polyalg.polydisc_norm` within them (polydisc_norm_s).
 
 The output holds every run and the median per input and tree.
 """
@@ -37,6 +43,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 ROUNDS = 5
+READ_REPEATS = 5
+READ_LEDGER = "dense2-r14"
+FIXTURE = "sjs-jd2451220.5"
 # (name, perfbench system, bnf --order)
 SYSTEMS = (("even2-r18", "even2", 18), ("dense2-r14", "dense2", 14),
            ("dense3-r10", "dense3", 10))
@@ -50,7 +59,7 @@ def measure(src):
     sys.path.insert(0, str(ROOT / "tests"))
     sys.path.insert(0, str(Path(src).resolve()))
     import systems
-    from bnfstab import cli, polyalg
+    from bnfstab import birkhoff, celestial, cli, polyalg, stability
     from util import full_block
 
     out = {"bnf_s": {}, "bracket_s": {}, "bracket_peak_mib": {}}
@@ -64,6 +73,8 @@ def measure(src):
             if cli.main(argv) != 0:
                 raise SystemExit(f"bnf failed on {name}")
             out["bnf_s"][name] = time.perf_counter() - start
+        ledger = (Path(tmp) / f"{READ_LEDGER}.nf").read_text()
+    out["read_s"] = read_side(ledger, birkhoff, celestial, polyalg, stability)
     rng = np.random.default_rng(1)
     for name, n, p, q in BRACKETS:
         f, g = full_block(rng, n, p), full_block(rng, n, q)
@@ -75,6 +86,39 @@ def measure(src):
         out["bracket_peak_mib"][name] = tracemalloc.get_traced_memory()[1] / 2 ** 20
         tracemalloc.stop()
     return out
+
+
+def read_side(ledger, birkhoff, celestial, polyalg, stability):
+    """Medians of READ_REPEATS timed reads of the ledger, and of the drift
+    bounds of its every order with their time in polydisc_norm."""
+    bodies, m0 = celestial.load_fixture(FIXTURE)
+    radii = celestial.secular_radii(celestial.poincare_variables(bodies, m0))
+    norm = polyalg.polydisc_norm
+    in_norm = [0.0]
+
+    def timed_norm(*args):
+        start = time.perf_counter()
+        try:
+            return norm(*args)
+        finally:
+            in_norm[0] += time.perf_counter() - start
+
+    runs = {"read_ledger_s": [], "drift_bounds_s": [], "polydisc_norm_s": []}
+    polyalg.polydisc_norm = timed_norm
+    try:
+        for _ in range(READ_REPEATS):
+            start = time.perf_counter()
+            state = birkhoff.NormalFormState.from_text(ledger)
+            runs["read_ledger_s"].append(time.perf_counter() - start)
+            in_norm[0] = 0.0
+            start = time.perf_counter()
+            for r in range(1, min(state.r, state.r_max - 1) + 1):
+                stability.drift_bound(state, r, radii)
+            runs["drift_bounds_s"].append(time.perf_counter() - start)
+            runs["polydisc_norm_s"].append(in_norm[0])
+    finally:
+        polyalg.polydisc_norm = norm
+    return {name: statistics.median(v) for name, v in runs.items()}
 
 
 def main():
@@ -117,7 +161,9 @@ def main():
                  "processor_count": len(os.sched_getaffinity(0)),
                  "python": platform.python_version(),
                  "numpy": np.__version__},
-        "units": {"bnf_s": "s", "bracket_s": "s", "bracket_peak_mib": "MiB"},
+        "read_repeats": READ_REPEATS,
+        "units": {"bnf_s": "s", "bracket_s": "s", "bracket_peak_mib": "MiB",
+                  "read_s": "s"},
         "sources": sources,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
