@@ -8,7 +8,8 @@ comment and blank lines are skipped.  Errors are FormatError, carrying the
 line number wherever a single line is at fault.
 
 `record` writes such a record and `number` renders every float the package
-prints, with 17 significant digits, so that it reads back exactly.
+prints, with 17 significant digits (the template NUMBER), so that it reads
+back exactly.
 """
 
 from __future__ import annotations
@@ -18,9 +19,14 @@ import math
 from .errors import FormatError
 
 
+# the %-template of a float with 17 significant digits, which reads back
+# exactly; writers of many numbers at once use it in their own templates
+NUMBER = "%.17g"
+
+
 def number(v):
     """v with 17 significant digits: float(number(v)) == v."""
-    return format(v, ".17g")
+    return NUMBER % (v,)
 
 
 def record(magic, header, lines, end=True):

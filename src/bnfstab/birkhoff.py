@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import _records
 from . import polyalg as poly
 from . import spectrum
@@ -124,82 +126,101 @@ class ActionPolynomial:
 
 
 # -- chart-level solver and step ---------------------------------------------
+#
+# A chart block is (exps, coeffs): the uint8 exponent matrix, one row a
+# monomial Z^j W^k, and the complex coefficient vector of a homogeneous
+# block, in key order (polyalg's array blocks).
 
-def _solve_chart(q_terms, omega, n, tol):
+def _solve_chart(q, omega, n, tol):
     """Split a chart block into generator and action coefficients.
 
-    Returns (chi_terms, z_action_terms).  chi carries c/(i<omega, k-j>) on
-    every monomial Z^j W^k with j != k; the j == k part maps to actions via
-    Z^p W^p = i^|p| I^p.  Divisors below tol raise SmallDivisorError.
+    Returns (chi, z_action_terms, action): the block chi carries
+    c/(i<omega, k-j>) on every monomial Z^j W^k with j != k; the j == k
+    part maps to actions via Z^p W^p = i^|p| I^p; action is the mask of
+    the j == k rows.  <omega, k-j> is summed mode by mode from 0.0.  A
+    divisor below tol raises SmallDivisorError naming the smallest divisor
+    of the block, the first in key order among equals.
     """
-    chi = {}
-    z_complex = {}
-    for key, c in q_terms.items():
-        j, k = poly._unpack(n, key)
-        if j == k:
-            z_complex[j] = z_complex.get(j, 0.0) + c * (1j) ** sum(j)
-        else:
-            dot = sum(w * (kk - jj) for w, jj, kk in zip(omega, j, k))
-            if abs(dot) < tol:
-                vec = tuple(kk - jj for jj, kk in zip(j, k))
-                lead = next((e for e in vec if e), 0)
-                if lead < 0:
-                    vec = tuple(-e for e in vec)
-                    dot = -dot
-                raise SmallDivisorError(
-                    f"divisor <k, omega> = {dot:.6e} below tolerance "
-                    f"{tol:.6e} at k = {vec}",
-                    k=vec, divisor=dot)
-            chi[key] = c / (1j * dot)
+    exps, coeffs = q
+    j = exps[:, :n].astype(np.int64)
+    k = exps[:, n:].astype(np.int64)
+    action = (j == k).all(axis=1)
+    dot = np.zeros(len(coeffs))
+    for l, w in enumerate(omega):
+        dot += w * (k[:, l] - j[:, l])
+    size = np.abs(dot)
+    small = np.flatnonzero(~action & (size < tol))
+    if len(small):
+        i = small[size[small].argmin()]
+        vec, divisor = (k[i] - j[i]).tolist(), float(dot[i])
+        if next(e for e in vec if e) < 0:
+            vec, divisor = [-e for e in vec], -divisor
+        vec = tuple(vec)
+        raise SmallDivisorError(
+            f"divisor <k, omega> = {divisor:.6e} below tolerance "
+            f"{tol:.6e} at k = {vec}",
+            k=vec, divisor=divisor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an overflow comes out as inf or nan, for pruning to refuse
+        chi = exps[~action], coeffs[~action] / (1j * dot[~action])
 
     z_real = {}
-    if z_complex:
-        top = max(abs(v) for v in z_complex.values())
-        worst = max(abs(v.imag) for v in z_complex.values())
+    if action.any():
+        # every action monomial of the block has |p| = degree / 2
+        z = coeffs[action] * (1, 1j, -1, -1j)[int(j[action][0].sum()) % 4]
+        top = np.abs(z).max()
+        worst = np.abs(z.imag).max()
         if worst > 1e-9 * top:
             raise RealityViolationError(
                 f"action coefficients have imaginary residual "
                 f"{worst / top:.3e}; input block was not real")
-        z_real = {p: v.real for p, v in z_complex.items() if v.real != 0.0}
-    return chi, z_real
+        z_real = {tuple(p): v for p, v in zip(j[action].tolist(),
+                                              z.real.tolist()) if v != 0.0}
+    return chi, z_real, action
 
 
 def _step_chart(blocks, s, omega, n, tol, d_cap):
-    """Normalize order s in place on the chart block dict.
+    """Normalize order s in place on the chart blocks.
 
-    blocks maps polynomial degree -> raw complex term dict; degree 2 holds
-    the oscillator.  Returns (q_snapshot, chi_terms, z_action_terms), where
-    q_snapshot is the block of index s exactly as found on entry.
+    blocks maps polynomial degree -> nonempty chart block; degree 2 holds
+    the oscillator.  Returns (q_snapshot, chi, z_action_terms), where
+    q_snapshot is the block of index s exactly as found on entry (None
+    when there is none) and chi the generator's block.
     """
     m = s + 2
-    q = dict(blocks.get(m, {}))
-    if not q:
-        return q, {}, {}
-    chi, z_act = _solve_chart(q, omega, n, tol)
-
-    z_chart = {key: c for key, c in q.items() if poly._is_action_key(n, key)}
-    chi_derivs = poly._derivs(chi, n)
+    q = blocks.get(m)
+    if q is None:
+        return None, None, {}
+    chi, z_act, action = _solve_chart(q, omega, n, tol)
 
     # the flow of -chi applied to every block: exp of -{chi, .} expands as
-    # g_p = {g_{p-1}, chi}/p; process sources top-down so each chain reads
-    # its block before lower chains write into it.  The oscillator chain
-    # goes last: {H0, chi} equals Z - Q exactly by construction, which is
-    # absorbed by replacing the block below, so it starts at g_2
+    # g_p = {g_{p-1}, chi}/p, each chain reading the block as it stood on
+    # entry.  The oscillator chain goes last: {H0, chi} equals Z - Q
+    # exactly by construction, which is absorbed by replacing the block
+    # below, so it starts at g_2
     degrees = [d for d in sorted(blocks, reverse=True) if d != 2]
-    chains = [(q if d == m else blocks[d], d, 1) for d in degrees]
-    chains.append(({key: -c for key, c in q.items()
-                    if not poly._is_action_key(n, key)}, m, 2))
+    chains = [(blocks[d], d, 1) for d in degrees]
+    chains.append(((q[0][~action], -q[1][~action]), m, 2))
+    added = {}
     for src, start, p in chains:
-        for d, g in poly._lie_series(src, chi_derivs, n, start, m - 2,
-                                     d_cap, p):
-            target = blocks.setdefault(d, {})
-            for key, c in g.items():
-                target[key] = target.get(key, 0.0) + c
+        for d, g in poly._lie_series(src, chi, n, start, m - 2, d_cap, p):
+            added.setdefault(d, []).append(g)
 
-    blocks[m] = z_chart
-    for d in degrees:
-        if d != m:
-            blocks[d] = poly._pruned(blocks[d], n)
+    # each target sums its entry block and then the chains' terms, in
+    # chain order
+    for d, parts in added.items():
+        if d in blocks:
+            parts.insert(0, blocks[d])
+        exps, coeffs = poly._summed(parts)
+        keep = poly._kept(coeffs)
+        if keep.any():
+            blocks[d] = exps[keep], coeffs[keep]
+        else:
+            blocks.pop(d, None)
+    if action.any():
+        blocks[m] = q[0][action], q[1][action]
+    else:
+        del blocks[m]
     return q, chi, z_act
 
 
@@ -430,18 +451,20 @@ def _chart_blocks_from_series(h, d_cap):
     blocks = {}
     for d, part in h:
         if d <= d_cap:
-            blocks[d] = dict(poly.complexify(part)._terms)
+            block = poly._arrays(poly.complexify(part))
+            if len(block[1]):
+                blocks[d] = block
     return blocks
 
 
-def _realify_block(terms, n):
-    return poly.realify(Polynomial._raw(n, dict(terms), "complex"))
+def _realify_block(block, n):
+    return poly.realify(poly._polynomial(n, *block, "complex"))
 
 
 def _realify_tail(blocks, r_done, r_max, n):
     """F entries of the blocks not yet normalized: indices r_done+1..r_max."""
     return {s: _realify_block(blocks[s + 2], n)
-            for s in range(r_done + 1, r_max + 1) if blocks.get(s + 2)}
+            for s in range(r_done + 1, r_max + 1) if s + 2 in blocks}
 
 
 def _check_r_max(r_max):
@@ -484,7 +507,7 @@ def _extend(state, blocks, r_to, tol):
 
     for s in range(state.r + 1, r_to + 1):
         try:
-            q, chi_terms, z_terms = _step_chart(
+            q, chi_block, z_terms = _step_chart(
                 blocks, s, omega, n, tol, r_max + 2)
         except SmallDivisorError as exc:
             raise SmallDivisorError(
@@ -493,9 +516,9 @@ def _extend(state, blocks, r_to, tol):
                 state=build(s - 1)) from None
         if z_terms:
             z[s] = ActionPolynomial(n, z_terms)
-        if chi_terms:
-            chi[s] = _realify_block(chi_terms, n)
-        if q and s not in f:
+        if chi_block is not None and len(chi_block[1]):
+            chi[s] = _realify_block(chi_block, n)
+        if q is not None and s not in f:
             f[s] = _realify_block(q, n)
     return build(r_to)
 

@@ -206,13 +206,19 @@ def secular_radii(state):
 
 
 def eccentricities(state):
-    """Invert the secular map: e from (Lambda, xi, eta) per body."""
+    """Invert the secular map: e from (Lambda, xi, eta) per body.
+
+    xi^2 + eta^2 = 2 Lambda (1 - sqrt(1 - e^2)), so u = sqrt(1 - e^2) must
+    lie in (0, 1]: an amplitude with xi^2 + eta^2 >= 2 Lambda has no
+    elliptic orbit and is a ValueError.
+    """
     out = []
     for L, x, e in zip(state.Lambda, state.xi, state.eta):
         u = 1.0 - (x * x + e * e) / (2.0 * L)
-        if not -1.0 <= u <= 1.0:
+        if not 0.0 < u <= 1.0:
             raise ValueError(
-                "secular amplitude exceeds the physical range of its action")
+                "secular amplitude exceeds the physical range of its action: "
+                "xi^2 + eta^2 must stay below 2 Lambda")
         out.append(math.sqrt(max(0.0, 1.0 - u * u)))
     return tuple(out)
 

@@ -1,18 +1,27 @@
 """Sparse graded polynomial algebra on canonically conjugate variables.
 
 A polynomial in n degrees of freedom lives on the 2n variables
-(x_1..x_n, y_1..y_n) with {x_l, y_l} = 1.  Terms are stored sparsely in a
-dict keyed by a packed exponent vector (8 bits per exponent, x-block most
-significant), so that monomial products are integer additions and iteration
-in increasing key order is graded-lexicographic within a degree.
-Poisson brackets unpack homogeneous blocks into exponent and coefficient
-arrays and run one numpy kernel (_bracket_terms).
+(x_1..x_n, y_1..y_n) with {x_l, y_l} = 1.
+
+Storage.  A Polynomial keeps its terms in a dict keyed by a packed
+exponent vector (one byte an exponent, x_1 most significant), so that
+monomial products are integer additions and increasing key order is
+lexicographic in the exponents.  The work of normalization runs on
+blocks as arrays instead: a uint8 exponent matrix, one row a monomial, and
+a coefficient vector, homogeneous and in key order, the indexed storage
+of Giorgilli & Sansottera.  The Poisson bracket (_bracket_terms), the Lie
+series (_lie_series) and the chart changes (_chart_change) take and
+return such blocks; equal rows are summed by _merge, which adds each
+monomial's contributions in row order, as a dict accumulating them in
+turn would.  Dicts are built only where a Polynomial is.
+
+Pruning.  Coefficients below PRUNE_REL = 1e-15 relative to the largest
+coefficient of the same homogeneous degree are dropped after every
+arithmetic operation (_kept), and an overflowed coefficient is a
+ValueError there, never pruned.
 
 Polynomials are immutable once constructed; every function here is pure, so
 values can be shared freely across threads.
-
-Coefficients below 1e-15 relative to the largest coefficient of the same
-homogeneous degree are pruned after every arithmetic operation.
 """
 
 from __future__ import annotations
@@ -50,9 +59,9 @@ __all__ = [
 PRUNE_REL = 1e-15
 
 # A packed key holds one exponent a byte, big-endian, x_1 first: its
-# key.to_bytes(2n, "big") is the exponent vector.  _pack, _unpack,
-# _key_degree, _exps and _keys read and write it as bytes; _EXP_BITS is
-# that byte width for the code that shifts fields in place.
+# key.to_bytes(2n, "big") is the exponent vector.  _pack, _unpack, _exps,
+# _words and _keys read and write it as bytes; _EXP_BITS is that byte
+# width for the code that shifts fields in place.
 _EXP_BITS = 8
 _EXP_MASK = 0xFF
 _MAX_EXP = _EXP_MASK
@@ -79,29 +88,28 @@ def _unpack(num_dof, key):
     return exps[:num_dof], exps[num_dof:]
 
 
-def _is_action_key(num_dof, key):
-    """True when the x and y exponent vectors agree, as in Z^p W^p."""
-    half = _EXP_BITS * num_dof
-    return key >> half == key & ((1 << half) - 1)
-
-
-def _key_degree(num_dof, key):
-    return sum(key.to_bytes(2 * num_dof, "big"))
-
-
-def _kept(degrees, coeffs):
-    """The mask of the coefficients that survive pruning: nonzero and at
-    least PRUNE_REL of the largest abs() in their degree block.
-
-    degrees is an integer array and coeffs a coefficient array of the same
-    length.  Raises ValueError on an overflowed coefficient: an infinite
-    abs() (a complex one may overflow in abs() alone), else a nan.
-    """
+def _sizes(coeffs):
+    """abs() of a coefficient array; ValueError on an overflowed coefficient:
+    an infinite abs() (a complex one may overflow in abs() alone), else a
+    nan."""
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.abs(coeffs)
     if not np.isfinite(a).all():
         what = "an infinite" if np.isinf(a).any() else "a nan"
         raise ValueError(f"coefficient overflow: {what} coefficient")
+    return a
+
+
+def _kept(coeffs, degrees=None):
+    """The mask of the coefficients that survive pruning: nonzero and at
+    least PRUNE_REL of the largest abs() in their degree block.
+
+    degrees is an integer array of the same length, or None for a
+    homogeneous block.  ValueError on an overflowed coefficient (_sizes).
+    """
+    a = _sizes(coeffs)
+    if degrees is None:
+        return (a > 0.0) & (a >= PRUNE_REL * a.max(initial=0.0))
     floor = np.empty_like(a)
     for d in set(degrees.tolist()):
         block = degrees == d
@@ -114,12 +122,25 @@ def _degrees(keys, num_dof):
     return _exps(keys, 2 * num_dof).sum(axis=1)
 
 
+def _graded(terms, num_dof):
+    """(keys, exponent matrix, degrees) of a term dict in graded order:
+    by key when every term has one degree, else by degree, then key."""
+    keys = sorted(terms)
+    exps = _exps(keys, 2 * num_dof)
+    degrees = exps.sum(axis=1, dtype=np.intp)
+    if len(keys) and degrees.min() != degrees.max():
+        order = np.argsort(degrees, kind="stable")
+        keys = [keys[i] for i in order.tolist()]
+        exps, degrees = exps[order], degrees[order]
+    return keys, exps, degrees
+
+
 def _pruned(raw, num_dof):
     """raw without zeros and coefficients below PRUNE_REL of their degree
     block, in raw's order; ValueError on an overflowed coefficient."""
     if not raw:
         return {}
-    keep = _kept(_degrees(list(raw), num_dof), np.array(list(raw.values())))
+    keep = _kept(np.array(list(raw.values())), _degrees(list(raw), num_dof))
     return dict(compress(raw.items(), keep.tolist()))
 
 
@@ -216,8 +237,9 @@ class Polynomial:
     def terms(self):
         """Sorted list of (j, k, coeff), graded-lexicographic order."""
         n = self.num_dof
-        keys = sorted(self._terms, key=lambda key: (_key_degree(n, key), key))
-        return [(*_unpack(n, key), self._terms[key]) for key in keys]
+        keys, exps, _ = _graded(self._terms, n)
+        return [(tuple(e[:n]), tuple(e[n:]), self._terms[key])
+                for key, e in zip(keys, exps.tolist())]
 
     def coefficient(self, j, k):
         return self._terms.get(_pack(self.num_dof, j, k), 0.0)
@@ -375,24 +397,84 @@ def _exps(keys, width):
     return cols.view(np.uint8)[:, 8 * words - width:]
 
 
-def _keys(exps):
-    """The packed keys, as Python ints, of the rows of an exponent matrix."""
+def _words(exps):
+    """The packed keys of the rows of a uint8 exponent matrix, as a native
+    uint64 matrix of their 64-bit words, most significant first."""
     rows, width = exps.shape
     pad = -width % 8
     buf = np.zeros((rows, width + pad), np.uint8)
     buf[:, pad:] = exps
-    cols = buf.view(">u8")
+    return buf.view(">u8").astype(np.uint64)
+
+
+def _keys(exps):
+    """The packed keys, as Python ints, of the rows of an exponent matrix."""
+    cols = _words(exps)
     keys = cols[:, 0].tolist()
     for w in range(1, cols.shape[1]):
         keys = [key << 64 | low for key, low in zip(keys, cols[:, w].tolist())]
     return keys
 
 
-def _derivs(terms, num_dof):
-    """The exponent matrix (int64, one row a term) and coefficient vector of
-    a term dict, the form in which _bracket_terms takes its right operand."""
-    exps = _exps(list(terms), 2 * num_dof).astype(np.int64)
-    return exps, np.array(list(terms.values()))
+def _arrays(f):
+    """The block of a Polynomial: its uint8 exponent matrix and coefficient
+    vector, in the order of its terms."""
+    keys = list(f._terms)
+    return (_exps(keys, 2 * f.num_dof),
+            np.array(list(f._terms.values()),
+                     complex if f.field == "complex" else float))
+
+
+def _polynomial(num_dof, exps, coeffs, field):
+    """The Polynomial of a pruned block: the one place a block becomes a
+    packed-key dict of Python scalars."""
+    return Polynomial._raw(num_dof, dict(zip(_keys(exps), coeffs.tolist())),
+                           field)
+
+
+def _merge(exps, coeffs):
+    """A block with its equal exponent rows summed, in key order.
+
+    A stable sort groups equal rows; np.bincount adds the coefficients of
+    each group in row order, from 0.0, as a dict accumulating the rows in
+    turn would.
+    """
+    if not len(coeffs):
+        return exps, coeffs
+    words = _words(exps)
+    if words.shape[1] == 1:
+        order = np.argsort(words[:, 0], kind="stable")
+    else:
+        order = np.lexsort(words.T[::-1])
+    ordered = words[order]
+    first = np.empty(len(order), bool)
+    first[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    group = np.empty(len(order), np.intp)
+    group[order] = np.cumsum(first) - 1
+    size = np.count_nonzero(first)
+    if np.iscomplexobj(coeffs):
+        sums = np.empty(size, complex)
+        sums.real = np.bincount(group, coeffs.real, size)
+        sums.imag = np.bincount(group, coeffs.imag, size)
+    else:
+        sums = np.bincount(group, coeffs, size)
+    return exps[order[first]], sums
+
+
+def _summed(blocks):
+    """The sum of a list of blocks, each monomial adding its terms in the
+    order of the blocks (_merge); one block is returned as it is."""
+    if len(blocks) == 1:
+        return blocks[0]
+    return _merge(np.concatenate([e for e, _ in blocks]),
+                  np.concatenate([c for _, c in blocks]))
+
+
+def _empty(width, complex_):
+    """A block without terms."""
+    return np.empty((0, width), np.uint8), np.empty(0, complex if complex_
+                                                    else float)
 
 
 def _deriv_parts(exps, coeffs, lead, tail_w, num_dof, y_sign):
@@ -460,25 +542,26 @@ def _nonzero(parts):
     return mask
 
 
-def _bracket_terms(f_terms, g_derivs, num_dof):
-    """Raw {f, g} of homogeneous f, a term dict, and homogeneous g, given by
-    its _derivs; a packed-key dict of Python scalars.
+def _bracket_terms(f, g, num_dof):
+    """Raw {f, g} of homogeneous blocks f and g, (exponent matrix,
+    coefficient vector) each, as a block in key order.
 
     When the B^(2n-1) bins of the output degree exceed _MAX_BINS, the
     output is split by the exponents of its leading fields, and each part
     fills the bin array in turn.  A part with fewer pairs than bins/16
     reads and clears only the bins its pairs touch.  Overflowed
-    coefficients come out as inf or nan, for _pruned to refuse; an
+    coefficients come out as inf or nan, for _kept to refuse; an
     exponent above _MAX_EXP is an OrderRangeError.
     """
-    f_exps, f_coeffs = _derivs(f_terms, num_dof)
-    g_exps, g_coeffs = g_derivs
-    if not (len(f_exps) and len(g_exps)):
-        return {}
+    width = 2 * num_dof
+    f_coeffs, g_coeffs = f[1], g[1]
+    complex_ = np.iscomplexobj(f_coeffs) or np.iscomplexobj(g_coeffs)
+    if not (len(f_coeffs) and len(g_coeffs)):
+        return _empty(width, complex_)
+    f_exps, g_exps = f[0].astype(np.int64), g[0].astype(np.int64)
     degree = int(f_exps[0].sum() + g_exps[0].sum()) - 2
     if degree < 0:
-        return {}
-    width = 2 * num_dof
+        return _empty(width, complex_)
     base = degree + 1
     lead = 0
     while base ** (width - 1 - lead) > _MAX_BINS:
@@ -487,7 +570,7 @@ def _bracket_terms(f_terms, g_derivs, num_dof):
     place = [base ** (width - 2 - t) if lead <= t < width - 1 else 0
              for t in range(width)]
     tail_w = np.array(place, np.int64)
-    if np.iscomplexobj(f_coeffs) != np.iscomplexobj(g_coeffs):
+    if complex_:
         f_coeffs, g_coeffs = f_coeffs.astype(complex), g_coeffs.astype(complex)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -504,7 +587,7 @@ def _bracket_terms(f_terms, g_derivs, num_dof):
                     head = tuple(p + q for p, q in zip(ha, hb))
                     blocks.setdefault(head, []).append((a_part, b_part))
 
-        out = {}
+        out_exps, out_vals = [], []
         num_bins = base ** (width - 1 - lead)
         bins = [np.zeros(num_bins) for _ in f_parts[0][2]]
         for head in sorted(blocks):
@@ -515,7 +598,8 @@ def _bracket_terms(f_terms, g_derivs, num_dof):
             if touched is None:
                 tails = np.flatnonzero(_nonzero(bins))
             else:
-                tails = np.unique(np.concatenate(touched))
+                tails = np.sort(np.concatenate(touched))
+                tails = tails[np.diff(tails, prepend=-1) != 0]
                 tails = tails[_nonzero([b[tails] for b in bins])]
             if len(bins) == 1:
                 vals = bins[0][tails]
@@ -533,8 +617,11 @@ def _bracket_terms(f_terms, g_derivs, num_dof):
                 raise OrderRangeError(
                     f"an exponent of the bracket exceeds {_MAX_EXP}, the "
                     "largest a packed key holds")
-            out.update(zip(_keys(exps.astype(np.uint8)), vals.tolist()))
-    return out
+            out_exps.append(exps.astype(np.uint8))
+            out_vals.append(vals)
+    if not out_exps:
+        return _empty(width, complex_)
+    return np.concatenate(out_exps), np.concatenate(out_vals)
 
 
 def poisson_bracket(f, g, cap=None):
@@ -545,36 +632,40 @@ def poisson_bracket(f, g, cap=None):
     """
     field = _check_pair(f, g)
     n = f.num_dof
-    g_parts = [(q, _derivs(g.homogeneous_part(q)._terms, n))
-               for q in g.degrees()]
-    raw = {}
+    g_parts = [(q, _arrays(g.homogeneous_part(q))) for q in g.degrees()]
+    parts = []
     for p in f.degrees():
-        f_part = f.homogeneous_part(p)._terms
-        for q, g_derivs in g_parts:
-            if cap is not None and p + q - 2 > cap:
-                continue
-            for key, c in _bracket_terms(f_part, g_derivs, n).items():
-                raw[key] = raw.get(key, 0.0) + c
-    return Polynomial._raw(n, _pruned(raw, n), field)
+        f_part = _arrays(f.homogeneous_part(p))
+        for q, g_part in g_parts:
+            if cap is None or p + q - 2 <= cap:
+                parts.append(_bracket_terms(f_part, g_part, n))
+    if not parts:
+        return Polynomial.zero(n, field)
+    exps, coeffs = _summed(parts)
+    keep = _kept(coeffs, exps.sum(axis=1, dtype=np.intp))
+    return _polynomial(n, exps[keep], coeffs[keep], field)
 
 
-def _lie_series(g, chi_derivs, num_dof, degree, step, cap, p=1):
+def _lie_series(g, chi, num_dof, degree, step, cap, p=1):
     """The terms g_p = {g_(p-1), chi}/p, p = p, p+1, ..., of a Lie series.
 
-    g is the term g_(p-1), homogeneous of the given degree; chi_derivs are
-    the _derivs of chi, and step = deg(chi) - 2 is the degree each bracket
-    adds.  Yields (degree, terms) and stops at a zero term or once the
-    degree passes cap.
+    g is the term g_(p-1), a block homogeneous of the given degree; chi is
+    a block too, and step = deg(chi) - 2 is the degree each bracket adds.
+    Yields (degree, block), each block pruned and in key order, and stops
+    at a zero term or once the degree passes cap.
     """
     while True:
         degree += step
         if degree > cap:
             return
-        g = _pruned(_bracket_terms(g, chi_derivs, num_dof), num_dof)
-        if not g:
+        exps, coeffs = _bracket_terms(g, chi, num_dof)
+        keep = _kept(coeffs)
+        if not keep.any():
             return
+        coeffs = coeffs[keep]
         if p > 1:
-            g = {key: c / p for key, c in g.items()}
+            coeffs = coeffs / p
+        g = exps[keep], coeffs
         yield degree, g
         p += 1
 
@@ -654,48 +745,73 @@ def polydisc_norm(f, radii):
 
 # -- chart changes ---------------------------------------------------------
 
-def _check_degree(f):
-    """OrderRangeError unless a change of variables of f fits the keys."""
-    if (f.degree_max or 0) > _MAX_EXP:
-        raise OrderRangeError(f"degree {f.degree_max} exceeds {_MAX_EXP}, "
+def _check_degree(degree):
+    """OrderRangeError unless a change of variables of a polynomial of this
+    degree fits the keys."""
+    if degree > _MAX_EXP:
+        raise OrderRangeError(f"degree {degree} exceeds {_MAX_EXP}, "
                               "the largest exponent a packed key holds")
 
 
-@lru_cache(maxsize=4096)
-def _mode_table(j, k, sign, sx, sy):
-    """x^j y^k of one mode in its new pair (u, v), as (key delta, coeff).
+@lru_cache(maxsize=None)    # d <= _MAX_EXP and two signs: at most 512 tables
+def _mode_table(d, sign):
+    """x^j y^(d-j) of one mode in its new pair (u, v), for j = 0..d, as a
+    read-only (d+1, d+1) complex array whose row j holds the coefficient of
+    u^m v^(d-m) at column m.
 
     x = a u + b v and y = b u + a v with a = 1/sqrt2, b = sign i/sqrt2, so
-    the coefficient of u^m v^(j+k-m) is a^(j+k) (sign i)^(j+m) times the
-    integer sum_p (-1)^p C(j, p) C(k, m-p); sx, sy are the fields of x, y.
+    that coefficient is a^d (sign i)^(j+m) times the exact integer sum
+    sum_p (-1)^p C(j, p) C(d-j, m-p).
     """
-    scale = 2.0 ** (-0.5 * (j + k))
-    table = []
-    for m in range(j + k + 1):
-        K = sum((-1) ** p * math.comb(j, p) * math.comb(k, m - p)
-                for p in range(max(0, m - k), min(j, m) + 1))
-        if K:
-            table.append(((m - j) * ((1 << sx) - (1 << sy)),
-                          (1, 1j, -1, -1j)[sign * (j + m) % 4] * K * scale))
-    return tuple(table)
+    scale = 2.0 ** (-0.5 * d)
+    table = np.zeros((d + 1, d + 1), complex)
+    for j in range(d + 1):
+        k = d - j
+        for m in range(d + 1):
+            K = sum((-1) ** p * math.comb(j, p) * math.comb(k, m - p)
+                    for p in range(max(0, m - k), min(j, m) + 1))
+            table[j, m] = (1, 1j, -1, -1j)[sign * (j + m) % 4] * K * scale
+    table.setflags(write=False)
+    return table
 
 
-def _chart_change(f, sign):
-    """f, complex, with each mode changed by _mode_table, one pass a mode."""
-    _check_degree(f)
-    n = f.num_dof
-    shifts = _shifts(n)
-    terms = f._terms
-    for sx, sy in zip(shifts[:n], shifts[n:]):
-        out = {}
-        get = out.get
-        for key, c in terms.items():
-            j, k = (key >> sx) & _EXP_MASK, (key >> sy) & _EXP_MASK
-            for delta, t in _mode_table(j, k, sign, sx, sy):
-                key2 = key + delta
-                out[key2] = get(key2, 0.0) + c * t
-        terms = out
-    return Polynomial._raw(n, _pruned(terms, n), "complex")
+def _chart_change(exps, coeffs, sign):
+    """A block with each mode changed by _mode_table, one pass a mode: the
+    merged complex block in key order, not pruned.
+
+    A pass expands every term (j, k) of its mode against the table of
+    degree j + k, one row (term, m) for each nonzero coefficient, and
+    merges the rows (_merge), so every output monomial sums its
+    contributions in (term, m) order.  A term of degree above 255, which
+    the keys cannot hold, is an OrderRangeError.
+    """
+    coeffs = coeffs.astype(complex)
+    if not len(coeffs):
+        return exps, coeffs
+    _check_degree(int(exps.sum(axis=1, dtype=np.intp).max()))
+    n = exps.shape[1] // 2
+    for l in range(n):
+        j = exps[:, l].astype(np.intp)
+        d = j + exps[:, n + l]
+        # the tables of the mode degrees present, end to end
+        degrees = sorted(set(d.tolist()))
+        tables = [_mode_table(e, sign).ravel() for e in degrees]
+        start = np.zeros(degrees[-1] + 1, np.intp)
+        start[degrees] = np.cumsum([0] + [len(t) for t in tables[:-1]])
+        table = np.concatenate(tables)
+        count = d + 1
+        term = np.repeat(np.arange(len(d)), count)
+        m = np.arange(len(term)) - np.repeat(np.cumsum(count) - count, count)
+        t = table[(start[d] + j * count)[term] + m]
+        hit = t != 0
+        term, m, t = term[hit], m[hit], t[hit]
+        new = exps[term]
+        new[:, l] = m
+        new[:, n + l] = d[term] - m
+        # an overflow comes out as inf or nan, for _sizes to refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            exps, coeffs = _merge(new, coeffs[term] * t)
+    return exps, coeffs
 
 
 def linear_substitute(f, matrix):
@@ -710,7 +826,7 @@ def linear_substitute(f, matrix):
     if len(rows) != width or any(len(r) != width for r in rows):
         raise DimensionMismatchError(
             f"substitution matrix must be {width}x{width}")
-    _check_degree(f)
+    _check_degree(f.degree_max or 0)
     has_complex = any(isinstance(v, complex) for r in rows for v in r)
     field = "complex" if (has_complex or f.field == "complex") else "real"
 
@@ -755,7 +871,9 @@ def complexify(f):
     W_l exponent.  The substitution is applied one mode at a time; a term
     of degree above 255, which the keys cannot hold, is an OrderRangeError.
     """
-    return _chart_change(f, -1)
+    exps, coeffs = _chart_change(*_arrays(f), -1)
+    keep = _kept(coeffs, exps.sum(axis=1, dtype=np.intp))
+    return _polynomial(f.num_dof, exps[keep], coeffs[keep], "complex")
 
 
 def realify(f, tol=1e-9):
@@ -763,20 +881,21 @@ def realify(f, tol=1e-9):
 
     Substitutes Z_l = (x_l + i y_l)/sqrt2, W_l = (y_l + i x_l)/sqrt2 one
     mode at a time, as complexify does.  Raises RealityViolationError when
-    the imaginary residual exceeds tol relative to the largest coefficient
-    (the input was not conjugation symmetric); otherwise imaginary parts
-    are dropped.
+    the largest imaginary part exceeds tol relative to the largest
+    coefficient (the input was not conjugation symmetric); otherwise the
+    real parts are pruned, once, and the imaginary parts dropped.
     """
     if f.field != "complex":
         raise ValueError("realify expects a complex-chart polynomial")
-    g = _chart_change(f, +1)
-    top = g.max_abs_coeff()
-    worst = max((abs(c.imag) for c in g._terms.values()), default=0.0)
+    exps, coeffs = _chart_change(*_arrays(f), +1)
+    top = _sizes(coeffs).max(initial=0.0)
+    worst = np.abs(coeffs.imag).max(initial=0.0)
     if worst > tol * top:
         raise RealityViolationError(
             f"imaginary residual {worst / top:.3e} exceeds tolerance {tol:.3e}")
-    raw = {key: c.real for key, c in g._terms.items()}
-    return Polynomial._raw(f.num_dof, _pruned(raw, f.num_dof), "real")
+    coeffs = coeffs.real
+    keep = _kept(coeffs, exps.sum(axis=1, dtype=np.intp))
+    return _polynomial(f.num_dof, exps[keep], coeffs[keep], "real")
 
 
 def oscillator(omega):
@@ -819,14 +938,18 @@ def evaluate(f, point):
 # -- graded series and text format -------------------------------------------
 
 def _term_lines(poly):
-    lines = []
-    want_im = poly.field == "complex"
-    for j, k, c in poly.terms():
-        vals = (c.real, c.imag) if want_im else (c,)
-        lines.append(" ".join([str(sum(j) + sum(k))] + [str(e) for e in j]
-                              + [str(e) for e in k]
-                              + [_records.number(v) for v in vals]))
-    return lines
+    """The term lines `degree j k re [im]` of a polynomial, in the order of
+    terms(), each written by one template of _records.NUMBER fields."""
+    keys, exps, degrees = _graded(poly._terms, poly.num_dof)
+    vals = list(map(poly._terms.__getitem__, keys))
+    if poly.field == "complex":
+        vals = [[c.real for c in vals], [c.imag for c in vals]]
+    else:
+        vals = [vals]
+    template = " ".join(["%d"] * (1 + exps.shape[1])
+                        + [_records.NUMBER] * len(vals))
+    return [template % row
+            for row in zip(degrees.tolist(), *exps.T.tolist(), *vals)]
 
 
 def _int_column(values, lo, hi):
@@ -926,7 +1049,7 @@ def _read_terms(rows, lines, num_dof, field, path, degrees, degree_error):
         coeffs.real, coeffs.imag = re, im
     else:
         coeffs = coeffs[:, 0]
-    keep = _kept(degree, coeffs)
+    keep = _kept(coeffs, degree)
     out = {}
     for d in sorted(set(degree[keep].tolist())):
         block = keep & (degree == d)

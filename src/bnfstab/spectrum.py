@@ -8,9 +8,9 @@ frequency vector against low-order resonances.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -238,16 +238,79 @@ def _tolerance(omega, tol):
     return tol
 
 
-def _half_lattice(num_dof, norm):
-    """Integer vectors with |k|_1 == norm whose first nonzero entry is
-    positive (one representative per +-k pair), in lexicographic order."""
-    span = range(-norm, norm + 1)
-    for k in itertools.product(span, repeat=num_dof):
-        if sum(abs(e) for e in k) != norm:
-            continue
-        lead = next((e for e in k if e), 0)
-        if lead > 0:
-            yield k
+_SCAN_ROWS = 1 << 14   # lattice vectors scanned at once: bounds the temporaries
+
+
+@lru_cache(maxsize=256)
+def _pair_shell(norm):
+    """Every (a, b) with |a| + |b| == norm in lexicographic order, as a
+    read-only int matrix."""
+    a = np.repeat(np.arange(-norm, norm + 1), 2)
+    b = np.tile([-1, 1], 2 * norm + 1) * (norm - np.abs(a))
+    # a row with b == 0 comes once
+    once = (b != 0) | (np.arange(len(a)) % 2 == 0)
+    rows = np.stack([a[once], b[once]], axis=1)
+    rows.setflags(write=False)
+    return rows
+
+
+def _shell_pieces(num_dof, norm, half):
+    """The integer vectors with |k|_1 == norm, in lexicographic order, as
+    int matrices, one for each value of all but the last two entries.
+    With half, only those whose first nonzero entry is positive (one
+    representative per +-k pair); norm must then be positive."""
+    if num_dof == 1:
+        yield np.array([[norm]] if half else [[-norm], [norm]][:1 + (norm > 0)])
+        return
+    if num_dof == 2:
+        rows = _pair_shell(norm)
+        a, b = rows.T
+        yield rows[(a > 0) | ((a == 0) & (b > 0))] if half else rows
+        return
+    for e in range(0 if half else -norm, norm + 1):
+        for piece in _shell_pieces(num_dof - 1, norm - abs(e), half and not e):
+            lead = np.full((len(piece), 1), e, piece.dtype)
+            yield np.concatenate([lead, piece], axis=1)
+
+
+def _scan_batches(pieces):
+    """Consecutive pieces joined into matrices of about _SCAN_ROWS rows."""
+    batch, rows = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        rows += len(piece)
+        if rows >= _SCAN_ROWS:
+            yield np.concatenate(batch)
+            batch, rows = [], 0
+    if batch:
+        yield np.concatenate(batch)
+
+
+def _shell_minima(omega, k_max):
+    """(min_divisor, argmin_k, {K: shell minimum}) of |<k, omega>| over the
+    half shells |k|_1 = K = 1..k_max.
+
+    <k, omega> is summed column by column from 0.0; the minimum taken is
+    the first in lexicographic order within a shell, and across shells the
+    first in increasing K.
+    """
+    min_div = math.inf
+    argmin = None
+    shell_min = {}
+    for K in range(1, k_max + 1):
+        best = math.inf
+        for k in _scan_batches(_shell_pieces(len(omega), K, True)):
+            acc = np.zeros(len(k))
+            for l, w in enumerate(omega):
+                acc += k[:, l] * w
+            d = np.abs(acc)
+            i = int(d.argmin())
+            best = min(best, float(d[i]))
+            if d[i] < min_div:
+                min_div = float(d[i])
+                argmin = tuple(k[i].tolist())
+        shell_min[K] = best
+    return min_div, argmin, shell_min
 
 
 # how each certificate body line parses; `inf` is a valid tau_dioph (an
@@ -325,27 +388,17 @@ def check_nonresonance(omega, k_max, tol=None):
     Returns a ResonanceCertificate when the smallest divisor stays at or
     above tol (default 1e-10 max |omega_l|); otherwise raises
     ResonanceError carrying the failed certificate and the worst vector.
+    A non-finite frequency is a ValueError.
     """
     omega = tuple(float(w) for w in omega)
     if not omega:
         raise DimensionMismatchError("empty frequency vector")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if not all(map(math.isfinite, omega)):
+        raise ValueError(f"frequencies must be finite, got {omega}")
     tol = _tolerance(omega, tol)
-
-    min_div = math.inf
-    argmin = None
-    shell_min = {}
-    for K in range(1, k_max + 1):
-        best = math.inf
-        for k in _half_lattice(len(omega), K):
-            d = abs(sum(e * w for e, w in zip(k, omega)))
-            if d < best:
-                best = d
-            if d < min_div:
-                min_div = d
-                argmin = k
-        shell_min[K] = best
+    min_div, argmin, shell_min = _shell_minima(omega, k_max)
 
     # fit m_K >= gamma K^(-tau): anchor gamma just under the K=1 minimum,
     # then take the smallest exponent that clears every deeper shell

@@ -1,15 +1,17 @@
 """Independent cross-checks backing the test suite.
 
 Everything here recomputes package results through a different route:
-a double loop over terms instead of the bracket's array kernel,
-one-term-at-a-time pruning and term-line reading instead of the array
-passes, dense coefficient arrays instead of packed sparse keys,
-quadrature instead of closed forms, arbitrary precision instead of
-doubles, and plain lattice enumeration instead of the half-lattice
-generator.  No code is shared with bnfstab beyond reading plain
-(j, k, coeff) term lists off its objects, and the record grammar
-(header, comments, END) that the term-line readers take from
-bnfstab._records.
+a double loop over terms instead of the bracket's array kernel, dicts
+accumulated one term at a time instead of the array chart change and the
+array normalization step, one-term-at-a-time pruning, term-line reading
+and term-line writing instead of the array passes, dense coefficient
+arrays instead of packed sparse keys, quadrature instead of closed
+forms, arbitrary precision instead of doubles, and plain lattice
+enumeration, one vector at a time, instead of the package's shell
+matrices.  No code is shared with bnfstab beyond reading plain
+(j, k, coeff) term lists off its objects, the record grammar (header,
+comments, END) that the term-line readers take from bnfstab._records,
+and the SmallDivisorError the dict step raises.
 """
 
 import itertools
@@ -18,7 +20,7 @@ import math
 import numpy as np
 
 from bnfstab import _records
-from bnfstab.errors import FormatError
+from bnfstab.errors import FormatError, SmallDivisorError
 
 
 # -- the Poisson bracket by a double loop over terms --------------------------
@@ -44,6 +46,111 @@ def bracket_terms(f, g, n, cap=None):
                           in enumerate(zip(k1, k2)))
                 out[(j, k)] = out.get((j, k), 0.0) + weight * c1 * c2
     return out
+
+
+# -- the chart change, one term at a time ------------------------------------------
+
+def _mode_expansion(j, k, sign):
+    """x^j y^k of one mode in its new pair (u, v), as [(m, coeff)] for
+    u^m v^(j+k-m): x = a u + b v and y = b u + a v with a = 1/sqrt2 and
+    b = sign i/sqrt2, the coefficient a^(j+k) (sign i)^(j+m) times the
+    integer sum_p (-1)^p C(j, p) C(k, m-p)."""
+    scale = 2.0 ** (-0.5 * (j + k))
+    out = []
+    for m in range(j + k + 1):
+        K = sum((-1) ** p * math.comb(j, p) * math.comb(k, m - p)
+                for p in range(max(0, m - k), min(j, m) + 1))
+        if K:
+            out.append((m, (1, 1j, -1, -1j)[sign * (j + m) % 4] * K * scale))
+    return out
+
+
+def chart_change(terms, n, sign):
+    """The term list [(j, k, coeff)] with each mode changed by the chart
+    change of the sign (-1 complexify, +1 realify), one pass a mode, as a
+    dict {(j, k): coeff} accumulated term by term, not pruned."""
+    current = {(tuple(j), tuple(k)): c for j, k, c in terms}
+    for l in range(n):
+        out = {}
+        for (j, k), c in current.items():
+            for m, t in _mode_expansion(j[l], k[l], sign):
+                key = (j[:l] + (m,) + j[l + 1:],
+                       k[:l] + (j[l] + k[l] - m,) + k[l + 1:])
+                out[key] = out.get(key, 0.0) + c * t
+        current = out
+    return current
+
+
+# -- one normalization step on term dicts ------------------------------------------
+#
+# Blocks are {degree: {(j, k): coeff}} in the complex chart, as
+# bnfstab.birkhoff keeps them: the generator solves L_H0 chi - Z + Q = 0,
+# and every block is carried by the flow of -chi.
+
+def _divisor(omega, j, k):
+    acc = 0.0
+    for w, jj, kk in zip(omega, j, k):
+        acc += w * (kk - jj)
+    return acc
+
+
+def solve_chart(q, omega, tol):
+    """(chi, {p: action coefficient}) of a chart block q, or
+    SmallDivisorError at the smallest divisor below tol, the first in
+    exponent order among equals."""
+    small = [(abs(_divisor(omega, j, k)), j + k, j, k) for (j, k) in q
+             if j != k and abs(_divisor(omega, j, k)) < tol]
+    if small:
+        _, _, j, k = min(small)
+        vec = tuple(kk - jj for jj, kk in zip(j, k))
+        dot = _divisor(omega, j, k)
+        if next(e for e in vec if e) < 0:
+            vec, dot = tuple(-e for e in vec), -dot
+        raise SmallDivisorError(f"divisor {dot} at k = {vec}", k=vec,
+                                divisor=dot)
+    chi = {(j, k): c / (1j * _divisor(omega, j, k))
+           for (j, k), c in q.items() if j != k}
+    z = {j: (c * (1j) ** sum(j)).real for (j, k), c in q.items() if j == k}
+    return chi, {p: c for p, c in z.items() if c != 0.0}
+
+
+def _as_list(terms):
+    return [(j, k, c) for (j, k), c in terms.items()]
+
+
+def step_chart(blocks, s, omega, n, tol, d_cap):
+    """Normalize order s in place on dict blocks; returns (q, chi, z) with
+    q the block of index s as found on entry."""
+    m = s + 2
+    q = dict(blocks.get(m, {}))
+    if not q:
+        return q, {}, {}
+    chi, z = solve_chart(q, omega, tol)
+    chi_list = _as_list(chi)
+    degrees = [d for d in sorted(blocks, reverse=True) if d != 2]
+    # every chain reads its source as it stood on entry
+    chains = [(dict(blocks[d]), d, 1) for d in degrees]
+    chains.append(({key: -c for key, c in q.items() if key[0] != key[1]},
+                   m, 2))
+    for g, degree, p in chains:
+        while True:
+            degree += m - 2
+            if degree > d_cap:
+                break
+            g = pruned(bracket_terms(_as_list(g), chi_list, n))
+            if not g:
+                break
+            if p > 1:
+                g = {key: c / p for key, c in g.items()}
+            target = blocks.setdefault(degree, {})
+            for key, c in g.items():
+                target[key] = target.get(key, 0.0) + c
+            p += 1
+    blocks[m] = {key: c for key, c in q.items() if key[0] == key[1]}
+    for d in list(blocks):
+        if d not in (2, m):
+            blocks[d] = pruned(blocks[d])
+    return q, chi, z
 
 
 # -- pruning and term-line reading, one term at a time ---------------------------
@@ -202,6 +309,18 @@ def read_nfstate(text):
         if terms:
             out[(label, s)] = terms
     return omega, out
+
+
+def term_lines(poly):
+    """The term lines `degree j k re [im]` of a polynomial, one term at a
+    time in the order of terms(), each number by format(v, ".17g")."""
+    lines = []
+    for j, k, c in poly.terms():
+        vals = (c.real, c.imag) if poly.field == "complex" else (c,)
+        lines.append(" ".join([str(sum(j) + sum(k))] + [str(e) for e in j]
+                              + [str(e) for e in k]
+                              + [format(v, ".17g") for v in vals]))
+    return lines
 
 
 # -- dense one-DOF normal form -------------------------------------------------
@@ -396,6 +515,35 @@ def exhaustive_divisor_scan(omega, k_max):
         elif d == min_div:
             argmins.append(k)
     return min_div, argmins, shell_min
+
+
+def half_lattice(n, norm):
+    """Integer vectors with |k|_1 == norm whose first nonzero entry is
+    positive, in lexicographic order."""
+    for k in itertools.product(range(-norm, norm + 1), repeat=n):
+        if sum(abs(e) for e in k) != norm:
+            continue
+        if next((e for e in k if e), 0) > 0:
+            yield k
+
+
+def shell_minima(omega, k_max):
+    """(min_divisor, argmin_k, {K: shell minimum}) of |<k, omega>| over the
+    half lattice, one vector at a time, the first minimum kept."""
+    min_div = math.inf
+    argmin = None
+    shell_min = {}
+    for K in range(1, k_max + 1):
+        best = math.inf
+        for k in half_lattice(len(omega), K):
+            d = abs(sum(e * w for e, w in zip(k, omega)))
+            if d < best:
+                best = d
+            if d < min_div:
+                min_div = d
+                argmin = k
+        shell_min[K] = best
+    return min_div, argmin, shell_min
 
 
 def diophantine_fit(shell_min, k_max):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from bnfstab import birkhoff
 from bnfstab.birkhoff import (
     ActionPolynomial,
     NormalFormState,
@@ -183,6 +184,93 @@ def test_normalize_step_small_divisor_keeps_the_input_order():
             normalize_step(state, tol=bad)
         with pytest.raises(ValueError):
             birkhoff_normal_form(h, omega, 4, tol=bad)
+
+
+def _dict_block(block, n):
+    """A chart block of arrays as {(j, k): coeff}; None as {}."""
+    if block is None:
+        return {}
+    exps, coeffs = block
+    return {(tuple(e[:n]), tuple(e[n:])): c
+            for e, c in zip(exps.tolist(), coeffs.tolist())}
+
+
+def _assert_block_close(got, want, rel=1e-13):
+    top = max((abs(c) for c in want.values()), default=0.0)
+    for key in set(got) | set(want):
+        assert abs(got.get(key, 0.0) - want.get(key, 0.0)) <= rel * top, key
+
+
+def _step_outcome(step, blocks, s, omega, n, d_cap):
+    try:
+        return step(blocks, s, omega, n, 1e-6, d_cap)
+    except SmallDivisorError as exc:
+        return ("SmallDivisorError", exc.k, exc.divisor)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_array_step_matches_dict_oracle(n):
+    # the array step against the dict step, order by order, from the same
+    # chart blocks; the near-resonant omega stops both at the same order
+    rng = np.random.default_rng(410 + n)
+    d_max = {2: 8, 3: 6, 4: 5}[n]
+    generic = (1.0, 2.0 ** 0.5, 3.0 ** 0.5, 5.0 ** 0.5)[:n]
+    resonant = (1.0, 1.0 + 2.0 ** -30, 2.0 ** 0.5, 3.0 ** 0.5)[:n]
+    stops = []
+    for omega in (generic, resonant):
+        h = random_series(rng, n, omega, d_max)
+        blocks = birkhoff._chart_blocks_from_series(h, d_max)
+        dicts = {d: _dict_block(b, n) for d, b in blocks.items()}
+        for s in range(1, d_max - 1):
+            got = _step_outcome(birkhoff._step_chart, blocks, s, omega, n,
+                                d_max)
+            want = _step_outcome(oracles.step_chart, dicts, s, omega, n,
+                                 d_max)
+            if want[0] == "SmallDivisorError":
+                assert got == want
+                stops.append(s)
+                break
+            q, chi, z = got
+            for a, b in ((q, want[0]), (chi, want[1])):
+                _assert_block_close(_dict_block(a, n), b)
+            _assert_block_close(z, want[2])
+            for d in set(blocks) | set(dicts):
+                _assert_block_close(_dict_block(blocks.get(d), n),
+                                    dicts.get(d, {}))
+    # the generic omega ran every order, the resonant one stopped at the
+    # quartic order, whose divisors hold k = (1, -1, 0, ...)
+    assert stops == [2]
+
+
+def test_small_divisor_names_the_smallest_divisor_of_the_block():
+    # omega_2 - omega_1 = 2^-20 = omega_1 - omega_3 exactly: the block
+    # holds a larger small divisor first in key order, and two equal
+    # smallest ones, of which the first in key order is named
+    n = 3
+    eps = 2.0 ** -20
+    omega = (1.0, 1.0 + eps, 1.0 - eps)
+    terms = {((0, 2, 0), (2, 0, 0)): 1.0,    # k = (2, -2, 0): -2 eps
+             ((1, 0, 1), (2, 0, 0)): 1.0,    # k = (1, 0, -1): +eps
+             ((1, 1, 0), (2, 0, 0)): 1.0,    # k = (1, -1, 0): -eps
+             ((1, 1, 1), (1, 1, 1)): 2.0j}
+    q = {(j, k): complex(c) for (j, k), c in terms.items()}
+    exps = np.array([j + k for j, k in sorted(q, key=lambda jk: jk[0] + jk[1])],
+                    np.uint8)
+    coeffs = np.array([q[(tuple(e[:n]), tuple(e[n:]))] for e in exps.tolist()])
+    for solve, block in ((birkhoff._solve_chart, (exps, coeffs)),
+                         (oracles.solve_chart, q)):
+        args = (block, omega, n, 1e-3) if solve is birkhoff._solve_chart \
+            else (block, omega, 1e-3)
+        with pytest.raises(SmallDivisorError) as info:
+            solve(*args)
+        assert info.value.k == (1, 0, -1)
+        assert info.value.divisor == eps
+    # above every divisor, chi and the action part come out
+    chi, z, action = birkhoff._solve_chart((exps, coeffs), omega, n, 1e-9)
+    assert action.tolist() == [False, False, False, True]
+    assert z == {(1, 1, 1): 2.0}       # Z^p W^p = i^|p| I^p, i^3 = -i
+    assert _dict_block(chi, n) == pytest.approx(
+        oracles.solve_chart(q, omega, 1e-9)[0], rel=1e-15)
 
 
 def test_birkhoff_rejects_nondiagonal_h2():

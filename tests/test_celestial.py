@@ -82,6 +82,19 @@ def test_eccentricity_roundtrip():
         assert e == pytest.approx(b.eccentricity, rel=1e-13)
 
 
+def test_eccentricities_refuse_an_impossible_amplitude():
+    # xi^2 + eta^2 = 2 Lambda (1 - sqrt(1 - e^2)) < 2 Lambda for e < 1
+    for xi in (math.sqrt(3.0), math.sqrt(2.0), 2.0):
+        state = PoincareState(names=("probe",), Lambda=(1.0,), lam=(0.0,),
+                              xi=(xi,), eta=(0.0,))
+        with pytest.raises(ValueError, match="2 Lambda"):
+            eccentricities(state)
+    # just inside, e stays below 1
+    state = PoincareState(names=("probe",), Lambda=(1.0,), lam=(0.0,),
+                          xi=(1.4142,), eta=(0.0,))
+    assert 0.99 < eccentricities(state)[0] < 1.0
+
+
 def test_secular_radii_are_amplitudes():
     bodies, m0 = load_fixture(FIXTURE)
     state = poincare_variables(bodies, m0)

@@ -214,7 +214,7 @@ def test_key_degree_is_the_exponent_sum():
         rows = rng.integers(0, 256, size=(50, 2 * n)).tolist()
         for exps in rows + [[255] * (2 * n)]:
             key = polyalg._pack(n, exps[:n], exps[n:])
-            assert polyalg._key_degree(n, key) == sum(exps)
+            assert polyalg._degrees([key], n).tolist() == [sum(exps)]
             assert polyalg._unpack(n, key) == (tuple(exps[:n]),
                                                tuple(exps[n:]))
 
@@ -362,7 +362,7 @@ def test_one_pass_degrees_match_per_key_oracle(n):
         for d in p.degrees():
             assert list(p.homogeneous_part(d)._terms.items()) == [
                 (key, c) for key, c in raw.items()
-                if polyalg._key_degree(n, key) == d]
+                if sum(sum(polyalg._unpack(n, key), ())) == d]
 
 
 def test_pruning_refuses_an_overflow_without_a_warning():
@@ -454,6 +454,82 @@ def test_chart_change_refuses_degrees_the_keys_cannot_hold():
                    lambda f: linear_substitute(f, [[1.0, 0.0], [0.0, 1.0]])):
         with pytest.raises(OrderRangeError, match="255"):
             change(f)
+
+
+def _block_terms(exps, coeffs, n):
+    """A block of arrays as {(j, k): coeff}."""
+    return {(tuple(e[:n]), tuple(e[n:])): c
+            for e, c in zip(exps.tolist(), coeffs.tolist())}
+
+
+def _assert_close_per_degree(got, want, rel):
+    """got and want, {(j, k): coeff}, agree within rel of the largest
+    abs() of their degree in want; a missing term counts as 0."""
+    top = {}
+    for (j, k), c in want.items():
+        top[sum(j + k)] = max(top.get(sum(j + k), 0.0), abs(c))
+    for key in set(got) | set(want):
+        assert abs(got.get(key, 0.0) - want.get(key, 0.0)) \
+            <= rel * top.get(sum(key[0] + key[1]), 0.0), key
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_array_chart_change_matches_dict_oracle(n):
+    # sparse blocks of mixed degrees, real and complex, and full blocks
+    rng = np.random.default_rng(300 + n)
+    full_degree = {1: 12, 2: 8, 3: 6, 4: 5}[n]
+    cases = [random_polynomial(rng, n, 6, num_terms=20, field=field)
+             + random_polynomial(rng, n, 2, num_terms=5, field=field)
+             + random_polynomial(rng, n, 9, num_terms=10, field=field)
+             for field in ("real", "complex")]
+    cases += [full_block(rng, n, full_degree), full_block(rng, n, 3)]
+    for f in cases:
+        for sign in (-1, 1):
+            exps, coeffs = polyalg._chart_change(*polyalg._arrays(f), sign)
+            keys = polyalg._keys(exps)
+            assert keys == sorted(set(keys))     # merged, in key order
+            want = oracles.chart_change(f.terms(), n, sign)
+            got = _block_terms(exps, coeffs, n)
+            assert set(got) == set(want)
+            _assert_close_per_degree(got, want, 1e-15)
+        # complexify prunes that block; realify takes the real parts of a
+        # real polynomial's chart block and prunes them
+        want = oracles.pruned(oracles.chart_change(f.terms(), n, -1))
+        g = complexify(f)
+        assert {(j, k) for j, k, _ in g.terms()} == set(want)
+        _assert_close_per_degree({(j, k): c for j, k, c in g.terms()},
+                                 want, 1e-15)
+        h = complexify(Polynomial(n, {(j, k): c.real
+                                      for j, k, c in f.terms()}))
+        back = oracles.chart_change(h.terms(), n, +1)
+        want = oracles.pruned({key: c.real for key, c in back.items()})
+        got = realify(h)
+        assert got.field == "real"
+        assert {(j, k) for j, k, _ in got.terms()} == set(want)
+        _assert_close_per_degree({(j, k): c for j, k, c in got.terms()},
+                                 want, 1e-15)
+
+
+def test_array_chart_change_refusals():
+    # a term the keys cannot hold, in a block of mixed degrees
+    f = mono(2, (1, 0), (0, 2)) + mono(2, (200, 0), (0, 56))
+    with pytest.raises(OrderRangeError, match="255"):
+        complexify(f)
+    with pytest.raises(OrderRangeError, match="255"):
+        realify(f.scale(1j))
+    # realify takes only a complex-chart polynomial
+    with pytest.raises(ValueError, match="complex-chart"):
+        realify(mono(1, (2,), (1,)))
+    # a coefficient that overflows in the change is refused, not pruned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            complexify(mono(1, (0,), (8,), 1e308))
+        with pytest.raises(ValueError, match="overflow"):
+            realify(complexify(mono(1, (0,), (8,), 1e306)).scale(100.0))
+    # the zero polynomial changes to zero
+    assert complexify(Polynomial.zero(3)).is_zero
+    assert realify(Polynomial.zero(3, field="complex")).is_zero
 
 
 def test_linear_substitute_rotation_preserves_actions():

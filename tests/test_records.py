@@ -139,6 +139,45 @@ TOKENS = [
 ]
 
 
+# the extremes of the float range, and a signed zero
+EDGE_VALUES = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308]
+any_float = st.floats(allow_nan=False, allow_infinity=False) \
+    | st.sampled_from(EDGE_VALUES)
+
+
+@st.composite
+def unpruned_polynomials(draw):
+    """A Polynomial of any finite coefficients, homogeneous or of mixed
+    degrees, built without pruning."""
+    n = draw(st.integers(1, 3))
+    field = draw(st.sampled_from(["real", "complex"]))
+    degrees = draw(st.sampled_from([[3], [0, 1, 2, 4], [2, 5]]))
+    monomials = [e for d in degrees for e in _exponents(2 * n, d)]
+    exps = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=12,
+                         unique=True))
+    terms = {}
+    for e in exps:
+        c = draw(any_float)
+        if field == "complex":
+            c = complex(c, draw(any_float))
+        terms[polyalg._pack(n, e[:n], e[n:])] = c
+    return Polynomial._raw(n, terms, field)
+
+
+@settings(PROPERTY)
+@given(unpruned_polynomials())
+@example(Polynomial._raw(2, {polyalg._pack(2, (1, 0), (0, 1)): complex(
+    5e-324, -0.0), polyalg._pack(2, (0, 0), (2, 0)): complex(
+    1.7976931348623157e308, -1.7976931348623157e308)}, "complex"))
+def test_term_lines_match_the_per_term_writer(p):
+    assert polyalg._term_lines(p) == oracles.term_lines(p)
+    # terms() is graded: by degree, then by exponent vector
+    order = [(j, k) for j, k, _ in p.terms()]
+    assert order == sorted(order, key=lambda jk: (sum(jk[0] + jk[1]),
+                                                  jk[0] + jk[1]))
+
+
 @pytest.mark.parametrize("magic", sorted(HEADERS))
 def test_token_soup_raises_only_package_errors(magic):
     cls = FORMATS[magic][0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from bnfstab import spectrum
 from bnfstab.errors import (
     ConditioningError,
     FormatError,
@@ -163,6 +164,41 @@ def test_check_nonresonance_matches_exhaustive_scan():
     assert cert.tau_dioph == tau
     assert cert.certified
     assert cert.k_max == 12
+
+
+def _certificate_text(omega, k_max):
+    """The certificate text of check_nonresonance, that of a refused one
+    with the error message when it raises ResonanceError."""
+    try:
+        return check_nonresonance(omega, k_max).to_text()
+    except ResonanceError as exc:
+        return f"{exc}\n{exc.certificate.to_text()}"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_certificate_matches_the_vector_by_vector_scan(n, monkeypatch):
+    # the shell matrices against the one-vector-at-a-time loop, through
+    # the whole certificate text: generic, signed, near-resonant and
+    # exactly resonant frequencies
+    rng = np.random.default_rng(500 + n)
+    k_max = {1: 20, 2: 14, 3: 9, 4: 6}[n]
+    cases = [tuple(rng.uniform(0.2, 3.0, size=n)),
+             tuple(rng.uniform(-3.0, 3.0, size=n)),
+             tuple(math.sqrt(p) for p in (2.0, 3.0, 5.0, 7.0)[:n]),
+             tuple(1.0 + 1e-12 * t for t in range(n)),
+             tuple(float(t + 1) for t in range(n))]
+    for omega in cases:
+        got = _certificate_text(omega, k_max)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectrum, "_shell_minima", oracles.shell_minima)
+            want = _certificate_text(omega, k_max)
+        assert got == want
+
+
+def test_check_nonresonance_refuses_non_finite_frequencies():
+    for omega in ((1.0, math.nan), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            check_nonresonance(omega, 3)
 
 
 def test_check_nonresonance_detects_exact_resonance():

@@ -1,8 +1,8 @@
-"""Time `bnf`, the Poisson bracket and the read side on fixed inputs, for a
-BENCH_*.json.
+"""Time `bnf`, the Poisson bracket, the read side and the write side on
+fixed inputs, for a BENCH_*.json.
 
     python3 tools/bench_layers.py --src parent=../parent/src --src change=src \
-        --out BENCH_readside.json
+        --out BENCH_writeside.json
 
 Each --src LABEL=DIR names a bnfstab source tree (the directory holding
 the `bnfstab` package).  Each of ROUNDS rounds runs one fresh interpreter
@@ -21,7 +21,12 @@ An interpreter times, once each:
   median of READ_REPEATS calls each: `NormalFormState.from_text`
   (read_ledger_s), and the drift bounds of every order at the
   Sun-Jupiter-Saturn radii of the packaged fixture (drift_bounds_s), with
-  the time spent in `polyalg.polydisc_norm` within them (polydisc_norm_s).
+  the time spent in `polyalg.polydisc_norm` within them (polydisc_norm_s);
+- the write side on the dense3-r10 ledger that its `bnf` wrote, as the
+  median of READ_REPEATS calls each: `polyalg.realify` of every CHI and F
+  block of the ledger, complexified once beforehand (realify_s),
+  `NormalFormState.to_text` (to_text_s), and `spectrum.check_nonresonance`
+  of NONRES_OMEGA, 4 DOF, at k_max NONRES_K_MAX (nonresonance_s).
 
 The output holds every run and the median per input and tree.
 """
@@ -45,6 +50,9 @@ ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 5
 READ_REPEATS = 5
 READ_LEDGER = "dense2-r14"
+WRITE_LEDGER = "dense3-r10"
+NONRES_OMEGA = (1.0, 2.0 ** 0.5, 3.0 ** 0.5, 5.0 ** 0.5)
+NONRES_K_MAX = 14
 FIXTURE = "sjs-jd2451220.5"
 # (name, perfbench system, bnf --order)
 SYSTEMS = (("even2-r18", "even2", 18), ("dense2-r14", "dense2", 14),
@@ -59,7 +67,7 @@ def measure(src):
     sys.path.insert(0, str(ROOT / "tests"))
     sys.path.insert(0, str(Path(src).resolve()))
     import systems
-    from bnfstab import birkhoff, celestial, cli, polyalg, stability
+    from bnfstab import birkhoff, celestial, cli, polyalg, spectrum, stability
     from util import full_block
 
     out = {"bnf_s": {}, "bracket_s": {}, "bracket_peak_mib": {}}
@@ -74,7 +82,9 @@ def measure(src):
                 raise SystemExit(f"bnf failed on {name}")
             out["bnf_s"][name] = time.perf_counter() - start
         ledger = (Path(tmp) / f"{READ_LEDGER}.nf").read_text()
+        written = (Path(tmp) / f"{WRITE_LEDGER}.nf").read_text()
     out["read_s"] = read_side(ledger, birkhoff, celestial, polyalg, stability)
+    out["write_s"] = write_side(written, birkhoff, polyalg, spectrum)
     rng = np.random.default_rng(1)
     for name, n, p, q in BRACKETS:
         f, g = full_block(rng, n, p), full_block(rng, n, q)
@@ -121,6 +131,27 @@ def read_side(ledger, birkhoff, celestial, polyalg, stability):
     return {name: statistics.median(v) for name, v in runs.items()}
 
 
+def write_side(ledger, birkhoff, polyalg, spectrum):
+    """Medians of READ_REPEATS timed realify passes over the ledger's
+    blocks, writes of the ledger, and 4-DOF divisor scans."""
+    state = birkhoff.NormalFormState.from_text(ledger)
+    blocks = [polyalg.complexify(p)
+              for p in list(state.chi.values()) + list(state.f.values())]
+    calls = {
+        "realify_s": lambda: [polyalg.realify(b) for b in blocks],
+        "to_text_s": state.to_text,
+        "nonresonance_s": lambda: spectrum.check_nonresonance(
+            NONRES_OMEGA, NONRES_K_MAX),
+    }
+    runs = {name: [] for name in calls}
+    for _ in range(READ_REPEATS):
+        for name, call in calls.items():
+            start = time.perf_counter()
+            call()
+            runs[name].append(time.perf_counter() - start)
+    return {name: statistics.median(v) for name, v in runs.items()}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", metavar="LABEL=DIR",
@@ -163,7 +194,7 @@ def main():
                  "numpy": np.__version__},
         "read_repeats": READ_REPEATS,
         "units": {"bnf_s": "s", "bracket_s": "s", "bracket_peak_mib": "MiB",
-                  "read_s": "s"},
+                  "read_s": "s", "write_s": "s"},
         "sources": sources,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
