@@ -60,10 +60,10 @@ class RecordReader:
     """One record, read line by line.
 
     The constructor reads the header.  `keys` maps each header key to the
-    function that converts its value; a key that is missing, unknown or
-    does not convert is an error.  Iterating yields the tokens of each body
-    line.  With end=True the body stops at END, and a missing END or any
-    content after it is an error.
+    function that converts its value; a key that is missing, unknown,
+    repeated or does not convert is an error.  Iterating yields the tokens
+    of each body line.  With end=True the body stops at END, and a missing
+    END or any content after it is an error.
     """
 
     def __init__(self, text, magic, keys, path=None, end=True):
@@ -77,7 +77,11 @@ class RecordReader:
         if tokens[0] != magic:
             raise self.error(f"expected {magic} header")
         try:
-            kv = dict(t.split("=", 1) for t in tokens[1:])
+            kv = {}
+            for key, value in (t.split("=", 1) for t in tokens[1:]):
+                if key in kv:
+                    raise self.error(f"repeated {magic} header field {key!r}")
+                kv[key] = value
             self.header = {key: convert(kv.pop(key))
                            for key, convert in keys.items()}
         except (ValueError, KeyError) as exc:

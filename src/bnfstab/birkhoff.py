@@ -68,6 +68,8 @@ class ActionPolynomial:
                 if any(e < 0 for e in p):
                     raise ValueError("action exponents must be nonnegative")
                 c = float(c)
+                if not math.isfinite(c):
+                    raise ValueError(f"non-finite coefficient {c!r}")
                 if c != 0.0:
                     clean[p] = clean.get(p, 0.0) + c
         clean = {p: c for p, c in clean.items() if c != 0.0}
@@ -93,24 +95,11 @@ class ActionPolynomial:
         return self._terms.get(tuple(p), 0.0)
 
     def to_polynomial(self):
-        """Expand back to (x, y) variables via I_l = (x_l^2 + y_l^2)/2."""
-        n = self.num_dof
-        out = {}
-        for p, c in self._terms.items():
-            acc = {0: c}
-            for l, e in enumerate(p):
-                if not e:
-                    continue
-                # (x^2 + y^2)^e / 2^e expanded by the binomial theorem
-                expo = {}
-                for t in range(e + 1):
-                    j = tuple(2 * t if i == l else 0 for i in range(n))
-                    k = tuple(2 * (e - t) if i == l else 0 for i in range(n))
-                    expo[poly._pack(n, j, k)] = math.comb(e, t) / 2.0 ** e
-                acc = poly._raw_mul(acc, expo)
-            for key, v in acc.items():
-                out[key] = out.get(key, 0.0) + v
-        return Polynomial._raw(n, poly._pruned(out, n), "real")
+        """Expand back to (x, y) variables via I_l = (x_l^2 + y_l^2)/2: each
+        I^p is (-i)^|p| Z^p W^p in the complex chart, realified."""
+        units = (1, -1j, -1, 1j)
+        chart = {(p, p): c * units[sum(p) % 4] for p, c in self._terms.items()}
+        return poly.realify(Polynomial(self.num_dof, chart, field="complex"))
 
     def __eq__(self, other):
         return (isinstance(other, ActionPolynomial)
@@ -383,8 +372,8 @@ class NormalFormState:
                 *body, n, "real", path, (s + 2, s + 2),
                 lambda degree: f"term degree {degree} in section of order "
                                f"{s} (expected {s + 2})")
-            ledgers[label][s] = Polynomial._raw(n, blocks.get(s + 2, {}),
-                                                "real")
+            ledgers[label][s] = (Polynomial._raw(n, blocks[s + 2], "real")
+                                 if blocks else Polynomial.zero(n))
 
         try:
             for tokens in reader:
@@ -451,25 +440,15 @@ def _chart_blocks_from_series(h, d_cap):
     blocks = {}
     for d, part in h:
         if d <= d_cap:
-            block = poly._arrays(poly.complexify(part))
+            block = poly.complexify(part)._block
             if len(block[1]):
                 blocks[d] = block
     return blocks
 
 
-def _realify_block(block, n):
-    return poly.realify(poly._polynomial(n, *block, "complex"))
-
-
-def _realify_tail(blocks, r_done, r_max, n):
-    """F entries of the blocks not yet normalized: indices r_done+1..r_max."""
-    return {s: _realify_block(blocks[s + 2], n)
-            for s in range(r_done + 1, r_max + 1) if s + 2 in blocks}
-
-
 def _check_r_max(r_max):
     # a block of index s has degree s + 2, so it may hold an exponent that
-    # large; the packed monomial key has room for at most poly._MAX_EXP
+    # large; the uint8 exponents hold at most poly._MAX_EXP
     if not 1 <= r_max <= poly._MAX_EXP - 2:
         raise OrderRangeError(
             f"r_max must lie in 1..{poly._MAX_EXP - 2}, got {r_max}")
@@ -501,7 +480,9 @@ def _extend(state, blocks, r_to, tol):
     f = {s: v for s, v in state.f.items() if s <= state.r + 1}
 
     def build(r_done):
-        tail = _realify_tail(blocks, r_done, r_max, n)
+        # the F entries of the blocks not yet normalized
+        tail = {s: poly.realify(Polynomial._raw(n, blocks[s + 2], "complex"))
+                for s in range(r_done + 1, r_max + 1) if s + 2 in blocks}
         return NormalFormState(omega, r_done, r_max, z=z, chi=chi,
                                f={**tail, **f})
 
@@ -517,9 +498,9 @@ def _extend(state, blocks, r_to, tol):
         if z_terms:
             z[s] = ActionPolynomial(n, z_terms)
         if chi_block is not None and len(chi_block[1]):
-            chi[s] = _realify_block(chi_block, n)
+            chi[s] = poly.realify(Polynomial._raw(n, chi_block, "complex"))
         if q is not None and s not in f:
-            f[s] = _realify_block(q, n)
+            f[s] = poly.realify(Polynomial._raw(n, q, "complex"))
     return build(r_to)
 
 
@@ -528,8 +509,8 @@ def birkhoff_normal_form(h, omega, r_max, tol=None):
 
     h must have its quadratic component equal to
     sum omega_l (x_l^2 + y_l^2)/2; components above degree r_max + 2 are
-    ignored.  r_max may not exceed 253, because the packed monomial keys
-    hold exponents up to 255.  On a small divisor at some order the raised
+    ignored.  r_max may not exceed 253, because the uint8 exponents
+    hold at most 255.  On a small divisor at some order the raised
     SmallDivisorError carries the partial state (normalized through the
     last completed order) in its `state` attribute.
     """

@@ -3,17 +3,16 @@
 A polynomial in n degrees of freedom lives on the 2n variables
 (x_1..x_n, y_1..y_n) with {x_l, y_l} = 1.
 
-Storage.  A Polynomial keeps its terms in a dict keyed by a packed
-exponent vector (one byte an exponent, x_1 most significant), so that
-monomial products are integer additions and increasing key order is
-lexicographic in the exponents.  The work of normalization runs on
-blocks as arrays instead: a uint8 exponent matrix, one row a monomial, and
-a coefficient vector, homogeneous and in key order, the indexed storage
-of Giorgilli & Sansottera.  The Poisson bracket (_bracket_terms), the Lie
-series (_lie_series) and the chart changes (_chart_change) take and
-return such blocks; equal rows are summed by _merge, which adds each
-monomial's contributions in row order, as a dict accumulating them in
-turn would.  Dicts are built only where a Polynomial is.
+Storage.  A Polynomial is one block, the indexed storage of Giorgilli &
+Sansottera: a read-only uint8 exponent matrix, one row a monomial and one
+column a variable (x_1 first, y_n last), and a float or complex
+coefficient vector.  The rows are pruned and in graded key order: by
+degree, then lexicographically in the exponents (key order).  All the
+work runs on such blocks: the product and the Poisson bracket share one
+kernel (_products), the Lie series (_lie_series), the chart changes
+(_chart_change) and linear_substitute take and return blocks, and equal
+rows are summed by _merge, which adds each monomial's contributions in
+row order, as a dict accumulating them in turn would.
 
 Pruning.  Coefficients below PRUNE_REL = 1e-15 relative to the largest
 coefficient of the same homogeneous degree are dropped after every
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import compress
 
 import numpy as np
 
@@ -58,34 +56,8 @@ __all__ = [
 
 PRUNE_REL = 1e-15
 
-# A packed key holds one exponent a byte, big-endian, x_1 first: its
-# key.to_bytes(2n, "big") is the exponent vector.  _pack, _unpack, _exps,
-# _words and _keys read and write it as bytes; _EXP_BITS is that byte
-# width for the code that shifts fields in place.
-_EXP_BITS = 8
-_EXP_MASK = 0xFF
-_MAX_EXP = _EXP_MASK
-_WORD = (1 << 64) - 1
-
-
-@lru_cache(maxsize=None)
-def _shifts(num_dof):
-    # field t in [0, 2n): t < n is x_{t+1}, t >= n is y_{t-n+1}; x_1 most significant
-    width = 2 * num_dof
-    return tuple((width - 1 - t) * _EXP_BITS for t in range(width))
-
-
-def _pack(num_dof, j, k):
-    exps = [int(e) for e in tuple(j) + tuple(k)]
-    for e in exps:
-        if not 0 <= e <= _MAX_EXP:
-            raise ValueError(f"exponent {e} outside [0, {_MAX_EXP}]")
-    return int.from_bytes(bytes(exps), "big")
-
-
-def _unpack(num_dof, key):
-    exps = tuple(key.to_bytes(2 * num_dof, "big"))
-    return exps[:num_dof], exps[num_dof:]
+# the largest exponent a uint8 exponent matrix holds
+_MAX_EXP = 255
 
 
 def _sizes(coeffs):
@@ -117,31 +89,16 @@ def _kept(coeffs, degrees=None):
     return (a > 0.0) & (a >= floor)
 
 
-def _degrees(keys, num_dof):
-    """The total degrees of packed keys, as an integer array."""
-    return _exps(keys, 2 * num_dof).sum(axis=1)
-
-
-def _graded(terms, num_dof):
-    """(keys, exponent matrix, degrees) of a term dict in graded order:
-    by key when every term has one degree, else by degree, then key."""
-    keys = sorted(terms)
-    exps = _exps(keys, 2 * num_dof)
+def _canonical(exps, coeffs):
+    """The storage of a Polynomial from a merged block in key order: the
+    rows that survive pruning (_kept), stably sorted by degree."""
     degrees = exps.sum(axis=1, dtype=np.intp)
-    if len(keys) and degrees.min() != degrees.max():
+    keep = _kept(coeffs, degrees)
+    exps, coeffs, degrees = exps[keep], coeffs[keep], degrees[keep]
+    if (degrees[1:] < degrees[:-1]).any():
         order = np.argsort(degrees, kind="stable")
-        keys = [keys[i] for i in order.tolist()]
-        exps, degrees = exps[order], degrees[order]
-    return keys, exps, degrees
-
-
-def _pruned(raw, num_dof):
-    """raw without zeros and coefficients below PRUNE_REL of their degree
-    block, in raw's order; ValueError on an overflowed coefficient."""
-    if not raw:
-        return {}
-    keep = _kept(np.array(list(raw.values())), _degrees(list(raw), num_dof))
-    return dict(compress(raw.items(), keep.tolist()))
+        exps, coeffs = exps[order], coeffs[order]
+    return exps, coeffs
 
 
 class Polynomial:
@@ -152,42 +109,41 @@ class Polynomial:
     num_dof : int
         Number of conjugate pairs n.
     terms : dict, optional
-        Either packed-integer keys or ((j_1..j_n), (k_1..k_n)) tuple pairs,
-        mapping to coefficients.  j are x-exponents, k are y-exponents.
+        ((j_1..j_n), (k_1..k_n)) tuple pairs mapping to coefficients.  j
+        are x-exponents, k are y-exponents, each within [0, 255].
     field : str
         "real" or "complex".  Real coefficients are stored as floats; a
         complex value with nonzero imaginary part is rejected for field="real".
     """
 
-    __slots__ = ("num_dof", "field", "_terms")
+    __slots__ = ("num_dof", "field", "_block")
 
     def __init__(self, num_dof, terms=None, field="real"):
         if num_dof < 1:
             raise ValueError("num_dof must be >= 1")
         if field not in ("real", "complex"):
             raise ValueError(f"unknown coefficient field {field!r}")
-        raw = {}
-        if terms:
-            for key, c in terms.items():
-                if not isinstance(key, int):
-                    j, k = key
-                    if len(j) != num_dof or len(k) != num_dof:
-                        raise DimensionMismatchError(
-                            f"exponent tuples must have length {num_dof}")
-                    key = _pack(num_dof, j, k)
-                if field == "real":
-                    if isinstance(c, complex):
-                        if c.imag != 0.0:
-                            raise ValueError(
-                                "complex coefficient in a real polynomial")
-                        c = c.real
-                    c = float(c)
-                else:
-                    c = complex(c)
-                raw[key] = raw.get(key, 0.0) + c
+        rows, vals = [], []
+        for (j, k), c in (terms or {}).items():
+            if len(j) != num_dof or len(k) != num_dof:
+                raise DimensionMismatchError(
+                    f"exponent tuples must have length {num_dof}")
+            if field == "real" and isinstance(c, complex):
+                if c.imag != 0.0:
+                    raise ValueError(
+                        "complex coefficient in a real polynomial")
+                c = c.real
+            rows.append(tuple(j) + tuple(k))
+            vals.append(c)
+        exps = np.array(rows, np.int64).reshape(len(rows), 2 * num_dof)
+        bad = exps[(exps < 0) | (exps > _MAX_EXP)]
+        if len(bad):
+            raise ValueError(f"exponent {bad[0]} outside [0, {_MAX_EXP}]")
+        coeffs = np.array(vals, complex if field == "complex" else float)
         object.__setattr__(self, "num_dof", num_dof)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_terms", _pruned(raw, num_dof))
+        object.__setattr__(self, "_block", _read_only(
+            _canonical(*_merge(exps.astype(np.uint8), coeffs))))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -195,17 +151,19 @@ class Polynomial:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def _raw(cls, num_dof, terms, field):
-        # internal: terms already packed, coerced and pruned
+    def _raw(cls, num_dof, block, field):
+        # internal: block is (exps, coeffs), its rows in graded key order
+        # and its coefficients of the field's dtype
         obj = object.__new__(cls)
         object.__setattr__(obj, "num_dof", num_dof)
         object.__setattr__(obj, "field", field)
-        object.__setattr__(obj, "_terms", terms)
+        object.__setattr__(obj, "_block", _read_only(block))
         return obj
 
     @classmethod
     def zero(cls, num_dof, field="real"):
-        return cls._raw(num_dof, {}, field)
+        return cls._raw(num_dof, _empty(2 * num_dof, field == "complex"),
+                        field)
 
     @classmethod
     def monomial(cls, num_dof, j, k, coeff=1.0, field=None):
@@ -228,25 +186,30 @@ class Polynomial:
 
     @property
     def is_zero(self):
-        return not self._terms
+        return not len(self._block[1])
 
     @property
     def num_terms(self):
-        return len(self._terms)
+        return len(self._block[1])
 
     def terms(self):
-        """Sorted list of (j, k, coeff), graded-lexicographic order."""
+        """List of (j, k, coeff) in graded key order."""
         n = self.num_dof
-        keys, exps, _ = _graded(self._terms, n)
-        return [(tuple(e[:n]), tuple(e[n:]), self._terms[key])
-                for key, e in zip(keys, exps.tolist())]
+        exps, coeffs = self._block
+        return [(tuple(e[:n]), tuple(e[n:]), c)
+                for e, c in zip(exps.tolist(), coeffs.tolist())]
 
     def coefficient(self, j, k):
-        return self._terms.get(_pack(self.num_dof, j, k), 0.0)
+        exps, coeffs = self._block
+        row = np.array(tuple(j) + tuple(k))
+        hit = np.flatnonzero((exps == row).all(axis=1))
+        return coeffs[hit[0]].item() if len(hit) else 0.0
+
+    def _degree_column(self):
+        return self._block[0].sum(axis=1, dtype=np.intp)
 
     def degrees(self):
-        return tuple(sorted(set(_degrees(list(self._terms),
-                                         self.num_dof).tolist())))
+        return tuple(sorted(set(self._degree_column().tolist())))
 
     @property
     def degree_min(self):
@@ -262,13 +225,14 @@ class Polynomial:
         return len(self.degrees()) <= 1
 
     def homogeneous_part(self, degree):
-        n = self.num_dof
-        mask = _degrees(list(self._terms), n) == degree
-        return Polynomial._raw(n, dict(compress(self._terms.items(),
-                                                mask.tolist())), self.field)
+        column = self._degree_column()
+        lo, hi = column.searchsorted([degree, degree + 1])
+        exps, coeffs = self._block
+        return Polynomial._raw(self.num_dof, (exps[lo:hi], coeffs[lo:hi]),
+                               self.field)
 
     def max_abs_coeff(self):
-        return max((abs(c) for c in self._terms.values()), default=0.0)
+        return float(np.abs(self._block[1]).max(initial=0.0))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -277,8 +241,12 @@ class Polynomial:
             out_field = "complex"
         else:
             out_field = self.field
-        raw = {key: c * factor for key, c in self._terms.items()}
-        return Polynomial._raw(self.num_dof, _pruned(raw, self.num_dof), out_field)
+        exps, coeffs = self._block
+        # an overflow comes out as inf, for _kept to refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = coeffs * factor
+        return Polynomial._raw(self.num_dof, _canonical(exps, coeffs),
+                               out_field)
 
     def __add__(self, other):
         return add(self, other)
@@ -292,10 +260,8 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             field = _check_pair(self, other)
-            n = self.num_dof
-            _check_product_exponents(self, other)
-            raw = _raw_mul(self._terms, other._terms)
-            return Polynomial._raw(n, _pruned(raw, n), field)
+            return Polynomial._raw(self.num_dof,
+                                   _canonical(*_product(self, other)), field)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -307,11 +273,11 @@ class Polynomial:
         return (isinstance(other, Polynomial)
                 and self.num_dof == other.num_dof
                 and self.field == other.field
-                and self._terms == other._terms)
+                and all(map(np.array_equal, self._block, other._block)))
 
     def __hash__(self):
         return hash((self.num_dof, self.field,
-                     frozenset(self._terms.items())))
+                     *(a.tobytes() for a in self._block)))
 
     def __repr__(self):
         return (f"Polynomial(num_dof={self.num_dof}, field={self.field!r}, "
@@ -319,6 +285,14 @@ class Polynomial:
 
     def evaluate(self, point):
         return evaluate(self, point)
+
+
+def _read_only(block):
+    """Read-only views of a block's arrays."""
+    views = tuple(a.view() for a in block)
+    for a in views:
+        a.setflags(write=False)
+    return views
 
 
 def _check_pair(f, g):
@@ -330,76 +304,23 @@ def _check_pair(f, g):
 
 def add(f, g):
     field = _check_pair(f, g)
-    raw = dict(f._terms)
-    for key, c in g._terms.items():
-        raw[key] = raw.get(key, 0.0) + c
-    return Polynomial._raw(f.num_dof, _pruned(raw, f.num_dof), field)
+    return Polynomial._raw(f.num_dof,
+                           _canonical(*_summed([f._block, g._block])), field)
 
 
 def subtract(f, g):
     field = _check_pair(f, g)
-    raw = dict(f._terms)
-    for key, c in g._terms.items():
-        raw[key] = raw.get(key, 0.0) - c
-    return Polynomial._raw(f.num_dof, _pruned(raw, f.num_dof), field)
+    exps, coeffs = g._block
+    return Polynomial._raw(
+        f.num_dof, _canonical(*_summed([f._block, (exps, -coeffs)])), field)
 
 
-def _check_product_exponents(f, g):
-    """OrderRangeError when an exponent of f * g would pass _MAX_EXP.
-
-    A field of the product reaches the sum of the largest exponents of f
-    and g in that field, on the product of the two terms holding them.
-    """
-    if not (f._terms and g._terms):
-        return
-    width = 2 * f.num_dof
-    top = [_exps(list(p._terms), width).max(axis=0).astype(int)
-           for p in (f, g)]
-    if (top[0] + top[1]).max() > _MAX_EXP:
-        raise OrderRangeError(
-            f"an exponent of the product exceeds {_MAX_EXP}, the largest a "
-            "packed key holds")
-
-
-def _raw_mul(a, b):
-    out = {}
-    get = out.get
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = ka + kb
-            out[key] = get(key, 0.0) + ca * cb
-    return out
-
-
-# -- the bracket kernel ------------------------------------------------------
-#
-# Every bracket in the package is a sum of products of homogeneous blocks.
-# An exponent vector of the output degree D is encoded in mixed radix
-# B = D + 1 over its first 2n - 1 fields (the last one follows from D).  No
-# field of a product exceeds D, so no digit carries and the index of a
-# product of monomials is the sum of their indices: each of the 2n
-# derivative pair products is an outer sum of indices and an outer product
-# of coefficients, added into a bin array.
-
-_PAIR_CHUNK = 1 << 14   # pairs per outer product: bounds its temporaries
-_MAX_BINS = 1 << 20     # bins per output block; past it the leading fields split
-
-
-def _exps(keys, width):
-    """The exponents of packed keys, as a uint8 matrix with one row a key."""
-    words = -(-width // 8)
-    cols = np.empty((len(keys), words), ">u8")
-    for w in range(words):
-        shift = 64 * (words - 1 - w)
-        # up to 4 DOF a key is one word, taken whole without a Python loop
-        cols[:, w] = keys if words == 1 else [key >> shift & _WORD
-                                              for key in keys]
-    return cols.view(np.uint8)[:, 8 * words - width:]
-
+# -- blocks -------------------------------------------------------------------
 
 def _words(exps):
-    """The packed keys of the rows of a uint8 exponent matrix, as a native
-    uint64 matrix of their 64-bit words, most significant first."""
+    """The rows of a uint8 exponent matrix as a native uint64 matrix of
+    64-bit words, one byte an exponent, most significant first: increasing
+    words are key order."""
     rows, width = exps.shape
     pad = -width % 8
     buf = np.zeros((rows, width + pad), np.uint8)
@@ -407,40 +328,10 @@ def _words(exps):
     return buf.view(">u8").astype(np.uint64)
 
 
-def _keys(exps):
-    """The packed keys, as Python ints, of the rows of an exponent matrix."""
-    cols = _words(exps)
-    keys = cols[:, 0].tolist()
-    for w in range(1, cols.shape[1]):
-        keys = [key << 64 | low for key, low in zip(keys, cols[:, w].tolist())]
-    return keys
-
-
-def _arrays(f):
-    """The block of a Polynomial: its uint8 exponent matrix and coefficient
-    vector, in the order of its terms."""
-    keys = list(f._terms)
-    return (_exps(keys, 2 * f.num_dof),
-            np.array(list(f._terms.values()),
-                     complex if f.field == "complex" else float))
-
-
-def _polynomial(num_dof, exps, coeffs, field):
-    """The Polynomial of a pruned block: the one place a block becomes a
-    packed-key dict of Python scalars."""
-    return Polynomial._raw(num_dof, dict(zip(_keys(exps), coeffs.tolist())),
-                           field)
-
-
-def _merge(exps, coeffs):
-    """A block with its equal exponent rows summed, in key order.
-
-    A stable sort groups equal rows; np.bincount adds the coefficients of
-    each group in row order, from 0.0, as a dict accumulating the rows in
-    turn would.
-    """
-    if not len(coeffs):
-        return exps, coeffs
+def _runs(exps):
+    """(order, first) of the rows of an exponent matrix: order sorts them
+    stably into key order, and first marks each sorted row that starts a
+    run of equal rows."""
     words = _words(exps)
     if words.shape[1] == 1:
         order = np.argsort(words[:, 0], kind="stable")
@@ -448,8 +339,21 @@ def _merge(exps, coeffs):
         order = np.lexsort(words.T[::-1])
     ordered = words[order]
     first = np.empty(len(order), bool)
-    first[0] = True
+    first[:1] = True
     np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    return order, first
+
+
+def _merge(exps, coeffs):
+    """A block with its equal exponent rows summed, in key order.
+
+    A stable sort groups equal rows (_runs); np.bincount adds the
+    coefficients of each group in row order, from 0.0, as a dict
+    accumulating the rows in turn would.
+    """
+    if not len(coeffs):
+        return exps, coeffs
+    order, first = _runs(exps)
     group = np.empty(len(order), np.intp)
     group[order] = np.cumsum(first) - 1
     size = np.count_nonzero(first)
@@ -477,36 +381,45 @@ def _empty(width, complex_):
                                                     else float)
 
 
-def _deriv_parts(exps, coeffs, lead, tail_w, num_dof, y_sign):
-    """(head, tail, coefficient parts) of d/dv for each variable v in slot
-    order, the y-derivatives times y_sign.  The head holds the exponents of
-    the first lead fields, the tail the index of the others."""
-    parts = [coeffs.real, coeffs.imag] if np.iscomplexobj(coeffs) else [coeffs]
-    tail = exps @ tail_w
-    out = []
-    for t in range(2 * num_dof):
-        e = exps[:, t]
-        rows = np.flatnonzero(e)
-        head = exps[rows, :lead]
-        if t < lead:
-            head[:, t] -= 1
-        scale = e[rows] if t < num_dof else y_sign * e[rows]
-        out.append((head, tail[rows] - tail_w[t],
-                    [c[rows] * scale for c in parts]))
-    return out
+# -- the product kernel -------------------------------------------------------
+#
+# Every product and bracket in the package is a sum of products of
+# homogeneous blocks.  An exponent vector of the output degree D is encoded
+# in mixed radix B = D + 1 over its first 2n - 1 fields (the last one
+# follows from D).  No field of a product exceeds D, so no digit carries
+# and the index of a product of monomials is the sum of their indices:
+# each product of two blocks is an outer sum of indices and an outer
+# product of coefficients, added into a bin array.  The kernel reads a
+# block as a term set: its exponent matrix and its coefficients as a list
+# of real parts, [c] or [re, im].
+
+_PAIR_CHUNK = 1 << 14   # pairs per outer product: bounds its temporaries
+_MAX_BINS = 1 << 20     # bins per output block; past it the leading fields split
 
 
-def _groups(part):
-    """part split by head, as {head tuple: (tail, coefficient parts)}."""
-    head, tail, coeffs = part
-    if not len(tail):
+def _term_set(block, complex_):
+    """The term set of a block, its coefficients split into real and
+    imaginary parts when complex_."""
+    exps, coeffs = block
+    if complex_:
+        coeffs = coeffs.astype(complex)
+        return exps, [coeffs.real, coeffs.imag]
+    return exps, [coeffs]
+
+
+def _groups(terms, lead, tail_w):
+    """A term set split by the exponents of its lead fields, as
+    {head tuple: (tail index, coefficient parts)}."""
+    exps, parts = terms
+    if not len(exps):
         return {}
-    if not head.shape[1]:
-        return {(): (tail, coeffs)}
+    tail = exps @ tail_w
+    if not lead:
+        return {(): (tail, parts)}
     rows = {}
-    for row, h in enumerate(map(tuple, head.tolist())):
+    for row, h in enumerate(map(tuple, exps[:, :lead].tolist())):
         rows.setdefault(h, []).append(row)
-    return {h: (tail[r], [c[r] for c in coeffs]) for h, r in rows.items()}
+    return {h: (tail[r], [c[r] for c in parts]) for h, r in rows.items()}
 
 
 def _add_products(bins, a, b, touched):
@@ -542,64 +455,52 @@ def _nonzero(parts):
     return mask
 
 
-def _bracket_terms(f, g, num_dof):
-    """Raw {f, g} of homogeneous blocks f and g, (exponent matrix,
-    coefficient vector) each, as a block in key order.
+def _products(pairs, degree, width):
+    """The sum of the products a b over pairs (a, b) of term sets whose
+    degrees add to `degree`, as a block in key order.
 
-    When the B^(2n-1) bins of the output degree exceed _MAX_BINS, the
-    output is split by the exponents of its leading fields, and each part
-    fills the bin array in turn.  A part with fewer pairs than bins/16
-    reads and clears only the bins its pairs touch.  Overflowed
-    coefficients come out as inf or nan, for _kept to refuse; an
-    exponent above _MAX_EXP is an OrderRangeError.
+    Each bin adds its products pair after pair, row after row.  When the
+    B^(width-1) bins exceed _MAX_BINS, the output is split by the
+    exponents of its leading fields, and each part fills the bin array in
+    turn.  A part with fewer pairs than bins/16 reads and clears only the
+    bins its pairs touch.  Overflowed coefficients come out as inf or nan,
+    for _kept to refuse; an exponent above _MAX_EXP is an OrderRangeError.
     """
-    width = 2 * num_dof
-    f_coeffs, g_coeffs = f[1], g[1]
-    complex_ = np.iscomplexobj(f_coeffs) or np.iscomplexobj(g_coeffs)
-    if not (len(f_coeffs) and len(g_coeffs)):
-        return _empty(width, complex_)
-    f_exps, g_exps = f[0].astype(np.int64), g[0].astype(np.int64)
-    degree = int(f_exps[0].sum() + g_exps[0].sum()) - 2
-    if degree < 0:
-        return _empty(width, complex_)
+    num_parts = len(pairs[0][0][1])
     base = degree + 1
     lead = 0
     while base ** (width - 1 - lead) > _MAX_BINS:
         lead += 1
     # the place value of each tail field; the last field is not encoded
-    place = [base ** (width - 2 - t) if lead <= t < width - 1 else 0
-             for t in range(width)]
-    tail_w = np.array(place, np.int64)
-    if complex_:
-        f_coeffs, g_coeffs = f_coeffs.astype(complex), g_coeffs.astype(complex)
+    tail_w = np.array([base ** (width - 2 - t) if lead <= t < width - 1
+                       else 0 for t in range(width)], np.int64)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        # the bracket's minus sign rides on the y-derivatives of f
-        f_parts = _deriv_parts(f_exps, f_coeffs, lead, tail_w, num_dof, -1)
-        g_parts = _deriv_parts(g_exps, g_coeffs, lead, tail_w, num_dof, 1)
         # output head -> the (a, b) products that land in its bins
         blocks = {}
-        for t in range(width):
-            a = _groups(f_parts[t])
-            b = _groups(g_parts[(t + num_dof) % width])
-            for ha, a_part in a.items():
-                for hb, b_part in b.items():
+        for a, b in pairs:
+            b_groups = _groups(b, lead, tail_w)
+            for ha, a_part in _groups(a, lead, tail_w).items():
+                for hb, b_part in b_groups.items():
                     head = tuple(p + q for p, q in zip(ha, hb))
                     blocks.setdefault(head, []).append((a_part, b_part))
 
         out_exps, out_vals = [], []
         num_bins = base ** (width - 1 - lead)
-        bins = [np.zeros(num_bins) for _ in f_parts[0][2]]
+        bins = [np.zeros(num_bins) for _ in range(num_parts)]
         for head in sorted(blocks):
-            pairs = sum(len(a[0]) * len(b[0]) for a, b in blocks[head])
-            touched = [] if 16 * pairs < num_bins else None
+            count = sum(len(a[0]) * len(b[0]) for a, b in blocks[head])
+            touched = [] if 16 * count < num_bins else None
             for a, b in blocks[head]:
                 _add_products(bins, a, b, touched)
             if touched is None:
                 tails = np.flatnonzero(_nonzero(bins))
             else:
                 tails = np.sort(np.concatenate(touched))
-                tails = tails[np.diff(tails, prepend=-1) != 0]
+                first = np.empty(len(tails), bool)
+                first[:1] = True
+                np.not_equal(tails[1:], tails[:-1], out=first[1:])
+                tails = tails[first]
                 tails = tails[_nonzero([b[tails] for b in bins])]
             if len(bins) == 1:
                 vals = bins[0][tails]
@@ -610,18 +511,73 @@ def _bracket_terms(f, g, num_dof):
                 b[tails] = 0.0
             exps = np.empty((len(tails), width), np.int64)
             exps[:, :lead] = head
-            for t in range(lead, width - 1):
-                exps[:, t] = tails // place[t] % base
+            exps[:, lead:-1] = tails[:, None] // tail_w[lead:-1] % base
             exps[:, -1] = degree - exps[:, :-1].sum(axis=1)
             if exps.max(initial=0) > _MAX_EXP:
                 raise OrderRangeError(
-                    f"an exponent of the bracket exceeds {_MAX_EXP}, the "
-                    "largest a packed key holds")
+                    f"an exponent of the product exceeds {_MAX_EXP}, the "
+                    "largest a uint8 exponent holds")
             out_exps.append(exps.astype(np.uint8))
             out_vals.append(vals)
     if not out_exps:
-        return _empty(width, complex_)
+        return _empty(width, num_parts == 2)
     return np.concatenate(out_exps), np.concatenate(out_vals)
+
+
+def _product(f, g):
+    """The raw block of f * g in graded key order: each output degree sums
+    the products of the homogeneous parts whose degrees add to it, in the
+    order of f's degrees (_products)."""
+    width = 2 * f.num_dof
+    complex_ = "complex" in (f.field, g.field)
+    g_sets = [(q, _term_set(g.homogeneous_part(q)._block, complex_))
+              for q in g.degrees()]
+    by_degree = {}
+    for p in f.degrees():
+        a = _term_set(f.homogeneous_part(p)._block, complex_)
+        for q, b in g_sets:
+            by_degree.setdefault(p + q, []).append((a, b))
+    if not by_degree:
+        return _empty(width, complex_)
+    parts = [_products(pairs, d, width)
+             for d, pairs in sorted(by_degree.items())]
+    return (np.concatenate([e for e, _ in parts]),
+            np.concatenate([c for _, c in parts]))
+
+
+def _derivs(terms, num_dof, y_sign):
+    """d/dv of a term set for each variable v in slot order, as term sets,
+    the y-derivatives times y_sign."""
+    exps, parts = terms
+    out = []
+    for t in range(2 * num_dof):
+        e = exps[:, t].astype(np.int64)
+        rows = np.flatnonzero(e)
+        lowered = exps[rows]
+        lowered[:, t] -= 1
+        scale = e[rows] if t < num_dof else y_sign * e[rows]
+        out.append((lowered, [c[rows] * scale for c in parts]))
+    return out
+
+
+def _bracket_terms(f, g, num_dof):
+    """Raw {f, g} of homogeneous blocks f and g, (exponent matrix,
+    coefficient vector) each, as a block in key order: the products of the
+    derivatives df/dx_l dg/dy_l and -df/dy_l dg/dx_l, in slot order of
+    the derivative of f (_products)."""
+    width = 2 * num_dof
+    complex_ = np.iscomplexobj(f[1]) or np.iscomplexobj(g[1])
+    if not (len(f[1]) and len(g[1])):
+        return _empty(width, complex_)
+    degree = int(f[0][0].sum(dtype=np.intp) + g[0][0].sum(dtype=np.intp)) - 2
+    if degree < 0:
+        return _empty(width, complex_)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the bracket's minus sign rides on the y-derivatives of f
+        f_d = _derivs(_term_set(f, complex_), num_dof, -1)
+        g_d = _derivs(_term_set(g, complex_), num_dof, 1)
+    return _products([(f_d[t], g_d[(t + num_dof) % width])
+                      for t in range(width)], degree, width)
 
 
 def poisson_bracket(f, g, cap=None):
@@ -632,18 +588,16 @@ def poisson_bracket(f, g, cap=None):
     """
     field = _check_pair(f, g)
     n = f.num_dof
-    g_parts = [(q, _arrays(g.homogeneous_part(q))) for q in g.degrees()]
+    g_parts = [(q, g.homogeneous_part(q)._block) for q in g.degrees()]
     parts = []
     for p in f.degrees():
-        f_part = _arrays(f.homogeneous_part(p))
+        f_part = f.homogeneous_part(p)._block
         for q, g_part in g_parts:
             if cap is None or p + q - 2 <= cap:
                 parts.append(_bracket_terms(f_part, g_part, n))
     if not parts:
         return Polynomial.zero(n, field)
-    exps, coeffs = _summed(parts)
-    keep = _kept(coeffs, exps.sum(axis=1, dtype=np.intp))
-    return _polynomial(n, exps[keep], coeffs[keep], field)
+    return Polynomial._raw(n, _canonical(*_summed(parts)), field)
 
 
 def _lie_series(g, chi, num_dof, degree, step, cap, p=1):
@@ -724,14 +678,13 @@ def polydisc_norm(f, radii):
     if f.is_zero:
         return 0.0
     n = f.num_dof
-    # one degree: the order of terms() is the order of the keys
-    keys = sorted(f._terms)
-    exps = _exps(keys, 2 * n).astype(np.int64)
+    exps, coeffs = f._block
+    exps = exps.astype(np.int64)
     j, k = exps[:, :n], exps[:, n:]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         # log Theta per pair; a pure power (j or k zero) gives exp(0) = 1
         theta = np.exp(0.5 * (_xlogx(j) + _xlogx(k) - _xlogx(j + k)))
-        w = np.abs(np.array([f._terms[key] for key in keys]))
+        w = np.abs(coeffs)
         w *= theta.prod(axis=1)
         for l, R in enumerate(radii):
             w *= np.power(R, j[:, l] + k[:, l], dtype=float)
@@ -743,14 +696,14 @@ def polydisc_norm(f, radii):
     return total
 
 
-# -- chart changes ---------------------------------------------------------
+# -- changes of variables -----------------------------------------------------
 
 def _check_degree(degree):
     """OrderRangeError unless a change of variables of a polynomial of this
-    degree fits the keys."""
+    degree fits the uint8 exponents."""
     if degree > _MAX_EXP:
         raise OrderRangeError(f"degree {degree} exceeds {_MAX_EXP}, "
-                              "the largest exponent a packed key holds")
+                              "the largest a uint8 exponent holds")
 
 
 @lru_cache(maxsize=None)    # d <= _MAX_EXP and two signs: at most 512 tables
@@ -783,7 +736,7 @@ def _chart_change(exps, coeffs, sign):
     degree j + k, one row (term, m) for each nonzero coefficient, and
     merges the rows (_merge), so every output monomial sums its
     contributions in (term, m) order.  A term of degree above 255, which
-    the keys cannot hold, is an OrderRangeError.
+    the uint8 exponents cannot hold, is an OrderRangeError.
     """
     coeffs = coeffs.astype(complex)
     if not len(coeffs):
@@ -814,11 +767,37 @@ def _chart_change(exps, coeffs, sign):
     return exps, coeffs
 
 
+@lru_cache(maxsize=256)
+def _power(row, e):
+    """L^e of the linear form L = sum_t row[t] v_t, row a tuple of floats
+    or of complex numbers, as a read-only block in key order.  L^e is
+    L^(e-1) L by the product kernel (_products), and the cache keeps the
+    powers of a matrix's rows from one substitution to the next."""
+    width = len(row)
+    coeffs = np.array(row)
+    if not e:
+        return _read_only((np.zeros((1, width), np.uint8),
+                           np.ones(1, coeffs.dtype)))
+    complex_ = np.iscomplexobj(coeffs)
+    nonzero = np.flatnonzero(coeffs)
+    linear = _term_set((np.eye(width, dtype=np.uint8)[nonzero],
+                        coeffs[nonzero]), complex_)
+    return _read_only(_products(
+        [(_term_set(_power(row, e - 1), complex_), linear)], e, width))
+
+
 def linear_substitute(f, matrix):
     """Compose f with a linear change of variables: old_i = sum_t M[i][t] new_t.
 
     Returns f(M v) as a polynomial in the new variables, complex when M
     or f is.  Degree is preserved; rows of M must have length 2n.
+
+    One pass an old variable i: every term expands against the powers of
+    its linear form L_i = sum_t M[i][t] new_t (_power), one row (term, m)
+    for each term m of L_i^e, e the term's exponent of old_i, and the rows
+    are merged (_merge).  The rows hold the exponents of the old variables
+    not yet substituted in their first 2n columns and those of the new
+    variables in the last 2n.
     """
     n = f.num_dof
     width = 2 * n
@@ -827,38 +806,36 @@ def linear_substitute(f, matrix):
         raise DimensionMismatchError(
             f"substitution matrix must be {width}x{width}")
     _check_degree(f.degree_max or 0)
-    has_complex = any(isinstance(v, complex) for r in rows for v in r)
-    field = "complex" if (has_complex or f.field == "complex") else "real"
+    M = np.array(rows)
+    M = M.astype(complex if np.iscomplexobj(M) else float)
+    complex_ = np.iscomplexobj(M) or f.field == "complex"
 
-    shifts = _shifts(n)
-    unit_keys = [1 << s for s in shifts]
-    linear = []
+    exps, coeffs = f._block
+    coeffs = coeffs.astype(complex if complex_ else float)
+    old_new = np.zeros((len(coeffs), 2 * width), np.uint8)
+    old_new[:, :width] = exps
     for i in range(width):
-        row = {}
-        for t, v in enumerate(rows[i]):
-            if v != 0:
-                row[unit_keys[t]] = v
-        linear.append(row)
-
-    # cache powers of each substituted variable up to its largest exponent
-    powers = [[{0: 1.0}] for _ in range(width)]
-
-    def power(i, e):
-        cache = powers[i]
-        while len(cache) <= e:
-            cache.append(_raw_mul(cache[-1], linear[i]))
-        return cache[e]
-
-    out = {}
-    for key, c in f._terms.items():
-        acc = {0: c}
-        for i in range(width):
-            e = (key >> shifts[i]) & _EXP_MASK
-            if e:
-                acc = _raw_mul(acc, power(i, e))
-        for k2, c2 in acc.items():
-            out[k2] = out.get(k2, 0.0) + c2
-    return Polynomial._raw(n, _pruned(out, n), field)
+        e = old_new[:, i].astype(np.intp)
+        top = int(e.max(initial=0))
+        if not top:
+            continue
+        row = tuple(M[i].tolist())
+        powers = [_power(row, d) for d in range(top + 1)]
+        # the powers end to end, and where each starts
+        table_exps, table_coeffs = map(np.concatenate, zip(*powers))
+        sizes = np.array([len(c) for _, c in powers])
+        count = sizes[e]
+        term = np.repeat(np.arange(len(e)), count)
+        m = np.arange(len(term)) - np.repeat(np.cumsum(count) - count, count)
+        at = (np.cumsum(sizes) - sizes)[e][term] + m
+        new = old_new[term]
+        new[:, i] = 0
+        new[:, width:] += table_exps[at]
+        # an overflow comes out as inf or nan, for _kept to refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            old_new, coeffs = _merge(new, coeffs[term] * table_coeffs[at])
+    field = "complex" if complex_ else "real"
+    return Polynomial._raw(n, _canonical(old_new[:, width:], coeffs), field)
 
 
 def complexify(f):
@@ -869,11 +846,12 @@ def complexify(f):
     substitution is canonical ({Z_l, W_l} = 1), so poisson_bracket applies
     unchanged in either chart.  Slot l holds the Z_l exponent, slot n+l the
     W_l exponent.  The substitution is applied one mode at a time; a term
-    of degree above 255, which the keys cannot hold, is an OrderRangeError.
+    of degree above 255, which the uint8 exponents cannot hold, is an
+    OrderRangeError.
     """
-    exps, coeffs = _chart_change(*_arrays(f), -1)
-    keep = _kept(coeffs, exps.sum(axis=1, dtype=np.intp))
-    return _polynomial(f.num_dof, exps[keep], coeffs[keep], "complex")
+    return Polynomial._raw(f.num_dof,
+                           _canonical(*_chart_change(*f._block, -1)),
+                           "complex")
 
 
 def realify(f, tol=1e-9):
@@ -887,23 +865,17 @@ def realify(f, tol=1e-9):
     """
     if f.field != "complex":
         raise ValueError("realify expects a complex-chart polynomial")
-    exps, coeffs = _chart_change(*_arrays(f), +1)
+    exps, coeffs = _chart_change(*f._block, +1)
     top = _sizes(coeffs).max(initial=0.0)
     worst = np.abs(coeffs.imag).max(initial=0.0)
     if worst > tol * top:
         raise RealityViolationError(
             f"imaginary residual {worst / top:.3e} exceeds tolerance {tol:.3e}")
-    coeffs = coeffs.real
-    keep = _kept(coeffs, exps.sum(axis=1, dtype=np.intp))
-    return _polynomial(f.num_dof, exps[keep], coeffs[keep], "real")
+    return Polynomial._raw(f.num_dof, _canonical(exps, coeffs.real), "real")
 
 
 def oscillator(omega):
-    """H0 = sum_l omega_l (x_l^2 + y_l^2)/2 as a real polynomial.
-
-    Each mode puts x_l^2 before y_l^2: term order sets the order in which
-    later sums accumulate, so every caller gets the same bits.
-    """
+    """H0 = sum_l omega_l (x_l^2 + y_l^2)/2 as a real polynomial."""
     n = len(omega)
     zero = (0,) * n
     terms = {}
@@ -917,22 +889,18 @@ def oscillator(omega):
 # -- evaluation ------------------------------------------------------------
 
 def evaluate(f, point):
-    """Value of f at a point (x_1..x_n, y_1..y_n)."""
+    """Value of f at a point (x_1..x_n, y_1..y_n): each term c times its
+    powers in slot order, the terms summed in the order of terms()."""
     n = f.num_dof
-    point = tuple(point)
-    if len(point) != 2 * n:
+    point = np.asarray(point)
+    if point.shape != (2 * n,):
         raise DimensionMismatchError(
             f"expected a point of length {2 * n}, got {len(point)}")
-    shifts = _shifts(n)
-    total = 0.0
-    for key, c in f._terms.items():
-        v = c
-        for i, s in enumerate(shifts):
-            e = (key >> s) & _EXP_MASK
-            if e:
-                v = v * point[i] ** e
-        total += v
-    return total
+    point = point.astype(complex if np.iscomplexobj(point) else float)
+    exps, v = f._block
+    for i, x in enumerate(point):
+        v = v * x ** exps[:, i]
+    return sum(v.tolist(), 0.0)
 
 
 # -- graded series and text format -------------------------------------------
@@ -940,16 +908,15 @@ def evaluate(f, point):
 def _term_lines(poly):
     """The term lines `degree j k re [im]` of a polynomial, in the order of
     terms(), each written by one template of _records.NUMBER fields."""
-    keys, exps, degrees = _graded(poly._terms, poly.num_dof)
-    vals = list(map(poly._terms.__getitem__, keys))
+    exps, coeffs = poly._block
     if poly.field == "complex":
-        vals = [[c.real for c in vals], [c.imag for c in vals]]
+        vals = [coeffs.real.tolist(), coeffs.imag.tolist()]
     else:
-        vals = [vals]
+        vals = [coeffs.tolist()]
     template = " ".join(["%d"] * (1 + exps.shape[1])
                         + [_records.NUMBER] * len(vals))
-    return [template % row
-            for row in zip(degrees.tolist(), *exps.T.tolist(), *vals)]
+    degrees = exps.sum(axis=1, dtype=np.intp).tolist()
+    return [template % row for row in zip(degrees, *exps.T.tolist(), *vals)]
 
 
 def _int_column(values, lo, hi):
@@ -977,7 +944,8 @@ def _first_bad_row(rows, ints, fields):
 
 
 def _read_terms(rows, lines, num_dof, field, path, degrees, degree_error):
-    """The term lines of one block of a record, as {degree: {key: coeff}}.
+    """The term lines of one block of a record, as {degree: block}, each
+    block pruned and in key order.
 
     rows are the token lists of the lines and lines their line numbers.  A
     term line is `degree j_1..j_n k_1..k_n re [im]`, the imaginary part
@@ -986,9 +954,9 @@ def _read_terms(rows, lines, num_dof, field, path, degrees, degree_error):
     coefficients, exponents within [0, _MAX_EXP], the degree column against
     the exponent sum, a degree within the inclusive range `degrees`
     (degree_error(d) is the message otherwise), and no repeated exponent
-    vector.  The first fault in line order is a FormatError at its line.
-    Each degree block is then pruned with one maximum, as _pruned does;
-    the terms keep their line order.
+    vector, found by the stable sort of _merge (_runs).  The first fault
+    in line order is a FormatError at its line.  Each degree block is then
+    pruned with one maximum (_kept).
     """
     width = 2 * num_dof
     want = 1 + width + (2 if field == "complex" else 1)
@@ -1031,13 +999,12 @@ def _read_terms(rows, lines, num_dof, field, path, degrees, degree_error):
         end = int(rows_bad.argmax())
         message = checks[int(bad[:, end].argmax())][1]
         late = fault(end, message(end))
-    keys = _keys(exps[:end].astype(np.uint8))
-    if len(set(keys)) < end:
-        seen = set()
-        for i, key in enumerate(keys):
-            if key in seen:
-                raise fault(i, "duplicate exponent vector")
-            seen.add(key)
+    exps = exps[:end].astype(np.uint8)
+    order, first = _runs(exps)
+    if not first.all():
+        # the first repeat in line order: the first line of a run that
+        # does not start it
+        raise fault(int(order[~first].min()), "duplicate exponent vector")
     if late is not None:
         raise late
 
@@ -1049,13 +1016,10 @@ def _read_terms(rows, lines, num_dof, field, path, degrees, degree_error):
         coeffs.real, coeffs.imag = re, im
     else:
         coeffs = coeffs[:, 0]
+    exps, coeffs, degree = exps[order], coeffs[order], degree[order]
     keep = _kept(coeffs, degree)
-    out = {}
-    for d in sorted(set(degree[keep].tolist())):
-        block = keep & (degree == d)
-        out[d] = dict(zip(compress(keys, block.tolist()),
-                          coeffs[block].tolist()))
-    return out
+    return {d: (exps[keep & (degree == d)], coeffs[keep & (degree == d)])
+            for d in sorted(set(degree[keep].tolist()))}
 
 
 class GradedSeries:
@@ -1154,6 +1118,6 @@ class GradedSeries:
         blocks = _read_terms(
             rows, lines, num_dof, field, path, (0, d_max),
             lambda degree: f"term degree {degree} exceeds dmax={d_max}")
-        parts = {d: Polynomial._raw(num_dof, terms, field)
-                 for d, terms in blocks.items()}
+        parts = {d: Polynomial._raw(num_dof, block, field)
+                 for d, block in blocks.items()}
         return cls(num_dof, parts, d_max, field=field)

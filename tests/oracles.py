@@ -1,11 +1,12 @@
 """Independent cross-checks backing the test suite.
 
 Everything here recomputes package results through a different route:
-a double loop over terms instead of the bracket's array kernel, dicts
-accumulated one term at a time instead of the array chart change and the
-array normalization step, one-term-at-a-time pruning, term-line reading
-and term-line writing instead of the array passes, dense coefficient
-arrays instead of packed sparse keys, quadrature instead of closed
+double loops over terms instead of the array product and bracket kernel
+and the array linear substitution, dicts accumulated one term at a time
+instead of the array chart change and the array normalization step,
+one-term-at-a-time pruning, term-line reading and term-line writing
+instead of the array passes, dense coefficient arrays instead of sparse
+exponent matrices, quadrature instead of closed
 forms, arbitrary precision instead of doubles, and plain lattice
 enumeration, one vector at a time, instead of the package's shell
 matrices.  No code is shared with bnfstab beyond reading plain
@@ -45,6 +46,47 @@ def bracket_terms(f, g, n, cap=None):
                 k = tuple(p + q - (t == l) for t, (p, q)
                           in enumerate(zip(k1, k2)))
                 out[(j, k)] = out.get((j, k), 0.0) + weight * c1 * c2
+    return out
+
+
+# -- products and linear substitution on dicts --------------------------------
+
+def raw_mul(a, b):
+    """The product of {(j, k): coeff} dicts, summed over every pair of
+    terms in turn, unpruned."""
+    out = {}
+    for (j1, k1), c1 in a.items():
+        for (j2, k2), c2 in b.items():
+            key = (tuple(p + q for p, q in zip(j1, j2)),
+                   tuple(p + q for p, q in zip(k1, k2)))
+            out[key] = out.get(key, 0.0) + c1 * c2
+    return out
+
+
+def linear_substitute(terms, matrix, n):
+    """f(M v) of a term list [(j, k, coeff)] in n degrees of freedom, old_i
+    = sum_t M[i][t] new_t, as an unpruned {(j, k): coeff}: each term the
+    product of the cached powers of its variables' linear forms, the terms
+    added in turn."""
+    zero = (0,) * n
+
+    def unit(t):
+        e = tuple(int(s == t) for s in range(2 * n))
+        return e[:n], e[n:]
+
+    linear = [{unit(t): v for t, v in enumerate(row) if v != 0}
+              for row in matrix]
+    powers = [[{(zero, zero): 1.0}] for _ in range(2 * n)]
+    out = {}
+    for j, k, c in terms:
+        acc = {(zero, zero): c}
+        for i, e in enumerate(tuple(j) + tuple(k)):
+            while len(powers[i]) <= e:
+                powers[i].append(raw_mul(powers[i][-1], linear[i]))
+            if e:
+                acc = raw_mul(acc, powers[i][e])
+        for key, v in acc.items():
+            out[key] = out.get(key, 0.0) + v
     return out
 
 

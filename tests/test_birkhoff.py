@@ -372,3 +372,29 @@ def test_action_polynomial_to_polynomial():
     assert p.coefficient((4,), (0,)) == pytest.approx(0.25)
     assert p.coefficient((2,), (2,)) == pytest.approx(0.5)
     assert p.coefficient((0,), (4,)) == pytest.approx(0.25)
+
+
+def test_action_polynomial_expands_as_the_binomial_products():
+    # realify of (-i)^|p| Z^p W^p is (x^2 + y^2)^p / 2^|p| to the bit
+    a = ActionPolynomial(2, {(1, 2): 0.3, (1, 0): -1.7, (0, 3): 2.5})
+    want = {}
+    for p, c in a.terms():
+        acc = {((0, 0), (0, 0)): c}
+        for l, e in enumerate(p):
+            binomial = {}
+            for t in range(e + 1):
+                j = tuple(2 * t if i == l else 0 for i in range(2))
+                k = tuple(2 * (e - t) if i == l else 0 for i in range(2))
+                binomial[(j, k)] = math.comb(e, t) / 2.0 ** e
+            acc = oracles.raw_mul(acc, binomial)
+        for key, v in acc.items():
+            want[key] = want.get(key, 0.0) + v
+    got = a.to_polynomial()
+    assert got.field == "real"
+    assert {(j, k): c for j, k, c in got.terms()} == want
+
+
+def test_action_polynomial_refuses_non_finite_coefficients():
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            ActionPolynomial(1, {(1,): c})

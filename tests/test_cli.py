@@ -154,6 +154,15 @@ def test_repeated_or_inconsistent_lines_exit_2(tmp_path, capsys):
     assert main(estimate) == 0
 
 
+def test_repeated_header_field_exits_2(tmp_path, capsys):
+    # read with the last value, the header would give a 1-DOF oscillator
+    ham = tmp_path / "h.txt"
+    ham.write_text("HAM n=2 n=1 dmax=2 field=real\n2 2 0 0.5\n2 0 2 0.5\n")
+    assert main(["bnf", "--input", str(ham), "--order", "2",
+                 "--out", str(tmp_path / "nf.txt")]) == 2
+    assert "repeated HAM header field 'n'" in capsys.readouterr().err
+
+
 def test_sweep_linear_grid_and_default_grid(tmp_path, capsys):
     ham = tmp_path / "h.txt"
     _write_one_dof(ham)

@@ -145,7 +145,7 @@ def _assert_matches_oracle(got, want):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_bracket_kernel_matches_dict_oracle(n, max_bins, monkeypatch):
     # a bin limit below the default splits the output by its leading fields;
-    # from 5 DOF on a packed key is wider than 64 bits
+    # from 5 DOF an exponent row is wider than one 64-bit word
     if max_bins:
         monkeypatch.setattr(polyalg, "_MAX_BINS", max_bins)
     rng = np.random.default_rng(200 + n)
@@ -193,7 +193,7 @@ def test_bracket_refuses_exponents_the_keys_cannot_hold():
     # degree 299, but no exponent above 255: computed
     br = poisson_bracket(x200, mono(2, (0, 100), (1, 0)))
     assert br.terms() == [((199, 100), (0, 0), 200.0)]
-    # x_1^299 would overflow into the next field of the packed key
+    # x_1^299 does not fit a uint8 exponent
     with pytest.raises(OrderRangeError, match="255"):
         poisson_bracket(x200, mono(2, (100, 0), (1, 0)))
 
@@ -201,22 +201,68 @@ def test_bracket_refuses_exponents_the_keys_cannot_hold():
 def test_product_refuses_exponents_the_keys_cannot_hold():
     x200 = mono(1, (200,), (0,))
     assert (x200 * mono(1, (55,), (3,))).terms() == [((255,), (3,), 1.0)]
-    # x^300 would carry into the y field of the packed key
+    # x^300 does not fit a uint8 exponent
     with pytest.raises(OrderRangeError, match="255"):
         x200 * mono(1, (100,), (0,))
     with pytest.raises(OrderRangeError, match="255"):
         (x200 + mono(1, (0,), (1,))) * mono(1, (100,), (0,))
 
 
-def test_key_degree_is_the_exponent_sum():
-    rng = np.random.default_rng(227)
-    for n in range(1, 5):
-        rows = rng.integers(0, 256, size=(50, 2 * n)).tolist()
-        for exps in rows + [[255] * (2 * n)]:
-            key = polyalg._pack(n, exps[:n], exps[n:])
-            assert polyalg._degrees([key], n).tolist() == [sum(exps)]
-            assert polyalg._unpack(n, key) == (tuple(exps[:n]),
-                                               tuple(exps[n:]))
+def _assert_close_to_pruned_oracle(got, want, rel):
+    """got, a Polynomial, against an unpruned oracle dict {(j, k): coeff}:
+    the terms the oracle keeps once pruned, each within rel of the largest
+    coefficient of its degree block."""
+    want = oracles.pruned(want)
+    have = {(j, k): c for j, k, c in got.terms()}
+    assert set(have) == set(want)
+    _assert_close_per_degree(have, want, rel)
+
+
+def _as_dict(f):
+    return {(j, k): c for j, k, c in f.terms()}
+
+
+@pytest.mark.parametrize("max_bins", [None, 50])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_array_product_and_substitution_match_dict_oracles(n, max_bins,
+                                                           monkeypatch):
+    # mixed degrees, real and complex; a bin limit below the default
+    # splits each product by its leading fields
+    if max_bins:
+        monkeypatch.setattr(polyalg, "_MAX_BINS", max_bins)
+    rng = np.random.default_rng(400 + n)
+    for field in ("real", "complex"):
+        f = (random_polynomial(rng, n, 4, num_terms=15, field=field)
+             + random_polynomial(rng, n, 1, num_terms=3, field=field)
+             + random_polynomial(rng, n, 0, num_terms=1, field=field))
+        g = (random_polynomial(rng, n, 3, num_terms=12)
+             + random_polynomial(rng, n, 2, num_terms=6))
+        for a, b in ((f, g), (g, f), (f, f)):
+            product = a * b
+            assert product.field == ("complex" if "complex" in
+                                     (a.field, b.field) else "real")
+            _assert_close_to_pruned_oracle(
+                product, oracles.raw_mul(_as_dict(a), _as_dict(b)), 1e-13)
+        matrices = [rng.uniform(-1, 1, size=(2 * n, 2 * n)),
+                    rng.uniform(-1, 1, size=(2 * n, 2 * n))
+                    + 1j * rng.uniform(-1, 1, size=(2 * n, 2 * n)),
+                    # a permutation with a zero row and a zero column
+                    np.eye(2 * n)[::-1] * (np.arange(2 * n) > 0)]
+        for M in matrices:
+            got = linear_substitute(f, M.tolist())
+            assert got.field == ("complex" if np.iscomplexobj(M)
+                                 or field == "complex" else "real")
+            _assert_close_to_pruned_oracle(
+                got, oracles.linear_substitute(f.terms(), M.tolist(), n),
+                1e-13)
+    # full blocks: every product spans several pair chunks
+    a, b = full_block(rng, n, 3), full_block(rng, n, 2)
+    _assert_close_to_pruned_oracle(
+        a * b, oracles.raw_mul(_as_dict(a), _as_dict(b)), 1e-13)
+    # an exponent above 255 in one pair of a product of mixed degrees
+    big = mono(n, (200,) + (0,) * (n - 1), (0,) * n)
+    with pytest.raises(OrderRangeError, match="255"):
+        (big + f) * (g + mono(n, (56,) + (0,) * (n - 1), (0,) * n))
 
 
 def test_overflowed_coefficients_are_refused_not_pruned():
@@ -334,44 +380,49 @@ def test_polydisc_norm_refuses_what_the_floats_cannot_hold(f, radii,
 
 
 def _mixed_terms(rng, n, field):
-    """A packed-key dict of several degrees with zeros, signed zeros and
-    coefficients at and around the pruning threshold of their degree."""
+    """{(j, k): coeff} of several degrees, in random order, with zeros,
+    signed zeros and coefficients at and around the pruning threshold of
+    their degree."""
     raw = {}
     for d in (2, 3, 5):
         f = random_polynomial(rng, n, d, num_terms=12, field=field)
-        keys = list(f._terms)
-        for i, key in enumerate(keys):
-            c = f._terms[key]
-            raw[key] = (c, 0.0 * c, -0.0 * c, 1e-16 * c, 2e-15 * c)[i % 5]
+        for i, (j, k, c) in enumerate(f.terms()):
+            raw[(j, k)] = (c, 0.0 * c, -0.0 * c, 1e-16 * c, 2e-15 * c)[i % 5]
     return dict(sorted(raw.items(), key=lambda kv: rng.random()))
+
+
+def _graded_key(jk):
+    return sum(jk[0] + jk[1]), jk[0] + jk[1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_one_pass_degrees_match_per_key_oracle(n):
+    # a raw block in random order, merged and made canonical: the terms
+    # the per-key oracle keeps, bit for bit, in graded key order
     rng = np.random.default_rng(233 + n)
     for field in ("real", "complex"):
         raw = _mixed_terms(rng, n, field)
-        got = polyalg._pruned(raw, n)
-        by_key = {polyalg._unpack(n, key): c for key, c in raw.items()}
-        want = oracles.pruned(by_key)
-        assert [(polyalg._unpack(n, key), c) for key, c in got.items()] \
-            == list(want.items())
-        assert all(c is raw[key] for key, c in got.items())
-        p = Polynomial._raw(n, raw, field)
-        assert p.degrees() == tuple(sorted({sum(j + k) for j, k in by_key}))
+        exps = np.array([j + k for j, k in raw], np.uint8)
+        coeffs = np.array(list(raw.values()))
+        block = polyalg._canonical(*polyalg._merge(exps, coeffs))
+        p = Polynomial._raw(n, block, field)
+        want = sorted(oracles.pruned(raw).items(),
+                      key=lambda kv: _graded_key(kv[0]))
+        assert [((j, k), c) for j, k, c in p.terms()] == want
+        assert p.degrees() == tuple(sorted({sum(j + k) for j, k in
+                                            oracles.pruned(raw)}))
         for d in p.degrees():
-            assert list(p.homogeneous_part(d)._terms.items()) == [
-                (key, c) for key, c in raw.items()
-                if sum(sum(polyalg._unpack(n, key), ())) == d]
+            assert p.homogeneous_part(d).terms() == [
+                t for t in p.terms() if sum(t[0] + t[1]) == d]
 
 
 def test_pruning_refuses_an_overflow_without_a_warning():
-    key = polyalg._pack(1, (1,), (0,))
+    exps = np.array([[1, 0], [1, 1]], np.uint8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for c in (complex(1.5e308, 1.5e308), math.inf, complex(math.nan, 0)):
             with pytest.raises(ValueError, match="overflow"):
-                polyalg._pruned({key: c, key + 1: 1.0}, 1)
+                polyalg._canonical(exps, np.array([c, 1.0]))
 
 
 def test_sample_polydisc_stays_inside():
@@ -413,9 +464,10 @@ def test_realify_rejects_non_real():
 
 
 def _max_rel_diff(got, want):
-    keys = set(got._terms) | set(want._terms)
-    diff = max(abs(got._terms.get(k, 0.0) - want._terms.get(k, 0.0))
-               for k in keys)
+    got = {(j, k): c for j, k, c in got.terms()}
+    want_terms = {(j, k): c for j, k, c in want.terms()}
+    diff = max(abs(got.get(key, 0.0) - want_terms.get(key, 0.0))
+               for key in set(got) | set(want_terms))
     return diff / want.max_abs_coeff()
 
 
@@ -447,7 +499,7 @@ def test_complexify_evaluates_at_chart_points():
 
 
 def test_chart_change_refuses_degrees_the_keys_cannot_hold():
-    # W^400 would overflow into the Z field of the packed key
+    # W^400 does not fit a uint8 exponent
     f = Polynomial(1, {((200,), (200,)): 1.0})
     for change in (complexify,
                    lambda f: realify(f.scale(1j)),
@@ -485,9 +537,9 @@ def test_array_chart_change_matches_dict_oracle(n):
     cases += [full_block(rng, n, full_degree), full_block(rng, n, 3)]
     for f in cases:
         for sign in (-1, 1):
-            exps, coeffs = polyalg._chart_change(*polyalg._arrays(f), sign)
-            keys = polyalg._keys(exps)
-            assert keys == sorted(set(keys))     # merged, in key order
+            exps, coeffs = polyalg._chart_change(*f._block, sign)
+            rows = [tuple(e) for e in exps.tolist()]
+            assert rows == sorted(set(rows))     # merged, in key order
             want = oracles.chart_change(f.terms(), n, sign)
             got = _block_terms(exps, coeffs, n)
             assert set(got) == set(want)
@@ -511,7 +563,7 @@ def test_array_chart_change_matches_dict_oracle(n):
 
 
 def test_array_chart_change_refusals():
-    # a term the keys cannot hold, in a block of mixed degrees
+    # a term the uint8 exponents cannot hold, in a block of mixed degrees
     f = mono(2, (1, 0), (0, 2)) + mono(2, (200, 0), (0, 56))
     with pytest.raises(OrderRangeError, match="255"):
         complexify(f)
@@ -586,7 +638,7 @@ def test_graded_series_text_errors():
     with pytest.raises(FormatError) as info:
         GradedSeries.from_text("HAM n=1 dmax=4 field=real\n2 2 0 nan\n")
     assert info.value.line == 2
-    with pytest.raises(FormatError) as info:  # beyond a packed key's field
+    with pytest.raises(FormatError) as info:  # beyond a uint8 exponent
         GradedSeries.from_text("HAM n=1 dmax=300 field=real\n256 256 0 1\n")
     assert info.value.line == 2
 

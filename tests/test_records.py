@@ -4,6 +4,7 @@ bnfstab.Error."""
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -161,15 +162,26 @@ def unpruned_polynomials(draw):
         c = draw(any_float)
         if field == "complex":
             c = complex(c, draw(any_float))
-        terms[polyalg._pack(n, e[:n], e[n:])] = c
-    return Polynomial._raw(n, terms, field)
+        terms[e] = c
+    return _unpruned(n, terms, field)
+
+
+def _unpruned(n, terms, field):
+    """The Polynomial of {exponent row: coeff} as it stands, its rows put
+    in graded key order."""
+    rows = sorted(terms, key=lambda e: (sum(e), e))
+    return Polynomial._raw(n, (
+        np.array(rows, np.uint8).reshape(len(rows), 2 * n),
+        np.array([terms[e] for e in rows],
+                 complex if field == "complex" else float)), field)
 
 
 @settings(PROPERTY)
 @given(unpruned_polynomials())
-@example(Polynomial._raw(2, {polyalg._pack(2, (1, 0), (0, 1)): complex(
-    5e-324, -0.0), polyalg._pack(2, (0, 0), (2, 0)): complex(
-    1.7976931348623157e308, -1.7976931348623157e308)}, "complex"))
+@example(_unpruned(2, {(1, 0, 0, 1): complex(5e-324, -0.0),
+                       (0, 0, 2, 0): complex(1.7976931348623157e308,
+                                             -1.7976931348623157e308)},
+                   "complex"))
 def test_term_lines_match_the_per_term_writer(p):
     assert polyalg._term_lines(p) == oracles.term_lines(p)
     # terms() is graded: by degree, then by exponent vector
@@ -354,8 +366,15 @@ def _outcome(read, text):
 
 
 def _package_terms(poly):
-    return [(polyalg._unpack(poly.num_dof, key), _bits(c))
-            for key, c in poly._terms.items()]
+    return [((j, k), _bits(c)) for j, k, c in poly.terms()]
+
+
+def _graded_terms(terms):
+    """An oracle's {(j, k): coeff} as _package_terms reads a Polynomial: in
+    graded key order, the order of its storage."""
+    return [((j, k), _bits(c)) for (j, k), c
+            in sorted(terms.items(), key=lambda t: (sum(t[0][0] + t[0][1]),
+                                                    t[0][0] + t[0][1]))]
 
 
 def _package_ham(text):
@@ -363,7 +382,7 @@ def _package_ham(text):
 
 
 def _oracle_ham(text):
-    return {d: [(key, _bits(c)) for key, c in terms.items()]
+    return {d: _graded_terms(terms)
             for d, terms in oracles.read_ham(text).items()}
 
 
@@ -379,8 +398,7 @@ def _package_nfstate(text):
 def _oracle_nfstate(text):
     omega, sections = oracles.read_nfstate(text)
     return omega, {
-        (label, s): terms if label == "Z"
-        else [(key, _bits(c)) for key, c in terms.items()]
+        (label, s): terms if label == "Z" else _graded_terms(terms)
         for (label, s), terms in sections.items()}
 
 
@@ -440,6 +458,34 @@ def test_each_fault_of_a_term_line(line):
         got = _outcome(_package_ham, text)
         assert got == _outcome(_oracle_ham, text)
         assert got[0] == "FormatError"
+
+
+def _first_field_twice(text):
+    """text with the first field of its header line written twice."""
+    head, rest = text.split("\n", 1)
+    magic, first, *others = head.split()
+    return " ".join([magic, first, first, *others]) + "\n" + rest
+
+
+# a repeated header field in each format: the last value must not win
+REPEATED_FIELDS = {
+    "HAM": "HAM n=2 n=1 dmax=2 field=real\n2 2 0 0.5\n2 0 2 0.5\n",
+    "NFSTATE": "NFSTATE n=1 r=0 r=1 rmax=2\nOMEGA 1\nEND\n",
+    "NONRESONANCE": _first_field_twice(ResonanceCertificate(
+        omega=(1.0,), k_max=1, min_divisor=1.0, argmin_k=(1,), gamma=1.0,
+        tau_dioph=1.0, tol=1e-9, certified=True).to_text()),
+    "POINCARE": _first_field_twice(PoincareState(
+        names=("a",), Lambda=(1.0,), lam=(0.0,), xi=(0.0,),
+        eta=(0.0,)).to_text()),
+}
+
+
+@pytest.mark.parametrize("magic", sorted(REPEATED_FIELDS))
+def test_repeated_header_field_is_refused(magic):
+    with pytest.raises(FormatError, match=f"repeated {magic} header field") \
+            as info:
+        FORMATS[magic][0].from_text(REPEATED_FIELDS[magic])
+    assert info.value.line == 1
 
 
 def test_repeated_omega_is_refused():

@@ -2,7 +2,12 @@
 
 import itertools
 
-from bnfstab.polyalg import GradedSeries, Polynomial, poisson_bracket
+from bnfstab.polyalg import (
+    GradedSeries,
+    Polynomial,
+    oscillator,
+    poisson_bracket,
+)
 
 
 def mono(n, j, k, c=1.0):
@@ -11,7 +16,7 @@ def mono(n, j, k, c=1.0):
 
 def one_dof_series(perturbation, omega=1.0, d_max=8):
     """omega (x^2+y^2)/2 plus {(jx, ky): coeff} perturbation terms."""
-    h = mono(1, (2,), (0,), omega / 2.0) + mono(1, (0,), (2,), omega / 2.0)
+    h = oscillator((omega,))
     for (jx, ky), c in perturbation.items():
         h = h + mono(1, (jx,), (ky,), c)
     return GradedSeries.from_polynomial(h, d_max=d_max)
@@ -71,11 +76,7 @@ def full_block(rng, n, degree):
 def random_series(rng, n, omega, d_max, amplitude=0.3):
     """Random perturbed oscillator: diagonal H2 plus random homogeneous
     blocks of every degree from 3 through d_max."""
-    h = Polynomial.zero(n)
-    for l in range(n):
-        j = tuple(2 if i == l else 0 for i in range(n))
-        z = (0,) * n
-        h = h + mono(n, j, z, omega[l] / 2.0) + mono(n, z, j, omega[l] / 2.0)
+    h = oscillator(omega)
     for d in range(3, d_max + 1):
         h = h + random_polynomial(rng, n, d, num_terms=4,
                                   scale=amplitude ** (d - 2))

@@ -1,8 +1,8 @@
-"""Time `bnf`, the Poisson bracket, the read side and the write side on
-fixed inputs, for a BENCH_*.json.
+"""Time `bnf`, the Poisson bracket, the product, the pushforward, the read
+side and the write side on fixed inputs, for a BENCH_*.json.
 
     python3 tools/bench_layers.py --src parent=../parent/src --src change=src \
-        --out BENCH_writeside.json
+        --out BENCH_storage.json
 
 Each --src LABEL=DIR names a bnfstab source tree (the directory holding
 the `bnfstab` package).  Each of ROUNDS rounds runs one fresh interpreter
@@ -17,6 +17,11 @@ An interpreter times, once each:
   monomial of the degree, seeded coefficients): 3 DOF degree 9 by degree
   9, and 2 DOF degree 20 by degree 4, with the tracemalloc peak of one
   more, untimed call;
+- the product f * g of full complex blocks: 3 DOF degree 6 by degree 5,
+  and 2 DOF degree 12 by degree 8;
+- `LinearSymplecticMap.pushforward` of each fixed system's series
+  truncated at degree order + 2, by the map `diagonalize_quadratic` finds
+  for its quadratic part, as `bnf` does;
 - the read side on the dense2-r14 ledger that its `bnf` wrote, as the
   median of READ_REPEATS calls each: `NormalFormState.from_text`
   (read_ledger_s), and the drift bounds of every order at the
@@ -59,6 +64,7 @@ SYSTEMS = (("even2-r18", "even2", 18), ("dense2-r14", "dense2", 14),
            ("dense3-r10", "dense3", 10))
 # (name, DOF, degree of f, degree of g)
 BRACKETS = (("3dof-9x9", 3, 9, 9), ("2dof-20x4", 2, 20, 4))
+PRODUCTS = (("3dof-6x5", 3, 6, 5), ("2dof-12x8", 2, 12, 8))
 
 
 def measure(src):
@@ -70,11 +76,18 @@ def measure(src):
     from bnfstab import birkhoff, celestial, cli, polyalg, spectrum, stability
     from util import full_block
 
-    out = {"bnf_s": {}, "bracket_s": {}, "bracket_peak_mib": {}}
+    out = {"bnf_s": {}, "bracket_s": {}, "bracket_peak_mib": {},
+           "product_s": {}, "pushforward_s": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for name, system, order in SYSTEMS:
             ham = Path(tmp) / f"{name}.ham"
             ham.write_text(systems.system_text(system, 1))
+            series = polyalg.GradedSeries.from_text(ham.read_text())
+            _, smap = spectrum.diagonalize_quadratic(series.component(2))
+            truncated = series.truncate(order + 2)
+            start = time.perf_counter()
+            smap.pushforward(truncated)
+            out["pushforward_s"][name] = time.perf_counter() - start
             argv = ["bnf", "--input", str(ham), "--order", str(order),
                     "--out", str(Path(tmp) / f"{name}.nf")]
             start = time.perf_counter()
@@ -95,6 +108,11 @@ def measure(src):
         polyalg.poisson_bracket(f, g)
         out["bracket_peak_mib"][name] = tracemalloc.get_traced_memory()[1] / 2 ** 20
         tracemalloc.stop()
+    for name, n, p, q in PRODUCTS:
+        f, g = full_block(rng, n, p), full_block(rng, n, q)
+        start = time.perf_counter()
+        f * g
+        out["product_s"][name] = time.perf_counter() - start
     return out
 
 
@@ -194,7 +212,8 @@ def main():
                  "numpy": np.__version__},
         "read_repeats": READ_REPEATS,
         "units": {"bnf_s": "s", "bracket_s": "s", "bracket_peak_mib": "MiB",
-                  "read_s": "s", "write_s": "s"},
+                  "product_s": "s", "pushforward_s": "s", "read_s": "s",
+                  "write_s": "s"},
         "sources": sources,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
