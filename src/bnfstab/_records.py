@@ -15,6 +15,8 @@ back exactly.
 from __future__ import annotations
 
 import math
+from array import array
+from itertools import compress, count
 
 from .errors import FormatError
 
@@ -37,12 +39,11 @@ def record(magic, header, lines, end=True):
 
 
 def content_lines(text):
-    """(1-based line number, line) of every line that is not blank once its
-    comment is stripped."""
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+    """(line numbers, lines) of the lines that are not blank once their
+    comment is stripped: an array of 1-based numbers and a list."""
+    stripped = [raw.partition("#")[0].strip() for raw in text.splitlines()]
+    return (array("l", compress(count(1), stripped)),
+            list(filter(None, stripped)))
 
 
 def finite_floats(tokens, what, line=None, path=None):
@@ -57,23 +58,25 @@ def finite_floats(tokens, what, line=None, path=None):
 
 
 class RecordReader:
-    """One record, read line by line.
+    """One record, its content lines read in one pass.
 
     The constructor reads the header.  `keys` maps each header key to the
     function that converts its value; a key that is missing, unknown,
-    repeated or does not convert is an error.  Iterating yields the tokens
-    of each body line.  With end=True the body stops at END, and a missing
-    END or any content after it is an error.
+    repeated or does not convert is an error.  `lines` and `linenos` hold
+    the body's content lines and their numbers.  With end=True the body
+    stops before END, and a missing END or content after it is the fault
+    that `close` raises, once the caller has read the body for the faults
+    before it.  Iterating yields the tokens of each body line, then closes.
     """
 
     def __init__(self, text, magic, keys, path=None, end=True):
         self.path = path
-        self._end = end
-        self._lines = content_lines(text)
-        self.lineno, line = next(self._lines, (None, None))
-        if line is None:
+        linenos, lines = content_lines(text)
+        if not lines:
             raise FormatError(f"empty input: no {magic} header", path=path)
-        tokens = line.split()
+        self.lineno = linenos[0]
+        tokens = lines.pop(0).split()
+        del linenos[0]
         if tokens[0] != magic:
             raise self.error(f"expected {magic} header")
         try:
@@ -88,6 +91,17 @@ class RecordReader:
             raise self.error(f"bad {magic} header: {exc}") from None
         if kv:
             raise self.error(f"unknown {magic} header fields {sorted(kv)}")
+        self.linenos, self.lines = linenos, lines
+        self._fault = None
+        if end:
+            stop = next((i for i, line in enumerate(lines) if line[0] == "E"
+                         and line.split(None, 1)[0] == "END"), len(lines))
+            if stop == len(lines):
+                self._fault = FormatError("missing END", path=path)
+            elif stop + 1 < len(lines):
+                self._fault = FormatError(
+                    "content after END", line=linenos[stop + 1], path=path)
+            del linenos[stop:], lines[stop:]
 
     def error(self, message):
         """A FormatError located at the line read last."""
@@ -97,13 +111,12 @@ class RecordReader:
         """finite_floats located at the line read last."""
         return finite_floats(tokens, what, line=self.lineno, path=self.path)
 
+    def close(self):
+        """Raise the fault at the end of the record, if there is one."""
+        if self._fault is not None:
+            raise self._fault
+
     def __iter__(self):
-        for self.lineno, line in self._lines:
-            tokens = line.split()
-            if self._end and tokens[0] == "END":
-                for self.lineno, _ in self._lines:
-                    raise self.error("content after END")
-                return
-            yield tokens
-        if self._end:
-            raise FormatError("missing END", path=self.path)
+        for self.lineno, line in zip(self.linenos, self.lines):
+            yield line.split()
+        self.close()

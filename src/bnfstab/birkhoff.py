@@ -352,63 +352,30 @@ class NormalFormState:
             raise reader.error("n must be >= 1")
         if not 0 <= r <= r_max <= poly._MAX_EXP - 2:
             raise reader.error(f"need 0 <= r <= rmax <= {poly._MAX_EXP - 2}")
+        lines, linenos = reader.lines, reader.linenos
         omega = None
         z, chi, f = {}, {}, {}
         ledgers = {"Z": z, "CHI": chi, "F": f}
-        # (label, s, body) of the open section: the body is the term dict
-        # of a Z section, filled line by line, and the (token rows, line
-        # numbers) of a CHI or F section, read as one block on closing
+        # (label, s, lines, line numbers) of the open section, read on
+        # closing: a CHI or F section as one block, a Z section line by line
         section = None
 
         def close_section():
             nonlocal section
             if section is None:
                 return
-            (label, s, body), section = section, None
-            if label == "Z":
-                z[s] = ActionPolynomial(n, body)
+            (label, s, body, at), section = section, None
+            if label != "Z":
+                blocks = poly._read_terms(
+                    body, at, n, "real", path, (s + 2, s + 2),
+                    lambda degree: f"term degree {degree} in section of "
+                                   f"order {s} (expected {s + 2})")
+                ledgers[label][s] = (Polynomial._raw(n, blocks[s + 2], "real")
+                                     if blocks else Polynomial.zero(n))
                 return
-            blocks = poly._read_terms(
-                *body, n, "real", path, (s + 2, s + 2),
-                lambda degree: f"term degree {degree} in section of order "
-                               f"{s} (expected {s + 2})")
-            ledgers[label][s] = (Polynomial._raw(n, blocks[s + 2], "real")
-                                 if blocks else Polynomial.zero(n))
-
-        try:
-            for tokens in reader:
-                if tokens[0] == "OMEGA":
-                    if omega is not None:
-                        raise reader.error("repeated OMEGA line")
-                    omega = tuple(reader.finite(tokens[1:], "OMEGA line"))
-                    if len(omega) != n:
-                        raise reader.error("OMEGA length disagrees with n")
-                    continue
-                if tokens[0] in ledgers:
-                    if len(tokens) != 2 or not tokens[1].startswith("s="):
-                        raise reader.error("malformed section header")
-                    try:
-                        s = int(tokens[1][2:])
-                    except ValueError:
-                        raise reader.error("bad section order") from None
-                    close_section()
-                    if s in ledgers[tokens[0]]:
-                        raise reader.error(
-                            f"repeated section {tokens[0]} s={s}")
-                    top = r_max if tokens[0] == "F" else r
-                    if not 1 <= s <= top:
-                        raise reader.error(
-                            f"{tokens[0]} s={s} outside 1..{top}")
-                    body = {} if tokens[0] == "Z" else ([], [])
-                    section = (tokens[0], s, body)
-                    continue
-                if section is None:
-                    raise reader.error("term line outside any section")
-                label, s, body = section
-                if label != "Z":
-                    body[0].append(tokens)
-                    body[1].append(reader.lineno)
-                    continue
+            terms = {}
+            for reader.lineno, line in zip(at, body):
+                tokens = line.split()
                 if len(tokens) != n + 1:
                     raise reader.error(
                         f"expected {n + 1} fields on an action line")
@@ -421,9 +388,50 @@ class NormalFormState:
                 if 2 * sum(p) != s + 2:
                     raise reader.error(f"action degree {sum(p)} in Z s={s}")
                 c = reader.finite(tokens[n:], "action term")[0]
-                if p in body:
+                if p in terms:
                     raise reader.error("duplicate action exponent")
-                body[p] = c
+                terms[p] = c
+            z[s] = ActionPolynomial(n, terms)
+
+        # each line is classified by its first token: the OMEGA line, a
+        # section header, or else a term line of the open section
+        heads = [i for i, line in enumerate(lines) if line[0] in "OZCF"
+                 and line.split(None, 1)[0] in ("OMEGA", *ledgers)]
+        try:
+            for lo, at in zip([-1, *heads], [*heads, len(lines)]):
+                if lo + 1 < at:
+                    if section is None:
+                        reader.lineno = linenos[lo + 1]
+                        raise reader.error("term line outside any section")
+                    section[2].extend(lines[lo + 1:at])
+                    section[3].extend(linenos[lo + 1:at])
+                if at == len(lines):
+                    break
+                tokens = lines[at].split()
+                if tokens[0] != "OMEGA":
+                    # a section header ends the open section, read first
+                    close_section()
+                reader.lineno = linenos[at]
+                if tokens[0] == "OMEGA":
+                    if omega is not None:
+                        raise reader.error("repeated OMEGA line")
+                    omega = tuple(reader.finite(tokens[1:], "OMEGA line"))
+                    if len(omega) != n:
+                        raise reader.error("OMEGA length disagrees with n")
+                    continue
+                if len(tokens) != 2 or not tokens[1].startswith("s="):
+                    raise reader.error("malformed section header")
+                try:
+                    s = int(tokens[1][2:])
+                except ValueError:
+                    raise reader.error("bad section order") from None
+                if s in ledgers[tokens[0]]:
+                    raise reader.error(f"repeated section {tokens[0]} s={s}")
+                top = r_max if tokens[0] == "F" else r
+                if not 1 <= s <= top:
+                    raise reader.error(f"{tokens[0]} s={s} outside 1..{top}")
+                section = (tokens[0], s, [], [])
+            reader.close()
         except FormatError:
             # the open section's lines come before the fault: theirs is first
             close_section()

@@ -237,7 +237,7 @@ def parse_elements(text, path=None):
     m0 = None
     sections = []        # (lineno, {key: value}) per [body]
     current = None
-    for lineno, line in _records.content_lines(text):
+    for lineno, line in zip(*_records.content_lines(text)):
         if line.startswith("["):
             if line != "[body]":
                 raise FormatError(f"unknown section {line!r}",

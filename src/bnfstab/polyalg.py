@@ -644,11 +644,12 @@ def theta_weight(j, k):
     return w
 
 
-def _check_radii(radii, num_dof):
+def _check_radii(radii, num_dof=None):
     """The radii as a tuple of floats; DimensionMismatchError unless there
-    are num_dof of them, ValueError unless each lies in (0, inf)."""
+    are num_dof of them (when given), ValueError unless each lies in
+    (0, inf)."""
     radii = tuple(float(R) for R in radii)
-    if len(radii) != num_dof:
+    if num_dof is not None and len(radii) != num_dof:
         raise DimensionMismatchError(
             f"expected {num_dof} radii, got {len(radii)}")
     if not all(0 < R < math.inf for R in radii):
@@ -919,37 +920,29 @@ def _term_lines(poly):
     return [template % row for row in zip(degrees, *exps.T.tolist(), *vals)]
 
 
-def _int_column(values, lo, hi):
-    """Python ints as an int64 array, each clipped to [lo, hi]."""
-    if values and (min(values) < lo or max(values) > hi):
-        values = [min(max(v, lo), hi) for v in values]
-    return np.array(values, np.int64)
+def _convert(lines, ints, fields, hi):
+    """(int rows, float rows) of lines of `fields` tokens: the first ints
+    of a line as int() reads them, the others as float() does, a column at
+    once, the ints clipped to [-1, hi] past the int64 range.  A lone line
+    raises the ValueError of its first bad token."""
+    flat = " ".join(lines).split()
+    columns = [flat[c::fields] for c in range(ints)]
+    try:
+        table = np.array(columns, np.int64)
+    except OverflowError:
+        table = np.array([[min(max(int(t), -1), hi) for t in c]
+                          for c in columns], np.int64)
+    return table.T, np.array([flat[c::fields] for c in range(ints, fields)],
+                             float).T
 
 
-def _columns(rows, ints, fields):
-    """The columns of token rows of the given number of fields: the first
-    ints of them converted by int(), the others by float()."""
-    cols = list(zip(*rows)) or [()] * fields
-    return ([list(map(int, c)) for c in cols[:ints]],
-            [list(map(float, c)) for c in cols[ints:]])
-
-
-def _first_bad_row(rows, ints, fields):
-    """(index, ValueError) of the first row that _columns refuses."""
-    for i, tokens in enumerate(rows):
-        try:
-            _columns([tokens], ints, fields)
-        except ValueError as exc:
-            return i, exc
-
-
-def _read_terms(rows, lines, num_dof, field, path, degrees, degree_error):
+def _read_terms(lines, linenos, num_dof, field, path, degrees, degree_error):
     """The term lines of one block of a record, as {degree: block}, each
     block pruned and in key order.
 
-    rows are the token lists of the lines and lines their line numbers.  A
-    term line is `degree j_1..j_n k_1..k_n re [im]`, the imaginary part
-    only for field="complex".  Tokens convert with int() and float().  The
+    lines are the content lines and linenos their line numbers.  A term
+    line is `degree j_1..j_n k_1..k_n re [im]`, the imaginary part only for
+    field="complex"; the tokens convert a column at once (_convert).  The
     lines are checked as arrays: the field count, the conversion, finite
     coefficients, exponents within [0, _MAX_EXP], the degree column against
     the exponent sum, a degree within the inclusive range `degrees`
@@ -959,39 +952,45 @@ def _read_terms(rows, lines, num_dof, field, path, degrees, degree_error):
     pruned with one maximum (_kept).
     """
     width = 2 * num_dof
-    want = 1 + width + (2 if field == "complex" else 1)
+    ints = 1 + width
+    want = ints + (2 if field == "complex" else 1)
+    hi = width * _MAX_EXP + 1
 
     def fault(i, message):
-        return FormatError(message, line=lines[i], path=path)
+        return FormatError(message, line=linenos[i], path=path)
 
-    # rows[:end] have the right field count and convert; late is the fault
-    # that ends them, if any
-    end = next((i for i, t in enumerate(rows) if len(t) != want), len(rows))
+    # lines[:end] have the right field count and convert; late is the
+    # fault that ends them, if any
+    sizes = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    wrong = np.flatnonzero(sizes != want)
+    end = int(wrong[0]) if len(wrong) else len(lines)
     late = None
-    if end < len(rows):
+    if end < len(lines):
         late = fault(end, f"expected {want} fields on a term line, "
-                          f"got {len(rows[end])}")
+                          f"got {sizes[end]}")
     try:
-        ints, vals = _columns(rows[:end], 1 + width, want)
+        table, coeffs = _convert(lines[:end], ints, want, hi)
     except ValueError:
-        end, exc = _first_bad_row(rows[:end], 1 + width, want)
-        late = fault(end, f"bad numeric field: {exc}")
-        ints, vals = _columns(rows[:end], 1 + width, want)
-
-    degree = _int_column(ints[0], -1, width * _MAX_EXP + 1)
-    exps = np.stack([_int_column(c, -1, _MAX_EXP + 1) for c in ints[1:]],
-                    axis=1)
+        for end, line in enumerate(lines[:end]):
+            try:
+                _convert([line], ints, want, hi)
+            except ValueError as exc:
+                late = fault(end, f"bad numeric field: {exc}")
+                break
+        table, coeffs = _convert(lines[:end], ints, want, hi)
+    degree, exps = table[:, 0], table[:, 1:]
     # -0.0 reads as 0.0, as a sum onto a 0.0 start would have it
-    coeffs = np.array(vals, float).T + 0.0
+    coeffs += 0.0
     checks = (
         (~np.isfinite(coeffs).all(axis=1), lambda i: "non-finite coefficient"),
         (((exps < 0) | (exps > _MAX_EXP)).any(axis=1),
          lambda i: f"exponent outside [0, {_MAX_EXP}]"),
         (exps.sum(axis=1) != degree,
-         lambda i: f"degree column {ints[0][i]} disagrees with exponent sum "
-                   f"{sum(c[i] for c in ints[1:])}"),
+         lambda i: f"degree column {int(lines[i].split()[0])} disagrees "
+                   f"with exponent sum "
+                   f"{sum(map(int, lines[i].split()[1:ints]))}"),
         ((degree < degrees[0]) | (degree > degrees[1]),
-         lambda i: degree_error(ints[0][i])),
+         lambda i: degree_error(int(lines[i].split()[0]))),
     )
     bad = np.stack([mask for mask, _ in checks])
     rows_bad = bad.any(axis=0)
@@ -1111,12 +1110,8 @@ class GradedSeries:
             raise reader.error(f"unknown field {field!r}")
         if num_dof < 1 or d_max < 0:
             raise reader.error("n must be >= 1 and dmax >= 0")
-        rows, lines = [], []
-        for tokens in reader:
-            rows.append(tokens)
-            lines.append(reader.lineno)
         blocks = _read_terms(
-            rows, lines, num_dof, field, path, (0, d_max),
+            reader.lines, reader.linenos, num_dof, field, path, (0, d_max),
             lambda degree: f"term degree {degree} exceeds dmax={d_max}")
         parts = {d: Polynomial._raw(num_dof, block, field)
                  for d, block in blocks.items()}

@@ -15,15 +15,20 @@ order increases as rho0 shrinks.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import polyalg as poly
-from ._records import number
-from .errors import OrderRangeError, StabilityDomainError
+from ._records import NUMBER
+from .errors import (DimensionMismatchError, OrderRangeError,
+                     StabilityDomainError)
 
 __all__ = [
     "DriftBound",
     "StabilityReport",
+    "Sweep",
     "drift_bound",
     "escape_time",
     "stability_time",
@@ -86,15 +91,29 @@ def drift_bound(state, r, radii, c_const=DEFAULT_C):
     if not 1.0 < c_const < math.inf:
         raise ValueError("the safety constant must exceed 1 and be finite")
     radii = poly._check_radii(radii, state.num_dof)
-    block = state.remainder_block(r + 1)
-    bounds = []
-    for j in range(state.num_dof):
-        # the action I_j is the oscillator of the unit frequency vector e_j
-        unit = tuple(1.0 if t == j else 0.0 for t in range(state.num_dof))
-        bracket = poly.poisson_bracket(poly.oscillator(unit), block)
-        B = c_const * poly.polydisc_norm(bracket, radii)
-        bounds.append(DriftBound(r=r, j=j, B=B, c_const=c_const))
-    return bounds
+    block = state.remainder_block(r + 1)._block
+    return [DriftBound(r=r, j=j, B=c_const * poly.polydisc_norm(
+                _action_bracket(block, j, state.num_dof), radii),
+                       c_const=c_const)
+            for j in range(state.num_dof)]
+
+
+def _action_bracket(block, j, n):
+    """{I_j, F} = x_j dF/dy_j - y_j dF/dx_j of a real homogeneous block F:
+    two exponent shifts of its rows, merged with the rows shifted up in x_j
+    first, as the bracket kernel adds them, so that it is
+    poisson_bracket(oscillator(e_j), F) to the bit."""
+    exps, coeffs = block
+    parts = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for down, up, sign in ((n + j, j, 1.0), (j, n + j, -1.0)):
+            rows = np.flatnonzero(exps[:, down])
+            shifted = exps[rows]
+            shifted[:, down] -= 1
+            shifted[:, up] += 1
+            parts.append((shifted, sign * (coeffs[rows] * exps[rows, down])))
+        merged = poly._merge(*map(np.concatenate, zip(*parts)))
+    return poly.Polynomial._raw(n, poly._canonical(*merged), "real")
 
 
 def escape_time(rho0, rho, r, bounds, radii):
@@ -104,33 +123,62 @@ def escape_time(rho0, rho, r, bounds, radii):
 
         tau = min_j R_j^2 (rho0^-(r+1) - rho^-(r+1)) / ((r+1) B_j)
 
-    Returns +inf when every bound coefficient is zero.  A rho0 whose time
-    overflows the floats or underflows to zero is a StabilityDomainError.
+    rho0 and rho are numbers, or arrays that broadcast together for one
+    tau per point; tau is +inf when every B_j is zero.  The radii must be
+    positive and finite, one for each bound's j.  A point outside
+    0 < rho0 < rho, or whose time leaves the floats, is a
+    StabilityDomainError.
     """
-    if not 0.0 < rho0 < rho:
-        raise StabilityDomainError(
-            f"need 0 < rho0 < rho, got rho0={rho0}, rho={rho}")
+    rho0, rho = np.broadcast_arrays(np.asarray(rho0, float),
+                                    np.asarray(rho, float))
     if not bounds:
         raise ValueError("no drift bounds supplied")
     if any(b.r != r for b in bounds):
         raise ValueError("drift bounds were computed at a different order")
-    radii = tuple(float(R) for R in radii)
+    radii = poly._check_radii(radii)
+    if not all(0 <= b.j < len(radii) for b in bounds):
+        raise DimensionMismatchError(
+            f"a drift bound names an action beyond the {len(radii)} radii")
+    tau = _escape_times(rho0.ravel(), rho.ravel(), [(r, bounds)],
+                        radii).reshape(rho0.shape)
+    return tau if tau.ndim else float(tau)
+
+
+def _power(v, e):
+    """v ** e by Python's float power (libm's pow), inf where that
+    overflows or divides by zero."""
     try:
-        spread = rho0 ** (-(r + 1)) - rho ** (-(r + 1))
-    except OverflowError:
-        spread = math.inf
-    best = math.inf
-    for b in bounds:
-        if b.B == 0.0:
-            continue
-        tau = radii[b.j] ** 2 * spread / ((r + 1) * b.B)
-        if not 0.0 < tau < math.inf:
-            raise StabilityDomainError(
-                f"rho0={rho0} puts the order-{r} escape time outside the "
-                "float range")
-        if tau < best:
-            best = tau
-    return best
+        return v ** e
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _escape_times(rho0, rho, order_bounds, radii):
+    """tau[k, i] of the k-th (order, bounds) pair at point i of the float
+    arrays rho0 and rho, with the float operations and the first
+    StabilityDomainError of a loop over the points and their orders."""
+    tau = np.full((len(order_bounds), len(rho0)), math.inf)
+    outside = np.zeros(tau.shape, bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (r, bounds) in enumerate(order_bounds):
+            spread = (np.array([_power(v, -(r + 1)) for v in rho0.tolist()])
+                      - np.array([_power(v, -(r + 1)) for v in rho.tolist()]))
+            for b in bounds:
+                if b.B != 0.0:
+                    t = radii[b.j] ** 2 * spread / ((r + 1) * b.B)
+                    outside[k] |= ~((0.0 < t) & (t < math.inf))
+                    np.minimum(tau[k], t, out=tau[k])
+    domain = ~((0.0 < rho0) & (rho0 < rho))
+    bad = np.flatnonzero(domain | outside.any(axis=0))
+    if len(bad):
+        i = bad[0]
+        r = order_bounds[outside[:, i].argmax()][0]
+        raise StabilityDomainError(
+            f"need 0 < rho0 < rho, got rho0={float(rho0[i])}, "
+            f"rho={float(rho[i])}" if domain[i] else
+            f"rho0={float(rho0[i])} puts the order-{r} escape time outside "
+            "the float range")
+    return tau
 
 
 def _per_order_bounds(state, radii, c_const):
@@ -142,24 +190,31 @@ def _per_order_bounds(state, radii, c_const):
             for r in range(1, top + 1)]
 
 
-def _report(rho0, rho, order_bounds, radii, c_const):
-    per_order = []
-    best_T = -math.inf
-    r_opt = None
-    for r, bounds in order_bounds:
-        tau = escape_time(rho0, rho, r, bounds, radii)
-        per_order.append((r, tau))
-        # infinite branches mean "this order sees no drift at all"; they
-        # are reported but only finite branches compete for the optimum
-        if not math.isinf(tau) and tau > best_T:
-            best_T = tau
-            r_opt = r
-    if r_opt is None:
-        best_T = math.inf
-        r_opt = per_order[0][0]
-    return StabilityReport(rho0=rho0, rho=rho, T=best_T, r_opt=r_opt,
-                           per_order=tuple(per_order), radii=radii,
-                           c_const=c_const)
+@dataclass(frozen=True, eq=False)
+class Sweep(Sequence):
+    """stability_time across a grid, as arrays: tau[k, i] is the escape time
+    of order orders[k] at the point rho0[i], and T[i], r_opt[i] the optimum
+    over the orders.  Item i is the StabilityReport of point i."""
+
+    rho0: np.ndarray
+    T: np.ndarray
+    r_opt: np.ndarray
+    orders: tuple
+    tau: np.ndarray
+    radii: tuple
+    c_const: float
+
+    def __len__(self):
+        return len(self.rho0)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        rho0 = float(self.rho0[i])
+        return StabilityReport(
+            rho0, 2.0 * rho0, float(self.T[i]), int(self.r_opt[i]),
+            tuple(zip(self.orders, self.tau[:, i].tolist())), self.radii,
+            self.c_const)
 
 
 def stability_time(state, rho0, radii, c_const=DEFAULT_C):
@@ -174,10 +229,10 @@ def stability_time(state, rho0, radii, c_const=DEFAULT_C):
 
 
 def sweep(state, rho0_grid, radii, c_const=DEFAULT_C):
-    """stability_time across a sorted grid of starting radii.
+    """stability_time across a sorted grid of starting radii, as a Sweep.
 
     Drift bounds depend only on the order, so they are computed once and
-    shared by every grid point.
+    shared by every grid point; each order is one pass over the grid.
     """
     grid = [float(v) for v in rho0_grid]
     if not grid:
@@ -188,31 +243,36 @@ def sweep(state, rho0_grid, radii, c_const=DEFAULT_C):
         raise ValueError("grid must be strictly increasing")
     radii = poly._check_radii(radii, state.num_dof)
     order_bounds = _per_order_bounds(state, radii, c_const)
-    return [_report(rho0, 2.0 * rho0, order_bounds, radii, c_const)
-            for rho0 in grid]
+    rho0 = np.array(grid)
+    tau = _escape_times(rho0, 2.0 * rho0, order_bounds, radii)
+    # infinite branches mean "this order sees no drift at all"; they are
+    # reported but only finite branches compete for the optimum, and the
+    # first order wins a tie
+    finite = np.where(np.isinf(tau), -math.inf, tau)
+    best = finite.argmax(axis=0)
+    T = finite[best, np.arange(len(grid))]
+    T[np.isinf(T)] = math.inf
+    orders = tuple(r for r, _ in order_bounds)
+    return Sweep(rho0, T, np.array(orders)[best], orders, tau, radii,
+                 c_const)
 
 
 def sweep_csv(reports, wide=False):
-    """Render sweep results as CSV text.
+    """Render the reports of a Sweep as CSV text, from its arrays.
 
     Columns: rho0, T, log10_T, r_opt; wide mode appends one tau_r<order>
     column per estimated order.
     """
-    if not reports:
-        raise ValueError("no reports to render")
-    orders = [r for r, _ in reports[0].per_order]
+    T = reports.T.tolist()
+    columns = [reports.rho0.tolist(), T, list(map(math.log10, T)),
+               reports.r_opt.tolist()]
     header = ["rho0", "T", "log10_T", "r_opt"]
     if wide:
-        header += [f"tau_r{r}" for r in orders]
-    lines = [",".join(header)]
-    for rep in reports:
-        row = [number(rep.rho0), number(rep.T), number(rep.log10_T),
-               str(rep.r_opt)]
-        if wide:
-            taus = dict(rep.per_order)
-            row += [number(taus[r]) for r in orders]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        columns += reports.tau.tolist()
+        header += [f"tau_r{r}" for r in reports.orders]
+    template = ",".join([NUMBER] * 3 + ["%d"] + [NUMBER] * (len(columns) - 4))
+    return "\n".join([",".join(header)]
+                     + [template % row for row in zip(*columns)]) + "\n"
 
 
 def default_grid(rho_ref=1.0, points=64):

@@ -7,12 +7,12 @@ instead of the array chart change and the array normalization step,
 one-term-at-a-time pruning, term-line reading and term-line writing
 instead of the array passes, dense coefficient arrays instead of sparse
 exponent matrices, quadrature instead of closed
-forms, arbitrary precision instead of doubles, and plain lattice
+forms, arbitrary precision instead of doubles, plain lattice
 enumeration, one vector at a time, instead of the package's shell
-matrices.  No code is shared with bnfstab beyond reading plain
-(j, k, coeff) term lists off its objects, the record grammar (header,
-comments, END) that the term-line readers take from bnfstab._records,
-and the SmallDivisorError the dict step raises.
+matrices, escape times one grid point at a time instead of the array
+pass over the grid, and records read a line at a time instead of in one
+pass.  No code is shared with bnfstab beyond reading plain
+(j, k, coeff) term lists off its objects, and its error classes.
 """
 
 import itertools
@@ -20,8 +20,11 @@ import math
 
 import numpy as np
 
-from bnfstab import _records
-from bnfstab.errors import FormatError, SmallDivisorError
+from bnfstab.errors import (
+    FormatError,
+    SmallDivisorError,
+    StabilityDomainError,
+)
 
 
 # -- the Poisson bracket by a double loop over terms --------------------------
@@ -195,6 +198,76 @@ def step_chart(blocks, s, omega, n, tol, d_cap):
     return q, chi, z
 
 
+# -- the record grammar, one line at a time ------------------------------------
+
+def content_lines(text):
+    """(1-based line number, line) of every line that is not blank once its
+    comment is stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def finite_floats(tokens, what, line):
+    """The tokens as floats; FormatError unless each is a finite number."""
+    try:
+        vals = [float(t) for t in tokens]
+    except ValueError as exc:
+        raise FormatError(f"bad {what}: {exc}", line=line) from None
+    if not all(map(math.isfinite, vals)):
+        raise FormatError(f"non-finite value in {what}", line=line)
+    return vals
+
+
+class LineReader:
+    """One record read a line at a time: the header line `MAGIC k=v ...`
+    on construction, converted by `keys` ({key: converter}), then the
+    tokens of each body line, each line's comment stripped and blank lines
+    skipped.  With end=True the body stops at END, and a missing END or
+    content after it is a FormatError once the lines before it are read.
+    """
+
+    def __init__(self, text, magic, keys, end=True):
+        self._end = end
+        self._lines = content_lines(text)
+        self.lineno, line = next(self._lines, (None, None))
+        if line is None:
+            raise FormatError(f"empty input: no {magic} header")
+        tokens = line.split()
+        if tokens[0] != magic:
+            raise self.error(f"expected {magic} header")
+        kv = {}
+        try:
+            for key, value in (t.split("=", 1) for t in tokens[1:]):
+                if key in kv:
+                    raise self.error(f"repeated {magic} header field {key!r}")
+                kv[key] = value
+            self.header = {key: convert(kv.pop(key))
+                           for key, convert in keys.items()}
+        except (ValueError, KeyError) as exc:
+            raise self.error(f"bad {magic} header: {exc}") from None
+        if kv:
+            raise self.error(f"unknown {magic} header fields {sorted(kv)}")
+
+    def error(self, message):
+        return FormatError(message, line=self.lineno)
+
+    def finite(self, tokens, what):
+        return finite_floats(tokens, what, self.lineno)
+
+    def __iter__(self):
+        for self.lineno, line in self._lines:
+            tokens = line.split()
+            if self._end and tokens[0] == "END":
+                for self.lineno, _ in self._lines:
+                    raise self.error("content after END")
+                return
+            yield tokens
+        if self._end:
+            raise FormatError("missing END")
+
+
 # -- pruning and term-line reading, one term at a time ---------------------------
 
 PRUNE_REL = 1e-15
@@ -264,7 +337,7 @@ def _add_term(reader, terms, tokens, n, field, degree_fault):
 def read_ham(text):
     """The parts {degree: {(j, k): coeff}} of a HAM record, term lines read
     one at a time, each degree pruned, in line order."""
-    reader = _records.RecordReader(
+    reader = LineReader(
         text, "HAM", {"n": int, "dmax": int, "field": str}, end=False)
     n, d_max, field = (reader.header[key] for key in ("n", "dmax", "field"))
     if field not in ("real", "complex"):
@@ -285,7 +358,7 @@ def read_nfstate(text):
     """(omega, {(label, s): terms}) of an NFSTATE ledger, term lines read one
     at a time: CHI and F terms {(j, k): coeff}, pruned, and Z terms
     {p: coeff} without zeros; empty sections left out."""
-    reader = _records.RecordReader(
+    reader = LineReader(
         text, "NFSTATE", {"n": int, "r": int, "rmax": int})
     n, r, r_max = (reader.header[key] for key in ("n", "r", "rmax"))
     if n < 1:
@@ -503,6 +576,72 @@ def escape_time_quadrature(rho0, rho, r, b_values, radii):
         if val < best:
             best = val
     return best
+
+
+# -- escape times and order optimization, one grid point at a time ---------------
+
+def escape_time_point(rho0, rho, r, bounds, radii):
+    """The escape time at one point, a loop over the drift bounds on
+    Python floats: min_j R_j^2 (rho0^-(r+1) - rho^-(r+1)) / ((r+1) B_j),
+    +inf without a nonzero B; a StabilityDomainError when rho0 is not in
+    (0, rho) or a time leaves (0, inf)."""
+    if not 0.0 < rho0 < rho:
+        raise StabilityDomainError(
+            f"need 0 < rho0 < rho, got rho0={rho0}, rho={rho}")
+    try:
+        spread = rho0 ** (-(r + 1)) - rho ** (-(r + 1))
+    except OverflowError:
+        spread = math.inf
+    best = math.inf
+    for b in bounds:
+        if b.B == 0.0:
+            continue
+        tau = radii[b.j] ** 2 * spread / ((r + 1) * b.B)
+        if not 0.0 < tau < math.inf:
+            raise StabilityDomainError(
+                f"rho0={rho0} puts the order-{r} escape time outside the "
+                "float range")
+        if tau < best:
+            best = tau
+    return best
+
+
+def sweep_points(grid, order_bounds, radii):
+    """[(T, r_opt, ((r, tau), ...))] of each point rho0 of the grid, at
+    rho = 2 rho0, over the (order, drift bounds) pairs: one point at a
+    time, and the orders of each in turn.  Only finite times compete for
+    T, the first order winning a tie; T is inf, at the first order, when
+    no order sees drift."""
+    out = []
+    for rho0 in grid:
+        per_order = []
+        best_T, r_opt = -math.inf, None
+        for r, bounds in order_bounds:
+            tau = escape_time_point(rho0, 2.0 * rho0, r, bounds, radii)
+            per_order.append((r, tau))
+            if not math.isinf(tau) and tau > best_T:
+                best_T, r_opt = tau, r
+        if r_opt is None:
+            best_T, r_opt = math.inf, per_order[0][0]
+        out.append((best_T, r_opt, tuple(per_order)))
+    return out
+
+
+def sweep_csv(grid, points, wide=False):
+    """The sweep CSV of sweep_points, one row at a time, each number by
+    format(v, ".17g")."""
+    orders = [r for r, _ in points[0][2]]
+    header = ["rho0", "T", "log10_T", "r_opt"]
+    if wide:
+        header += [f"tau_r{r}" for r in orders]
+    lines = [",".join(header)]
+    for rho0, (T, r_opt, per_order) in zip(grid, points):
+        row = [format(v, ".17g") for v in (rho0, T, math.log10(T))]
+        row.append(str(r_opt))
+        if wide:
+            row += [format(tau, ".17g") for _, tau in per_order]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
 
 
 # -- arbitrary-precision Poincare variables ------------------------------------

@@ -15,7 +15,13 @@ from bnfstab.celestial import PoincareState
 from bnfstab.cli import main
 from bnfstab.polyalg import GradedSeries
 from bnfstab.spectrum import ResonanceCertificate
-from util import mono, one_dof_series, two_dof_even_series
+from util import (
+    PERFBENCH,
+    load_perfbench,
+    mono,
+    one_dof_series,
+    two_dof_even_series,
+)
 
 
 def _write_one_dof(path):
@@ -354,24 +360,13 @@ def test_headers_have_no_timestamps(tmp_path):
     assert not re.search(r"\d{2}:\d{2}:\d{2}", joined)  # no clock times
 
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load_perfbench(name):
-    source = PERFBENCH / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, source)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_benchmark_quick_workloads_match_reference(tmp_path, monkeypatch):
     # the benchmark's answer check at seed 1, so a change of its results
     # fails here before any benchmark run
     import bnfstab.cli
 
-    monkeypatch.setitem(sys.modules, "systems", _load_perfbench("systems"))
-    workloads = _load_perfbench("workloads")
+    monkeypatch.setitem(sys.modules, "systems", load_perfbench("systems"))
+    workloads = load_perfbench("workloads")
     refs = json.loads((PERFBENCH / "reference.json").read_text())
 
     def body_rows(path):
@@ -437,8 +432,8 @@ def _quick_even2_bnf(tmp_path, monkeypatch):
     its bnf argument vector and ledger path."""
     import bnfstab.cli
 
-    monkeypatch.setitem(sys.modules, "systems", _load_perfbench("systems"))
-    workloads = _load_perfbench("workloads")
+    monkeypatch.setitem(sys.modules, "systems", load_perfbench("systems"))
+    workloads = load_perfbench("workloads")
     workload = workloads.QUICK["even2-r18"]
     monkeypatch.chdir(tmp_path)
     workloads.set_up_here(bnfstab.cli, workload, 1)

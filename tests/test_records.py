@@ -404,8 +404,40 @@ def _oracle_nfstate(text):
 
 READERS = {"HAM": (ham_texts(), _package_ham, _oracle_ham),
            "NFSTATE": (nfstate_texts(), _package_nfstate, _oracle_nfstate)}
-# signed zeros in the parts of complex coefficients that are kept
-SIGNED_ZEROS = "HAM n=1 dmax=2 field=complex\n2 1 1 1 -0.0\n2 2 0 -0.0 -1\n"
+HAM_HEAD = "HAM n=1 dmax=4 field=real"
+NF_HEAD = "NFSTATE n=1 r=1 rmax=2\nOMEGA 1"
+# texts whose line breaks, whitespace, comments or tokens are out of the
+# ordinary, for each reader
+EDGE_TEXTS = {
+    "HAM": [
+        # signed zeros in the parts of complex coefficients that are kept
+        "HAM n=1 dmax=2 field=complex\n2 1 1 1 -0.0\n2 2 0 -0.0 -1\n",
+        f"{HAM_HEAD}\r\n2 2 0 1\r\n4 4 0 nan\r\n",
+        f"{HAM_HEAD}\f2 2 0 1\v2 0 2 1\u20284 1 3 x\n",
+        f"{HAM_HEAD}\n2\t2 0\t1\n\t4 4 0 1\n",
+        f"{HAM_HEAD}\n2 2 0 1 # a comment\n# a whole line\n2 0 2 1\n",
+        f"{HAM_HEAD}\n\n   \n2 2 0 1\n\n",
+        f"{HAM_HEAD}\n2 2 0 1\ninf 2 0 1\n",
+        f"{HAM_HEAD}\n2 2 0 1\nnan 2 0 1\n",
+        f"{HAM_HEAD}\n2 99999999999999999999 0 1\n",
+        f"{HAM_HEAD}\n99999999999999999999 2 0 1\n",
+    ],
+    "NFSTATE": [
+        f"{NF_HEAD}\r\nF s=1\r\n3 3 0 1\r\nF s=2\r\n4 4 0 nan\r\nEND\r\n",
+        f"{NF_HEAD}\fF s=1\v3 3 0 1\u20283 1 2 2\u2029END\n",
+        f"{NF_HEAD}\nF\ts=1\n3\t3 0 1\t\nEND\n",
+        f"{NF_HEAD}\nF s=1\n3 3 0 1\n# a comment\n3 0 3 2 # one more\n"
+        "END\n# after END\n",
+        f"{NF_HEAD}\n\nF s=1\n\n3 3 0 1\n\n  \nEND\n\n",
+        f"{NF_HEAD}\nCHI s=1\nF s=1\n3 3 0 1\nEND\n",
+        f"{NF_HEAD}\nF s=1\n3 3 0 1\nEND of the ledger\n",
+        f"{NF_HEAD}\nF s=1\n3 3 0 1\nEND of the ledger\nF s=2\n",
+        f"{NF_HEAD}\nF s=1\n3 3 0 1\ninf 3 0 1\nEND\n",
+        f"{NF_HEAD}\nF s=1\nnan 3 0 1\nEND\n",
+        f"{NF_HEAD}\nF s=1\n3 99999999999999999999 0 1\nEND\n",
+        f"{NF_HEAD}\nF s=1\n99999999999999999999 3 0 1\nEND\n",
+    ],
+}
 
 
 @pytest.mark.parametrize("magic", sorted(READERS))
@@ -415,12 +447,13 @@ def test_block_reader_matches_line_by_line_oracle(magic):
 
     @settings(PROPERTY, max_examples=400)
     @given(texts)
-    @example(SIGNED_ZEROS)
     def same(text):
         got = _outcome(package, text)
         assert got == _outcome(oracle, text), text
         seen.add(got[0])
 
+    for text in EDGE_TEXTS[magic]:
+        same = example(text)(same)
     same()
     assert seen >= {"read", "FormatError"}
 
@@ -447,7 +480,10 @@ def test_block_reader_reports_the_first_fault_of_the_file():
 HAM_LINES = ["2 2 0 nan", "256 256 0 nan", "2 256 0 1", "3 256 0 1",
              "3 2 0 1", "300 2 0 1", "-1 2 0 1", "9 9 0 1", "2 2 0 x",
              "2 x 0 nan", "2 2 0", "2 2 0 1 1", "2 0 2 1", "2 2 0 1",
-             "+2 0_2 00 1_0", "4 4 0 3e-16", "2 0 2 -0.0"]
+             "+2 0_2 00 1_0", "4 4 0 3e-16", "2 0 2 -0.0", "inf 2 0 1",
+             "nan 2 0 1", "2 99999999999999999999 0 1",
+             "99999999999999999999 2 0 1", "-99999999999999999999 2 0 1",
+             "2\t1 1\t1"]
 
 
 @pytest.mark.parametrize("line", HAM_LINES)

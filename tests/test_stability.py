@@ -1,14 +1,30 @@
 """Drift bounds, escape times, order optimization, sweep CSV."""
 
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from bnfstab import stability
 from bnfstab.birkhoff import NormalFormState, birkhoff_normal_form
-from bnfstab.errors import OrderRangeError, StabilityDomainError
-from bnfstab.polyalg import poisson_bracket, polydisc_norm, theta_weight
+from bnfstab.cli import main
+from bnfstab.errors import (
+    DimensionMismatchError,
+    OrderRangeError,
+    StabilityDomainError,
+)
+from bnfstab.polyalg import (
+    Polynomial,
+    oscillator,
+    poisson_bracket,
+    polydisc_norm,
+    theta_weight,
+)
 from bnfstab.stability import (
     DriftBound,
     default_grid,
@@ -18,7 +34,16 @@ from bnfstab.stability import (
     sweep,
     sweep_csv,
 )
-from util import TWO_DOF_OMEGA, mono, one_dof_series, two_dof_even_series
+from util import (
+    TWO_DOF_OMEGA,
+    load_perfbench,
+    mono,
+    one_dof_series,
+    two_dof_even_series,
+)
+
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None,
+                    database=None)
 
 
 def _quartic_state():
@@ -205,3 +230,296 @@ def test_default_grid_shape():
 def test_drift_bound_requires_positive_bound_invariants():
     with pytest.raises(ValueError):
         DriftBound(r=1, j=0, B=-0.5, c_const=2.0)
+
+
+def test_escape_time_refuses_bad_radii():
+    bounds = [DriftBound(r=1, j=0, B=1.0, c_const=2.0)]
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="radii must be positive"):
+            escape_time(0.5, 1.0, 1, bounds, (bad,))
+    # every bound's action must index a radius
+    beyond = [DriftBound(r=1, j=1, B=1.0, c_const=2.0)]
+    with pytest.raises(DimensionMismatchError):
+        escape_time(0.5, 1.0, 1, beyond, (1.0,))
+    with pytest.raises(DimensionMismatchError):
+        escape_time(0.5, 1.0, 1, bounds, ())
+
+
+def test_escape_time_takes_an_array_of_points():
+    bounds = [DriftBound(r=3, j=0, B=0.7, c_const=2.0),
+              DriftBound(r=3, j=1, B=0.2, c_const=2.0)]
+    radii = (1.3, 0.8)
+    rho0 = np.geomspace(0.05, 3.0, 9)
+    taus = escape_time(rho0, 2.0 * rho0, 3, bounds, radii)
+    assert taus.shape == rho0.shape
+    assert [t.hex() for t in taus.tolist()] == [
+        escape_time(v, 2.0 * v, 3, bounds, radii).hex()
+        for v in rho0.tolist()]
+    # the first point whose time leaves the floats is the one named
+    with pytest.raises(StabilityDomainError, match="rho0=1e-200 "):
+        escape_time(np.array([0.5, 1e-200, 1e-300]), 1.0, 3, bounds, radii)
+
+
+# -- the array grid against a loop over the points ----------------------------
+
+def _rows(points):
+    """(T, r_opt, per-order taus) of each point, as sweep_points gives
+    them or as the reports of a Sweep hold them, to the bit."""
+    return [(T.hex(), r_opt, tuple((r, tau.hex()) for r, tau in per_order))
+            for T, r_opt, per_order in points]
+
+
+def _points(result):
+    return [(rep.T, rep.r_opt, rep.per_order) for rep in result]
+
+
+def _sweep_outcome(run):
+    try:
+        return "swept", _rows(run())
+    except StabilityDomainError as exc:
+        return "StabilityDomainError", str(exc)
+
+
+def _with_tie(draw, grid, order_bounds, radii):
+    """order_bounds with the bounds of one order replaced by one bound whose
+    time at one grid point equals the optimum there, when a B within a few
+    ulps gives it exactly; else as they were."""
+    at = draw(st.sampled_from(grid))
+    try:
+        T, r_opt, _ = oracles.sweep_points([at], order_bounds, radii)[0]
+    except StabilityDomainError:
+        return order_bounds
+    others = [k for k, (r, _) in enumerate(order_bounds) if r != r_opt]
+    if math.isinf(T) or not others:
+        return order_bounds
+    k = draw(st.sampled_from(others))
+    r = order_bounds[k][0]
+    j = draw(st.integers(0, len(radii) - 1))
+    try:
+        spread = at ** -(r + 1) - (2.0 * at) ** -(r + 1)
+    except OverflowError:
+        return order_bounds
+    B = radii[j] ** 2 * spread / ((r + 1) * T)
+    for _ in range(4):
+        B = math.nextafter(B, 0.0)
+    for _ in range(8):
+        if 0.0 < B < math.inf:
+            bound = DriftBound(r=r, j=j, B=B, c_const=2.0)
+            try:
+                tau = oracles.escape_time_point(at, 2.0 * at, r, [bound],
+                                                radii)
+            except StabilityDomainError:
+                return order_bounds
+            if tau == T:
+                return [(q, [bound] if q == r else bounds)
+                        for q, bounds in order_bounds]
+        B = math.nextafter(B, math.inf)
+    return order_bounds
+
+
+B_VALUES = (st.sampled_from([0.0, 0.0, 1.0, 0.625, 3.0, 1e-300, 1e300])
+            | st.floats(1e-200, 1e200))
+# powers of two give exact spreads; the extremes overflow or underflow tau
+RHO0_VALUES = (st.sampled_from([1.0, 0.5, 0.25, 2.0, 1e-30, 1e30, 1e-200,
+                                1e200])
+               | st.floats(1e-6, 1e6))
+
+
+@st.composite
+def grid_cases(draw):
+    """(grid, order bounds, radii): bounds with zeros, orders whose every B
+    is zero, now and then a tie between orders, and extreme radii rho0."""
+    n = draw(st.integers(1, 3))
+    radii = tuple(draw(st.lists(st.sampled_from([1.0, 0.5, 2.0])
+                                | st.floats(1e-3, 1e3), min_size=n,
+                                max_size=n)))
+    orders = sorted(draw(st.sets(st.integers(1, 24), min_size=1,
+                                 max_size=5)))
+    silent = draw(st.sampled_from([False] * 5 + [True]))
+    order_bounds = []
+    for r in orders:
+        actions = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=n, unique=True))
+        order_bounds.append((r, [
+            DriftBound(r=r, j=j, B=0.0 if silent else draw(B_VALUES),
+                       c_const=2.0) for j in actions]))
+    grid = sorted(draw(st.lists(RHO0_VALUES, min_size=1, max_size=6,
+                                unique=True)))
+    if draw(st.booleans()):
+        order_bounds = _with_tie(draw, grid, order_bounds, radii)
+    return grid, order_bounds, radii
+
+
+def _kinds(grid, order_bounds, outcome):
+    """The cases an outcome of sweep_points covers."""
+    kinds = set()
+    if outcome[0] == "StabilityDomainError":
+        rho0 = float(outcome[1].split()[0].split("=")[1])
+        kinds.add("overflow" if rho0 < 1.0 else "underflow")
+        return kinds
+    if any(b.B == 0.0 for _, bounds in order_bounds for b in bounds):
+        kinds.add("zero B")
+    for T, r_opt, per_order in outcome[1]:
+        if T == "inf":
+            kinds.add("no drift")
+            assert r_opt == order_bounds[0][0]
+        elif sum(tau == T for _, tau in per_order) > 1:
+            kinds.add("tie")
+    return kinds
+
+
+# (grid, order bounds, radii) with an exact tie at rho0 = 1: both orders
+# give tau = 0.375
+EXACT_TIE = ([1.0], [(1, [DriftBound(r=1, j=0, B=1.0, c_const=2.0)]),
+                     (3, [DriftBound(r=3, j=0, B=0.625, c_const=2.0)])],
+             (1.0,))
+
+
+def _sweep_of_bounds(grid, order_bounds, radii):
+    """sweep over the grid with the given drift bounds in place of a
+    ledger's."""
+    state = NormalFormState((1.0,) * len(radii), 1, 2)
+    with mock.patch.object(stability, "_per_order_bounds",
+                           lambda *args: order_bounds):
+        return sweep(state, grid, radii)
+
+
+def test_sweep_grid_matches_the_per_point_loop():
+    seen = set()
+
+    @settings(PROPERTY, max_examples=400)
+    @given(grid_cases(), st.booleans())
+    @example(EXACT_TIE, True)
+    def same(case, wide):
+        grid, order_bounds, radii = case
+        got = _sweep_outcome(
+            lambda: _points(_sweep_of_bounds(grid, order_bounds, radii)))
+        want = _sweep_outcome(
+            lambda: oracles.sweep_points(grid, order_bounds, radii))
+        assert got == want
+        seen.update(_kinds(grid, order_bounds, want))
+        if got[0] == "swept":
+            result = _sweep_of_bounds(grid, order_bounds, radii)
+            points = oracles.sweep_points(grid, order_bounds, radii)
+            assert sweep_csv(result, wide) == oracles.sweep_csv(
+                grid, points, wide)
+
+    same()
+    assert seen >= {"zero B", "no drift", "tie", "overflow", "underflow"}
+    assert _sweep_of_bounds(*EXACT_TIE).r_opt.tolist() == [1]
+
+
+@functools.lru_cache(maxsize=None)
+def _monomials(width, degree):
+    """Every exponent vector of the given width and degree."""
+    if width == 1:
+        return ((degree,),)
+    return tuple((e,) + rest for e in range(degree + 1)
+                 for rest in _monomials(width - 1, degree - e))
+
+
+@st.composite
+def remainder_states(draw):
+    """A ledger normalized to order r whose F blocks 2..r+1 are random, or
+    zero now and then, with radii and a grid."""
+    n = draw(st.integers(1, 2))
+    r = draw(st.integers(1, 4))
+    f = {}
+    for s in range(2, r + 2):
+        terms = draw(st.dictionaries(st.sampled_from(_monomials(2 * n, s + 2)),
+                                     st.floats(-10.0, 10.0), max_size=5))
+        f[s] = Polynomial(n, {(e[:n], e[n:]): c for e, c in terms.items()})
+    state = NormalFormState((1.0,) * n, r, r + 1, f=f)
+    radii = tuple(draw(st.lists(st.floats(0.1, 10.0), min_size=n,
+                                max_size=n)))
+    grid = sorted(draw(st.lists(RHO0_VALUES, min_size=1, max_size=5,
+                                unique=True)))
+    return state, radii, grid
+
+
+@settings(PROPERTY)
+@given(remainder_states(), st.booleans())
+def test_sweep_matches_the_per_point_loop(case, wide):
+    state, radii, grid = case
+    order_bounds = [(r, drift_bound(state, r, radii))
+                    for r in range(1, state.r + 1)]
+    got = _sweep_outcome(lambda: _points(sweep(state, grid, radii)))
+    assert got == _sweep_outcome(
+        lambda: oracles.sweep_points(grid, order_bounds, radii))
+    if got[0] == "swept":
+        assert sweep_csv(sweep(state, grid, radii), wide) == oracles.sweep_csv(
+            grid, oracles.sweep_points(grid, order_bounds, radii), wide)
+
+
+# -- the exponent-shift bracket against the kernel ----------------------------
+
+def _kernel_bound(state, r, j, radii, c_const=2.0):
+    """c |{I_j, F^(r+1)}|_R by the bracket kernel."""
+    unit = tuple(1.0 if t == j else 0.0 for t in range(state.num_dof))
+    bracket = poisson_bracket(oscillator(unit), state.remainder_block(r + 1))
+    return c_const * polydisc_norm(bracket, radii)
+
+
+def _bounds_outcome(bounds):
+    try:
+        return [B.hex() for B in bounds()]
+    except ValueError as exc:   # a norm that overflows the floats
+        return str(exc)
+
+
+@st.composite
+def real_blocks(draw):
+    """(state, radii): a ledger of 1 to 4 DOF normalized to order s - 1 with
+    one random real F block of index s."""
+    n = draw(st.integers(1, 4))
+    degree = draw(st.integers(4, 6 if n < 4 else 5))
+    coeffs = st.floats(-1e300, 1e300, allow_subnormal=False).filter(bool)
+    terms = draw(st.dictionaries(st.sampled_from(_monomials(2 * n, degree)),
+                                 coeffs, max_size=30))
+    block = Polynomial(n, {(e[:n], e[n:]): c for e, c in terms.items()})
+    s = degree - 2
+    radii = tuple(draw(st.lists(st.floats(0.01, 100.0), min_size=n,
+                                max_size=n)))
+    return NormalFormState((1.0,) * n, s - 1, s, f={s: block}), radii
+
+
+@settings(PROPERTY)
+@given(real_blocks())
+def test_drift_bound_matches_the_bracket_kernel(case):
+    state, radii = case
+    r = state.r
+    assert _bounds_outcome(
+        lambda: [b.B for b in drift_bound(state, r, radii)]) \
+        == _bounds_outcome(lambda: [_kernel_bound(state, r, j, radii)
+                                    for j in range(state.num_dof)])
+
+
+@pytest.mark.parametrize("system, order", [("dense2", 14), ("dense3", 7),
+                                           ("even2", 18)])
+def test_drift_bound_matches_the_bracket_kernel_on_ledgers(
+        tmp_path, monkeypatch, system, order):
+    # the benchmark's seed-1 ledgers, written by the bnf command
+    systems = load_perfbench("systems")
+    ham, ledger = tmp_path / "system.ham", tmp_path / "nf.txt"
+    ham.write_text(systems.system_text(system, 1))
+    assert main(["bnf", "--input", str(ham), "--order", str(order),
+                 "--out", str(ledger)]) == 0
+    state = NormalFormState.from_text(ledger.read_text())
+    radii = tuple(0.5 + 0.25 * l for l in range(state.num_dof))
+    for r in range(1, min(state.r, state.r_max - 1) + 1):
+        bounds = drift_bound(state, r, radii)
+        assert [b.B.hex() for b in bounds] == [
+            _kernel_bound(state, r, j, radii).hex()
+            for j in range(state.num_dof)]
+
+
+def test_drift_bound_of_an_action_polynomial_is_zero():
+    # F = I_0^2 and F = I_0 I_1 commute with every action
+    actions = [mono(2, (2, 0), (0, 0), 0.5) + mono(2, (0, 0), (2, 0), 0.5),
+               mono(2, (0, 2), (0, 0), 0.5) + mono(2, (0, 0), (0, 2), 0.5)]
+    for F in (actions[0] * actions[0], actions[0] * actions[1]):
+        state = NormalFormState((1.0, 2.0 ** 0.5), 1, 2, f={2: F})
+        bounds = drift_bound(state, 1, (1.0, 0.5))
+        assert [b.B for b in bounds] == [0.0, 0.0]
+        assert all(_kernel_bound(state, 1, j, (1.0, 0.5)) == 0.0
+                   for j in range(2))

@@ -1,6 +1,8 @@
 """Shared builders for the test suite."""
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 from bnfstab.polyalg import (
     GradedSeries,
@@ -92,3 +94,15 @@ def identity_residual(state, s):
         + z.scale(-1.0) + q
     scale = max(1.0, q.max_abs_coeff(), z.max_abs_coeff())
     return resid.max_abs_coeff() / scale
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """The module perfbench/<name>.py, loaded from its file."""
+    source = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, source)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

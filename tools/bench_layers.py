@@ -22,11 +22,15 @@ An interpreter times, once each:
 - `LinearSymplecticMap.pushforward` of each fixed system's series
   truncated at degree order + 2, by the map `diagonalize_quadratic` finds
   for its quadratic part, as `bnf` does;
-- the read side on the dense2-r14 ledger that its `bnf` wrote, as the
-  median of READ_REPEATS calls each: `NormalFormState.from_text`
-  (read_ledger_s), and the drift bounds of every order at the
-  Sun-Jupiter-Saturn radii of the packaged fixture (drift_bounds_s), with
-  the time spent in `polyalg.polydisc_norm` within them (polydisc_norm_s);
+- the read side, as the median of READ_REPEATS calls each:
+  `NormalFormState.from_text` of the dense2-r14 and dense3-r10 ledgers
+  that `bnf` wrote (read_ledger_s), with the tracemalloc peak of one
+  more, untimed read of dense3-r10 (read_peak_mib); on dense2-r14, the
+  drift bounds of every order at the Sun-Jupiter-Saturn radii of the
+  packaged fixture (drift_bounds_s), with the time spent in
+  `polyalg.polydisc_norm` within them (polydisc_norm_s), and
+  `stability.sweep` over the 1 024-point grid 0.3:3.0:1024:log at those
+  radii, its drift bounds computed beforehand (sweep_grid_s);
 - the write side on the dense3-r10 ledger that its `bnf` wrote, as the
   median of READ_REPEATS calls each: `polyalg.realify` of every CHI and F
   block of the ledger, complexified once beforehand (realify_s),
@@ -54,8 +58,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ROUNDS = 5
 READ_REPEATS = 5
-READ_LEDGER = "dense2-r14"
+READ_LEDGERS = ("dense2-r14", "dense3-r10")
+PEAK_LEDGER = "dense3-r10"
 WRITE_LEDGER = "dense3-r10"
+SWEEP_GRID = "0.3:3.0:1024:log"
 NONRES_OMEGA = (1.0, 2.0 ** 0.5, 3.0 ** 0.5, 5.0 ** 0.5)
 NONRES_K_MAX = 14
 FIXTURE = "sjs-jd2451220.5"
@@ -94,9 +100,11 @@ def measure(src):
             if cli.main(argv) != 0:
                 raise SystemExit(f"bnf failed on {name}")
             out["bnf_s"][name] = time.perf_counter() - start
-        ledger = (Path(tmp) / f"{READ_LEDGER}.nf").read_text()
+        ledgers = {name: (Path(tmp) / f"{name}.nf").read_text()
+                   for name in READ_LEDGERS}
         written = (Path(tmp) / f"{WRITE_LEDGER}.nf").read_text()
-    out["read_s"] = read_side(ledger, birkhoff, celestial, polyalg, stability)
+    out.update(read_side(ledgers, birkhoff, celestial, cli, polyalg,
+                         stability))
     out["write_s"] = write_side(written, birkhoff, polyalg, spectrum)
     rng = np.random.default_rng(1)
     for name, n, p, q in BRACKETS:
@@ -116,11 +124,29 @@ def measure(src):
     return out
 
 
-def read_side(ledger, birkhoff, celestial, polyalg, stability):
-    """Medians of READ_REPEATS timed reads of the ledger, and of the drift
-    bounds of its every order with their time in polydisc_norm."""
+def read_side(ledgers, birkhoff, celestial, cli, polyalg, stability):
+    """Medians of READ_REPEATS timed reads of each ledger, the tracemalloc
+    peak of one read of PEAK_LEDGER, and, on the first ledger, medians of
+    the drift bounds of its every order with their time in polydisc_norm,
+    and of the sweep over SWEEP_GRID with those bounds given."""
     bodies, m0 = celestial.load_fixture(FIXTURE)
     radii = celestial.secular_radii(celestial.poincare_variables(bodies, m0))
+    name = READ_LEDGERS[0]
+    out = {"read_ledger_s": {}, "read_peak_mib": {}}
+    for ledger, text in ledgers.items():
+        runs = []
+        for _ in range(READ_REPEATS):
+            start = time.perf_counter()
+            birkhoff.NormalFormState.from_text(text)
+            runs.append(time.perf_counter() - start)
+        out["read_ledger_s"][ledger] = statistics.median(runs)
+    tracemalloc.start()
+    birkhoff.NormalFormState.from_text(ledgers[PEAK_LEDGER])
+    out["read_peak_mib"][PEAK_LEDGER] = (tracemalloc.get_traced_memory()[1]
+                                         / 2 ** 20)
+    tracemalloc.stop()
+
+    state = birkhoff.NormalFormState.from_text(ledgers[name])
     norm = polyalg.polydisc_norm
     in_norm = [0.0]
 
@@ -131,13 +157,10 @@ def read_side(ledger, birkhoff, celestial, polyalg, stability):
         finally:
             in_norm[0] += time.perf_counter() - start
 
-    runs = {"read_ledger_s": [], "drift_bounds_s": [], "polydisc_norm_s": []}
+    runs = {"drift_bounds_s": [], "polydisc_norm_s": []}
     polyalg.polydisc_norm = timed_norm
     try:
         for _ in range(READ_REPEATS):
-            start = time.perf_counter()
-            state = birkhoff.NormalFormState.from_text(ledger)
-            runs["read_ledger_s"].append(time.perf_counter() - start)
             in_norm[0] = 0.0
             start = time.perf_counter()
             for r in range(1, min(state.r, state.r_max - 1) + 1):
@@ -146,7 +169,22 @@ def read_side(ledger, birkhoff, celestial, polyalg, stability):
             runs["polydisc_norm_s"].append(in_norm[0])
     finally:
         polyalg.polydisc_norm = norm
-    return {name: statistics.median(v) for name, v in runs.items()}
+
+    grid = cli._parse_grid(SWEEP_GRID)
+    per_order = stability._per_order_bounds
+    bounds = per_order(state, radii, stability.DEFAULT_C)
+    runs["sweep_grid_s"] = []
+    stability._per_order_bounds = lambda *args: bounds
+    try:
+        for _ in range(READ_REPEATS):
+            start = time.perf_counter()
+            stability.sweep(state, grid, radii)
+            runs["sweep_grid_s"].append(time.perf_counter() - start)
+    finally:
+        stability._per_order_bounds = per_order
+    out.update((metric, {name: statistics.median(v)})
+               for metric, v in runs.items())
+    return out
 
 
 def write_side(ledger, birkhoff, polyalg, spectrum):
@@ -212,8 +250,10 @@ def main():
                  "numpy": np.__version__},
         "read_repeats": READ_REPEATS,
         "units": {"bnf_s": "s", "bracket_s": "s", "bracket_peak_mib": "MiB",
-                  "product_s": "s", "pushforward_s": "s", "read_s": "s",
-                  "write_s": "s"},
+                  "product_s": "s", "pushforward_s": "s",
+                  "read_ledger_s": "s", "read_peak_mib": "MiB",
+                  "drift_bounds_s": "s", "polydisc_norm_s": "s",
+                  "sweep_grid_s": "s", "write_s": "s"},
         "sources": sources,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
