@@ -42,7 +42,6 @@ from .birkhoff import (
     ActionPolynomial,
     NormalFormState,
     birkhoff_normal_form,
-    normalize_step,
 )
 from .stability import (
     DriftBound,
@@ -91,7 +90,6 @@ __all__ = [
     "drift_bound",
     "escape_time",
     "load_fixture",
-    "normalize_step",
     "poincare_variables",
     "poisson_bracket",
     "polydisc_norm",

@@ -1,9 +1,10 @@
 """The grammar shared by the package's plain-text record formats.
 
-Every artifact the package reads back (HAM, NFSTATE, NONRESONANCE,
-POINCARE) is one record: a header line ``MAGIC key=value ...``, body lines
-of whitespace-separated tokens, and, in every format except HAM, a closing
-``END`` line after which nothing but comments may follow.  ``#`` starts a
+Every record the package writes (HAM, NFSTATE, NONRESONANCE, POINCARE) is
+a header line ``MAGIC key=value ...``, body lines of whitespace-separated
+tokens, and, in every format except HAM, a closing ``END`` line after
+which nothing but comments may follow.  RecordReader reads HAM, NFSTATE
+and POINCARE; no command reads a NONRESONANCE certificate back.  ``#`` starts a
 comment and blank lines are skipped.  Errors are FormatError, carrying the
 line number wherever a single line is at fault.
 

@@ -16,10 +16,11 @@ Conventions fixed here and relied on by the whole package:
     where L_{H0} is diagonal with eigenvalue i<omega, j-k> on Z^j W^k,
     and mapped back to real coefficients only at the boundaries.
 
-The construction keeps the first unnormalized block of every order: after
-a full run, remainder_block(s) is the block of index s exactly as it stood
-when order s was about to be normalized.  Stability estimation at order r
-consumes remainder_block(r+1).
+The construction runs once, from order 1 up to r_max, and keeps the first
+unnormalized block of every order: remainder_block(s) is the block of index
+s exactly as it stood when order s was about to be normalized.  Stability
+estimation at order r consumes remainder_block(r+1).  A ledger stops short
+of r_max only when a small divisor ended the run (a partial ledger).
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ from .errors import (
     RealityViolationError,
     SmallDivisorError,
 )
-from .polyalg import GradedSeries, Polynomial
+from .polyalg import Polynomial
 
 __all__ = [
     "ActionPolynomial",
     "NormalFormState",
-    "normalize_step",
     "birkhoff_normal_form",
 ]
 
@@ -230,9 +230,11 @@ class NormalFormState:
 
     Holds the frequencies, the normalized action parts Z_s and generators
     chi_s for s = 1..r, and remainder blocks: for s <= r the block of index
-    s as it stood just before order s was normalized, for s > r the current
-    not-yet-normalized blocks of the order-r Hamiltonian.  All polynomial
-    data is real; index-s entries are homogeneous of degree s + 2.
+    s as it stood just before order s was normalized.  r < r_max arises
+    only in the partial ledger of a small divisor, whose blocks s > r are
+    the not-yet-normalized blocks of the order-r Hamiltonian.  All
+    polynomial data is real; index-s entries are homogeneous of degree
+    s + 2.
     """
 
     __slots__ = ("omega", "r", "r_max", "z", "chi", "f")
@@ -297,19 +299,6 @@ class NormalFormState:
         if not 1 <= s <= self.r_max:
             raise OrderRangeError(f"F index {s} outside 1..{self.r_max}")
         return self.f.get(s, Polynomial.zero(self.num_dof))
-
-    def normal_form_series(self):
-        """H0 + Z_1 + ... + Z_r as a real graded series in (x, y)."""
-        parts = {2: self.h0_polynomial()}
-        for s, v in self.z.items():
-            parts[s + 2] = v.to_polynomial()
-        return GradedSeries(self.num_dof, parts, self.r_max + 2)
-
-    def current_series(self):
-        """The order-r Hamiltonian: H0 + Z_1..Z_r + remaining blocks."""
-        parts = dict(self.normal_form_series())
-        parts.update((s + 2, v) for s, v in self.f.items() if s > self.r)
-        return GradedSeries(self.num_dof, parts, self.r_max + 2)
 
     def __eq__(self, other):
         return (isinstance(other, NormalFormState)
@@ -471,47 +460,6 @@ def _validate_diagonal(h, omega):
             "frequencies; diagonalize it first")
 
 
-def _extend(state, blocks, r_to, tol):
-    """Normalize orders state.r+1 .. r_to on the chart blocks of state's
-    current Hamiltonian (mutated in place) and return the new state.
-
-    The only code that normalizes an order.  Each generator and snapshot
-    is realified once, when it is produced, and the tail once, at the end;
-    the first snapshot is the input ledger's own block.  A small divisor
-    raises SmallDivisorError with the state normalized through the last
-    completed order.
-    """
-    omega, r_max = state.omega, state.r_max
-    tol = spectrum._tolerance(omega, tol)
-    n = len(omega)
-    z, chi = dict(state.z), dict(state.chi)
-    f = {s: v for s, v in state.f.items() if s <= state.r + 1}
-
-    def build(r_done):
-        # the F entries of the blocks not yet normalized
-        tail = {s: poly.realify(Polynomial._raw(n, blocks[s + 2], "complex"))
-                for s in range(r_done + 1, r_max + 1) if s + 2 in blocks}
-        return NormalFormState(omega, r_done, r_max, z=z, chi=chi,
-                               f={**tail, **f})
-
-    for s in range(state.r + 1, r_to + 1):
-        try:
-            q, chi_block, z_terms = _step_chart(
-                blocks, s, omega, n, tol, r_max + 2)
-        except SmallDivisorError as exc:
-            raise SmallDivisorError(
-                f"small divisor while normalizing order {s}: {exc}",
-                k=exc.k, divisor=exc.divisor, order=s,
-                state=build(s - 1)) from None
-        if z_terms:
-            z[s] = ActionPolynomial(n, z_terms)
-        if chi_block is not None and len(chi_block[1]):
-            chi[s] = poly.realify(Polynomial._raw(n, chi_block, "complex"))
-        if q is not None and s not in f:
-            f[s] = poly.realify(Polynomial._raw(n, q, "complex"))
-    return build(r_to)
-
-
 def birkhoff_normal_form(h, omega, r_max, tol=None):
     """Normalize orders 1..r_max of a real graded Hamiltonian.
 
@@ -521,6 +469,10 @@ def birkhoff_normal_form(h, omega, r_max, tol=None):
     hold at most 255.  On a small divisor at some order the raised
     SmallDivisorError carries the partial state (normalized through the
     last completed order) in its `state` attribute.
+
+    The orders are normalized on the chart blocks of h.  Each generator
+    and snapshot is realified once, when it is produced, and the blocks
+    not yet normalized once, when the ledger is built.
     """
     omega = tuple(float(w) for w in omega)
     if h.num_dof != len(omega):
@@ -534,20 +486,30 @@ def birkhoff_normal_form(h, omega, r_max, tol=None):
         raise ValueError("omega is identically zero")
     _validate_diagonal(h, omega)
     blocks = _chart_blocks_from_series(h, r_max + 2)
-    return _extend(NormalFormState(omega, 0, r_max), blocks, r_max, tol)
+    tol = spectrum._tolerance(omega, tol)
+    n = len(omega)
+    z, chi, f = {}, {}, {}
 
+    def build(r_done):
+        # the F entries of the blocks not yet normalized
+        tail = {s: poly.realify(Polynomial._raw(n, blocks[s + 2], "complex"))
+                for s in range(r_done + 1, r_max + 1) if s + 2 in blocks}
+        return NormalFormState(omega, r_done, r_max, z=z, chi=chi,
+                               f={**tail, **f})
 
-def normalize_step(state, tol=None):
-    """Normalize one more order of an existing state.
-
-    Returns a new state with r incremented; the ledger keeps the consumed
-    block as the order-(r+1) snapshot and replaces all higher blocks with
-    their transformed versions.
-    """
-    if state.r + 1 > state.r_max:
-        raise OrderRangeError(
-            f"state is already normalized to r_max = {state.r_max}")
-    _check_r_max(state.r_max)
-    blocks = _chart_blocks_from_series(state.current_series(),
-                                       state.r_max + 2)
-    return _extend(state, blocks, state.r + 1, tol)
+    for s in range(1, r_max + 1):
+        try:
+            q, chi_block, z_terms = _step_chart(
+                blocks, s, omega, n, tol, r_max + 2)
+        except SmallDivisorError as exc:
+            raise SmallDivisorError(
+                f"small divisor while normalizing order {s}: {exc}",
+                k=exc.k, divisor=exc.divisor, order=s,
+                state=build(s - 1)) from None
+        if z_terms:
+            z[s] = ActionPolynomial(n, z_terms)
+        if chi_block is not None and len(chi_block[1]):
+            chi[s] = poly.realify(Polynomial._raw(n, chi_block, "complex"))
+        if q is not None:
+            f[s] = poly.realify(Polynomial._raw(n, q, "complex"))
+    return build(r_max)

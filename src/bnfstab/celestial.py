@@ -38,7 +38,6 @@ __all__ = [
     "SOLAR_MASS",
     "poincare_variables",
     "secular_radii",
-    "eccentricities",
     "parse_elements",
     "elements_text",
     "load_fixture",
@@ -205,24 +204,6 @@ def secular_radii(state):
     return radii
 
 
-def eccentricities(state):
-    """Invert the secular map: e from (Lambda, xi, eta) per body.
-
-    xi^2 + eta^2 = 2 Lambda (1 - sqrt(1 - e^2)), so u = sqrt(1 - e^2) must
-    lie in (0, 1]: an amplitude with xi^2 + eta^2 >= 2 Lambda has no
-    elliptic orbit and is a ValueError.
-    """
-    out = []
-    for L, x, e in zip(state.Lambda, state.xi, state.eta):
-        u = 1.0 - (x * x + e * e) / (2.0 * L)
-        if not 0.0 < u <= 1.0:
-            raise ValueError(
-                "secular amplitude exceeds the physical range of its action: "
-                "xi^2 + eta^2 must stay below 2 Lambda")
-        out.append(math.sqrt(max(0.0, 1.0 - u * u)))
-    return tuple(out)
-
-
 # -- element files -------------------------------------------------------------
 
 def parse_elements(text, path=None):
@@ -264,6 +245,11 @@ def parse_elements(text, path=None):
             raise FormatError(f"duplicate key {key!r}",
                               line=lineno, path=path)
         if key == "name":
+            # a state file holds the name as one token of a body line
+            if len(value.split()) > 1 or value in ("RADII", "END"):
+                raise FormatError(
+                    f"body name {value!r} must be one token other than "
+                    "RADII and END", line=lineno, path=path)
             current[key] = value
             continue
         if key not in _ELEMENT_KEYS:

@@ -215,12 +215,11 @@ def cmd_sweep(args):
     finite_floats([args.c_const], "--c-const")
     state = _load_state(args.input)
     radii, radii_src = _resolve_radii(args)
-    grid = _parse_grid(args.grid) if args.grid else stability.default_grid()
+    grid = _parse_grid(args.grid)
     reports = stability.sweep(state, grid, radii, c_const=args.c_const)
     csv = stability.sweep_csv(reports, wide=args.wide)
     inputs = [args.input] + ([radii_src] if radii_src else [])
-    config = [("input", args.input),
-              ("grid", args.grid or "default(0.3:3.0:64:log)"),
+    config = [("input", args.input), ("grid", args.grid),
               ("c_const", args.c_const), ("radii", radii),
               ("wide", args.wide), ("out", args.out or "-")]
     header = _provenance("sweep", config, inputs)
@@ -286,7 +285,8 @@ def build_parser():
         "sweep", help="stability times across a grid of starting radii")
     p.add_argument("--input", required=True, help="ledger (NFSTATE) file")
     p.add_argument("--grid", metavar="MIN:MAX:POINTS[:log|:lin]",
-                   help="rho0 grid (default 0.3:3.0:64:log)")
+                   default="0.3:3.0:64:log",
+                   help="rho0 grid (default %(default)s)")
     p.add_argument("--c-const", type=float, default=stability.DEFAULT_C,
                    help="safety constant in the drift bound (default 2)")
     _add_radii_options(p)

@@ -45,13 +45,11 @@ __all__ = [
     "add",
     "subtract",
     "poisson_bracket",
-    "theta_weight",
     "polydisc_norm",
     "complexify",
     "realify",
     "oscillator",
     "linear_substitute",
-    "evaluate",
 ]
 
 PRUNE_REL = 1e-15
@@ -282,9 +280,6 @@ class Polynomial:
     def __repr__(self):
         return (f"Polynomial(num_dof={self.num_dof}, field={self.field!r}, "
                 f"terms={self.num_terms}, degrees={self.degrees()})")
-
-    def evaluate(self, point):
-        return evaluate(self, point)
 
 
 def _read_only(block):
@@ -624,26 +619,6 @@ def _lie_series(g, chi, num_dof, degree, step, cap, p=1):
         p += 1
 
 
-def theta_weight(j, k):
-    """Componentwise weight sqrt(j^j k^k / (j+k)^(j+k)) with 0^0 = 1.
-
-    Equals max over angles of |cos^j sin^k| per pair, so the weighted
-    coefficient sum majorizes the sup of the monomial on a polydisc.
-    """
-    j, k = tuple(j), tuple(k)
-    if len(j) != len(k):
-        raise DimensionMismatchError("exponent tuples differ in length")
-    w = 1.0
-    for a, b in zip(j, k):
-        if a < 0 or b < 0:
-            raise ValueError("exponents must be nonnegative")
-        if a == 0 or b == 0:
-            continue  # pure power: weight exactly 1
-        w *= math.exp(0.5 * (a * math.log(a) + b * math.log(b)
-                             - (a + b) * math.log(a + b)))
-    return w
-
-
 def _check_radii(radii, num_dof=None):
     """The radii as a tuple of floats; DimensionMismatchError unless there
     are num_dof of them (when given), ValueError unless each lies in
@@ -885,23 +860,6 @@ def oscillator(omega):
         terms[(square, zero)] = 0.5 * w
         terms[(zero, square)] = 0.5 * w
     return Polynomial(n, terms)
-
-
-# -- evaluation ------------------------------------------------------------
-
-def evaluate(f, point):
-    """Value of f at a point (x_1..x_n, y_1..y_n): each term c times its
-    powers in slot order, the terms summed in the order of terms()."""
-    n = f.num_dof
-    point = np.asarray(point)
-    if point.shape != (2 * n,):
-        raise DimensionMismatchError(
-            f"expected a point of length {2 * n}, got {len(point)}")
-    point = point.astype(complex if np.iscomplexobj(point) else float)
-    exps, v = f._block
-    for i, x in enumerate(point):
-        v = v * x ** exps[:, i]
-    return sum(v.tolist(), 0.0)
 
 
 # -- graded series and text format -------------------------------------------

@@ -19,7 +19,6 @@ from . import polyalg as poly
 from .errors import (
     ConditioningError,
     DimensionMismatchError,
-    FormatError,
     GradingError,
     NotEllipticError,
     ResonanceError,
@@ -313,19 +312,6 @@ def _shell_minima(omega, k_max):
     return min_div, argmin, shell_min
 
 
-# how each certificate body line parses; `inf` is a valid tau_dioph (an
-# exact resonance fits no finite exponent)
-_CERT_FIELDS = {
-    "omega": lambda vals: tuple(float(v) for v in vals),
-    "min_divisor": lambda vals: float(vals[0]),
-    "argmin_k": lambda vals: tuple(int(v) for v in vals),
-    "gamma": lambda vals: float(vals[0]),
-    "tau_dioph": lambda vals: float(vals[0]),
-    "tol": lambda vals: float(vals[0]),
-    "certified": lambda vals: bool(int(vals[0])),
-}
-
-
 @dataclass(frozen=True)
 class ResonanceCertificate:
     """Exhaustive small-divisor audit of a frequency vector.
@@ -358,28 +344,6 @@ class ResonanceCertificate:
         ]
         return _records.record(
             "NONRESONANCE", {"n": len(self.omega), "kmax": self.k_max}, lines)
-
-    @classmethod
-    def from_text(cls, text, path=None):
-        reader = _records.RecordReader(
-            text, "NONRESONANCE", {"n": int, "kmax": int}, path=path)
-        n = reader.header["n"]
-        fields = {}
-        for tokens in reader:
-            key, vals = tokens[0], tokens[1:]
-            if key not in _CERT_FIELDS:
-                raise reader.error(f"unknown key {key!r}")
-            try:
-                fields[key] = _CERT_FIELDS[key](vals)
-            except (ValueError, IndexError) as exc:
-                raise reader.error(f"bad value for {key!r}: {exc}") from None
-        missing = set(_CERT_FIELDS) - set(fields)
-        if missing:
-            raise FormatError(f"missing keys {sorted(missing)}", path=path)
-        if len(fields["omega"]) != n or len(fields["argmin_k"]) != n:
-            raise FormatError("vector length disagrees with header n",
-                              path=path)
-        return cls(k_max=reader.header["kmax"], **fields)
 
 
 def check_nonresonance(omega, k_max, tol=None):

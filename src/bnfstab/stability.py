@@ -34,7 +34,6 @@ __all__ = [
     "stability_time",
     "sweep",
     "sweep_csv",
-    "default_grid",
 ]
 
 DEFAULT_C = 2.0
@@ -274,12 +273,3 @@ def sweep_csv(reports, wide=False):
     return "\n".join([",".join(header)]
                      + [template % row for row in zip(*columns)]) + "\n"
 
-
-def default_grid(rho_ref=1.0, points=64):
-    """Geometric grid over [0.3, 3.0] times the reference radius."""
-    if points < 2:
-        raise ValueError("need at least two grid points")
-    lo = 0.3 * rho_ref
-    hi = 3.0 * rho_ref
-    ratio = hi / lo
-    return tuple(lo * ratio ** (i / (points - 1)) for i in range(points))

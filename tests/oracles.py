@@ -13,6 +13,11 @@ matrices, escape times one grid point at a time instead of the array
 pass over the grid, and records read a line at a time instead of in one
 pass.  No code is shared with bnfstab beyond reading plain
 (j, k, coeff) term lists off its objects, and its error classes.
+
+Some references have no counterpart in the package, because no command
+needs one: the scalar polydisc weight Theta (polydisc_norm forms it as
+arrays), the reader of NONRESONANCE certificates, which bnf writes but
+nothing reads back, and the inverse of the secular map.
 """
 
 import itertools
@@ -266,6 +271,41 @@ class LineReader:
             yield tokens
         if self._end:
             raise FormatError("missing END")
+
+
+# how each certificate body line parses; `inf` is a valid tau_dioph (an
+# exact resonance fits no finite exponent)
+CERT_FIELDS = {
+    "omega": lambda vals: tuple(float(v) for v in vals),
+    "min_divisor": lambda vals: float(vals[0]),
+    "argmin_k": lambda vals: tuple(int(v) for v in vals),
+    "gamma": lambda vals: float(vals[0]),
+    "tau_dioph": lambda vals: float(vals[0]),
+    "tol": lambda vals: float(vals[0]),
+    "certified": lambda vals: bool(int(vals[0])),
+}
+
+
+def read_certificate(text):
+    """The fields of a NONRESONANCE record, as the keyword arguments of
+    bnfstab.spectrum.ResonanceCertificate, lines read one at a time."""
+    reader = LineReader(text, "NONRESONANCE", {"n": int, "kmax": int})
+    n = reader.header["n"]
+    fields = {}
+    for tokens in reader:
+        key, vals = tokens[0], tokens[1:]
+        if key not in CERT_FIELDS:
+            raise reader.error(f"unknown key {key!r}")
+        try:
+            fields[key] = CERT_FIELDS[key](vals)
+        except (ValueError, IndexError) as exc:
+            raise reader.error(f"bad value for {key!r}: {exc}") from None
+    missing = set(CERT_FIELDS) - set(fields)
+    if missing:
+        raise FormatError(f"missing keys {sorted(missing)}")
+    if len(fields["omega"]) != n or len(fields["argmin_k"]) != n:
+        raise FormatError("vector length disagrees with header n")
+    return {"k_max": reader.header["kmax"], **fields}
 
 
 # -- pruning and term-line reading, one term at a time ---------------------------
@@ -560,6 +600,22 @@ def sample_polydisc(radii, rho, size, rng):
     return out
 
 
+# -- the polydisc weight, one exponent pair at a time -------------------------
+
+def theta_weight(j, k):
+    """Componentwise weight sqrt(j^j k^k / (j+k)^(j+k)) with 0^0 = 1.
+
+    Equals max over angles of |cos^j sin^k| per pair, so the weighted
+    coefficient sum majorizes the sup of the monomial on a polydisc.
+    """
+    w = 1.0
+    for a, b in zip(j, k):
+        if a and b:
+            w *= math.exp(0.5 * (a * math.log(a) + b * math.log(b)
+                                 - (a + b) * math.log(a + b)))
+    return w
+
+
 # -- escape time by quadrature ---------------------------------------------------
 
 def escape_time_quadrature(rho0, rho, r, b_values, radii):
@@ -664,6 +720,24 @@ def poincare_mp(mass, m0, a, e, mean_anomaly, perihelion_arg, dps=50):
         return (float(lam_action), float(lam_angle), float(xi), float(eta))
 
 
+def eccentricities(state):
+    """Invert the secular map: e from (Lambda, xi, eta) per body.
+
+    xi^2 + eta^2 = 2 Lambda (1 - sqrt(1 - e^2)), so u = sqrt(1 - e^2) must
+    lie in (0, 1]: an amplitude with xi^2 + eta^2 >= 2 Lambda has no
+    elliptic orbit and is a ValueError.
+    """
+    out = []
+    for L, x, e in zip(state.Lambda, state.xi, state.eta):
+        u = 1.0 - (x * x + e * e) / (2.0 * L)
+        if not 0.0 < u <= 1.0:
+            raise ValueError(
+                "secular amplitude exceeds the physical range of its action: "
+                "xi^2 + eta^2 must stay below 2 Lambda")
+        out.append(math.sqrt(max(0.0, 1.0 - u * u)))
+    return tuple(out)
+
+
 # -- exhaustive resonance scan ---------------------------------------------------
 
 def exhaustive_divisor_scan(omega, k_max):
@@ -742,13 +816,16 @@ def diophantine_fit(shell_min, k_max):
 # -- dense evaluation helpers -----------------------------------------------------
 
 def eval_terms(terms, points):
-    """Evaluate [(j, k, coeff), ...] at points of shape (m, 2n) without
-    using the package evaluator."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    """Evaluate [(j, k, coeff), ...] at real or complex points of shape
+    (m, 2n), or at one point of length 2n, as a complex array of m
+    values."""
+    points = np.atleast_2d(np.asarray(points))
+    if not np.iscomplexobj(points):
+        points = points.astype(float)
     n = points.shape[1] // 2
     out = np.zeros(points.shape[0], dtype=complex)
     for j, k, c in terms:
-        mono = np.ones(points.shape[0])
+        mono = np.ones(points.shape[0], dtype=points.dtype)
         for l in range(n):
             if j[l]:
                 mono = mono * points[:, l] ** j[l]

@@ -13,13 +13,8 @@ import numpy as np
 import pytest
 
 import oracles
-from bnfstab.birkhoff import (
-    NormalFormState,
-    birkhoff_normal_form,
-    normalize_step,
-)
+from bnfstab.birkhoff import birkhoff_normal_form
 from bnfstab.celestial import (
-    eccentricities,
     fixture_path,
     load_fixture,
     poincare_variables,
@@ -87,15 +82,8 @@ def test_homological_identity_every_order_every_run():
         random_series(rng, 3, omega3, d_max=6), omega3, 4))
     runs.append(birkhoff_normal_form(two_dof_even_series(d_max=12),
                                      TWO_DOF_OMEGA, 10))
-    # a stepped construction counts as a run of its own
-    h = random_series(rng, 2, TWO_DOF_OMEGA, d_max=6)
-    state = NormalFormState(
-        TWO_DOF_OMEGA, 0, 4,
-        f={s: h.component(s + 2) for s in range(1, 5)
-           if not h.component(s + 2).is_zero})
-    while state.r < state.r_max:
-        state = normalize_step(state)
-    runs.append(state)
+    runs.append(birkhoff_normal_form(
+        random_series(rng, 2, TWO_DOF_OMEGA, d_max=6), TWO_DOF_OMEGA, 4))
     # and so does the partial ledger left behind by a small divisor
     try:
         birkhoff_normal_form(GradedSeries.from_polynomial(
@@ -262,7 +250,7 @@ def test_fixture_bit_exact_and_conversion_oracle():
         got = (state.Lambda[i], state.lam[i], state.xi[i], state.eta[i])
         for g, e in zip(got, expect):
             worst = max(worst, abs(g - e) / abs(e))
-    ecc = eccentricities(state)
+    ecc = oracles.eccentricities(state)
     ecc_worst = max(abs(e - b.eccentricity) / b.eccentricity
                     for e, b in zip(ecc, bodies))
     ok = bit_exact and worst <= 1e-13 and ecc_worst <= 1e-13
@@ -274,18 +262,25 @@ def test_fixture_bit_exact_and_conversion_oracle():
 def test_drift_bound_dominates_measured_rate():
     t0 = time.monotonic()
     h = one_dof_series({(3, 0): 0.3, (4, 0): 0.4}, d_max=8)
-    state = NormalFormState(
-        (1.0,), 0, 6,
-        f={s: h.component(s + 2) for s in range(1, 7)
-           if not h.component(s + 2).is_zero})
     r = 2
-    for _ in range(r):
-        state = normalize_step(state)
     radii = (1.0,)
+    # F s=3 of the ledger is block 3 of the order-2 Hamiltonian
+    state = birkhoff_normal_form(h, (1.0,), 6)
     bound = drift_bound(state, r, radii, c_const=2.0)[0]
 
-    truncated = state.current_series().to_polynomial()
-    rate = oracles.action_rate_terms(truncated.terms(), 0, 1)
+    # the order-2 Hamiltonian through degree 8, by the dict step
+    chart = oracles.chart_change(h.to_polynomial().terms(), 1, -1)
+    blocks = {}
+    for (j, k), c in oracles.pruned(chart).items():
+        blocks.setdefault(j[0] + k[0], {})[(j, k)] = c
+    for s in range(1, r + 1):
+        oracles.step_chart(blocks, s, (1.0,), 1, 1e-9, 8)
+    real = oracles.chart_change(
+        [(j, k, c) for block in blocks.values()
+         for (j, k), c in block.items()], 1, 1)
+    truncated = [(j, k, c.real) for (j, k), c in
+                 oracles.pruned(real).items()]
+    rate = oracles.action_rate_terms(truncated, 0, 1)
     rng = np.random.default_rng(2024)
     ok = True
     ratios = []
@@ -297,7 +292,7 @@ def test_drift_bound_dominates_measured_rate():
         # short numerically integrated orbits, rate sampled along the way
         flow_max = 0.0
         for ic in pts[:8]:
-            sol = oracles.hamiltonian_flow(truncated.terms(), ic,
+            sol = oracles.hamiltonian_flow(truncated, ic,
                                            (0.0, 1.0), 1, max_step=0.05)
             inside = (sol.y[0] ** 2 + sol.y[1] ** 2
                       <= (rho * radii[0]) ** 2 * (1 + 1e-9))

@@ -12,7 +12,6 @@ from bnfstab.birkhoff import (
     ActionPolynomial,
     NormalFormState,
     birkhoff_normal_form,
-    normalize_step,
 )
 from bnfstab.errors import (
     FormatError,
@@ -25,6 +24,7 @@ from util import (
     TWO_DOF_OMEGA,
     identity_residual,
     mono,
+    normal_form,
     one_dof_series,
     random_series,
     two_dof_even_series,
@@ -85,15 +85,14 @@ def test_homological_identity_random_systems():
 def test_normalized_part_commutes_with_actions():
     h = two_dof_even_series(d_max=10)
     state = birkhoff_normal_form(h, TWO_DOF_OMEGA, 8)
-    normal_form = state.normal_form_series().to_polynomial()
+    nf = normal_form(state)
     for l in range(2):
         action = (mono(2, tuple(2 if t == l else 0 for t in range(2)),
                        (0, 0), 0.5)
                   + mono(2, (0, 0),
                          tuple(2 if t == l else 0 for t in range(2)), 0.5))
-        br = poisson_bracket(action, normal_form)
-        assert br.max_abs_coeff() <= 1e-12 * max(1.0,
-                                                 normal_form.max_abs_coeff())
+        br = poisson_bracket(action, nf)
+        assert br.max_abs_coeff() <= 1e-12 * max(1.0, nf.max_abs_coeff())
 
 
 def test_even_hamiltonian_has_no_odd_orders():
@@ -104,41 +103,6 @@ def test_even_hamiltonian_has_no_odd_orders():
             assert state.z_action(s).is_zero
             assert state.generator(s).is_zero
             assert state.remainder_block(s).is_zero
-
-
-def test_stepwise_matches_pipeline():
-    rng = np.random.default_rng(77)
-    omega = TWO_DOF_OMEGA
-    h = random_series(rng, 2, omega, d_max=6)
-    full = birkhoff_normal_form(h, omega, 4)
-
-    blocks = {s: h.component(s + 2) for s in range(1, 5)}
-    state = NormalFormState(omega, 0, 4,
-                            f={s: b for s, b in blocks.items()
-                               if not b.is_zero})
-    while state.r < state.r_max:
-        state = normalize_step(state)
-
-    assert state.r == full.r == 4
-    for s in range(1, 5):
-        za, zb = state.z_action(s), full.z_action(s)
-        assert set(dict(za.terms())) == set(dict(zb.terms()))
-        for p, c in za.terms():
-            assert zb.coefficient(p) == pytest.approx(c, rel=1e-9,
-                                                      abs=1e-12)
-        dchi = state.generator(s) + full.generator(s).scale(-1.0)
-        assert dchi.max_abs_coeff() <= 1e-9 * max(
-            1.0, full.generator(s).max_abs_coeff())
-        df = state.remainder_block(s) + full.remainder_block(s).scale(-1.0)
-        assert df.max_abs_coeff() <= 1e-9 * max(
-            1.0, full.remainder_block(s).max_abs_coeff())
-
-
-def test_normalize_step_past_rmax_raises():
-    h = one_dof_series({(3, 0): 1.0}, d_max=5)
-    state = birkhoff_normal_form(h, (1.0,), 3)
-    with pytest.raises(OrderRangeError):
-        normalize_step(state)
 
 
 def test_small_divisor_carries_partial_state():
@@ -159,29 +123,8 @@ def test_small_divisor_carries_partial_state():
         abs(err.divisor), abs=1e-15)
     # the partial ledger still satisfies the order-1 identity
     assert identity_residual(err.state, 1) <= 1e-12
-
-
-def test_normalize_step_small_divisor_keeps_the_input_order():
-    # the same 1:1 system, stepped: the cubic order goes through, the
-    # quartic order holds exact resonances
-    omega = (1.0, 1.0)
-    h2 = (mono(2, (2, 0), (0, 0), 0.5) + mono(2, (0, 0), (2, 0), 0.5)
-          + mono(2, (0, 2), (0, 0), 0.5) + mono(2, (0, 0), (0, 2), 0.5))
-    h = GradedSeries.from_polynomial(
-        h2 + mono(2, (3, 0), (0, 0)) + mono(2, (2, 2), (0, 0)), d_max=6)
-    state = NormalFormState(
-        omega, 0, 4, f={s: h.component(s + 2) for s in (1, 2)})
-    state = normalize_step(state)
-    with pytest.raises(SmallDivisorError) as info:
-        normalize_step(state)
-    err = info.value
-    assert err.order == state.r + 1
-    assert err.state.r == state.r
-    assert identity_residual(err.state, 1) <= 1e-12
     # a tolerance outside (0, inf) is refused before any division
     for bad in (0.0, math.nan):
-        with pytest.raises(ValueError):
-            normalize_step(state, tol=bad)
         with pytest.raises(ValueError):
             birkhoff_normal_form(h, omega, 4, tol=bad)
 
@@ -289,7 +232,7 @@ def test_generator_flows_carry_h_to_the_normal_form():
     h = random_series(rng, 2, omega, d_max=8)
     state = birkhoff_normal_form(h, omega, 6)
     h_terms = h.to_polynomial().terms()
-    nf_terms = state.normal_form_series().to_polynomial().terms()
+    nf_terms = normal_form(state).terms()
     flows = [[(j, k, -c) for j, k, c in state.generator(s).terms()]
              for s in range(1, state.r + 1)]
     for p in rng.uniform(-0.04, 0.04, size=(3, 4)):

@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from bnfstab.birkhoff import NormalFormState
 from bnfstab.celestial import PoincareState
 from bnfstab.cli import main
 from bnfstab.polyalg import GradedSeries
-from bnfstab.spectrum import ResonanceCertificate
 from util import (
     PERFBENCH,
     load_perfbench,
@@ -58,6 +58,24 @@ def test_poincare_from_file(tmp_path, capsys):
     assert state.names == ("jupiter", "saturn")
 
 
+def test_poincare_refuses_a_name_its_state_file_cannot_hold(tmp_path,
+                                                           capsys):
+    # a name is one token of a body line, where RADII and END would be
+    # read as the RADII line and the end of the record
+    from bnfstab.celestial import fixture_path
+    text = fixture_path("sjs-jd2451220.5").read_text()
+    at = text.splitlines().index("name = jupiter") + 1
+    src = tmp_path / "elements.txt"
+    out = tmp_path / "state.txt"
+    for name in ("jupiter barycenter", "RADII", "END"):
+        src.write_text(text.replace("name = jupiter", f"name = {name}"))
+        assert main(["poincare", "--input", str(src),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{src}:{at}:" in err and repr(name) in err
+        assert not out.exists()
+
+
 def test_bnf_writes_state_and_certificate(tmp_path, capsys):
     ham = tmp_path / "h.txt"
     _write_one_dof(ham)
@@ -69,9 +87,8 @@ def test_bnf_writes_state_and_certificate(tmp_path, capsys):
     assert state.r == 5 and state.num_dof == 1
     assert state.omega[0] == pytest.approx(4.0, rel=1e-12)  # sqrt(2 * 8)
 
-    cert = ResonanceCertificate.from_text((tmp_path / "nf.txt.cert")
-                                          .read_text())
-    assert cert.certified and cert.k_max == 7
+    cert = oracles.read_certificate((tmp_path / "nf.txt.cert").read_text())
+    assert cert["certified"] and cert["k_max"] == 7
 
     digest = hashlib.sha256(ham.read_bytes()).hexdigest()
     header = [l for l in text.splitlines() if l.startswith("#")]
@@ -182,9 +199,19 @@ def test_sweep_linear_grid_and_default_grid(tmp_path, capsys):
     assert [float(r.split(",")[0]) for r in rows[1:]] == [0.5, 0.75, 1.0]
 
     assert main(["sweep", "--input", str(nf), "--radii", "1.0"]) == 0
-    rows = [l for l in capsys.readouterr().out.splitlines()
-            if l and not l.startswith("#")]
+    default = capsys.readouterr().out.splitlines()
+    rows = [l for l in default if l and not l.startswith("#")]
     assert len(rows) == 65  # header + default 64-point grid
+    # the default is that grid spec, and the header names it
+    assert any(l.startswith("# config:") and " grid=0.3:3.0:64:log " in l
+               for l in default)
+    assert main(["sweep", "--input", str(nf), "--radii", "1.0",
+                 "--grid", "0.3:3.0:64:log"]) == 0
+    spelled = capsys.readouterr().out.splitlines()
+    assert spelled == default
+    # an empty spec is a bad grid, not the default
+    assert main(["sweep", "--input", str(nf), "--radii", "1.0",
+                 "--grid", ""]) == 2
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -272,9 +299,9 @@ def test_exit_code_on_resonance(tmp_path, capsys):
     assert main(["bnf", "--input", str(ham), "--order", "4",
                  "--out", str(out)]) == 3
     cert_text = (tmp_path / "nf.txt.cert").read_text()
-    cert = ResonanceCertificate.from_text(cert_text)
-    assert not cert.certified
-    assert cert.min_divisor == 0.0
+    cert = oracles.read_certificate(cert_text)
+    assert not cert["certified"]
+    assert cert["min_divisor"] == 0.0
     assert not out.exists()
     assert "error:" in capsys.readouterr().err
     # a zero tolerance would certify the exact resonance: refused before

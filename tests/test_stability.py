@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import theta_weight
 from bnfstab import stability
 from bnfstab.birkhoff import NormalFormState, birkhoff_normal_form
-from bnfstab.cli import main
+from bnfstab.cli import _parse_grid, build_parser, main
 from bnfstab.errors import (
     DimensionMismatchError,
     OrderRangeError,
@@ -23,11 +24,9 @@ from bnfstab.polyalg import (
     oscillator,
     poisson_bracket,
     polydisc_norm,
-    theta_weight,
 )
 from bnfstab.stability import (
     DriftBound,
-    default_grid,
     drift_bound,
     escape_time,
     stability_time,
@@ -217,14 +216,14 @@ def test_sweep_csv_infinite_time_token():
 
 
 def test_default_grid_shape():
-    grid = default_grid()
+    args = build_parser().parse_args(["sweep", "--input", "nf.txt",
+                                      "--radii", "1"])
+    grid = _parse_grid(args.grid)
     assert len(grid) == 64
     assert grid[0] == pytest.approx(0.3, rel=1e-12)
     assert grid[-1] == pytest.approx(3.0, rel=1e-12)
     ratios = [b / a for a, b in zip(grid, grid[1:])]
     assert max(ratios) - min(ratios) <= 1e-12
-    scaled = default_grid(rho_ref=2.0, points=5)
-    assert scaled[0] == pytest.approx(0.6) and scaled[-1] == pytest.approx(6.0)
 
 
 def test_drift_bound_requires_positive_bound_invariants():

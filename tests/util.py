@@ -85,6 +85,12 @@ def random_series(rng, n, omega, d_max, amplitude=0.3):
     return GradedSeries.from_polynomial(h, d_max=d_max)
 
 
+def normal_form(state):
+    """H0 + Z_1 + ... + Z_r of a ledger as one real polynomial."""
+    return sum((state.z[s].to_polynomial() for s in sorted(state.z)),
+               state.h0_polynomial())
+
+
 def identity_residual(state, s):
     """max coeff of L_H0 chi_s - Z_s + Q_s, relative to the block scale."""
     chi = state.generator(s)
