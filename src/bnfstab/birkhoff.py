@@ -26,6 +26,7 @@ of r_max only when a small divisor ended the run (a partial ledger).
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -343,27 +344,23 @@ class NormalFormState:
             raise reader.error(f"need 0 <= r <= rmax <= {poly._MAX_EXP - 2}")
         lines, linenos = reader.lines, reader.linenos
         omega = None
-        z, chi, f = {}, {}, {}
-        ledgers = {"Z": z, "CHI": chi, "F": f}
-        # (label, s, lines, line numbers) of the open section, read on
-        # closing: a CHI or F section as one block, a Z section line by line
-        section = None
+        z = {}
+        seen = set()
+        # the CHI and F sections, (label, s) each, and their term lines,
+        # read in one batch once the scan ends: the lines, their numbers,
+        # and where each section's lines start
+        sections, body, numbers, starts = [], [], array("l"), []
+        # (s, lines, line numbers) of the open Z section, read line by line
+        # on closing
+        zsection = None
 
-        def close_section():
-            nonlocal section
-            if section is None:
+        def close_z():
+            nonlocal zsection
+            if zsection is None:
                 return
-            (label, s, body, at), section = section, None
-            if label != "Z":
-                blocks = poly._read_terms(
-                    body, at, n, "real", path, (s + 2, s + 2),
-                    lambda degree: f"term degree {degree} in section of "
-                                   f"order {s} (expected {s + 2})")
-                ledgers[label][s] = (Polynomial._raw(n, blocks[s + 2], "real")
-                                     if blocks else Polynomial.zero(n))
-                return
+            (s, zbody, zat), zsection = zsection, None
             terms = {}
-            for reader.lineno, line in zip(at, body):
+            for reader.lineno, line in zip(zat, zbody):
                 tokens = line.split()
                 if len(tokens) != n + 1:
                     raise reader.error(
@@ -383,23 +380,26 @@ class NormalFormState:
             z[s] = ActionPolynomial(n, terms)
 
         # each line is classified by its first token: the OMEGA line, a
-        # section header, or else a term line of the open section
+        # section header, or else a term line of the open section, which
+        # goes to target, the (lines, line numbers) of that section
         heads = [i for i, line in enumerate(lines) if line[0] in "OZCF"
-                 and line.split(None, 1)[0] in ("OMEGA", *ledgers)]
+                 and line.split(None, 1)[0] in ("OMEGA", "Z", "CHI", "F")]
+        target = None
         try:
             for lo, at in zip([-1, *heads], [*heads, len(lines)]):
                 if lo + 1 < at:
-                    if section is None:
+                    if target is None:
                         reader.lineno = linenos[lo + 1]
                         raise reader.error("term line outside any section")
-                    section[2].extend(lines[lo + 1:at])
-                    section[3].extend(linenos[lo + 1:at])
+                    target[0].extend(lines[lo + 1:at])
+                    target[1].extend(linenos[lo + 1:at])
                 if at == len(lines):
                     break
                 tokens = lines[at].split()
                 if tokens[0] != "OMEGA":
                     # a section header ends the open section, read first
-                    close_section()
+                    close_z()
+                    target = None
                 reader.lineno = linenos[at]
                 if tokens[0] == "OMEGA":
                     if omega is not None:
@@ -414,18 +414,36 @@ class NormalFormState:
                     s = int(tokens[1][2:])
                 except ValueError:
                     raise reader.error("bad section order") from None
-                if s in ledgers[tokens[0]]:
+                if (tokens[0], s) in seen:
                     raise reader.error(f"repeated section {tokens[0]} s={s}")
                 top = r_max if tokens[0] == "F" else r
                 if not 1 <= s <= top:
                     raise reader.error(f"{tokens[0]} s={s} outside 1..{top}")
-                section = (tokens[0], s, [], [])
+                seen.add((tokens[0], s))
+                if tokens[0] == "Z":
+                    zsection = (s, [], array("l"))
+                    target = zsection[1:]
+                else:
+                    sections.append((tokens[0], s))
+                    starts.append(len(body))
+                    target = body, numbers
             reader.close()
-        except FormatError:
-            # the open section's lines come before the fault: theirs is first
-            close_section()
-            raise
-        close_section()
+        finally:
+            # the term lines the scan passed come before any fault it met,
+            # so their faults come first: the CHI and F lines, then the
+            # open Z section, which follows them
+            blocks = poly._read_terms(
+                body, numbers, np.diff([*starts, len(body)]), n, "real", path,
+                [(s + 2, s + 2) for _, s in sections],
+                lambda k, degree: f"term degree {degree} in section of order "
+                                  f"{sections[k][1]} (expected "
+                                  f"{sections[k][1] + 2})")
+            close_z()
+        chi, f = {}, {}
+        for (label, s), block in zip(sections, blocks):
+            if block:
+                (chi if label == "CHI" else f)[s] = Polynomial._raw(
+                    n, block[s + 2], "real")
         if omega is None:
             raise FormatError("missing OMEGA line", path=path)
         return cls(omega, r, r_max, z=z, chi=chi, f=f)

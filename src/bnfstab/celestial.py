@@ -64,6 +64,18 @@ _ELEMENT_KEYS = (
 )
 
 
+def _check_name(name):
+    """ValueError unless a state file reads the body name back: it is the
+    first token of a body line, so it holds no whitespace and no `#`,
+    which starts a comment, and is not RADII or END, which the reader
+    takes for the RADII line and the end of the record.  An empty name is
+    an unnamed body, written as body<i>."""
+    if name and (name.split() != [name] or "#" in name
+                 or name in ("RADII", "END")):
+        raise ValueError(f"body name {name!r} must be one token without "
+                         "'#', other than RADII and END")
+
+
 def _wrap_angle(theta):
     theta = math.fmod(float(theta), _TWO_PI)
     if theta < 0.0:
@@ -88,6 +100,7 @@ class BodyParameters:
     name: str = field(default="", compare=False)
 
     def __post_init__(self):
+        _check_name(self.name)
         if self.mass <= 0.0:
             raise ValueError("mass must be positive")
         if self.semi_major_axis <= 0.0:
@@ -116,6 +129,8 @@ class PoincareState:
         if not (len(self.names) == len(self.lam)
                 == len(self.xi) == len(self.eta) == n):
             raise DimensionMismatchError("component tuples differ in length")
+        for name in self.names:
+            _check_name(name)
         if any(L <= 0.0 for L in self.Lambda):
             raise ValueError("fast actions must be positive")
 
@@ -245,11 +260,10 @@ def parse_elements(text, path=None):
             raise FormatError(f"duplicate key {key!r}",
                               line=lineno, path=path)
         if key == "name":
-            # a state file holds the name as one token of a body line
-            if len(value.split()) > 1 or value in ("RADII", "END"):
-                raise FormatError(
-                    f"body name {value!r} must be one token other than "
-                    "RADII and END", line=lineno, path=path)
+            try:
+                _check_name(value)
+            except ValueError as exc:
+                raise FormatError(str(exc), line=lineno, path=path) from None
             current[key] = value
             continue
         if key not in _ELEMENT_KEYS:

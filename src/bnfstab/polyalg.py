@@ -323,42 +323,51 @@ def _words(exps):
     return buf.view(">u8").astype(np.uint64)
 
 
-def _runs(exps):
+def _runs(exps, group=None):
     """(order, first) of the rows of an exponent matrix: order sorts them
     stably into key order, and first marks each sorted row that starts a
-    run of equal rows."""
+    run of equal rows.  With group, an integer array of the same length,
+    the rows sort by group first, and a run never spans two groups."""
     words = _words(exps)
-    if words.shape[1] == 1:
-        order = np.argsort(words[:, 0], kind="stable")
+    keys = [*words.T[::-1]] + ([] if group is None else [group])
+    if len(keys) == 1:
+        order = np.argsort(keys[0], kind="stable")
     else:
-        order = np.lexsort(words.T[::-1])
+        order = np.lexsort(keys)
     ordered = words[order]
     first = np.empty(len(order), bool)
     first[:1] = True
     np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    if group is not None:
+        group = group[order]
+        first[1:] |= group[1:] != group[:-1]
     return order, first
 
 
-def _merge(exps, coeffs):
+def _merge(exps, coeffs, group=None):
     """A block with its equal exponent rows summed, in key order.
 
     A stable sort groups equal rows (_runs); np.bincount adds the
-    coefficients of each group in row order, from 0.0, as a dict
-    accumulating the rows in turn would.
+    coefficients of each run in row order, from 0.0, as a dict
+    accumulating the rows in turn would.  With group, an integer array of
+    the same length, rows of different groups are never summed, the output
+    sorts by group first, and the group of each output row comes third.
     """
     if not len(coeffs):
-        return exps, coeffs
-    order, first = _runs(exps)
-    group = np.empty(len(order), np.intp)
-    group[order] = np.cumsum(first) - 1
+        return (exps, coeffs) if group is None else (exps, coeffs, group)
+    order, first = _runs(exps, group)
+    run = np.empty(len(order), np.intp)
+    run[order] = np.cumsum(first) - 1
     size = np.count_nonzero(first)
     if np.iscomplexobj(coeffs):
         sums = np.empty(size, complex)
-        sums.real = np.bincount(group, coeffs.real, size)
-        sums.imag = np.bincount(group, coeffs.imag, size)
+        sums.real = np.bincount(run, coeffs.real, size)
+        sums.imag = np.bincount(run, coeffs.imag, size)
     else:
-        sums = np.bincount(group, coeffs, size)
-    return exps[order[first]], sums
+        sums = np.bincount(run, coeffs, size)
+    rows = order[first]
+    return (exps[rows], sums) if group is None else (exps[rows], sums,
+                                                     group[rows])
 
 
 def _summed(blocks):
@@ -653,8 +662,15 @@ def polydisc_norm(f, radii):
         raise GradingError("polydisc_norm requires a homogeneous polynomial")
     if f.is_zero:
         return 0.0
-    n = f.num_dof
-    exps, coeffs = f._block
+    return _norm_total(_norm_terms(*f._block, radii), radii)
+
+
+def _norm_terms(exps, coeffs, radii):
+    """The terms |c| Theta(j, k) R^(j+k) of polydisc_norm, one a row of a
+    block, inf or 0.0 where they leave the floats.  Each row's value
+    depends on that row alone, so a block of many polynomials end to end
+    gives each of them its own terms."""
+    n = len(radii)
     exps = exps.astype(np.int64)
     j, k = exps[:, :n], exps[:, n:]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -664,6 +680,14 @@ def polydisc_norm(f, radii):
         w *= theta.prod(axis=1)
         for l, R in enumerate(radii):
             w *= np.power(R, j[:, l] + k[:, l], dtype=float)
+    return w
+
+
+def _norm_total(w, radii):
+    """The sum of the nonempty norm terms w (_norm_terms), one after
+    another; ValueError naming the radii where it overflows the floats or
+    underflows to 0."""
+    with np.errstate(over="ignore"):
         total = float(np.cumsum(w)[-1])
     if not math.isfinite(total):
         raise ValueError(f"the polydisc norm at radii {radii} overflows")
@@ -894,49 +918,81 @@ def _convert(lines, ints, fields, hi):
                              float).T
 
 
-def _read_terms(lines, linenos, num_dof, field, path, degrees, degree_error):
-    """The term lines of one block of a record, as {degree: block}, each
-    block pruned and in key order.
+def _loaded(lines, ints, fields):
+    """(int rows, float rows) of lines of `fields` tokens by one np.loadtxt
+    pass, or None where it refuses a line.  Only ASCII lines go to it: on
+    some other characters it returns a number that int() refuses.  Where
+    it accepts an ASCII token, int() and float() read the same value."""
+    if not all(map(str.isascii, lines)):
+        return None
+    dtype = np.dtype([("i", np.int64, (ints,)), ("c", float,
+                                                 (fields - ints,))])
+    try:
+        rows = np.loadtxt(lines, dtype, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return rows["i"], rows["c"]
 
-    lines are the content lines and linenos their line numbers.  A term
+
+def _read_terms(lines, linenos, counts, num_dof, field, path, degrees,
+                degree_error):
+    """The term lines of the sections of a record, as one {degree: block}
+    per section, each block pruned and in key order.
+
+    lines are the content lines, section after section, linenos their
+    line numbers, and counts[k] the number of lines of section k.  A term
     line is `degree j_1..j_n k_1..k_n re [im]`, the imaginary part only for
-    field="complex"; the tokens convert a column at once (_convert).  The
-    lines are checked as arrays: the field count, the conversion, finite
+    field="complex"; the lines convert at once (_loaded), and where that
+    refuses one, a column at a time by int() and float() (_convert), which
+    decide what is accepted and which line is at fault.  The lines are
+    checked as arrays: the field count, the conversion, finite
     coefficients, exponents within [0, _MAX_EXP], the degree column against
-    the exponent sum, a degree within the inclusive range `degrees`
-    (degree_error(d) is the message otherwise), and no repeated exponent
-    vector, found by the stable sort of _merge (_runs).  The first fault
-    in line order is a FormatError at its line.  Each degree block is then
+    the exponent sum, a degree within the inclusive range degrees[k] of
+    its section (degree_error(k, d) is the message otherwise), and no
+    exponent vector repeated in a section, found by one stable sort on
+    (section, degree, exponents) (_runs).  The first fault in line order is
+    a FormatError at its line.  Each degree block of a section is then
     pruned with one maximum (_kept).
     """
+    out = [{} for _ in counts]
+    if not lines:
+        return out
     width = 2 * num_dof
     ints = 1 + width
     want = ints + (2 if field == "complex" else 1)
     hi = width * _MAX_EXP + 1
+    section = np.repeat(np.arange(len(counts)), counts)
+    low, high = np.array(degrees, np.int64).reshape(-1, 2).T
 
     def fault(i, message):
         return FormatError(message, line=linenos[i], path=path)
 
     # lines[:end] have the right field count and convert; late is the
     # fault that ends them, if any
-    sizes = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
-    wrong = np.flatnonzero(sizes != want)
-    end = int(wrong[0]) if len(wrong) else len(lines)
-    late = None
-    if end < len(lines):
-        late = fault(end, f"expected {want} fields on a term line, "
-                          f"got {sizes[end]}")
-    try:
-        table, coeffs = _convert(lines[:end], ints, want, hi)
-    except ValueError:
-        for end, line in enumerate(lines[:end]):
-            try:
-                _convert([line], ints, want, hi)
-            except ValueError as exc:
-                late = fault(end, f"bad numeric field: {exc}")
-                break
-        table, coeffs = _convert(lines[:end], ints, want, hi)
+    end, late = len(lines), None
+    loaded = _loaded(lines, ints, want)
+    if loaded is not None:
+        table, coeffs = loaded
+    else:
+        sizes = np.fromiter(map(len, map(str.split, lines)), np.intp,
+                            len(lines))
+        wrong = np.flatnonzero(sizes != want)
+        if len(wrong):
+            end = int(wrong[0])
+            late = fault(end, f"expected {want} fields on a term line, "
+                              f"got {sizes[end]}")
+        try:
+            table, coeffs = _convert(lines[:end], ints, want, hi)
+        except ValueError:
+            for end, line in enumerate(lines[:end]):
+                try:
+                    _convert([line], ints, want, hi)
+                except ValueError as exc:
+                    late = fault(end, f"bad numeric field: {exc}")
+                    break
+            table, coeffs = _convert(lines[:end], ints, want, hi)
     degree, exps = table[:, 0], table[:, 1:]
+    section = section[:end]
     # -0.0 reads as 0.0, as a sum onto a 0.0 start would have it
     coeffs += 0.0
     checks = (
@@ -947,8 +1003,8 @@ def _read_terms(lines, linenos, num_dof, field, path, degrees, degree_error):
          lambda i: f"degree column {int(lines[i].split()[0])} disagrees "
                    f"with exponent sum "
                    f"{sum(map(int, lines[i].split()[1:ints]))}"),
-        ((degree < degrees[0]) | (degree > degrees[1]),
-         lambda i: degree_error(int(lines[i].split()[0]))),
+        ((degree < low[section]) | (degree > high[section]),
+         lambda i: degree_error(int(section[i]), int(lines[i].split()[0]))),
     )
     bad = np.stack([mask for mask, _ in checks])
     rows_bad = bad.any(axis=0)
@@ -957,7 +1013,9 @@ def _read_terms(lines, linenos, num_dof, field, path, degrees, degree_error):
         message = checks[int(bad[:, end].argmax())][1]
         late = fault(end, message(end))
     exps = exps[:end].astype(np.uint8)
-    order, first = _runs(exps)
+    # a degree of a sound line is at most hi - 1
+    group = section[:end] * hi + degree[:end]
+    order, first = _runs(exps, group)
     if not first.all():
         # the first repeat in line order: the first line of a run that
         # does not start it
@@ -965,18 +1023,21 @@ def _read_terms(lines, linenos, num_dof, field, path, degrees, degree_error):
     if late is not None:
         raise late
 
-    if not end:
-        return {}
     if field == "complex":
         re, im = coeffs.T
         coeffs = np.empty(end, complex)
         coeffs.real, coeffs.imag = re, im
     else:
         coeffs = coeffs[:, 0]
-    exps, coeffs, degree = exps[order], coeffs[order], degree[order]
-    keep = _kept(coeffs, degree)
-    return {d: (exps[keep & (degree == d)], coeffs[keep & (degree == d)])
-            for d in sorted(set(degree[keep].tolist()))}
+    exps, coeffs, group = exps[order], coeffs[order], group[order]
+    # the (section, degree) groups, each a run of the sorted rows
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    for lo, top in zip(starts.tolist(), [*starts[1:].tolist(), end]):
+        keep = _kept(coeffs[lo:top])
+        if keep.any():
+            k, d = divmod(int(group[lo]), hi)
+            out[k][d] = exps[lo:top][keep], coeffs[lo:top][keep]
+    return out
 
 
 class GradedSeries:
@@ -1068,9 +1129,10 @@ class GradedSeries:
             raise reader.error(f"unknown field {field!r}")
         if num_dof < 1 or d_max < 0:
             raise reader.error("n must be >= 1 and dmax >= 0")
-        blocks = _read_terms(
-            reader.lines, reader.linenos, num_dof, field, path, (0, d_max),
-            lambda degree: f"term degree {degree} exceeds dmax={d_max}")
+        [blocks] = _read_terms(
+            reader.lines, reader.linenos, [len(reader.lines)], num_dof, field,
+            path, [(0, d_max)],
+            lambda k, degree: f"term degree {degree} exceeds dmax={d_max}")
         parts = {d: Polynomial._raw(num_dof, block, field)
                  for d, block in blocks.items()}
         return cls(num_dof, parts, d_max, field=field)

@@ -15,8 +15,10 @@ order increases as rho0 shrinks.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -87,32 +89,67 @@ def drift_bound(state, r, radii, c_const=DEFAULT_C):
     if r + 1 > state.r_max:
         raise OrderRangeError(
             f"order {r} needs block {r + 1}, beyond r_max = {state.r_max}")
+    return _drift_bounds(state, [r], radii, c_const)[0][1]
+
+
+def _drift_bounds(state, orders, radii, c_const):
+    """[(r, [DriftBound of each action])] for each order r, in one pass.
+
+    B = c_const |{I_j, F^(r+1)}|_R for every segment (r, j) at once: the
+    brackets of the concatenated F blocks (_action_brackets) and the
+    polydisc-norm terms of all their rows (poly._norm_terms).  Each segment
+    is then pruned (poly._kept) and summed (poly._norm_total) on its own,
+    so that each B is c_const * polydisc_norm(poisson_bracket(oscillator(e_j),
+    F^(r+1))) to the bit, and a fault is raised at the first segment in
+    (r, j) order that meets one.
+    """
     if not 1.0 < c_const < math.inf:
         raise ValueError("the safety constant must exceed 1 and be finite")
-    radii = poly._check_radii(radii, state.num_dof)
-    block = state.remainder_block(r + 1)._block
-    return [DriftBound(r=r, j=j, B=c_const * poly.polydisc_norm(
-                _action_bracket(block, j, state.num_dof), radii),
-                       c_const=c_const)
-            for j in range(state.num_dof)]
+    n = state.num_dof
+    radii = poly._check_radii(radii, n)
+    exps, coeffs, segment = _action_brackets(
+        [state.remainder_block(r + 1)._block for r in orders], n)
+    terms = poly._norm_terms(exps, coeffs, radii)
+    cuts = segment.searchsorted(np.arange(len(orders) * n + 1)).tolist()
+    out = []
+    for i, r in enumerate(orders):
+        bounds = []
+        for j in range(n):
+            lo, hi = cuts[i * n + j], cuts[i * n + j + 1]
+            keep = poly._kept(coeffs[lo:hi])
+            norm = (poly._norm_total(terms[lo:hi][keep], radii)
+                    if keep.any() else 0.0)
+            bounds.append(DriftBound(r=r, j=j, B=c_const * norm,
+                                     c_const=c_const))
+        out.append((r, bounds))
+    return out
 
 
-def _action_bracket(block, j, n):
-    """{I_j, F} = x_j dF/dy_j - y_j dF/dx_j of a real homogeneous block F:
-    two exponent shifts of its rows, merged with the rows shifted up in x_j
-    first, as the bracket kernel adds them, so that it is
-    poisson_bracket(oscillator(e_j), F) to the bit."""
-    exps, coeffs = block
+def _action_brackets(blocks, n):
+    """{I_j, F} = x_j dF/dy_j - y_j dF/dx_j of each real homogeneous block
+    F of the list and each action j, before pruning, as one merged block
+    and the segment b n + j of each row, b the index of F in the list.
+
+    Two exponent shifts of the rows of every block, merged by segment with
+    the rows shifted up in x_j first, as the bracket kernel adds them, so
+    that each segment is poisson_bracket(oscillator(e_j), F) to the bit.
+    """
+    exps = np.concatenate([e for e, _ in blocks])
+    coeffs = np.concatenate([c for _, c in blocks])
+    block = np.repeat(np.arange(0, len(blocks) * n, n),
+                      [len(c) for _, c in blocks])
     parts = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for down, up, sign in ((n + j, j, 1.0), (j, n + j, -1.0)):
-            rows = np.flatnonzero(exps[:, down])
-            shifted = exps[rows]
-            shifted[:, down] -= 1
-            shifted[:, up] += 1
-            parts.append((shifted, sign * (coeffs[rows] * exps[rows, down])))
-        merged = poly._merge(*map(np.concatenate, zip(*parts)))
-    return poly.Polynomial._raw(n, poly._canonical(*merged), "real")
+        for j in range(n):
+            for down, up, sign in ((n + j, j, 1.0), (j, n + j, -1.0)):
+                rows = np.flatnonzero(exps[:, down])
+                shifted = exps[rows]
+                shifted[:, down] -= 1
+                shifted[:, up] += 1
+                parts.append((shifted,
+                              sign * (coeffs[rows] * exps[rows, down]),
+                              block[rows] + j))
+        return poly._merge(*map(np.concatenate, zip(*parts)))
 
 
 def escape_time(rho0, rho, r, bounds, radii):
@@ -152,16 +189,27 @@ def _power(v, e):
         return math.inf
 
 
+def _powers(values, e):
+    """v ** e of each float of the list values, as an array: libm's pow
+    through Python's float power, one pass unless a point overflows or
+    divides by zero, where _power takes each point."""
+    try:
+        return np.fromiter(map(operator.pow, values, repeat(e)), float,
+                           len(values))
+    except (OverflowError, ZeroDivisionError):
+        return np.array([_power(v, e) for v in values])
+
+
 def _escape_times(rho0, rho, order_bounds, radii):
     """tau[k, i] of the k-th (order, bounds) pair at point i of the float
     arrays rho0 and rho, with the float operations and the first
     StabilityDomainError of a loop over the points and their orders."""
     tau = np.full((len(order_bounds), len(rho0)), math.inf)
     outside = np.zeros(tau.shape, bool)
+    starts, ends = rho0.tolist(), rho.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (r, bounds) in enumerate(order_bounds):
-            spread = (np.array([_power(v, -(r + 1)) for v in rho0.tolist()])
-                      - np.array([_power(v, -(r + 1)) for v in rho.tolist()]))
+            spread = _powers(starts, -(r + 1)) - _powers(ends, -(r + 1))
             for b in bounds:
                 if b.B != 0.0:
                     t = radii[b.j] ** 2 * spread / ((r + 1) * b.B)
@@ -185,8 +233,7 @@ def _per_order_bounds(state, radii, c_const):
     if top < 1:
         raise OrderRangeError(
             "state has no estimable order (need r >= 1 and r_max >= 2)")
-    return [(r, drift_bound(state, r, radii, c_const))
-            for r in range(1, top + 1)]
+    return _drift_bounds(state, range(1, top + 1), radii, c_const)
 
 
 @dataclass(frozen=True, eq=False)

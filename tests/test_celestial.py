@@ -1,9 +1,13 @@
 """Orbital elements, Poincare variables, and the packaged fixture."""
 
+import dataclasses
+import functools
 import hashlib
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bnfstab.celestial import (
@@ -194,3 +198,31 @@ def test_poincare_state_text_roundtrip():
             bad.count("\n"))
     assert PoincareState.from_text(
         "POINCARE n=1\nbody1 1 0 3 4\nRADII 5\nEND\n").xi == (3.0,)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.text(min_size=1, max_size=6))
+@example("jupiter barycenter")
+@example("jupiter#2")
+@example("RADII")
+@example("END")
+@example("ENDS")
+@example("\u0663")
+def test_a_body_name_the_state_file_cannot_hold_is_refused(name):
+    # the name is the first token of a body line of the state file
+    bodies, m0 = load_fixture(FIXTURE)
+    state_of = functools.partial(PoincareState, Lambda=(1.0,), lam=(0.0,),
+                                 xi=(0.0,), eta=(1.0,))
+    if (len(name.split()) != 1 or name != name.strip() or "#" in name
+            or name in ("RADII", "END")):
+        with pytest.raises(ValueError, match="body name"):
+            dataclasses.replace(bodies[0], name=name)
+        with pytest.raises(ValueError, match="body name"):
+            state_of(names=(name,))
+        return
+    state = poincare_variables([dataclasses.replace(bodies[0], name=name),
+                                bodies[1]], m0)
+    assert state.names == (name, "saturn")
+    assert PoincareState.from_text(state.to_text()) == state
+    assert PoincareState.from_text(state_of(names=(name,)).to_text()) \
+        == state_of(names=(name,))

@@ -478,6 +478,48 @@ def test_block_reader_reports_the_first_fault_of_the_file():
     with pytest.raises(FormatError) as info:
         NormalFormState.from_text(clean + "F s=x\nEND\n")
     assert info.value.line == 5
+    # the term lines of every section convert at once; the first fault in
+    # line order is still the one reported, whatever section holds it
+    top = "NFSTATE n=1 r=2 rmax=3\nOMEGA 1\n"
+    for body, line, message in (
+            # faults in two sections, either one first
+            ("CHI s=1\n3 3 0 1\n3 2 1 x\nF s=2\n4 4 0 nan\n", 5,
+             "bad numeric field"),
+            ("F s=2\n4 4 0 nan\nCHI s=1\n3 2 1 x\n", 4,
+             "non-finite coefficient"),
+            ("CHI s=1\n3 3 0 1\nF s=2\n4 4 0 1\n4 4 0 2\nCHI s=2\n"
+             "5 5 0 1 1\n", 7, "duplicate exponent vector"),
+            # a bad term line before, and after, a malformed header
+            ("F s=1\n3 3 0 1\n3 0 3 nan\nF s\nCHI s=1\n3 3 0 1\n", 5,
+             "non-finite coefficient"),
+            ("F s=1\n3 3 0 1\nF s\nCHI s=1\n3 3 0 nan\n", 5,
+             "malformed section header"),
+            # a fault in a Z section, read line by line, after and before
+            # one in a term line
+            ("F s=1\n3 3 0 1\nZ s=2\n2 2\n2 3\nF s=2\n4 9 0 1\n", 7,
+             "duplicate action exponent"),
+            ("F s=1\n3 3 0 nan\nZ s=2\n2 2\n2 3\n", 4,
+             "non-finite coefficient"),
+            # a digit only int() and float() read: the line converts on
+            # the fault path, and a fault after it is still found
+            ("CHI s=1\n3 \u0663 0 1\nF s=2\n4 4 0 nan\n", 6,
+             "non-finite coefficient"),
+            ("CHI s=1\n3 3 0 1_0\nF s=2\n4 0_4 0 1\n4 4 0 1\n", 7,
+             "duplicate exponent vector"),
+            # a character np.loadtxt reads as a digit where int() refuses it
+            ("F s=1\n3 \u01fe3 0 1\n", 4, "bad numeric field")):
+        text = top + body + "END\n"
+        with pytest.raises(FormatError, match=message) as info:
+            NormalFormState.from_text(text)
+        assert info.value.line == line, text
+        assert _outcome(_package_nfstate, text) == _outcome(
+            _oracle_nfstate, text)
+    # digits only the fault path reads give the values int() and float()
+    # give them
+    plain = NormalFormState.from_text(top + "F s=1\n3 3 0 10\nEND\n")
+    for odd in ("3 \u0663 0 1_0", "+3 03 0 1_0", "\u0663 3 0 10.0"):
+        assert NormalFormState.from_text(
+            top + f"F s=1\n{odd}\nEND\n") == plain
 
 
 # one line after a sound one, and what the package and the oracle make of

@@ -510,6 +510,8 @@ def test_drift_bound_matches_the_bracket_kernel_on_ledgers(
         assert [b.B.hex() for b in bounds] == [
             _kernel_bound(state, r, j, radii).hex()
             for j in range(state.num_dof)]
+    # the one pass over every order that sweep and estimate make
+    assert _batch_bounds(state, radii) == _kernel_bounds(state, radii)
 
 
 def test_drift_bound_of_an_action_polynomial_is_zero():
@@ -522,3 +524,82 @@ def test_drift_bound_of_an_action_polynomial_is_zero():
         assert [b.B for b in bounds] == [0.0, 0.0]
         assert all(_kernel_bound(state, 1, j, (1.0, 0.5)) == 0.0
                    for j in range(2))
+
+
+# -- the drift bounds of every order in one pass against a per-order loop ----
+
+def _kernel_bounds(state, radii):
+    """Every B of the estimable orders by the bracket kernel, order after
+    order and action after action, or the message of the first fault."""
+    top = min(state.r, state.r_max - 1)
+    return _bounds_outcome(lambda: [
+        _kernel_bound(state, r, j, radii)
+        for r in range(1, top + 1) for j in range(state.num_dof)])
+
+
+def _batch_bounds(state, radii):
+    """Every B of the one pass that sweep makes, or its fault's message."""
+    return _bounds_outcome(lambda: [
+        b.B for _, bounds in stability._per_order_bounds(state, radii, 2.0)
+        for b in bounds])
+
+
+@settings(PROPERTY)
+@given(remainder_states())
+def test_drift_bounds_of_every_order_match_a_per_order_loop(case):
+    # F blocks 2..r+1 drawn at random, empty or zero now and then
+    state, radii, _ = case
+    assert _batch_bounds(state, radii) == _kernel_bounds(state, radii)
+
+
+# coefficients whose brackets overflow, and radii at which the norms of
+# the others overflow or underflow
+FAULT_COEFFS = st.sampled_from([1e-300, 1.0, -1.0, 1e300, 1.7e308, -1.7e308])
+FAULT_RADII = st.sampled_from([1e-80, 1e-10, 1.0, 1e10, 1e80])
+
+
+@st.composite
+def fault_states(draw):
+    """(state, radii): a ledger normalized to order r whose F blocks hold
+    coefficients and sit at radii that put faults at some of the orders."""
+    n = draw(st.integers(1, 2))
+    r = draw(st.integers(1, 4))
+    f = {}
+    for s in range(2, r + 2):
+        terms = draw(st.dictionaries(st.sampled_from(_monomials(2 * n, s + 2)),
+                                     FAULT_COEFFS, max_size=4))
+        f[s] = Polynomial(n, {(e[:n], e[n:]): c for e, c in terms.items()})
+    radii = tuple(draw(st.lists(FAULT_RADII, min_size=n, max_size=n)))
+    return NormalFormState((1.0,) * n, r, r + 1, f=f), radii
+
+
+def _two_faults(first, second):
+    """A 1-DOF ledger whose orders 1 and 2 hold the given coefficients: at
+    radius 1e-10, 1e-300 underflows its norm and 1.7e308 overflows its
+    bracket."""
+    f = {2: mono(1, (3,), (1,), first), 3: mono(1, (4,), (1,), second)}
+    return NormalFormState((1.0,), 2, 3, f=f), (1e-10,)
+
+
+def test_drift_bound_faults_come_at_the_order_of_a_per_order_loop():
+    seen = set()
+
+    @settings(PROPERTY, max_examples=300)
+    @given(fault_states())
+    @example(_two_faults(1e-300, 1.7e308))
+    @example(_two_faults(1.7e308, 1e-300))
+    def same(case):
+        state, radii = case
+        want = _kernel_bounds(state, radii)
+        assert _batch_bounds(state, radii) == want
+        seen.add("bounded" if isinstance(want, list) else next(
+            kind for kind in ("coefficient overflow", "overflows",
+                              "underflows") if kind in want))
+
+    same()
+    assert seen == {"bounded", "coefficient overflow", "overflows",
+                    "underflows"}
+    assert _batch_bounds(*_two_faults(1e-300, 1.7e308)).endswith(
+        "underflows to 0")
+    assert _batch_bounds(*_two_faults(1.7e308, 1e-300)).startswith(
+        "coefficient overflow")

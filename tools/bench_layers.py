@@ -27,10 +27,10 @@ An interpreter times, once each:
   that `bnf` wrote (read_ledger_s), with the tracemalloc peak of one
   more, untimed read of dense3-r10 (read_peak_mib); on dense2-r14, the
   drift bounds of every order at the Sun-Jupiter-Saturn radii of the
-  packaged fixture (drift_bounds_s), with the time spent in
-  `polyalg.polydisc_norm` within them (polydisc_norm_s), and
-  `stability.sweep` over the 1 024-point grid 0.3:3.0:1024:log at those
-  radii, its drift bounds computed beforehand (sweep_grid_s);
+  packaged fixture, by the one call `stability.sweep` makes
+  (`_per_order_bounds`, drift_bounds_s), and `stability.sweep` over the
+  1 024-point grid 0.3:3.0:1024:log at those radii, its drift bounds
+  computed beforehand (sweep_grid_s);
 - the write side on the dense3-r10 ledger that its `bnf` wrote, as the
   median of READ_REPEATS calls each: `polyalg.realify` of every CHI and F
   block of the ledger, complexified once beforehand (realify_s),
@@ -103,8 +103,7 @@ def measure(src):
         ledgers = {name: (Path(tmp) / f"{name}.nf").read_text()
                    for name in READ_LEDGERS}
         written = (Path(tmp) / f"{WRITE_LEDGER}.nf").read_text()
-    out.update(read_side(ledgers, birkhoff, celestial, cli, polyalg,
-                         stability))
+    out.update(read_side(ledgers, birkhoff, celestial, cli, stability))
     out["write_s"] = write_side(written, birkhoff, polyalg, spectrum)
     rng = np.random.default_rng(1)
     for name, n, p, q in BRACKETS:
@@ -124,11 +123,11 @@ def measure(src):
     return out
 
 
-def read_side(ledgers, birkhoff, celestial, cli, polyalg, stability):
+def read_side(ledgers, birkhoff, celestial, cli, stability):
     """Medians of READ_REPEATS timed reads of each ledger, the tracemalloc
     peak of one read of PEAK_LEDGER, and, on the first ledger, medians of
-    the drift bounds of its every order with their time in polydisc_norm,
-    and of the sweep over SWEEP_GRID with those bounds given."""
+    the drift bounds of its every order and of the sweep over SWEEP_GRID
+    with those bounds given."""
     bodies, m0 = celestial.load_fixture(FIXTURE)
     radii = celestial.secular_radii(celestial.poincare_variables(bodies, m0))
     name = READ_LEDGERS[0]
@@ -147,33 +146,14 @@ def read_side(ledgers, birkhoff, celestial, cli, polyalg, stability):
     tracemalloc.stop()
 
     state = birkhoff.NormalFormState.from_text(ledgers[name])
-    norm = polyalg.polydisc_norm
-    in_norm = [0.0]
-
-    def timed_norm(*args):
+    per_order = stability._per_order_bounds
+    runs = {"drift_bounds_s": [], "sweep_grid_s": []}
+    for _ in range(READ_REPEATS):
         start = time.perf_counter()
-        try:
-            return norm(*args)
-        finally:
-            in_norm[0] += time.perf_counter() - start
-
-    runs = {"drift_bounds_s": [], "polydisc_norm_s": []}
-    polyalg.polydisc_norm = timed_norm
-    try:
-        for _ in range(READ_REPEATS):
-            in_norm[0] = 0.0
-            start = time.perf_counter()
-            for r in range(1, min(state.r, state.r_max - 1) + 1):
-                stability.drift_bound(state, r, radii)
-            runs["drift_bounds_s"].append(time.perf_counter() - start)
-            runs["polydisc_norm_s"].append(in_norm[0])
-    finally:
-        polyalg.polydisc_norm = norm
+        bounds = per_order(state, radii, stability.DEFAULT_C)
+        runs["drift_bounds_s"].append(time.perf_counter() - start)
 
     grid = cli._parse_grid(SWEEP_GRID)
-    per_order = stability._per_order_bounds
-    bounds = per_order(state, radii, stability.DEFAULT_C)
-    runs["sweep_grid_s"] = []
     stability._per_order_bounds = lambda *args: bounds
     try:
         for _ in range(READ_REPEATS):
@@ -252,7 +232,7 @@ def main():
         "units": {"bnf_s": "s", "bracket_s": "s", "bracket_peak_mib": "MiB",
                   "product_s": "s", "pushforward_s": "s",
                   "read_ledger_s": "s", "read_peak_mib": "MiB",
-                  "drift_bounds_s": "s", "polydisc_norm_s": "s",
+                  "drift_bounds_s": "s",
                   "sweep_grid_s": "s", "write_s": "s"},
         "sources": sources,
     }
