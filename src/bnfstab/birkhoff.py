@@ -11,10 +11,16 @@ Conventions fixed here and relied on by the whole package:
     not-yet-normalized block of index s and L_f = {f, .};
   - the step transforms the Hamiltonian with the time-one flow of -chi_s,
     which replaces Q_s by its action part Z_s;
-  - everything is computed in the canonical complex chart
+  - the Hamiltonian's blocks stay real (x, y) blocks throughout, and every
+    Lie-series chain brackets real blocks with the real chi_s;
+  - only the homological equation is solved in the canonical complex chart
     Z_l = (x_l + i y_l)/sqrt2, W_l = (y_l + i x_l)/sqrt2 ({Z_l, W_l} = 1),
-    where L_{H0} is diagonal with eigenvalue i<omega, j-k> on Z^j W^k,
-    and mapped back to real coefficients only at the boundaries.
+    where L_{H0} is diagonal with eigenvalue i<omega, j-k> on Z^j W^k: at
+    order s the one block Q_s is changed into the chart, solved there, and
+    chi_s and the action part Z_s are mapped back to real coefficients
+    once each.  The chart is canonical, so a bracket of real blocks is the
+    realified bracket of their chart blocks, with half the coefficient
+    arithmetic.
 
 The construction runs once, from order 1 up to r_max, and keeps the first
 unnormalized block of every order: remainder_block(s) is the block of index
@@ -115,11 +121,12 @@ class ActionPolynomial:
                 f"terms={len(self._terms)})")
 
 
-# -- chart-level solver and step ---------------------------------------------
+# -- the homological solve and the step ----------------------------------------
 #
-# A chart block is (exps, coeffs): the uint8 exponent matrix, one row a
-# monomial Z^j W^k, and the complex coefficient vector of a homogeneous
-# block, in key order (polyalg's array blocks).
+# A block is (exps, coeffs): the uint8 exponent matrix, one row a monomial,
+# and the coefficient vector of a homogeneous block, in key order
+# (polyalg's array blocks).  The Hamiltonian's blocks are real; a chart
+# block holds the complex coefficients of monomials Z^j W^k.
 
 def _solve_chart(q, omega, n, tol):
     """Split a chart block into generator and action coefficients.
@@ -169,31 +176,41 @@ def _solve_chart(q, omega, n, tol):
     return chi, z_real, action
 
 
-def _step_chart(blocks, s, omega, n, tol, d_cap):
-    """Normalize order s in place on the chart blocks.
+def _normalize_order(blocks, s, omega, n, tol, d_cap):
+    """Normalize order s in place on the real blocks.
 
-    blocks maps polynomial degree -> nonempty chart block; degree 2 holds
+    blocks maps polynomial degree -> nonempty real block; degree 2 holds
     the oscillator.  Returns (q_snapshot, chi, z_action_terms), where
-    q_snapshot is the block of index s exactly as found on entry (None
-    when there is none) and chi the generator's block.
+    q_snapshot is the block of index s exactly as found on entry and chi
+    the real generator, a Polynomial; (None, None, {}) when there is no
+    such block.
     """
     m = s + 2
     q = blocks.get(m)
     if q is None:
         return None, None, {}
-    chi, z_act, action = _solve_chart(q, omega, n, tol)
+    # the homological equation alone needs the chart, where L_{H0} is
+    # diagonal; its generator and action part come back real
+    chart = poly._canonical(*poly._chart_change(*q, -1))
+    chi_chart, z_act, action = _solve_chart(chart, omega, n, tol)
+    chi = poly.realify(Polynomial._raw(n, chi_chart, "complex"))
+    z = poly.realify(Polynomial._raw(
+        n, (chart[0][action], chart[1][action]), "complex"))._block
 
     # the flow of -chi applied to every block: exp of -{chi, .} expands as
     # g_p = {g_{p-1}, chi}/p, each chain reading the block as it stood on
     # entry.  The oscillator chain goes last: {H0, chi} equals Z - Q
     # exactly by construction, which is absorbed by replacing the block
-    # below, so it starts at g_2
+    # below, so it starts at g_2 from Z - Q
+    exps, coeffs = poly._summed([z, (q[0], -q[1])])
+    keep = poly._kept(coeffs)
     degrees = [d for d in sorted(blocks, reverse=True) if d != 2]
     chains = [(blocks[d], d, 1) for d in degrees]
-    chains.append(((q[0][~action], -q[1][~action]), m, 2))
+    chains.append(((exps[keep], coeffs[keep]), m, 2))
+    operand = poly._bracket_operand(chi._block, n, False)
     added = {}
     for src, start, p in chains:
-        for d, g in poly._lie_series(src, chi, n, start, m - 2, d_cap, p):
+        for d, g in poly._lie_series(src, operand, n, start, d_cap, p):
             added.setdefault(d, []).append(g)
 
     # each target sums its entry block and then the chains' terms, in
@@ -207,8 +224,8 @@ def _step_chart(blocks, s, omega, n, tol, d_cap):
             blocks[d] = exps[keep], coeffs[keep]
         else:
             blocks.pop(d, None)
-    if action.any():
-        blocks[m] = q[0][action], q[1][action]
+    if len(z[1]):
+        blocks[m] = z
     else:
         del blocks[m]
     return q, chi, z_act
@@ -451,14 +468,9 @@ class NormalFormState:
 
 # -- construction -------------------------------------------------------------
 
-def _chart_blocks_from_series(h, d_cap):
-    blocks = {}
-    for d, part in h:
-        if d <= d_cap:
-            block = poly.complexify(part)._block
-            if len(block[1]):
-                blocks[d] = block
-    return blocks
+def _blocks_from_series(h, d_cap):
+    return {d: part._block for d, part in h
+            if d <= d_cap and not part.is_zero}
 
 
 def _check_r_max(r_max):
@@ -488,9 +500,11 @@ def birkhoff_normal_form(h, omega, r_max, tol=None):
     SmallDivisorError carries the partial state (normalized through the
     last completed order) in its `state` attribute.
 
-    The orders are normalized on the chart blocks of h.  Each generator
-    and snapshot is realified once, when it is produced, and the blocks
-    not yet normalized once, when the ledger is built.
+    The orders are normalized on the real blocks of h, so each snapshot
+    and each block not yet normalized goes to the ledger as it is.  The
+    homological equation of each order is solved in the complex chart,
+    and its generator and action part are realified once, when they are
+    produced (_normalize_order).
     """
     omega = tuple(float(w) for w in omega)
     if h.num_dof != len(omega):
@@ -503,21 +517,21 @@ def birkhoff_normal_form(h, omega, r_max, tol=None):
     if max(abs(w) for w in omega) == 0.0:
         raise ValueError("omega is identically zero")
     _validate_diagonal(h, omega)
-    blocks = _chart_blocks_from_series(h, r_max + 2)
+    blocks = _blocks_from_series(h, r_max + 2)
     tol = spectrum._tolerance(omega, tol)
     n = len(omega)
     z, chi, f = {}, {}, {}
 
     def build(r_done):
         # the F entries of the blocks not yet normalized
-        tail = {s: poly.realify(Polynomial._raw(n, blocks[s + 2], "complex"))
+        tail = {s: Polynomial._raw(n, blocks[s + 2], "real")
                 for s in range(r_done + 1, r_max + 1) if s + 2 in blocks}
         return NormalFormState(omega, r_done, r_max, z=z, chi=chi,
                                f={**tail, **f})
 
     for s in range(1, r_max + 1):
         try:
-            q, chi_block, z_terms = _step_chart(
+            q, chi_s, z_terms = _normalize_order(
                 blocks, s, omega, n, tol, r_max + 2)
         except SmallDivisorError as exc:
             raise SmallDivisorError(
@@ -526,8 +540,8 @@ def birkhoff_normal_form(h, omega, r_max, tol=None):
                 state=build(s - 1)) from None
         if z_terms:
             z[s] = ActionPolynomial(n, z_terms)
-        if chi_block is not None and len(chi_block[1]):
-            chi[s] = poly.realify(Polynomial._raw(n, chi_block, "complex"))
+        if chi_s is not None:
+            chi[s] = chi_s
         if q is not None:
-            f[s] = poly.realify(Polynomial._raw(n, q, "complex"))
+            f[s] = Polynomial._raw(n, q, "real")
     return build(r_max)

@@ -564,22 +564,34 @@ def _derivs(terms, num_dof, y_sign):
     return out
 
 
+def _bracket_operand(g, num_dof, complex_):
+    """The right operand of brackets {f, g} with a homogeneous block g,
+    prepared once for every f it meets: (degree of g, None when g has no
+    terms; the term sets of dg/dv for each variable v in slot order), the
+    coefficients split into parts when complex_ (_term_set)."""
+    exps, coeffs = g
+    degree = int(exps[0].sum(dtype=np.intp)) if len(coeffs) else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        return degree, _derivs(_term_set(g, complex_), num_dof, 1)
+
+
 def _bracket_terms(f, g, num_dof):
-    """Raw {f, g} of homogeneous blocks f and g, (exponent matrix,
-    coefficient vector) each, as a block in key order: the products of the
-    derivatives df/dx_l dg/dy_l and -df/dy_l dg/dx_l, in slot order of
-    the derivative of f (_products)."""
+    """Raw {f, g} of a homogeneous block f, (exponent matrix, coefficient
+    vector), and the operand g of a homogeneous block (_bracket_operand),
+    as a block in key order: the products of the derivatives
+    df/dx_l dg/dy_l and -df/dy_l dg/dx_l, in slot order of the derivative
+    of f (_products).  f is split into as many coefficient parts as g."""
     width = 2 * num_dof
-    complex_ = np.iscomplexobj(f[1]) or np.iscomplexobj(g[1])
-    if not (len(f[1]) and len(g[1])):
+    g_degree, g_d = g
+    complex_ = len(g_d[0][1]) == 2
+    if not len(f[1]) or g_degree is None:
         return _empty(width, complex_)
-    degree = int(f[0][0].sum(dtype=np.intp) + g[0][0].sum(dtype=np.intp)) - 2
+    degree = int(f[0][0].sum(dtype=np.intp)) + g_degree - 2
     if degree < 0:
         return _empty(width, complex_)
     with np.errstate(over="ignore", invalid="ignore"):
         # the bracket's minus sign rides on the y-derivatives of f
         f_d = _derivs(_term_set(f, complex_), num_dof, -1)
-        g_d = _derivs(_term_set(g, complex_), num_dof, 1)
     return _products([(f_d[t], g_d[(t + num_dof) % width])
                       for t in range(width)], degree, width)
 
@@ -592,7 +604,9 @@ def poisson_bracket(f, g, cap=None):
     """
     field = _check_pair(f, g)
     n = f.num_dof
-    g_parts = [(q, g.homogeneous_part(q)._block) for q in g.degrees()]
+    g_parts = [(q, _bracket_operand(g.homogeneous_part(q)._block, n,
+                                    field == "complex"))
+               for q in g.degrees()]
     parts = []
     for p in f.degrees():
         f_part = f.homogeneous_part(p)._block
@@ -604,14 +618,18 @@ def poisson_bracket(f, g, cap=None):
     return Polynomial._raw(n, _canonical(*_summed(parts)), field)
 
 
-def _lie_series(g, chi, num_dof, degree, step, cap, p=1):
+def _lie_series(g, chi, num_dof, degree, cap, p=1):
     """The terms g_p = {g_(p-1), chi}/p, p = p, p+1, ..., of a Lie series.
 
     g is the term g_(p-1), a block homogeneous of the given degree; chi is
-    a block too, and step = deg(chi) - 2 is the degree each bracket adds.
-    Yields (degree, block), each block pruned and in key order, and stops
-    at a zero term or once the degree passes cap.
+    the operand of a homogeneous block (_bracket_operand), whose degree
+    less 2 is the degree each bracket adds.  Yields (degree, block), each
+    block pruned and in key order, and stops at a zero term or once the
+    degree passes cap.
     """
+    if chi[0] is None:
+        return
+    step = chi[0] - 2
     while True:
         degree += step
         if degree > cap:
@@ -922,10 +940,13 @@ def _loaded(lines, ints, fields):
     """(int rows, float rows) of lines of `fields` tokens by one np.loadtxt
     pass, or None where it refuses a line.  Only ASCII lines go to it: on
     some other characters it returns a number that int() refuses.  Where
-    it accepts an ASCII token, int() and float() read the same value."""
+    it accepts an ASCII token, int() and float() read the same value.  The
+    ints load as int16, which keeps the table small: an int past its range
+    is refused, not wrapped, so its line goes to the column conversion as
+    any refused line does."""
     if not all(map(str.isascii, lines)):
         return None
-    dtype = np.dtype([("i", np.int64, (ints,)), ("c", float,
+    dtype = np.dtype([("i", np.int16, (ints,)), ("c", float,
                                                  (fields - ints,))])
     try:
         rows = np.loadtxt(lines, dtype, comments=None, ndmin=1)
@@ -993,8 +1014,9 @@ def _read_terms(lines, linenos, counts, num_dof, field, path, degrees,
             table, coeffs = _convert(lines[:end], ints, want, hi)
     degree, exps = table[:, 0], table[:, 1:]
     section = section[:end]
-    # -0.0 reads as 0.0, as a sum onto a 0.0 start would have it
-    coeffs += 0.0
+    # -0.0 reads as 0.0, as a sum onto a 0.0 start would have it; the sum
+    # is a new array, not a view of the loaded table
+    coeffs = coeffs + 0.0
     checks = (
         (~np.isfinite(coeffs).all(axis=1), lambda i: "non-finite coefficient"),
         (((exps < 0) | (exps > _MAX_EXP)).any(axis=1),
@@ -1015,6 +1037,9 @@ def _read_terms(lines, linenos, counts, num_dof, field, path, degrees,
     exps = exps[:end].astype(np.uint8)
     # a degree of a sound line is at most hi - 1
     group = section[:end] * hi + degree[:end]
+    # the loaded table and the checks' arrays are not needed past here:
+    # release them before the sort, which sets the read's peak memory
+    del table, degree, loaded, section, checks, bad, rows_bad
     order, first = _runs(exps, group)
     if not first.all():
         # the first repeat in line order: the first line of a run that

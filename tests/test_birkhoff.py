@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from bnfstab import birkhoff
+from bnfstab import birkhoff, polyalg
 from bnfstab.birkhoff import (
     ActionPolynomial,
     NormalFormState,
@@ -19,7 +19,7 @@ from bnfstab.errors import (
     OrderRangeError,
     SmallDivisorError,
 )
-from bnfstab.polyalg import GradedSeries, poisson_bracket
+from bnfstab.polyalg import GradedSeries, Polynomial, poisson_bracket
 from util import (
     TWO_DOF_OMEGA,
     identity_residual,
@@ -138,6 +138,16 @@ def _dict_block(block, n):
             for e, c in zip(exps.tolist(), coeffs.tolist())}
 
 
+def _charted(block, n):
+    """A real block, or a real Polynomial, in the complex chart as
+    {(j, k): coeff}; None as {}."""
+    if block is None:
+        return {}
+    if not isinstance(block, Polynomial):
+        block = Polynomial._raw(n, block, "real")
+    return _dict_block(polyalg.complexify(block)._block, n)
+
+
 def _assert_block_close(got, want, rel=1e-13):
     top = max((abs(c) for c in want.values()), default=0.0)
     for key in set(got) | set(want):
@@ -153,8 +163,10 @@ def _step_outcome(step, blocks, s, omega, n, d_cap):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_array_step_matches_dict_oracle(n):
-    # the array step against the dict step, order by order, from the same
-    # chart blocks; the near-resonant omega stops both at the same order
+    # the real array step against the dict chart step, order by order,
+    # from the same series: the snapshot, the generator and every block the
+    # real step leaves, complexified, are what the chart step leaves; the
+    # near-resonant omega stops both at the same order
     rng = np.random.default_rng(410 + n)
     d_max = {2: 8, 3: 6, 4: 5}[n]
     generic = (1.0, 2.0 ** 0.5, 3.0 ** 0.5, 5.0 ** 0.5)[:n]
@@ -162,11 +174,11 @@ def test_array_step_matches_dict_oracle(n):
     stops = []
     for omega in (generic, resonant):
         h = random_series(rng, n, omega, d_max)
-        blocks = birkhoff._chart_blocks_from_series(h, d_max)
-        dicts = {d: _dict_block(b, n) for d, b in blocks.items()}
+        blocks = birkhoff._blocks_from_series(h, d_max)
+        dicts = {d: _charted(b, n) for d, b in blocks.items()}
         for s in range(1, d_max - 1):
-            got = _step_outcome(birkhoff._step_chart, blocks, s, omega, n,
-                                d_max)
+            got = _step_outcome(birkhoff._normalize_order, blocks, s, omega,
+                                n, d_max)
             want = _step_outcome(oracles.step_chart, dicts, s, omega, n,
                                  d_max)
             if want[0] == "SmallDivisorError":
@@ -175,14 +187,86 @@ def test_array_step_matches_dict_oracle(n):
                 break
             q, chi, z = got
             for a, b in ((q, want[0]), (chi, want[1])):
-                _assert_block_close(_dict_block(a, n), b)
+                _assert_block_close(_charted(a, n), b)
             _assert_block_close(z, want[2])
             for d in set(blocks) | set(dicts):
-                _assert_block_close(_dict_block(blocks.get(d), n),
+                _assert_block_close(_charted(blocks.get(d), n),
                                     dicts.get(d, {}))
     # the generic omega ran every order, the resonant one stopped at the
     # quartic order, whose divisors hold k = (1, -1, 0, ...)
     assert stops == [2]
+
+
+def _realified(terms, n):
+    """A chart dict block mapped back to real variables by the dict chart
+    change, as {(j, k): real coefficient}."""
+    return {key: c.real for key, c in oracles.chart_change(
+        [(j, k, c) for (j, k), c in terms.items()], n, +1).items()}
+
+
+@pytest.mark.parametrize("n, r_max", [(2, 8), (3, 5)])
+def test_ledger_matches_realified_chart_oracle_chain(n, r_max):
+    # a whole run: every ledger block is the realified block of the dict
+    # chart chain, to 1e-14 of the block's largest coefficient
+    rng = np.random.default_rng(620 + n)
+    omega = (1.0, 2.0 ** 0.5, 3.0 ** 0.5)[:n]
+    h = random_series(rng, n, omega, r_max + 2)
+    state = birkhoff_normal_form(h, omega, r_max)
+    assert state.r == r_max
+    dicts = {d: _charted(part._block, n) for d, part in h}
+    for s in range(1, r_max + 1):
+        q, chi, z = oracles.step_chart(dicts, s, omega, n, 1e-6, r_max + 2)
+        for got, want in ((state.remainder_block(s), q),
+                          (state.generator(s), chi)):
+            _assert_block_close({(j, k): c for j, k, c in got.terms()},
+                                _realified(want, n), rel=1e-14)
+        _assert_block_close(dict(state.z_action(s).terms()), z, rel=1e-14)
+
+
+def test_chains_run_on_one_coefficient_part(monkeypatch):
+    # every product the Lie-series chains ask of the kernel is real: one
+    # coefficient part, float bins
+    rng = np.random.default_rng(77)
+    omega = (1.0, 2.0 ** 0.5, 3.0 ** 0.5)
+    h = random_series(rng, 3, omega, d_max=7)
+    lie_series, products = polyalg._lie_series, polyalg._products
+    inside, parts = [], []
+
+    def chained(*args, **kwargs):
+        terms = lie_series(*args, **kwargs)
+        while True:
+            inside.append(True)
+            try:
+                item = next(terms)
+            except StopIteration:
+                return
+            finally:
+                inside.pop()
+            yield item
+
+    def counted(pairs, degree, width):
+        if inside:
+            parts.extend((len(a[1]), len(b[1])) for a, b in pairs)
+        return products(pairs, degree, width)
+
+    monkeypatch.setattr(polyalg, "_lie_series", chained)
+    monkeypatch.setattr(polyalg, "_products", counted)
+    birkhoff_normal_form(h, omega, 5)
+    assert parts and set(parts) == {(1, 1)}
+
+
+def test_action_only_block_needs_no_generator():
+    # a block that depends on the actions alone is already normal: no
+    # generator, so no chain runs, and Z is the block itself
+    omega = TWO_DOF_OMEGA
+    z = ActionPolynomial(2, {(2, 0): 0.3, (1, 1): -0.2})
+    h = GradedSeries.from_polynomial(
+        polyalg.oscillator(omega) + z.to_polynomial(), d_max=6)
+    state = birkhoff_normal_form(h, omega, 4)
+    assert state.chi == {}
+    assert dict(state.z_action(2).terms()) == pytest.approx(dict(z.terms()),
+                                                           rel=1e-15)
+    assert set(state.f) == {2}
 
 
 def test_small_divisor_names_the_smallest_divisor_of_the_block():

@@ -2,7 +2,7 @@
 side and the write side on fixed inputs, for a BENCH_*.json.
 
     python3 tools/bench_layers.py --src parent=../parent/src --src change=src \
-        --out BENCH_storage.json
+        --out BENCH_realchain.json
 
 Each --src LABEL=DIR names a bnfstab source tree (the directory holding
 the `bnfstab` package).  Each of ROUNDS rounds runs one fresh interpreter
@@ -19,6 +19,10 @@ An interpreter times, once each:
   more, untimed call;
 - the product f * g of full complex blocks: 3 DOF degree 6 by degree 5,
   and 2 DOF degree 12 by degree 8;
+- the bracket alone on full real blocks, the real parts of full complex
+  blocks drawn after the products: 3 DOF degree 9 by degree 9
+  (3dof-9x9-real), the shape of the normalization's chains, which run on
+  real blocks, with its tracemalloc peak as above;
 - `LinearSymplecticMap.pushforward` of each fixed system's series
   truncated at degree order + 2, by the map `diagonalize_quadratic` finds
   for its quadratic part, as `bnf` does;
@@ -71,6 +75,7 @@ SYSTEMS = (("even2-r18", "even2", 18), ("dense2-r14", "dense2", 14),
 # (name, DOF, degree of f, degree of g)
 BRACKETS = (("3dof-9x9", 3, 9, 9), ("2dof-20x4", 2, 20, 4))
 PRODUCTS = (("3dof-6x5", 3, 6, 5), ("2dof-12x8", 2, 12, 8))
+REAL_BRACKETS = (("3dof-9x9-real", 3, 9, 9),)
 
 
 def measure(src):
@@ -106,8 +111,12 @@ def measure(src):
     out.update(read_side(ledgers, birkhoff, celestial, cli, stability))
     out["write_s"] = write_side(written, birkhoff, polyalg, spectrum)
     rng = np.random.default_rng(1)
-    for name, n, p, q in BRACKETS:
-        f, g = full_block(rng, n, p), full_block(rng, n, q)
+
+    def real_part(f):
+        return polyalg.Polynomial(f.num_dof, {(j, k): c.real
+                                              for j, k, c in f.terms()})
+
+    def bracket(name, f, g):
         start = time.perf_counter()
         polyalg.poisson_bracket(f, g)
         out["bracket_s"][name] = time.perf_counter() - start
@@ -115,11 +124,17 @@ def measure(src):
         polyalg.poisson_bracket(f, g)
         out["bracket_peak_mib"][name] = tracemalloc.get_traced_memory()[1] / 2 ** 20
         tracemalloc.stop()
+
+    for name, n, p, q in BRACKETS:
+        bracket(name, full_block(rng, n, p), full_block(rng, n, q))
     for name, n, p, q in PRODUCTS:
         f, g = full_block(rng, n, p), full_block(rng, n, q)
         start = time.perf_counter()
         f * g
         out["product_s"][name] = time.perf_counter() - start
+    for name, n, p, q in REAL_BRACKETS:
+        bracket(name, real_part(full_block(rng, n, p)),
+                real_part(full_block(rng, n, q)))
     return out
 
 
