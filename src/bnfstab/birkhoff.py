@@ -103,10 +103,15 @@ class ActionPolynomial:
 
     def to_polynomial(self):
         """Expand back to (x, y) variables via I_l = (x_l^2 + y_l^2)/2: each
-        I^p is (-i)^|p| Z^p W^p in the complex chart, realified."""
+        I^p is (-i)^|p| Z^p W^p in the complex chart, realified; terms()
+        lists the rows Z^p W^p in graded key order."""
         units = (1, -1j, -1, 1j)
-        chart = {(p, p): c * units[sum(p) % 4] for p, c in self._terms.items()}
-        return poly.realify(Polynomial(self.num_dof, chart, field="complex"))
+        terms = self.terms()
+        poly._check_degree(2 * sum(terms[-1][0]) if terms else 0)
+        exps = np.array([p + p for p, _ in terms], np.uint8)
+        coeffs = np.array([c * units[sum(p) % 4] for p, c in terms], complex)
+        chart = poly._canonical(exps.reshape(-1, 2 * self.num_dof), coeffs)
+        return Polynomial._raw(self.num_dof, poly.realify(chart))
 
     def __eq__(self, other):
         return (isinstance(other, ActionPolynomial)
@@ -167,7 +172,7 @@ def _solve_chart(q, omega, n, tol):
         z = coeffs[action] * (1, 1j, -1, -1j)[int(j[action][0].sum()) % 4]
         top = np.abs(z).max()
         worst = np.abs(z.imag).max()
-        if worst > 1e-9 * top:
+        if worst > poly.REALITY_TOL * top:
             raise RealityViolationError(
                 f"action coefficients have imaginary residual "
                 f"{worst / top:.3e}; input block was not real")
@@ -191,11 +196,10 @@ def _normalize_order(blocks, s, omega, n, tol, d_cap):
         return None, None, {}
     # the homological equation alone needs the chart, where L_{H0} is
     # diagonal; its generator and action part come back real
-    chart = poly._canonical(*poly._chart_change(*q, -1))
+    chart = poly.complexify(q)
     chi_chart, z_act, action = _solve_chart(chart, omega, n, tol)
-    chi = poly.realify(Polynomial._raw(n, chi_chart, "complex"))
-    z = poly.realify(Polynomial._raw(
-        n, (chart[0][action], chart[1][action]), "complex"))._block
+    chi = Polynomial._raw(n, poly.realify(chi_chart))
+    z = poly.realify((chart[0][action], chart[1][action]))
 
     # the flow of -chi applied to every block: exp of -{chi, .} expands as
     # g_p = {g_{p-1}, chi}/p, each chain reading the block as it stood on
@@ -207,7 +211,7 @@ def _normalize_order(blocks, s, omega, n, tol, d_cap):
     degrees = [d for d in sorted(blocks, reverse=True) if d != 2]
     chains = [(blocks[d], d, 1) for d in degrees]
     chains.append(((exps[keep], coeffs[keep]), m, 2))
-    operand = poly._bracket_operand(chi._block, n, False)
+    operand = poly._bracket_operand(chi._block, n)
     added = {}
     for src, start, p in chains:
         for d, g in poly._lie_series(src, operand, n, start, d_cap, p):
@@ -236,8 +240,6 @@ def _normalize_order(blocks, s, omega, n, tol, d_cap):
 def _check_block(p, s, num_dof, label):
     if p.num_dof != num_dof:
         raise DimensionMismatchError(f"{label} s={s} has wrong num_dof")
-    if p.field != "real":
-        raise ValueError(f"{label} s={s} must be real")
     if not p.is_zero and p.degrees() != (s + 2,):
         raise GradingError(
             f"{label} s={s} must be homogeneous of degree {s + 2}")
@@ -450,7 +452,7 @@ class NormalFormState:
             # so their faults come first: the CHI and F lines, then the
             # open Z section, which follows them
             blocks = poly._read_terms(
-                body, numbers, np.diff([*starts, len(body)]), n, "real", path,
+                body, numbers, np.diff([*starts, len(body)]), n, path,
                 [(s + 2, s + 2) for _, s in sections],
                 lambda k, degree: f"term degree {degree} in section of order "
                                   f"{sections[k][1]} (expected "
@@ -460,7 +462,7 @@ class NormalFormState:
         for (label, s), block in zip(sections, blocks):
             if block:
                 (chi if label == "CHI" else f)[s] = Polynomial._raw(
-                    n, block[s + 2], "real")
+                    n, block[s + 2])
         if omega is None:
             raise FormatError("missing OMEGA line", path=path)
         return cls(omega, r, r_max, z=z, chi=chi, f=f)
@@ -511,8 +513,6 @@ def birkhoff_normal_form(h, omega, r_max, tol=None):
         raise DimensionMismatchError(
             f"series has {h.num_dof} degrees of freedom, omega has "
             f"{len(omega)}")
-    if h.field != "real":
-        raise ValueError("birkhoff_normal_form expects a real series")
     _check_r_max(r_max)
     if max(abs(w) for w in omega) == 0.0:
         raise ValueError("omega is identically zero")
@@ -524,7 +524,7 @@ def birkhoff_normal_form(h, omega, r_max, tol=None):
 
     def build(r_done):
         # the F entries of the blocks not yet normalized
-        tail = {s: Polynomial._raw(n, blocks[s + 2], "real")
+        tail = {s: Polynomial._raw(n, blocks[s + 2])
                 for s in range(r_done + 1, r_max + 1) if s + 2 in blocks}
         return NormalFormState(omega, r_done, r_max, z=z, chi=chi,
                                f={**tail, **f})
@@ -543,5 +543,5 @@ def birkhoff_normal_form(h, omega, r_max, tol=None):
         if chi_s is not None:
             chi[s] = chi_s
         if q is not None:
-            f[s] = Polynomial._raw(n, q, "real")
+            f[s] = Polynomial._raw(n, q)
     return build(r_max)

@@ -16,8 +16,8 @@ class GradingError(Error):
 
 
 class RealityViolationError(Error):
-    """A complex-chart polynomial claimed to represent a real one has an
-    imaginary residual above tolerance."""
+    """A complex-chart block claimed to represent a real one has an
+    imaginary residual above tolerance (polyalg.REALITY_TOL)."""
 
 
 class NotEllipticError(Error):

@@ -5,14 +5,18 @@ A polynomial in n degrees of freedom lives on the 2n variables
 
 Storage.  A Polynomial is one block, the indexed storage of Giorgilli &
 Sansottera: a read-only uint8 exponent matrix, one row a monomial and one
-column a variable (x_1 first, y_n last), and a float or complex
-coefficient vector.  The rows are pruned and in graded key order: by
+column a variable (x_1 first, y_n last), and a float coefficient vector:
+a Polynomial is real.  The rows are pruned and in graded key order: by
 degree, then lexicographically in the exponents (key order).  All the
 work runs on such blocks: the product and the Poisson bracket share one
-kernel (_products), the Lie series (_lie_series), the chart changes
-(_chart_change) and linear_substitute take and return blocks, and equal
-rows are summed by _merge, which adds each monomial's contributions in
-row order, as a dict accumulating them in turn would.
+kernel (_products), the Lie series (_lie_series) and linear_substitute
+take and return blocks, and equal rows are summed by _merge, which adds
+each monomial's contributions in row order, as a dict accumulating them
+in turn would.
+
+The complex chart.  complexify and realify are block functions, and only
+their blocks hold complex coefficients: the normalization uses them for
+the homological equation alone, which is diagonal in the chart.
 
 Pruning.  Coefficients below PRUNE_REL = 1e-15 relative to the largest
 coefficient of the same homogeneous degree are dropped after every
@@ -53,6 +57,10 @@ __all__ = [
 ]
 
 PRUNE_REL = 1e-15
+
+# the largest imaginary part realify accepts, relative to the largest
+# coefficient of the chart change's output
+REALITY_TOL = 1e-9
 
 # the largest exponent a uint8 exponent matrix holds
 _MAX_EXP = 255
@@ -100,7 +108,8 @@ def _canonical(exps, coeffs):
 
 
 class Polynomial:
-    """Immutable sparse polynomial on (x_1..x_n, y_1..y_n).
+    """Immutable sparse polynomial with real coefficients on
+    (x_1..x_n, y_1..y_n).
 
     Parameters
     ----------
@@ -108,25 +117,22 @@ class Polynomial:
         Number of conjugate pairs n.
     terms : dict, optional
         ((j_1..j_n), (k_1..k_n)) tuple pairs mapping to coefficients.  j
-        are x-exponents, k are y-exponents, each within [0, 255].
-    field : str
-        "real" or "complex".  Real coefficients are stored as floats; a
-        complex value with nonzero imaginary part is rejected for field="real".
+        are x-exponents, k are y-exponents, each within [0, 255].  The
+        coefficients are stored as floats; a complex value with nonzero
+        imaginary part is rejected.
     """
 
-    __slots__ = ("num_dof", "field", "_block")
+    __slots__ = ("num_dof", "_block")
 
-    def __init__(self, num_dof, terms=None, field="real"):
+    def __init__(self, num_dof, terms=None):
         if num_dof < 1:
             raise ValueError("num_dof must be >= 1")
-        if field not in ("real", "complex"):
-            raise ValueError(f"unknown coefficient field {field!r}")
         rows, vals = [], []
         for (j, k), c in (terms or {}).items():
             if len(j) != num_dof or len(k) != num_dof:
                 raise DimensionMismatchError(
                     f"exponent tuples must have length {num_dof}")
-            if field == "real" and isinstance(c, complex):
+            if isinstance(c, (complex, np.complexfloating)):
                 if c.imag != 0.0:
                     raise ValueError(
                         "complex coefficient in a real polynomial")
@@ -137,9 +143,8 @@ class Polynomial:
         bad = exps[(exps < 0) | (exps > _MAX_EXP)]
         if len(bad):
             raise ValueError(f"exponent {bad[0]} outside [0, {_MAX_EXP}]")
-        coeffs = np.array(vals, complex if field == "complex" else float)
+        coeffs = np.array(vals, float)
         object.__setattr__(self, "num_dof", num_dof)
-        object.__setattr__(self, "field", field)
         object.__setattr__(self, "_block", _read_only(
             _canonical(*_merge(exps.astype(np.uint8), coeffs))))
 
@@ -149,25 +154,21 @@ class Polynomial:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def _raw(cls, num_dof, block, field):
+    def _raw(cls, num_dof, block):
         # internal: block is (exps, coeffs), its rows in graded key order
-        # and its coefficients of the field's dtype
+        # and its coefficients floats
         obj = object.__new__(cls)
         object.__setattr__(obj, "num_dof", num_dof)
-        object.__setattr__(obj, "field", field)
         object.__setattr__(obj, "_block", _read_only(block))
         return obj
 
     @classmethod
-    def zero(cls, num_dof, field="real"):
-        return cls._raw(num_dof, _empty(2 * num_dof, field == "complex"),
-                        field)
+    def zero(cls, num_dof):
+        return cls._raw(num_dof, _empty(2 * num_dof))
 
     @classmethod
-    def monomial(cls, num_dof, j, k, coeff=1.0, field=None):
-        if field is None:
-            field = "complex" if isinstance(coeff, complex) else "real"
-        return cls(num_dof, {(tuple(j), tuple(k)): coeff}, field=field)
+    def monomial(cls, num_dof, j, k, coeff=1.0):
+        return cls(num_dof, {(tuple(j), tuple(k)): coeff})
 
     @classmethod
     def x(cls, num_dof, index):
@@ -226,8 +227,7 @@ class Polynomial:
         column = self._degree_column()
         lo, hi = column.searchsorted([degree, degree + 1])
         exps, coeffs = self._block
-        return Polynomial._raw(self.num_dof, (exps[lo:hi], coeffs[lo:hi]),
-                               self.field)
+        return Polynomial._raw(self.num_dof, (exps[lo:hi], coeffs[lo:hi]))
 
     def max_abs_coeff(self):
         return float(np.abs(self._block[1]).max(initial=0.0))
@@ -235,16 +235,15 @@ class Polynomial:
     # -- arithmetic --------------------------------------------------------
 
     def scale(self, factor):
-        if isinstance(factor, complex) and self.field == "real":
-            out_field = "complex"
-        else:
-            out_field = self.field
+        """The polynomial times a real factor; ValueError on a complex one."""
+        if isinstance(factor, (complex, np.complexfloating)):
+            raise ValueError(f"complex factor {factor!r} for a real "
+                             "polynomial")
         exps, coeffs = self._block
         # an overflow comes out as inf, for _kept to refuse
         with np.errstate(over="ignore", invalid="ignore"):
             coeffs = coeffs * factor
-        return Polynomial._raw(self.num_dof, _canonical(exps, coeffs),
-                               out_field)
+        return Polynomial._raw(self.num_dof, _canonical(exps, coeffs))
 
     def __add__(self, other):
         return add(self, other)
@@ -257,9 +256,9 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            field = _check_pair(self, other)
+            _check_pair(self, other)
             return Polynomial._raw(self.num_dof,
-                                   _canonical(*_product(self, other)), field)
+                                   _canonical(*_product(self, other)))
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -270,15 +269,13 @@ class Polynomial:
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
                 and self.num_dof == other.num_dof
-                and self.field == other.field
                 and all(map(np.array_equal, self._block, other._block)))
 
     def __hash__(self):
-        return hash((self.num_dof, self.field,
-                     *(a.tobytes() for a in self._block)))
+        return hash((self.num_dof, *(a.tobytes() for a in self._block)))
 
     def __repr__(self):
-        return (f"Polynomial(num_dof={self.num_dof}, field={self.field!r}, "
+        return (f"Polynomial(num_dof={self.num_dof}, "
                 f"terms={self.num_terms}, degrees={self.degrees()})")
 
 
@@ -294,20 +291,19 @@ def _check_pair(f, g):
     if f.num_dof != g.num_dof:
         raise DimensionMismatchError(
             f"operands have {f.num_dof} and {g.num_dof} degrees of freedom")
-    return "complex" if "complex" in (f.field, g.field) else "real"
 
 
 def add(f, g):
-    field = _check_pair(f, g)
+    _check_pair(f, g)
     return Polynomial._raw(f.num_dof,
-                           _canonical(*_summed([f._block, g._block])), field)
+                           _canonical(*_summed([f._block, g._block])))
 
 
 def subtract(f, g):
-    field = _check_pair(f, g)
+    _check_pair(f, g)
     exps, coeffs = g._block
     return Polynomial._raw(
-        f.num_dof, _canonical(*_summed([f._block, (exps, -coeffs)])), field)
+        f.num_dof, _canonical(*_summed([f._block, (exps, -coeffs)])))
 
 
 # -- blocks -------------------------------------------------------------------
@@ -379,10 +375,9 @@ def _summed(blocks):
                   np.concatenate([c for _, c in blocks]))
 
 
-def _empty(width, complex_):
+def _empty(width):
     """A block without terms."""
-    return np.empty((0, width), np.uint8), np.empty(0, complex if complex_
-                                                    else float)
+    return np.empty((0, width), np.uint8), np.empty(0)
 
 
 # -- the product kernel -------------------------------------------------------
@@ -393,74 +388,44 @@ def _empty(width, complex_):
 # follows from D).  No field of a product exceeds D, so no digit carries
 # and the index of a product of monomials is the sum of their indices:
 # each product of two blocks is an outer sum of indices and an outer
-# product of coefficients, added into a bin array.  The kernel reads a
-# block as a term set: its exponent matrix and its coefficients as a list
-# of real parts, [c] or [re, im].
+# product of coefficients, added into a bin array.
 
 _PAIR_CHUNK = 1 << 14   # pairs per outer product: bounds its temporaries
 _MAX_BINS = 1 << 20     # bins per output block; past it the leading fields split
 
 
-def _term_set(block, complex_):
-    """The term set of a block, its coefficients split into real and
-    imaginary parts when complex_."""
+def _groups(block, lead, tail_w):
+    """A block split by the exponents of its lead fields, as
+    {head tuple: (tail index, coefficients)}."""
     exps, coeffs = block
-    if complex_:
-        coeffs = coeffs.astype(complex)
-        return exps, [coeffs.real, coeffs.imag]
-    return exps, [coeffs]
-
-
-def _groups(terms, lead, tail_w):
-    """A term set split by the exponents of its lead fields, as
-    {head tuple: (tail index, coefficient parts)}."""
-    exps, parts = terms
     if not len(exps):
         return {}
     tail = exps @ tail_w
     if not lead:
-        return {(): (tail, parts)}
+        return {(): (tail, coeffs)}
     rows = {}
     for row, h in enumerate(map(tuple, exps[:, :lead].tolist())):
         rows.setdefault(h, []).append(row)
-    return {h: (tail[r], [c[r] for c in parts]) for h, r in rows.items()}
+    return {h: (tail[r], coeffs[r]) for h, r in rows.items()}
 
 
 def _add_products(bins, a, b, touched):
-    """Add the outer product of a and b, (tail, coefficient parts) each, into
-    the bin arrays, _PAIR_CHUNK pairs at a time; append the bin indices to
-    the list touched, unless it is None."""
+    """Add the outer product of a and b, (tail, coefficients) each, into the
+    bin array, _PAIR_CHUNK pairs at a time; append the bin indices to the
+    list touched, unless it is None."""
     a_tail, a_c = a
     b_tail, b_c = b
     rows = max(1, _PAIR_CHUNK // len(b_tail))
-    outer = np.multiply.outer
     for lo in range(0, len(a_tail), rows):
         hi = lo + rows
         idx = np.add.outer(a_tail[lo:hi], b_tail).ravel()
         if touched is not None:
             touched.append(idx)
-        if len(bins) == 1:
-            np.add.at(bins[0], idx, outer(a_c[0][lo:hi], b_c[0]).ravel())
-            continue
-        (ar, ai), (br, bi) = [c[lo:hi] for c in a_c], b_c
-        re = outer(ar, br)
-        re -= outer(ai, bi)
-        np.add.at(bins[0], idx, re.ravel())
-        im = outer(ar, bi)
-        im += outer(ai, br)
-        np.add.at(bins[1], idx, im.ravel())
-
-
-def _nonzero(parts):
-    """The mask of the entries where any of the coefficient parts is not 0."""
-    mask = parts[0] != 0
-    for part in parts[1:]:
-        mask |= part != 0
-    return mask
+        np.add.at(bins, idx, np.multiply.outer(a_c[lo:hi], b_c).ravel())
 
 
 def _products(pairs, degree, width):
-    """The sum of the products a b over pairs (a, b) of term sets whose
+    """The sum of the products a b over pairs (a, b) of blocks whose
     degrees add to `degree`, as a block in key order.
 
     Each bin adds its products pair after pair, row after row.  When the
@@ -470,7 +435,6 @@ def _products(pairs, degree, width):
     bins its pairs touch.  Overflowed coefficients come out as inf or nan,
     for _kept to refuse; an exponent above _MAX_EXP is an OrderRangeError.
     """
-    num_parts = len(pairs[0][0][1])
     base = degree + 1
     lead = 0
     while base ** (width - 1 - lead) > _MAX_BINS:
@@ -491,28 +455,23 @@ def _products(pairs, degree, width):
 
         out_exps, out_vals = [], []
         num_bins = base ** (width - 1 - lead)
-        bins = [np.zeros(num_bins) for _ in range(num_parts)]
+        bins = np.zeros(num_bins)
         for head in sorted(blocks):
             count = sum(len(a[0]) * len(b[0]) for a, b in blocks[head])
             touched = [] if 16 * count < num_bins else None
             for a, b in blocks[head]:
                 _add_products(bins, a, b, touched)
             if touched is None:
-                tails = np.flatnonzero(_nonzero(bins))
+                tails = np.flatnonzero(bins)
             else:
                 tails = np.sort(np.concatenate(touched))
                 first = np.empty(len(tails), bool)
                 first[:1] = True
                 np.not_equal(tails[1:], tails[:-1], out=first[1:])
                 tails = tails[first]
-                tails = tails[_nonzero([b[tails] for b in bins])]
-            if len(bins) == 1:
-                vals = bins[0][tails]
-            else:
-                vals = np.empty(len(tails), complex)
-                vals.real, vals.imag = bins[0][tails], bins[1][tails]
-            for b in bins:
-                b[tails] = 0.0
+                tails = tails[bins[tails] != 0]
+            vals = bins[tails]
+            bins[tails] = 0.0
             exps = np.empty((len(tails), width), np.int64)
             exps[:, :lead] = head
             exps[:, lead:-1] = tails[:, None] // tail_w[lead:-1] % base
@@ -524,7 +483,7 @@ def _products(pairs, degree, width):
             out_exps.append(exps.astype(np.uint8))
             out_vals.append(vals)
     if not out_exps:
-        return _empty(width, num_parts == 2)
+        return _empty(width)
     return np.concatenate(out_exps), np.concatenate(out_vals)
 
 
@@ -533,26 +492,24 @@ def _product(f, g):
     the products of the homogeneous parts whose degrees add to it, in the
     order of f's degrees (_products)."""
     width = 2 * f.num_dof
-    complex_ = "complex" in (f.field, g.field)
-    g_sets = [(q, _term_set(g.homogeneous_part(q)._block, complex_))
-              for q in g.degrees()]
+    g_parts = [(q, g.homogeneous_part(q)._block) for q in g.degrees()]
     by_degree = {}
     for p in f.degrees():
-        a = _term_set(f.homogeneous_part(p)._block, complex_)
-        for q, b in g_sets:
+        a = f.homogeneous_part(p)._block
+        for q, b in g_parts:
             by_degree.setdefault(p + q, []).append((a, b))
     if not by_degree:
-        return _empty(width, complex_)
+        return _empty(width)
     parts = [_products(pairs, d, width)
              for d, pairs in sorted(by_degree.items())]
     return (np.concatenate([e for e, _ in parts]),
             np.concatenate([c for _, c in parts]))
 
 
-def _derivs(terms, num_dof, y_sign):
-    """d/dv of a term set for each variable v in slot order, as term sets,
-    the y-derivatives times y_sign."""
-    exps, parts = terms
+def _derivs(block, num_dof, y_sign):
+    """d/dv of a block for each variable v in slot order, as blocks, the
+    y-derivatives times y_sign."""
+    exps, coeffs = block
     out = []
     for t in range(2 * num_dof):
         e = exps[:, t].astype(np.int64)
@@ -560,19 +517,18 @@ def _derivs(terms, num_dof, y_sign):
         lowered = exps[rows]
         lowered[:, t] -= 1
         scale = e[rows] if t < num_dof else y_sign * e[rows]
-        out.append((lowered, [c[rows] * scale for c in parts]))
+        out.append((lowered, coeffs[rows] * scale))
     return out
 
 
-def _bracket_operand(g, num_dof, complex_):
+def _bracket_operand(g, num_dof):
     """The right operand of brackets {f, g} with a homogeneous block g,
     prepared once for every f it meets: (degree of g, None when g has no
-    terms; the term sets of dg/dv for each variable v in slot order), the
-    coefficients split into parts when complex_ (_term_set)."""
+    terms; the blocks of dg/dv for each variable v in slot order)."""
     exps, coeffs = g
     degree = int(exps[0].sum(dtype=np.intp)) if len(coeffs) else None
     with np.errstate(over="ignore", invalid="ignore"):
-        return degree, _derivs(_term_set(g, complex_), num_dof, 1)
+        return degree, _derivs(g, num_dof, 1)
 
 
 def _bracket_terms(f, g, num_dof):
@@ -580,18 +536,17 @@ def _bracket_terms(f, g, num_dof):
     vector), and the operand g of a homogeneous block (_bracket_operand),
     as a block in key order: the products of the derivatives
     df/dx_l dg/dy_l and -df/dy_l dg/dx_l, in slot order of the derivative
-    of f (_products).  f is split into as many coefficient parts as g."""
+    of f (_products)."""
     width = 2 * num_dof
     g_degree, g_d = g
-    complex_ = len(g_d[0][1]) == 2
     if not len(f[1]) or g_degree is None:
-        return _empty(width, complex_)
+        return _empty(width)
     degree = int(f[0][0].sum(dtype=np.intp)) + g_degree - 2
     if degree < 0:
-        return _empty(width, complex_)
+        return _empty(width)
     with np.errstate(over="ignore", invalid="ignore"):
         # the bracket's minus sign rides on the y-derivatives of f
-        f_d = _derivs(_term_set(f, complex_), num_dof, -1)
+        f_d = _derivs(f, num_dof, -1)
     return _products([(f_d[t], g_d[(t + num_dof) % width])
                       for t in range(width)], degree, width)
 
@@ -602,10 +557,9 @@ def poisson_bracket(f, g, cap=None):
     Each pair of homogeneous parts, of degrees p and q, adds a part of
     degree p + q - 2, skipped when that exceeds the cap.
     """
-    field = _check_pair(f, g)
+    _check_pair(f, g)
     n = f.num_dof
-    g_parts = [(q, _bracket_operand(g.homogeneous_part(q)._block, n,
-                                    field == "complex"))
+    g_parts = [(q, _bracket_operand(g.homogeneous_part(q)._block, n))
                for q in g.degrees()]
     parts = []
     for p in f.degrees():
@@ -614,8 +568,8 @@ def poisson_bracket(f, g, cap=None):
             if cap is None or p + q - 2 <= cap:
                 parts.append(_bracket_terms(f_part, g_part, n))
     if not parts:
-        return Polynomial.zero(n, field)
-    return Polynomial._raw(n, _canonical(*_summed(parts)), field)
+        return Polynomial.zero(n)
+    return Polynomial._raw(n, _canonical(*_summed(parts)))
 
 
 def _lie_series(g, chi, num_dof, degree, cap, p=1):
@@ -787,28 +741,24 @@ def _chart_change(exps, coeffs, sign):
 
 @lru_cache(maxsize=256)
 def _power(row, e):
-    """L^e of the linear form L = sum_t row[t] v_t, row a tuple of floats
-    or of complex numbers, as a read-only block in key order.  L^e is
-    L^(e-1) L by the product kernel (_products), and the cache keeps the
-    powers of a matrix's rows from one substitution to the next."""
+    """L^e of the linear form L = sum_t row[t] v_t, row a tuple of floats,
+    as a read-only block in key order.  L^e is L^(e-1) L by the product
+    kernel (_products), and the cache keeps the powers of a matrix's rows
+    from one substitution to the next."""
     width = len(row)
     coeffs = np.array(row)
     if not e:
-        return _read_only((np.zeros((1, width), np.uint8),
-                           np.ones(1, coeffs.dtype)))
-    complex_ = np.iscomplexobj(coeffs)
+        return _read_only((np.zeros((1, width), np.uint8), np.ones(1)))
     nonzero = np.flatnonzero(coeffs)
-    linear = _term_set((np.eye(width, dtype=np.uint8)[nonzero],
-                        coeffs[nonzero]), complex_)
-    return _read_only(_products(
-        [(_term_set(_power(row, e - 1), complex_), linear)], e, width))
+    linear = np.eye(width, dtype=np.uint8)[nonzero], coeffs[nonzero]
+    return _read_only(_products([(_power(row, e - 1), linear)], e, width))
 
 
 def linear_substitute(f, matrix):
     """Compose f with a linear change of variables: old_i = sum_t M[i][t] new_t.
 
-    Returns f(M v) as a polynomial in the new variables, complex when M
-    or f is.  Degree is preserved; rows of M must have length 2n.
+    Returns f(M v) as a polynomial in the new variables.  Degree is
+    preserved; M must be real, and its rows must have length 2n.
 
     One pass an old variable i: every term expands against the powers of
     its linear form L_i = sum_t M[i][t] new_t (_power), one row (term, m)
@@ -825,11 +775,11 @@ def linear_substitute(f, matrix):
             f"substitution matrix must be {width}x{width}")
     _check_degree(f.degree_max or 0)
     M = np.array(rows)
-    M = M.astype(complex if np.iscomplexobj(M) else float)
-    complex_ = np.iscomplexobj(M) or f.field == "complex"
+    if np.iscomplexobj(M):
+        raise ValueError("substitution matrix must be real")
+    M = M.astype(float)
 
     exps, coeffs = f._block
-    coeffs = coeffs.astype(complex if complex_ else float)
     old_new = np.zeros((len(coeffs), 2 * width), np.uint8)
     old_new[:, :width] = exps
     for i in range(width):
@@ -852,12 +802,12 @@ def linear_substitute(f, matrix):
         # an overflow comes out as inf or nan, for _kept to refuse
         with np.errstate(over="ignore", invalid="ignore"):
             old_new, coeffs = _merge(new, coeffs[term] * table_coeffs[at])
-    field = "complex" if complex_ else "real"
-    return Polynomial._raw(n, _canonical(old_new[:, width:], coeffs), field)
+    return Polynomial._raw(n, _canonical(old_new[:, width:], coeffs))
 
 
-def complexify(f):
-    """Express f in the canonical complex chart.
+def complexify(block):
+    """A real block expressed in the canonical complex chart, as a complex
+    block, pruned and in graded key order.
 
     Substitutes x_l = (Z_l - i W_l)/sqrt2, y_l = (W_l - i Z_l)/sqrt2, with
     Z_l = (x_l + i y_l)/sqrt2 and W_l = i conj(Z_l) on real points.  The
@@ -867,29 +817,27 @@ def complexify(f):
     of degree above 255, which the uint8 exponents cannot hold, is an
     OrderRangeError.
     """
-    return Polynomial._raw(f.num_dof,
-                           _canonical(*_chart_change(*f._block, -1)),
-                           "complex")
+    return _canonical(*_chart_change(*block, -1))
 
 
-def realify(f, tol=1e-9):
-    """Map a complex-chart polynomial back to real (x, y) variables.
+def realify(block):
+    """A complex-chart block mapped back to real (x, y) variables, as a
+    real block, pruned and in graded key order.
 
     Substitutes Z_l = (x_l + i y_l)/sqrt2, W_l = (y_l + i x_l)/sqrt2 one
     mode at a time, as complexify does.  Raises RealityViolationError when
-    the largest imaginary part exceeds tol relative to the largest
+    the largest imaginary part exceeds REALITY_TOL relative to the largest
     coefficient (the input was not conjugation symmetric); otherwise the
     real parts are pruned, once, and the imaginary parts dropped.
     """
-    if f.field != "complex":
-        raise ValueError("realify expects a complex-chart polynomial")
-    exps, coeffs = _chart_change(*f._block, +1)
+    exps, coeffs = _chart_change(*block, +1)
     top = _sizes(coeffs).max(initial=0.0)
     worst = np.abs(coeffs.imag).max(initial=0.0)
-    if worst > tol * top:
+    if worst > REALITY_TOL * top:
         raise RealityViolationError(
-            f"imaginary residual {worst / top:.3e} exceeds tolerance {tol:.3e}")
-    return Polynomial._raw(f.num_dof, _canonical(exps, coeffs.real), "real")
+            f"imaginary residual {worst / top:.3e} exceeds tolerance "
+            f"{REALITY_TOL:.3e}")
+    return _canonical(exps, coeffs.real)
 
 
 def oscillator(omega):
@@ -907,37 +855,32 @@ def oscillator(omega):
 # -- graded series and text format -------------------------------------------
 
 def _term_lines(poly):
-    """The term lines `degree j k re [im]` of a polynomial, in the order of
+    """The term lines `degree j k coeff` of a polynomial, in the order of
     terms(), each written by one template of _records.NUMBER fields."""
     exps, coeffs = poly._block
-    if poly.field == "complex":
-        vals = [coeffs.real.tolist(), coeffs.imag.tolist()]
-    else:
-        vals = [coeffs.tolist()]
-    template = " ".join(["%d"] * (1 + exps.shape[1])
-                        + [_records.NUMBER] * len(vals))
+    template = " ".join(["%d"] * (1 + exps.shape[1]) + [_records.NUMBER])
     degrees = exps.sum(axis=1, dtype=np.intp).tolist()
-    return [template % row for row in zip(degrees, *exps.T.tolist(), *vals)]
+    return [template % row
+            for row in zip(degrees, *exps.T.tolist(), coeffs.tolist())]
 
 
-def _convert(lines, ints, fields, hi):
-    """(int rows, float rows) of lines of `fields` tokens: the first ints
-    of a line as int() reads them, the others as float() does, a column at
-    once, the ints clipped to [-1, hi] past the int64 range.  A lone line
-    raises the ValueError of its first bad token."""
+def _convert(lines, ints, hi):
+    """(int rows, floats) of lines of ints + 1 tokens: the first ints of a
+    line as int() reads them, the last as float() does, a column at once,
+    the ints clipped to [-1, hi] past the int64 range.  A lone line raises
+    the ValueError of its first bad token."""
     flat = " ".join(lines).split()
-    columns = [flat[c::fields] for c in range(ints)]
+    columns = [flat[c::ints + 1] for c in range(ints)]
     try:
         table = np.array(columns, np.int64)
     except OverflowError:
         table = np.array([[min(max(int(t), -1), hi) for t in c]
                           for c in columns], np.int64)
-    return table.T, np.array([flat[c::fields] for c in range(ints, fields)],
-                             float).T
+    return table.T, np.array(flat[ints::ints + 1], float)
 
 
-def _loaded(lines, ints, fields):
-    """(int rows, float rows) of lines of `fields` tokens by one np.loadtxt
+def _loaded(lines, ints):
+    """(int rows, floats) of lines of ints + 1 tokens by one np.loadtxt
     pass, or None where it refuses a line.  Only ASCII lines go to it: on
     some other characters it returns a number that int() refuses.  Where
     it accepts an ASCII token, int() and float() read the same value.  The
@@ -946,8 +889,7 @@ def _loaded(lines, ints, fields):
     any refused line does."""
     if not all(map(str.isascii, lines)):
         return None
-    dtype = np.dtype([("i", np.int16, (ints,)), ("c", float,
-                                                 (fields - ints,))])
+    dtype = np.dtype([("i", np.int16, (ints,)), ("c", float)])
     try:
         rows = np.loadtxt(lines, dtype, comments=None, ndmin=1)
     except ValueError:
@@ -955,32 +897,31 @@ def _loaded(lines, ints, fields):
     return rows["i"], rows["c"]
 
 
-def _read_terms(lines, linenos, counts, num_dof, field, path, degrees,
+def _read_terms(lines, linenos, counts, num_dof, path, degrees,
                 degree_error):
     """The term lines of the sections of a record, as one {degree: block}
     per section, each block pruned and in key order.
 
     lines are the content lines, section after section, linenos their
     line numbers, and counts[k] the number of lines of section k.  A term
-    line is `degree j_1..j_n k_1..k_n re [im]`, the imaginary part only for
-    field="complex"; the lines convert at once (_loaded), and where that
-    refuses one, a column at a time by int() and float() (_convert), which
-    decide what is accepted and which line is at fault.  The lines are
-    checked as arrays: the field count, the conversion, finite
-    coefficients, exponents within [0, _MAX_EXP], the degree column against
-    the exponent sum, a degree within the inclusive range degrees[k] of
-    its section (degree_error(k, d) is the message otherwise), and no
-    exponent vector repeated in a section, found by one stable sort on
-    (section, degree, exponents) (_runs).  The first fault in line order is
-    a FormatError at its line.  Each degree block of a section is then
-    pruned with one maximum (_kept).
+    line is `degree j_1..j_n k_1..k_n coeff`; the lines convert at once
+    (_loaded), and where that refuses one, a column at a time by int() and
+    float() (_convert), which decide what is accepted and which line is at
+    fault.  The lines are checked as arrays: the field count, the
+    conversion, finite coefficients, exponents within [0, _MAX_EXP], the
+    degree column against the exponent sum, a degree within the inclusive
+    range degrees[k] of its section (degree_error(k, d) is the message
+    otherwise), and no exponent vector repeated in a section, found by one
+    stable sort on (section, degree, exponents) (_runs).  The first fault
+    in line order is a FormatError at its line.  Each degree block of a
+    section is then pruned with one maximum (_kept).
     """
     out = [{} for _ in counts]
     if not lines:
         return out
     width = 2 * num_dof
     ints = 1 + width
-    want = ints + (2 if field == "complex" else 1)
+    want = ints + 1
     hi = width * _MAX_EXP + 1
     section = np.repeat(np.arange(len(counts)), counts)
     low, high = np.array(degrees, np.int64).reshape(-1, 2).T
@@ -991,7 +932,7 @@ def _read_terms(lines, linenos, counts, num_dof, field, path, degrees,
     # lines[:end] have the right field count and convert; late is the
     # fault that ends them, if any
     end, late = len(lines), None
-    loaded = _loaded(lines, ints, want)
+    loaded = _loaded(lines, ints)
     if loaded is not None:
         table, coeffs = loaded
     else:
@@ -1003,22 +944,22 @@ def _read_terms(lines, linenos, counts, num_dof, field, path, degrees,
             late = fault(end, f"expected {want} fields on a term line, "
                               f"got {sizes[end]}")
         try:
-            table, coeffs = _convert(lines[:end], ints, want, hi)
+            table, coeffs = _convert(lines[:end], ints, hi)
         except ValueError:
             for end, line in enumerate(lines[:end]):
                 try:
-                    _convert([line], ints, want, hi)
+                    _convert([line], ints, hi)
                 except ValueError as exc:
                     late = fault(end, f"bad numeric field: {exc}")
                     break
-            table, coeffs = _convert(lines[:end], ints, want, hi)
+            table, coeffs = _convert(lines[:end], ints, hi)
     degree, exps = table[:, 0], table[:, 1:]
     section = section[:end]
     # -0.0 reads as 0.0, as a sum onto a 0.0 start would have it; the sum
     # is a new array, not a view of the loaded table
     coeffs = coeffs + 0.0
     checks = (
-        (~np.isfinite(coeffs).all(axis=1), lambda i: "non-finite coefficient"),
+        (~np.isfinite(coeffs), lambda i: "non-finite coefficient"),
         (((exps < 0) | (exps > _MAX_EXP)).any(axis=1),
          lambda i: f"exponent outside [0, {_MAX_EXP}]"),
         (exps.sum(axis=1) != degree,
@@ -1048,12 +989,6 @@ def _read_terms(lines, linenos, counts, num_dof, field, path, degrees,
     if late is not None:
         raise late
 
-    if field == "complex":
-        re, im = coeffs.T
-        coeffs = np.empty(end, complex)
-        coeffs.real, coeffs.imag = re, im
-    else:
-        coeffs = coeffs[:, 0]
     exps, coeffs, group = exps[order], coeffs[order], group[order]
     # the (section, degree) groups, each a run of the sorted rows
     starts = np.flatnonzero(np.diff(group, prepend=-1))
@@ -1068,9 +1003,9 @@ def _read_terms(lines, linenos, counts, num_dof, field, path, degrees,
 class GradedSeries:
     """A polynomial split into homogeneous components, indexed by degree."""
 
-    __slots__ = ("num_dof", "field", "d_max", "_parts")
+    __slots__ = ("num_dof", "d_max", "_parts")
 
-    def __init__(self, num_dof, parts, d_max, field="real"):
+    def __init__(self, num_dof, parts, d_max):
         clean = {}
         for d, p in parts.items():
             if p.is_zero:
@@ -1084,11 +1019,8 @@ class GradedSeries:
             if d > d_max:
                 raise GradingError(
                     f"component degree {d} exceeds d_max={d_max}")
-            if p.field != field:
-                raise ValueError("component field disagrees with series")
             clean[d] = p
         object.__setattr__(self, "num_dof", num_dof)
-        object.__setattr__(self, "field", field)
         object.__setattr__(self, "d_max", int(d_max))
         object.__setattr__(self, "_parts", clean)
 
@@ -1100,12 +1032,12 @@ class GradedSeries:
         if d_max is None:
             d_max = poly.degree_max if poly.degree_max is not None else 0
         parts = {d: poly.homogeneous_part(d) for d in poly.degrees()}
-        return cls(poly.num_dof, parts, d_max, field=poly.field)
+        return cls(poly.num_dof, parts, d_max)
 
     def component(self, degree):
         part = self._parts.get(degree)
         if part is None:
-            return Polynomial.zero(self.num_dof, self.field)
+            return Polynomial.zero(self.num_dof)
         return part
 
     def degrees(self):
@@ -1118,7 +1050,6 @@ class GradedSeries:
     def __eq__(self, other):
         return (isinstance(other, GradedSeries)
                 and self.num_dof == other.num_dof
-                and self.field == other.field
                 and self.d_max == other.d_max
                 and self._parts == other._parts)
 
@@ -1128,10 +1059,10 @@ class GradedSeries:
 
     def truncate(self, d_max):
         parts = {d: p for d, p in self._parts.items() if d <= d_max}
-        return GradedSeries(self.num_dof, parts, d_max, field=self.field)
+        return GradedSeries(self.num_dof, parts, d_max)
 
     def to_polynomial(self):
-        total = Polynomial.zero(self.num_dof, self.field)
+        total = Polynomial.zero(self.num_dof)
         for _, p in self:
             total = add(total, p)
         return total
@@ -1139,8 +1070,8 @@ class GradedSeries:
     def to_text(self):
         lines = [line for _, p in self for line in _term_lines(p)]
         return _records.record(
-            "HAM", {"n": self.num_dof, "dmax": self.d_max,
-                    "field": self.field}, lines, end=False)
+            "HAM", {"n": self.num_dof, "dmax": self.d_max, "field": "real"},
+            lines, end=False)
 
     @classmethod
     def from_text(cls, text, path=None):
@@ -1150,14 +1081,14 @@ class GradedSeries:
         num_dof = reader.header["n"]
         d_max = reader.header["dmax"]
         field = reader.header["field"]
-        if field not in ("real", "complex"):
-            raise reader.error(f"unknown field {field!r}")
+        if field != "real":
+            raise reader.error(f"field must be real, got {field!r}")
         if num_dof < 1 or d_max < 0:
             raise reader.error("n must be >= 1 and dmax >= 0")
         [blocks] = _read_terms(
-            reader.lines, reader.linenos, [len(reader.lines)], num_dof, field,
-            path, [(0, d_max)],
+            reader.lines, reader.linenos, [len(reader.lines)], num_dof, path,
+            [(0, d_max)],
             lambda k, degree: f"term degree {degree} exceeds dmax={d_max}")
-        parts = {d: Polynomial._raw(num_dof, block, field)
+        parts = {d: Polynomial._raw(num_dof, block)
                  for d, block in blocks.items()}
-        return cls(num_dof, parts, d_max, field=field)
+        return cls(num_dof, parts, d_max)

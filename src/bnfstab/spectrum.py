@@ -86,7 +86,7 @@ class LinearSymplecticMap:
         in the new variables: returns f composed with the map."""
         if isinstance(f, poly.GradedSeries):
             parts = {d: self.pushforward(p) for d, p in f}
-            return poly.GradedSeries(f.num_dof, parts, f.d_max, field=f.field)
+            return poly.GradedSeries(f.num_dof, parts, f.d_max)
         if f.num_dof != self.num_dof:
             raise DimensionMismatchError(
                 f"polynomial has {f.num_dof} degrees of freedom, "
@@ -151,8 +151,6 @@ def diagonalize_quadratic(h2):
     imaginary axis or a vanishing frequency, and ConditioningError when a
     mode cannot be normalized reliably.
     """
-    if h2.field != "real":
-        raise ValueError("diagonalize_quadratic expects a real polynomial")
     if h2.is_zero or h2.degrees() != (2,):
         raise GradingError("expected a nonzero homogeneous quadratic")
     n = h2.num_dof

@@ -334,10 +334,10 @@ def pruned(terms):
             if 0.0 < abs(c) >= PRUNE_REL * top[sum(j + k)]}
 
 
-def term_line(tokens, n, field):
-    """(degree, j, k, coeff) of a term line `degree j k re [im]`; a
+def term_line(tokens, n):
+    """(degree, j, k, coeff) of a term line `degree j k coeff`; a
     ValueError naming the first fault of the line."""
-    want = 1 + 2 * n + (2 if field == "complex" else 1)
+    want = 2 + 2 * n
     if len(tokens) != want:
         raise ValueError(
             f"expected {want} fields on a term line, got {len(tokens)}")
@@ -354,17 +354,17 @@ def term_line(tokens, n, field):
     if sum(exps) != degree:
         raise ValueError(
             f"degree column {degree} disagrees with exponent sum {sum(exps)}")
-    # a -0.0 part reads as 0.0: the package sums each term onto 0.0
-    coeff = 0.0 + (complex(*vals) if field == "complex" else vals[0])
+    # a -0.0 reads as 0.0: the package sums each term onto 0.0
+    coeff = 0.0 + vals[0]
     return degree, tuple(exps[:n]), tuple(exps[n:]), coeff
 
 
-def _add_term(reader, terms, tokens, n, field, degree_fault):
+def _add_term(reader, terms, tokens, n, degree_fault):
     """Read one term line into terms; a FormatError at the line read last
     when it is refused.  degree_fault(d) is the message for a degree the
     block does not take, or None."""
     try:
-        degree, j, k, c = term_line(tokens, n, field)
+        degree, j, k, c = term_line(tokens, n)
     except ValueError as exc:
         raise reader.error(str(exc)) from None
     if degree_fault(degree):
@@ -380,13 +380,13 @@ def read_ham(text):
     reader = LineReader(
         text, "HAM", {"n": int, "dmax": int, "field": str}, end=False)
     n, d_max, field = (reader.header[key] for key in ("n", "dmax", "field"))
-    if field not in ("real", "complex"):
-        raise reader.error(f"unknown field {field!r}")
+    if field != "real":
+        raise reader.error(f"field must be real, got {field!r}")
     if n < 1 or d_max < 0:
         raise reader.error("n must be >= 1 and dmax >= 0")
     terms = {}
     for tokens in reader:
-        _add_term(reader, terms, tokens, n, field,
+        _add_term(reader, terms, tokens, n,
                   lambda d: d > d_max and f"term degree {d} exceeds dmax={d_max}")
     parts = {}
     for (j, k), c in pruned(terms).items():
@@ -434,7 +434,7 @@ def read_nfstate(text):
         if label is None:
             raise reader.error("term line outside any section")
         if label != "Z":
-            _add_term(reader, terms, tokens, n, "real",
+            _add_term(reader, terms, tokens, n,
                       lambda d: d != s + 2 and (
                           f"term degree {d} in section of order {s} "
                           f"(expected {s + 2})"))
@@ -467,14 +467,12 @@ def read_nfstate(text):
 
 
 def term_lines(poly):
-    """The term lines `degree j k re [im]` of a polynomial, one term at a
+    """The term lines `degree j k coeff` of a polynomial, one term at a
     time in the order of terms(), each number by format(v, ".17g")."""
     lines = []
     for j, k, c in poly.terms():
-        vals = (c.real, c.imag) if poly.field == "complex" else (c,)
         lines.append(" ".join([str(sum(j) + sum(k))] + [str(e) for e in j]
-                              + [str(e) for e in k]
-                              + [format(v, ".17g") for v in vals]))
+                              + [str(e) for e in k] + [format(c, ".17g")]))
     return lines
 
 

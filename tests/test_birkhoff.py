@@ -143,9 +143,9 @@ def _charted(block, n):
     {(j, k): coeff}; None as {}."""
     if block is None:
         return {}
-    if not isinstance(block, Polynomial):
-        block = Polynomial._raw(n, block, "real")
-    return _dict_block(polyalg.complexify(block)._block, n)
+    if isinstance(block, Polynomial):
+        block = block._block
+    return _dict_block(polyalg.complexify(block), n)
 
 
 def _assert_block_close(got, want, rel=1e-13):
@@ -224,35 +224,21 @@ def test_ledger_matches_realified_chart_oracle_chain(n, r_max):
 
 
 def test_chains_run_on_one_coefficient_part(monkeypatch):
-    # every product the Lie-series chains ask of the kernel is real: one
-    # coefficient part, float bins
+    # every operand the normalization hands the product kernel is a real
+    # block: float64 coefficients
     rng = np.random.default_rng(77)
     omega = (1.0, 2.0 ** 0.5, 3.0 ** 0.5)
     h = random_series(rng, 3, omega, d_max=7)
-    lie_series, products = polyalg._lie_series, polyalg._products
-    inside, parts = [], []
-
-    def chained(*args, **kwargs):
-        terms = lie_series(*args, **kwargs)
-        while True:
-            inside.append(True)
-            try:
-                item = next(terms)
-            except StopIteration:
-                return
-            finally:
-                inside.pop()
-            yield item
+    products = polyalg._products
+    dtypes = []
 
     def counted(pairs, degree, width):
-        if inside:
-            parts.extend((len(a[1]), len(b[1])) for a, b in pairs)
+        dtypes.extend(c.dtype for a, b in pairs for _, c in (a, b))
         return products(pairs, degree, width)
 
-    monkeypatch.setattr(polyalg, "_lie_series", chained)
     monkeypatch.setattr(polyalg, "_products", counted)
     birkhoff_normal_form(h, omega, 5)
-    assert parts and set(parts) == {(1, 1)}
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
 
 def test_action_only_block_needs_no_generator():
@@ -417,7 +403,7 @@ def test_action_polynomial_expands_as_the_binomial_products():
         for key, v in acc.items():
             want[key] = want.get(key, 0.0) + v
     got = a.to_polynomial()
-    assert got.field == "real"
+    assert got._block[1].dtype == np.float64
     assert {(j, k): c for j, k, c in got.terms()} == want
 
 

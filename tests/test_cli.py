@@ -186,6 +186,16 @@ def test_repeated_header_field_exits_2(tmp_path, capsys):
     assert "repeated HAM header field 'n'" in capsys.readouterr().err
 
 
+def test_complex_ham_exits_2_at_the_header(tmp_path, capsys):
+    # coefficients are real: any field but real is malformed input
+    ham = tmp_path / "h.txt"
+    ham.write_text("HAM n=1 dmax=2 field=complex\n2 2 0 0.5 0\n2 0 2 0.5 0\n")
+    assert main(["bnf", "--input", str(ham), "--order", "2",
+                 "--out", str(tmp_path / "nf.txt")]) == 2
+    assert f"{ham}:1: field must be real, got 'complex'" in \
+        capsys.readouterr().err
+
+
 def test_sweep_linear_grid_and_default_grid(tmp_path, capsys):
     ham = tmp_path / "h.txt"
     _write_one_dof(ham)
@@ -516,6 +526,6 @@ def test_chart_changes_bypass_the_general_substitution(tmp_path, monkeypatch):
     monkeypatch.setattr(spectrum.LinearSymplecticMap, "pushforward", tracked)
     assert main(argv) == 0
     # one substitution per component of the order-6 HAM series; the blocks
-    # stay real, and each of the three nonzero orders realifies its
-    # generator and its action part once
-    assert calls == {"realify": 6, "complexify": 0, "linear_substitute": 4}
+    # stay real, and each of the three nonzero orders complexifies its
+    # block once and realifies its generator and its action part once
+    assert calls == {"realify": 6, "complexify": 3, "linear_substitute": 4}

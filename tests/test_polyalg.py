@@ -149,18 +149,14 @@ def test_bracket_kernel_matches_dict_oracle(n, max_bins, monkeypatch):
     if max_bins:
         monkeypatch.setattr(polyalg, "_MAX_BINS", max_bins)
     rng = np.random.default_rng(200 + n)
-    for f_field, g_field in (("real", "real"), ("complex", "complex"),
-                             ("real", "complex")):
-        f = random_polynomial(rng, n, 5, num_terms=30, field=f_field)
-        g = random_polynomial(rng, n, 4, num_terms=30, field=g_field)
-        f_mixed = f + random_polynomial(rng, n, 3, num_terms=10,
-                                        field=f_field)
-        g_mixed = g + random_polynomial(rng, n, 2, num_terms=10,
-                                        field=g_field)
-        for a, b, cap in ((f, g, None), (g, f, 6), (f_mixed, g_mixed, None),
-                          (f_mixed, g_mixed, 5)):
-            want = oracles.bracket_terms(a.terms(), b.terms(), n, cap)
-            _assert_matches_oracle(poisson_bracket(a, b, cap=cap), want)
+    f = random_polynomial(rng, n, 5, num_terms=30)
+    g = random_polynomial(rng, n, 4, num_terms=30)
+    f_mixed = f + random_polynomial(rng, n, 3, num_terms=10)
+    g_mixed = g + random_polynomial(rng, n, 2, num_terms=10)
+    for a, b, cap in ((f, g, None), (g, f, 6), (f_mixed, g_mixed, None),
+                      (f_mixed, g_mixed, 5)):
+        want = oracles.bracket_terms(a.terms(), b.terms(), n, cap)
+        _assert_matches_oracle(poisson_bracket(a, b, cap=cap), want)
 
 
 def test_bracket_kernel_on_full_blocks():
@@ -226,35 +222,26 @@ def _as_dict(f):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_array_product_and_substitution_match_dict_oracles(n, max_bins,
                                                            monkeypatch):
-    # mixed degrees, real and complex; a bin limit below the default
-    # splits each product by its leading fields
+    # mixed degrees; a bin limit below the default splits each product by
+    # its leading fields
     if max_bins:
         monkeypatch.setattr(polyalg, "_MAX_BINS", max_bins)
     rng = np.random.default_rng(400 + n)
-    for field in ("real", "complex"):
-        f = (random_polynomial(rng, n, 4, num_terms=15, field=field)
-             + random_polynomial(rng, n, 1, num_terms=3, field=field)
-             + random_polynomial(rng, n, 0, num_terms=1, field=field))
-        g = (random_polynomial(rng, n, 3, num_terms=12)
-             + random_polynomial(rng, n, 2, num_terms=6))
-        for a, b in ((f, g), (g, f), (f, f)):
-            product = a * b
-            assert product.field == ("complex" if "complex" in
-                                     (a.field, b.field) else "real")
-            _assert_close_to_pruned_oracle(
-                product, oracles.raw_mul(_as_dict(a), _as_dict(b)), 1e-13)
-        matrices = [rng.uniform(-1, 1, size=(2 * n, 2 * n)),
-                    rng.uniform(-1, 1, size=(2 * n, 2 * n))
-                    + 1j * rng.uniform(-1, 1, size=(2 * n, 2 * n)),
-                    # a permutation with a zero row and a zero column
-                    np.eye(2 * n)[::-1] * (np.arange(2 * n) > 0)]
-        for M in matrices:
-            got = linear_substitute(f, M.tolist())
-            assert got.field == ("complex" if np.iscomplexobj(M)
-                                 or field == "complex" else "real")
-            _assert_close_to_pruned_oracle(
-                got, oracles.linear_substitute(f.terms(), M.tolist(), n),
-                1e-13)
+    f = (random_polynomial(rng, n, 4, num_terms=15)
+         + random_polynomial(rng, n, 1, num_terms=3)
+         + random_polynomial(rng, n, 0, num_terms=1))
+    g = (random_polynomial(rng, n, 3, num_terms=12)
+         + random_polynomial(rng, n, 2, num_terms=6))
+    for a, b in ((f, g), (g, f), (f, f)):
+        _assert_close_to_pruned_oracle(
+            a * b, oracles.raw_mul(_as_dict(a), _as_dict(b)), 1e-13)
+    matrices = [rng.uniform(-1, 1, size=(2 * n, 2 * n)),
+                # a permutation with a zero row and a zero column
+                np.eye(2 * n)[::-1] * (np.arange(2 * n) > 0)]
+    for M in matrices:
+        _assert_close_to_pruned_oracle(
+            linear_substitute(f, M.tolist()),
+            oracles.linear_substitute(f.terms(), M.tolist(), n), 1e-13)
     # full blocks: every product spans several pair chunks
     a, b = full_block(rng, n, 3), full_block(rng, n, 2)
     _assert_close_to_pruned_oracle(
@@ -271,9 +258,8 @@ def test_overflowed_coefficients_are_refused_not_pruned():
     with pytest.raises(ValueError):
         Polynomial(1, {((3,), (0,)): 1.0, ((2,), (1,)): math.nan})
     with pytest.raises(ValueError):
-        # finite, but its abs() overflows
-        Polynomial(1, {((1,), (0,)): complex(1.5e308, 1.5e308)},
-                   field="complex")
+        # a complex coefficient, whose abs() overflows besides
+        Polynomial(1, {((1,), (0,)): complex(1.5e308, 1.5e308)})
     big = mono(1, (3,), (0,), 1e200)
     with pytest.raises(ValueError):
         big * big
@@ -352,13 +338,11 @@ def _norm_term_by_term(f, radii):
 def test_polydisc_norm_matches_the_term_by_term_sum():
     rng = np.random.default_rng(229)
     for n in range(1, 5):
-        for field in ("real", "complex"):
-            for d in (1, 2, 5, 9):
-                f = random_polynomial(rng, n, d, num_terms=25, field=field)
-                radii = tuple(rng.uniform(0.05, 4.0, size=n))
-                want = _norm_term_by_term(f, radii)
-                assert polydisc_norm(f, radii) == pytest.approx(want,
-                                                                rel=1e-13)
+        for d in (1, 2, 5, 9):
+            f = random_polynomial(rng, n, d, num_terms=25)
+            radii = tuple(rng.uniform(0.05, 4.0, size=n))
+            want = _norm_term_by_term(f, radii)
+            assert polydisc_norm(f, radii) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("f, radii, refusal", [
@@ -379,13 +363,13 @@ def test_polydisc_norm_refuses_what_the_floats_cannot_hold(f, radii,
             polydisc_norm(f, radii)
 
 
-def _mixed_terms(rng, n, field):
+def _mixed_terms(rng, n):
     """{(j, k): coeff} of several degrees, in random order, with zeros,
     signed zeros and coefficients at and around the pruning threshold of
     their degree."""
     raw = {}
     for d in (2, 3, 5):
-        f = random_polynomial(rng, n, d, num_terms=12, field=field)
+        f = random_polynomial(rng, n, d, num_terms=12)
         for i, (j, k, c) in enumerate(f.terms()):
             raw[(j, k)] = (c, 0.0 * c, -0.0 * c, 1e-16 * c, 2e-15 * c)[i % 5]
     return dict(sorted(raw.items(), key=lambda kv: rng.random()))
@@ -400,20 +384,18 @@ def test_one_pass_degrees_match_per_key_oracle(n):
     # a raw block in random order, merged and made canonical: the terms
     # the per-key oracle keeps, bit for bit, in graded key order
     rng = np.random.default_rng(233 + n)
-    for field in ("real", "complex"):
-        raw = _mixed_terms(rng, n, field)
-        exps = np.array([j + k for j, k in raw], np.uint8)
-        coeffs = np.array(list(raw.values()))
-        block = polyalg._canonical(*polyalg._merge(exps, coeffs))
-        p = Polynomial._raw(n, block, field)
-        want = sorted(oracles.pruned(raw).items(),
-                      key=lambda kv: _graded_key(kv[0]))
-        assert [((j, k), c) for j, k, c in p.terms()] == want
-        assert p.degrees() == tuple(sorted({sum(j + k) for j, k in
-                                            oracles.pruned(raw)}))
-        for d in p.degrees():
-            assert p.homogeneous_part(d).terms() == [
-                t for t in p.terms() if sum(t[0] + t[1]) == d]
+    raw = _mixed_terms(rng, n)
+    exps = np.array([j + k for j, k in raw], np.uint8)
+    coeffs = np.array(list(raw.values()))
+    p = Polynomial._raw(n, polyalg._canonical(*polyalg._merge(exps, coeffs)))
+    want = sorted(oracles.pruned(raw).items(),
+                  key=lambda kv: _graded_key(kv[0]))
+    assert [((j, k), c) for j, k, c in p.terms()] == want
+    assert p.degrees() == tuple(sorted({sum(j + k) for j, k in
+                                        oracles.pruned(raw)}))
+    for d in p.degrees():
+        assert p.homogeneous_part(d).terms() == [
+            t for t in p.terms() if sum(t[0] + t[1]) == d]
 
 
 def test_pruning_refuses_an_overflow_without_a_warning():
@@ -434,47 +416,61 @@ def test_sample_polydisc_stays_inside():
         assert np.all(r2 <= (1.3 * R) ** 2 * (1 + 1e-12))
 
 
-def test_complexify_realify_roundtrip():
+def test_complexify_realify_roundtrip(monkeypatch):
     rng = np.random.default_rng(19)
     for _ in range(10):
         f = random_polynomial(rng, 2, int(rng.integers(1, 6)))
-        g = realify(complexify(f))
+        g = Polynomial._raw(2, realify(complexify(f._block)))
         diff = g + f.scale(-1.0)
         assert diff.max_abs_coeff() <= 1e-12 * max(1.0, f.max_abs_coeff())
-        realify(complexify(f), tol=1e-13)  # raises above 1e-13
+        with monkeypatch.context() as m:
+            m.setattr(polyalg, "REALITY_TOL", 1e-13)
+            realify(complexify(f._block))  # raises above 1e-13
 
 
 def test_realify_rejects_non_real():
-    z = mono(1, (1,), (0,), 1.0 + 0.0j)  # plain Z is not a real series
+    z = mono(1, (1,), (0,))._block  # plain Z is not a real series
     with pytest.raises(RealityViolationError):
         realify(z)
     # i f is not real when f is
     f = random_polynomial(np.random.default_rng(23), 2, 5)
+    exps, coeffs = complexify(f._block)
     with pytest.raises(RealityViolationError):
-        realify(complexify(f).scale(1j))
+        realify((exps, 1j * coeffs))
+
+
+def _block_terms(exps, coeffs, n):
+    """A block of arrays as {(j, k): coeff}."""
+    return {(tuple(e[:n]), tuple(e[n:])): c
+            for e, c in zip(exps.tolist(), coeffs.tolist())}
 
 
 def _max_rel_diff(got, want):
-    got = {(j, k): c for j, k, c in got.terms()}
-    want_terms = {(j, k): c for j, k, c in want.terms()}
-    diff = max(abs(got.get(key, 0.0) - want_terms.get(key, 0.0))
-               for key in set(got) | set(want_terms))
-    return diff / want.max_abs_coeff()
+    """The largest difference of two {(j, k): coeff}, a missing term as 0,
+    relative to the largest abs() in want."""
+    diff = max(abs(got.get(key, 0.0) - want.get(key, 0.0))
+               for key in set(got) | set(want))
+    return diff / max(map(abs, want.values()))
 
 
 def test_chart_change_matches_general_substitution():
-    # the per-mode chart change against the whole-matrix expansion
+    # the per-mode chart change against the whole-matrix expansion of the
+    # dict oracle
     rng = np.random.default_rng(41)
     for n in (1, 2, 3):
         to_complex = oracles.chart_matrix(n, -1)
         to_real = oracles.chart_matrix(n, +1)
         for degree in range(13):
             f = random_polynomial(rng, n, degree, num_terms=4)
-            g = complexify(f)
-            assert _max_rel_diff(g, linear_substitute(f, to_complex)) <= 1e-13
-            back = linear_substitute(g, to_real)
-            assert _max_rel_diff(realify(g), back) <= 1e-13
-            assert _max_rel_diff(realify(g), f) <= 1e-13
+            g = complexify(f._block)
+            g_terms = _block_terms(*g, n)
+            want = oracles.linear_substitute(f.terms(), to_complex, n)
+            assert _max_rel_diff(g_terms, want) <= 1e-13
+            back = oracles.linear_substitute(
+                [(j, k, c) for (j, k), c in g_terms.items()], to_real, n)
+            real = _block_terms(*realify(g), n)
+            assert _max_rel_diff(real, back) <= 1e-13
+            assert _max_rel_diff(real, _as_dict(f)) <= 1e-13
 
 
 def test_complexify_evaluates_at_chart_points():
@@ -482,28 +478,23 @@ def test_complexify_evaluates_at_chart_points():
     rng = np.random.default_rng(43)
     for n in (1, 2, 3):
         f = random_polynomial(rng, n, 5) + random_polynomial(rng, n, 2)
-        g = complexify(f)
+        g = [(j, k, c) for (j, k), c
+             in _block_terms(*complexify(f._block), n).items()]
         for pt in rng.uniform(-1, 1, size=(10, 2 * n)):
             x, y = pt[:n], pt[n:]
             chart = np.concatenate([x + 1j * y, y + 1j * x]) / math.sqrt(2.0)
-            assert abs(oracles.eval_terms(g.terms(), chart)[0]
+            assert abs(oracles.eval_terms(g, chart)[0]
                        - oracles.eval_terms(f.terms(), pt)[0]) <= 1e-12
 
 
 def test_chart_change_refuses_degrees_the_keys_cannot_hold():
     # W^400 does not fit a uint8 exponent
     f = Polynomial(1, {((200,), (200,)): 1.0})
-    for change in (complexify,
-                   lambda f: realify(f.scale(1j)),
+    for change in (lambda f: complexify(f._block),
+                   lambda f: realify(f._block),
                    lambda f: linear_substitute(f, [[1.0, 0.0], [0.0, 1.0]])):
         with pytest.raises(OrderRangeError, match="255"):
             change(f)
-
-
-def _block_terms(exps, coeffs, n):
-    """A block of arrays as {(j, k): coeff}."""
-    return {(tuple(e[:n]), tuple(e[n:])): c
-            for e, c in zip(exps.tolist(), coeffs.tolist())}
 
 
 def _assert_close_per_degree(got, want, rel):
@@ -519,61 +510,76 @@ def _assert_close_per_degree(got, want, rel):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_array_chart_change_matches_dict_oracle(n):
-    # sparse blocks of mixed degrees, real and complex, and full blocks
+    # sparse blocks of mixed degrees and full blocks, real and with seeded
+    # imaginary parts, as chart blocks are
     rng = np.random.default_rng(300 + n)
     full_degree = {1: 12, 2: 8, 3: 6, 4: 5}[n]
-    cases = [random_polynomial(rng, n, 6, num_terms=20, field=field)
-             + random_polynomial(rng, n, 2, num_terms=5, field=field)
-             + random_polynomial(rng, n, 9, num_terms=10, field=field)
-             for field in ("real", "complex")]
-    cases += [full_block(rng, n, full_degree), full_block(rng, n, 3)]
-    for f in cases:
-        for sign in (-1, 1):
-            exps, coeffs = polyalg._chart_change(*f._block, sign)
-            rows = [tuple(e) for e in exps.tolist()]
-            assert rows == sorted(set(rows))     # merged, in key order
-            want = oracles.chart_change(f.terms(), n, sign)
-            got = _block_terms(exps, coeffs, n)
-            assert set(got) == set(want)
-            _assert_close_per_degree(got, want, 1e-15)
+    real = [random_polynomial(rng, n, 6, num_terms=20)
+            + random_polynomial(rng, n, 2, num_terms=5)
+            + random_polynomial(rng, n, 9, num_terms=10),
+            full_block(rng, n, full_degree), full_block(rng, n, 3)]
+    for f in real:
+        exps, coeffs = f._block
+        charted = exps, coeffs + 1j * rng.uniform(-1, 1, len(coeffs))
+        for block in (f._block, charted):
+            terms = [(j, k, c) for (j, k), c in _block_terms(*block, n).items()]
+            for sign in (-1, 1):
+                out = polyalg._chart_change(*block, sign)
+                rows = [tuple(e) for e in out[0].tolist()]
+                assert rows == sorted(set(rows))     # merged, in key order
+                want = oracles.chart_change(terms, n, sign)
+                got = _block_terms(*out, n)
+                assert set(got) == set(want)
+                _assert_close_per_degree(got, want, 1e-15)
         # complexify prunes that block; realify takes the real parts of a
         # real polynomial's chart block and prunes them
         want = oracles.pruned(oracles.chart_change(f.terms(), n, -1))
-        g = complexify(f)
-        assert {(j, k) for j, k, _ in g.terms()} == set(want)
-        _assert_close_per_degree({(j, k): c for j, k, c in g.terms()},
-                                 want, 1e-15)
-        h = complexify(Polynomial(n, {(j, k): c.real
-                                      for j, k, c in f.terms()}))
-        back = oracles.chart_change(h.terms(), n, +1)
+        g = complexify(f._block)
+        got = _block_terms(*g, n)
+        assert set(got) == set(want)
+        _assert_close_per_degree(got, want, 1e-15)
+        back = oracles.chart_change(
+            [(j, k, c) for (j, k), c in got.items()], n, +1)
         want = oracles.pruned({key: c.real for key, c in back.items()})
-        got = realify(h)
-        assert got.field == "real"
-        assert {(j, k) for j, k, _ in got.terms()} == set(want)
-        _assert_close_per_degree({(j, k): c for j, k, c in got.terms()},
-                                 want, 1e-15)
+        exps, coeffs = realify(g)
+        assert coeffs.dtype == np.float64
+        got = _block_terms(exps, coeffs, n)
+        assert set(got) == set(want)
+        _assert_close_per_degree(got, want, 1e-15)
 
 
 def test_array_chart_change_refusals():
     # a term the uint8 exponents cannot hold, in a block of mixed degrees
     f = mono(2, (1, 0), (0, 2)) + mono(2, (200, 0), (0, 56))
-    with pytest.raises(OrderRangeError, match="255"):
-        complexify(f)
-    with pytest.raises(OrderRangeError, match="255"):
-        realify(f.scale(1j))
-    # realify takes only a complex-chart polynomial
-    with pytest.raises(ValueError, match="complex-chart"):
-        realify(mono(1, (2,), (1,)))
+    for change in (complexify, realify):
+        with pytest.raises(OrderRangeError, match="255"):
+            change(f._block)
     # a coefficient that overflows in the change is refused, not pruned
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="overflow"):
-            complexify(mono(1, (0,), (8,), 1e308))
-        with pytest.raises(ValueError, match="overflow"):
-            realify(complexify(mono(1, (0,), (8,), 1e306)).scale(100.0))
+        for change in (complexify, realify):
+            with pytest.raises(ValueError, match="overflow"):
+                change(mono(1, (0,), (8,), 1e308)._block)
     # the zero polynomial changes to zero
-    assert complexify(Polynomial.zero(3)).is_zero
-    assert realify(Polynomial.zero(3, field="complex")).is_zero
+    zero = Polynomial.zero(3)._block
+    assert not len(complexify(zero)[1]) and not len(realify(zero)[1])
+
+
+def test_complex_operands_are_refused():
+    # a Polynomial is real: a complex factor or substitution is refused
+    f = mono(2, (1, 0), (0, 2), 0.5)
+    with pytest.raises(ValueError, match="complex factor"):
+        f.scale(1j)
+    for factor in (np.complex128(2.0), np.complex64(2.0)):
+        with pytest.raises(ValueError, match="complex factor"):
+            f * factor
+    with pytest.raises(ValueError, match="complex coefficient"):
+        Polynomial(1, {((1,), (0,)): np.complex64(1 + 1j)})
+    M = np.eye(4, dtype=complex)
+    M[0, 2] = 1j
+    for matrix in (M, M.tolist()):
+        with pytest.raises(ValueError, match="must be real"):
+            linear_substitute(f, matrix)
 
 
 def test_linear_substitute_rotation_preserves_actions():

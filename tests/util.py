@@ -42,8 +42,8 @@ def two_dof_even_series(d_max=20):
     return GradedSeries.from_polynomial(h, d_max=d_max)
 
 
-def random_polynomial(rng, n, degree, num_terms=6, field="real",
-                      scale=1.0, even_only=False):
+def random_polynomial(rng, n, degree, num_terms=6, scale=1.0,
+                      even_only=False):
     """Random homogeneous polynomial of the given total degree."""
     raw = {}
     for _ in range(20 * num_terms):
@@ -55,24 +55,20 @@ def random_polynomial(rng, n, degree, num_terms=6, field="real",
         j, k = tuple(exps[:n]), tuple(exps[n:])
         if even_only and (sum(j) + sum(k)) % 2:
             continue
-        c = scale * (rng.uniform(-1.0, 1.0))
-        if field == "complex":
-            c = c + 1j * scale * rng.uniform(-1.0, 1.0)
-        raw[(j, k)] = c
-    p = Polynomial.zero(n, field=field)
+        raw[(j, k)] = scale * (rng.uniform(-1.0, 1.0))
+    p = Polynomial.zero(n)
     for (j, k), c in raw.items():
-        p = p + Polynomial.monomial(n, j, k, c, field=field)
+        p = p + Polynomial.monomial(n, j, k, c)
     return p
 
 
 def full_block(rng, n, degree):
-    """Every monomial of the degree, with seeded complex coefficients."""
+    """Every monomial of the degree, with seeded coefficients."""
     terms = {}
     for exps in itertools.product(range(degree + 1), repeat=2 * n):
         if sum(exps) == degree:
-            re, im = rng.uniform(-1.0, 1.0, size=2)
-            terms[(exps[:n], exps[n:])] = complex(re, im)
-    return Polynomial(n, terms, field="complex")
+            terms[(exps[:n], exps[n:])] = rng.uniform(-1.0, 1.0)
+    return Polynomial(n, terms)
 
 
 def random_series(rng, n, omega, d_max, amplitude=0.3):

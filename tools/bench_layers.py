@@ -1,11 +1,12 @@
-"""Time `bnf`, the Poisson bracket, the product, the pushforward, the read
-side and the write side on fixed inputs, for a BENCH_*.json.
+"""Time `bnf`, the Poisson bracket, the pushforward, the read side and the
+write side on fixed inputs, for a BENCH_*.json.
 
     python3 tools/bench_layers.py --src parent=../parent/src --src change=src \
         --out BENCH_realchain.json
 
 Each --src LABEL=DIR names a bnfstab source tree (the directory holding
-the `bnfstab` package).  Each of ROUNDS rounds runs one fresh interpreter
+the `bnfstab` package) whose `polyalg.complexify` and `realify` take and
+return blocks.  Each of ROUNDS rounds runs one fresh interpreter
 per tree, in alternating order, so that a drift in host speed falls on
 both sides.
 An interpreter times, once each:
@@ -13,16 +14,10 @@ An interpreter times, once each:
 - the `bnf` command on the fixed systems of the ROADMAP's north star,
   built by perfbench/systems.py with seed 1: 2-DOF even at order 18, 2-DOF
   dense at order 14 and 3-DOF dense at order 10;
-- the bracket alone on full complex blocks (tests/util.full_block: every
+- the bracket alone on full blocks (tests/util.full_block: every
   monomial of the degree, seeded coefficients): 3 DOF degree 9 by degree
-  9, and 2 DOF degree 20 by degree 4, with the tracemalloc peak of one
-  more, untimed call;
-- the product f * g of full complex blocks: 3 DOF degree 6 by degree 5,
-  and 2 DOF degree 12 by degree 8;
-- the bracket alone on full real blocks, the real parts of full complex
-  blocks drawn after the products: 3 DOF degree 9 by degree 9
-  (3dof-9x9-real), the shape of the normalization's chains, which run on
-  real blocks, with its tracemalloc peak as above;
+  9 (3dof-9x9-real), the shape of the normalization's chains, with the
+  tracemalloc peak of one more, untimed call;
 - `LinearSymplecticMap.pushforward` of each fixed system's series
   truncated at degree order + 2, by the map `diagonalize_quadratic` finds
   for its quadratic part, as `bnf` does;
@@ -36,8 +31,9 @@ An interpreter times, once each:
   1 024-point grid 0.3:3.0:1024:log at those radii, its drift bounds
   computed beforehand (sweep_grid_s);
 - the write side on the dense3-r10 ledger that its `bnf` wrote, as the
-  median of READ_REPEATS calls each: `polyalg.realify` of every CHI and F
-  block of the ledger, complexified once beforehand (realify_s),
+  median of READ_REPEATS calls each: `polyalg.realify` of the block of
+  every CHI and F entry of the ledger, each block changed into the chart
+  by `polyalg.complexify` once beforehand (realify_s),
   `NormalFormState.to_text` (to_text_s), and `spectrum.check_nonresonance`
   of NONRES_OMEGA, 4 DOF, at k_max NONRES_K_MAX (nonresonance_s).
 
@@ -73,9 +69,7 @@ FIXTURE = "sjs-jd2451220.5"
 SYSTEMS = (("even2-r18", "even2", 18), ("dense2-r14", "dense2", 14),
            ("dense3-r10", "dense3", 10))
 # (name, DOF, degree of f, degree of g)
-BRACKETS = (("3dof-9x9", 3, 9, 9), ("2dof-20x4", 2, 20, 4))
-PRODUCTS = (("3dof-6x5", 3, 6, 5), ("2dof-12x8", 2, 12, 8))
-REAL_BRACKETS = (("3dof-9x9-real", 3, 9, 9),)
+BRACKETS = (("3dof-9x9-real", 3, 9, 9),)
 
 
 def measure(src):
@@ -88,7 +82,7 @@ def measure(src):
     from util import full_block
 
     out = {"bnf_s": {}, "bracket_s": {}, "bracket_peak_mib": {},
-           "product_s": {}, "pushforward_s": {}}
+           "pushforward_s": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for name, system, order in SYSTEMS:
             ham = Path(tmp) / f"{name}.ham"
@@ -111,12 +105,8 @@ def measure(src):
     out.update(read_side(ledgers, birkhoff, celestial, cli, stability))
     out["write_s"] = write_side(written, birkhoff, polyalg, spectrum)
     rng = np.random.default_rng(1)
-
-    def real_part(f):
-        return polyalg.Polynomial(f.num_dof, {(j, k): c.real
-                                              for j, k, c in f.terms()})
-
-    def bracket(name, f, g):
+    for name, n, p, q in BRACKETS:
+        f, g = full_block(rng, n, p), full_block(rng, n, q)
         start = time.perf_counter()
         polyalg.poisson_bracket(f, g)
         out["bracket_s"][name] = time.perf_counter() - start
@@ -124,17 +114,6 @@ def measure(src):
         polyalg.poisson_bracket(f, g)
         out["bracket_peak_mib"][name] = tracemalloc.get_traced_memory()[1] / 2 ** 20
         tracemalloc.stop()
-
-    for name, n, p, q in BRACKETS:
-        bracket(name, full_block(rng, n, p), full_block(rng, n, q))
-    for name, n, p, q in PRODUCTS:
-        f, g = full_block(rng, n, p), full_block(rng, n, q)
-        start = time.perf_counter()
-        f * g
-        out["product_s"][name] = time.perf_counter() - start
-    for name, n, p, q in REAL_BRACKETS:
-        bracket(name, real_part(full_block(rng, n, p)),
-                real_part(full_block(rng, n, q)))
     return out
 
 
@@ -186,7 +165,7 @@ def write_side(ledger, birkhoff, polyalg, spectrum):
     """Medians of READ_REPEATS timed realify passes over the ledger's
     blocks, writes of the ledger, and 4-DOF divisor scans."""
     state = birkhoff.NormalFormState.from_text(ledger)
-    blocks = [polyalg.complexify(p)
+    blocks = [polyalg.complexify(p._block)
               for p in list(state.chi.values()) + list(state.f.values())]
     calls = {
         "realify_s": lambda: [polyalg.realify(b) for b in blocks],
@@ -245,7 +224,7 @@ def main():
                  "numpy": np.__version__},
         "read_repeats": READ_REPEATS,
         "units": {"bnf_s": "s", "bracket_s": "s", "bracket_peak_mib": "MiB",
-                  "product_s": "s", "pushforward_s": "s",
+                  "pushforward_s": "s",
                   "read_ledger_s": "s", "read_peak_mib": "MiB",
                   "drift_bounds_s": "s",
                   "sweep_grid_s": "s", "write_s": "s"},
