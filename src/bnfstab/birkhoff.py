@@ -16,11 +16,12 @@ Conventions fixed here and relied on by the whole package:
   - only the homological equation is solved in the canonical complex chart
     Z_l = (x_l + i y_l)/sqrt2, W_l = (y_l + i x_l)/sqrt2 ({Z_l, W_l} = 1),
     where L_{H0} is diagonal with eigenvalue i<omega, j-k> on Z^j W^k: at
-    order s the one block Q_s is changed into the chart, solved there, and
-    chi_s and the action part Z_s are mapped back to real coefficients
-    once each.  The chart is canonical, so a bracket of real blocks is the
-    realified bracket of their chart blocks, with half the coefficient
-    arithmetic.
+    order s the one block Q_s is changed into the chart on its class
+    layout (polyalg._Layout), solved on the slots that survive pruning,
+    and chi_s and the action part Z_s are changed back to real
+    coefficients on the same layout, in one change.  The chart is
+    canonical, so a bracket of real blocks is the realified bracket of
+    their chart blocks, with half the coefficient arithmetic.
 
 The construction runs once, from order 1 up to r_max, and keeps the first
 unnormalized block of every order: remainder_block(s) is the block of index
@@ -195,11 +196,22 @@ def _normalize_order(blocks, s, omega, n, tol, d_cap):
     if q is None:
         return None, None, {}
     # the homological equation alone needs the chart, where L_{H0} is
-    # diagonal; its generator and action part come back real
-    chart = poly.complexify(q)
-    chi_chart, z_act, action = _solve_chart(chart, omega, n, tol)
-    chi = Polynomial._raw(n, poly.realify(chi_chart))
-    z = poly.realify((chart[0][action], chart[1][action]))
+    # diagonal: q changes into it on its layout, the slots that survive
+    # pruning are solved (in key order, so the first small divisor in key
+    # order among equals is named), and the generator and the action part
+    # change back on the same layout, at once, as real blocks
+    layout = poly._Layout(q[0])
+    chart = layout.change(layout.place(q[1]), -1)
+    kept = np.flatnonzero(layout.kept(chart))
+    chi_chart, z_act, action = _solve_chart(
+        (np.take(layout.exps, kept, axis=0), chart[kept]), omega, n, tol)
+    back = np.zeros((2, len(chart)), complex)
+    back[0, kept[~action]] = chi_chart[1]
+    z_slots = kept[action]
+    back[1, z_slots] = chart[z_slots]
+    chi_back, z_back = layout.change(back, +1)
+    chi = Polynomial._raw(n, layout.real(chi_back))
+    z = layout.real(z_back)
 
     # the flow of -chi applied to every block: exp of -{chi, .} expands as
     # g_p = {g_{p-1}, chi}/p, each chain reading the block as it stood on
@@ -505,8 +517,9 @@ def birkhoff_normal_form(h, omega, r_max, tol=None):
     The orders are normalized on the real blocks of h, so each snapshot
     and each block not yet normalized goes to the ledger as it is.  The
     homological equation of each order is solved in the complex chart,
-    and its generator and action part are realified once, when they are
-    produced (_normalize_order).
+    on one layout per order, and its generator and action part are
+    changed back to real variables on it when they are produced
+    (_normalize_order).
     """
     omega = tuple(float(w) for w in omega)
     if h.num_dof != len(omega):

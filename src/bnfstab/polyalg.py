@@ -14,9 +14,16 @@ take and return blocks, and equal rows are summed by _merge, which adds
 each monomial's contributions in row order, as a dict accumulating them
 in turn would.
 
-The complex chart.  complexify and realify are block functions, and only
-their blocks hold complex coefficients: the normalization uses them for
-the homological equation alone, which is diagonal in the chart.
+The complex chart.  Only chart blocks hold complex coefficients: the
+normalization uses the chart for the homological equation alone, which is
+diagonal there.  A chart change never leaves a row's mode-degree class
+(d_1..d_n), d_l = j_l + k_l, and spreads the row over its whole class, so
+it runs on a _Layout of the block: one slot for each monomial of each
+class present, in graded key order.  A mode pass is one matrix product
+with the mode's table per distinct d_l, over every fiber of that degree,
+and sorts nothing.  complexify and realify are block functions on such a
+layout; the normalization builds one layout per order and changes its
+block into the chart, and the generator and action part back, on it.
 
 Pruning.  Coefficients below PRUNE_REL = 1e-15 relative to the largest
 coefficient of the same homogeneous degree are dropped after every
@@ -319,17 +326,23 @@ def _words(exps):
     return buf.view(">u8").astype(np.uint64)
 
 
+def _key_order(exps, group=None):
+    """(order, words): order sorts the rows of an exponent matrix stably
+    into key order, by group first when given (an integer array of the same
+    length); words are the rows as _words."""
+    words = _words(exps)
+    keys = [*words.T[::-1]] + ([] if group is None else [group])
+    if len(keys) == 1:
+        return np.argsort(keys[0], kind="stable"), words
+    return np.lexsort(keys), words
+
+
 def _runs(exps, group=None):
     """(order, first) of the rows of an exponent matrix: order sorts them
     stably into key order, and first marks each sorted row that starts a
     run of equal rows.  With group, an integer array of the same length,
     the rows sort by group first, and a run never spans two groups."""
-    words = _words(exps)
-    keys = [*words.T[::-1]] + ([] if group is None else [group])
-    if len(keys) == 1:
-        order = np.argsort(keys[0], kind="stable")
-    else:
-        order = np.lexsort(keys)
+    order, words = _key_order(exps, group)
     ordered = words[order]
     first = np.empty(len(order), bool)
     first[:1] = True
@@ -354,13 +367,7 @@ def _merge(exps, coeffs, group=None):
     order, first = _runs(exps, group)
     run = np.empty(len(order), np.intp)
     run[order] = np.cumsum(first) - 1
-    size = np.count_nonzero(first)
-    if np.iscomplexobj(coeffs):
-        sums = np.empty(size, complex)
-        sums.real = np.bincount(run, coeffs.real, size)
-        sums.imag = np.bincount(run, coeffs.imag, size)
-    else:
-        sums = np.bincount(run, coeffs, size)
+    sums = np.bincount(run, coeffs, np.count_nonzero(first))
     rows = order[first]
     return (exps[rows], sums) if group is None else (exps[rows], sums,
                                                      group[rows])
@@ -685,58 +692,176 @@ def _mode_table(d, sign):
     u^m v^(d-m) at column m.
 
     x = a u + b v and y = b u + a v with a = 1/sqrt2, b = sign i/sqrt2, so
-    that coefficient is a^d (sign i)^(j+m) times the exact integer sum
-    sum_p (-1)^p C(j, p) C(d-j, m-p).
+    that coefficient is a^d (sign i)^(j+m) times the exact integer K_j(m)
+    = sum_p (-1)^p C(j, p) C(d-j, m-p), the coefficient of t^m in
+    G_j = (1-t)^j (1+t)^(d-j).  Row j+1 follows from row j in integers,
+    as (1+t) G_(j+1) = (1-t) G_j, so a table costs O(d^2) integer steps.
     """
-    scale = 2.0 ** (-0.5 * d)
-    table = np.zeros((d + 1, d + 1), complex)
-    for j in range(d + 1):
-        k = d - j
-        for m in range(d + 1):
-            K = sum((-1) ** p * math.comb(j, p) * math.comb(k, m - p)
-                    for p in range(max(0, m - k), min(j, m) + 1))
-            table[j, m] = (1, 1j, -1, -1j)[sign * (j + m) % 4] * K * scale
+    alt = np.array([(-1) ** m for m in range(d + 1)], object)
+    row = np.array([math.comb(d, m) for m in range(d + 1)], object)
+    rows = [row]
+    for _ in range(d):
+        h = row.copy()
+        h[1:] -= row[:-1]               # (1-t) G_j
+        row = alt * np.cumsum(alt * h)  # divided by (1+t)
+        rows.append(row)
+    units = np.array([1, 1j, -1, -1j])
+    phase = units[sign * np.add.outer(np.arange(d + 1), np.arange(d + 1)) % 4]
+    table = phase * (np.array(rows, float) * 2.0 ** (-0.5 * d))
     table.setflags(write=False)
     return table
 
 
-def _chart_change(exps, coeffs, sign):
-    """A block with each mode changed by _mode_table, one pass a mode: the
-    merged complex block in key order, not pruned.
+class _Layout:
+    """The slots of a chart change of a block: every monomial of every
+    mode-degree class of its rows, in graded key order.
 
-    A pass expands every term (j, k) of its mode against the table of
-    degree j + k, one row (term, m) for each nonzero coefficient, and
-    merges the rows (_merge), so every output monomial sums its
-    contributions in (term, m) order.  A term of degree above 255, which
-    the uint8 exponents cannot hold, is an OrderRangeError.
+    A chart change maps the x^j y^k of mode l into monomials of the same
+    mode degree d_l = j_l + k_l, so it never leaves a row's class
+    (d_1..d_n) and spreads each row over its whole class.  A class is a
+    (d_1+1) x ... x (d_n+1) tensor indexed by j, so the slots number the
+    sum over the classes present of prod(d_l + 1): the size of the output,
+    never the count of every monomial of the degree.
+
+    A mode pass applies the (d_l+1) x (d_l+1) table of _mode_table along
+    axis l of every class: the slots are gathered into fibers along that
+    axis, grouped by d_l, and each group is one matrix product.  Each pass
+    gathers from the order the previous one left, and a last gather
+    returns to key order, so a change sorts nothing.
+
+    exps is the (slots, 2n) exponent matrix, degrees the degree of each
+    slot (None for a homogeneous block), at the slot of each row of the
+    block; passes holds (gather, [(d, lo, hi), ...]) a mode with a
+    nonzero d_l, and back the gather into key order (None without passes).
     """
-    coeffs = coeffs.astype(complex)
-    if not len(coeffs):
-        return exps, coeffs
-    _check_degree(int(exps.sum(axis=1, dtype=np.intp).max()))
-    n = exps.shape[1] // 2
-    for l in range(n):
-        j = exps[:, l].astype(np.intp)
-        d = j + exps[:, n + l]
-        # the tables of the mode degrees present, end to end
-        degrees = sorted(set(d.tolist()))
-        tables = [_mode_table(e, sign).ravel() for e in degrees]
-        start = np.zeros(degrees[-1] + 1, np.intp)
-        start[degrees] = np.cumsum([0] + [len(t) for t in tables[:-1]])
-        table = np.concatenate(tables)
-        count = d + 1
-        term = np.repeat(np.arange(len(d)), count)
-        m = np.arange(len(term)) - np.repeat(np.cumsum(count) - count, count)
-        t = table[(start[d] + j * count)[term] + m]
-        hit = t != 0
-        term, m, t = term[hit], m[hit], t[hit]
-        new = exps[term]
-        new[:, l] = m
-        new[:, n + l] = d[term] - m
-        # an overflow comes out as inf or nan, for _sizes to refuse
+
+    __slots__ = ("exps", "degrees", "at", "passes", "back")
+
+    def __init__(self, exps):
+        """The layout of the rows of a uint8 exponent matrix, distinct; a
+        row of degree above 255, which the uint8 exponents cannot hold
+        after the change, is an OrderRangeError."""
+        _check_degree(int(exps.sum(axis=1, dtype=np.intp).max(initial=0)))
+        n = exps.shape[1] // 2
+        j = exps[:, :n].astype(np.intp)
+        d = j + exps[:, n:]
+        # the classes present, and each row's
+        order, first = _runs(d.astype(np.uint8))
+        row_class = np.empty(len(d), np.intp)
+        row_class[order] = np.cumsum(first) - 1
+        dims = d[order[first]]
+        shape = dims + 1
+        sizes = shape.prod(axis=1)
+        starts = np.cumsum(sizes) - sizes
+        # C-order strides of each class tensor
+        strides = np.ones_like(shape)
+        strides[:, :-1] = np.cumprod(shape[:, :0:-1], axis=1)[:, ::-1]
+
+        # the slots in class order: class after class, j in C order within
+        # each, so slot t of its class has j_l = t // stride_l % (d_l + 1).
+        # np.take gathers rows several times faster than fancy indexing
+        slots = int(sizes.sum())
+        slot_class = np.repeat(np.arange(len(dims)), sizes)
+        t = np.arange(slots) - starts[slot_class]
+        widths = [shape[:, l].take(slot_class) for l in range(n)]
+        afters = [strides[:, l].take(slot_class) for l in range(n)]
+        slot_j = [t // after % width for width, after in zip(widths, afters)]
+        tensor = np.empty((slots, 2 * n), np.uint8)
+        for l in range(n):
+            tensor[:, l] = slot_j[l]
+            tensor[:, n + l] = widths[l] - 1 - slot_j[l]
+        degree = dims.sum(axis=1)
+        degrees = None
+        if (degree != degree[:1]).any():
+            degrees = degree.take(slot_class)
+        key, _ = _key_order(tensor, degrees)
+        rank = np.empty(slots, np.intp)
+        rank[key] = np.arange(slots)
+        self.exps = np.take(tensor, key, axis=0)
+        self.exps.setflags(write=False)
+        self.degrees = None if degrees is None else degrees.take(key)
+        self.at = rank.take(starts.take(row_class)
+                            + (j * np.take(strides, row_class, axis=0)).sum(
+                                axis=1))
+
+        # each pass gathers from the order the previous one left: prev maps
+        # a slot in class order to its place there, first its key rank
+        prev = rank
+        self.passes = []
+        for l in range(n):
+            d_l = dims[:, l]
+            if not d_l.any():
+                continue
+            # the classes by d_l; a fiber is the slots of a class that
+            # differ in j_l alone, in order of the indices before axis l,
+            # then those after it (b = t % after), then j_l
+            by_d = np.argsort(d_l, kind="stable")
+            ends = np.cumsum(sizes.take(by_d))
+            fiber_start = np.empty(len(dims), np.intp)
+            fiber_start[by_d] = ends - sizes.take(by_d)
+            width, after = widths[l], afters[l]
+            position = (fiber_start.take(slot_class) + t
+                        + (width - 1) * (t % after) - (after - 1) * slot_j[l])
+            gather = np.empty(slots, np.intp)
+            gather[position] = prev
+            segments = []
+            for d_c, end, size in zip(d_l.take(by_d).tolist(), ends.tolist(),
+                                      sizes.take(by_d).tolist()):
+                if segments and segments[-1][0] == d_c:
+                    segments[-1][2] = end
+                elif d_c:
+                    segments.append([d_c, end - size, end])
+            self.passes.append((gather, segments))
+            prev = position
+        self.back = None
+        if self.passes:
+            self.back = np.empty(slots, np.intp)
+            self.back[rank] = prev
+
+    def place(self, coeffs):
+        """The coefficients of the block's rows as complex slot values."""
+        values = np.zeros(len(self.exps), complex)
+        values[self.at] = coeffs
+        return values
+
+    def change(self, values, sign):
+        """Slot values (..., slots), each a block on the layout, with every
+        mode changed by _mode_table of the sign (-1 into the chart, +1 back
+        to real variables); not pruned.  Each output slot sums its
+        contributions in the order of the matrix product.  Overflowed
+        coefficients come out as inf or nan, for _sizes to refuse."""
         with np.errstate(over="ignore", invalid="ignore"):
-            exps, coeffs = _merge(new, coeffs[term] * t)
-    return exps, coeffs
+            for gather, segments in self.passes:
+                values = values.take(gather, axis=-1)
+                for d, lo, hi in segments:
+                    part = values[..., lo:hi]
+                    fibers = part.reshape(*part.shape[:-1], -1, d + 1)
+                    # numpy copies an input the output overlaps
+                    np.matmul(fibers, _mode_table(d, sign), out=fibers)
+            if self.back is not None:
+                values = values.take(self.back, axis=-1)
+        return values
+
+    def kept(self, values):
+        """The mask of the slot values that survive pruning (_kept)."""
+        return _kept(values, self.degrees)
+
+    def real(self, values):
+        """The real block of slot values changed back to real variables,
+        pruned and in graded key order.  Raises RealityViolationError when
+        the largest imaginary part exceeds REALITY_TOL relative to the
+        largest coefficient (the values were not conjugation symmetric);
+        otherwise the real parts are pruned, once, and the imaginary parts
+        dropped."""
+        top = _sizes(values).max(initial=0.0)
+        worst = np.abs(values.imag).max(initial=0.0)
+        if worst > REALITY_TOL * top:
+            raise RealityViolationError(
+                f"imaginary residual {worst / top:.3e} exceeds tolerance "
+                f"{REALITY_TOL:.3e}")
+        real = values.real
+        keep = self.kept(real)
+        return self.exps.compress(keep, axis=0), real[keep]
 
 
 @lru_cache(maxsize=256)
@@ -813,11 +938,14 @@ def complexify(block):
     Z_l = (x_l + i y_l)/sqrt2 and W_l = i conj(Z_l) on real points.  The
     substitution is canonical ({Z_l, W_l} = 1), so poisson_bracket applies
     unchanged in either chart.  Slot l holds the Z_l exponent, slot n+l the
-    W_l exponent.  The substitution is applied one mode at a time; a term
-    of degree above 255, which the uint8 exponents cannot hold, is an
-    OrderRangeError.
+    W_l exponent.  The substitution runs one mode at a time on the block's
+    _Layout; a term of degree above 255, which the uint8 exponents cannot
+    hold, is an OrderRangeError.
     """
-    return _canonical(*_chart_change(*block, -1))
+    layout = _Layout(block[0])
+    values = layout.change(layout.place(block[1]), -1)
+    keep = layout.kept(values)
+    return layout.exps.compress(keep, axis=0), values[keep]
 
 
 def realify(block):
@@ -825,19 +953,11 @@ def realify(block):
     real block, pruned and in graded key order.
 
     Substitutes Z_l = (x_l + i y_l)/sqrt2, W_l = (y_l + i x_l)/sqrt2 one
-    mode at a time, as complexify does.  Raises RealityViolationError when
-    the largest imaginary part exceeds REALITY_TOL relative to the largest
-    coefficient (the input was not conjugation symmetric); otherwise the
-    real parts are pruned, once, and the imaginary parts dropped.
+    mode at a time on the block's _Layout, as complexify does, and checks
+    the imaginary residual (_Layout.real).
     """
-    exps, coeffs = _chart_change(*block, +1)
-    top = _sizes(coeffs).max(initial=0.0)
-    worst = np.abs(coeffs.imag).max(initial=0.0)
-    if worst > REALITY_TOL * top:
-        raise RealityViolationError(
-            f"imaginary residual {worst / top:.3e} exceeds tolerance "
-            f"{REALITY_TOL:.3e}")
-    return _canonical(exps, coeffs.real)
+    layout = _Layout(block[0])
+    return layout.real(layout.change(layout.place(block[1]), +1))
 
 
 def oscillator(omega):

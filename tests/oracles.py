@@ -20,6 +20,7 @@ arrays), the reader of NONRESONANCE certificates, which bnf writes but
 nothing reads back, and the inverse of the secular map.
 """
 
+import functools
 import itertools
 import math
 
@@ -100,6 +101,7 @@ def linear_substitute(terms, matrix, n):
 
 # -- the chart change, one term at a time ------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _mode_expansion(j, k, sign):
     """x^j y^k of one mode in its new pair (u, v), as [(m, coeff)] for
     u^m v^(j+k-m): x = a u + b v and y = b u + a v with a = 1/sqrt2 and

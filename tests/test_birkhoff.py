@@ -286,6 +286,28 @@ def test_small_divisor_names_the_smallest_divisor_of_the_block():
         oracles.solve_chart(q, omega, 1e-9)[0], rel=1e-15)
 
 
+def test_pruned_chart_term_on_a_small_divisor_stops_nothing():
+    # at tol = 2 the cubic chart monomials Z^2 W and Z W^2 of omega = 1 sit
+    # on the divisors -1 and +1, Z^3 and W^3 on -3 and +3.  Im((x + i y)^3)
+    # = 3 x^2 y - y^3 charts to Z^3 and W^3 alone, x (x^2 + y^2) to Z^2 W
+    # and Z W^2 alone: at 1e-16 of the block's largest chart coefficient
+    # that term is pruned and stops nothing; at 1e-14 it is kept, and it
+    # names its k
+    for rel in (1e-16, 1e-14):
+        h = one_dof_series({(2, 1): 3.0, (0, 3): -1.0,
+                            (3, 0): rel, (1, 2): rel}, d_max=3)
+        if rel < polyalg.PRUNE_REL:
+            state = birkhoff_normal_form(h, (1.0,), 1, tol=2.0)
+            assert state.r == 1
+            assert [(j, k) for j, k, _ in state.generator(1).terms()] == [
+                ((1,), (2,)), ((3,), (0,))]
+        else:
+            with pytest.raises(SmallDivisorError) as info:
+                birkhoff_normal_form(h, (1.0,), 1, tol=2.0)
+            assert info.value.k == (1,)
+            assert info.value.divisor == 1.0
+
+
 def test_birkhoff_rejects_nondiagonal_h2():
     h2 = mono(1, (2,), (0,), 1.0) + mono(1, (0,), (2,), 0.5)
     h = GradedSeries.from_polynomial(h2 + mono(1, (3,), (0,)), d_max=5)

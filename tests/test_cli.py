@@ -495,8 +495,8 @@ def test_chart_change_cache_does_not_change_the_ledger(tmp_path, monkeypatch):
 
 
 def test_chart_changes_bypass_the_general_substitution(tmp_path, monkeypatch):
-    # complexify/realify change one mode at a time; linear_substitute, the
-    # general expansion, serves only pushforward's matrix
+    # the chart changes one mode at a time; linear_substitute, the general
+    # expansion, serves only pushforward's matrix
     from bnfstab import polyalg, spectrum
 
     argv, _ = _quick_even2_bnf(tmp_path, monkeypatch)
@@ -526,6 +526,7 @@ def test_chart_changes_bypass_the_general_substitution(tmp_path, monkeypatch):
     monkeypatch.setattr(spectrum.LinearSymplecticMap, "pushforward", tracked)
     assert main(argv) == 0
     # one substitution per component of the order-6 HAM series; the blocks
-    # stay real, and each of the three nonzero orders complexifies its
-    # block once and realifies its generator and its action part once
-    assert calls == {"realify": 6, "complexify": 3, "linear_substitute": 4}
+    # stay real, and each order changes its block into the chart and its
+    # generator and action part back on one layout, without the block
+    # functions complexify and realify
+    assert calls == {"realify": 0, "complexify": 0, "linear_substitute": 4}

@@ -508,6 +508,23 @@ def _assert_close_per_degree(got, want, rel):
             <= rel * top.get(sum(key[0] + key[1]), 0.0), key
 
 
+def _assert_layout_change_matches_oracle(block, n, sign):
+    """A block changed on its layout (polyalg._Layout), unpruned, against
+    the dict oracle: one slot per monomial of the row classes, in graded
+    key order; every oracle term a slot, within 1e-15 of the largest of
+    its degree, and every other slot zero."""
+    layout = polyalg._Layout(block[0])
+    values = layout.change(layout.place(block[1]), sign)
+    rows = [(sum(e), tuple(e)) for e in layout.exps.tolist()]
+    assert rows == sorted(set(rows))
+    terms = [(j, k, c) for (j, k), c in _block_terms(*block, n).items()]
+    want = oracles.chart_change(terms, n, sign)
+    got = _block_terms(layout.exps, values, n)
+    assert set(want) <= set(got)
+    assert all(c == 0 for key, c in got.items() if key not in want)
+    _assert_close_per_degree(got, want, 1e-15)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_array_chart_change_matches_dict_oracle(n):
     # sparse blocks of mixed degrees and full blocks, real and with seeded
@@ -522,15 +539,8 @@ def test_array_chart_change_matches_dict_oracle(n):
         exps, coeffs = f._block
         charted = exps, coeffs + 1j * rng.uniform(-1, 1, len(coeffs))
         for block in (f._block, charted):
-            terms = [(j, k, c) for (j, k), c in _block_terms(*block, n).items()]
             for sign in (-1, 1):
-                out = polyalg._chart_change(*block, sign)
-                rows = [tuple(e) for e in out[0].tolist()]
-                assert rows == sorted(set(rows))     # merged, in key order
-                want = oracles.chart_change(terms, n, sign)
-                got = _block_terms(*out, n)
-                assert set(got) == set(want)
-                _assert_close_per_degree(got, want, 1e-15)
+                _assert_layout_change_matches_oracle(block, n, sign)
         # complexify prunes that block; realify takes the real parts of a
         # real polynomial's chart block and prunes them
         want = oracles.pruned(oracles.chart_change(f.terms(), n, -1))
@@ -546,6 +556,27 @@ def test_array_chart_change_matches_dict_oracle(n):
         got = _block_terms(exps, coeffs, n)
         assert set(got) == set(want)
         _assert_close_per_degree(got, want, 1e-15)
+
+
+def test_sparse_high_degree_chart_change_stays_on_its_classes():
+    # three 2-DOF monomials of degrees 250, 240 and 246 and one 3-DOF
+    # monomial of degree 60: the layout holds the slots of their classes
+    # alone, about 46 000 and 9 000, not every monomial of the degree
+    # (C(253, 3), about 2.7 million at degree 250, well over 40 MiB)
+    sparse = [Polynomial(2, {((100, 20), (30, 100)): 1.0,
+                             ((0, 120), (120, 0)): -0.5,
+                             ((60, 60), (60, 66)): 0.25}),
+              Polynomial(3, {((10, 5, 15), (10, 15, 5)): 1.0})]
+    for f in sparse:
+        n = f.num_dof
+        for sign in (-1, 1):
+            _assert_layout_change_matches_oracle(f._block, n, sign)
+        polyalg._mode_table.cache_clear()
+        tracemalloc.start()
+        realify(complexify(f._block))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 def test_array_chart_change_refusals():

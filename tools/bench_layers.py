@@ -13,7 +13,11 @@ An interpreter times, once each:
 
 - the `bnf` command on the fixed systems of the ROADMAP's north star,
   built by perfbench/systems.py with seed 1: 2-DOF even at order 18, 2-DOF
-  dense at order 14 and 3-DOF dense at order 10;
+  dense at order 14 and 3-DOF dense at order 10; and on a 4-DOF dense
+  system at order 8 (dense4-r8): the oscillator of DENSE4_OMEGA plus a
+  random cubic and then a random quartic block of 40 terms each, scale
+  0.3^(d-2), drawn by tests/util.random_polynomial from
+  numpy.random.default_rng(1), as perfbench/systems.py draws dense3;
 - the bracket alone on full blocks (tests/util.full_block: every
   monomial of the degree, seeded coefficients): 3 DOF degree 9 by degree
   9 (3dof-9x9-real), the shape of the normalization's chains, with the
@@ -31,9 +35,10 @@ An interpreter times, once each:
   1 024-point grid 0.3:3.0:1024:log at those radii, its drift bounds
   computed beforehand (sweep_grid_s);
 - the write side on the dense3-r10 ledger that its `bnf` wrote, as the
-  median of READ_REPEATS calls each: `polyalg.realify` of the block of
-  every CHI and F entry of the ledger, each block changed into the chart
-  by `polyalg.complexify` once beforehand (realify_s),
+  median of READ_REPEATS calls each: `polyalg.complexify` of the block of
+  every CHI and F entry of the ledger (complexify_s), and `polyalg.realify`
+  of each of those blocks changed into the chart by `polyalg.complexify`
+  once beforehand (realify_s),
   `NormalFormState.to_text` (to_text_s), and `spectrum.check_nonresonance`
   of NONRES_OMEGA, 4 DOF, at k_max NONRES_K_MAX (nonresonance_s).
 
@@ -65,9 +70,11 @@ SWEEP_GRID = "0.3:3.0:1024:log"
 NONRES_OMEGA = (1.0, 2.0 ** 0.5, 3.0 ** 0.5, 5.0 ** 0.5)
 NONRES_K_MAX = 14
 FIXTURE = "sjs-jd2451220.5"
-# (name, perfbench system, bnf --order)
+DENSE4_OMEGA = (1.0, 2.0 ** 0.5, 3.0 ** 0.5, 5.0 ** 0.5)
+# (name, system, bnf --order); dense4 is built here, the rest by
+# perfbench/systems.py
 SYSTEMS = (("even2-r18", "even2", 18), ("dense2-r14", "dense2", 14),
-           ("dense3-r10", "dense3", 10))
+           ("dense3-r10", "dense3", 10), ("dense4-r8", "dense4", 8))
 # (name, DOF, degree of f, degree of g)
 BRACKETS = (("3dof-9x9-real", 3, 9, 9),)
 
@@ -79,14 +86,24 @@ def measure(src):
     sys.path.insert(0, str(Path(src).resolve()))
     import systems
     from bnfstab import birkhoff, celestial, cli, polyalg, spectrum, stability
-    from util import full_block
+    from util import full_block, random_polynomial
+
+    def system_text(system):
+        if system != "dense4":
+            return systems.system_text(system, 1)
+        rng = np.random.default_rng(1)
+        h = polyalg.oscillator(DENSE4_OMEGA)
+        for degree in (3, 4):
+            h = h + random_polynomial(rng, 4, degree, num_terms=40,
+                                      scale=0.3 ** (degree - 2))
+        return polyalg.GradedSeries.from_polynomial(h, d_max=4).to_text()
 
     out = {"bnf_s": {}, "bracket_s": {}, "bracket_peak_mib": {},
            "pushforward_s": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for name, system, order in SYSTEMS:
             ham = Path(tmp) / f"{name}.ham"
-            ham.write_text(systems.system_text(system, 1))
+            ham.write_text(system_text(system))
             series = polyalg.GradedSeries.from_text(ham.read_text())
             _, smap = spectrum.diagonalize_quadratic(series.component(2))
             truncated = series.truncate(order + 2)
@@ -162,12 +179,14 @@ def read_side(ledgers, birkhoff, celestial, cli, stability):
 
 
 def write_side(ledger, birkhoff, polyalg, spectrum):
-    """Medians of READ_REPEATS timed realify passes over the ledger's
-    blocks, writes of the ledger, and 4-DOF divisor scans."""
+    """Medians of READ_REPEATS timed complexify and realify passes over the
+    ledger's blocks, writes of the ledger, and 4-DOF divisor scans."""
     state = birkhoff.NormalFormState.from_text(ledger)
-    blocks = [polyalg.complexify(p._block)
-              for p in list(state.chi.values()) + list(state.f.values())]
+    real = [p._block
+            for p in list(state.chi.values()) + list(state.f.values())]
+    blocks = [polyalg.complexify(b) for b in real]
     calls = {
+        "complexify_s": lambda: [polyalg.complexify(b) for b in real],
         "realify_s": lambda: [polyalg.realify(b) for b in blocks],
         "to_text_s": state.to_text,
         "nonresonance_s": lambda: spectrum.check_nonresonance(
