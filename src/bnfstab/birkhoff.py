@@ -215,18 +215,18 @@ def _normalize_order(blocks, s, omega, n, tol, d_cap):
 
     # the flow of -chi applied to every block: exp of -{chi, .} expands as
     # g_p = {g_{p-1}, chi}/p, each chain reading the block as it stood on
-    # entry.  The oscillator chain goes last: {H0, chi} equals Z - Q
-    # exactly by construction, which is absorbed by replacing the block
-    # below, so it starts at g_2 from Z - Q
+    # entry, and the chains step together.  The oscillator chain goes
+    # last: {H0, chi} equals Z - Q exactly by construction, which is
+    # absorbed by replacing the block below, so it starts at g_2 from Z - Q
     exps, coeffs = poly._summed([z, (q[0], -q[1])])
     keep = poly._kept(coeffs)
     degrees = [d for d in sorted(blocks, reverse=True) if d != 2]
     chains = [(blocks[d], d, 1) for d in degrees]
-    chains.append(((exps[keep], coeffs[keep]), m, 2))
+    chains.append(((exps.compress(keep, axis=0), coeffs[keep]), m, 2))
     operand = poly._bracket_operand(chi._block, n)
     added = {}
-    for src, start, p in chains:
-        for d, g in poly._lie_series(src, operand, n, start, d_cap, p):
+    for terms in poly._lie_series(chains, operand, n, d_cap):
+        for d, g in terms:
             added.setdefault(d, []).append(g)
 
     # each target sums its entry block and then the chains' terms, in
@@ -237,7 +237,7 @@ def _normalize_order(blocks, s, omega, n, tol, d_cap):
         exps, coeffs = poly._summed(parts)
         keep = poly._kept(coeffs)
         if keep.any():
-            blocks[d] = exps[keep], coeffs[keep]
+            blocks[d] = exps.compress(keep, axis=0), coeffs[keep]
         else:
             blocks.pop(d, None)
     if len(z[1]):

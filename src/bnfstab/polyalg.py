@@ -9,10 +9,12 @@ column a variable (x_1 first, y_n last), and a float coefficient vector:
 a Polynomial is real.  The rows are pruned and in graded key order: by
 degree, then lexicographically in the exponents (key order).  All the
 work runs on such blocks: the product and the Poisson bracket share one
-kernel (_products), the Lie series (_lie_series) and linear_substitute
-take and return blocks, and equal rows are summed by _merge, which adds
-each monomial's contributions in row order, as a dict accumulating them
-in turn would.
+kernel (_products), which sums products into several output segments at
+once, the segment the top digit of the bin index; the Lie series
+(_lie_series) steps every chain of an order together, one kernel pass a
+step and one segment a chain; linear_substitute takes and returns
+blocks; and equal rows are summed by _merge, which adds each monomial's
+contributions in row order, as a dict accumulating them in turn would.
 
 The complex chart.  Only chart blocks hold complex coefficients: the
 normalization uses the chart for the homological equation alone, which is
@@ -107,10 +109,11 @@ def _canonical(exps, coeffs):
     rows that survive pruning (_kept), stably sorted by degree."""
     degrees = exps.sum(axis=1, dtype=np.intp)
     keep = _kept(coeffs, degrees)
-    exps, coeffs, degrees = exps[keep], coeffs[keep], degrees[keep]
+    exps = exps.compress(keep, axis=0)
+    coeffs, degrees = coeffs[keep], degrees[keep]
     if (degrees[1:] < degrees[:-1]).any():
         order = np.argsort(degrees, kind="stable")
-        exps, coeffs = exps[order], coeffs[order]
+        exps, coeffs = np.take(exps, order, axis=0), coeffs[order]
     return exps, coeffs
 
 
@@ -369,8 +372,8 @@ def _merge(exps, coeffs, group=None):
     run[order] = np.cumsum(first) - 1
     sums = np.bincount(run, coeffs, np.count_nonzero(first))
     rows = order[first]
-    return (exps[rows], sums) if group is None else (exps[rows], sums,
-                                                     group[rows])
+    exps = np.take(exps, rows, axis=0)
+    return (exps, sums) if group is None else (exps, sums, group[rows])
 
 
 def _summed(blocks):
@@ -390,141 +393,210 @@ def _empty(width):
 # -- the product kernel -------------------------------------------------------
 #
 # Every product and bracket in the package is a sum of products of
-# homogeneous blocks.  An exponent vector of the output degree D is encoded
-# in mixed radix B = D + 1 over its first 2n - 1 fields (the last one
-# follows from D).  No field of a product exceeds D, so no digit carries
-# and the index of a product of monomials is the sum of their indices:
-# each product of two blocks is an outer sum of indices and an outer
-# product of coefficients, added into a bin array.
+# homogeneous blocks, and one call of the kernel computes several such
+# sums, its output segments, each of its own degree: a Lie-series step
+# brackets the current term of every chain with chi in one pass, one
+# segment a chain.  An exponent vector of a segment of degree D is encoded
+# in mixed radix B over its first 2n - 1 fields (the last one follows from
+# D), with the segment as the top digit; B is the highest degree of the
+# pass + 1, shared by its segments.  No field of a product exceeds D, so no
+# digit carries and the index of a product of monomials is the sum of their
+# indices: each product of two blocks is an outer sum of indices and an
+# outer product of coefficients, added into one bin array for the pass, and
+# the segment of each row of the left block rides on its index.
 
 _PAIR_CHUNK = 1 << 14   # pairs per outer product: bounds its temporaries
-_MAX_BINS = 1 << 20     # bins per output block; past it the leading fields split
+_MAX_BINS = 1 << 20     # bins per segment; past it the leading fields split
+_PASS_BINS = 1 << 17    # bins per pass; segments past it go to further passes
 
 
-def _groups(block, lead, tail_w):
-    """A block split by the exponents of its lead fields, as
-    {head tuple: (tail index, coefficients)}."""
+def _passes(degrees, width):
+    """The output segments of the given degrees in passes, as (lead,
+    segments).  A segment splits by its `lead` leading fields, the fewest
+    that bring its B^(width - 1 - lead) bins, B = its degree + 1, within
+    _MAX_BINS.  A pass is a run of consecutive segments of one lead, and
+    holds more than one segment only while their bins, B the highest
+    degree of the pass + 1, stay within _PASS_BINS in all."""
+    passes = []
+    for s, d in enumerate(degrees):
+        lead = 0
+        while (d + 1) ** (width - 1 - lead) > _MAX_BINS:
+            lead += 1
+        if passes and passes[-1][0] == lead:
+            segs = passes[-1][1]
+            top = max(d, *(degrees[t] for t in segs))
+            if (len(segs) + 1) * (top + 1) ** (width - 1 - lead) <= _PASS_BINS:
+                segs.append(s)
+                continue
+        passes.append((lead, [s]))
+    return passes
+
+
+def _groups(block, lead, tail_w, seg=None, offset=0):
+    """A block split by the exponents of its lead fields, as [(head, (bin
+    index, coefficients))] in order of first appearance, each group's rows
+    in block order; the bin index is the tail's plus offset (a number, or
+    one per row).  With lead fields and seg, the segment of each row, a
+    group never spans two segments."""
     exps, coeffs = block
     if not len(exps):
-        return {}
-    tail = exps @ tail_w
+        return []
+    index = exps @ tail_w + offset
     if not lead:
-        return {(): (tail, coeffs)}
-    rows = {}
-    for row, h in enumerate(map(tuple, exps[:, :lead].tolist())):
-        rows.setdefault(h, []).append(row)
-    return {h: (tail[r], coeffs[r]) for h, r in rows.items()}
+        return [((), (index, coeffs))]
+    keys = exps[:, :lead]
+    if seg is not None:
+        keys = np.column_stack([seg, keys])
+    _, first, key = np.unique(keys, axis=0, return_index=True,
+                              return_inverse=True)
+    # number the keys in order of first appearance
+    rank = np.empty(len(first), np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    group = rank[key.reshape(-1)]
+    order = np.argsort(group, kind="stable")
+    cuts = np.cumsum(np.bincount(group))[:-1]
+    heads = np.take(exps[:, :lead], np.sort(first), axis=0).tolist()
+    return [(tuple(h), part) for h, part in zip(heads, zip(
+        np.split(index[order], cuts), np.split(coeffs[order], cuts)))]
 
 
 def _add_products(bins, a, b, touched):
-    """Add the outer product of a and b, (tail, coefficients) each, into the
-    bin array, _PAIR_CHUNK pairs at a time; append the bin indices to the
-    list touched, unless it is None."""
-    a_tail, a_c = a
-    b_tail, b_c = b
-    rows = max(1, _PAIR_CHUNK // len(b_tail))
-    for lo in range(0, len(a_tail), rows):
+    """Add the outer product of a and b, (bin index, coefficients) each,
+    into the bin array, _PAIR_CHUNK pairs at a time; append the bin
+    indices to the list touched, unless it is None."""
+    a_idx, a_c = a
+    b_idx, b_c = b
+    rows = max(1, _PAIR_CHUNK // len(b_idx))
+    for lo in range(0, len(a_idx), rows):
         hi = lo + rows
-        idx = np.add.outer(a_tail[lo:hi], b_tail).ravel()
+        idx = np.add.outer(a_idx[lo:hi], b_idx).ravel()
         if touched is not None:
             touched.append(idx)
         np.add.at(bins, idx, np.multiply.outer(a_c[lo:hi], b_c).ravel())
 
 
-def _products(pairs, degree, width):
-    """The sum of the products a b over pairs (a, b) of blocks whose
-    degrees add to `degree`, as a block in key order.
+def _drain(bins, touched):
+    """(index, values) of the nonzero bins in index order, which are then
+    cleared: every bin is read, or, when touched is not None, only the
+    bins in its list of index arrays."""
+    if touched is None:
+        index = np.flatnonzero(bins)
+    else:
+        index = np.sort(np.concatenate(touched))
+        first = np.empty(len(index), bool)
+        first[:1] = True
+        np.not_equal(index[1:], index[:-1], out=first[1:])
+        index = index[first]
+        index = index[bins[index] != 0]
+    vals = bins[index]
+    bins[index] = 0.0
+    return index, vals
 
-    Each bin adds its products pair after pair, row after row.  When the
-    B^(width-1) bins exceed _MAX_BINS, the output is split by the
-    exponents of its leading fields, and each part fills the bin array in
-    turn.  A part with fewer pairs than bins/16 reads and clears only the
-    bins its pairs touch.  Overflowed coefficients come out as inf or nan,
-    for _kept to refuse; an exponent above _MAX_EXP is an OrderRangeError.
+
+def _products(pairs, degrees, width):
+    """The sums of the products a b over pairs (a, b, seg), as one block in
+    key order for each output segment, of the given degrees.
+
+    a and b are blocks, and seg is the segment of each row of a (an index
+    into degrees, nondecreasing), or None for a call of one segment; the
+    degrees of a row of a and of b add to its segment's degree.  Each bin
+    adds its products pair after pair, row after row.  The segments run in
+    passes (_passes), each over the run of rows of its segments.  Segments
+    of more than _MAX_BINS bins split by the exponents of their leading
+    fields, and each part fills the bin array in turn; a group of
+    rows of a then never spans two segments, so that each segment adds its
+    products in the order it would alone.  A part with fewer pairs than
+    bins/16 reads and clears only the bins its pairs touch.  Overflowed
+    coefficients come out as inf or nan, for _kept to refuse; an exponent
+    above _MAX_EXP is an OrderRangeError.
     """
-    base = degree + 1
-    lead = 0
-    while base ** (width - 1 - lead) > _MAX_BINS:
-        lead += 1
-    # the place value of each tail field; the last field is not encoded
-    tail_w = np.array([base ** (width - 2 - t) if lead <= t < width - 1
-                       else 0 for t in range(width)], np.int64)
-
+    out = [[] for _ in degrees]
     with np.errstate(over="ignore", invalid="ignore"):
-        # output head -> the (a, b) products that land in its bins
-        blocks = {}
-        for a, b in pairs:
-            b_groups = _groups(b, lead, tail_w)
-            for ha, a_part in _groups(a, lead, tail_w).items():
-                for hb, b_part in b_groups.items():
-                    head = tuple(p + q for p, q in zip(ha, hb))
-                    blocks.setdefault(head, []).append((a_part, b_part))
+        for lead, segs in _passes(degrees, width):
+            degree = np.array([degrees[s] for s in segs])
+            base = int(degree.max()) + 1
+            # the place value of each tail field; the last field is not
+            # encoded, and the segment's digit comes above the tail's
+            tail_w = np.array([base ** (width - 2 - t)
+                               if lead <= t < width - 1 else 0
+                               for t in range(width)], np.int64)
+            seg_bins = base ** (width - 1 - lead)
 
-        out_exps, out_vals = [], []
-        num_bins = base ** (width - 1 - lead)
-        bins = np.zeros(num_bins)
-        for head in sorted(blocks):
-            count = sum(len(a[0]) * len(b[0]) for a, b in blocks[head])
-            touched = [] if 16 * count < num_bins else None
-            for a, b in blocks[head]:
-                _add_products(bins, a, b, touched)
-            if touched is None:
-                tails = np.flatnonzero(bins)
-            else:
-                tails = np.sort(np.concatenate(touched))
-                first = np.empty(len(tails), bool)
-                first[:1] = True
-                np.not_equal(tails[1:], tails[:-1], out=first[1:])
-                tails = tails[first]
-                tails = tails[bins[tails] != 0]
-            vals = bins[tails]
-            bins[tails] = 0.0
-            exps = np.empty((len(tails), width), np.int64)
-            exps[:, :lead] = head
-            exps[:, lead:-1] = tails[:, None] // tail_w[lead:-1] % base
-            exps[:, -1] = degree - exps[:, :-1].sum(axis=1)
-            if exps.max(initial=0) > _MAX_EXP:
-                raise OrderRangeError(
-                    f"an exponent of the product exceeds {_MAX_EXP}, the "
-                    "largest a uint8 exponent holds")
-            out_exps.append(exps.astype(np.uint8))
-            out_vals.append(vals)
-    if not out_exps:
-        return _empty(width)
-    return np.concatenate(out_exps), np.concatenate(out_vals)
+            # output head -> the (a, b) products that land in its bins
+            blocks = {}
+            for a, b, seg in pairs:
+                offset = 0
+                if seg is not None:
+                    lo, hi = seg.searchsorted((segs[0], segs[-1] + 1))
+                    a, seg = (a[0][lo:hi], a[1][lo:hi]), seg[lo:hi]
+                    offset = (seg - segs[0]) * seg_bins
+                b_groups = _groups(b, lead, tail_w)
+                for ha, a_part in _groups(a, lead, tail_w, seg, offset):
+                    for hb, b_part in b_groups:
+                        head = tuple(p + q for p, q in zip(ha, hb))
+                        blocks.setdefault(head, []).append((a_part, b_part))
+
+            bins = np.zeros(len(segs) * seg_bins)
+            for head in sorted(blocks):
+                count = sum(len(a[0]) * len(b[0]) for a, b in blocks[head])
+                touched = [] if 16 * count < len(bins) else None
+                for a, b in blocks[head]:
+                    _add_products(bins, a, b, touched)
+                index, vals = _drain(bins, touched)
+                # the segment is the top digit: each one's bins are a run
+                at, cuts = 0, []
+                if len(segs) > 1:
+                    at = index // seg_bins
+                    cuts = at.searchsorted(range(1, len(segs)))
+                exps = np.empty((len(index), width), np.int64)
+                exps[:, :lead] = head
+                exps[:, lead:-1] = index[:, None] // tail_w[lead:-1] % base
+                exps[:, -1] = degree[at] - exps[:, :-1].sum(axis=1)
+                if exps.max(initial=0) > _MAX_EXP:
+                    raise OrderRangeError(
+                        f"an exponent of the product exceeds {_MAX_EXP}, "
+                        "the largest a uint8 exponent holds")
+                exps = exps.astype(np.uint8)
+                for s, e, v in zip(segs, np.split(exps, cuts),
+                                   np.split(vals, cuts)):
+                    if len(v):
+                        out[s].append((e, v))
+    return [tuple(map(np.concatenate, zip(*parts))) if parts
+            else _empty(width) for parts in out]
 
 
 def _product(f, g):
     """The raw block of f * g in graded key order: each output degree sums
     the products of the homogeneous parts whose degrees add to it, in the
-    order of f's degrees (_products)."""
+    order of f's degrees (_products, one segment a degree)."""
     width = 2 * f.num_dof
     g_parts = [(q, g.homogeneous_part(q)._block) for q in g.degrees()]
     by_degree = {}
     for p in f.degrees():
         a = f.homogeneous_part(p)._block
         for q, b in g_parts:
-            by_degree.setdefault(p + q, []).append((a, b))
+            by_degree.setdefault(p + q, []).append((a, b, None))
     if not by_degree:
         return _empty(width)
-    parts = [_products(pairs, d, width)
+    parts = [_products(pairs, [d], width)[0]
              for d, pairs in sorted(by_degree.items())]
     return (np.concatenate([e for e, _ in parts]),
             np.concatenate([c for _, c in parts]))
 
 
 def _derivs(block, num_dof, y_sign):
-    """d/dv of a block for each variable v in slot order, as blocks, the
-    y-derivatives times y_sign."""
+    """d/dv of a block for each variable v in slot order, as (block, rows):
+    rows are the rows of the block the derivative keeps, in order, and the
+    y-derivatives are times y_sign."""
     exps, coeffs = block
     out = []
     for t in range(2 * num_dof):
         e = exps[:, t].astype(np.int64)
         rows = np.flatnonzero(e)
-        lowered = exps[rows]
+        lowered = np.take(exps, rows, axis=0)
         lowered[:, t] -= 1
         scale = e[rows] if t < num_dof else y_sign * e[rows]
-        out.append((lowered, coeffs[rows] * scale))
+        out.append(((lowered, coeffs[rows] * scale), rows))
     return out
 
 
@@ -535,34 +607,36 @@ def _bracket_operand(g, num_dof):
     exps, coeffs = g
     degree = int(exps[0].sum(dtype=np.intp)) if len(coeffs) else None
     with np.errstate(over="ignore", invalid="ignore"):
-        return degree, _derivs(g, num_dof, 1)
+        return degree, [d for d, _ in _derivs(g, num_dof, 1)]
 
 
-def _bracket_terms(f, g, num_dof):
-    """Raw {f, g} of a homogeneous block f, (exponent matrix, coefficient
-    vector), and the operand g of a homogeneous block (_bracket_operand),
-    as a block in key order: the products of the derivatives
-    df/dx_l dg/dy_l and -df/dy_l dg/dx_l, in slot order of the derivative
-    of f (_products)."""
+def _bracket_terms(f, seg, degrees, g, num_dof):
+    """Raw {f_c, g} for each segment c of a block f, as blocks in key
+    order: f holds the rows of the homogeneous blocks f_c, of the given
+    degrees, and seg the segment of each row (None when f is one block);
+    g is the operand of a homogeneous block (_bracket_operand).  Each is
+    the sum of the products of the derivatives df_c/dx_l dg/dy_l and
+    -df_c/dy_l dg/dx_l in slot order of the derivative of f_c, all the
+    segments in one kernel call (_products)."""
     width = 2 * num_dof
     g_degree, g_d = g
     if not len(f[1]) or g_degree is None:
-        return _empty(width)
-    degree = int(f[0][0].sum(dtype=np.intp)) + g_degree - 2
-    if degree < 0:
-        return _empty(width)
+        return [_empty(width) for _ in degrees]
     with np.errstate(over="ignore", invalid="ignore"):
         # the bracket's minus sign rides on the y-derivatives of f
         f_d = _derivs(f, num_dof, -1)
-    return _products([(f_d[t], g_d[(t + num_dof) % width])
-                      for t in range(width)], degree, width)
+    pairs = [(d, g_d[(t + num_dof) % width],
+              None if seg is None else seg[rows])
+             for t, (d, rows) in enumerate(f_d)]
+    return _products(pairs, [d + g_degree - 2 for d in degrees], width)
 
 
 def poisson_bracket(f, g, cap=None):
     """{f, g} = sum_l (df/dx_l dg/dy_l - df/dy_l dg/dx_l), capped by degree.
 
     Each pair of homogeneous parts, of degrees p and q, adds a part of
-    degree p + q - 2, skipped when that exceeds the cap.
+    degree p + q - 2, skipped when that exceeds the cap (or is negative:
+    then one of them is constant).
     """
     _check_pair(f, g)
     n = f.num_dof
@@ -572,39 +646,57 @@ def poisson_bracket(f, g, cap=None):
     for p in f.degrees():
         f_part = f.homogeneous_part(p)._block
         for q, g_part in g_parts:
-            if cap is None or p + q - 2 <= cap:
-                parts.append(_bracket_terms(f_part, g_part, n))
+            if 0 <= p + q - 2 <= (math.inf if cap is None else cap):
+                parts.append(_bracket_terms(f_part, None, [p], g_part,
+                                            n)[0])
     if not parts:
         return Polynomial.zero(n)
     return Polynomial._raw(n, _canonical(*_summed(parts)))
 
 
-def _lie_series(g, chi, num_dof, degree, cap, p=1):
-    """The terms g_p = {g_(p-1), chi}/p, p = p, p+1, ..., of a Lie series.
+def _lie_series(chains, chi, num_dof, cap):
+    """The terms g_p = {g_(p-1), chi}/p of several Lie series, stepped
+    together.
 
-    g is the term g_(p-1), a block homogeneous of the given degree; chi is
-    the operand of a homogeneous block (_bracket_operand), whose degree
-    less 2 is the degree each bracket adds.  Yields (degree, block), each
-    block pruned and in key order, and stops at a zero term or once the
-    degree passes cap.
+    chains lists (g, degree, p): g the term g_(p-1) of a chain, a block
+    homogeneous of the given degree.  chi is the operand of a homogeneous
+    block (_bracket_operand), whose degree less 2 is the degree each
+    bracket adds.  A step brackets the current term of every live chain
+    with chi in one kernel call (_bracket_terms, one segment a chain); then
+    each chain prunes its own term (_kept), divides it by its own p, and
+    stops at a zero term or once its degree would pass cap.  Returns, for
+    each chain, its terms as [(degree, block)], each block pruned and in
+    key order.
     """
+    terms = [[] for _ in chains]
     if chi[0] is None:
-        return
+        return terms
     step = chi[0] - 2
+    live = [(c, g, degree, p) for c, (g, degree, p) in enumerate(chains)]
     while True:
-        degree += step
-        if degree > cap:
-            return
-        exps, coeffs = _bracket_terms(g, chi, num_dof)
-        keep = _kept(coeffs)
-        if not keep.any():
-            return
-        coeffs = coeffs[keep]
-        if p > 1:
-            coeffs = coeffs / p
-        g = exps[keep], coeffs
-        yield degree, g
-        p += 1
+        live = [chain for chain in live if chain[2] + step <= cap]
+        if not live:
+            return terms
+        if len(live) == 1:
+            f, seg = live[0][1], None
+        else:
+            f = tuple(map(np.concatenate, zip(*(g for _, g, _, _ in live))))
+            seg = np.repeat(np.arange(len(live)),
+                            [len(g[1]) for _, g, _, _ in live])
+        brackets = _bracket_terms(f, seg, [d for _, _, d, _ in live], chi,
+                                  num_dof)
+        stepped = []
+        for (c, _, degree, p), (exps, coeffs) in zip(live, brackets):
+            keep = _kept(coeffs)
+            if not keep.any():
+                continue
+            coeffs = coeffs[keep]
+            if p > 1:
+                coeffs = coeffs / p
+            g = exps.compress(keep, axis=0), coeffs
+            terms[c].append((degree + step, g))
+            stepped.append((c, g, degree + step, p + 1))
+        live = stepped
 
 
 def _check_radii(radii, num_dof=None):
@@ -876,7 +968,36 @@ def _power(row, e):
         return _read_only((np.zeros((1, width), np.uint8), np.ones(1)))
     nonzero = np.flatnonzero(coeffs)
     linear = np.eye(width, dtype=np.uint8)[nonzero], coeffs[nonzero]
-    return _read_only(_products([(_power(row, e - 1), linear)], e, width))
+    return _read_only(_products([(_power(row, e - 1), linear, None)],
+                                [e], width)[0])
+
+
+def _relabeled(f, columns, factors):
+    """f(M v) for a matrix M whose only nonzero entry in row i is
+    M[i][columns[i]] = factors[i], columns a permutation of the slots.
+
+    Each term maps to one term: old variable i becomes new variable
+    columns[i], and the coefficient takes factors[i]^e, e its exponent of
+    old variable i.  The factors multiply in as in linear_substitute, one
+    old variable at a time, each power the one before times the factor
+    (_power), so the block is bit for bit the one it gives.
+    """
+    _check_degree(f.degree_max or 0)
+    exps, coeffs = f._block
+    # an overflow comes out as inf, for _kept to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, m in enumerate(factors):
+            top = int(exps[:, i].max(initial=0))
+            if top and m != 1.0:
+                powers = [1.0]
+                for _ in range(top):
+                    powers.append(powers[-1] * m)
+                coeffs = coeffs * np.array(powers)[exps[:, i]]
+    renamed = np.empty_like(exps)
+    renamed[:, columns] = exps
+    order, _ = _key_order(renamed, f._degree_column())
+    return Polynomial._raw(f.num_dof, _canonical(
+        np.take(renamed, order, axis=0), coeffs[order]))
 
 
 def linear_substitute(f, matrix):

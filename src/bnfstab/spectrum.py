@@ -83,7 +83,14 @@ class LinearSymplecticMap:
 
     def pushforward(self, f):
         """Express f (a polynomial or graded series in the old variables)
-        in the new variables: returns f composed with the map."""
+        in the new variables: returns f composed with the map.
+
+        When the matrix has one nonzero entry a row and a column, as the
+        map of an input whose quadratic part is already diagonal does, each
+        term maps to one term, so f's exponent columns are relabeled and
+        its coefficients scaled (poly._relabeled) instead of expanded
+        (poly.linear_substitute), with the same result.
+        """
         if isinstance(f, poly.GradedSeries):
             parts = {d: self.pushforward(p) for d, p in f}
             return poly.GradedSeries(f.num_dof, parts, f.d_max)
@@ -91,7 +98,14 @@ class LinearSymplecticMap:
             raise DimensionMismatchError(
                 f"polynomial has {f.num_dof} degrees of freedom, "
                 f"map has {self.num_dof}")
-        return poly.linear_substitute(f, self.matrix.tolist())
+        M = self.matrix
+        nonzero = M != 0.0
+        if ((nonzero.sum(axis=0) == 1).all()
+                and (nonzero.sum(axis=1) == 1).all()):
+            columns = nonzero.argmax(axis=1)
+            return poly._relabeled(f, columns,
+                                   M[np.arange(len(M)), columns].tolist())
+        return poly.linear_substitute(f, M.tolist())
 
     def new_to_old(self, points):
         pts = np.asarray(points, dtype=float)

@@ -232,9 +232,9 @@ def test_chains_run_on_one_coefficient_part(monkeypatch):
     products = polyalg._products
     dtypes = []
 
-    def counted(pairs, degree, width):
-        dtypes.extend(c.dtype for a, b in pairs for _, c in (a, b))
-        return products(pairs, degree, width)
+    def counted(pairs, degrees, width):
+        dtypes.extend(c.dtype for a, b, _ in pairs for _, c in (a, b))
+        return products(pairs, degrees, width)
 
     monkeypatch.setattr(polyalg, "_products", counted)
     birkhoff_normal_form(h, omega, 5)

@@ -184,6 +184,91 @@ def test_wide_bracket_splits_its_bins():
     _assert_matches_oracle(got, oracles.bracket_terms(f.terms(), g.terms(), 4))
 
 
+def _chain_alone(g, degree, p, chi, cap):
+    """The terms of one Lie series computed one bracket at a time by
+    poisson_bracket: each the pruned bracket of the term before with chi,
+    divided by its p, until a zero term or the cap."""
+    n = chi.num_dof
+    step = chi.degree_max - 2
+    out = []
+    while degree + step <= cap:
+        exps, coeffs = poisson_bracket(Polynomial._raw(n, g), chi)._block
+        if not len(coeffs):
+            break
+        if p > 1:
+            coeffs = coeffs / p
+        degree, p, g = degree + step, p + 1, (exps, coeffs)
+        out.append((degree, g))
+    return out
+
+
+@pytest.mark.parametrize("max_bins", [None, 50, 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chains_stepped_together_match_each_chain_alone(n, max_bins,
+                                                        monkeypatch):
+    # chains of mixed degree, the last one starting at p = 2 as the
+    # oscillator's chain does; a bin limit below the default splits each
+    # segment by its leading fields and runs the segments of a step in
+    # several passes
+    if max_bins:
+        monkeypatch.setattr(polyalg, "_MAX_BINS", max_bins)
+        monkeypatch.setattr(polyalg, "_PASS_BINS", max_bins)
+    rng = np.random.default_rng(500 + n)
+    no_y = (0,) * n
+    x_only = Polynomial.zero(n)
+    for _ in range(4):
+        j = tuple(rng.multinomial(3, [1 / n] * n).tolist())
+        x_only = x_only + mono(n, j, no_y, rng.uniform(-1.0, 1.0))
+    starts = [(random_polynomial(rng, n, 6, num_terms=20), 6, 1),
+              (mono(n, (0,) * (n - 1) + (5,), no_y), 5, 1),
+              (random_polynomial(rng, n, 4, num_terms=12), 4, 1),
+              (random_polynomial(rng, n, 3, num_terms=8), 3, 1),
+              (random_polynomial(rng, n, 4, num_terms=10), 4, 2)]
+    cap = 10
+    products = polyalg._products
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return products(*args)
+
+    # a cubic chi steps each chain up one degree: the chains pass the cap
+    # at different steps; chi in the x alone lowers the y-degree by one a
+    # step, so each chain stops at a zero term once its y-degree is spent,
+    # the pure x power at once
+    for chi in (random_polynomial(rng, n, 3, num_terms=10), x_only):
+        chains = [(f._block, d, p) for f, d, p in starts]
+        calls.clear()
+        monkeypatch.setattr(polyalg, "_products", counted)
+        got = polyalg._lie_series(
+            chains, polyalg._bracket_operand(chi._block, n), n, cap)
+        monkeypatch.setattr(polyalg, "_products", products)
+        # one kernel call a step, for every live chain
+        assert len(calls) <= max(map(len, got)) + 1
+        lengths = set()
+        for (f, d, p), terms in zip(starts, got):
+            want = _chain_alone(f._block, d, p, chi, cap)
+            assert [t[0] for t in terms] == [t[0] for t in want]
+            for (_, (e, c)), (_, (e_want, c_want)) in zip(terms, want):
+                assert e.dtype == np.uint8 and c.dtype == np.float64
+                assert np.array_equal(e, e_want)
+                assert np.array_equal(c, c_want)
+            lengths.add(len(terms))
+        assert len(lengths) >= 3
+        # the first term of a p = 1 chain is the bracket itself
+        f, d, _ = starts[0]
+        _assert_matches_oracle(Polynomial._raw(n, got[0][0][1]),
+                               oracles.bracket_terms(f.terms(), chi.terms(),
+                                                     n))
+    # the first step of the cubic chi: one pass under the default budgets
+    # up to 2 DOF, several under the small ones
+    passes = len(polyalg._passes([7, 6, 5, 4, 5], 2 * n))
+    if max_bins == 1 or (max_bins and n > 1):
+        assert passes > 1
+    elif n < 3:
+        assert passes == 1
+
+
 def test_bracket_refuses_exponents_the_keys_cannot_hold():
     x200 = mono(2, (200, 0), (0, 0))
     # degree 299, but no exponent above 255: computed

@@ -152,6 +152,58 @@ def test_pushforward_is_composition():
         assert math.isclose(a, b, rel_tol=1e-10, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pushforward_relabels_a_permutation_and_expands_a_coupled_map(
+        n, monkeypatch):
+    # a map that permutes and scales the modes relabels the exponent
+    # columns, bit for bit what the general substitution gives; a coupled
+    # map still goes through the substitution, and agrees with the dict
+    # oracle
+    from bnfstab import polyalg
+    from util import random_polynomial
+
+    rng = np.random.default_rng(60 + n)
+    f = Polynomial.zero(n)
+    for degree in (2, 3, 4, 5):
+        f = f + random_polynomial(rng, n, degree, num_terms=12)
+    # x_l -> a_l x, y_l -> y / a_l of mode l + 1, a_l = -1 and 1 + 2^-52
+    # among them
+    modes = np.roll(np.arange(n), 1)
+    a = rng.uniform(0.5, 2.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+    a[:2] = (1.0000000000000002, -1.0)[:n]
+    M = np.zeros((2 * n, 2 * n))
+    M[np.arange(n), modes] = a
+    M[np.arange(n) + n, modes + n] = 1.0 / a
+    want = polyalg.linear_substitute(f, M.tolist())._block
+
+    substitute = polyalg.linear_substitute
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return substitute(*args)
+
+    monkeypatch.setattr(polyalg, "linear_substitute", counted)
+    got = LinearSymplecticMap(M).pushforward(f)._block
+    assert not calls
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    h2, _ = _random_elliptic_quadratic(rng, n)
+    _, smap = diagonalize_quadratic(h2)
+    calls.clear()
+    got = {(j, k): c for j, k, c in smap.pushforward(f).terms()}
+    assert len(calls) == 1
+    want = oracles.pruned(oracles.linear_substitute(
+        f.terms(), smap.matrix.tolist(), n))
+    assert set(got) == set(want)
+    top = {}
+    for (j, k), c in want.items():
+        top[sum(j + k)] = max(top.get(sum(j + k), 0.0), abs(c))
+    for (j, k), c in want.items():
+        assert abs(got[(j, k)] - c) <= 1e-12 * top[sum(j + k)]
+
+
 def test_check_nonresonance_matches_exhaustive_scan():
     omega = (1.0, 2.0 ** 0.5)
     cert = check_nonresonance(omega, 12)

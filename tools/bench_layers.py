@@ -20,8 +20,10 @@ An interpreter times, once each:
   numpy.random.default_rng(1), as perfbench/systems.py draws dense3;
 - the bracket alone on full blocks (tests/util.full_block: every
   monomial of the degree, seeded coefficients): 3 DOF degree 9 by degree
-  9 (3dof-9x9-real), the shape of the normalization's chains, with the
-  tracemalloc peak of one more, untimed call;
+  9 (3dof-9x9-real), the shape of the normalization's chains, and 4 DOF
+  degree 7 by degree 7 (4dof-7x7-real), whose output splits by its
+  leading fields, each with the tracemalloc peak of one more, untimed
+  call;
 - `LinearSymplecticMap.pushforward` of each fixed system's series
   truncated at degree order + 2, by the map `diagonalize_quadratic` finds
   for its quadratic part, as `bnf` does;
@@ -76,7 +78,7 @@ DENSE4_OMEGA = (1.0, 2.0 ** 0.5, 3.0 ** 0.5, 5.0 ** 0.5)
 SYSTEMS = (("even2-r18", "even2", 18), ("dense2-r14", "dense2", 14),
            ("dense3-r10", "dense3", 10), ("dense4-r8", "dense4", 8))
 # (name, DOF, degree of f, degree of g)
-BRACKETS = (("3dof-9x9-real", 3, 9, 9),)
+BRACKETS = (("3dof-9x9-real", 3, 9, 9), ("4dof-7x7-real", 4, 7, 7))
 
 
 def measure(src):
