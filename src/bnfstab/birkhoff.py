@@ -472,9 +472,8 @@ class NormalFormState:
             close_z()
         chi, f = {}, {}
         for (label, s), block in zip(sections, blocks):
-            if block:
-                (chi if label == "CHI" else f)[s] = Polynomial._raw(
-                    n, block[s + 2])
+            if len(block[1]):
+                (chi if label == "CHI" else f)[s] = Polynomial._raw(n, block)
         if omega is None:
             raise FormatError("missing OMEGA line", path=path)
         return cls(omega, r, r_max, z=z, chi=chi, f=f)
@@ -483,8 +482,7 @@ class NormalFormState:
 # -- construction -------------------------------------------------------------
 
 def _blocks_from_series(h, d_cap):
-    return {d: part._block for d, part in h
-            if d <= d_cap and not part.is_zero}
+    return {d: part._block for d, part in h.truncate(d_cap)}
 
 
 def _check_r_max(r_max):

@@ -13,8 +13,12 @@ kernel (_products), which sums products into several output segments at
 once, the segment the top digit of the bin index; the Lie series
 (_lie_series) steps every chain of an order together, one kernel pass a
 step and one segment a chain; linear_substitute takes and returns
-blocks; and equal rows are summed by _merge, which adds each monomial's
-contributions in row order, as a dict accumulating them in turn would.
+blocks, and relabels the exponent column of each variable whose linear
+form is one term instead of expanding it; and equal rows are summed by
+_merge, which adds each monomial's contributions in row order, as a dict
+accumulating them in turn would.  A GradedSeries is one Polynomial and
+its d_max: its homogeneous components are the runs of one degree of the
+block.
 
 The complex chart.  Only chart blocks hold complex coefficients: the
 normalization uses the chart for the homological equation alone, which is
@@ -956,62 +960,23 @@ class _Layout:
         return self.exps.compress(keep, axis=0), real[keep]
 
 
-@lru_cache(maxsize=256)
-def _power(row, e):
-    """L^e of the linear form L = sum_t row[t] v_t, row a tuple of floats,
-    as a read-only block in key order.  L^e is L^(e-1) L by the product
-    kernel (_products), and the cache keeps the powers of a matrix's rows
-    from one substitution to the next."""
-    width = len(row)
-    coeffs = np.array(row)
-    if not e:
-        return _read_only((np.zeros((1, width), np.uint8), np.ones(1)))
-    nonzero = np.flatnonzero(coeffs)
-    linear = np.eye(width, dtype=np.uint8)[nonzero], coeffs[nonzero]
-    return _read_only(_products([(_power(row, e - 1), linear, None)],
-                                [e], width)[0])
-
-
-def _relabeled(f, columns, factors):
-    """f(M v) for a matrix M whose only nonzero entry in row i is
-    M[i][columns[i]] = factors[i], columns a permutation of the slots.
-
-    Each term maps to one term: old variable i becomes new variable
-    columns[i], and the coefficient takes factors[i]^e, e its exponent of
-    old variable i.  The factors multiply in as in linear_substitute, one
-    old variable at a time, each power the one before times the factor
-    (_power), so the block is bit for bit the one it gives.
-    """
-    _check_degree(f.degree_max or 0)
-    exps, coeffs = f._block
-    # an overflow comes out as inf, for _kept to refuse
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, m in enumerate(factors):
-            top = int(exps[:, i].max(initial=0))
-            if top and m != 1.0:
-                powers = [1.0]
-                for _ in range(top):
-                    powers.append(powers[-1] * m)
-                coeffs = coeffs * np.array(powers)[exps[:, i]]
-    renamed = np.empty_like(exps)
-    renamed[:, columns] = exps
-    order, _ = _key_order(renamed, f._degree_column())
-    return Polynomial._raw(f.num_dof, _canonical(
-        np.take(renamed, order, axis=0), coeffs[order]))
-
-
 def linear_substitute(f, matrix):
     """Compose f with a linear change of variables: old_i = sum_t M[i][t] new_t.
 
     Returns f(M v) as a polynomial in the new variables.  Degree is
     preserved; M must be real, and its rows must have length 2n.
 
-    One pass an old variable i: every term expands against the powers of
-    its linear form L_i = sum_t M[i][t] new_t (_power), one row (term, m)
-    for each term m of L_i^e, e the term's exponent of old_i, and the rows
-    are merged (_merge).  The rows hold the exponents of the old variables
-    not yet substituted in their first 2n columns and those of the new
-    variables in the last 2n.
+    One pass an old variable i, in order; the rows hold the exponents of
+    the old variables not yet substituted in their first 2n columns and
+    those of the new variables in the last 2n.  When the linear form L_i =
+    sum_t M[i][t] new_t is one term m new_c and no row holds new_c yet,
+    the pass relabels: old_i's exponent column moves to new_c and each
+    coefficient takes m^e, so each term maps to one term and no two rows
+    meet.  Otherwise every term expands against the powers L_i^d =
+    L_i^(d-1) L_i (_products), one row (term, m) for each term m of L_i^e,
+    and the rows are merged (_merge).  Rows a relabel left out of key order
+    are merged before they expand, and at the end, so every sum adds its
+    terms in the order it would if every pass merged.
     """
     n = f.num_dof
     width = 2 * n
@@ -1028,26 +993,47 @@ def linear_substitute(f, matrix):
     exps, coeffs = f._block
     old_new = np.zeros((len(coeffs), 2 * width), np.uint8)
     old_new[:, :width] = exps
-    for i in range(width):
-        e = old_new[:, i].astype(np.intp)
-        top = int(e.max(initial=0))
-        if not top:
-            continue
-        row = tuple(M[i].tolist())
-        powers = [_power(row, d) for d in range(top + 1)]
-        # the powers end to end, and where each starts
-        table_exps, table_coeffs = map(np.concatenate, zip(*powers))
-        sizes = np.array([len(c) for _, c in powers])
-        count = sizes[e]
-        term = np.repeat(np.arange(len(e)), count)
-        m = np.arange(len(term)) - np.repeat(np.cumsum(count) - count, count)
-        at = (np.cumsum(sizes) - sizes)[e][term] + m
-        new = old_new[term]
-        new[:, i] = 0
-        new[:, width:] += table_exps[at]
-        # an overflow comes out as inf or nan, for _kept to refuse
-        with np.errstate(over="ignore", invalid="ignore"):
-            old_new, coeffs = _merge(new, coeffs[term] * table_coeffs[at])
+    # whether the rows are in key order
+    merged = True
+    # an overflow comes out as inf or nan, for _kept to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(width):
+            e = old_new[:, i].astype(np.intp)
+            top = int(e.max(initial=0))
+            if not top:
+                continue
+            support = np.flatnonzero(M[i])
+            if len(support) == 1 and not old_new[:, width + support[0]].any():
+                c = support[0]
+                # m^d by repeated multiplication, as the kernel builds L_i^d
+                coeffs = coeffs * np.cumprod([1.0] + [M[i, c]] * top)[e]
+                old_new[:, width + c] = e
+                old_new[:, i] = 0
+                merged = False
+            else:
+                if not merged:
+                    old_new, coeffs = _merge(old_new, coeffs)
+                    e = old_new[:, i].astype(np.intp)
+                linear = np.eye(width, dtype=np.uint8)[support], M[i, support]
+                powers = [(np.zeros((1, width), np.uint8), np.ones(1))]
+                for d in range(1, top + 1):
+                    powers.append(_products([(powers[-1], linear, None)],
+                                            [d], width)[0])
+                # the powers end to end, and where each starts
+                table_exps, table_coeffs = map(np.concatenate, zip(*powers))
+                sizes = np.array([len(p) for _, p in powers])
+                count = sizes[e]
+                term = np.repeat(np.arange(len(e)), count)
+                m = (np.arange(len(term))
+                     - np.repeat(np.cumsum(count) - count, count))
+                at = (np.cumsum(sizes) - sizes)[e][term] + m
+                new = old_new[term]
+                new[:, i] = 0
+                new[:, width:] += table_exps[at]
+                old_new, coeffs = _merge(new, coeffs[term] * table_coeffs[at])
+                merged = True
+    if not merged:
+        old_new, coeffs = _merge(old_new, coeffs)
     return Polynomial._raw(n, _canonical(old_new[:, width:], coeffs))
 
 
@@ -1105,214 +1091,192 @@ def _term_lines(poly):
             for row in zip(degrees, *exps.T.tolist(), coeffs.tolist())]
 
 
-def _convert(lines, ints, hi):
-    """(int rows, floats) of lines of ints + 1 tokens: the first ints of a
-    line as int() reads them, the last as float() does, a column at once,
-    the ints clipped to [-1, hi] past the int64 range.  A lone line raises
-    the ValueError of its first bad token."""
-    flat = " ".join(lines).split()
-    columns = [flat[c::ints + 1] for c in range(ints)]
-    try:
-        table = np.array(columns, np.int64)
-    except OverflowError:
-        table = np.array([[min(max(int(t), -1), hi) for t in c]
-                          for c in columns], np.int64)
-    return table.T, np.array(flat[ints::ints + 1], float)
-
-
 def _loaded(lines, ints):
     """(int rows, floats) of lines of ints + 1 tokens by one np.loadtxt
     pass, or None where it refuses a line.  Only ASCII lines go to it: on
     some other characters it returns a number that int() refuses.  Where
     it accepts an ASCII token, int() and float() read the same value.  The
     ints load as int16, which keeps the table small: an int past its range
-    is refused, not wrapped, so its line goes to the column conversion as
-    any refused line does."""
+    is refused, not wrapped."""
     if not all(map(str.isascii, lines)):
         return None
-    dtype = np.dtype([("i", np.int16, (ints,)), ("c", float)])
     try:
+        dtype = np.dtype([("i", np.int16, (ints,)), ("c", float)])
         rows = np.loadtxt(lines, dtype, comments=None, ndmin=1)
     except ValueError:
         return None
     return rows["i"], rows["c"]
 
 
+def _sound(table, coeffs, counts, low, high):
+    """Whether loaded term lines pass the checks of _read_terms but
+    repeats: section k holds the next counts[k] lines, of degrees within
+    [low[k], high[k]].  No check makes a per-line array but the sums."""
+    degree, exps = table[:, 0], table[:, 1:]
+    counts = np.asarray(counts)
+    held = counts > 0
+    starts = (np.cumsum(counts) - counts)[held]
+    return bool(np.isfinite(coeffs).all()
+                and 0 <= exps.min() and exps.max() <= _MAX_EXP
+                and (exps.sum(axis=1) == degree).all()
+                and (np.minimum.reduceat(degree, starts) >= low[held]).all()
+                and (np.maximum.reduceat(degree, starts) <= high[held]).all())
+
+
+def _line_pass(lines, linenos, num_dof, path, section, low, high,
+               degree_error):
+    """(int rows, floats) of term lines read one at a time by int() and
+    float() and checked in the order of _read_terms: line i is of section
+    k = section[i], of degrees [low[k], high[k]] (degree_error(k, d) is
+    the message otherwise).  The first line at fault is a FormatError."""
+    want = 2 + 2 * num_dof
+    table, coeffs, seen = [], [], set()
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        fault = None
+        if len(tokens) != want:
+            fault = f"expected {want} fields on a term line, got {len(tokens)}"
+        else:
+            try:
+                degree, *exps = [int(t) for t in tokens[:-1]]
+                c = float(tokens[-1])
+            except ValueError as exc:
+                fault = f"bad numeric field: {exc}"
+        if fault is None:
+            key = (section[i], *exps)
+            if not math.isfinite(c):
+                fault = "non-finite coefficient"
+            elif not 0 <= min(exps) <= max(exps) <= _MAX_EXP:
+                fault = f"exponent outside [0, {_MAX_EXP}]"
+            elif sum(exps) != degree:
+                fault = (f"degree column {degree} disagrees with exponent "
+                         f"sum {sum(exps)}")
+            elif not low[section[i]] <= degree <= high[section[i]]:
+                fault = degree_error(section[i], degree)
+            elif key in seen:
+                fault = "duplicate exponent vector"
+        if fault is not None:
+            raise FormatError(fault, line=linenos[i], path=path)
+        seen.add(key)
+        table.append([degree, *exps])
+        coeffs.append(c)
+    return np.array(table, np.int64), np.array(coeffs)
+
+
 def _read_terms(lines, linenos, counts, num_dof, path, degrees,
                 degree_error):
-    """The term lines of the sections of a record, as one {degree: block}
-    per section, each block pruned and in key order.
+    """The term lines of the sections of a record, as one block per
+    section, pruned and in graded key order.
 
     lines are the content lines, section after section, linenos their
     line numbers, and counts[k] the number of lines of section k.  A term
-    line is `degree j_1..j_n k_1..k_n coeff`; the lines convert at once
-    (_loaded), and where that refuses one, a column at a time by int() and
-    float() (_convert), which decide what is accepted and which line is at
-    fault.  The lines are checked as arrays: the field count, the
-    conversion, finite coefficients, exponents within [0, _MAX_EXP], the
-    degree column against the exponent sum, a degree within the inclusive
-    range degrees[k] of its section (degree_error(k, d) is the message
-    otherwise), and no exponent vector repeated in a section, found by one
-    stable sort on (section, degree, exponents) (_runs).  The first fault
-    in line order is a FormatError at its line.  Each degree block of a
-    section is then pruned with one maximum (_kept).
+    line is `degree j_1..j_n k_1..k_n coeff`; its checks, in order: the
+    field count, the conversion by int() and float(), a finite
+    coefficient, exponents within [0, _MAX_EXP], the degree column against
+    the exponent sum, a degree within the inclusive range degrees[k] of
+    its section (degree_error(k, d) is the message otherwise), and no
+    exponent vector repeated in its section.  The lines convert at once
+    (_loaded) and are checked as arrays; where _loaded refuses them or a
+    check fails, they are read again one at a time (_line_pass), which
+    raises at the first line at fault.  Repeats are found by one stable
+    sort on (section, degree, exponents) (_runs) of otherwise sound lines,
+    so the first repeat in line order is the first fault.  Each degree
+    of a section is then pruned with one maximum (_kept).
     """
-    out = [{} for _ in counts]
-    if not lines:
-        return out
     width = 2 * num_dof
-    ints = 1 + width
-    want = ints + 1
+    if not lines:
+        return [_empty(width) for _ in counts]
     hi = width * _MAX_EXP + 1
     section = np.repeat(np.arange(len(counts)), counts)
-    low, high = np.array(degrees, np.int64).reshape(-1, 2).T
-
-    def fault(i, message):
-        return FormatError(message, line=linenos[i], path=path)
-
-    # lines[:end] have the right field count and convert; late is the
-    # fault that ends them, if any
-    end, late = len(lines), None
-    loaded = _loaded(lines, ints)
-    if loaded is not None:
-        table, coeffs = loaded
-    else:
-        sizes = np.fromiter(map(len, map(str.split, lines)), np.intp,
-                            len(lines))
-        wrong = np.flatnonzero(sizes != want)
-        if len(wrong):
-            end = int(wrong[0])
-            late = fault(end, f"expected {want} fields on a term line, "
-                              f"got {sizes[end]}")
-        try:
-            table, coeffs = _convert(lines[:end], ints, hi)
-        except ValueError:
-            for end, line in enumerate(lines[:end]):
-                try:
-                    _convert([line], ints, hi)
-                except ValueError as exc:
-                    late = fault(end, f"bad numeric field: {exc}")
-                    break
-            table, coeffs = _convert(lines[:end], ints, hi)
-    degree, exps = table[:, 0], table[:, 1:]
-    section = section[:end]
+    # no sound line is of degree hi or more, however large a bound
+    low, high = np.array([(d, min(t, hi)) for d, t in degrees], np.int64).T
+    loaded = _loaded(lines, 1 + width)
+    if loaded is None or not _sound(*loaded, counts, low, high):
+        loaded = _line_pass(lines, linenos, num_dof, path, section.tolist(),
+                            low.tolist(), high.tolist(), degree_error)
+    table, coeffs = loaded
+    exps = table[:, 1:].astype(np.uint8)
+    # a degree of a sound line is at most hi - 1
+    group = section * hi + table[:, 0]
     # -0.0 reads as 0.0, as a sum onto a 0.0 start would have it; the sum
     # is a new array, not a view of the loaded table
     coeffs = coeffs + 0.0
-    checks = (
-        (~np.isfinite(coeffs), lambda i: "non-finite coefficient"),
-        (((exps < 0) | (exps > _MAX_EXP)).any(axis=1),
-         lambda i: f"exponent outside [0, {_MAX_EXP}]"),
-        (exps.sum(axis=1) != degree,
-         lambda i: f"degree column {int(lines[i].split()[0])} disagrees "
-                   f"with exponent sum "
-                   f"{sum(map(int, lines[i].split()[1:ints]))}"),
-        ((degree < low[section]) | (degree > high[section]),
-         lambda i: degree_error(int(section[i]), int(lines[i].split()[0]))),
-    )
-    bad = np.stack([mask for mask, _ in checks])
-    rows_bad = bad.any(axis=0)
-    if rows_bad.any():
-        end = int(rows_bad.argmax())
-        message = checks[int(bad[:, end].argmax())][1]
-        late = fault(end, message(end))
-    exps = exps[:end].astype(np.uint8)
-    # a degree of a sound line is at most hi - 1
-    group = section[:end] * hi + degree[:end]
-    # the loaded table and the checks' arrays are not needed past here:
-    # release them before the sort, which sets the read's peak memory
-    del table, degree, loaded, section, checks, bad, rows_bad
+    # the loaded table is not needed past here: release it before the
+    # sort, which sets the read's peak memory
+    del table, loaded, section
     order, first = _runs(exps, group)
     if not first.all():
         # the first repeat in line order: the first line of a run that
         # does not start it
-        raise fault(int(order[~first].min()), "duplicate exponent vector")
-    if late is not None:
-        raise late
+        raise FormatError("duplicate exponent vector",
+                          line=linenos[int(order[~first].min())], path=path)
 
     exps, coeffs, group = exps[order], coeffs[order], group[order]
     # the (section, degree) groups, each a run of the sorted rows
     starts = np.flatnonzero(np.diff(group, prepend=-1))
-    for lo, top in zip(starts.tolist(), [*starts[1:].tolist(), end]):
-        keep = _kept(coeffs[lo:top])
-        if keep.any():
-            k, d = divmod(int(group[lo]), hi)
-            out[k][d] = exps[lo:top][keep], coeffs[lo:top][keep]
-    return out
+    keep = np.empty(len(group), bool)
+    for lo, top in zip(starts.tolist(), [*starts[1:].tolist(), len(group)]):
+        keep[lo:top] = _kept(coeffs[lo:top])
+    # each section's rows are a run, in graded key order
+    cuts = group.searchsorted(np.arange(len(counts) + 1) * hi).tolist()
+    return [(exps[a:b].compress(keep[a:b], axis=0), coeffs[a:b][keep[a:b]])
+            for a, b in zip(cuts, cuts[1:])]
 
 
 class GradedSeries:
-    """A polynomial split into homogeneous components, indexed by degree."""
+    """A polynomial graded by degree up to d_max: one Polynomial, whose
+    block in graded key order holds the homogeneous component of each
+    degree as a run of rows."""
 
-    __slots__ = ("num_dof", "d_max", "_parts")
+    __slots__ = ("num_dof", "d_max", "_poly")
 
-    def __init__(self, num_dof, parts, d_max):
-        clean = {}
-        for d, p in parts.items():
-            if p.is_zero:
-                continue
-            if p.num_dof != num_dof:
-                raise DimensionMismatchError(
-                    "component num_dof disagrees with series")
-            if not p.is_homogeneous() or p.degree_max != d:
-                raise GradingError(
-                    f"component at degree {d} is not homogeneous of degree {d}")
-            if d > d_max:
-                raise GradingError(
-                    f"component degree {d} exceeds d_max={d_max}")
-            clean[d] = p
-        object.__setattr__(self, "num_dof", num_dof)
+    def __init__(self, poly, d_max):
+        if poly.degree_max is not None and poly.degree_max > d_max:
+            raise GradingError(f"component degree {poly.degree_max} exceeds "
+                               f"d_max={d_max}")
+        object.__setattr__(self, "num_dof", poly.num_dof)
         object.__setattr__(self, "d_max", int(d_max))
-        object.__setattr__(self, "_parts", clean)
+        object.__setattr__(self, "_poly", poly)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedSeries is immutable")
 
     @classmethod
     def from_polynomial(cls, poly, d_max=None):
-        if d_max is None:
-            d_max = poly.degree_max if poly.degree_max is not None else 0
-        parts = {d: poly.homogeneous_part(d) for d in poly.degrees()}
-        return cls(poly.num_dof, parts, d_max)
+        return cls(poly, (poly.degree_max or 0) if d_max is None else d_max)
 
     def component(self, degree):
-        part = self._parts.get(degree)
-        if part is None:
-            return Polynomial.zero(self.num_dof)
-        return part
+        return self._poly.homogeneous_part(degree)
 
     def degrees(self):
-        return tuple(sorted(self._parts))
+        return self._poly.degrees()
 
     def __iter__(self):
-        for d in self.degrees():
-            yield d, self._parts[d]
+        return ((d, self.component(d)) for d in self.degrees())
 
     def __eq__(self, other):
         return (isinstance(other, GradedSeries)
-                and self.num_dof == other.num_dof
                 and self.d_max == other.d_max
-                and self._parts == other._parts)
+                and self._poly == other._poly)
 
     def __repr__(self):
         return (f"GradedSeries(num_dof={self.num_dof}, d_max={self.d_max}, "
                 f"degrees={self.degrees()})")
 
     def truncate(self, d_max):
-        parts = {d: p for d, p in self._parts.items() if d <= d_max}
-        return GradedSeries(self.num_dof, parts, d_max)
+        """The components up to degree d_max: a prefix of the block."""
+        exps, coeffs = self._poly._block
+        top = self._poly._degree_column().searchsorted(d_max, side="right")
+        return GradedSeries(
+            Polynomial._raw(self.num_dof, (exps[:top], coeffs[:top])), d_max)
 
     def to_polynomial(self):
-        total = Polynomial.zero(self.num_dof)
-        for _, p in self:
-            total = add(total, p)
-        return total
+        return self._poly
 
     def to_text(self):
-        lines = [line for _, p in self for line in _term_lines(p)]
         return _records.record(
             "HAM", {"n": self.num_dof, "dmax": self.d_max, "field": "real"},
-            lines, end=False)
+            _term_lines(self._poly), end=False)
 
     @classmethod
     def from_text(cls, text, path=None):
@@ -1326,10 +1290,8 @@ class GradedSeries:
             raise reader.error(f"field must be real, got {field!r}")
         if num_dof < 1 or d_max < 0:
             raise reader.error("n must be >= 1 and dmax >= 0")
-        [blocks] = _read_terms(
+        [block] = _read_terms(
             reader.lines, reader.linenos, [len(reader.lines)], num_dof, path,
             [(0, d_max)],
             lambda k, degree: f"term degree {degree} exceeds dmax={d_max}")
-        parts = {d: Polynomial._raw(num_dof, block)
-                 for d, block in blocks.items()}
-        return cls(num_dof, parts, d_max)
+        return cls(Polynomial._raw(num_dof, block), d_max)

@@ -3,7 +3,9 @@
 Diagonalizes the quadratic part of a Hamiltonian into sum (omega_l/2)
 (x_l^2 + y_l^2) by a real symplectic change of variables, with frequency
 signs fixed by the Krein signature of each mode, and certifies the
-frequency vector against low-order resonances.
+frequency vector against low-order resonances.  The map carries a
+polynomial, or a graded series as one block, into the new variables by
+one polyalg.linear_substitute call.
 """
 
 from __future__ import annotations
@@ -83,29 +85,17 @@ class LinearSymplecticMap:
 
     def pushforward(self, f):
         """Express f (a polynomial or graded series in the old variables)
-        in the new variables: returns f composed with the map.
-
-        When the matrix has one nonzero entry a row and a column, as the
-        map of an input whose quadratic part is already diagonal does, each
-        term maps to one term, so f's exponent columns are relabeled and
-        its coefficients scaled (poly._relabeled) instead of expanded
-        (poly.linear_substitute), with the same result.
-        """
+        in the new variables: returns f composed with the map, by one
+        poly.linear_substitute call; a series is substituted as one
+        block, keeping its d_max."""
         if isinstance(f, poly.GradedSeries):
-            parts = {d: self.pushforward(p) for d, p in f}
-            return poly.GradedSeries(f.num_dof, parts, f.d_max)
+            return poly.GradedSeries(self.pushforward(f.to_polynomial()),
+                                     f.d_max)
         if f.num_dof != self.num_dof:
             raise DimensionMismatchError(
                 f"polynomial has {f.num_dof} degrees of freedom, "
                 f"map has {self.num_dof}")
-        M = self.matrix
-        nonzero = M != 0.0
-        if ((nonzero.sum(axis=0) == 1).all()
-                and (nonzero.sum(axis=1) == 1).all()):
-            columns = nonzero.argmax(axis=1)
-            return poly._relabeled(f, columns,
-                                   M[np.arange(len(M)), columns].tolist())
-        return poly.linear_substitute(f, M.tolist())
+        return poly.linear_substitute(f, self.matrix.tolist())
 
     def new_to_old(self, points):
         pts = np.asarray(points, dtype=float)

@@ -99,6 +99,39 @@ def linear_substitute(terms, matrix, n):
     return out
 
 
+def linear_substitute_by_pass(terms, matrix, n):
+    """f(M v) of a term list [(j, k, coeff)], old_i = sum_t M[i][t] new_t,
+    one old variable at a time with every sum in the order of the
+    package's passes, as an unpruned {(j, k): coeff}.
+
+    A row is (old exponents, new exponents); pass i takes the rows in key
+    order and, for each, the terms of L_i^e in key order, e its exponent
+    of old_i, and adds each product into a dict in turn.  L_i^e is
+    raw_mul(L_i^(e-1), L_i), its terms put in key order, L_i's terms in
+    the order of the columns of M."""
+    width = 2 * n
+    rows = {tuple(j) + tuple(k) + (0,) * width: c for j, k, c in terms}
+    for i, form in enumerate(matrix):
+        linear = {}
+        for t, v in enumerate(form):
+            if v != 0:
+                unit = tuple(int(s == t) for s in range(width))
+                linear[(unit[:n], unit[n:])] = v
+        powers = [{((0,) * n, (0,) * n): 1.0}]
+        out = {}
+        for row in sorted(rows):
+            while len(powers) <= row[i]:
+                powers.append(dict(sorted(raw_mul(powers[-1],
+                                                  linear).items())))
+            for (j, k), v in powers[row[i]].items():
+                new = (row[:i] + (0,) + row[i + 1:width]
+                       + tuple(a + b for a, b in zip(row[width:], j + k)))
+                out[new] = out.get(new, 0.0) + rows[row] * v
+        rows = out
+    return {(row[width:width + n], row[width + n:]): c
+            for row, c in rows.items()}
+
+
 # -- the chart change, one term at a time ------------------------------------------
 
 @functools.lru_cache(maxsize=None)

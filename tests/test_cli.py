@@ -502,18 +502,31 @@ def test_chart_changes_bypass_the_general_substitution(tmp_path, monkeypatch):
     argv, _ = _quick_even2_bnf(tmp_path, monkeypatch)
     calls = {"realify": 0, "complexify": 0, "linear_substitute": 0}
     inside_pushforward = []
+    inside_substitute = []
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            if name == "linear_substitute":
-                assert inside_pushforward, "chart change through " + name
-            return func(*args, **kwargs)
+            if name != "linear_substitute":
+                return func(*args, **kwargs)
+            assert inside_pushforward, "chart change through " + name
+            inside_substitute.append(name)
+            try:
+                return func(*args, **kwargs)
+            finally:
+                inside_substitute.pop()
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(polyalg, name,
                             counted(name, getattr(polyalg, name)))
+    products = polyalg._products
+
+    def kernel(*args):
+        assert not inside_substitute, "product kernel in linear_substitute"
+        return products(*args)
+
+    monkeypatch.setattr(polyalg, "_products", kernel)
     pushforward = spectrum.LinearSymplecticMap.pushforward
 
     def tracked(self, f):
@@ -525,9 +538,10 @@ def test_chart_changes_bypass_the_general_substitution(tmp_path, monkeypatch):
 
     monkeypatch.setattr(spectrum.LinearSymplecticMap, "pushforward", tracked)
     assert main(argv) == 0
-    # the map of this diagonal input only permutes the variables, so the
-    # pushforward relabels the exponent columns and substitutes nothing; the
+    # the map of this diagonal input only permutes the variables: the
+    # pushforwards of the quadratic part and of the series each substitute
+    # once, relabeling the exponent columns without the product kernel; the
     # blocks stay real, and each order changes its block into the chart and
     # its generator and action part back on one layout, without the block
     # functions complexify and realify
-    assert calls == {"realify": 0, "complexify": 0, "linear_substitute": 0}
+    assert calls == {"realify": 0, "complexify": 0, "linear_substitute": 2}

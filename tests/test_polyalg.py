@@ -698,6 +698,56 @@ def test_complex_operands_are_refused():
             linear_substitute(f, matrix)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_linear_substitute_relabels_a_permutation_and_scale(n, monkeypatch):
+    # a matrix with one nonzero entry a row and a column maps each term to
+    # one term: no call of the product kernel, and bit for bit the dict
+    # oracle's coefficients, in graded key order
+    rng = np.random.default_rng(90 + n)
+    f = Polynomial.zero(n)
+    for degree in (0, 1, 2, 3, 5):
+        f = f + random_polynomial(rng, n, degree, num_terms=12)
+    M = np.zeros((2 * n, 2 * n))
+    M[np.arange(2 * n), rng.permutation(2 * n)] = (
+        rng.uniform(0.25, 4.0, size=2 * n) * rng.choice([-1.0, 1.0], 2 * n))
+    M[0, M[0] != 0] = 1.0 + 2.0 ** -52
+    products = polyalg._products
+    monkeypatch.setattr(polyalg, "_products", None)
+    got = linear_substitute(f, M.tolist())
+    monkeypatch.setattr(polyalg, "_products", products)
+    want = oracles.pruned(oracles.linear_substitute(f.terms(), M.tolist(), n))
+    assert [(j, k, c.hex()) for j, k, c in got.terms()] == [
+        (j, k, c.hex()) for (j, k), c in sorted(
+            want.items(), key=lambda t: (sum(t[0][0] + t[0][1]),
+                                         t[0][0] + t[0][1]))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_linear_substitute_sums_in_the_order_of_its_passes(n):
+    # every sum adds its terms as the passes would if each merged its rows
+    # into key order: bit for bit the pass-by-pass oracle, for a coupled
+    # map, a permutation, and maps whose form of variable t alone is one
+    # term, so that a later form adds to the column the relabel filled and
+    # the relabeled rows must be merged before they expand
+    rng = np.random.default_rng(70 + n)
+    f = Polynomial.zero(n)
+    for degree in (2, 3, 4, 5):
+        f = f + random_polynomial(rng, n, degree, num_terms=25)
+    coupled = rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n))
+    maps = [coupled, np.diag(rng.uniform(0.5, 2.0, size=2 * n))[::-1]]
+    for t in range(2 * n - 1):
+        mixed = coupled.copy()
+        mixed[t] = 0.0
+        mixed[t, t] = rng.uniform(0.5, 2.0)
+        maps.append(mixed)
+    for M in maps:
+        got = linear_substitute(f, M.tolist())
+        want = oracles.pruned(oracles.linear_substitute_by_pass(
+            f.terms(), M.tolist(), n))
+        assert {(j, k): c.hex() for j, k, c in got.terms()} == {
+            key: c.hex() for key, c in want.items()}
+
+
 def test_linear_substitute_rotation_preserves_actions():
     c, s = math.cos(0.7), math.sin(0.7)
     M = np.array([[c, -s], [s, c]])
@@ -733,6 +783,26 @@ def test_graded_series_roundtrip():
     assert diff.max_abs_coeff() <= 1e-15
 
 
+def test_graded_series_keeps_its_d_max():
+    # d_max is the series' own, not its top degree: it survives the text
+    # round trip, truncation and the constructor's check
+    p = random_polynomial(np.random.default_rng(38), 2, 4, num_terms=6)
+    series = GradedSeries.from_polynomial(p, d_max=8)
+    assert series.d_max == 8
+    assert GradedSeries.from_polynomial(p).d_max == 4
+    text = series.to_text()
+    assert text.splitlines()[0] == "HAM n=2 dmax=8 field=real"
+    again = GradedSeries.from_text(text)
+    assert again.d_max == 8 and again == series
+    assert again.to_polynomial() == p
+    # a d_max past the int64 range bounds the degrees as any other
+    huge = GradedSeries.from_text(text.replace("dmax=8", f"dmax={2 ** 70}"))
+    assert huge.d_max == 2 ** 70 and huge.to_polynomial() == p
+    assert series.truncate(3).d_max == 3 and series.truncate(3).degrees() == ()
+    with pytest.raises(GradingError, match="exceeds d_max=3"):
+        GradedSeries(p, 3)
+
+
 def test_graded_series_text_errors():
     with pytest.raises(FormatError):
         GradedSeries.from_text("not a header\n")
@@ -755,6 +825,10 @@ def test_graded_series_text_errors():
     assert info.value.line == 2
     with pytest.raises(FormatError) as info:  # beyond a uint8 exponent
         GradedSeries.from_text("HAM n=1 dmax=300 field=real\n256 256 0 1\n")
+    assert info.value.line == 2
+    # a term line of a record whose n no array can hold has too few fields
+    with pytest.raises(FormatError, match="fields on a term line") as info:
+        GradedSeries.from_text(f"HAM n={2 ** 70} dmax=2 field=real\n2 2 0 1\n")
     assert info.value.line == 2
 
 

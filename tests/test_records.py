@@ -45,8 +45,10 @@ def homogeneous(n, degree):
 def graded_series(draw):
     n = draw(st.integers(1, 2))
     d_max = draw(st.integers(0, 5))
-    parts = {d: draw(homogeneous(n, d)) for d in range(d_max + 1)}
-    return GradedSeries(n, parts, d_max)
+    poly = Polynomial.zero(n)
+    for d in range(d_max + 1):
+        poly = poly + draw(homogeneous(n, d))
+    return GradedSeries(poly, d_max)
 
 
 @st.composite

@@ -152,13 +152,31 @@ def test_pushforward_is_composition():
         assert math.isclose(a, b, rel_tol=1e-10, abs_tol=1e-12)
 
 
+def _bits(poly):
+    """{(j, k): coeff} of a polynomial, each coefficient to the bit."""
+    return {(j, k): c.hex() for j, k, c in poly.terms()}
+
+
+def _counting(monkeypatch, module, name):
+    """Count the calls of module.name into the returned list."""
+    func = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return func(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pushforward_relabels_a_permutation_and_expands_a_coupled_map(
         n, monkeypatch):
     # a map that permutes and scales the modes relabels the exponent
-    # columns, bit for bit what the general substitution gives; a coupled
-    # map still goes through the substitution, and agrees with the dict
-    # oracle
+    # columns without the product kernel, bit for bit what the dict oracle
+    # gives; a coupled map goes through the substitution once, and agrees
+    # with the dict oracle
     from bnfstab import polyalg
     from util import random_polynomial
 
@@ -174,21 +192,13 @@ def test_pushforward_relabels_a_permutation_and_expands_a_coupled_map(
     M = np.zeros((2 * n, 2 * n))
     M[np.arange(n), modes] = a
     M[np.arange(n) + n, modes + n] = 1.0 / a
-    want = polyalg.linear_substitute(f, M.tolist())._block
+    kernel = _counting(monkeypatch, polyalg, "_products")
+    got = LinearSymplecticMap(M).pushforward(f)
+    assert not kernel
+    assert _bits(got) == {key: c.hex() for key, c in oracles.pruned(
+        oracles.linear_substitute(f.terms(), M.tolist(), n)).items()}
 
-    substitute = polyalg.linear_substitute
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return substitute(*args)
-
-    monkeypatch.setattr(polyalg, "linear_substitute", counted)
-    got = LinearSymplecticMap(M).pushforward(f)._block
-    assert not calls
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-
+    calls = _counting(monkeypatch, polyalg, "linear_substitute")
     h2, _ = _random_elliptic_quadratic(rng, n)
     _, smap = diagonalize_quadratic(h2)
     calls.clear()
@@ -202,6 +212,42 @@ def test_pushforward_relabels_a_permutation_and_expands_a_coupled_map(
         top[sum(j + k)] = max(top.get(sum(j + k), 0.0), abs(c))
     for (j, k), c in want.items():
         assert abs(got[(j, k)] - c) <= 1e-12 * top[sum(j + k)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_series_pushforward_is_the_pushforward_of_each_component(n):
+    # the series goes through the substitution as one block: each of its
+    # components comes out bit for bit as it does alone, and d_max stays
+    from bnfstab.polyalg import GradedSeries
+    from util import random_polynomial
+
+    rng = np.random.default_rng(80 + n)
+    h2, _ = _random_elliptic_quadratic(rng, n)
+    f = h2
+    for degree in (0, 1, 3, 4, 5):
+        f = f + random_polynomial(rng, n, degree, num_terms=10)
+    series = GradedSeries.from_polynomial(f, d_max=7)
+    # (x, y) -> (y, -x); and, past one DOF, a map coupling every mode but
+    # the last, which it keeps, so relabeled and expanded variables
+    # alternate
+    permutation = np.eye(2 * n)[np.roll(np.arange(2 * n), n)]
+    permutation[n:] *= -1.0
+    maps = [diagonalize_quadratic(h2)[1], LinearSymplecticMap(permutation)]
+    if n > 1:
+        _, inner = diagonalize_quadratic(
+            _random_elliptic_quadratic(rng, n - 1)[0])
+        coupled = [*range(n - 1), *range(n, 2 * n - 1)]
+        mixed = np.eye(2 * n)
+        mixed[np.ix_(coupled, coupled)] = inner.matrix
+        maps.append(LinearSymplecticMap(mixed))
+    for smap in maps:
+        pushed = smap.pushforward(series)
+        assert pushed.d_max == 7
+        assert pushed.degrees() == series.degrees()
+        for d, part in series:
+            alone = smap.pushforward(part)
+            assert _bits(pushed.component(d)) == _bits(alone)
+            assert list(_bits(pushed.component(d))) == list(_bits(alone))
 
 
 def test_check_nonresonance_matches_exhaustive_scan():
