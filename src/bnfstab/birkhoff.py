@@ -78,8 +78,7 @@ class ActionPolynomial:
                 c = float(c)
                 if not math.isfinite(c):
                     raise ValueError(f"non-finite coefficient {c!r}")
-                if c != 0.0:
-                    clean[p] = clean.get(p, 0.0) + c
+                clean[p] = clean.get(p, 0.0) + c
         clean = {p: c for p, c in clean.items() if c != 0.0}
         object.__setattr__(self, "num_dof", num_dof)
         object.__setattr__(self, "_terms", clean)
@@ -275,6 +274,8 @@ class NormalFormState:
         omega = tuple(float(w) for w in omega)
         if not omega:
             raise DimensionMismatchError("empty frequency vector")
+        if not all(map(math.isfinite, omega)):
+            raise ValueError(f"non-finite frequency in {omega}")
         if not 0 <= r <= r_max <= poly._MAX_EXP - 2:
             raise OrderRangeError(f"need 0 <= r <= r_max <= "
                                   f"{poly._MAX_EXP - 2}, got r={r}, "
@@ -371,6 +372,9 @@ class NormalFormState:
         n, r, r_max = (reader.header[key] for key in ("n", "r", "rmax"))
         if n < 1:
             raise reader.error("n must be >= 1")
+        if n > poly._MAX_DOF:
+            raise reader.error(f"n={n} exceeds {poly._MAX_DOF}, the most "
+                               "degrees of freedom an array holds")
         if not 0 <= r <= r_max <= poly._MAX_EXP - 2:
             raise reader.error(f"need 0 <= r <= rmax <= {poly._MAX_EXP - 2}")
         lines, linenos = reader.lines, reader.linenos

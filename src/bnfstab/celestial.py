@@ -80,7 +80,9 @@ def _wrap_angle(theta):
     theta = math.fmod(float(theta), _TWO_PI)
     if theta < 0.0:
         theta += _TWO_PI
-    return theta
+    # a negative angle nearer 0 than half an ulp of 2 pi rounds up to 2 pi,
+    # outside [0, 2 pi)
+    return 0.0 if theta == _TWO_PI else theta
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,7 @@ class BodyParameters:
     """Heliocentric osculating elements of one planet plus its mass.
 
     Angles are stored in radians and reduced to [0, 2*pi) on construction.
+    Every field must be a finite number.
     """
 
     mass: float
@@ -101,6 +104,10 @@ class BodyParameters:
 
     def __post_init__(self):
         _check_name(self.name)
+        for key in _ELEMENT_KEYS:
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got "
+                                 f"{getattr(self, key)!r}")
         if self.mass <= 0.0:
             raise ValueError("mass must be positive")
         if self.semi_major_axis <= 0.0:
@@ -116,7 +123,10 @@ class BodyParameters:
 
 @dataclass(frozen=True)
 class PoincareState:
-    """Canonical variables of the planetary system, one entry per body."""
+    """Canonical variables of the planetary system, one entry per body.
+
+    Every variable, and the secular radius hypot(xi, eta) of every body,
+    must be a finite float: the state file holds nothing else."""
 
     names: tuple
     Lambda: tuple
@@ -129,8 +139,15 @@ class PoincareState:
         if not (len(self.names) == len(self.lam)
                 == len(self.xi) == len(self.eta) == n):
             raise DimensionMismatchError("component tuples differ in length")
-        for name in self.names:
+        for i, name in enumerate(self.names):
             _check_name(name)
+            row = (self.Lambda[i], self.lam[i], self.xi[i], self.eta[i],
+                   math.hypot(self.xi[i], self.eta[i]))
+            if not all(map(math.isfinite, row)):
+                raise ValueError(
+                    f"the Poincare variables of {name or f'body{i + 1}'} "
+                    "leave the floats: (Lambda, lambda, xi, eta, radius) = "
+                    f"{row}")
         if any(L <= 0.0 for L in self.Lambda):
             raise ValueError("fast actions must be positive")
 
@@ -189,8 +206,9 @@ def poincare_variables(bodies, m0=SOLAR_MASS):
     """Convert heliocentric elements to Poincare variables (G = 1)."""
     if not bodies:
         raise DimensionMismatchError("no bodies supplied")
-    if m0 <= 0.0:
-        raise ValueError("central mass must be positive")
+    if not 0.0 < m0 < math.inf:
+        raise ValueError("central mass must be positive and finite, got "
+                         f"{m0!r}")
     names, Lam, lam, xi, eta = [], [], [], [], []
     for body in bodies:
         mu = m0 * body.mass / (m0 + body.mass)
@@ -287,7 +305,10 @@ def parse_elements(text, path=None):
 
 
 def elements_text(bodies, m0):
-    """Render (bodies, m0) in the element-file format."""
+    """Render (bodies, m0) in the element-file format; ValueError unless m0
+    is finite, as parse_elements requires."""
+    if not math.isfinite(m0):
+        raise ValueError(f"m0 must be finite, got {m0!r}")
     lines = [f"m0 = {_records.number(m0)}"]
     for body in bodies:
         lines.append("")

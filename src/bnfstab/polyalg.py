@@ -78,6 +78,9 @@ REALITY_TOL = 1e-9
 # the largest exponent a uint8 exponent matrix holds
 _MAX_EXP = 255
 
+# the most degrees of freedom whose 2n exponent columns an array holds
+_MAX_DOF = np.iinfo(np.intp).max // 2
+
 
 def _sizes(coeffs):
     """abs() of a coefficient array; ValueError on an overflowed coefficient:
@@ -113,12 +116,9 @@ def _canonical(exps, coeffs):
     rows that survive pruning (_kept), stably sorted by degree."""
     degrees = exps.sum(axis=1, dtype=np.intp)
     keep = _kept(coeffs, degrees)
-    exps = exps.compress(keep, axis=0)
-    coeffs, degrees = coeffs[keep], degrees[keep]
-    if (degrees[1:] < degrees[:-1]).any():
-        order = np.argsort(degrees, kind="stable")
-        exps, coeffs = np.take(exps, order, axis=0), coeffs[order]
-    return exps, coeffs
+    order = np.flatnonzero(keep)
+    order = order[np.argsort(degrees[order], kind="stable")]
+    return np.take(exps, order, axis=0), coeffs[order]
 
 
 class Polynomial:
@@ -213,6 +213,9 @@ class Polynomial:
                 for e, c in zip(exps.tolist(), coeffs.tolist())]
 
     def coefficient(self, j, k):
+        if len(j) != self.num_dof or len(k) != self.num_dof:
+            raise DimensionMismatchError(
+                f"exponent tuples must have length {self.num_dof}")
         exps, coeffs = self._block
         row = np.array(tuple(j) + tuple(k))
         hit = np.flatnonzero((exps == row).all(axis=1))
@@ -339,8 +342,6 @@ def _key_order(exps, group=None):
     length); words are the rows as _words."""
     words = _words(exps)
     keys = [*words.T[::-1]] + ([] if group is None else [group])
-    if len(keys) == 1:
-        return np.argsort(keys[0], kind="stable"), words
     return np.lexsort(keys), words
 
 
@@ -382,9 +383,7 @@ def _merge(exps, coeffs, group=None):
 
 def _summed(blocks):
     """The sum of a list of blocks, each monomial adding its terms in the
-    order of the blocks (_merge); one block is returned as it is."""
-    if len(blocks) == 1:
-        return blocks[0]
+    order of the blocks (_merge)."""
     return _merge(np.concatenate([e for e, _ in blocks]),
                   np.concatenate([c for _, c in blocks]))
 
@@ -436,21 +435,19 @@ def _passes(degrees, width):
     return passes
 
 
-def _groups(block, lead, tail_w, seg=None, offset=0):
+def _groups(block, lead, tail_w, seg, offset=0):
     """A block split by the exponents of its lead fields, as [(head, (bin
     index, coefficients))] in order of first appearance, each group's rows
     in block order; the bin index is the tail's plus offset (a number, or
-    one per row).  With lead fields and seg, the segment of each row, a
-    group never spans two segments."""
+    one per row).  seg is the segment of each row: a group never spans two
+    segments."""
     exps, coeffs = block
     if not len(exps):
         return []
     index = exps @ tail_w + offset
     if not lead:
         return [((), (index, coeffs))]
-    keys = exps[:, :lead]
-    if seg is not None:
-        keys = np.column_stack([seg, keys])
+    keys = np.column_stack([seg, exps[:, :lead]])
     _, first, key = np.unique(keys, axis=0, return_index=True,
                               return_inverse=True)
     # number the keys in order of first appearance
@@ -501,15 +498,17 @@ def _products(pairs, degrees, width):
     """The sums of the products a b over pairs (a, b, seg), as one block in
     key order for each output segment, of the given degrees.
 
-    a and b are blocks, and seg is the segment of each row of a (an index
-    into degrees, nondecreasing), or None for a call of one segment; the
-    degrees of a row of a and of b add to its segment's degree.  Each bin
-    adds its products pair after pair, row after row.  The segments run in
-    passes (_passes), each over the run of rows of its segments.  Segments
-    of more than _MAX_BINS bins split by the exponents of their leading
-    fields, and each part fills the bin array in turn; a group of
-    rows of a then never spans two segments, so that each segment adds its
-    products in the order it would alone.  A part with fewer pairs than
+    a and b are blocks, and seg is the segment of each row of a: an
+    integer array of indices into degrees, nondecreasing, and all zeros
+    in a call of one segment.  The degrees of a row of a and of b add to
+    its segment's degree.  Each bin adds its products pair after pair, row
+    after row.  The segments run in passes (_passes), each over the run of
+    rows of its segments, and the segment of a bin is the top digit of its
+    index, cut off even when the pass holds one segment.  Segments of more
+    than _MAX_BINS bins split by the exponents of their leading fields,
+    and each part fills the bin array in turn; a group of rows of a then
+    never spans two segments, so that each segment adds its products in
+    the order it would alone.  A part with fewer pairs than
     bins/16 reads and clears only the bins its pairs touch.  Overflowed
     coefficients come out as inf or nan, for _kept to refuse; an exponent
     above _MAX_EXP is an OrderRangeError.
@@ -529,12 +528,11 @@ def _products(pairs, degrees, width):
             # output head -> the (a, b) products that land in its bins
             blocks = {}
             for a, b, seg in pairs:
-                offset = 0
-                if seg is not None:
-                    lo, hi = seg.searchsorted((segs[0], segs[-1] + 1))
-                    a, seg = (a[0][lo:hi], a[1][lo:hi]), seg[lo:hi]
-                    offset = (seg - segs[0]) * seg_bins
-                b_groups = _groups(b, lead, tail_w)
+                lo, hi = seg.searchsorted((segs[0], segs[-1] + 1))
+                a, seg = (a[0][lo:hi], a[1][lo:hi]), seg[lo:hi]
+                offset = (seg - segs[0]) * seg_bins
+                b_groups = _groups(b, lead, tail_w,
+                                   np.zeros(len(b[1]), np.intp))
                 for ha, a_part in _groups(a, lead, tail_w, seg, offset):
                     for hb, b_part in b_groups:
                         head = tuple(p + q for p, q in zip(ha, hb))
@@ -548,10 +546,8 @@ def _products(pairs, degrees, width):
                     _add_products(bins, a, b, touched)
                 index, vals = _drain(bins, touched)
                 # the segment is the top digit: each one's bins are a run
-                at, cuts = 0, []
-                if len(segs) > 1:
-                    at = index // seg_bins
-                    cuts = at.searchsorted(range(1, len(segs)))
+                at = index // seg_bins
+                cuts = at.searchsorted(range(1, len(segs)))
                 exps = np.empty((len(index), width), np.int64)
                 exps[:, :lead] = head
                 exps[:, lead:-1] = index[:, None] // tail_w[lead:-1] % base
@@ -572,20 +568,18 @@ def _products(pairs, degrees, width):
 def _product(f, g):
     """The raw block of f * g in graded key order: each output degree sums
     the products of the homogeneous parts whose degrees add to it, in the
-    order of f's degrees (_products, one segment a degree)."""
+    order of f's degrees, all in one kernel call (_products, one segment
+    a degree)."""
     width = 2 * f.num_dof
+    degrees = sorted({p + q for p in f.degrees() for q in g.degrees()})
     g_parts = [(q, g.homogeneous_part(q)._block) for q in g.degrees()]
-    by_degree = {}
+    pairs = []
     for p in f.degrees():
         a = f.homogeneous_part(p)._block
         for q, b in g_parts:
-            by_degree.setdefault(p + q, []).append((a, b, None))
-    if not by_degree:
-        return _empty(width)
-    parts = [_products(pairs, [d], width)[0]
-             for d, pairs in sorted(by_degree.items())]
-    return (np.concatenate([e for e, _ in parts]),
-            np.concatenate([c for _, c in parts]))
+            pairs.append((a, b, np.full(len(a[1]), degrees.index(p + q))))
+    parts = [_empty(width), *_products(pairs, degrees, width)]
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _derivs(block, num_dof, y_sign):
@@ -617,11 +611,12 @@ def _bracket_operand(g, num_dof):
 def _bracket_terms(f, seg, degrees, g, num_dof):
     """Raw {f_c, g} for each segment c of a block f, as blocks in key
     order: f holds the rows of the homogeneous blocks f_c, of the given
-    degrees, and seg the segment of each row (None when f is one block);
-    g is the operand of a homogeneous block (_bracket_operand).  Each is
-    the sum of the products of the derivatives df_c/dx_l dg/dy_l and
-    -df_c/dy_l dg/dx_l in slot order of the derivative of f_c, all the
-    segments in one kernel call (_products)."""
+    degrees, and seg the segment of each row, an integer array (zeros when
+    f is one block); g is the operand of a homogeneous block
+    (_bracket_operand).  Each is the sum of the products of the
+    derivatives df_c/dx_l dg/dy_l and -df_c/dy_l dg/dx_l in slot order of
+    the derivative of f_c, all the segments in one kernel call
+    (_products)."""
     width = 2 * num_dof
     g_degree, g_d = g
     if not len(f[1]) or g_degree is None:
@@ -629,8 +624,7 @@ def _bracket_terms(f, seg, degrees, g, num_dof):
     with np.errstate(over="ignore", invalid="ignore"):
         # the bracket's minus sign rides on the y-derivatives of f
         f_d = _derivs(f, num_dof, -1)
-    pairs = [(d, g_d[(t + num_dof) % width],
-              None if seg is None else seg[rows])
+    pairs = [(d, g_d[(t + num_dof) % width], seg[rows])
              for t, (d, rows) in enumerate(f_d)]
     return _products(pairs, [d + g_degree - 2 for d in degrees], width)
 
@@ -649,10 +643,10 @@ def poisson_bracket(f, g, cap=None):
     parts = []
     for p in f.degrees():
         f_part = f.homogeneous_part(p)._block
+        seg = np.zeros(len(f_part[1]), np.intp)
         for q, g_part in g_parts:
             if 0 <= p + q - 2 <= (math.inf if cap is None else cap):
-                parts.append(_bracket_terms(f_part, None, [p], g_part,
-                                            n)[0])
+                parts.append(_bracket_terms(f_part, seg, [p], g_part, n)[0])
     if not parts:
         return Polynomial.zero(n)
     return Polynomial._raw(n, _canonical(*_summed(parts)))
@@ -665,9 +659,10 @@ def _lie_series(chains, chi, num_dof, cap):
     chains lists (g, degree, p): g the term g_(p-1) of a chain, a block
     homogeneous of the given degree.  chi is the operand of a homogeneous
     block (_bracket_operand), whose degree less 2 is the degree each
-    bracket adds.  A step brackets the current term of every live chain
-    with chi in one kernel call (_bracket_terms, one segment a chain); then
-    each chain prunes its own term (_kept), divides it by its own p, and
+    bracket adds.  A step stacks the current terms of the live chains,
+    however many, and brackets them with chi in one kernel call
+    (_bracket_terms, one segment a chain); then each chain prunes its own
+    term (_kept), divides it by its own p (exactly, when p is 1), and
     stops at a zero term or once its degree would pass cap.  Returns, for
     each chain, its terms as [(degree, block)], each block pruned and in
     key order.
@@ -681,12 +676,9 @@ def _lie_series(chains, chi, num_dof, cap):
         live = [chain for chain in live if chain[2] + step <= cap]
         if not live:
             return terms
-        if len(live) == 1:
-            f, seg = live[0][1], None
-        else:
-            f = tuple(map(np.concatenate, zip(*(g for _, g, _, _ in live))))
-            seg = np.repeat(np.arange(len(live)),
-                            [len(g[1]) for _, g, _, _ in live])
+        f = tuple(map(np.concatenate, zip(*(g for _, g, _, _ in live))))
+        seg = np.repeat(np.arange(len(live)),
+                        [len(g[1]) for _, g, _, _ in live])
         brackets = _bracket_terms(f, seg, [d for _, _, d, _ in live], chi,
                                   num_dof)
         stepped = []
@@ -694,10 +686,7 @@ def _lie_series(chains, chi, num_dof, cap):
             keep = _kept(coeffs)
             if not keep.any():
                 continue
-            coeffs = coeffs[keep]
-            if p > 1:
-                coeffs = coeffs / p
-            g = exps.compress(keep, axis=0), coeffs
+            g = exps.compress(keep, axis=0), coeffs[keep] / p
             terms[c].append((degree + step, g))
             stepped.append((c, g, degree + step, p + 1))
         live = stepped
@@ -821,14 +810,16 @@ class _Layout:
 
     A mode pass applies the (d_l+1) x (d_l+1) table of _mode_table along
     axis l of every class: the slots are gathered into fibers along that
-    axis, grouped by d_l, and each group is one matrix product.  Each pass
-    gathers from the order the previous one left, and a last gather
-    returns to key order, so a change sorts nothing.
+    axis, grouped by d_l, and each group of nonzero d_l is one matrix
+    product.  Every mode has a pass, also one absent from every row (its
+    pass gathers and multiplies nothing).  Each pass gathers from the
+    order the previous one left, and a last gather returns to key order,
+    so a change sorts nothing.
 
     exps is the (slots, 2n) exponent matrix, degrees the degree of each
     slot (None for a homogeneous block), at the slot of each row of the
-    block; passes holds (gather, [(d, lo, hi), ...]) a mode with a
-    nonzero d_l, and back the gather into key order (None without passes).
+    block; passes holds (gather, [(d, lo, hi), ...]) a mode, one segment
+    for each nonzero d_l, and back the gather into key order.
     """
 
     __slots__ = ("exps", "degrees", "at", "passes", "back")
@@ -886,8 +877,6 @@ class _Layout:
         self.passes = []
         for l in range(n):
             d_l = dims[:, l]
-            if not d_l.any():
-                continue
             # the classes by d_l; a fiber is the slots of a class that
             # differ in j_l alone, in order of the indices before axis l,
             # then those after it (b = t % after), then j_l
@@ -909,10 +898,7 @@ class _Layout:
                     segments.append([d_c, end - size, end])
             self.passes.append((gather, segments))
             prev = position
-        self.back = None
-        if self.passes:
-            self.back = np.empty(slots, np.intp)
-            self.back[rank] = prev
+        self.back = prev.take(key)
 
     def place(self, coeffs):
         """The coefficients of the block's rows as complex slot values."""
@@ -934,9 +920,7 @@ class _Layout:
                     fibers = part.reshape(*part.shape[:-1], -1, d + 1)
                     # numpy copies an input the output overlaps
                     np.matmul(fibers, _mode_table(d, sign), out=fibers)
-            if self.back is not None:
-                values = values.take(self.back, axis=-1)
-        return values
+            return values.take(self.back, axis=-1)
 
     def kept(self, values):
         """The mask of the slot values that survive pruning (_kept)."""
@@ -1017,8 +1001,8 @@ def linear_substitute(f, matrix):
                 linear = np.eye(width, dtype=np.uint8)[support], M[i, support]
                 powers = [(np.zeros((1, width), np.uint8), np.ones(1))]
                 for d in range(1, top + 1):
-                    powers.append(_products([(powers[-1], linear, None)],
-                                            [d], width)[0])
+                    seg = np.zeros(len(powers[-1][1]), np.intp)
+                    powers += _products([(powers[-1], linear, seg)], [d], width)
                 # the powers end to end, and where each starts
                 table_exps, table_coeffs = map(np.concatenate, zip(*powers))
                 sizes = np.array([len(p) for _, p in powers])
@@ -1224,13 +1208,15 @@ def _read_terms(lines, linenos, counts, num_dof, path, degrees,
 
 
 class GradedSeries:
-    """A polynomial graded by degree up to d_max: one Polynomial, whose
-    block in graded key order holds the homogeneous component of each
-    degree as a run of rows."""
+    """A polynomial graded by degree up to d_max >= 0: one Polynomial,
+    whose block in graded key order holds the homogeneous component of
+    each degree as a run of rows."""
 
     __slots__ = ("num_dof", "d_max", "_poly")
 
     def __init__(self, poly, d_max):
+        if d_max < 0:
+            raise GradingError(f"d_max={d_max} must be >= 0")
         if poly.degree_max is not None and poly.degree_max > d_max:
             raise GradingError(f"component degree {poly.degree_max} exceeds "
                                f"d_max={d_max}")
@@ -1290,6 +1276,11 @@ class GradedSeries:
             raise reader.error(f"field must be real, got {field!r}")
         if num_dof < 1 or d_max < 0:
             raise reader.error("n must be >= 1 and dmax >= 0")
+        # past _MAX_DOF, the first term line faults (it cannot hold 2 + 2n
+        # fields); without one, the header does
+        if num_dof > _MAX_DOF and not reader.lines:
+            raise reader.error(f"n={num_dof} exceeds {_MAX_DOF}, the most "
+                               "degrees of freedom an array holds")
         [block] = _read_terms(
             reader.lines, reader.linenos, [len(reader.lines)], num_dof, path,
             [(0, d_max)],

@@ -56,8 +56,9 @@ class DriftBound:
     c_const: float
 
     def __post_init__(self):
-        if self.B < 0.0:
-            raise ValueError("drift bound must be nonnegative")
+        if not self.B >= 0.0:
+            raise ValueError("drift bound must be nonnegative, got "
+                             f"{self.B!r}")
 
 
 @dataclass(frozen=True)

@@ -226,3 +226,42 @@ def test_a_body_name_the_state_file_cannot_hold_is_refused(name):
     assert PoincareState.from_text(state.to_text()) == state
     assert PoincareState.from_text(state_of(names=(name,)).to_text()) \
         == state_of(names=(name,))
+
+
+@pytest.mark.parametrize("key", ["mass", "semi_major_axis", "eccentricity",
+                                 "inclination", "mean_anomaly",
+                                 "perihelion_argument", "node_longitude"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_body_parameters_refuse_non_finite_fields(key, value):
+    fields = dict(mass=1e-3, semi_major_axis=5.2, eccentricity=0.05,
+                  inclination=0.02, mean_anomaly=1.0,
+                  perihelion_argument=4.0, node_longitude=1.7)
+    fields[key] = value
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        BodyParameters(**fields)
+
+
+def test_poincare_variables_refuse_what_the_floats_cannot_hold():
+    bodies, _ = load_fixture(FIXTURE)
+    for m0 in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="central mass"):
+            poincare_variables(bodies, m0)
+    # Lambda overflows: refused, naming the body
+    big = BodyParameters(mass=1e300, semi_major_axis=1e300, eccentricity=0.0,
+                         inclination=0.0, mean_anomaly=0.0,
+                         perihelion_argument=0.0, node_longitude=0.0,
+                         name="big")
+    with pytest.raises(ValueError, match="of big leave the floats"):
+        poincare_variables([big])
+    # a secular radius hypot(xi, eta) past the floats is refused too
+    with pytest.raises(ValueError, match="of body1 leave the floats"):
+        PoincareState(names=("",), Lambda=(1.0,), lam=(0.0,),
+                      xi=(1.5e308,), eta=(1.5e308,))
+
+
+def test_an_angle_just_below_zero_wraps_to_zero():
+    body = BodyParameters(mass=1e-3, semi_major_axis=5.2, eccentricity=0.05,
+                          inclination=-1e-300, mean_anomaly=-1e-17,
+                          perihelion_argument=-0.0, node_longitude=0.0)
+    assert body.inclination == body.mean_anomaly == 0.0
+    assert body.perihelion_argument == 0.0

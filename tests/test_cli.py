@@ -545,3 +545,77 @@ def test_chart_changes_bypass_the_general_substitution(tmp_path, monkeypatch):
     # its generator and action part back on one layout, without the block
     # functions complexify and realify
     assert calls == {"realify": 0, "complexify": 0, "linear_substitute": 2}
+
+
+def test_poincare_exits_4_when_the_variables_leave_the_floats(tmp_path,
+                                                               capsys):
+    # Lambda = mu sqrt((m0 + m) a) overflows: no state file is written,
+    # and the message names the body
+    elements = tmp_path / "elements.txt"
+    elements.write_text(
+        "m0 = 39.47841760435743\n\n[body]\nname = big\nmass = 1e300\n"
+        "semi_major_axis = 1e300\neccentricity = 0\ninclination = 0\n"
+        "mean_anomaly = 0\nperihelion_argument = 0\nnode_longitude = 0\n")
+    state = tmp_path / "state.txt"
+    capsys.readouterr()
+    assert main(["poincare", "--input", str(elements),
+                 "--out", str(state)]) == 4
+    assert "big" in capsys.readouterr().err
+    assert not state.exists()
+
+
+def test_a_dimension_no_array_holds_exits_2_at_the_header(tmp_path, capsys):
+    # no term line to fault: the header itself is refused
+    ham = tmp_path / "h.txt"
+    ham.write_text("HAM n=100000000000000000000 dmax=4 field=real\n")
+    ledger = tmp_path / "nf.txt"
+    ledger.write_text("NFSTATE n=100000000000000000000 r=1 rmax=1\n"
+                      "CHI s=1\nEND\n")
+    capsys.readouterr()
+    assert main(["bnf", "--input", str(ham), "--order", "2",
+                 "--out", str(tmp_path / "out.txt")]) == 2
+    assert f"{ham}:1: n=" in capsys.readouterr().err
+    assert main(["sweep", "--input", str(ledger), "--radii", "1"]) == 2
+    assert f"{ledger}:1: n=" in capsys.readouterr().err
+
+
+def test_every_kernel_call_carries_integer_segments(tmp_path, monkeypatch):
+    # the product kernel has one calling convention: every pair's segment
+    # is an integer array, one entry a row of its left block
+    import numpy as np
+
+    from bnfstab import polyalg
+    from bnfstab.spectrum import diagonalize_quadratic
+    from util import random_polynomial
+
+    argv, _ = _quick_even2_bnf(tmp_path, monkeypatch)
+    products = polyalg._products
+    pairs_seen = []
+
+    def checked(pairs, degrees, width):
+        for a, _, seg in pairs:
+            assert isinstance(seg, np.ndarray)
+            assert seg.dtype.kind == "i" and seg.shape == a[1].shape
+        pairs_seen.append(len(pairs))
+        return products(pairs, degrees, width)
+
+    monkeypatch.setattr(polyalg, "_products", checked)
+    assert main(argv) == 0
+    assert pairs_seen
+    rng = np.random.default_rng(7)
+    f = random_polynomial(rng, 2, 3, num_terms=8) + random_polynomial(
+        rng, 2, 5, num_terms=8)
+    g = random_polynomial(rng, 2, 2, num_terms=6) + random_polynomial(
+        rng, 2, 4, num_terms=6)
+    for call in (lambda: f * g, lambda: polyalg.poisson_bracket(f, g)):
+        pairs_seen.clear()
+        call()
+        assert pairs_seen
+    # a coupled map expands its powers through the kernel
+    h2 = (mono(2, (2, 0), (0, 0), 1.0) + mono(2, (0, 0), (2, 0), 1.0)
+          + mono(2, (0, 2), (0, 0), 2.0) + mono(2, (0, 0), (0, 2), 2.0)
+          + mono(2, (1, 1), (0, 0), 0.3))
+    _, smap = diagonalize_quadratic(h2)
+    pairs_seen.clear()
+    polyalg.linear_substitute(f, smap.matrix.tolist())
+    assert pairs_seen

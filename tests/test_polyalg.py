@@ -11,6 +11,7 @@ import oracles
 from oracles import theta_weight
 from bnfstab import polyalg
 from bnfstab.errors import (
+    DimensionMismatchError,
     FormatError,
     GradingError,
     OrderRangeError,
@@ -836,3 +837,30 @@ def test_graded_series_accepts_comments_and_blank_lines():
     src = "# leading comment\nHAM n=1 dmax=4 field=real\n\n2 2 0 0.5\n"
     series = GradedSeries.from_text(src)
     assert series.component(2).coefficient((2,), (0,)) == 0.5
+
+
+def test_layout_of_a_block_with_an_absent_mode():
+    # a 3-DOF block in modes 1 and 3 alone: mode 2's pass has no segments
+    # and gathers the slots through unchanged
+    rng = np.random.default_rng(41)
+    terms = {}
+    for degree in (2, 3, 5):
+        for _ in range(6):
+            j1, k1, j3 = rng.multinomial(degree, [0.25] * 4)[:3].tolist()
+            k3 = degree - j1 - k1 - j3
+            terms[((j1, 0, j3), (k1, 0, k3))] = rng.uniform(-1.0, 1.0)
+    f = Polynomial(3, terms)
+    layout = polyalg._Layout(f._block[0])
+    assert len(layout.passes) == 3 and layout.passes[1][1] == []
+    exps, coeffs = f._block
+    charted = exps, coeffs + 1j * rng.uniform(-1, 1, len(coeffs))
+    for block in (f._block, charted):
+        for sign in (-1, 1):
+            _assert_layout_change_matches_oracle(block, 3, sign)
+
+
+def test_coefficient_refuses_exponents_of_the_wrong_length():
+    p = mono(2, (2, 0), (1, 3), -1.5)
+    for j, k in (((2,), (1, 3)), ((2, 0), (1, 3, 0)), ((), ())):
+        with pytest.raises(DimensionMismatchError, match="length 2"):
+            p.coefficient(j, k)

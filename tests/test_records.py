@@ -4,6 +4,7 @@ bnfstab.Error.  The package reads no NONRESONANCE certificate back, so the
 certificate writer is checked against the reader in tests/oracles.py."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,12 @@ from hypothesis import strategies as st
 import oracles
 from bnfstab import Error, polyalg
 from bnfstab.birkhoff import ActionPolynomial, NormalFormState
-from bnfstab.celestial import PoincareState
+from bnfstab.celestial import (
+    BodyParameters,
+    PoincareState,
+    elements_text,
+    parse_elements,
+)
 from bnfstab.cli import main
 from bnfstab.errors import FormatError
 from bnfstab.polyalg import GradedSeries, Polynomial
@@ -561,3 +567,68 @@ def test_repeated_omega_is_refused():
     with pytest.raises(FormatError, match="repeated OMEGA") as info:
         NormalFormState.from_text(text)
     assert info.value.line == 3
+
+
+# non-finite values and values at or past the edge of a field's range
+BUILD_VALUES = [math.nan, math.inf, -math.inf, -1.0, 0.0, -1e-300, 1e300,
+               1.5e308]
+
+_BODY = dict(mass=1e-3, semi_major_axis=5.2, eccentricity=0.05,
+             inclination=0.02, mean_anomaly=1.0, perihelion_argument=4.0,
+             node_longitude=1.7, name="p1")
+
+
+def _body(**fields):
+    return [BodyParameters(**{**_BODY, **fields})], 4.0 * math.pi ** 2
+
+
+def _ledger(omega=1.0, z=1.0, chi=1.0, f=1.0):
+    return NormalFormState(
+        (omega,), 2, 3, z={2: ActionPolynomial(1, {(2,): z})},
+        chi={1: Polynomial(1, {((2,), (1,)): chi})},
+        f={2: Polynomial(1, {((3,), (1,)): f})})
+
+
+def _poincare(**fields):
+    row = {"Lambda": 1.0, "lam": 0.5, "xi": 0.1, "eta": -0.2, **fields}
+    return PoincareState(names=("p1",), **{k: (v,) for k, v in row.items()})
+
+
+# record -> (the record built with one field set to a value, writer, reader)
+_HAM_TERM = Polynomial(1, {((2,), (0,)): 0.5, ((0,), (2,)): 0.5})
+_ELEMENTS = (lambda x: elements_text(*x), parse_elements)
+_SERIES = (GradedSeries.to_text, GradedSeries.from_text)
+_STATE = (NormalFormState.to_text, NormalFormState.from_text)
+_VARIABLES = (PoincareState.to_text, PoincareState.from_text)
+CONSTRUCTED = {
+    "HAM d_max": (lambda v: GradedSeries(Polynomial.zero(1), v), *_SERIES),
+    "HAM coefficient": (lambda v: GradedSeries.from_polynomial(
+        _HAM_TERM + Polynomial(1, {((3,), (0,)): v})), *_SERIES),
+    "NFSTATE omega": (lambda v: _ledger(omega=v), *_STATE),
+    "NFSTATE Z": (lambda v: _ledger(z=v), *_STATE),
+    "NFSTATE CHI": (lambda v: _ledger(chi=v), *_STATE),
+    "NFSTATE F": (lambda v: _ledger(f=v), *_STATE),
+    **{f"POINCARE {key}": (lambda v, key=key: _poincare(**{key: v}),
+                           *_VARIABLES)
+       for key in ("Lambda", "lam", "xi", "eta")},
+    "POINCARE xi and eta": (lambda v: _poincare(xi=v, eta=v), *_VARIABLES),
+    "elements m0": (lambda v: (_body()[0], v), *_ELEMENTS),
+    **{f"elements {key}": (lambda v, key=key: _body(**{key: v}), *_ELEMENTS)
+       for key in _BODY if key != "name"},
+}
+
+
+@pytest.mark.parametrize("value", BUILD_VALUES)
+@pytest.mark.parametrize("record", sorted(CONSTRUCTED))
+def test_constructors_refuse_what_their_readers_refuse(record, value):
+    # a record either refuses the value, built or written (elements_text
+    # takes m0 apart from the bodies), or writes text that its reader reads
+    # back equal
+    build, write, read = CONSTRUCTED[record]
+    build(0.5)  # an ordinary value builds
+    try:
+        x = build(value)
+        text = write(x)
+    except (Error, ValueError, ArithmeticError):
+        return
+    assert read(text) == x

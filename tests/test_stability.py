@@ -231,6 +231,13 @@ def test_drift_bound_requires_positive_bound_invariants():
         DriftBound(r=1, j=0, B=-0.5, c_const=2.0)
 
 
+def test_drift_bound_refuses_a_nan_bound():
+    # NaN compares false with everything: only B >= 0 is accepted
+    with pytest.raises(ValueError, match="nonnegative"):
+        DriftBound(r=1, j=0, B=math.nan, c_const=2.0)
+    assert DriftBound(r=1, j=0, B=math.inf, c_const=2.0).B == math.inf
+
+
 def test_escape_time_refuses_bad_radii():
     bounds = [DriftBound(r=1, j=0, B=1.0, c_const=2.0)]
     for bad in (-1.0, 0.0, math.nan, math.inf):
