@@ -44,11 +44,7 @@ from .birkhoff import (
     birkhoff_normal_form,
 )
 from .stability import (
-    DriftBound,
-    StabilityReport,
     drift_bound,
-    escape_time,
-    stability_time,
     sweep,
 )
 from .celestial import (
@@ -65,7 +61,6 @@ __all__ = [
     "ConditioningError",
     "DegenerateRadiusError",
     "DimensionMismatchError",
-    "DriftBound",
     "Error",
     "FormatError",
     "GradedSeries",
@@ -82,18 +77,15 @@ __all__ = [
     "ResonanceError",
     "SmallDivisorError",
     "StabilityDomainError",
-    "StabilityReport",
     "UnknownFixtureError",
     "birkhoff_normal_form",
     "check_nonresonance",
     "diagonalize_quadratic",
     "drift_bound",
-    "escape_time",
     "load_fixture",
     "poincare_variables",
     "poisson_bracket",
     "polydisc_norm",
     "secular_radii",
-    "stability_time",
     "sweep",
 ]

@@ -69,7 +69,7 @@ def _check_name(name):
     first token of a body line, so it holds no whitespace and no `#`,
     which starts a comment, and is not RADII or END, which the reader
     takes for the RADII line and the end of the record.  An empty name is
-    an unnamed body, written as body<i>."""
+    an unnamed body, which PoincareState names body<i>."""
     if name and (name.split() != [name] or "#" in name
                  or name in ("RADII", "END")):
         raise ValueError(f"body name {name!r} must be one token without "
@@ -126,7 +126,9 @@ class PoincareState:
     """Canonical variables of the planetary system, one entry per body.
 
     Every variable, and the secular radius hypot(xi, eta) of every body,
-    must be a finite float: the state file holds nothing else."""
+    must be a finite float: the state file holds nothing else.  The i-th
+    body of an empty name is named body<i>, counting from 1, as its state
+    file reads back."""
 
     names: tuple
     Lambda: tuple
@@ -139,15 +141,16 @@ class PoincareState:
         if not (len(self.names) == len(self.lam)
                 == len(self.xi) == len(self.eta) == n):
             raise DimensionMismatchError("component tuples differ in length")
+        object.__setattr__(self, "names", tuple(
+            name or f"body{i + 1}" for i, name in enumerate(self.names)))
         for i, name in enumerate(self.names):
             _check_name(name)
             row = (self.Lambda[i], self.lam[i], self.xi[i], self.eta[i],
                    math.hypot(self.xi[i], self.eta[i]))
             if not all(map(math.isfinite, row)):
                 raise ValueError(
-                    f"the Poincare variables of {name or f'body{i + 1}'} "
-                    "leave the floats: (Lambda, lambda, xi, eta, radius) = "
-                    f"{row}")
+                    f"the Poincare variables of {name} leave the floats: "
+                    f"(Lambda, lambda, xi, eta, radius) = {row}")
         if any(L <= 0.0 for L in self.Lambda):
             raise ValueError("fast actions must be positive")
 
@@ -159,9 +162,8 @@ class PoincareState:
         number = _records.number
         lines = []
         for i in range(self.num_bodies):
-            name = self.names[i] or f"body{i + 1}"
             vals = (self.Lambda[i], self.lam[i], self.xi[i], self.eta[i])
-            lines.append(" ".join([name] + [number(v) for v in vals]))
+            lines.append(" ".join([self.names[i]] + list(map(number, vals))))
         lines.append("RADII " + " ".join(
             number(math.hypot(x, e)) for x, e in zip(self.xi, self.eta)))
         return _records.record("POINCARE", {"n": self.num_bodies}, lines)
@@ -230,10 +232,9 @@ def secular_radii(state):
     radii = tuple(math.hypot(x, e) for x, e in zip(state.xi, state.eta))
     for i, R in enumerate(radii):
         if R <= 0.0:
-            name = state.names[i] or f"body{i + 1}"
             raise DegenerateRadiusError(
-                f"secular amplitude of {name} is zero; polydisc radii "
-                "must be positive")
+                f"secular amplitude of {state.names[i]} is zero; polydisc "
+                "radii must be positive")
     return radii
 
 

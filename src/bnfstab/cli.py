@@ -189,22 +189,22 @@ def cmd_estimate(args):
     finite_floats([args.c_const], "--c-const")
     state = _load_state(args.input)
     radii, radii_src = _resolve_radii(args)
-    report = stability.stability_time(
-        state, args.rho0, radii, c_const=args.c_const)
+    result = stability.sweep(state, (args.rho0,), radii, c_const=args.c_const)
     inputs = [args.input] + ([radii_src] if radii_src else [])
     config = [("input", args.input), ("rho0", args.rho0),
               ("c_const", args.c_const), ("radii", radii),
               ("out", args.out or "-")]
+    rho0, T = float(result.rho0[0]), float(result.T[0])
     lines = [
-        "rho0 " + _value_text(report.rho0),
-        "rho " + _value_text(report.rho),
-        "c_const " + _value_text(report.c_const),
-        "radii " + " ".join(_value_text(R) for R in report.radii),
-        "T " + _value_text(report.T),
-        "log10_T " + _value_text(report.log10_T),
-        "r_opt " + str(report.r_opt),
+        "rho0 " + _value_text(rho0),
+        "rho " + _value_text(2.0 * rho0),
+        "c_const " + _value_text(result.c_const),
+        "radii " + " ".join(_value_text(R) for R in result.radii),
+        "T " + _value_text(T),
+        "log10_T " + _value_text(math.log10(T)),
+        "r_opt " + str(int(result.r_opt[0])),
     ]
-    for r, tau in report.per_order:
+    for r, tau in zip(result.orders, result.tau[:, 0].tolist()):
         lines.append(f"tau r={r} " + _value_text(tau))
     header = _provenance("estimate", config, inputs)
     _emit(header + "\n".join(lines) + "\n", args.out)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -24,65 +23,21 @@ import numpy as np
 
 from . import polyalg as poly
 from ._records import NUMBER
-from .errors import (DimensionMismatchError, OrderRangeError,
-                     StabilityDomainError)
+from .errors import OrderRangeError, StabilityDomainError
 
-__all__ = [
-    "DriftBound",
-    "StabilityReport",
-    "Sweep",
-    "drift_bound",
-    "escape_time",
-    "stability_time",
-    "sweep",
-    "sweep_csv",
-]
+__all__ = ["Sweep", "drift_bound", "sweep", "sweep_csv"]
 
 DEFAULT_C = 2.0
 
 
-@dataclass(frozen=True)
-class DriftBound:
-    """Bound coefficient for one action at one order.
+def drift_bound(state, r, radii, c_const=DEFAULT_C):
+    """The drift coefficients B[j] of each action j at order r, as an array.
 
     The drift of I_j under the order-r normal form satisfies
-    |dI_j/dt| < B * rho^(r+3) on the polydisc of radii rho*R, with
-    B = c_const * |{I_j, F^(r+1)}|_R.  j is a 0-based action index.
-    """
-
-    r: int
-    j: int
-    B: float
-    c_const: float
-
-    def __post_init__(self):
-        if not self.B >= 0.0:
-            raise ValueError("drift bound must be nonnegative, got "
-                             f"{self.B!r}")
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Escape-time optimization at a single starting radius."""
-
-    rho0: float
-    rho: float
-    T: float
-    r_opt: int
-    per_order: tuple          # ((r, tau), ...) for every estimated order
-    radii: tuple
-    c_const: float
-
-    @property
-    def log10_T(self):
-        return math.log10(self.T)
-
-
-def drift_bound(state, r, radii, c_const=DEFAULT_C):
-    """Per-action drift coefficients at order r.
-
-    Uses the remainder block of index r+1 from the ledger, so r must
-    satisfy 1 <= r <= state.r and r + 1 <= state.r_max.
+    |dI_j/dt| < B[j] rho^(r+3) on the polydisc of radii rho*R, with
+    B[j] = c_const |{I_j, F^(r+1)}|_R.  Uses the remainder block of index
+    r+1 from the ledger, so r must satisfy 1 <= r <= state.r and
+    r + 1 <= state.r_max.
     """
     if not 1 <= r <= state.r:
         raise OrderRangeError(
@@ -90,11 +45,11 @@ def drift_bound(state, r, radii, c_const=DEFAULT_C):
     if r + 1 > state.r_max:
         raise OrderRangeError(
             f"order {r} needs block {r + 1}, beyond r_max = {state.r_max}")
-    return _drift_bounds(state, [r], radii, c_const)[0][1]
+    return _drift_bounds(state, [r], radii, c_const)[0]
 
 
 def _drift_bounds(state, orders, radii, c_const):
-    """[(r, [DriftBound of each action])] for each order r, in one pass.
+    """B[k, j] of the order orders[k] and the action j, in one pass.
 
     B = c_const |{I_j, F^(r+1)}|_R for every segment (r, j) at once: the
     brackets of the concatenated F blocks (_action_brackets) and the
@@ -112,18 +67,12 @@ def _drift_bounds(state, orders, radii, c_const):
         [state.remainder_block(r + 1)._block for r in orders], n)
     terms = poly._norm_terms(exps, coeffs, radii)
     cuts = segment.searchsorted(np.arange(len(orders) * n + 1)).tolist()
-    out = []
-    for i, r in enumerate(orders):
-        bounds = []
-        for j in range(n):
-            lo, hi = cuts[i * n + j], cuts[i * n + j + 1]
-            keep = poly._kept(coeffs[lo:hi])
-            norm = (poly._norm_total(terms[lo:hi][keep], radii)
-                    if keep.any() else 0.0)
-            bounds.append(DriftBound(r=r, j=j, B=c_const * norm,
-                                     c_const=c_const))
-        out.append((r, bounds))
-    return out
+    B = np.zeros((len(orders), n))
+    for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        keep = poly._kept(coeffs[lo:hi])
+        if keep.any():
+            B.flat[i] = c_const * poly._norm_total(terms[lo:hi][keep], radii)
+    return B
 
 
 def _action_brackets(blocks, n):
@@ -153,34 +102,6 @@ def _action_brackets(blocks, n):
         return poly._merge(*map(np.concatenate, zip(*parts)))
 
 
-def escape_time(rho0, rho, r, bounds, radii):
-    """Worst-action time to grow from the rho0 polydisc to the rho one.
-
-    Closed form of the separable radial bound drho/dt <= B rho^(r+2)/R_j^2:
-
-        tau = min_j R_j^2 (rho0^-(r+1) - rho^-(r+1)) / ((r+1) B_j)
-
-    rho0 and rho are numbers, or arrays that broadcast together for one
-    tau per point; tau is +inf when every B_j is zero.  The radii must be
-    positive and finite, one for each bound's j.  A point outside
-    0 < rho0 < rho, or whose time leaves the floats, is a
-    StabilityDomainError.
-    """
-    rho0, rho = np.broadcast_arrays(np.asarray(rho0, float),
-                                    np.asarray(rho, float))
-    if not bounds:
-        raise ValueError("no drift bounds supplied")
-    if any(b.r != r for b in bounds):
-        raise ValueError("drift bounds were computed at a different order")
-    radii = poly._check_radii(radii)
-    if not all(0 <= b.j < len(radii) for b in bounds):
-        raise DimensionMismatchError(
-            f"a drift bound names an action beyond the {len(radii)} radii")
-    tau = _escape_times(rho0.ravel(), rho.ravel(), [(r, bounds)],
-                        radii).reshape(rho0.shape)
-    return tau if tau.ndim else float(tau)
-
-
 def _power(v, e):
     """v ** e by Python's float power (libm's pow), inf where that
     overflows or divides by zero."""
@@ -201,26 +122,35 @@ def _powers(values, e):
         return np.array([_power(v, e) for v in values])
 
 
-def _escape_times(rho0, rho, order_bounds, radii):
-    """tau[k, i] of the k-th (order, bounds) pair at point i of the float
-    arrays rho0 and rho, with the float operations and the first
-    StabilityDomainError of a loop over the points and their orders."""
-    tau = np.full((len(order_bounds), len(rho0)), math.inf)
+def _escape_times(rho0, rho, orders, B, radii):
+    """Worst-action time tau[k, i] to grow from the rho0[i] polydisc to the
+    rho[i] one at the order orders[k], with drift coefficients B[k]: the
+    closed form of the separable radial bound drho/dt <= B rho^(r+2)/R_j^2,
+
+        tau = min_j R_j^2 (rho0^-(r+1) - rho^-(r+1)) / ((r+1) B[k, j]),
+
+    over the nonzero B[k, j], +inf when there is none.  rho0 and rho are
+    float arrays of the points, radii the positive finite R_j.  The float
+    operations and the first StabilityDomainError are those of a loop over
+    the points and their orders: a point outside 0 < rho0 < rho, or whose
+    time leaves the floats.
+    """
+    tau = np.full((len(orders), len(rho0)), math.inf)
     outside = np.zeros(tau.shape, bool)
     starts, ends = rho0.tolist(), rho.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (r, bounds) in enumerate(order_bounds):
+        for k, (r, row) in enumerate(zip(orders, B.tolist())):
             spread = _powers(starts, -(r + 1)) - _powers(ends, -(r + 1))
-            for b in bounds:
-                if b.B != 0.0:
-                    t = radii[b.j] ** 2 * spread / ((r + 1) * b.B)
+            for R, b in zip(radii, row):
+                if b != 0.0:
+                    t = R ** 2 * spread / ((r + 1) * b)
                     outside[k] |= ~((0.0 < t) & (t < math.inf))
                     np.minimum(tau[k], t, out=tau[k])
     domain = ~((0.0 < rho0) & (rho0 < rho))
     bad = np.flatnonzero(domain | outside.any(axis=0))
     if len(bad):
         i = bad[0]
-        r = order_bounds[outside[:, i].argmax()][0]
+        r = orders[outside[:, i].argmax()]
         raise StabilityDomainError(
             f"need 0 < rho0 < rho, got rho0={float(rho0[i])}, "
             f"rho={float(rho[i])}" if domain[i] else
@@ -230,18 +160,21 @@ def _escape_times(rho0, rho, order_bounds, radii):
 
 
 def _per_order_bounds(state, radii, c_const):
+    """(orders, B): every estimable order and its row of drift
+    coefficients."""
     top = min(state.r, state.r_max - 1)
     if top < 1:
         raise OrderRangeError(
             "state has no estimable order (need r >= 1 and r_max >= 2)")
-    return _drift_bounds(state, range(1, top + 1), radii, c_const)
+    orders = tuple(range(1, top + 1))
+    return orders, _drift_bounds(state, orders, radii, c_const)
 
 
 @dataclass(frozen=True, eq=False)
-class Sweep(Sequence):
-    """stability_time across a grid, as arrays: tau[k, i] is the escape time
-    of order orders[k] at the point rho0[i], and T[i], r_opt[i] the optimum
-    over the orders.  Item i is the StabilityReport of point i."""
+class Sweep:
+    """Stability times across a grid: tau[k, i] is the escape time of order
+    orders[k] from the rho0[i] polydisc to the 2 rho0[i] one, and T[i],
+    r_opt[i] the optimum over the orders."""
 
     rho0: np.ndarray
     T: np.ndarray
@@ -251,35 +184,16 @@ class Sweep(Sequence):
     radii: tuple
     c_const: float
 
-    def __len__(self):
-        return len(self.rho0)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(len(self))[i]]
-        rho0 = float(self.rho0[i])
-        return StabilityReport(
-            rho0, 2.0 * rho0, float(self.T[i]), int(self.r_opt[i]),
-            tuple(zip(self.orders, self.tau[:, i].tolist())), self.radii,
-            self.c_const)
-
-
-def stability_time(state, rho0, radii, c_const=DEFAULT_C):
-    """Optimize the escape time over every estimable order.
-
-    The escape target is rho = 2*rho0.  Orders whose remainder block
-    vanishes identically contribute an infinite escape time; the reported
-    T is the best finite branch, or +inf when no drift is seen at any
-    order.
-    """
-    return sweep(state, (rho0,), radii, c_const)[0]
-
 
 def sweep(state, rho0_grid, radii, c_const=DEFAULT_C):
-    """stability_time across a sorted grid of starting radii, as a Sweep.
+    """Optimize the escape time over every estimable order at each point of
+    a strictly increasing grid of starting radii, as a Sweep.
 
-    Drift bounds depend only on the order, so they are computed once and
-    shared by every grid point; each order is one pass over the grid.
+    The escape target is rho = 2*rho0.  Orders whose remainder block
+    vanishes identically contribute an infinite escape time; T is the best
+    finite branch, or +inf when no drift is seen at any order.  Drift
+    bounds depend only on the order, so they are computed once and shared
+    by every grid point; each order is one pass over the grid.
     """
     grid = [float(v) for v in rho0_grid]
     if not grid:
@@ -289,9 +203,9 @@ def sweep(state, rho0_grid, radii, c_const=DEFAULT_C):
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     radii = poly._check_radii(radii, state.num_dof)
-    order_bounds = _per_order_bounds(state, radii, c_const)
+    orders, B = _per_order_bounds(state, radii, c_const)
     rho0 = np.array(grid)
-    tau = _escape_times(rho0, 2.0 * rho0, order_bounds, radii)
+    tau = _escape_times(rho0, 2.0 * rho0, orders, B, radii)
     # infinite branches mean "this order sees no drift at all"; they are
     # reported but only finite branches compete for the optimum, and the
     # first order wins a tie
@@ -299,13 +213,12 @@ def sweep(state, rho0_grid, radii, c_const=DEFAULT_C):
     best = finite.argmax(axis=0)
     T = finite[best, np.arange(len(grid))]
     T[np.isinf(T)] = math.inf
-    orders = tuple(r for r, _ in order_bounds)
     return Sweep(rho0, T, np.array(orders)[best], orders, tau, radii,
                  c_const)
 
 
 def sweep_csv(reports, wide=False):
-    """Render the reports of a Sweep as CSV text, from its arrays.
+    """Render the Sweep reports as CSV text, from its arrays.
 
     Columns: rho0, T, log10_T, r_opt; wide mode appends one tau_r<order>
     column per estimated order.

@@ -669,11 +669,11 @@ def escape_time_quadrature(rho0, rho, r, b_values, radii):
 
 # -- escape times and order optimization, one grid point at a time ---------------
 
-def escape_time_point(rho0, rho, r, bounds, radii):
-    """The escape time at one point, a loop over the drift bounds on
-    Python floats: min_j R_j^2 (rho0^-(r+1) - rho^-(r+1)) / ((r+1) B_j),
-    +inf without a nonzero B; a StabilityDomainError when rho0 is not in
-    (0, rho) or a time leaves (0, inf)."""
+def escape_time_point(rho0, rho, r, B, radii):
+    """The escape time at one point, a loop over the drift coefficients B[j]
+    of order r on Python floats: min_j R_j^2 (rho0^-(r+1) - rho^-(r+1)) /
+    ((r+1) B_j), +inf without a nonzero B_j; a StabilityDomainError when
+    rho0 is not in (0, rho) or a time leaves (0, inf)."""
     if not 0.0 < rho0 < rho:
         raise StabilityDomainError(
             f"need 0 < rho0 < rho, got rho0={rho0}, rho={rho}")
@@ -682,10 +682,10 @@ def escape_time_point(rho0, rho, r, bounds, radii):
     except OverflowError:
         spread = math.inf
     best = math.inf
-    for b in bounds:
-        if b.B == 0.0:
+    for radius, b in zip(radii, map(float, B)):
+        if b == 0.0:
             continue
-        tau = radii[b.j] ** 2 * spread / ((r + 1) * b.B)
+        tau = radius ** 2 * spread / ((r + 1) * b)
         if not 0.0 < tau < math.inf:
             raise StabilityDomainError(
                 f"rho0={rho0} puts the order-{r} escape time outside the "
@@ -695,18 +695,18 @@ def escape_time_point(rho0, rho, r, bounds, radii):
     return best
 
 
-def sweep_points(grid, order_bounds, radii):
+def sweep_points(grid, orders, B, radii):
     """[(T, r_opt, ((r, tau), ...))] of each point rho0 of the grid, at
-    rho = 2 rho0, over the (order, drift bounds) pairs: one point at a
-    time, and the orders of each in turn.  Only finite times compete for
-    T, the first order winning a tie; T is inf, at the first order, when
-    no order sees drift."""
+    rho = 2 rho0, over the orders and the rows of drift coefficients B[k]
+    of each: one point at a time, and the orders of each in turn.  Only
+    finite times compete for T, the first order winning a tie; T is inf,
+    at the first order, when no order sees drift."""
     out = []
     for rho0 in grid:
         per_order = []
         best_T, r_opt = -math.inf, None
-        for r, bounds in order_bounds:
-            tau = escape_time_point(rho0, 2.0 * rho0, r, bounds, radii)
+        for r, row in zip(orders, B):
+            tau = escape_time_point(rho0, 2.0 * rho0, r, row, radii)
             per_order.append((r, tau))
             if not math.isinf(tau) and tau > best_T:
                 best_T, r_opt = tau, r

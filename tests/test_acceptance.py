@@ -26,7 +26,7 @@ from bnfstab.polyalg import (
     polydisc_norm,
 )
 from bnfstab.spectrum import check_nonresonance
-from bnfstab.stability import drift_bound, escape_time, sweep, DriftBound
+from bnfstab.stability import _escape_times, drift_bound, sweep
 from util import (
     TWO_DOF_OMEGA,
     identity_residual,
@@ -139,14 +139,13 @@ def test_escape_time_quadrature_and_doubling():
         b_vals = rng.uniform(0.05, 3.0, size=2)
         radii = tuple(rng.uniform(0.5, 2.0, size=2))
         rho0 = float(rng.uniform(0.2, 1.0))
-        bounds = [DriftBound(r=r, j=j, B=float(b), c_const=2.0)
-                  for j, b in enumerate(b_vals)]
-        closed = escape_time(rho0, 2.0 * rho0, r, bounds, radii)
+        # rho0 -> 2 rho0 and its halving rho0 / 2 -> rho0, in one call
+        closed, half = _escape_times(
+            np.array([rho0, rho0 / 2.0]), np.array([2.0 * rho0, rho0]),
+            (r,), b_vals[None], radii)[0].tolist()
         quadr = oracles.escape_time_quadrature(
             rho0, 2.0 * rho0, r, b_vals, radii)
         worst_rel = max(worst_rel, abs(closed - quadr) / quadr)
-
-        half = escape_time(rho0 / 2.0, rho0, r, bounds, radii)
         worst_double = max(worst_double,
                            abs(half / closed - 2.0 ** (r + 1)) / 2.0 ** (r + 1))
     ok = worst_rel <= 1e-9 and worst_double <= 1e-13
@@ -161,33 +160,33 @@ def test_staircase_and_superpolynomial_growth():
     state = birkhoff_normal_form(h, TWO_DOF_OMEGA, 18)
     radii = (1.0, 1.0)
     grid = tuple(np.geomspace(0.25, 1.0, 48))
-    reports = sweep(state, grid, radii)
+    result = sweep(state, grid, radii)
+    rho0s, Ts = result.rho0.tolist(), result.T.tolist()
+    r_opts = result.r_opt.tolist()
 
     assert state.r == 18
-    assert all(math.isfinite(rep.T) for rep in reports)
+    assert all(map(math.isfinite, Ts))
 
-    r_opts = [rep.r_opt for rep in reports]
     monotone = all(a >= b for a, b in zip(r_opts, r_opts[1:]))
     segments = len(set(r_opts))
 
     # within a constant-r_opt segment log T is affine in log rho0 with
     # slope exactly -(r_opt + 1)
     worst_slope = 0.0
-    for prev, cur in zip(reports, reports[1:]):
-        if prev.r_opt != cur.r_opt:
+    for i in range(1, len(grid)):
+        if r_opts[i - 1] != r_opts[i]:
             continue
-        slope = ((math.log(cur.T) - math.log(prev.T))
-                 / (math.log(cur.rho0) - math.log(prev.rho0)))
-        worst_slope = max(worst_slope, abs(slope + (prev.r_opt + 1)))
+        slope = ((math.log(Ts[i]) - math.log(Ts[i - 1]))
+                 / (math.log(rho0s[i]) - math.log(rho0s[i - 1])))
+        worst_slope = max(worst_slope, abs(slope + (r_opts[i - 1] + 1)))
 
     # the full curve beats the power law of every shallower segment
-    smallest = reports[0]
     beats_all = True
-    for rep in reports[1:]:
-        if rep.r_opt >= smallest.r_opt:
+    for rho0, T, r_opt in zip(rho0s[1:], Ts[1:], r_opts[1:]):
+        if r_opt >= r_opts[0]:
             continue
-        extrapolated = rep.T * (smallest.rho0 / rep.rho0) ** -(rep.r_opt + 1)
-        if smallest.T <= extrapolated:
+        extrapolated = T * (rho0s[0] / rho0) ** -(r_opt + 1)
+        if Ts[0] <= extrapolated:
             beats_all = False
 
     elapsed_ok = time.monotonic() - t0 < 300.0
@@ -285,7 +284,7 @@ def test_drift_bound_dominates_measured_rate():
     ok = True
     ratios = []
     for rho in (0.1, 0.2, 0.4):
-        cap = bound.B * rho ** (r + 3)
+        cap = bound * rho ** (r + 3)
         pts = oracles.sample_polydisc(radii, rho, 4000, rng)
         static_max = float(np.max(np.abs(
             oracles.eval_terms(rate, pts).real)))

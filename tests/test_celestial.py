@@ -228,6 +228,20 @@ def test_a_body_name_the_state_file_cannot_hold_is_refused(name):
         == state_of(names=(name,))
 
 
+def test_an_unnamed_body_reads_back_as_it_was_built():
+    # an empty name is body<i> from construction on, as the text writes it
+    state = PoincareState(names=("", "saturn", ""), Lambda=(1.0, 2.0, 3.0),
+                          lam=(0.0, 0.5, 1.0), xi=(0.1, 0.2, 0.3),
+                          eta=(0.4, 0.5, 0.6))
+    assert state.names == ("body1", "saturn", "body3")
+    assert PoincareState.from_text(state.to_text()) == state
+    bodies, m0 = load_fixture(FIXTURE)
+    built = poincare_variables(
+        [dataclasses.replace(body, name="") for body in bodies], m0)
+    assert built.names == ("body1", "body2")
+    assert PoincareState.from_text(built.to_text()) == built
+
+
 @pytest.mark.parametrize("key", ["mass", "semi_major_axis", "eccentricity",
                                  "inclination", "mean_anomaly",
                                  "perihelion_argument", "node_longitude"])

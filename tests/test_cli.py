@@ -119,6 +119,46 @@ def test_estimate_report(tmp_path, capsys):
     assert "tau" in fields
 
 
+@pytest.mark.parametrize("radii, grid", [
+    ("2,0.5", "0.05:1:8:log"),
+    (None, "0.5:200:8:log"),   # the fixture's secular radii
+])
+def test_estimate_equals_the_wide_sweep_row(tmp_path, capsys, radii, grid):
+    # the seed-1 dense2 system of the benchmark, normalized to order 8
+    ham, nf = tmp_path / "system.ham", tmp_path / "nf.txt"
+    ham.write_text(load_perfbench("systems").system_text("dense2", 1))
+    assert main(["bnf", "--input", str(ham), "--order", "8",
+                 "--out", str(nf)]) == 0
+    if radii is None:
+        pstate = tmp_path / "poincare.txt"
+        assert main(["poincare", "--fixture", "sjs-jd2451220.5",
+                     "--out", str(pstate)]) == 0
+        source = ["--radii-from", str(pstate)]
+    else:
+        source = ["--radii", radii]
+    capsys.readouterr()
+    assert main(["sweep", "--input", str(nf), "--grid", grid, "--wide",
+                 *source]) == 0
+    header, *rows = [line.split(",") for line in
+                     capsys.readouterr().out.splitlines()
+                     if not line.startswith("#")]
+    orders = [int(name.removeprefix("tau_r")) for name in header[4:]]
+    assert len(rows) == 8
+    for rho0, T, log10_T, r_opt, *taus in rows:
+        assert main(["estimate", "--input", str(nf), "--rho0", rho0,
+                     *source]) == 0
+        fields = [line.rsplit(" ", 1) for line in
+                  capsys.readouterr().out.splitlines()
+                  if not line.startswith("#")]
+        # 17 digits on both sides: equal text is equal bits
+        assert fields[:3] + fields[4:7] == [
+            ["rho0", rho0], ["rho", "%.17g" % (2.0 * float(rho0))],
+            ["c_const", "2"], ["T", T], ["log10_T", log10_T],
+            ["r_opt", r_opt]]
+        assert fields[7:] == [[f"tau r={r}", tau]
+                              for r, tau in zip(orders, taus)]
+
+
 def test_sweep_with_radii_from_poincare_state(tmp_path, capsys):
     pstate = tmp_path / "poincare.txt"
     assert main(["poincare", "--fixture", "sjs-jd2451220.5",

@@ -25,14 +25,7 @@ from bnfstab.polyalg import (
     poisson_bracket,
     polydisc_norm,
 )
-from bnfstab.stability import (
-    DriftBound,
-    drift_bound,
-    escape_time,
-    stability_time,
-    sweep,
-    sweep_csv,
-)
+from bnfstab.stability import _escape_times, drift_bound, sweep, sweep_csv
 from util import (
     TWO_DOF_OMEGA,
     load_perfbench,
@@ -50,6 +43,23 @@ def _quartic_state():
     return NormalFormState((1.0,), 1, 3, f={2: mono(1, (4,), (0,))})
 
 
+def _escape_time(rho0, rho, r, B, radii):
+    """The order-r escape time from rho0 to rho at the drift coefficients
+    B[j] by _escape_times: a float, or an array for arrays of points."""
+    rho0, rho = np.broadcast_arrays(np.asarray(rho0, float),
+                                    np.asarray(rho, float))
+    tau = _escape_times(rho0.ravel(), rho.ravel(), (r,),
+                        np.array([B], float), radii)[0]
+    return tau.reshape(rho0.shape) if rho0.ndim else float(tau[0])
+
+
+def _one_point(result, i=0):
+    """(rho0, T, r_opt, ((r, tau), ...)) of point i of a Sweep."""
+    return (float(result.rho0[i]), float(result.T[i]),
+            int(result.r_opt[i]),
+            tuple(zip(result.orders, result.tau[:, i].tolist())))
+
+
 def test_action_bracket_value():
     action = mono(1, (2,), (0,), 0.5) + mono(1, (0,), (2,), 0.5)
     br = poisson_bracket(action, mono(1, (4,), (0,)))
@@ -61,12 +71,11 @@ def test_action_bracket_value():
 def test_drift_bound_quartic_remainder():
     state = _quartic_state()
     bounds = drift_bound(state, 1, (1.0,))
-    assert len(bounds) == 1
-    b = bounds[0]
-    assert b.r == 1 and b.j == 0 and b.c_const == 2.0
-    assert b.B == pytest.approx(8.0 * theta_weight((3,), (1,)), rel=1e-14)
+    assert bounds.shape == (1,)
+    B = bounds[0]
+    assert B == pytest.approx(8.0 * theta_weight((3,), (1,)), rel=1e-14)
     half = drift_bound(state, 1, (0.5,))[0]
-    assert half.B == pytest.approx(b.B / 16.0, rel=1e-12)  # degree-4 block
+    assert half == pytest.approx(B / 16.0, rel=1e-12)  # degree-4 block
 
 
 def test_drift_bound_rejects_bad_orders_and_constant():
@@ -83,79 +92,67 @@ def test_drift_bound_rejects_bad_orders_and_constant():
 
 
 def test_escape_time_closed_form():
-    bounds = [DriftBound(r=1, j=0, B=1.0, c_const=2.0)]
     for rho0 in (0.25, 0.5, 1.0, 2.0):
-        tau = escape_time(rho0, 2.0 * rho0, 1, bounds, (1.0,))
+        tau = _escape_time(rho0, 2.0 * rho0, 1, [1.0], (1.0,))
         assert tau == pytest.approx(3.0 / (8.0 * rho0 ** 2), rel=1e-14)
 
 
 def test_escape_time_doubling_law():
     for r in (1, 2, 5, 11, 18):
-        bounds = [DriftBound(r=r, j=0, B=0.37, c_const=2.0)]
-        t1 = escape_time(1.0, 2.0, r, bounds, (1.0,))
-        t2 = escape_time(0.5, 1.0, r, bounds, (1.0,))
+        t1 = _escape_time(1.0, 2.0, r, [0.37], (1.0,))
+        t2 = _escape_time(0.5, 1.0, r, [0.37], (1.0,))
         assert t2 / t1 == 2.0 ** (r + 1)
 
 
 def test_escape_time_matches_quadrature():
     radii = (1.3, 0.8)
     for r in (1, 3, 7):
-        bounds = [DriftBound(r=r, j=0, B=0.9, c_const=2.0),
-                  DriftBound(r=r, j=1, B=0.2, c_const=2.0)]
-        closed = escape_time(0.4, 0.8, r, bounds, radii)
+        closed = _escape_time(0.4, 0.8, r, [0.9, 0.2], radii)
         quadr = oracles.escape_time_quadrature(0.4, 0.8, r, (0.9, 0.2),
                                                radii)
         assert closed == pytest.approx(quadr, rel=1e-10)
 
 
 def test_escape_time_takes_worst_mode():
-    bounds = [DriftBound(r=2, j=0, B=1.0, c_const=2.0),
-              DriftBound(r=2, j=1, B=10.0, c_const=2.0)]
-    tau = escape_time(0.5, 1.0, 2, bounds, (1.0, 1.0))
-    only_fast = escape_time(0.5, 1.0, 2,
-                            [DriftBound(r=2, j=1, B=10.0, c_const=2.0)],
-                            (1.0, 1.0))
+    tau = _escape_time(0.5, 1.0, 2, [1.0, 10.0], (1.0, 1.0))
+    only_fast = _escape_time(0.5, 1.0, 2, [0.0, 10.0], (1.0, 1.0))
     assert tau == only_fast
 
 
 def test_escape_time_zero_bound_is_infinite():
-    bounds = [DriftBound(r=1, j=0, B=0.0, c_const=2.0)]
-    assert math.isinf(escape_time(0.5, 1.0, 1, bounds, (1.0,)))
+    assert math.isinf(_escape_time(0.5, 1.0, 1, [0.0], (1.0,)))
+    assert math.isinf(_escape_time(0.5, 1.0, 1, [0.0, 0.0], (1.0, 2.0)))
 
 
 def test_escape_time_domain_errors():
-    bounds = [DriftBound(r=1, j=0, B=1.0, c_const=2.0)]
     with pytest.raises(StabilityDomainError):
-        escape_time(1.0, 0.5, 1, bounds, (1.0,))
+        _escape_time(1.0, 0.5, 1, [1.0], (1.0,))
     with pytest.raises(StabilityDomainError):
-        escape_time(-1.0, 2.0, 1, bounds, (1.0,))
-    with pytest.raises(ValueError):
-        escape_time(0.5, 1.0, 2, bounds, (1.0,))  # bounds carry r=1
+        _escape_time(-1.0, 2.0, 1, [1.0], (1.0,))
 
 
 def test_stability_time_picks_best_order():
     h = two_dof_even_series()
     state = birkhoff_normal_form(h, TWO_DOF_OMEGA, 8)
     radii = (1.0, 1.0)
-    report = stability_time(state, 0.3, radii)
-    finite = [(tau, r) for r, tau in report.per_order if math.isfinite(tau)]
+    rho0, T, r_opt, per_order = _one_point(sweep(state, (0.3,), radii))
+    finite = [(tau, r) for r, tau in per_order if math.isfinite(tau)]
     assert finite, "even couplings must drift at some order"
     best_tau, best_r = max(finite)
-    assert report.T == best_tau
-    assert report.r_opt == best_r
-    assert report.rho0 == 0.3 and report.rho == 0.6
-    assert report.log10_T == pytest.approx(math.log10(best_tau))
+    assert T == best_tau
+    assert r_opt == best_r
+    assert rho0 == 0.3
     # odd orders of an even Hamiltonian contribute, even orders cannot
-    taus = dict(report.per_order)
+    taus = dict(per_order)
     assert all(math.isinf(taus[r]) for r in taus if r % 2 == 0)
 
 
 def test_stability_time_integrable_is_infinite():
     # no remainder at all: the bound never fires
     state = NormalFormState((1.0,), 2, 3)
-    report = stability_time(state, 1.0, (1.0,))
-    assert math.isinf(report.T)
-    assert report.r_opt == 1
+    result = sweep(state, (1.0,), (1.0,))
+    assert math.isinf(result.T[0])
+    assert result.r_opt.tolist() == [1]
 
 
 def test_sweep_matches_pointwise_reports():
@@ -163,12 +160,11 @@ def test_sweep_matches_pointwise_reports():
     state = birkhoff_normal_form(h, TWO_DOF_OMEGA, 6)
     radii = (0.9, 1.1)
     grid = (0.3, 0.5, 0.8)
-    reports = sweep(state, grid, radii)
-    assert [rep.rho0 for rep in reports] == list(grid)
-    for rep in reports:
-        single = stability_time(state, rep.rho0, radii)
-        assert single.T == rep.T
-        assert single.r_opt == rep.r_opt
+    result = sweep(state, grid, radii)
+    assert result.rho0.tolist() == list(grid)
+    for i, rho0 in enumerate(grid):
+        assert _one_point(sweep(state, (rho0,), radii)) \
+            == _one_point(result, i)
 
 
 def test_sweep_rejects_bad_grid():
@@ -184,22 +180,23 @@ def test_sweep_rejects_bad_grid():
 def test_sweep_csv_layout_and_roundtrip():
     h = two_dof_even_series()
     state = birkhoff_normal_form(h, TWO_DOF_OMEGA, 6)
-    reports = sweep(state, (0.4, 0.6), (1.0, 1.0))
-    text = sweep_csv(reports)
+    result = sweep(state, (0.4, 0.6), (1.0, 1.0))
+    rho0, T, r_opt, per_order = _one_point(result)
+    text = sweep_csv(result)
     lines = text.strip().splitlines()
     assert lines[0] == "rho0,T,log10_T,r_opt"
     assert len(lines) == 3
     row = lines[1].split(",")
-    assert float(row[0]) == reports[0].rho0
-    assert float(row[1]) == reports[0].T  # 17 digits round-trip exactly
-    assert int(row[3]) == reports[0].r_opt
+    assert float(row[0]) == rho0
+    assert float(row[1]) == T  # 17 digits round-trip exactly
+    assert int(row[3]) == r_opt
 
-    wide = sweep_csv(reports, wide=True)
+    wide = sweep_csv(result, wide=True)
     head = wide.strip().splitlines()[0].split(",")
-    orders = [r for r, _ in reports[0].per_order]
+    orders = [r for r, _ in per_order]
     assert head == ["rho0", "T", "log10_T", "r_opt"] + [
         f"tau_r{r}" for r in orders]
-    taus = dict(reports[0].per_order)
+    taus = dict(per_order)
     wide_row = wide.strip().splitlines()[1].split(",")
     for col, r in zip(wide_row[4:], orders):
         if math.isinf(taus[r]):
@@ -226,44 +223,29 @@ def test_default_grid_shape():
     assert max(ratios) - min(ratios) <= 1e-12
 
 
-def test_drift_bound_requires_positive_bound_invariants():
-    with pytest.raises(ValueError):
-        DriftBound(r=1, j=0, B=-0.5, c_const=2.0)
-
-
-def test_drift_bound_refuses_a_nan_bound():
-    # NaN compares false with everything: only B >= 0 is accepted
-    with pytest.raises(ValueError, match="nonnegative"):
-        DriftBound(r=1, j=0, B=math.nan, c_const=2.0)
-    assert DriftBound(r=1, j=0, B=math.inf, c_const=2.0).B == math.inf
-
-
 def test_escape_time_refuses_bad_radii():
-    bounds = [DriftBound(r=1, j=0, B=1.0, c_const=2.0)]
+    # the escape times take their radii from sweep, which checks them
+    state = _quartic_state()
     for bad in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="radii must be positive"):
-            escape_time(0.5, 1.0, 1, bounds, (bad,))
-    # every bound's action must index a radius
-    beyond = [DriftBound(r=1, j=1, B=1.0, c_const=2.0)]
-    with pytest.raises(DimensionMismatchError):
-        escape_time(0.5, 1.0, 1, beyond, (1.0,))
-    with pytest.raises(DimensionMismatchError):
-        escape_time(0.5, 1.0, 1, bounds, ())
+            sweep(state, (0.5,), (bad,))
+    # one radius for each action
+    for radii in ((), (1.0, 1.0)):
+        with pytest.raises(DimensionMismatchError):
+            sweep(state, (0.5,), radii)
 
 
 def test_escape_time_takes_an_array_of_points():
-    bounds = [DriftBound(r=3, j=0, B=0.7, c_const=2.0),
-              DriftBound(r=3, j=1, B=0.2, c_const=2.0)]
+    B = [0.7, 0.2]
     radii = (1.3, 0.8)
     rho0 = np.geomspace(0.05, 3.0, 9)
-    taus = escape_time(rho0, 2.0 * rho0, 3, bounds, radii)
+    taus = _escape_time(rho0, 2.0 * rho0, 3, B, radii)
     assert taus.shape == rho0.shape
     assert [t.hex() for t in taus.tolist()] == [
-        escape_time(v, 2.0 * v, 3, bounds, radii).hex()
-        for v in rho0.tolist()]
+        _escape_time(v, 2.0 * v, 3, B, radii).hex() for v in rho0.tolist()]
     # the first point whose time leaves the floats is the one named
     with pytest.raises(StabilityDomainError, match="rho0=1e-200 "):
-        escape_time(np.array([0.5, 1e-200, 1e-300]), 1.0, 3, bounds, radii)
+        _escape_time(np.array([0.5, 1e-200, 1e-300]), 1.0, 3, B, radii)
 
 
 # -- the array grid against a loop over the points ----------------------------
@@ -276,7 +258,7 @@ def _rows(points):
 
 
 def _points(result):
-    return [(rep.T, rep.r_opt, rep.per_order) for rep in result]
+    return [_one_point(result, i)[1:] for i in range(len(result.rho0))]
 
 
 def _sweep_outcome(run):
@@ -286,41 +268,42 @@ def _sweep_outcome(run):
         return "StabilityDomainError", str(exc)
 
 
-def _with_tie(draw, grid, order_bounds, radii):
-    """order_bounds with the bounds of one order replaced by one bound whose
-    time at one grid point equals the optimum there, when a B within a few
-    ulps gives it exactly; else as they were."""
+def _with_tie(draw, grid, orders, B, radii):
+    """B with the row of one order replaced by a row of one nonzero entry
+    whose time at one grid point equals the optimum there, when a value
+    within a few ulps gives it exactly; else as it was."""
     at = draw(st.sampled_from(grid))
     try:
-        T, r_opt, _ = oracles.sweep_points([at], order_bounds, radii)[0]
+        T, r_opt, _ = oracles.sweep_points([at], orders, B, radii)[0]
     except StabilityDomainError:
-        return order_bounds
-    others = [k for k, (r, _) in enumerate(order_bounds) if r != r_opt]
+        return B
+    others = [k for k, r in enumerate(orders) if r != r_opt]
     if math.isinf(T) or not others:
-        return order_bounds
+        return B
     k = draw(st.sampled_from(others))
-    r = order_bounds[k][0]
+    r = orders[k]
     j = draw(st.integers(0, len(radii) - 1))
     try:
         spread = at ** -(r + 1) - (2.0 * at) ** -(r + 1)
     except OverflowError:
-        return order_bounds
-    B = radii[j] ** 2 * spread / ((r + 1) * T)
+        return B
+    b = radii[j] ** 2 * spread / ((r + 1) * T)
     for _ in range(4):
-        B = math.nextafter(B, 0.0)
+        b = math.nextafter(b, 0.0)
     for _ in range(8):
-        if 0.0 < B < math.inf:
-            bound = DriftBound(r=r, j=j, B=B, c_const=2.0)
+        if 0.0 < b < math.inf:
+            row = np.zeros(len(radii))
+            row[j] = b
             try:
-                tau = oracles.escape_time_point(at, 2.0 * at, r, [bound],
-                                                radii)
+                tau = oracles.escape_time_point(at, 2.0 * at, r, row, radii)
             except StabilityDomainError:
-                return order_bounds
+                return B
             if tau == T:
-                return [(q, [bound] if q == r else bounds)
-                        for q, bounds in order_bounds]
-        B = math.nextafter(B, math.inf)
-    return order_bounds
+                tied = B.copy()
+                tied[k] = row
+                return tied
+        b = math.nextafter(b, math.inf)
+    return B
 
 
 B_VALUES = (st.sampled_from([0.0, 0.0, 1.0, 0.625, 3.0, 1e-300, 1e300])
@@ -333,8 +316,9 @@ RHO0_VALUES = (st.sampled_from([1.0, 0.5, 0.25, 2.0, 1e-30, 1e30, 1e-200,
 
 @st.composite
 def grid_cases(draw):
-    """(grid, order bounds, radii): bounds with zeros, orders whose every B
-    is zero, now and then a tie between orders, and extreme radii rho0."""
+    """(grid, (orders, B), radii): drift coefficients with zeros, orders
+    whose every B is zero, now and then a tie between orders, and extreme
+    radii rho0."""
     n = draw(st.integers(1, 3))
     radii = tuple(draw(st.lists(st.sampled_from([1.0, 0.5, 2.0])
                                 | st.floats(1e-3, 1e3), min_size=n,
@@ -342,51 +326,50 @@ def grid_cases(draw):
     orders = sorted(draw(st.sets(st.integers(1, 24), min_size=1,
                                  max_size=5)))
     silent = draw(st.sampled_from([False] * 5 + [True]))
-    order_bounds = []
-    for r in orders:
+    B = np.zeros((len(orders), n))
+    for k in range(len(orders)):
+        # the actions left out keep a zero
         actions = draw(st.lists(st.integers(0, n - 1), min_size=1,
                                 max_size=n, unique=True))
-        order_bounds.append((r, [
-            DriftBound(r=r, j=j, B=0.0 if silent else draw(B_VALUES),
-                       c_const=2.0) for j in actions]))
+        for j in actions:
+            B[k, j] = 0.0 if silent else draw(B_VALUES)
     grid = sorted(draw(st.lists(RHO0_VALUES, min_size=1, max_size=6,
                                 unique=True)))
     if draw(st.booleans()):
-        order_bounds = _with_tie(draw, grid, order_bounds, radii)
-    return grid, order_bounds, radii
+        B = _with_tie(draw, grid, orders, B, radii)
+    return grid, (orders, B), radii
 
 
-def _kinds(grid, order_bounds, outcome):
+def _kinds(grid, bounds, outcome):
     """The cases an outcome of sweep_points covers."""
     kinds = set()
     if outcome[0] == "StabilityDomainError":
         rho0 = float(outcome[1].split()[0].split("=")[1])
         kinds.add("overflow" if rho0 < 1.0 else "underflow")
         return kinds
-    if any(b.B == 0.0 for _, bounds in order_bounds for b in bounds):
+    orders, B = bounds
+    if (B == 0.0).any():
         kinds.add("zero B")
     for T, r_opt, per_order in outcome[1]:
         if T == "inf":
             kinds.add("no drift")
-            assert r_opt == order_bounds[0][0]
+            assert r_opt == orders[0]
         elif sum(tau == T for _, tau in per_order) > 1:
             kinds.add("tie")
     return kinds
 
 
-# (grid, order bounds, radii) with an exact tie at rho0 = 1: both orders
+# (grid, (orders, B), radii) with an exact tie at rho0 = 1: both orders
 # give tau = 0.375
-EXACT_TIE = ([1.0], [(1, [DriftBound(r=1, j=0, B=1.0, c_const=2.0)]),
-                     (3, [DriftBound(r=3, j=0, B=0.625, c_const=2.0)])],
-             (1.0,))
+EXACT_TIE = ([1.0], ((1, 3), np.array([[1.0], [0.625]])), (1.0,))
 
 
-def _sweep_of_bounds(grid, order_bounds, radii):
-    """sweep over the grid with the given drift bounds in place of a
+def _sweep_of_bounds(grid, bounds, radii):
+    """sweep over the grid with the given (orders, B) in place of a
     ledger's."""
     state = NormalFormState((1.0,) * len(radii), 1, 2)
     with mock.patch.object(stability, "_per_order_bounds",
-                           lambda *args: order_bounds):
+                           lambda *args: bounds):
         return sweep(state, grid, radii)
 
 
@@ -397,16 +380,16 @@ def test_sweep_grid_matches_the_per_point_loop():
     @given(grid_cases(), st.booleans())
     @example(EXACT_TIE, True)
     def same(case, wide):
-        grid, order_bounds, radii = case
+        grid, bounds, radii = case
         got = _sweep_outcome(
-            lambda: _points(_sweep_of_bounds(grid, order_bounds, radii)))
+            lambda: _points(_sweep_of_bounds(grid, bounds, radii)))
         want = _sweep_outcome(
-            lambda: oracles.sweep_points(grid, order_bounds, radii))
+            lambda: oracles.sweep_points(grid, *bounds, radii))
         assert got == want
-        seen.update(_kinds(grid, order_bounds, want))
+        seen.update(_kinds(grid, bounds, want))
         if got[0] == "swept":
-            result = _sweep_of_bounds(grid, order_bounds, radii)
-            points = oracles.sweep_points(grid, order_bounds, radii)
+            result = _sweep_of_bounds(grid, bounds, radii)
+            points = oracles.sweep_points(grid, *bounds, radii)
             assert sweep_csv(result, wide) == oracles.sweep_csv(
                 grid, points, wide)
 
@@ -447,14 +430,14 @@ def remainder_states(draw):
 @given(remainder_states(), st.booleans())
 def test_sweep_matches_the_per_point_loop(case, wide):
     state, radii, grid = case
-    order_bounds = [(r, drift_bound(state, r, radii))
-                    for r in range(1, state.r + 1)]
+    orders = range(1, state.r + 1)
+    B = [drift_bound(state, r, radii) for r in orders]
     got = _sweep_outcome(lambda: _points(sweep(state, grid, radii)))
     assert got == _sweep_outcome(
-        lambda: oracles.sweep_points(grid, order_bounds, radii))
+        lambda: oracles.sweep_points(grid, orders, B, radii))
     if got[0] == "swept":
         assert sweep_csv(sweep(state, grid, radii), wide) == oracles.sweep_csv(
-            grid, oracles.sweep_points(grid, order_bounds, radii), wide)
+            grid, oracles.sweep_points(grid, orders, B, radii), wide)
 
 
 # -- the exponent-shift bracket against the kernel ----------------------------
@@ -495,7 +478,7 @@ def test_drift_bound_matches_the_bracket_kernel(case):
     state, radii = case
     r = state.r
     assert _bounds_outcome(
-        lambda: [b.B for b in drift_bound(state, r, radii)]) \
+        lambda: drift_bound(state, r, radii).tolist()) \
         == _bounds_outcome(lambda: [_kernel_bound(state, r, j, radii)
                                     for j in range(state.num_dof)])
 
@@ -513,8 +496,8 @@ def test_drift_bound_matches_the_bracket_kernel_on_ledgers(
     state = NormalFormState.from_text(ledger.read_text())
     radii = tuple(0.5 + 0.25 * l for l in range(state.num_dof))
     for r in range(1, min(state.r, state.r_max - 1) + 1):
-        bounds = drift_bound(state, r, radii)
-        assert [b.B.hex() for b in bounds] == [
+        bounds = drift_bound(state, r, radii).tolist()
+        assert [B.hex() for B in bounds] == [
             _kernel_bound(state, r, j, radii).hex()
             for j in range(state.num_dof)]
     # the one pass over every order that sweep and estimate make
@@ -528,7 +511,7 @@ def test_drift_bound_of_an_action_polynomial_is_zero():
     for F in (actions[0] * actions[0], actions[0] * actions[1]):
         state = NormalFormState((1.0, 2.0 ** 0.5), 1, 2, f={2: F})
         bounds = drift_bound(state, 1, (1.0, 0.5))
-        assert [b.B for b in bounds] == [0.0, 0.0]
+        assert bounds.tolist() == [0.0, 0.0]
         assert all(_kernel_bound(state, 1, j, (1.0, 0.5)) == 0.0
                    for j in range(2))
 
@@ -546,9 +529,8 @@ def _kernel_bounds(state, radii):
 
 def _batch_bounds(state, radii):
     """Every B of the one pass that sweep makes, or its fault's message."""
-    return _bounds_outcome(lambda: [
-        b.B for _, bounds in stability._per_order_bounds(state, radii, 2.0)
-        for b in bounds])
+    return _bounds_outcome(lambda: stability._per_order_bounds(
+        state, radii, 2.0)[1].ravel().tolist())
 
 
 @settings(PROPERTY)

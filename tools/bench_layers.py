@@ -35,7 +35,9 @@ An interpreter times, once each:
   packaged fixture, by the one call `stability.sweep` makes
   (`_per_order_bounds`, drift_bounds_s), and `stability.sweep` over the
   1 024-point grid 0.3:3.0:1024:log at those radii, its drift bounds
-  computed beforehand (sweep_grid_s);
+  computed beforehand (sweep_grid_s); and the `estimate` command in
+  process on that ledger at rho0 ESTIMATE_RHO0, its radii read from the
+  fixture's state file (estimate_s);
 - the write side on the dense3-r10 ledger that its `bnf` wrote, as the
   median of READ_REPEATS calls each: `polyalg.complexify` of the block of
   every CHI and F entry of the ledger (complexify_s), and `polyalg.realify`
@@ -69,6 +71,7 @@ READ_LEDGERS = ("dense2-r14", "dense3-r10")
 PEAK_LEDGER = "dense3-r10"
 WRITE_LEDGER = "dense3-r10"
 SWEEP_GRID = "0.3:3.0:1024:log"
+ESTIMATE_RHO0 = "0.5"
 NONRES_OMEGA = (1.0, 2.0 ** 0.5, 3.0 ** 0.5, 5.0 ** 0.5)
 NONRES_K_MAX = 14
 FIXTURE = "sjs-jd2451220.5"
@@ -139,10 +142,11 @@ def measure(src):
 def read_side(ledgers, birkhoff, celestial, cli, stability):
     """Medians of READ_REPEATS timed reads of each ledger, the tracemalloc
     peak of one read of PEAK_LEDGER, and, on the first ledger, medians of
-    the drift bounds of its every order and of the sweep over SWEEP_GRID
-    with those bounds given."""
+    the drift bounds of its every order, of the sweep over SWEEP_GRID
+    with those bounds given, and of the estimate command."""
     bodies, m0 = celestial.load_fixture(FIXTURE)
-    radii = celestial.secular_radii(celestial.poincare_variables(bodies, m0))
+    pstate = celestial.poincare_variables(bodies, m0)
+    radii = celestial.secular_radii(pstate)
     name = READ_LEDGERS[0]
     out = {"read_ledger_s": {}, "read_peak_mib": {}}
     for ledger, text in ledgers.items():
@@ -160,11 +164,24 @@ def read_side(ledgers, birkhoff, celestial, cli, stability):
 
     state = birkhoff.NormalFormState.from_text(ledgers[name])
     per_order = stability._per_order_bounds
-    runs = {"drift_bounds_s": [], "sweep_grid_s": []}
+    runs = {"drift_bounds_s": [], "sweep_grid_s": [], "estimate_s": []}
     for _ in range(READ_REPEATS):
         start = time.perf_counter()
         bounds = per_order(state, radii, stability.DEFAULT_C)
         runs["drift_bounds_s"].append(time.perf_counter() - start)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        ledger, state_file = Path(tmp) / "nf.txt", Path(tmp) / "state.txt"
+        ledger.write_text(ledgers[name])
+        state_file.write_text(pstate.to_text())
+        argv = ["estimate", "--input", str(ledger), "--rho0", ESTIMATE_RHO0,
+                "--radii-from", str(state_file),
+                "--out", str(Path(tmp) / "estimate.txt")]
+        for _ in range(READ_REPEATS):
+            start = time.perf_counter()
+            if cli.main(argv) != 0:
+                raise SystemExit(f"estimate failed on {name}")
+            runs["estimate_s"].append(time.perf_counter() - start)
 
     grid = cli._parse_grid(SWEEP_GRID)
     stability._per_order_bounds = lambda *args: bounds
@@ -248,7 +265,7 @@ def main():
                   "pushforward_s": "s",
                   "read_ledger_s": "s", "read_peak_mib": "MiB",
                   "drift_bounds_s": "s",
-                  "sweep_grid_s": "s", "write_s": "s"},
+                  "sweep_grid_s": "s", "estimate_s": "s", "write_s": "s"},
         "sources": sources,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
