@@ -265,7 +265,9 @@ class NormalFormState:
     only in the partial ledger of a small divisor, whose blocks s > r are
     the not-yet-normalized blocks of the order-r Hamiltonian.  All
     polynomial data is real; index-s entries are homogeneous of degree
-    s + 2.
+    s + 2.  chi is None in a state read without its generators
+    (from_text with generators=False), whose generator and to_text
+    refuse.
     """
 
     __slots__ = ("omega", "r", "r_max", "z", "chi", "f")
@@ -324,9 +326,14 @@ class NormalFormState:
         return self.z.get(s, ActionPolynomial.zero(self.num_dof))
 
     def generator(self, s):
+        self._check_generators()
         if not 1 <= s <= self.r:
             raise OrderRangeError(f"chi index {s} outside 1..{self.r}")
         return self.chi.get(s, Polynomial.zero(self.num_dof))
+
+    def _check_generators(self):
+        if self.chi is None:
+            raise ValueError("the ledger was read without its generators")
 
     def remainder_block(self, s):
         if not 1 <= s <= self.r_max:
@@ -349,6 +356,7 @@ class NormalFormState:
     # -- serialization ---------------------------------------------------
 
     def to_text(self):
+        self._check_generators()
         number = _records.number
         lines = ["OMEGA " + " ".join(number(w) for w in self.omega)]
         for s in sorted(self.z):
@@ -366,7 +374,10 @@ class NormalFormState:
             lines)
 
     @classmethod
-    def from_text(cls, text, path=None):
+    def from_text(cls, text, path=None, generators=True):
+        """The state a ledger's text holds.  With generators=False the CHI
+        sections are checked by their headers alone: their term lines are
+        never converted, and the state's chi is None."""
         reader = _records.RecordReader(
             text, "NFSTATE", {"n": int, "r": int, "rmax": int}, path=path)
         n, r, r_max = (reader.header[key] for key in ("n", "r", "rmax"))
@@ -416,7 +427,8 @@ class NormalFormState:
 
         # each line is classified by its first token: the OMEGA line, a
         # section header, or else a term line of the open section, which
-        # goes to target, the (lines, line numbers) of that section
+        # goes to target, the (lines, line numbers) of that section, or
+        # nowhere when target is False (a CHI section not read)
         heads = [i for i, line in enumerate(lines) if line[0] in "OZCF"
                  and line.split(None, 1)[0] in ("OMEGA", "Z", "CHI", "F")]
         target = None
@@ -426,8 +438,9 @@ class NormalFormState:
                     if target is None:
                         reader.lineno = linenos[lo + 1]
                         raise reader.error("term line outside any section")
-                    target[0].extend(lines[lo + 1:at])
-                    target[1].extend(linenos[lo + 1:at])
+                    if target:
+                        target[0].extend(lines[lo + 1:at])
+                        target[1].extend(linenos[lo + 1:at])
                 if at == len(lines):
                     break
                 tokens = lines[at].split()
@@ -458,6 +471,8 @@ class NormalFormState:
                 if tokens[0] == "Z":
                     zsection = (s, [], array("l"))
                     target = zsection[1:]
+                elif tokens[0] == "CHI" and not generators:
+                    target = False
                 else:
                     sections.append((tokens[0], s))
                     starts.append(len(body))
@@ -480,7 +495,10 @@ class NormalFormState:
                 (chi if label == "CHI" else f)[s] = Polynomial._raw(n, block)
         if omega is None:
             raise FormatError("missing OMEGA line", path=path)
-        return cls(omega, r, r_max, z=z, chi=chi, f=f)
+        state = cls(omega, r, r_max, z=z, chi=chi, f=f)
+        if not generators:
+            object.__setattr__(state, "chi", None)
+        return state
 
 
 # -- construction -------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import math
 import sys
 from pathlib import Path
@@ -46,15 +47,16 @@ _EXIT_CODES = (
 )
 
 
-def _sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _read(path):
+    """The text of the file at path and (path, sha256 of its bytes), for
+    _provenance, from one read: the bytes are decoded as open() decodes a
+    text file, in the locale encoding with universal newlines."""
+    data = Path(path).read_bytes()
     try:
-        return Path(path).read_text()
+        text = io.TextIOWrapper(io.BytesIO(data)).read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"not a text file: {exc}", path=path) from None
+    return text, (path, hashlib.sha256(data).hexdigest())
 
 
 def _value_text(v):
@@ -66,12 +68,13 @@ def _value_text(v):
 
 
 def _provenance(command, config, inputs):
-    """Comment header lines: resolved config plus input digests."""
+    """Comment header lines: resolved config plus the (path, digest) of
+    each input, as _read gives them."""
     lines = [f"# bnfstab {command} (version {__version__})"]
     cfg = " ".join(f"{k}={_value_text(v)}" for k, v in config)
     lines.append(f"# config: {cfg}")
-    for path in inputs:
-        lines.append(f"# input: {path} sha256:{_sha256(path)}")
+    for path, digest in inputs:
+        lines.append(f"# input: {path} sha256:{digest}")
     return "\n".join(lines) + "\n"
 
 
@@ -118,11 +121,12 @@ def _parse_grid(arg):
 
 
 def _resolve_radii(args):
+    """The radii and the inputs they were read from."""
     if args.radii is not None:
-        return _parse_radii(args.radii), None
-    state = celestial.PoincareState.from_text(
-        _read(args.radii_from), path=args.radii_from)
-    return celestial.secular_radii(state), args.radii_from
+        return _parse_radii(args.radii), []
+    text, source = _read(args.radii_from)
+    state = celestial.PoincareState.from_text(text, path=args.radii_from)
+    return celestial.secular_radii(state), [source]
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -132,12 +136,13 @@ def cmd_poincare(args):
         path = str(celestial.fixture_path(args.fixture))
     else:
         path = args.input
-    bodies, m0 = celestial.parse_elements(_read(path), path=path)
+    text, source = _read(path)
+    bodies, m0 = celestial.parse_elements(text, path=path)
     state = celestial.poincare_variables(bodies, m0)
     config = [("input", path), ("out", args.out or "-")]
     if args.fixture is not None:
         config.insert(0, ("fixture", args.fixture))
-    header = _provenance("poincare", config, [path])
+    header = _provenance("poincare", config, [source])
     _emit(header + state.to_text(), args.out)
     return EXIT_OK
 
@@ -145,14 +150,15 @@ def cmd_poincare(args):
 def cmd_bnf(args):
     if args.tol is not None:
         finite_floats([args.tol], "--tol")
-    series = GradedSeries.from_text(_read(args.input), path=args.input)
+    text, source = _read(args.input)
+    series = GradedSeries.from_text(text, path=args.input)
     omega, smap = spectrum.diagonalize_quadratic(series.component(2))
     birkhoff._check_r_max(args.order)  # before the costly divisor scan
     k_max = args.order + 2
     config = [("input", args.input), ("order", args.order),
               ("tol", "auto" if args.tol is None else args.tol),
               ("kmax", k_max), ("out", args.out)]
-    header = _provenance("bnf", config, [args.input])
+    header = _provenance("bnf", config, [source])
     cert_path = args.out + ".cert"
 
     try:
@@ -181,16 +187,21 @@ def cmd_bnf(args):
 
 
 def _load_state(path):
-    return birkhoff.NormalFormState.from_text(_read(path), path=path)
+    """The ledger at path, read without its generators, which no estimate
+    uses (their sections are checked by header only), and its (path,
+    digest) for _provenance."""
+    text, source = _read(path)
+    return (birkhoff.NormalFormState.from_text(text, path=path,
+                                               generators=False), source)
 
 
 def cmd_estimate(args):
     finite_floats([args.rho0], "--rho0")
     finite_floats([args.c_const], "--c-const")
-    state = _load_state(args.input)
-    radii, radii_src = _resolve_radii(args)
+    state, source = _load_state(args.input)
+    radii, sources = _resolve_radii(args)
     result = stability.sweep(state, (args.rho0,), radii, c_const=args.c_const)
-    inputs = [args.input] + ([radii_src] if radii_src else [])
+    inputs = [source, *sources]
     config = [("input", args.input), ("rho0", args.rho0),
               ("c_const", args.c_const), ("radii", radii),
               ("out", args.out or "-")]
@@ -213,12 +224,12 @@ def cmd_estimate(args):
 
 def cmd_sweep(args):
     finite_floats([args.c_const], "--c-const")
-    state = _load_state(args.input)
-    radii, radii_src = _resolve_radii(args)
+    state, source = _load_state(args.input)
+    radii, sources = _resolve_radii(args)
     grid = _parse_grid(args.grid)
     reports = stability.sweep(state, grid, radii, c_const=args.c_const)
     csv = stability.sweep_csv(reports, wide=args.wide)
-    inputs = [args.input] + ([radii_src] if radii_src else [])
+    inputs = [source, *sources]
     config = [("input", args.input), ("grid", args.grid),
               ("c_const", args.c_const), ("radii", radii),
               ("wide", args.wide), ("out", args.out or "-")]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from bnfstab import birkhoff, polyalg
+from bnfstab import birkhoff, polyalg, stability
 from bnfstab.birkhoff import (
     ActionPolynomial,
     NormalFormState,
@@ -347,6 +347,50 @@ def test_state_text_roundtrip():
     again = NormalFormState.from_text(text)
     assert again == state
     assert again.to_text() == text
+
+
+def _partial_state():
+    # the partial ledger of test_small_divisor_carries_partial_state
+    h2 = (mono(2, (2, 0), (0, 0), 0.5) + mono(2, (0, 0), (2, 0), 0.5)
+          + mono(2, (0, 2), (0, 0), 0.5) + mono(2, (0, 0), (0, 2), 0.5))
+    h = GradedSeries.from_polynomial(
+        h2 + mono(2, (3, 0), (0, 0)) + mono(2, (2, 2), (0, 0)), d_max=6)
+    with pytest.raises(SmallDivisorError) as info:
+        birkhoff_normal_form(h, (1.0, 1.0), 4)
+    return info.value.state
+
+
+@pytest.mark.parametrize("build", [
+    lambda: birkhoff_normal_form(
+        random_series(np.random.default_rng(21), 2, TWO_DOF_OMEGA, d_max=8),
+        TWO_DOF_OMEGA, 6),
+    _partial_state,
+], ids=["full", "partial"])
+def test_ledger_read_without_generators(build):
+    text = build().to_text()
+    full = NormalFormState.from_text(text)
+    bare = NormalFormState.from_text(text, generators=False)
+    assert full.chi and full.r >= 1
+    # no generator reads as zero: the state refuses them, and is not the
+    # full one
+    for refused in (lambda: bare.generator(1), bare.to_text):
+        with pytest.raises(ValueError, match="without its generators"):
+            refused()
+    assert bare != full
+    # the rest of the ledger is the full read's, bit for bit
+    assert (bare.omega, bare.r, bare.r_max, bare.z) == (
+        full.omega, full.r, full.r_max, full.z)
+    for s in range(1, full.r_max + 1):
+        got, want = bare.remainder_block(s), full.remainder_block(s)
+        assert got.num_dof == want.num_dof
+        assert [a.tobytes() for a in got._block] == [
+            a.tobytes() for a in want._block]
+    grid, radii = (0.05, 0.1, 0.2, 0.4), (0.5, 0.25)
+    a, b = stability.sweep(full, grid, radii), stability.sweep(bare, grid,
+                                                                radii)
+    assert a.orders == b.orders
+    for name in ("T", "r_opt", "tau"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_state_text_errors():

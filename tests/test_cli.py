@@ -1,7 +1,10 @@
 """End-to-end command runs: artifacts, headers, exit codes."""
 
+import builtins
+import collections
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import sys
@@ -14,6 +17,7 @@ import oracles
 from bnfstab.birkhoff import NormalFormState
 from bnfstab.celestial import PoincareState
 from bnfstab.cli import main
+from bnfstab.errors import FormatError
 from bnfstab.polyalg import GradedSeries
 from util import (
     PERFBENCH,
@@ -157,6 +161,91 @@ def test_estimate_equals_the_wide_sweep_row(tmp_path, capsys, radii, grid):
             ["r_opt", r_opt]]
         assert fields[7:] == [[f"tau r={r}", tau]
                               for r, tau in zip(orders, taus)]
+
+
+def _dense2_r8(tmp_path):
+    """The seed-1 dense2 system of the benchmark normalized to order 8:
+    the ledger's path and its lines."""
+    ham, nf = tmp_path / "system.ham", tmp_path / "nf.txt"
+    ham.write_text(load_perfbench("systems").system_text("dense2", 1))
+    assert main(["bnf", "--input", str(ham), "--order", "8",
+                 "--out", str(nf)]) == 0
+    return nf, nf.read_text().splitlines(keepends=True)
+
+
+def _estimate_side_runs(nf, capsys):
+    """(exit code, stdout body below the # header, stderr) of a wide sweep
+    and an estimate of the ledger at nf."""
+    runs = []
+    for argv in (["sweep", "--grid", "0.05:1:8:log", "--wide"],
+                 ["estimate", "--rho0", "0.3"]):
+        code = main([*argv, "--input", str(nf), "--radii", "2,0.5"])
+        out, err = capsys.readouterr()
+        runs.append((code, [line for line in out.splitlines()
+                            if not line.startswith("#")], err))
+    return runs
+
+
+def test_estimate_side_reads_no_generator_term(tmp_path, capsys):
+    nf, lines = _dense2_r8(tmp_path)
+    capsys.readouterr()
+    intact = _estimate_side_runs(nf, capsys)
+    assert [(code, err) for code, _, err in intact] == [(0, ""), (0, "")]
+    at = lines.index("CHI s=3\n") + 2
+    *exps, _ = lines[at].split()
+    for broken in ([" ".join(exps) + " nan\n"],
+                   [" ".join(["x", *exps[1:]]) + " 1\n"],
+                   [lines[at], lines[at]]):
+        nf.write_text("".join(lines[:at] + broken + lines[at + 1:]))
+        # the full read refuses the term line; sweep and estimate never
+        # convert it
+        with pytest.raises(FormatError):
+            NormalFormState.from_text(nf.read_text())
+        assert _estimate_side_runs(nf, capsys) == intact
+
+
+@pytest.mark.parametrize("header, message", [
+    ("CHI s=1", "repeated section CHI s=1"),
+    ("CHI s=9", "CHI s=9 outside 1..8"),
+    ("CHI s", "malformed section header"),
+])
+def test_estimate_side_checks_generator_headers(tmp_path, capsys, header,
+                                                message):
+    nf, lines = _dense2_r8(tmp_path)
+    at = lines.index("CHI s=3\n") + 2
+    nf.write_text("".join(lines[:at] + [header + "\n"] + lines[at:]))
+    refusal = f"error: {nf}:{at + 1}: {message}\n"
+    with pytest.raises(FormatError) as info:
+        NormalFormState.from_text(nf.read_text(), path=str(nf))
+    assert f"error: {info.value}\n" == refusal
+    capsys.readouterr()
+    assert _estimate_side_runs(nf, capsys) == [(2, [], refusal)] * 2
+
+
+def test_each_input_is_read_once(tmp_path, monkeypatch):
+    # the digest in the # input: header hashes the bytes that were parsed
+    nf, _ = _dense2_r8(tmp_path)
+    pstate = tmp_path / "poincare.txt"
+    assert main(["poincare", "--fixture", "sjs-jd2451220.5",
+                 "--out", str(pstate)]) == 0
+    reads = collections.Counter()
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int) and "r" in mode:
+            reads[Path(file).resolve()] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["sweep", "--input", str(nf), "--radii-from", str(pstate),
+                 "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert reads[nf.resolve()] == reads[pstate.resolve()] == 1
+    monkeypatch.undo()
+    header = (tmp_path / "sweep.csv").read_text().splitlines()[:4]
+    for path in (nf, pstate):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert f"# input: {path} sha256:{digest}" in header
 
 
 def test_sweep_with_radii_from_poincare_state(tmp_path, capsys):

@@ -29,8 +29,10 @@ An interpreter times, once each:
   for its quadratic part, as `bnf` does;
 - the read side, as the median of READ_REPEATS calls each:
   `NormalFormState.from_text` of the dense2-r14 and dense3-r10 ledgers
-  that `bnf` wrote (read_ledger_s), with the tracemalloc peak of one
-  more, untimed read of dense3-r10 (read_peak_mib); on dense2-r14, the
+  that `bnf` wrote (read_ledger_s), and `cli._load_state` of each from
+  its file, the read `sweep` and `estimate` make (load_state_s), with
+  the tracemalloc peak of one more, untimed read of dense3-r10 by
+  `from_text` (read_peak_mib); on dense2-r14, the
   drift bounds of every order at the Sun-Jupiter-Saturn radii of the
   packaged fixture, by the one call `stability.sweep` makes
   (`_per_order_bounds`, drift_bounds_s), and `stability.sweep` over the
@@ -140,22 +142,32 @@ def measure(src):
 
 
 def read_side(ledgers, birkhoff, celestial, cli, stability):
-    """Medians of READ_REPEATS timed reads of each ledger, the tracemalloc
-    peak of one read of PEAK_LEDGER, and, on the first ledger, medians of
+    """Medians of READ_REPEATS timed reads of each ledger, from its text and
+    from its file as the commands read it, the tracemalloc peak of one
+    read of PEAK_LEDGER, and, on the first ledger, medians of
     the drift bounds of its every order, of the sweep over SWEEP_GRID
     with those bounds given, and of the estimate command."""
     bodies, m0 = celestial.load_fixture(FIXTURE)
     pstate = celestial.poincare_variables(bodies, m0)
     radii = celestial.secular_radii(pstate)
     name = READ_LEDGERS[0]
-    out = {"read_ledger_s": {}, "read_peak_mib": {}}
-    for ledger, text in ledgers.items():
-        runs = []
-        for _ in range(READ_REPEATS):
-            start = time.perf_counter()
-            birkhoff.NormalFormState.from_text(text)
-            runs.append(time.perf_counter() - start)
-        out["read_ledger_s"][ledger] = statistics.median(runs)
+    out = {"read_ledger_s": {}, "load_state_s": {}, "read_peak_mib": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for ledger, text in ledgers.items():
+            path = Path(tmp) / f"{ledger}.nf"
+            path.write_text(text)
+            calls = {
+                "read_ledger_s": lambda: birkhoff.NormalFormState.from_text(
+                    text),
+                "load_state_s": lambda: cli._load_state(str(path)),
+            }
+            for metric, call in calls.items():
+                runs = []
+                for _ in range(READ_REPEATS):
+                    start = time.perf_counter()
+                    call()
+                    runs.append(time.perf_counter() - start)
+                out[metric][ledger] = statistics.median(runs)
     tracemalloc.start()
     birkhoff.NormalFormState.from_text(ledgers[PEAK_LEDGER])
     out["read_peak_mib"][PEAK_LEDGER] = (tracemalloc.get_traced_memory()[1]
@@ -263,7 +275,8 @@ def main():
         "read_repeats": READ_REPEATS,
         "units": {"bnf_s": "s", "bracket_s": "s", "bracket_peak_mib": "MiB",
                   "pushforward_s": "s",
-                  "read_ledger_s": "s", "read_peak_mib": "MiB",
+                  "read_ledger_s": "s", "load_state_s": "s",
+                  "read_peak_mib": "MiB",
                   "drift_bounds_s": "s",
                   "sweep_grid_s": "s", "estimate_s": "s", "write_s": "s"},
         "sources": sources,
