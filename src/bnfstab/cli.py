@@ -12,9 +12,9 @@ Every output begins with comment headers recording the resolved run
 configuration and a digest of each input, and contains nothing
 nondeterministic: identical invocations produce byte-identical files.
 
-Exit codes: 0 success, 2 malformed input or arguments, 3 resonance or
-small-divisor failure (partial artifacts are still written), 4 domain
-errors (non-elliptic input, degenerate radii, bad ranges, ...).
+Exit codes: 0 success, 2 malformed input or arguments, 3 resonance (the
+failed nonresonance certificate is still written, the ledger is not), 4
+domain errors (non-elliptic input, degenerate radii, bad ranges, ...).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 from . import __version__
 from . import birkhoff, celestial, spectrum, stability
 from ._records import finite_floats, number
-from .errors import Error, FormatError, ResonanceError, SmallDivisorError
+from .errors import Error, FormatError, ResonanceError
 from .polyalg import GradedSeries
 
 __all__ = ["main"]
@@ -170,17 +170,12 @@ def cmd_bnf(args):
         return EXIT_RESONANCE
     _emit(header + cert.to_text(), cert_path)
 
+    # the certificate bounds every divisor the solve meets: the chart's
+    # k - j has |k - j|_1 <= k_max, and the same sum, up to sign, is
+    # scanned under the same tol, so no SmallDivisorError follows
     diagonal = smap.pushforward(series.truncate(args.order + 2))
-    try:
-        state = birkhoff.birkhoff_normal_form(
-            diagonal, omega, args.order, tol=args.tol)
-    except SmallDivisorError as exc:
-        if exc.state is not None:
-            _emit(header + exc.state.to_text(), args.out)
-            print(f"wrote partial ledger {args.out} (normalized to "
-                  f"r={exc.state.r})", file=sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESONANCE
+    state = birkhoff.birkhoff_normal_form(diagonal, omega, args.order,
+                                          tol=args.tol)
     _emit(header + state.to_text(), args.out)
     print(f"wrote {args.out} (r={state.r}) and {cert_path}")
     return EXIT_OK

@@ -239,52 +239,25 @@ def _tolerance(omega, tol):
     return tol
 
 
-_SCAN_ROWS = 1 << 14   # lattice vectors scanned at once: bounds the temporaries
-
-
-@lru_cache(maxsize=256)
-def _pair_shell(norm):
-    """Every (a, b) with |a| + |b| == norm in lexicographic order, as a
-    read-only int matrix."""
-    a = np.repeat(np.arange(-norm, norm + 1), 2)
-    b = np.tile([-1, 1], 2 * norm + 1) * (norm - np.abs(a))
-    # a row with b == 0 comes once
-    once = (b != 0) | (np.arange(len(a)) % 2 == 0)
-    rows = np.stack([a[once], b[once]], axis=1)
-    rows.setflags(write=False)
-    return rows
-
-
-def _shell_pieces(num_dof, norm, half):
-    """The integer vectors with |k|_1 == norm, in lexicographic order, as
-    int matrices, one for each value of all but the last two entries.
+@lru_cache(maxsize=1024)
+def _shell(num_dof, norm, half):
+    """The integer vectors k with |k|_1 == norm in lexicographic order, as
+    a read-only matrix of the narrowest signed int type that holds +-norm.
     With half, only those whose first nonzero entry is positive (one
     representative per +-k pair); norm must then be positive."""
+    dtype = np.min_scalar_type(-norm - 1)
     if num_dof == 1:
-        yield np.array([[norm]] if half else [[-norm], [norm]][:1 + (norm > 0)])
-        return
-    if num_dof == 2:
-        rows = _pair_shell(norm)
-        a, b = rows.T
-        yield rows[(a > 0) | ((a == 0) & (b > 0))] if half else rows
-        return
-    for e in range(0 if half else -norm, norm + 1):
-        for piece in _shell_pieces(num_dof - 1, norm - abs(e), half and not e):
-            lead = np.full((len(piece), 1), e, piece.dtype)
-            yield np.concatenate([lead, piece], axis=1)
-
-
-def _scan_batches(pieces):
-    """Consecutive pieces joined into matrices of about _SCAN_ROWS rows."""
-    batch, rows = [], 0
-    for piece in pieces:
-        batch.append(piece)
-        rows += len(piece)
-        if rows >= _SCAN_ROWS:
-            yield np.concatenate(batch)
-            batch, rows = [], 0
-    if batch:
-        yield np.concatenate(batch)
+        rows = np.array([[norm]] if half or not norm else [[-norm], [norm]],
+                        dtype)
+    else:
+        leads = range(0 if half else -norm, norm + 1)
+        tails = [_shell(num_dof - 1, norm - abs(e), half and not e)
+                 for e in leads]
+        rows = np.empty((sum(map(len, tails)), num_dof), dtype)
+        rows[:, 0] = np.repeat(leads, [len(t) for t in tails])
+        rows[:, 1:] = np.concatenate(tails)
+    rows.setflags(write=False)
+    return rows
 
 
 def _shell_minima(omega, k_max):
@@ -299,18 +272,16 @@ def _shell_minima(omega, k_max):
     argmin = None
     shell_min = {}
     for K in range(1, k_max + 1):
-        best = math.inf
-        for k in _scan_batches(_shell_pieces(len(omega), K, True)):
-            acc = np.zeros(len(k))
-            for l, w in enumerate(omega):
-                acc += k[:, l] * w
-            d = np.abs(acc)
-            i = int(d.argmin())
-            best = min(best, float(d[i]))
-            if d[i] < min_div:
-                min_div = float(d[i])
-                argmin = tuple(k[i].tolist())
-        shell_min[K] = best
+        k = _shell(len(omega), K, True)
+        acc = np.zeros(len(k))
+        for l, w in enumerate(omega):
+            acc += k[:, l] * w
+        d = np.abs(acc)
+        i = int(d.argmin())
+        shell_min[K] = float(d[i])
+        if d[i] < min_div:
+            min_div = float(d[i])
+            argmin = tuple(k[i].tolist())
     return min_div, argmin, shell_min
 
 

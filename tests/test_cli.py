@@ -14,10 +14,11 @@ from pathlib import Path
 import pytest
 
 import oracles
-from bnfstab.birkhoff import NormalFormState
+from bnfstab import spectrum
+from bnfstab.birkhoff import NormalFormState, birkhoff_normal_form
 from bnfstab.celestial import PoincareState
 from bnfstab.cli import main
-from bnfstab.errors import FormatError
+from bnfstab.errors import FormatError, SmallDivisorError
 from bnfstab.polyalg import GradedSeries
 from util import (
     PERFBENCH,
@@ -450,6 +451,40 @@ def test_exit_code_on_resonance(tmp_path, capsys):
                  "--out", str(out0)]) == 4
     assert not (tmp_path / "nf0.txt.cert").exists()
     assert not out0.exists()
+
+
+@pytest.mark.parametrize("system, order, divisor, k", [
+    ("dense2", 8, 0.17157287525381015, (2, -3)),
+    ("dense3", 5, 0.046488264412653635, (3, -3, -1)),
+])
+def test_certificate_and_normalizer_agree_at_the_tolerance(
+        tmp_path, capsys, system, order, divisor, k):
+    # bnf has no small-divisor branch after the certificate: at a tol of
+    # the smallest divisor both pass, and one float above it the
+    # certificate refuses the run before the solve would
+    ham = tmp_path / "system.ham"
+    ham.write_text(load_perfbench("systems").system_text(system, 1))
+    above = math.nextafter(divisor, math.inf)
+    for tol, code in ((divisor, 0), (above, 3)):
+        out = tmp_path / f"nf-{code}.txt"
+        assert main(["bnf", "--input", str(ham), "--order", str(order),
+                     "--tol", repr(tol), "--out", str(out)]) == code
+        cert = oracles.read_certificate(
+            (tmp_path / f"nf-{code}.txt.cert").read_text())
+        assert cert["min_divisor"] == divisor
+        assert cert["argmin_k"] == k
+        assert cert["certified"] == (code == 0)
+        assert out.exists() == (code == 0)
+    capsys.readouterr()
+    # the normalizer alone, at the tol the certificate refused, stops at
+    # the same vector with the same divisor, up to its sign
+    series = GradedSeries.from_text(ham.read_text())
+    omega, smap = spectrum.diagonalize_quadratic(series.component(2))
+    diagonal = smap.pushforward(series.truncate(order + 2))
+    with pytest.raises(SmallDivisorError) as info:
+        birkhoff_normal_form(diagonal, omega, order, tol=above)
+    assert info.value.k == k
+    assert abs(info.value.divisor) == divisor
 
 
 def test_exit_code_on_domain_errors(tmp_path, capsys):

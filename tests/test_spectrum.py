@@ -292,6 +292,42 @@ def test_certificate_matches_the_vector_by_vector_scan(n, monkeypatch):
         assert got == want
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cached_shells_serve_every_frequency_and_order(n, monkeypatch):
+    # one process, a cold cache, then several frequency vectors of one
+    # dimension at a growing k_max: every scan reads shells that earlier
+    # scans built, and each certificate is the vector-by-vector one
+    spectrum._shell.cache_clear()
+    rng = np.random.default_rng(600 + n)
+    omegas = [tuple(rng.uniform(-3.0, 3.0, size=n)) for _ in range(3)]
+    for k_max in {1: (2, 9, 30), 2: (3, 8, 16), 3: (2, 5, 10),
+                  4: (2, 4, 7)}[n]:
+        for omega in omegas + [tuple(float(t + 1) for t in range(n))]:
+            got = _certificate_text(omega, k_max)
+            with monkeypatch.context() as patch:
+                patch.setattr(spectrum, "_shell_minima",
+                              oracles.shell_minima)
+                want = _certificate_text(omega, k_max)
+            assert got == want
+    assert spectrum._shell.cache_info().hits > 0
+    shell = spectrum._shell(n, 3, True)
+    with pytest.raises(ValueError):
+        shell[0, 0] = 0
+
+
+@pytest.mark.parametrize("n, norm", [(1, 300), (2, 127), (2, 128),
+                                     (2, 200)])
+def test_shell_rows_hold_their_norm(n, norm):
+    # a norm past the int8 range widens the rows instead of wrapping
+    # them: the shell is the half lattice, entry for entry
+    half = spectrum._shell(n, norm, True)
+    assert half.tolist() == [list(k) for k in oracles.half_lattice(n, norm)]
+    full = spectrum._shell(n, norm, False)
+    assert full.min() == -norm and full.max() == norm
+    assert (np.abs(full.astype(np.int64)).sum(axis=1) == norm).all()
+    assert len(full) == 2 * len(half)
+
+
 def test_check_nonresonance_refuses_non_finite_frequencies():
     for omega in ((1.0, math.nan), (math.inf, 1.0)):
         with pytest.raises(ValueError, match="finite"):

@@ -45,8 +45,13 @@ An interpreter times, once each:
   every CHI and F entry of the ledger (complexify_s), and `polyalg.realify`
   of each of those blocks changed into the chart by `polyalg.complexify`
   once beforehand (realify_s),
-  `NormalFormState.to_text` (to_text_s), and `spectrum.check_nonresonance`
-  of NONRES_OMEGA, 4 DOF, at k_max NONRES_K_MAX (nonresonance_s).
+  and `NormalFormState.to_text` (to_text_s);
+- `spectrum.check_nonresonance` at the frequencies `diagonalize_quadratic`
+  finds for each fixed system, at the k_max = order + 2 its `bnf` scans,
+  and at DENSE4_OMEGA with k_max 20 (dense4-k20): cold, once each before
+  any `bnf` runs in the interpreter, with every cache of `spectrum`
+  cleared before each call (nonresonance_cold_s), and warm, as the median
+  of READ_REPEATS calls after the `bnf` runs (nonresonance_warm_s).
 
 The output holds every run and the median per input and tree.
 """
@@ -74,14 +79,14 @@ PEAK_LEDGER = "dense3-r10"
 WRITE_LEDGER = "dense3-r10"
 SWEEP_GRID = "0.3:3.0:1024:log"
 ESTIMATE_RHO0 = "0.5"
-NONRES_OMEGA = (1.0, 2.0 ** 0.5, 3.0 ** 0.5, 5.0 ** 0.5)
-NONRES_K_MAX = 14
 FIXTURE = "sjs-jd2451220.5"
 DENSE4_OMEGA = (1.0, 2.0 ** 0.5, 3.0 ** 0.5, 5.0 ** 0.5)
 # (name, system, bnf --order); dense4 is built here, the rest by
 # perfbench/systems.py
 SYSTEMS = (("even2-r18", "even2", 18), ("dense2-r14", "dense2", 14),
            ("dense3-r10", "dense3", 10), ("dense4-r8", "dense4", 8))
+# (name, frequencies, k_max) of a divisor scan beyond the fixed systems'
+NONRES = (("dense4-k20", DENSE4_OMEGA, 20),)
 # (name, DOF, degree of f, degree of g)
 BRACKETS = (("3dof-9x9-real", 3, 9, 9), ("4dof-7x7-real", 4, 7, 7))
 
@@ -107,13 +112,20 @@ def measure(src):
 
     out = {"bnf_s": {}, "bracket_s": {}, "bracket_peak_mib": {},
            "pushforward_s": {}}
+    texts = {name: system_text(system) for name, system, _ in SYSTEMS}
+    series = {name: polyalg.GradedSeries.from_text(text)
+              for name, text in texts.items()}
+    diagonal = {name: spectrum.diagonalize_quadratic(s.component(2))
+                for name, s in series.items()}
+    scans = [(name, diagonal[name][0], order + 2)
+             for name, _, order in SYSTEMS] + list(NONRES)
+    out["nonresonance_cold_s"] = divisor_scans(scans, spectrum, cold=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, system, order in SYSTEMS:
             ham = Path(tmp) / f"{name}.ham"
-            ham.write_text(system_text(system))
-            series = polyalg.GradedSeries.from_text(ham.read_text())
-            _, smap = spectrum.diagonalize_quadratic(series.component(2))
-            truncated = series.truncate(order + 2)
+            ham.write_text(texts[name])
+            smap = diagonal[name][1]
+            truncated = series[name].truncate(order + 2)
             start = time.perf_counter()
             smap.pushforward(truncated)
             out["pushforward_s"][name] = time.perf_counter() - start
@@ -127,7 +139,8 @@ def measure(src):
                    for name in READ_LEDGERS}
         written = (Path(tmp) / f"{WRITE_LEDGER}.nf").read_text()
     out.update(read_side(ledgers, birkhoff, celestial, cli, stability))
-    out["write_s"] = write_side(written, birkhoff, polyalg, spectrum)
+    out["write_s"] = write_side(written, birkhoff, polyalg)
+    out["nonresonance_warm_s"] = divisor_scans(scans, spectrum, cold=False)
     rng = np.random.default_rng(1)
     for name, n, p, q in BRACKETS:
         f, g = full_block(rng, n, p), full_block(rng, n, q)
@@ -209,9 +222,28 @@ def read_side(ledgers, birkhoff, celestial, cli, stability):
     return out
 
 
-def write_side(ledger, birkhoff, polyalg, spectrum):
+def divisor_scans(scans, spectrum, cold):
+    """The time of one check_nonresonance call of each (name, omega, k_max)
+    of scans with every cache of spectrum cleared before it, when cold, or
+    else the median of READ_REPEATS calls."""
+    out = {}
+    for name, omega, k_max in scans:
+        runs = []
+        for _ in range(1 if cold else READ_REPEATS):
+            if cold:
+                for f in vars(spectrum).values():
+                    if hasattr(f, "cache_clear"):
+                        f.cache_clear()
+            start = time.perf_counter()
+            spectrum.check_nonresonance(omega, k_max)
+            runs.append(time.perf_counter() - start)
+        out[name] = statistics.median(runs)
+    return out
+
+
+def write_side(ledger, birkhoff, polyalg):
     """Medians of READ_REPEATS timed complexify and realify passes over the
-    ledger's blocks, writes of the ledger, and 4-DOF divisor scans."""
+    ledger's blocks and writes of the ledger."""
     state = birkhoff.NormalFormState.from_text(ledger)
     real = [p._block
             for p in list(state.chi.values()) + list(state.f.values())]
@@ -220,8 +252,6 @@ def write_side(ledger, birkhoff, polyalg, spectrum):
         "complexify_s": lambda: [polyalg.complexify(b) for b in real],
         "realify_s": lambda: [polyalg.realify(b) for b in blocks],
         "to_text_s": state.to_text,
-        "nonresonance_s": lambda: spectrum.check_nonresonance(
-            NONRES_OMEGA, NONRES_K_MAX),
     }
     runs = {name: [] for name in calls}
     for _ in range(READ_REPEATS):
@@ -278,7 +308,8 @@ def main():
                   "read_ledger_s": "s", "load_state_s": "s",
                   "read_peak_mib": "MiB",
                   "drift_bounds_s": "s",
-                  "sweep_grid_s": "s", "estimate_s": "s", "write_s": "s"},
+                  "sweep_grid_s": "s", "estimate_s": "s", "write_s": "s",
+                  "nonresonance_cold_s": "s", "nonresonance_warm_s": "s"},
         "sources": sources,
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

@@ -1,0 +1,195 @@
+"""Run a fixed matrix of bnfstab commands on several source trees and compare
+what they print and write, byte for byte.
+
+    python3 tools/compare_outputs.py --src parent=../parent/src --src change=src
+
+Each --src LABEL=DIR names a bnfstab source tree (the directory holding
+the `bnfstab` package).  Each tree in turn is copied to the same
+temporary path and runs the whole matrix in one fresh interpreter,
+`cli.main` in process, in an empty working directory at the same path,
+so that the paths the outputs record (the provenance headers, the
+fixture path of `poincare --fixture`) are the same for every tree.  The
+matrix:
+
+- `poincare --fixture sjs-jd2451220.5`, the state the `--radii-from` runs read;
+- `bnf` on generator seeds 1 and 2 of even2 at order 18, dense2 at order 14
+  and dense3 at order 7, as perfbench/systems.py writes them, and on the
+  exactly resonant 2-DOF system of tests/test_cli.py's
+  test_exit_code_on_resonance at order 4 (exit 3, a certificate and no
+  ledger);
+- on each ledger: `sweep` on the default grid at radii 1, the same with
+  `--wide`, and `--wide` on a lin grid;
+- on each 2-DOF ledger also: `sweep --radii-from` the state on a 1 024-point
+  grid, and `estimate` at two values of rho0, each with `--radii` and with
+  `--radii-from`.
+
+The first tree is the reference.  For every command the exit code, stdout
+and stderr, and after the matrix every file of the working directory, are
+compared with the reference's.  Every difference is printed, and the exit
+status is 1 if there is any.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, system, generator seed, bnf --order)
+LEDGERS = tuple((f"{system}-s{seed}", system, seed, order)
+                for system, order in (("even2", 18), ("dense2", 14),
+                                      ("dense3", 7))
+                for seed in (1, 2))
+DOF = {"even2": 2, "dense2": 2, "dense3": 3}
+# the oscillator of omega = (1, 1) plus 0.1 x1^2 x2^2: every divisor of
+# k = (1, -1) is exactly zero
+RESONANT = {((2, 0), (0, 0)): 0.5, ((0, 0), (2, 0)): 0.5,
+            ((0, 2), (0, 0)): 0.5, ((0, 0), (0, 2)): 0.5,
+            ((2, 2), (0, 0)): 0.1}
+STATE = "state.txt"
+RHO0 = ("0.5", "1.5")
+
+
+def inputs():
+    """{file name: text} of the HAM files the matrix reads."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import systems
+    files = {f"{name}.ham": systems.system_text(system, seed)
+             for name, system, seed, _ in LEDGERS}
+    files["resonant.ham"] = systems.ham_text(2, 6, RESONANT)
+    return files
+
+
+def matrix():
+    """The argv of every command, in the order they run."""
+    runs = [["poincare", "--fixture", "sjs-jd2451220.5", "--out", STATE]]
+    for name, _, _, order in LEDGERS:
+        runs.append(["bnf", "--input", f"{name}.ham", "--order", str(order),
+                     "--out", f"{name}.nf"])
+    runs.append(["bnf", "--input", "resonant.ham", "--order", "4",
+                 "--out", "resonant.nf"])
+    for name, system, _, _ in LEDGERS:
+        ledger = ["--input", f"{name}.nf"]
+        ones = ["--radii", ",".join(["1"] * DOF[system])]
+        runs += [["sweep", *ledger, *ones],
+                 ["sweep", *ledger, *ones, "--wide",
+                  "--out", f"{name}-wide.csv"],
+                 ["sweep", *ledger, *ones, "--wide",
+                  "--grid", "0.3:3.0:64:lin", "--out", f"{name}-lin.csv"]]
+        if DOF[system] != 2:
+            continue
+        runs.append(["sweep", *ledger, "--radii-from", STATE,
+                     "--grid", "0.3:3.0:1024:log",
+                     "--out", f"{name}-sjs.csv"])
+        for rho0 in RHO0:
+            for radii in (["--radii", "2,0.5"], ["--radii-from", STATE]):
+                runs.append(["estimate", *ledger, "--rho0", rho0, *radii])
+    return runs
+
+
+def run_matrix(src, work):
+    """[argv, exit code, stdout, stderr] of each command of the matrix, run
+    in work with the bnfstab under src, and {file name: text} of work."""
+    sys.path.insert(0, str(Path(src).resolve()))
+    from bnfstab import cli
+    results = []
+    for argv in matrix():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # what cli.main does not map to a code
+                code = f"raised {type(exc).__name__}: {exc}"
+        results.append([argv, code, out.getvalue(), err.getvalue()])
+    files = {p.name: p.read_bytes().decode("latin-1")
+             for p in sorted(Path(work).iterdir())}
+    return results, files
+
+
+def outputs(src, base, files):
+    """The commands and files of one fresh interpreter running the matrix
+    on a copy of the tree at src in base/src, in the directory base/work
+    holding only the input files."""
+    tree, work = base / "src", base / "work"
+    for old in (tree, work):
+        if old.exists():
+            shutil.rmtree(old)
+    shutil.copytree(src, tree,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    work.mkdir()
+    for name, text in files.items():
+        (work / name).write_text(text)
+    done = subprocess.run([sys.executable, __file__, "--run", str(tree)],
+                          cwd=work, check=True, capture_output=True,
+                          text=True)
+    return json.loads(done.stdout)
+
+
+def differences(want, got):
+    """Lines that name each difference between two outputs of the matrix."""
+    lines = []
+    for (argv, *a), (_, *b) in zip(want["commands"], got["commands"]):
+        for field, x, y in zip(("exit code", "stdout", "stderr"), a, b):
+            if x != y:
+                lines.append(f"{' '.join(argv)}: {field} differs:\n"
+                             f"  {x!r}\n  {y!r}")
+    for name in sorted(set(want["files"]) | set(got["files"])):
+        x, y = want["files"].get(name), got["files"].get(name)
+        if x is None or y is None:
+            lines.append(f"{name}: written by one tree only")
+        elif x != y:
+            a, b = x.splitlines(True), y.splitlines(True)
+            at = next((i for i, (p, q) in enumerate(zip(a, b)) if p != q),
+                      min(len(a), len(b)))
+            lines.append(f"{name}: contents differ from line {at + 1}:\n"
+                         f"  {a[at:at + 1]!r}\n  {b[at:at + 1]!r}")
+    return lines
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", action="append", metavar="LABEL=DIR",
+                        help="a bnfstab source tree; the first is the "
+                             "reference")
+    # the child interpreter: runs the matrix in its working directory
+    parser.add_argument("--run", metavar="DIR", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.run:
+        commands, files = run_matrix(args.run, Path.cwd())
+        print(json.dumps({"commands": commands, "files": files}))
+        return 0
+    if not args.src or len(args.src) < 2 or any("=" not in s
+                                                for s in args.src):
+        parser.error("give at least two --src LABEL=DIR")
+
+    trees = dict(spec.split("=", 1) for spec in args.src)
+    files = inputs()
+    with tempfile.TemporaryDirectory() as base:
+        results = {label: outputs(src, Path(base), files)
+                   for label, src in trees.items()}
+    (ref, want), *rest = results.items()
+    status = 0
+    for label, got in rest:
+        lines = differences(want, got)
+        counts = (f"{len(got['commands'])} commands, "
+                  f"{len(got['files'])} files")
+        if lines:
+            status = 1
+            print(f"{label} against {ref}: {len(lines)} differences "
+                  f"({counts})")
+            print("\n".join(lines))
+        else:
+            print(f"{label} against {ref}: identical ({counts})")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
