@@ -27,7 +27,9 @@ The construction runs once, from order 1 up to r_max, and keeps the first
 unnormalized block of every order: remainder_block(s) is the block of index
 s exactly as it stood when order s was about to be normalized.  Stability
 estimation at order r consumes remainder_block(r+1).  A ledger stops short
-of r_max only when a small divisor ended the run (a partial ledger).
+of r_max only when a small divisor ended the run (a partial ledger).  Its
+text has one section for every index its header implies, in a fixed order
+and empty for a zero block, so a lost section is refused, not read as zero.
 """
 
 from __future__ import annotations
@@ -265,9 +267,10 @@ class NormalFormState:
     only in the partial ledger of a small divisor, whose blocks s > r are
     the not-yet-normalized blocks of the order-r Hamiltonian.  All
     polynomial data is real; index-s entries are homogeneous of degree
-    s + 2.  chi is None in a state read without its generators
-    (from_text with generators=False), whose generator and to_text
-    refuse.
+    s + 2.  The text (to_text, from_text) holds the sections Z and CHI
+    s = 1..r and F s = 1..r_max, each one present.  chi is None in a state
+    read without its generators (from_text with generators=False), whose
+    generator and to_text refuse.
     """
 
     __slots__ = ("omega", "r", "r_max", "z", "chi", "f")
@@ -359,25 +362,30 @@ class NormalFormState:
         self._check_generators()
         number = _records.number
         lines = ["OMEGA " + " ".join(number(w) for w in self.omega)]
-        for s in sorted(self.z):
+        for s in range(1, self.r + 1):
             lines.append(f"Z s={s}")
-            for p, c in self.z[s].terms():
+            for p, c in self.z_action(s).terms():
                 lines.append(" ".join([str(e) for e in p] + [number(c)]))
-        for s in sorted(self.chi):
-            lines.append(f"CHI s={s}")
-            lines.extend(poly._term_lines(self.chi[s]))
-        for s in sorted(self.f):
-            lines.append(f"F s={s}")
-            lines.extend(poly._term_lines(self.f[s]))
+        for label, block, top in (("CHI", self.generator, self.r),
+                                  ("F", self.remainder_block, self.r_max)):
+            for s in range(1, top + 1):
+                lines.append(f"{label} s={s}")
+                lines.extend(poly._term_lines(block(s)))
         return _records.record(
             "NFSTATE", {"n": self.num_dof, "r": self.r, "rmax": self.r_max},
             lines)
 
     @classmethod
     def from_text(cls, text, path=None, generators=True):
-        """The state a ledger's text holds.  With generators=False the CHI
-        sections are checked by their headers alone: their term lines are
-        never converted, and the state's chi is None."""
+        """The state a ledger's text holds.  The header (n, r, rmax) fixes
+        the body: the OMEGA line, then sections Z s=1..r, CHI s=1..r and
+        F s=1..rmax in that order, each a header line and its term lines,
+        empty for a zero block.  The body is read in file order up to its
+        first line out of place, and the first fault is raised: a term
+        line's, else `expected F s=3, got 'F s=4'`, else a fault at END,
+        else `missing F s=13`.  With generators=False the CHI sections are
+        checked by their headers alone: their term lines are never
+        converted, and the state's chi is None."""
         reader = _records.RecordReader(
             text, "NFSTATE", {"n": int, "r": int, "rmax": int}, path=path)
         n, r, r_max = (reader.header[key] for key in ("n", "r", "rmax"))
@@ -389,24 +397,36 @@ class NormalFormState:
         if not 0 <= r <= r_max <= poly._MAX_EXP - 2:
             raise reader.error(f"need 0 <= r <= rmax <= {poly._MAX_EXP - 2}")
         lines, linenos = reader.lines, reader.linenos
-        omega = None
+        layout = [(label, s) for label, top in (("Z", r), ("CHI", r),
+                                                ("F", r_max))
+                  for s in range(1, top + 1)]
+        expected = ["OMEGA", *(f"{label} s={s}" for label, s in layout)]
+        # the first line, which must be OMEGA, and every section header
+        heads = [i for i, line in enumerate(lines)
+                 if not i or line[0] in "OZCF"
+                 and line.split(None, 1)[0] in ("OMEGA", "Z", "CHI", "F")]
+        good = 0  # the header lines in place, first to last
+        for at, want in zip(heads, expected):
+            tokens = lines[at].split()
+            if (" ".join(tokens) if good else tokens[0]) != want:
+                break
+            good += 1
+        # the body is read up to its first line out of place
+        stop = heads[good] if good < len(heads) else len(lines)
+        bounds = [*heads[:good], stop]
+        if good:
+            reader.lineno = linenos[0]
+            omega = tuple(reader.finite(lines[0].split()[1:], "OMEGA line"))
+            if len(omega) != n:
+                raise reader.error("OMEGA length disagrees with n")
+            if bounds[1] > 1:
+                reader.lineno = linenos[1]
+                raise reader.error("term line outside any section")
         z = {}
-        seen = set()
-        # the CHI and F sections, (label, s) each, and their term lines,
-        # read in one batch once the scan ends: the lines, their numbers,
-        # and where each section's lines start
-        sections, body, numbers, starts = [], [], array("l"), []
-        # (s, lines, line numbers) of the open Z section, read line by line
-        # on closing
-        zsection = None
-
-        def close_z():
-            nonlocal zsection
-            if zsection is None:
-                return
-            (s, zbody, zat), zsection = zsection, None
+        for s in range(1, min(r + 1, good)):
             terms = {}
-            for reader.lineno, line in zip(zat, zbody):
+            lo, hi = bounds[s] + 1, bounds[s + 1]
+            for reader.lineno, line in zip(linenos[lo:hi], lines[lo:hi]):
                 tokens = line.split()
                 if len(tokens) != n + 1:
                     raise reader.error(
@@ -424,77 +444,31 @@ class NormalFormState:
                     raise reader.error("duplicate action exponent")
                 terms[p] = c
             z[s] = ActionPolynomial(n, terms)
-
-        # each line is classified by its first token: the OMEGA line, a
-        # section header, or else a term line of the open section, which
-        # goes to target, the (lines, line numbers) of that section, or
-        # nowhere when target is False (a CHI section not read)
-        heads = [i for i, line in enumerate(lines) if line[0] in "OZCF"
-                 and line.split(None, 1)[0] in ("OMEGA", "Z", "CHI", "F")]
-        target = None
-        try:
-            for lo, at in zip([-1, *heads], [*heads, len(lines)]):
-                if lo + 1 < at:
-                    if target is None:
-                        reader.lineno = linenos[lo + 1]
-                        raise reader.error("term line outside any section")
-                    if target:
-                        target[0].extend(lines[lo + 1:at])
-                        target[1].extend(linenos[lo + 1:at])
-                if at == len(lines):
-                    break
-                tokens = lines[at].split()
-                if tokens[0] != "OMEGA":
-                    # a section header ends the open section, read first
-                    close_z()
-                    target = None
-                reader.lineno = linenos[at]
-                if tokens[0] == "OMEGA":
-                    if omega is not None:
-                        raise reader.error("repeated OMEGA line")
-                    omega = tuple(reader.finite(tokens[1:], "OMEGA line"))
-                    if len(omega) != n:
-                        raise reader.error("OMEGA length disagrees with n")
-                    continue
-                if len(tokens) != 2 or not tokens[1].startswith("s="):
-                    raise reader.error("malformed section header")
-                try:
-                    s = int(tokens[1][2:])
-                except ValueError:
-                    raise reader.error("bad section order") from None
-                if (tokens[0], s) in seen:
-                    raise reader.error(f"repeated section {tokens[0]} s={s}")
-                top = r_max if tokens[0] == "F" else r
-                if not 1 <= s <= top:
-                    raise reader.error(f"{tokens[0]} s={s} outside 1..{top}")
-                seen.add((tokens[0], s))
-                if tokens[0] == "Z":
-                    zsection = (s, [], array("l"))
-                    target = zsection[1:]
-                elif tokens[0] == "CHI" and not generators:
-                    target = False
-                else:
-                    sections.append((tokens[0], s))
-                    starts.append(len(body))
-                    target = body, numbers
-            reader.close()
-        finally:
-            # the term lines the scan passed come before any fault it met,
-            # so their faults come first: the CHI and F lines, then the
-            # open Z section, which follows them
-            blocks = poly._read_terms(
-                body, numbers, np.diff([*starts, len(body)]), n, path,
-                [(s + 2, s + 2) for _, s in sections],
-                lambda k, degree: f"term degree {degree} in section of order "
-                                  f"{sections[k][1]} (expected "
-                                  f"{sections[k][1] + 2})")
-            close_z()
+        # the CHI and F sections read, (label, s) each, and their term
+        # lines with their numbers, in one batch
+        sections, body, numbers, counts = [], [], array("l"), []
+        for k in range(r + 1, good):
+            if layout[k - 1][0] == "F" or generators:
+                lo, hi = bounds[k] + 1, bounds[k + 1]
+                sections.append(layout[k - 1])
+                body += lines[lo:hi]
+                numbers += linenos[lo:hi]
+                counts.append(hi - lo)
+        blocks = poly._read_terms(
+            body, numbers, counts, n, path,
+            [(s + 2, s + 2) for _, s in sections],
+            lambda k, d: f"term degree {d} in section of order "
+                         f"{sections[k][1]} (expected {sections[k][1] + 2})")
+        if stop < len(lines):
+            raise FormatError(
+                f"expected {[*expected, 'END'][good]}, got {lines[stop]!r}",
+                line=linenos[stop], path=path)
+        reader.close()
+        if good < len(expected):
+            raise FormatError(f"missing {expected[good]}", path=path)
         chi, f = {}, {}
         for (label, s), block in zip(sections, blocks):
-            if len(block[1]):
-                (chi if label == "CHI" else f)[s] = Polynomial._raw(n, block)
-        if omega is None:
-            raise FormatError("missing OMEGA line", path=path)
+            (chi if label == "CHI" else f)[s] = Polynomial._raw(n, block)
         state = cls(omega, r, r_max, z=z, chi=chi, f=f)
         if not generators:
             object.__setattr__(state, "chi", None)
@@ -571,8 +545,7 @@ def birkhoff_normal_form(h, omega, r_max, tol=None):
                 f"small divisor while normalizing order {s}: {exc}",
                 k=exc.k, divisor=exc.divisor, order=s,
                 state=build(s - 1)) from None
-        if z_terms:
-            z[s] = ActionPolynomial(n, z_terms)
+        z[s] = ActionPolynomial(n, z_terms)
         if chi_s is not None:
             chi[s] = chi_s
         if q is not None:

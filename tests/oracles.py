@@ -264,8 +264,9 @@ class LineReader:
     """One record read a line at a time: the header line `MAGIC k=v ...`
     on construction, converted by `keys` ({key: converter}), then the
     tokens of each body line, each line's comment stripped and blank lines
-    skipped.  With end=True the body stops at END, and a missing END or
-    content after it is a FormatError once the lines before it are read.
+    skipped; `line` is the body line read last.  With end=True the body
+    stops at END, and a missing END or content after it is a FormatError
+    once the lines before it are read.
     """
 
     def __init__(self, text, magic, keys, end=True):
@@ -297,8 +298,8 @@ class LineReader:
         return finite_floats(tokens, what, self.lineno)
 
     def __iter__(self):
-        for self.lineno, line in self._lines:
-            tokens = line.split()
+        for self.lineno, self.line in self._lines:
+            tokens = self.line.split()
             if self._end and tokens[0] == "END":
                 for self.lineno, _ in self._lines:
                     raise self.error("content after END")
@@ -432,7 +433,9 @@ def read_ham(text):
 def read_nfstate(text):
     """(omega, {(label, s): terms}) of an NFSTATE ledger, term lines read one
     at a time: CHI and F terms {(j, k): coeff}, pruned, and Z terms
-    {p: coeff} without zeros; empty sections left out."""
+    {p: coeff} without zeros; empty sections left out.  The body is the
+    OMEGA line, then the sections Z s=1..r, CHI s=1..r and F s=1..rmax in
+    that order, each header followed by its term lines."""
     reader = LineReader(
         text, "NFSTATE", {"n": int, "r": int, "rmax": int})
     n, r, r_max = (reader.header[key] for key in ("n", "r", "rmax"))
@@ -440,30 +443,24 @@ def read_nfstate(text):
         raise reader.error("n must be >= 1")
     if not 0 <= r <= r_max <= MAX_EXP - 2:
         raise reader.error(f"need 0 <= r <= rmax <= {MAX_EXP - 2}")
+    # the header lines still to come, in order
+    ahead = ["OMEGA"] + [f"{label} s={s}" for label, top
+                         in (("Z", r), ("CHI", r), ("F", r_max))
+                         for s in range(1, top + 1)]
     omega = None
     sections = {}
     label = None
     for tokens in reader:
-        if tokens[0] == "OMEGA":
-            if omega is not None:
-                raise reader.error("repeated OMEGA line")
-            omega = tuple(reader.finite(tokens[1:], "OMEGA line"))
-            if len(omega) != n:
-                raise reader.error("OMEGA length disagrees with n")
-            continue
-        if tokens[0] in ("Z", "CHI", "F"):
-            if len(tokens) != 2 or not tokens[1].startswith("s="):
-                raise reader.error("malformed section header")
-            try:
-                s = int(tokens[1][2:])
-            except ValueError:
-                raise reader.error("bad section order") from None
-            if (tokens[0], s) in sections:
-                raise reader.error(f"repeated section {tokens[0]} s={s}")
-            top = r_max if tokens[0] == "F" else r
-            if not 1 <= s <= top:
-                raise reader.error(f"{tokens[0]} s={s} outside 1..{top}")
-            label = tokens[0]
+        if omega is None or tokens[0] in ("OMEGA", "Z", "CHI", "F"):
+            want = ahead.pop(0) if ahead else "END"
+            if (tokens[0] if omega is None else " ".join(tokens)) != want:
+                raise reader.error(f"expected {want}, got {reader.line!r}")
+            if omega is None:
+                omega = tuple(reader.finite(tokens[1:], "OMEGA line"))
+                if len(omega) != n:
+                    raise reader.error("OMEGA length disagrees with n")
+                continue
+            label, s = tokens[0], int(tokens[1][2:])
             terms = sections[(label, s)] = {}
             continue
         if label is None:
@@ -488,8 +485,8 @@ def read_nfstate(text):
         if p in terms:
             raise reader.error("duplicate action exponent")
         terms[p] = c
-    if omega is None:
-        raise FormatError("missing OMEGA line")
+    if ahead:
+        raise FormatError(f"missing {ahead[0]}")
     out = {}
     for (label, s), terms in sections.items():
         if label == "Z":

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from bnfstab import birkhoff, polyalg, stability
+from bnfstab import birkhoff, polyalg, spectrum, stability
 from bnfstab.birkhoff import (
     ActionPolynomial,
     NormalFormState,
@@ -23,6 +23,7 @@ from bnfstab.polyalg import GradedSeries, Polynomial, poisson_bracket
 from util import (
     TWO_DOF_OMEGA,
     identity_residual,
+    load_perfbench,
     mono,
     normal_form,
     one_dof_series,
@@ -405,20 +406,23 @@ def test_state_text_errors():
         NormalFormState.from_text("NFSTATE n=1 r=0 rmax=2\nEND\n")  # no OMEGA
     with pytest.raises(FormatError):
         NormalFormState.from_text("NFSTATE n=0 r=0 rmax=1\nZ s=1\n1\nEND\n")
+    # every fault comes after the sections the layout puts before it:
+    # OMEGA, Z s=1..2, CHI s=1..2, F s=1..2
+    z, chi = "Z s=1\nZ s=2\n", "CHI s=1\nCHI s=2\n"
     for body, line in (("OMEGA nan\n", 2),
-                       ("OMEGA 1\nF s=1\n3 3 0 inf\n", 4),
-                       ("OMEGA 1\nZ s=2\n2 -inf\n", 4),
-                       ("OMEGA 1\nF s=1\n3 3 0 1\nF s=1\n", 5),
-                       ("OMEGA 1\nCHI s=1\nCHI s=1\n", 4),
-                       ("OMEGA 1\nZ s=2\n2 1\nF s=1\nZ s=2\n", 6),
-                       ("OMEGA 1\nZ s=2\n-1 3\n", 4),
+                       (f"OMEGA 1\n{z}{chi}F s=1\n3 3 0 inf\n", 8),
+                       ("OMEGA 1\nZ s=1\nZ s=2\n2 -inf\n", 5),
+                       (f"OMEGA 1\n{z}{chi}F s=1\n3 3 0 1\nF s=1\n", 9),
+                       (f"OMEGA 1\n{z}CHI s=1\nCHI s=1\n", 6),
+                       (f"OMEGA 1\n{z}2 1\n{chi}F s=1\nZ s=2\n", 9),
+                       ("OMEGA 1\nZ s=1\nZ s=2\n-1 3\n", 5),
                        # ledger invariants: sections inside 1..r (Z, CHI) or
                        # 1..rmax (F), even when empty; Z of degree s + 2
-                       ("OMEGA 1\nF s=9\n", 3),
-                       ("OMEGA 1\nF s=0\n3 3 0 1\n", 3),
-                       ("OMEGA 1\nCHI s=3\n", 3),
-                       ("OMEGA 1\nZ s=4\n3 1\n", 3),
-                       ("OMEGA 1\nZ s=2\n1 1\n", 4)):
+                       (f"OMEGA 1\n{z}{chi}F s=1\nF s=2\nF s=9\n", 9),
+                       (f"OMEGA 1\n{z}{chi}F s=0\n3 3 0 1\n", 7),
+                       (f"OMEGA 1\n{z}{chi}CHI s=3\n", 7),
+                       ("OMEGA 1\nZ s=1\nZ s=2\nZ s=4\n3 1\n", 5),
+                       ("OMEGA 1\nZ s=1\nZ s=2\n1 1\n", 5)):
         with pytest.raises(FormatError) as info:
             NormalFormState.from_text(f"NFSTATE n=1 r=2 rmax=2\n{body}END\n")
         assert info.value.line == line
@@ -427,6 +431,32 @@ def test_state_text_errors():
         with pytest.raises(FormatError) as info:
             NormalFormState.from_text(f"{header}\nOMEGA 1\nEND\n")
         assert info.value.line == 1
+
+
+def test_ledger_text_holds_every_section_in_order():
+    # the seed-1 even2 system at order 18, normalized as bnf does: its odd
+    # blocks are zero, so half its sections are empty
+    series = GradedSeries.from_text(
+        load_perfbench("systems").system_text("even2", 1))
+    omega, smap = spectrum.diagonalize_quadratic(series.component(2))
+    state = birkhoff_normal_form(smap.pushforward(series.truncate(20)),
+                                 omega, 18)
+    assert all(state.remainder_block(s).is_zero for s in range(1, 19, 2))
+    text = state.to_text()
+    assert NormalFormState.from_text(text) == state
+    lines = text.splitlines()
+    headers = [line for line in lines
+               if line.startswith(("Z s=", "CHI s=", "F s="))]
+    assert headers == [f"{label} s={s}" for label, top
+                       in (("Z", 18), ("CHI", 18), ("F", 18))
+                       for s in range(1, top + 1)]
+    for s in range(1, 19, 2):
+        at = lines.index(f"F s={s}")
+        assert lines[at + 1].startswith(("F s=", "END"))
+        stripped = "\n".join(lines[:at] + lines[at + 1:]) + "\n"
+        with pytest.raises(FormatError,
+                           match=f"expected F s={s}, got 'F s={s + 1}'"):
+            NormalFormState.from_text(stripped)
 
 
 def test_state_validates_grading():

@@ -205,22 +205,56 @@ def test_estimate_side_reads_no_generator_term(tmp_path, capsys):
         assert _estimate_side_runs(nf, capsys) == intact
 
 
-@pytest.mark.parametrize("header, message", [
+# a CHI header the layout refuses, and the fault it makes
+@pytest.mark.parametrize("header, fault", [
     ("CHI s=1", "repeated section CHI s=1"),
     ("CHI s=9", "CHI s=9 outside 1..8"),
     ("CHI s", "malformed section header"),
 ])
 def test_estimate_side_checks_generator_headers(tmp_path, capsys, header,
-                                                message):
+                                                fault):
     nf, lines = _dense2_r8(tmp_path)
     at = lines.index("CHI s=3\n") + 2
     nf.write_text("".join(lines[:at] + [header + "\n"] + lines[at:]))
-    refusal = f"error: {nf}:{at + 1}: {message}\n"
+    # where CHI s=4 belongs, every such header is out of place
+    refusal = f"error: {nf}:{at + 1}: expected CHI s=4, got {header!r}\n"
     with pytest.raises(FormatError) as info:
         NormalFormState.from_text(nf.read_text(), path=str(nf))
     assert f"error: {info.value}\n" == refusal
     capsys.readouterr()
     assert _estimate_side_runs(nf, capsys) == [(2, [], refusal)] * 2
+
+
+def test_a_ledger_missing_any_one_section_exits_2(tmp_path, capsys):
+    # the seed-1 dense2 system at order 6: each Z, CHI and F section in
+    # turn, empty or not, is taken out with its term lines
+    ham, nf = tmp_path / "system.ham", tmp_path / "nf.txt"
+    ham.write_text(load_perfbench("systems").system_text("dense2", 1))
+    assert main(["bnf", "--input", str(ham), "--order", "6",
+                 "--out", str(nf)]) == 0
+    lines = nf.read_text().splitlines(keepends=True)
+    heads = [i for i, line in enumerate(lines)
+             if line.startswith(("Z s=", "CHI s=", "F s="))]
+    ends = [*heads[1:], lines.index("END\n")]
+    assert len(heads) == 18
+    assert 0 < sum(end == at + 1 for at, end in zip(heads, ends)) < 18
+
+    def refused(text, header):
+        nf.write_text(text)
+        for argv in (["estimate", "--rho0", "0.2"],
+                     ["sweep", "--grid", "0.05:1:8:log"]):
+            capsys.readouterr()
+            assert main([*argv, "--input", str(nf), "--radii", "1,1"]) == 2
+            out, err = capsys.readouterr()
+            assert "inf" not in out
+            assert (f"expected {header}, got" in err
+                    or err.endswith(f": missing {header}\n")), err
+
+    for at, end in zip(heads, ends):
+        refused("".join(lines[:at] + lines[end:]), lines[at].strip())
+    # every F section gone: refused, not read as T inf
+    refused("".join(lines[:lines.index("F s=1\n")] + lines[ends[-1]:]),
+            "F s=1")
 
 
 def test_each_input_is_read_once(tmp_path, monkeypatch):
@@ -290,7 +324,7 @@ def test_repeated_or_inconsistent_lines_exit_2(tmp_path, capsys):
     first = radii.split()[1]
     for path, text, message in (
             (nf, ledger.replace(omega, omega + "\nOMEGA 5 7"),
-             "repeated OMEGA"),
+             "expected Z s=1, got 'OMEGA 5 7'"),
             (pstate, state.replace(radii, radii + "\n" + radii),
              "repeated RADII"),
             (pstate, state.replace(radii, "RADII 5 5"), "RADII disagrees"),

@@ -316,31 +316,54 @@ def ham_texts(draw):
 def nfstate_texts(draw):
     n = draw(st.integers(1, 2))
     r_max = draw(st.integers(1, 3))
-    faults = draw(st.booleans())
-    r = draw(st.integers(0, r_max)) if faults else r_max
-    orders = st.integers(1, r_max)
-    sections = draw(st.lists(
-        st.tuples(st.sampled_from(["F", "CHI", "Z"]), orders).filter(
-            lambda sec: faults or sec[0] == "F" or sec[1] <= r
-            and (sec[0] == "CHI" or sec[1] % 2 == 0)),
-        max_size=4, unique=True))
-    body = []
-    for label, s in sections:
-        headers = [f"{label} s={s}"] * 12 + faults * [
-            f"{label} s=x", label, f"{label} s={s} x", f"F s={r_max + 1}"]
-        body.append(draw(st.sampled_from(headers)))
-        lines = []
-        for _ in range(draw(st.integers(0, 5))):
-            if label == "Z":
-                p = _composition(draw, (s + 2) // 2, n)
-                lines.append(" ".join([*map(str, p),
-                                       draw(st.sampled_from(COEFFS[:8]))]))
-            else:
-                lines.append(draw(term_lines(n, s + 2, lines, faults)))
-        body += lines
-    for _ in range(draw(st.sampled_from([1] * 6 + [0, 2] * faults))):
-        body.insert(draw(st.integers(0, len(body))), "OMEGA" + " 1.5" * n)
-    tail = draw(st.sampled_from([["END"]] * 6 + [[], ["END", "F s=1"]] * faults))
+    r = draw(st.integers(0, r_max))
+    # the kinds of fault drawn into this text, none for a sound ledger
+    faults = draw(st.just(set()) | st.sets(st.sampled_from(
+        ["lines", "headers", "sections", "omega", "tail"]), min_size=1,
+        max_size=2))
+    # the sections in the order the header fixes, a header and 0-5 term
+    # lines each; an odd Z section is empty, but now and then with faults
+    chunks = []
+    for label, top in (("Z", r), ("CHI", r), ("F", r_max)):
+        for s in range(1, top + 1):
+            headers = [f"{label} s={s}"] * 12 + ("headers" in faults) * [
+                f"{label} s=x", label, f"{label} s={s} x", f"{label} s=0",
+                f"{label} s={top + 1}", f"F s={r_max + 1}"]
+            lines = [draw(st.sampled_from(headers))]
+            sizes = (st.integers(0, 5) if label != "Z" or s % 2 == 0 else
+                     st.sampled_from([0] * 3 + [1] * ("lines" in faults)))
+            for _ in range(draw(sizes)):
+                if label == "Z":
+                    p = _composition(draw, (s + 2) // 2, n)
+                    line = " ".join([*map(str, p),
+                                     draw(st.sampled_from(COEFFS[:8]))])
+                else:
+                    line = draw(term_lines(n, s + 2, lines[1:],
+                                           "lines" in faults))
+                # a repeated exponent vector only with faults
+                if "lines" in faults or all(
+                        line.rsplit(None, 1)[0] != old.rsplit(None, 1)[0]
+                        for old in lines[1:]):
+                    lines.append(line)
+            chunks.append(lines)
+    # now and then a section dropped, repeated or swapped with the next one
+    for _ in range(("sections" in faults) * draw(st.integers(1, 2))):
+        at = draw(st.integers(0, max(len(chunks) - 1, 0)))
+        change = draw(st.sampled_from(["drop", "repeat", "swap"]))
+        if change == "drop":
+            del chunks[at:at + 1]
+        elif change == "repeat":
+            chunks[at:at] = chunks[at:at + 1]
+        else:
+            chunks[at:at + 2] = chunks[at:at + 2][::-1]
+    body = [line for lines in chunks for line in lines]
+    # the OMEGA line first, or else missing, repeated or elsewhere
+    omega = "omega" in faults
+    for _ in range(draw(st.sampled_from([1] if not omega else [0, 2, 1]))):
+        at = draw(st.integers(0, len(body) if omega else 0))
+        body.insert(at, "OMEGA" + " 1.5" * n)
+    tail = draw(st.sampled_from([["END"]] + [[], ["END", "F s=1"]]
+                                * ("tail" in faults)))
     return "\n".join([f"NFSTATE n={n} r={r} rmax={r_max}", *body,
                       *tail]) + "\n"
 
@@ -399,7 +422,7 @@ def _oracle_nfstate(text):
 READERS = {"HAM": (ham_texts(), _package_ham, _oracle_ham),
            "NFSTATE": (nfstate_texts(), _package_nfstate, _oracle_nfstate)}
 HAM_HEAD = "HAM n=1 dmax=4 field=real"
-NF_HEAD = "NFSTATE n=1 r=1 rmax=2\nOMEGA 1"
+NF_HEAD = "NFSTATE n=1 r=1 rmax=2\nOMEGA 1\nZ s=1\nCHI s=1"
 # texts whose line breaks, whitespace, comments or tokens are out of the
 # ordinary, for each reader
 EDGE_TEXTS = {
@@ -418,13 +441,13 @@ EDGE_TEXTS = {
     ],
     "NFSTATE": [
         f"{NF_HEAD}\r\nF s=1\r\n3 3 0 1\r\nF s=2\r\n4 4 0 nan\r\nEND\r\n",
-        f"{NF_HEAD}\fF s=1\v3 3 0 1\u20283 1 2 2\u2029END\n",
-        f"{NF_HEAD}\nF\ts=1\n3\t3 0 1\t\nEND\n",
+        f"{NF_HEAD}\fF s=1\v3 3 0 1\u20283 1 2 2\u2029F s=2\u2029END\n",
+        f"{NF_HEAD}\nF\ts=1\n3\t3 0 1\t\nF \t s=2\nEND\n",
         f"{NF_HEAD}\nF s=1\n3 3 0 1\n# a comment\n3 0 3 2 # one more\n"
-        "END\n# after END\n",
-        f"{NF_HEAD}\n\nF s=1\n\n3 3 0 1\n\n  \nEND\n\n",
-        f"{NF_HEAD}\nCHI s=1\nF s=1\n3 3 0 1\nEND\n",
-        f"{NF_HEAD}\nF s=1\n3 3 0 1\nEND of the ledger\n",
+        "F s=2 # empty\nEND\n# after END\n",
+        f"{NF_HEAD}\n\nF s=1\n\n3 3 0 1\n\n  \nF s=2\n\nEND\n\n",
+        f"{NF_HEAD}\nF s=1\nF s=2\nEND\n",
+        f"{NF_HEAD}\nF s=1\n3 3 0 1\nF s=2\nEND of the ledger\n",
         f"{NF_HEAD}\nF s=1\n3 3 0 1\nEND of the ledger\nF s=2\n",
         f"{NF_HEAD}\nF s=1\n3 3 0 1\ninf 3 0 1\nEND\n",
         f"{NF_HEAD}\nF s=1\nnan 3 0 1\nEND\n",
@@ -453,12 +476,14 @@ def test_block_reader_matches_line_by_line_oracle(magic):
 
 
 def test_block_reader_reports_the_first_fault_of_the_file():
-    head = "NFSTATE n=1 r=1 rmax=2\nOMEGA 1\nF s=1\n3 3 0 1\n3 3 0 nan\n"
+    # every fault comes after the sections the layout puts before it
+    head = ("NFSTATE n=1 r=1 rmax=2\nOMEGA 1\nZ s=1\nCHI s=1\nF s=1\n"
+            "3 3 0 1\n3 3 0 nan\n")
     for after in ("F s=x\nEND\n", "OMEGA 2\nEND\n", "END\nF s=1\n",
                   "F s=2\n", "CHI s=2\nEND\n"):
         with pytest.raises(FormatError) as info:
             NormalFormState.from_text(head + after)
-        assert info.value.line == 5
+        assert info.value.line == 7
         assert "non-finite coefficient" in str(info.value)
         assert _outcome(_package_nfstate, head + after) == _outcome(
             _oracle_nfstate, head + after)
@@ -466,37 +491,39 @@ def test_block_reader_reports_the_first_fault_of_the_file():
     clean = head.replace("3 3 0 nan\n", "")
     with pytest.raises(FormatError) as info:
         NormalFormState.from_text(clean + "F s=x\nEND\n")
-    assert info.value.line == 5
+    assert info.value.line == 7
     # the term lines of every section convert at once; the first fault in
     # line order is still the one reported, whatever section holds it
     top = "NFSTATE n=1 r=2 rmax=3\nOMEGA 1\n"
+    z, chi = "Z s=1\nZ s=2\n", "CHI s=1\nCHI s=2\n"
     for body, line, message in (
             # faults in two sections, either one first
-            ("CHI s=1\n3 3 0 1\n3 2 1 x\nF s=2\n4 4 0 nan\n", 5,
-             "bad numeric field"),
-            ("F s=2\n4 4 0 nan\nCHI s=1\n3 2 1 x\n", 4,
+            (f"{z}CHI s=1\n3 3 0 1\n3 2 1 x\nCHI s=2\nF s=1\nF s=2\n"
+             "4 4 0 nan\n", 7, "bad numeric field"),
+            (f"{z}{chi}F s=1\nF s=2\n4 4 0 nan\nCHI s=1\n3 2 1 x\n", 9,
              "non-finite coefficient"),
-            ("CHI s=1\n3 3 0 1\nF s=2\n4 4 0 1\n4 4 0 2\nCHI s=2\n"
-             "5 5 0 1 1\n", 7, "duplicate exponent vector"),
+            (f"{z}CHI s=1\n3 3 0 1\nCHI s=2\nF s=1\nF s=2\n4 4 0 1\n"
+             "4 4 0 2\nCHI s=2\n5 5 0 1 1\n", 11,
+             "duplicate exponent vector"),
             # a bad term line before, and after, a malformed header
-            ("F s=1\n3 3 0 1\n3 0 3 nan\nF s\nCHI s=1\n3 3 0 1\n", 5,
-             "non-finite coefficient"),
-            ("F s=1\n3 3 0 1\nF s\nCHI s=1\n3 3 0 nan\n", 5,
-             "malformed section header"),
-            # a fault in a Z section, read line by line, after and before
+            (f"{z}{chi}F s=1\n3 3 0 1\n3 0 3 nan\nF s\nCHI s=1\n3 3 0 1\n",
+             9, "non-finite coefficient"),
+            (f"{z}{chi}F s=1\n3 3 0 1\nF s\nCHI s=1\n3 3 0 nan\n", 9,
+             "expected F s=2, got 'F s'"),
+            # a fault in a Z section, read line by line, before and after
             # one in a term line
-            ("F s=1\n3 3 0 1\nZ s=2\n2 2\n2 3\nF s=2\n4 9 0 1\n", 7,
-             "duplicate action exponent"),
-            ("F s=1\n3 3 0 nan\nZ s=2\n2 2\n2 3\n", 4,
+            (f"Z s=1\nZ s=2\n2 2\n2 3\n{chi}F s=1\n3 3 0 1\nF s=2\n"
+             "4 9 0 1\n", 6, "duplicate action exponent"),
+            (f"{z}{chi}F s=1\n3 3 0 nan\nZ s=2\n2 2\n2 3\n", 8,
              "non-finite coefficient"),
             # a digit only int() and float() read: the line converts on
             # the fault path, and a fault after it is still found
-            ("CHI s=1\n3 \u0663 0 1\nF s=2\n4 4 0 nan\n", 6,
-             "non-finite coefficient"),
-            ("CHI s=1\n3 3 0 1_0\nF s=2\n4 0_4 0 1\n4 4 0 1\n", 7,
-             "duplicate exponent vector"),
+            (f"{z}CHI s=1\n3 \u0663 0 1\nCHI s=2\nF s=1\nF s=2\n"
+             "4 4 0 nan\n", 10, "non-finite coefficient"),
+            (f"{z}CHI s=1\n3 3 0 1_0\nCHI s=2\nF s=1\nF s=2\n4 0_4 0 1\n"
+             "4 4 0 1\n", 11, "duplicate exponent vector"),
             # a character np.loadtxt reads as a digit where int() refuses it
-            ("F s=1\n3 \u01fe3 0 1\n", 4, "bad numeric field")):
+            (f"{z}{chi}F s=1\n3 \u01fe3 0 1\n", 8, "bad numeric field")):
         text = top + body + "END\n"
         with pytest.raises(FormatError, match=message) as info:
             NormalFormState.from_text(text)
@@ -505,10 +532,11 @@ def test_block_reader_reports_the_first_fault_of_the_file():
             _oracle_nfstate, text)
     # digits only the fault path reads give the values int() and float()
     # give them
-    plain = NormalFormState.from_text(top + "F s=1\n3 3 0 10\nEND\n")
+    plain = NormalFormState.from_text(
+        f"{top}{z}{chi}F s=1\n3 3 0 10\nF s=2\nF s=3\nEND\n")
     for odd in ("3 \u0663 0 1_0", "+3 03 0 1_0", "\u0663 3 0 10.0"):
         assert NormalFormState.from_text(
-            top + f"F s=1\n{odd}\nEND\n") == plain
+            f"{top}{z}{chi}F s=1\n{odd}\nF s=2\nF s=3\nEND\n") == plain
 
 
 # one line after a sound one, and what the package and the oracle make of
@@ -564,7 +592,8 @@ def test_repeated_header_field_is_refused(magic):
 
 def test_repeated_omega_is_refused():
     text = "NFSTATE n=2 r=0 rmax=1\nOMEGA 1 2\nOMEGA 5 7\nEND\n"
-    with pytest.raises(FormatError, match="repeated OMEGA") as info:
+    with pytest.raises(FormatError,
+                       match="expected F s=1, got 'OMEGA 5 7'") as info:
         NormalFormState.from_text(text)
     assert info.value.line == 3
 
