@@ -8,6 +8,12 @@ and POINCARE; no command reads a NONRESONANCE certificate back.  ``#`` starts a
 comment and blank lines are skipped.  Errors are FormatError, carrying the
 line number wherever a single line is at fault.
 
+RecordReader splits every line.  `scan` finds, in one pass over a plain
+text, only the lines that do not start with a digit, each with the span
+of the term lines that follow it, for a reader that knows where its
+structural lines must be (NormalFormState.from_text) and hands any
+other text to RecordReader.
+
 `record` writes such a record and `number` renders every float the package
 prints, with 17 significant digits (the template NUMBER), so that it reads
 back exactly.
@@ -18,6 +24,8 @@ from __future__ import annotations
 import math
 from array import array
 from itertools import compress, count
+
+import numpy as np
 
 from .errors import FormatError
 
@@ -45,6 +53,57 @@ def content_lines(text):
     stripped = [raw.partition("#")[0].strip() for raw in text.splitlines()]
     return (array("l", compress(count(1), stripped)),
             list(filter(None, stripped)))
+
+
+# the line breaks other than \n, and the whitespace other than space and
+# tab, that str.splitlines, str.split and str.strip know in ASCII text
+_OTHER_SPACE = "\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def scan(text, magic, keys, path=None):
+    """The header and the structural lines of a plain record, its lines
+    that do not start with a digit, without splitting the others.
+
+    A text is plain when it is ASCII, ends with \\n, holds no line break
+    but \\n and no whitespace but space and tab, and holds no # past its
+    header line, the first line that is not blank or a comment.  For any
+    other text the result is None.  For a plain one it is (reader, lines,
+    numbers, spans): reader a RecordReader of the text up to the header
+    line, which raises what RecordReader raises at the header (a term
+    line before it included); lines the header line and the structural
+    lines after it; numbers their line numbers; and spans[k] the offsets
+    (lo, hi) of the lines between lines[k] and the next structural line:
+    text[lo:hi] holds them, each ending with \\n, and is empty if lo == hi.
+    Each of these lines starts with a digit.
+    """
+    if not text.isascii() or not text.endswith("\n"):
+        return None
+    # the header line, text[lo:hi]: the first that is not blank or a
+    # comment
+    lo = 0
+    while True:
+        hi = text.index("\n", lo)
+        if text[lo:hi].partition("#")[0].strip():
+            break
+        lo = hi + 1
+        if lo == len(text):
+            return None
+    if (text.find("#", hi) >= 0
+            or any(c in text for c in _OTHER_SPACE)):
+        return None
+    reader = RecordReader(text[:hi + 1], magic, keys, path=path, end=False)
+    data = np.frombuffer(text.encode(), np.uint8)
+    # the \n that ends the header line and each one after it
+    breaks = hi + np.flatnonzero(data[hi:] == ord("\n"))
+    # the first character of each line after the header
+    first = data[breaks[:-1] + 1]
+    after = np.flatnonzero((first < ord("0")) | (first > ord("9")))
+    numbers = [reader.lineno, *(reader.lineno + 1 + after).tolist()]
+    starts = [lo, *(breaks[after] + 1).tolist(), len(text)]
+    ends = [hi, *breaks[after + 1].tolist()]
+    lines = [text[a:b] for a, b in zip(starts, ends)]
+    spans = [(a + 1, b) for a, b in zip(ends, starts[1:])]
+    return reader, lines, numbers, spans
 
 
 def finite_floats(tokens, what, line=None, path=None):

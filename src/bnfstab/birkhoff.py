@@ -385,22 +385,78 @@ class NormalFormState:
         line's, else `expected F s=3, got 'F s=4'`, else a fault at END,
         else `missing F s=13`.  With generators=False the CHI sections are
         checked by their headers alone: their term lines are never
-        converted, and the state's chi is None."""
-        reader = _records.RecordReader(
-            text, "NFSTATE", {"n": int, "r": int, "rmax": int}, path=path)
-        n, r, r_max = (reader.header[key] for key in ("n", "r", "rmax"))
-        if n < 1:
-            raise reader.error("n must be >= 1")
-        if n > poly._MAX_DOF:
-            raise reader.error(f"n={n} exceeds {poly._MAX_DOF}, the most "
-                               "degrees of freedom an array holds")
-        if not 0 <= r <= r_max <= poly._MAX_EXP - 2:
-            raise reader.error(f"need 0 <= r <= rmax <= {poly._MAX_EXP - 2}")
+        converted, and the state's chi is None.
+
+        A ledger as `bnf` writes it is read from spans of its text
+        (_from_spans): its lines that do not start with a digit are
+        exactly the layout, so each section's term lines are the text
+        between two of them.  Any other text, with a comment or a blank
+        line in its body, an indented or signed line, a line break but
+        \\n or a fault in its layout, is read line by line (_from_lines).
+        Both give the same state, or the same fault at the same line."""
+        state = cls._from_spans(text, path, generators)
+        if state is None:
+            state = cls._from_lines(text, path, generators)
+        return state
+
+    @classmethod
+    def _from_spans(cls, text, path, generators):
+        """from_text of a plain text (_records.scan) whose structural lines
+        are the header, OMEGA, the section headers of its layout and END,
+        with no term line before the first section or after END; None
+        for any other text."""
+        scanned = _records.scan(text, "NFSTATE", _HEADER_KEYS, path=path)
+        if scanned is None:
+            return None
+        reader, lines, numbers, spans = scanned
+        n, r, r_max = _header(reader)
+        layout = _layout(r, r_max)
+        if (len(lines) != len(layout) + 3
+                or lines[1].split()[:1] != ["OMEGA"]
+                or lines[2:] != [*_headers(layout), "END"]
+                or any(lo < hi for lo, hi in (spans[0], spans[1], spans[-1]))):
+            return None
+        reader.lineno = numbers[1]
+        omega = _omega(reader, lines[1], n)
+
+        def section(k):
+            """The number of the first term line of section k, and its term
+            lines."""
+            lo, hi = spans[k + 2]
+            return (numbers[k + 2] + 1,
+                    text[lo:hi - 1].split("\n") if lo < hi else [])
+
+        z = {}
+        for s in range(1, r + 1):
+            first, rows = section(s - 1)
+            z[s] = _actions(reader, range(first, first + len(rows)), rows,
+                            n, s)
+        sections, body, counts = [], [], []
+        linenos = [np.empty(0, "l")]
+        for k in range(r, len(layout)):
+            if layout[k][0] == "F" or generators:
+                first, rows = section(k)
+                sections.append(layout[k])
+                body += rows
+                linenos.append(np.arange(first, first + len(rows), dtype="l"))
+                counts.append(len(rows))
+        # an array("l"), as the line reader's, holds a line number in 8
+        # bytes and gives it as an int
+        linenos = array("l", np.concatenate(linenos).tobytes())
+        return cls._built(omega, r, r_max, z, sections,
+                          _blocks(sections, body, linenos, counts, n, path),
+                          generators)
+
+    @classmethod
+    def _from_lines(cls, text, path, generators):
+        """from_text of any text, its content lines read one at a time
+        (_records.RecordReader)."""
+        reader = _records.RecordReader(text, "NFSTATE", _HEADER_KEYS,
+                                       path=path)
+        n, r, r_max = _header(reader)
         lines, linenos = reader.lines, reader.linenos
-        layout = [(label, s) for label, top in (("Z", r), ("CHI", r),
-                                                ("F", r_max))
-                  for s in range(1, top + 1)]
-        expected = ["OMEGA", *(f"{label} s={s}" for label, s in layout)]
+        layout = _layout(r, r_max)
+        expected = ["OMEGA", *_headers(layout)]
         # the first line, which must be OMEGA, and every section header
         heads = [i for i, line in enumerate(lines)
                  if not i or line[0] in "OZCF"
@@ -416,34 +472,14 @@ class NormalFormState:
         bounds = [*heads[:good], stop]
         if good:
             reader.lineno = linenos[0]
-            omega = tuple(reader.finite(lines[0].split()[1:], "OMEGA line"))
-            if len(omega) != n:
-                raise reader.error("OMEGA length disagrees with n")
+            omega = _omega(reader, lines[0], n)
             if bounds[1] > 1:
                 reader.lineno = linenos[1]
                 raise reader.error("term line outside any section")
         z = {}
         for s in range(1, min(r + 1, good)):
-            terms = {}
             lo, hi = bounds[s] + 1, bounds[s + 1]
-            for reader.lineno, line in zip(linenos[lo:hi], lines[lo:hi]):
-                tokens = line.split()
-                if len(tokens) != n + 1:
-                    raise reader.error(
-                        f"expected {n + 1} fields on an action line")
-                try:
-                    p = tuple(int(t) for t in tokens[:n])
-                except ValueError as exc:
-                    raise reader.error(f"bad action term: {exc}") from None
-                if min(p) < 0:
-                    raise reader.error("negative action exponent")
-                if 2 * sum(p) != s + 2:
-                    raise reader.error(f"action degree {sum(p)} in Z s={s}")
-                c = reader.finite(tokens[n:], "action term")[0]
-                if p in terms:
-                    raise reader.error("duplicate action exponent")
-                terms[p] = c
-            z[s] = ActionPolynomial(n, terms)
+            z[s] = _actions(reader, linenos[lo:hi], lines[lo:hi], n, s)
         # the CHI and F sections read, (label, s) each, and their term
         # lines with their numbers, in one batch
         sections, body, numbers, counts = [], [], array("l"), []
@@ -454,11 +490,7 @@ class NormalFormState:
                 body += lines[lo:hi]
                 numbers += linenos[lo:hi]
                 counts.append(hi - lo)
-        blocks = poly._read_terms(
-            body, numbers, counts, n, path,
-            [(s + 2, s + 2) for _, s in sections],
-            lambda k, d: f"term degree {d} in section of order "
-                         f"{sections[k][1]} (expected {sections[k][1] + 2})")
+        blocks = _blocks(sections, body, numbers, counts, n, path)
         if stop < len(lines):
             raise FormatError(
                 f"expected {[*expected, 'END'][good]}, got {lines[stop]!r}",
@@ -466,6 +498,13 @@ class NormalFormState:
         reader.close()
         if good < len(expected):
             raise FormatError(f"missing {expected[good]}", path=path)
+        return cls._built(omega, r, r_max, z, sections, blocks, generators)
+
+    @classmethod
+    def _built(cls, omega, r, r_max, z, sections, blocks, generators):
+        """The state of a ledger read: its CHI and F blocks, (label, s)
+        each of sections, and with generators=False no chi."""
+        n = len(omega)
         chi, f = {}, {}
         for (label, s), block in zip(sections, blocks):
             (chi if label == "CHI" else f)[s] = Polynomial._raw(n, block)
@@ -473,6 +512,73 @@ class NormalFormState:
         if not generators:
             object.__setattr__(state, "chi", None)
         return state
+
+
+# the keys of an NFSTATE header, each with its conversion
+_HEADER_KEYS = {"n": int, "r": int, "rmax": int}
+
+
+def _header(reader):
+    """(n, r, r_max) of a ledger's header, refused at its line unless they
+    describe a ledger the package can hold."""
+    n, r, r_max = (reader.header[key] for key in ("n", "r", "rmax"))
+    if n < 1:
+        raise reader.error("n must be >= 1")
+    if n > poly._MAX_DOF:
+        raise reader.error(f"n={n} exceeds {poly._MAX_DOF}, the most "
+                           "degrees of freedom an array holds")
+    if not 0 <= r <= r_max <= poly._MAX_EXP - 2:
+        raise reader.error(f"need 0 <= r <= rmax <= {poly._MAX_EXP - 2}")
+    return n, r, r_max
+
+
+def _layout(r, r_max):
+    """The sections of a ledger, (label, s) each, in their order."""
+    return [(label, s) for label, top in (("Z", r), ("CHI", r), ("F", r_max))
+            for s in range(1, top + 1)]
+
+
+def _headers(layout):
+    return [f"{label} s={s}" for label, s in layout]
+
+
+def _omega(reader, line, n):
+    """The frequencies of the OMEGA line, read at reader.lineno."""
+    omega = tuple(reader.finite(line.split()[1:], "OMEGA line"))
+    if len(omega) != n:
+        raise reader.error("OMEGA length disagrees with n")
+    return omega
+
+
+def _actions(reader, linenos, lines, n, s):
+    """Z s, its term lines read one at a time."""
+    terms = {}
+    for reader.lineno, line in zip(linenos, lines):
+        tokens = line.split()
+        if len(tokens) != n + 1:
+            raise reader.error(f"expected {n + 1} fields on an action line")
+        try:
+            p = tuple(int(t) for t in tokens[:n])
+        except ValueError as exc:
+            raise reader.error(f"bad action term: {exc}") from None
+        if min(p) < 0:
+            raise reader.error("negative action exponent")
+        if 2 * sum(p) != s + 2:
+            raise reader.error(f"action degree {sum(p)} in Z s={s}")
+        c = reader.finite(tokens[n:], "action term")[0]
+        if p in terms:
+            raise reader.error("duplicate action exponent")
+        terms[p] = c
+    return ActionPolynomial(n, terms)
+
+
+def _blocks(sections, body, linenos, counts, n, path):
+    """The blocks of the CHI and F sections read, (label, s) each, from
+    their term lines in one batch (polyalg._read_terms)."""
+    return poly._read_terms(
+        body, linenos, counts, n, path, [(s + 2, s + 2) for _, s in sections],
+        lambda k, d: f"term degree {d} in section of order "
+                     f"{sections[k][1]} (expected {sections[k][1] + 2})")
 
 
 # -- construction -------------------------------------------------------------

@@ -24,6 +24,7 @@ from bnfstab.cli import main
 from bnfstab.errors import FormatError
 from bnfstab.polyalg import GradedSeries, Polynomial
 from bnfstab.spectrum import ResonanceCertificate
+from util import load_perfbench
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None,
                     database=None)
@@ -473,6 +474,126 @@ def test_block_reader_matches_line_by_line_oracle(magic):
         same = example(text)(same)
     same()
     assert seen >= {"read", "FormatError"}
+
+
+PROVENANCE = ["# bnfstab bnf (version 0.1.0)", "# config: order=3", ""]
+EDITS = ["none", "token", "drop", "repeat", "indent", "sign", "comment",
+         "blank", "rename", "move", "crlf", "ff"]
+
+
+@st.composite
+def edited_ledgers(draw):
+    """The text of a small ledger after 0-3 provenance lines and one edit:
+    a token replaced; a term line dropped, repeated, indented or signed; a
+    comment or blank line inserted; a header renamed or moved; one or
+    every line break made \\r\\n or \\f; or none."""
+    lines = draw(ledgers()).to_text().split("\n")[:-1]
+    lines[:0] = PROVENANCE[:draw(st.integers(0, len(PROVENANCE)))]
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("NFSTATE"))
+    terms = [i for i, line in enumerate(lines) if line[:1].isdigit()]
+    heads = [i for i, line in enumerate(lines)
+             if i > start and not line[:1].isdigit()]
+    edit = draw(st.sampled_from(EDITS))
+    at = draw(st.integers(start, len(lines) - 1))
+    if edit in ("drop", "repeat", "indent", "sign") and terms:
+        at = draw(st.sampled_from(terms))
+    if edit in ("rename", "move"):
+        at = draw(st.sampled_from(heads))
+    line = lines[at]
+    if edit == "token":
+        tokens = line.split()
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+            st.sampled_from(COEFFS + EXPONENTS + TOKENS))
+        lines[at] = " ".join(tokens)
+    elif edit == "drop":
+        del lines[at]
+    elif edit == "repeat":
+        # next to itself, or anywhere, before the header or after END too
+        lines.insert(draw(st.sampled_from([at, len(lines)])
+                          | st.integers(0, len(lines))), line)
+    elif edit in ("indent", "sign"):
+        lines[at] = draw(st.sampled_from(
+            [" ", "\t"] if edit == "indent" else ["+", "-"])) + line
+    elif edit == "comment":
+        # a comment line, or a comment after a line
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(start, len(lines))), "# a note")
+        else:
+            lines[at] = line + " # a note"
+    elif edit == "blank":
+        lines.insert(draw(st.integers(start, len(lines))),
+                     draw(st.sampled_from(["", "  "])))
+    elif edit == "rename":
+        lines[at] = draw(st.sampled_from(
+            ["F s=9", "Z s=0", "CHI s=1", "F  s=1", "F s=1 x", "OMEGA 1",
+             "END", "END x", "Z", line.replace("s=", "s=1")]))
+    elif edit == "move":
+        del lines[at]
+        lines.insert(draw(st.integers(start + 1, len(lines))), line)
+    if edit not in ("crlf", "ff"):
+        return "\n".join(lines) + "\n"
+    new = "\r\n" if edit == "crlf" else "\f"
+    if draw(st.booleans()):
+        return new.join(lines) + new
+    # the line break after one term line changed, or the last one
+    at = draw(st.sampled_from([i + 1 for i in terms] or [len(lines)]))
+    return "\n".join(lines[:at]) + new + "\n".join(lines[at:]) + (
+        "\n" if at < len(lines) else "")
+
+
+def _read_result(read, text):
+    """The state read, or the class, line and message of what it raised."""
+    try:
+        return "read", read(text)
+    except (Error, ValueError) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+
+
+def test_span_reader_agrees_with_line_reader():
+    seen = set()
+
+    @settings(PROPERTY, max_examples=400)
+    @given(edited_ledgers())
+    def same(text):
+        spans = _read_result(
+            lambda t: NormalFormState._from_spans(t, None, True), text)
+        for generators in (True, False):
+            got = _read_result(lambda t: NormalFormState.from_text(
+                t, generators=generators), text)
+            assert got == _read_result(
+                lambda t: NormalFormState._from_lines(t, None, generators),
+                text), text
+        assert _outcome(_package_nfstate, text) == _outcome(
+            _oracle_nfstate, text), text
+        seen.add((spans != ("read", None), got[0]))
+
+    same()
+    # both paths read ledgers and refuse faults
+    assert seen >= {(True, "read"), (False, "read"), (True, FormatError),
+                    (False, FormatError)}
+
+
+def test_written_ledgers_take_the_span_reader(tmp_path, monkeypatch):
+    systems = load_perfbench("systems")
+    lines = []
+    original = NormalFormState._from_lines
+    monkeypatch.setattr(NormalFormState, "_from_lines", classmethod(
+        lambda cls, text, *args: lines.append(text) or original(text, *args)))
+    for system, order in (("dense2", 14), ("dense3", 7), ("even2", 18)):
+        ham, nf = tmp_path / f"{system}.ham", tmp_path / f"{system}.nf"
+        ham.write_text(systems.system_text(system, 1))
+        assert main(["bnf", "--input", str(ham), "--order", str(order),
+                     "--out", str(nf)]) == 0
+        radii = ",".join(["1"] * (3 if system == "dense3" else 2))
+        for argv in (["sweep", "--out", str(tmp_path / "sweep.csv")],
+                     ["estimate", "--rho0", "0.3",
+                      "--out", str(tmp_path / "estimate.txt")]):
+            assert main([*argv, "--input", str(nf), "--radii", radii]) == 0
+        text = nf.read_text()
+        assert NormalFormState.from_text(text) == NormalFormState.from_text(
+            text.replace("\nF s=1\n", "\nF s=1\n# a note\n"))
+    assert len(lines) == 3 and all("# a note" in text for text in lines)
 
 
 def test_block_reader_reports_the_first_fault_of_the_file():

@@ -29,7 +29,9 @@ An interpreter times, once each:
   for its quadratic part, as `bnf` does;
 - the read side, as the median of READ_REPEATS calls each:
   `NormalFormState.from_text` of the dense2-r14 and dense3-r10 ledgers
-  that `bnf` wrote (read_ledger_s), and `cli._load_state` of each from
+  that `bnf` wrote, and of the dense2-r14 ledger with one comment line
+  inserted in its body (dense2-r14-comment), which the line-by-line
+  reader reads (read_ledger_s), and `cli._load_state` of each from
   its file, the read `sweep` and `estimate` make (load_state_s), with
   the tracemalloc peak of one more, untimed read of dense3-r10 by
   `from_text` (read_peak_mib); on dense2-r14, the
@@ -75,6 +77,8 @@ ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 5
 READ_REPEATS = 5
 READ_LEDGERS = ("dense2-r14", "dense3-r10")
+# (name, ledger of READ_LEDGERS, the line after which a comment goes)
+COMMENTED = ("dense2-r14-comment", "dense2-r14", "F s=1")
 PEAK_LEDGER = "dense3-r10"
 WRITE_LEDGER = "dense3-r10"
 SWEEP_GRID = "0.3:3.0:1024:log"
@@ -137,6 +141,9 @@ def measure(src):
             out["bnf_s"][name] = time.perf_counter() - start
         ledgers = {name: (Path(tmp) / f"{name}.nf").read_text()
                    for name in READ_LEDGERS}
+        commented, source, after = COMMENTED
+        ledgers[commented] = ledgers[source].replace(
+            f"\n{after}\n", f"\n{after}\n# a comment\n", 1)
         written = (Path(tmp) / f"{WRITE_LEDGER}.nf").read_text()
     out.update(read_side(ledgers, birkhoff, celestial, cli, stability))
     out["write_s"] = write_side(written, birkhoff, polyalg)
