@@ -3,16 +3,16 @@
 Every record the package writes (HAM, NFSTATE, NONRESONANCE, POINCARE) is
 a header line ``MAGIC key=value ...``, body lines of whitespace-separated
 tokens, and, in every format except HAM, a closing ``END`` line after
-which nothing but comments may follow.  RecordReader reads HAM, NFSTATE
-and POINCARE; no command reads a NONRESONANCE certificate back.  ``#`` starts a
-comment and blank lines are skipped.  Errors are FormatError, carrying the
-line number wherever a single line is at fault.
+which nothing but comments may follow.  RecordReader reads HAM and
+POINCARE, and the header of NFSTATE; no command reads a NONRESONANCE
+certificate back.  ``#`` starts a comment and blank lines are skipped.
+Errors are FormatError, carrying the line number wherever a single line is
+at fault.
 
-RecordReader splits every line.  `scan` finds, in one pass over a plain
-text, only the lines that do not start with a digit, each with the span
-of the term lines that follow it, for a reader that knows where its
-structural lines must be (NormalFormState.from_text) and hands any
-other text to RecordReader.
+RecordReader splits every line.  `body` gives the content lines of a
+record past its header line by their offsets in one text: a plain text
+as the package writes it, unsplit, and for any other text RecordReader's
+lines.  NormalFormState.from_text reads its ledgers from that body.
 
 `record` writes such a record and `number` renders every float the package
 prints, with 17 significant digits (the template NUMBER), so that it reads
@@ -60,50 +60,54 @@ def content_lines(text):
 _OTHER_SPACE = "\r\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
-def scan(text, magic, keys, path=None):
-    """The header and the structural lines of a plain record, its lines
-    that do not start with a digit, without splitting the others.
+def body(text, magic, keys, path=None):
+    """(reader, text, numbers, starts) of a record: reader the
+    RecordReader of its header (end=False); the content lines past the
+    header line, line i the text from starts[i] to the \\n before
+    starts[i + 1]; numbers an array("l") of their line numbers; and starts
+    a numpy array of their offsets, then the end of the last.
 
-    A text is plain when it is ASCII, ends with \\n, holds no line break
-    but \\n and no whitespace but space and tab, and holds no # past its
-    header line, the first line that is not blank or a comment.  For any
-    other text the result is None.  For a plain one it is (reader, lines,
-    numbers, spans): reader a RecordReader of the text up to the header
-    line, which raises what RecordReader raises at the header (a term
-    line before it included); lines the header line and the structural
-    lines after it; numbers their line numbers; and spans[k] the offsets
-    (lo, hi) of the lines between lines[k] and the next structural line:
-    text[lo:hi] holds them, each ending with \\n, and is empty if lo == hi.
-    Each of these lines starts with a digit.
+    A text is plain when it is ASCII, ends with \\n and holds no line
+    break but \\n and no whitespace but space and tab, and when past its
+    header line, the first that is not blank or a comment, it holds no #,
+    no blank line and no line with leading or trailing space or tab.  A
+    plain text holds its content lines as they are, so it is returned
+    itself, neither split nor copied, and its reader reads the text up to
+    the header line alone: reader.lines is empty.  Any other text is
+    replaced by its reader's lines, joined by \\n.
     """
-    if not text.isascii() or not text.endswith("\n"):
-        return None
-    # the header line, text[lo:hi]: the first that is not blank or a
-    # comment
-    lo = 0
-    while True:
+    plain = (text.isascii() and text.endswith("\n")
+             and not any(c in text for c in _OTHER_SPACE))
+    # the header line, text[lo:hi]
+    lo = hi = 0
+    while plain:
         hi = text.index("\n", lo)
         if text[lo:hi].partition("#")[0].strip():
             break
         lo = hi + 1
-        if lo == len(text):
-            return None
-    if (text.find("#", hi) >= 0
-            or any(c in text for c in _OTHER_SPACE)):
-        return None
-    reader = RecordReader(text[:hi + 1], magic, keys, path=path, end=False)
-    data = np.frombuffer(text.encode(), np.uint8)
-    # the \n that ends the header line and each one after it
-    breaks = hi + np.flatnonzero(data[hi:] == ord("\n"))
-    # the first character of each line after the header
-    first = data[breaks[:-1] + 1]
-    after = np.flatnonzero((first < ord("0")) | (first > ord("9")))
-    numbers = [reader.lineno, *(reader.lineno + 1 + after).tolist()]
-    starts = [lo, *(breaks[after] + 1).tolist(), len(text)]
-    ends = [hi, *breaks[after + 1].tolist()]
-    lines = [text[a:b] for a, b in zip(starts, ends)]
-    spans = [(a + 1, b) for a, b in zip(ends, starts[1:])]
-    return reader, lines, numbers, spans
+        plain = lo < len(text)
+    if plain and text.find("#", hi) < 0:
+        data, starts = _offsets(text, hi + 1)
+        # no line starts with \n, space or tab, and none ends with space or
+        # tab; the byte before a first line that is blank is data[hi], \n
+        if not (np.isin(data[starts[:-1]], list(b"\n \t")).any()
+                or np.isin(data[starts[1:] - 2], list(b" \t")).any()):
+            reader = RecordReader(text[:hi + 1], magic, keys, path=path,
+                                  end=False)
+            first = reader.lineno + 1
+            numbers = np.arange(first, first + len(starts) - 1, dtype="l")
+            return reader, text, array("l", numbers.tobytes()), starts
+    reader = RecordReader(text, magic, keys, path=path, end=False)
+    text = "\n".join([*reader.lines, ""])
+    return reader, text, reader.linenos, _offsets(text, 0)[1]
+
+
+def _offsets(text, lo):
+    """The bytes of text, one for each character, and the offsets of its
+    lines from offset lo on, then len(text)."""
+    data = np.frombuffer(text.encode("ascii", "replace"), np.uint8)
+    return data, np.concatenate(
+        [[lo], lo + 1 + np.flatnonzero(data[lo:] == ord("\n"))])
 
 
 def finite_floats(tokens, what, line=None, path=None):

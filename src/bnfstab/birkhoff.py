@@ -387,115 +387,75 @@ class NormalFormState:
         checked by their headers alone: their term lines are never
         converted, and the state's chi is None.
 
-        A ledger as `bnf` writes it is read from spans of its text
-        (_from_spans): its lines that do not start with a digit are
-        exactly the layout, so each section's term lines are the text
-        between two of them.  Any other text, with a comment or a blank
-        line in its body, an indented or signed line, a line break but
-        \\n or a fault in its layout, is read line by line (_from_lines).
-        Both give the same state, or the same fault at the same line."""
-        state = cls._from_spans(text, path, generators)
-        if state is None:
-            state = cls._from_lines(text, path, generators)
-        return state
-
-    @classmethod
-    def _from_spans(cls, text, path, generators):
-        """from_text of a plain text (_records.scan) whose structural lines
-        are the header, OMEGA, the section headers of its layout and END,
-        with no term line before the first section or after END; None
-        for any other text."""
-        scanned = _records.scan(text, "NFSTATE", _HEADER_KEYS, path=path)
-        if scanned is None:
-            return None
-        reader, lines, numbers, spans = scanned
+        The body is read from one text (_records.body), a ledger as `bnf`
+        writes it unsplit.  Its header lines and END are found by their
+        first byte, and each section's term lines are the text between two
+        of them."""
+        reader, body, numbers, starts = _records.body(
+            text, "NFSTATE", _HEADER_KEYS, path=path)
         n, r, r_max = _header(reader)
-        layout = _layout(r, r_max)
-        if (len(lines) != len(layout) + 3
-                or lines[1].split()[:1] != ["OMEGA"]
-                or lines[2:] != [*_headers(layout), "END"]
-                or any(lo < hi for lo, hi in (spans[0], spans[1], spans[-1]))):
-            return None
-        reader.lineno = numbers[1]
-        omega = _omega(reader, lines[1], n)
 
-        def section(k):
-            """The number of the first term line of section k, and its term
-            lines."""
-            lo, hi = spans[k + 2]
-            return (numbers[k + 2] + 1,
-                    text[lo:hi - 1].split("\n") if lo < hi else [])
+        def line(i):
+            return body[starts[i]:starts[i + 1] - 1]
 
-        z = {}
-        for s in range(1, r + 1):
-            first, rows = section(s - 1)
-            z[s] = _actions(reader, range(first, first + len(rows)), rows,
-                            n, s)
-        sections, body, counts = [], [], []
-        linenos = [np.empty(0, "l")]
-        for k in range(r, len(layout)):
-            if layout[k][0] == "F" or generators:
-                first, rows = section(k)
-                sections.append(layout[k])
-                body += rows
-                linenos.append(np.arange(first, first + len(rows), dtype="l"))
-                counts.append(len(rows))
-        # an array("l"), as the line reader's, holds a line number in 8
-        # bytes and gives it as an int
-        linenos = array("l", np.concatenate(linenos).tobytes())
-        return cls._built(omega, r, r_max, z, sections,
-                          _blocks(sections, body, linenos, counts, n, path),
-                          generators)
+        def lines(lo, hi):
+            """Body lines lo..hi - 1."""
+            return (body[starts[lo]:starts[hi] - 1].split("\n") if lo < hi
+                    else [])
 
-    @classmethod
-    def _from_lines(cls, text, path, generators):
-        """from_text of any text, its content lines read one at a time
-        (_records.RecordReader)."""
-        reader = _records.RecordReader(text, "NFSTATE", _HEADER_KEYS,
-                                       path=path)
-        n, r, r_max = _header(reader)
-        lines, linenos = reader.lines, reader.linenos
+        # the first token of each line that may be a header line or END,
+        # found by its first byte
+        lead = np.frombuffer(body.encode("ascii", "replace"),
+                             np.uint8)[starts[:-1]]
+        firsts = [(i, line(i).split(None, 1)[0]) for i in
+                  np.flatnonzero(np.isin(lead, list(b"OZCFE"))).tolist()]
+        # the body stops before END, as RecordReader's does
+        count = len(numbers)
+        end = next((i for i, token in firsts if token == "END"), count)
+        # line 0, which must be OMEGA, and every section header
+        heads = [0, *(i for i, token in firsts if 0 < i < end and token
+                      in ("OMEGA", "Z", "CHI", "F"))] if end else []
         layout = _layout(r, r_max)
         expected = ["OMEGA", *_headers(layout)]
-        # the first line, which must be OMEGA, and every section header
-        heads = [i for i, line in enumerate(lines)
-                 if not i or line[0] in "OZCF"
-                 and line.split(None, 1)[0] in ("OMEGA", "Z", "CHI", "F")]
         good = 0  # the header lines in place, first to last
         for at, want in zip(heads, expected):
-            tokens = lines[at].split()
+            tokens = line(at).split()
             if (" ".join(tokens) if good else tokens[0]) != want:
                 break
             good += 1
         # the body is read up to its first line out of place
-        stop = heads[good] if good < len(heads) else len(lines)
+        stop = heads[good] if good < len(heads) else end
         bounds = [*heads[:good], stop]
         if good:
-            reader.lineno = linenos[0]
-            omega = _omega(reader, lines[0], n)
+            reader.lineno = numbers[0]
+            omega = _omega(reader, line(0), n)
             if bounds[1] > 1:
-                reader.lineno = linenos[1]
+                reader.lineno = numbers[1]
                 raise reader.error("term line outside any section")
         z = {}
         for s in range(1, min(r + 1, good)):
             lo, hi = bounds[s] + 1, bounds[s + 1]
-            z[s] = _actions(reader, linenos[lo:hi], lines[lo:hi], n, s)
+            z[s] = _actions(reader, numbers[lo:hi], lines(lo, hi), n, s)
         # the CHI and F sections read, (label, s) each, and their term
         # lines with their numbers, in one batch
-        sections, body, numbers, counts = [], [], array("l"), []
+        sections, terms, linenos, counts = [], [], array("l"), []
         for k in range(r + 1, good):
             if layout[k - 1][0] == "F" or generators:
                 lo, hi = bounds[k] + 1, bounds[k + 1]
                 sections.append(layout[k - 1])
-                body += lines[lo:hi]
-                numbers += linenos[lo:hi]
+                terms += lines(lo, hi)
+                linenos += numbers[lo:hi]
                 counts.append(hi - lo)
-        blocks = _blocks(sections, body, numbers, counts, n, path)
-        if stop < len(lines):
-            raise FormatError(
-                f"expected {[*expected, 'END'][good]}, got {lines[stop]!r}",
-                line=linenos[stop], path=path)
-        reader.close()
+        blocks = _blocks(sections, terms, linenos, counts, n, path)
+        if stop < end:
+            raise FormatError(f"expected {[*expected, 'END'][good]}, got "
+                              f"{line(stop)!r}",
+                              line=numbers[stop], path=path)
+        if end == count:
+            raise FormatError("missing END", path=path)
+        if end + 1 < count:
+            raise FormatError("content after END", line=numbers[end + 1],
+                              path=path)
         if good < len(expected):
             raise FormatError(f"missing {expected[good]}", path=path)
         return cls._built(omega, r, r_max, z, sections, blocks, generators)

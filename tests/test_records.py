@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bnfstab import Error, polyalg
+from bnfstab import Error, _records, polyalg
 from bnfstab.birkhoff import ActionPolynomial, NormalFormState
 from bnfstab.celestial import (
     BodyParameters,
@@ -550,36 +550,89 @@ def _read_result(read, text):
         return type(exc), getattr(exc, "line", None), str(exc)
 
 
-def test_span_reader_agrees_with_line_reader():
+NF_KEYS = {"n": int, "r": int, "rmax": int}
+# the first tokens of an NFSTATE ledger's header lines and END
+HEAD_TOKENS = ("NFSTATE", "OMEGA", "Z", "CHI", "F", "END")
+
+
+def _chi_term_line(text, line):
+    """Whether line `line` of text is a term line of a CHI section."""
+    label = None
+    for lineno, content in oracles.content_lines(text):
+        token = content.split()[0]
+        if lineno == line:
+            return label == "CHI" and token not in HEAD_TOKENS
+        if token in HEAD_TOKENS:
+            label = token
+    return False
+
+
+def _plain(text):
+    """Whether _records.body takes text as plain, whose reader holds none
+    of the body's lines; None for a text whose header is at fault or that
+    holds no body line, which read the same either way."""
+    try:
+        reader, _, numbers, _ = _records.body(text, "NFSTATE", NF_KEYS)
+    except FormatError:
+        return None
+    return not reader.lines if numbers else None
+
+
+def test_ledger_reader_matches_the_oracle_on_edited_ledgers():
     seen = set()
 
     @settings(PROPERTY, max_examples=400)
     @given(edited_ledgers())
     def same(text):
-        spans = _read_result(
-            lambda t: NormalFormState._from_spans(t, None, True), text)
-        for generators in (True, False):
-            got = _read_result(lambda t: NormalFormState.from_text(
-                t, generators=generators), text)
-            assert got == _read_result(
-                lambda t: NormalFormState._from_lines(t, None, generators),
-                text), text
-        assert _outcome(_package_nfstate, text) == _outcome(
-            _oracle_nfstate, text), text
-        seen.add((spans != ("read", None), got[0]))
+        got = _outcome(_package_nfstate, text)
+        assert got == _outcome(_oracle_nfstate, text), text
+        full = _read_result(NormalFormState.from_text, text)
+        bare = _read_result(lambda t: NormalFormState.from_text(
+            t, generators=False), text)
+        if full[0] == "read":
+            a, b = full[1], bare[1]
+            assert b.chi is None, text
+            assert (a.omega, a.r, a.r_max, a.z, a.f) == (
+                b.omega, b.r, b.r_max, b.z, b.f), text
+        elif not _chi_term_line(text, full[1]):
+            assert bare == full, text
+        # a CHI term line is never converted without generators
+        assert bare[0] == "read" or not _chi_term_line(text, bare[1]), text
+        seen.add((_plain(text), got[0]))
 
+    for text in EDGE_TEXTS["NFSTATE"]:
+        same = example(text)(same)
     same()
-    # both paths read ledgers and refuse faults
-    assert seen >= {(True, "read"), (False, "read"), (True, FormatError),
-                    (False, FormatError)}
+    # both branches of the body builder read ledgers and refuse faults
+    assert seen >= {(True, "read"), (False, "read"), (True, "FormatError"),
+                    (False, "FormatError")}
 
 
-def test_written_ledgers_take_the_span_reader(tmp_path, monkeypatch):
+@settings(PROPERTY, max_examples=400)
+@given(edited_ledgers() | st.sampled_from(EDGE_TEXTS["NFSTATE"]))
+def test_ledger_body_is_the_content_lines_past_the_header(text):
+    def package(text):
+        reader, body, numbers, starts = _records.body(text, "NFSTATE",
+                                                      NF_KEYS)
+        assert starts[-1] == len(body)
+        assert all(body[b - 1] == "\n" for b in starts[1:].tolist())
+        lines = [body[a:b - 1] for a, b
+                 in zip(starts.tolist(), starts[1:].tolist())]
+        return list(zip(numbers, lines))
+
+    def oracle(text):
+        oracles.LineReader(text, "NFSTATE", NF_KEYS, end=False)
+        return list(oracles.content_lines(text))[1:]
+
+    assert _read_result(package, text) == _read_result(oracle, text), text
+
+
+def test_written_ledgers_are_read_as_plain(tmp_path, monkeypatch):
     systems = load_perfbench("systems")
-    lines = []
-    original = NormalFormState._from_lines
-    monkeypatch.setattr(NormalFormState, "_from_lines", classmethod(
-        lambda cls, text, *args: lines.append(text) or original(text, *args)))
+    texts = []
+    original = _records.content_lines
+    monkeypatch.setattr(_records, "content_lines",
+                        lambda text: texts.append(text) or original(text))
     for system, order in (("dense2", 14), ("dense3", 7), ("even2", 18)):
         ham, nf = tmp_path / f"{system}.ham", tmp_path / f"{system}.nf"
         ham.write_text(systems.system_text(system, 1))
@@ -591,9 +644,12 @@ def test_written_ledgers_take_the_span_reader(tmp_path, monkeypatch):
                       "--out", str(tmp_path / "estimate.txt")]):
             assert main([*argv, "--input", str(nf), "--radii", radii]) == 0
         text = nf.read_text()
+        assert _plain(text) is True
         assert NormalFormState.from_text(text) == NormalFormState.from_text(
             text.replace("\nF s=1\n", "\nF s=1\n# a note\n"))
-    assert len(lines) == 3 and all("# a note" in text for text in lines)
+    # no ledger's body went through content_lines but the commented ones
+    bodies = [text for text in texts if "\nOMEGA " in text]
+    assert len(bodies) == 3 and all("# a note" in text for text in bodies)
 
 
 def test_block_reader_reports_the_first_fault_of_the_file():

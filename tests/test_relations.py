@@ -4,6 +4,9 @@ order 14 and a transformed copy of it, each through `bnf` and `estimate`,
 must give the same T (or T scaled as the relation says) and the same
 optimal order."""
 
+import itertools
+import math
+
 import pytest
 
 from bnfstab.cli import main
@@ -58,6 +61,34 @@ def test_a_quarter_turn_of_one_mode_plane_leaves_the_time(tmp_path, dense2):
     turned = {((k[0], j[1]), (j[0], k[1])): c * (-1) ** k[0]
               for (j, k), c in dense2.items()}
     got = _estimate(tmp_path, "turned", turned, RADII)
+    want = _estimate(tmp_path, "plain", dense2, RADII)
+    assert got[1] == want[1]
+    assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
+
+
+def _rotated(terms, theta):
+    """terms with (x_1, y_1) -> (x_1 cos theta + y_1 sin theta,
+    y_1 cos theta - x_1 sin theta); a quarter turn at theta = pi/2."""
+    c, s = math.cos(theta), math.sin(theta)
+    out = {}
+    for (j, k), coeff in terms.items():
+        # x_1^a y_1^b becomes (c x_1 + s y_1)^a (c y_1 - s x_1)^b
+        a, b = j[0], k[0]
+        for p, q in itertools.product(range(a + 1), range(b + 1)):
+            key = ((p + q, *j[1:]), (a + b - p - q, *k[1:]))
+            out[key] = out.get(key, 0.0) + coeff * (
+                math.comb(a, p) * c ** p * s ** (a - p)
+                * math.comb(b, q) * (-s) ** q * c ** (b - q))
+    return out
+
+
+@pytest.mark.xfail(strict=True, reason="polyalg.polydisc_norm sums |c| of "
+                   "the real monomials x^j y^k, which a rotation of a mode "
+                   "plane mixes: the F blocks are the plain ones rotated, "
+                   "to 4e-15, but their norms are not the plain ones")
+def test_a_rotation_of_one_mode_plane_by_any_angle_leaves_the_time(
+        tmp_path, dense2):
+    got = _estimate(tmp_path, "rotated", _rotated(dense2, 0.7), RADII)
     want = _estimate(tmp_path, "plain", dense2, RADII)
     assert got[1] == want[1]
     assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)

@@ -30,9 +30,10 @@ An interpreter times, once each:
 - the read side, as the median of READ_REPEATS calls each:
   `NormalFormState.from_text` of the dense2-r14 and dense3-r10 ledgers
   that `bnf` wrote, and of the dense2-r14 ledger with one comment line
-  inserted in its body (dense2-r14-comment), which the line-by-line
-  reader reads (read_ledger_s), and `cli._load_state` of each from
-  its file, the read `sweep` and `estimate` make (load_state_s), with
+  inserted in its body (dense2-r14-comment), which is not plain, so
+  that its body is built from its content lines (read_ledger_s), and
+  `cli._load_state` of each from its file, the read `sweep` and
+  `estimate` make (load_state_s), with
   the tracemalloc peak of one more, untimed read of dense3-r10 by
   `from_text` (read_peak_mib); on dense2-r14, the
   drift bounds of every order at the Sun-Jupiter-Saturn radii of the
