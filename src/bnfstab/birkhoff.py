@@ -446,18 +446,26 @@ class NormalFormState:
                 terms += lines(lo, hi)
                 linenos += numbers[lo:hi]
                 counts.append(hi - lo)
-        blocks = _blocks(sections, terms, linenos, counts, n, path)
+        # the fault past the sections read, raised once they are read
+        fault = None
         if stop < end:
-            raise FormatError(f"expected {[*expected, 'END'][good]}, got "
-                              f"{line(stop)!r}",
-                              line=numbers[stop], path=path)
-        if end == count:
-            raise FormatError("missing END", path=path)
-        if end + 1 < count:
-            raise FormatError("content after END", line=numbers[end + 1],
-                              path=path)
-        if good < len(expected):
-            raise FormatError(f"missing {expected[good]}", path=path)
+            fault = FormatError(f"expected {[*expected, 'END'][good]}, got "
+                                f"{line(stop)!r}",
+                                line=numbers[stop], path=path)
+        elif end == count:
+            fault = FormatError("missing END", path=path)
+        elif end + 1 < count:
+            fault = FormatError("content after END", line=numbers[end + 1],
+                                path=path)
+        elif good < len(expected):
+            fault = FormatError(f"missing {expected[good]}", path=path)
+        # the body, its line offsets and its line numbers are not needed
+        # past here: release them before the batch conversion, which sets
+        # the read's peak memory
+        del body, numbers, starts
+        blocks = _blocks(sections, terms, linenos, counts, n, path)
+        if fault is not None:
+            raise fault
         return cls._built(omega, r, r_max, z, sections, blocks, generators)
 
     @classmethod

@@ -406,7 +406,10 @@ def _empty(width):
 # digit carries and the index of a product of monomials is the sum of their
 # indices: each product of two blocks is an outer sum of indices and an
 # outer product of coefficients, added into one bin array for the pass, and
-# the segment of each row of the left block rides on its index.
+# the segment of each row of the left block rides on its index.  A product
+# of head h in a segment of degree D has tail digits that sum to at most
+# D - |h|: those vectors, the head's support (_support), are the only bins
+# it reads back.
 
 _PAIR_CHUNK = 1 << 14   # pairs per outer product: bounds its temporaries
 _MAX_BINS = 1 << 20     # bins per segment; past it the leading fields split
@@ -435,6 +438,35 @@ def _passes(degrees, width):
     return passes
 
 
+@lru_cache(maxsize=None)
+def _support(base, fields):
+    """(index, digits, sums) of every vector of `fields` digits whose
+    digits sum to below base, in index order: index its mixed-radix index
+    in radix base, digits a (vectors, fields) matrix, the most significant
+    digit first, and sums the digit sums, both of the narrowest unsigned
+    type that holds base - 1.  The vectors of sum at most m are the bins
+    a head with room m can fill (_drain).  Read-only: the arrays are
+    shared by every pass of that base and tail."""
+    small = np.min_scalar_type(base - 1)
+    index = np.zeros(1, np.intp)
+    digits = np.zeros((1, 0), small)
+    sums = np.zeros(1, small)
+    place = 1
+    for _ in range(fields):
+        # a new leading digit d before every vector of sum base - 1 - d or
+        # less
+        rows = [np.flatnonzero(sums <= base - 1 - d) for d in range(base)]
+        lead = np.repeat(np.arange(base, dtype=small), [len(r) for r in rows])
+        rows = np.concatenate(rows)
+        index = lead.astype(np.intp) * place + index[rows]
+        digits = np.column_stack([lead, digits[rows]])
+        sums = lead + sums[rows]
+        place *= base
+    for a in (index, digits, sums):
+        a.flags.writeable = False
+    return index, digits, sums
+
+
 def _groups(block, lead, tail_w, seg, offset=0):
     """A block split by the exponents of its lead fields, as [(head, (bin
     index, coefficients))] in order of first appearance, each group's rows
@@ -461,69 +493,74 @@ def _groups(block, lead, tail_w, seg, offset=0):
         np.split(index[order], cuts), np.split(coeffs[order], cuts)))]
 
 
-def _add_products(bins, a, b, touched):
+def _add_products(bins, a, b):
     """Add the outer product of a and b, (bin index, coefficients) each,
-    into the bin array, _PAIR_CHUNK pairs at a time; append the bin
-    indices to the list touched, unless it is None."""
+    into the bin array, _PAIR_CHUNK pairs at a time."""
     a_idx, a_c = a
     b_idx, b_c = b
     rows = max(1, _PAIR_CHUNK // len(b_idx))
     for lo in range(0, len(a_idx), rows):
         hi = lo + rows
-        idx = np.add.outer(a_idx[lo:hi], b_idx).ravel()
-        if touched is not None:
-            touched.append(idx)
-        np.add.at(bins, idx, np.multiply.outer(a_c[lo:hi], b_c).ravel())
+        np.add.at(bins, np.add.outer(a_idx[lo:hi], b_idx).ravel(),
+                  np.multiply.outer(a_c[lo:hi], b_c).ravel())
 
 
-def _drain(bins, touched):
-    """(index, values) of the nonzero bins in index order, which are then
-    cleared: every bin is read, or, when touched is not None, only the
-    bins in its list of index arrays."""
-    if touched is None:
-        index = np.flatnonzero(bins)
-    else:
-        index = np.sort(np.concatenate(touched))
-        first = np.empty(len(index), bool)
-        first[:1] = True
-        np.not_equal(index[1:], index[:-1], out=first[1:])
-        index = index[first]
-        index = index[bins[index] != 0]
-    vals = bins[index]
-    bins[index] = 0.0
-    return index, vals
+def _drain(bins, offset, support, head, room):
+    """(exponent rows, values) of the nonzero bins of one head in one
+    segment, in index order, the rows int64; every bin read is then
+    cleared.  room is the segment's degree less the head's, >= 0.  The
+    bins read are the head's support, where every product of the head in
+    the segment lands: offset plus the index of each vector of the
+    support (_support) whose digits sum to at most room.  A row is the
+    head, the vector's digits and the degree left for the last field."""
+    index, digits, sums = support
+    rows = np.flatnonzero(sums <= room)
+    at = index[rows] + offset
+    vals = bins[at]
+    bins[at] = 0.0
+    nonzero = np.flatnonzero(vals)
+    rows = rows[nonzero]
+    exps = np.empty((len(rows), len(head) + digits.shape[1] + 1), np.int64)
+    exps[:, :len(head)] = head
+    exps[:, len(head):-1] = digits[rows]
+    exps[:, -1] = room - sums[rows]
+    return exps, vals[nonzero]
 
 
 def _products(pairs, degrees, width):
     """The sums of the products a b over pairs (a, b, seg), as one block in
     key order for each output segment, of the given degrees.
 
-    a and b are blocks, and seg is the segment of each row of a: an
-    integer array of indices into degrees, nondecreasing, and all zeros
-    in a call of one segment.  The degrees of a row of a and of b add to
-    its segment's degree.  Each bin adds its products pair after pair, row
-    after row.  The segments run in passes (_passes), each over the run of
-    rows of its segments, and the segment of a bin is the top digit of its
-    index, cut off even when the pass holds one segment.  Segments of more
-    than _MAX_BINS bins split by the exponents of their leading fields,
-    and each part fills the bin array in turn; a group of rows of a then
-    never spans two segments, so that each segment adds its products in
-    the order it would alone.  A part with fewer pairs than
-    bins/16 reads and clears only the bins its pairs touch.  Overflowed
-    coefficients come out as inf or nan, for _kept to refuse; an exponent
-    above _MAX_EXP is an OrderRangeError.
+    a and b are blocks, and seg is the segment of each row of a: an integer
+    array of indices into degrees, nondecreasing, and all zeros in a call
+    of one segment.  The degrees of a row of a and of b add to its
+    segment's degree.  Each bin adds its products pair after pair, and
+    within a pair a-row then b-row while each segment's rows of a are in
+    key order, as every caller passes them (a split segment takes its rows
+    of a group by group, _groups).  The segments run in passes (_passes),
+    each over the run of rows of its segments, and the segment of a bin is
+    the top digit of its index, cut off even when the pass holds one
+    segment.  Segments of more than _MAX_BINS bins split by the exponents
+    of their leading fields, and each part fills the bin array in turn; a
+    group of rows of a then never spans two segments, so that each segment
+    adds its products in the order it would alone.  Each part then reads
+    and clears, segment by segment, only its support (_drain), whose cached
+    digits give the output rows.  Overflowed coefficients come out as inf
+    or nan, for _kept to refuse; an exponent above _MAX_EXP is an
+    OrderRangeError.
     """
     out = [[] for _ in degrees]
+    bins = np.zeros(0)
     with np.errstate(over="ignore", invalid="ignore"):
         for lead, segs in _passes(degrees, width):
-            degree = np.array([degrees[s] for s in segs])
-            base = int(degree.max()) + 1
+            base = max(degrees[s] for s in segs) + 1
             # the place value of each tail field; the last field is not
             # encoded, and the segment's digit comes above the tail's
             tail_w = np.array([base ** (width - 2 - t)
                                if lead <= t < width - 1 else 0
                                for t in range(width)], np.int64)
             seg_bins = base ** (width - 1 - lead)
+            support = _support(base, width - 1 - lead)
 
             # output head -> the (a, b) products that land in its bins
             blocks = {}
@@ -538,29 +575,27 @@ def _products(pairs, degrees, width):
                         head = tuple(p + q for p, q in zip(ha, hb))
                         blocks.setdefault(head, []).append((a_part, b_part))
 
-            bins = np.zeros(len(segs) * seg_bins)
+            # a pass drains every bin it fills, so a later pass reuses the
+            # bins of an earlier one, all zero again
+            if len(bins) < len(segs) * seg_bins:
+                bins = np.zeros(len(segs) * seg_bins)
             for head in sorted(blocks):
-                count = sum(len(a[0]) * len(b[0]) for a, b in blocks[head])
-                touched = [] if 16 * count < len(bins) else None
                 for a, b in blocks[head]:
-                    _add_products(bins, a, b, touched)
-                index, vals = _drain(bins, touched)
-                # the segment is the top digit: each one's bins are a run
-                at = index // seg_bins
-                cuts = at.searchsorted(range(1, len(segs)))
-                exps = np.empty((len(index), width), np.int64)
-                exps[:, :lead] = head
-                exps[:, lead:-1] = index[:, None] // tail_w[lead:-1] % base
-                exps[:, -1] = degree[at] - exps[:, :-1].sum(axis=1)
-                if exps.max(initial=0) > _MAX_EXP:
-                    raise OrderRangeError(
-                        f"an exponent of the product exceeds {_MAX_EXP}, "
-                        "the largest a uint8 exponent holds")
-                exps = exps.astype(np.uint8)
-                for s, e, v in zip(segs, np.split(exps, cuts),
-                                   np.split(vals, cuts)):
-                    if len(v):
-                        out[s].append((e, v))
+                    _add_products(bins, a, b)
+                for at, s in enumerate(segs):
+                    # a head of more than the segment's degree has no room
+                    room = degrees[s] - sum(head)
+                    if room < 0:
+                        continue
+                    exps, vals = _drain(bins, at * seg_bins, support, head,
+                                        room)
+                    if not len(vals):
+                        continue
+                    if exps.max() > _MAX_EXP:
+                        raise OrderRangeError(
+                            f"an exponent of the product exceeds {_MAX_EXP}, "
+                            "the largest a uint8 exponent holds")
+                    out[s].append((exps.astype(np.uint8), vals))
     return [tuple(map(np.concatenate, zip(*parts))) if parts
             else _empty(width) for parts in out]
 
@@ -1065,14 +1100,33 @@ def oscillator(omega):
 
 # -- graded series and text format -------------------------------------------
 
+# the token of an exponent on a term line: its digits and a space,
+# NUL-padded to four bytes
+_TOKENS = np.array([b"%d " % e for e in range(_MAX_EXP + 1)],
+                   "S4").view(np.uint32)
+
+
 def _term_lines(poly):
     """The term lines `degree j k coeff` of a polynomial, in the order of
-    terms(), each written by one template of _records.NUMBER fields."""
+    terms().  The int fields of every line come from one pass: each
+    exponent is looked up in _TOKENS, each degree in a table of the
+    block's degrees, and the lines, their NUL bytes compressed out, are
+    one template with a _records.NUMBER field a line, which formats
+    every coefficient in one % and is split into the lines."""
     exps, coeffs = poly._block
-    template = " ".join(["%d"] * (1 + exps.shape[1]) + [_records.NUMBER])
-    degrees = exps.sum(axis=1, dtype=np.intp).tolist()
-    return [template % row
-            for row in zip(degrees, *exps.T.tolist(), coeffs.tolist())]
+    rows = len(coeffs)
+    if not rows:
+        return []
+    degrees, row_degree = np.unique(exps.sum(axis=1, dtype=np.intp),
+                                    return_inverse=True)
+    heads = np.array([b"%d " % d for d in degrees.tolist()])[row_degree]
+    number = np.frombuffer(f"{_records.NUMBER}\n".encode(), np.uint8)
+    table = np.concatenate([
+        heads.view(np.uint8).reshape(rows, -1),
+        _TOKENS[exps].view(np.uint8).reshape(rows, -1),
+        np.broadcast_to(number, (rows, len(number)))], axis=1).ravel()
+    template = table[table != 0].tobytes().decode("ascii")
+    return (template % tuple(coeffs.tolist()))[:-1].split("\n")
 
 
 def _loaded(lines, ints):

@@ -72,6 +72,26 @@ def raw_mul(a, b):
     return out
 
 
+def kernel_sums(pairs, degrees):
+    """The sums of the product kernel's pairs, bit for bit: for each
+    segment, [(exponent row, value)] of its nonzero sums in key order.
+
+    pairs lists (a, b, seg): a and b lists of (exponent row, coeff), seg
+    the segment of each row of a, an index into degrees.  Every sum starts
+    at 0.0 and adds its products pair after pair, and within a pair a-row
+    then b-row, one product at a time.
+    """
+    out = [{} for _ in degrees]
+    for a, b, seg in pairs:
+        for (row, c), s in zip(a, seg):
+            sums = out[s]
+            for other, d in b:
+                key = tuple(p + q for p, q in zip(row, other))
+                sums[key] = sums.get(key, 0.0) + c * d
+    return [sorted((key, v) for key, v in sums.items() if v != 0.0)
+            for sums in out]
+
+
 def linear_substitute(terms, matrix, n):
     """f(M v) of a term list [(j, k, coeff)] in n degrees of freedom, old_i
     = sum_t M[i][t] new_t, as an unpruned {(j, k): coeff}: each term the

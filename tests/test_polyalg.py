@@ -185,6 +185,79 @@ def test_wide_bracket_splits_its_bins():
     _assert_matches_oracle(got, oracles.bracket_terms(f.terms(), g.terms(), 4))
 
 
+def _terms(block):
+    """A block as the oracle's list of (exponent row, coeff)."""
+    exps, coeffs = block
+    return list(zip(map(tuple, exps.tolist()), coeffs.tolist()))
+
+
+def _assert_kernel_sums(pairs, degrees, width):
+    """_products of pairs against the oracle that adds each product in
+    turn: the same rows, and every sum the same to the bit."""
+    got = polyalg._products(pairs, degrees, width)
+    want = oracles.kernel_sums(
+        [(_terms(a), _terms(b), seg.tolist()) for a, b, seg in pairs],
+        degrees)
+    for (exps, coeffs), sums in zip(got, want):
+        assert exps.dtype == np.uint8
+        assert exps.tolist() == [list(row) for row, _ in sums]
+        assert coeffs.tobytes() == np.array([v for _, v in sums]).tobytes()
+
+
+# the segment degrees of a, and the degree of b: outputs of degree 8, 7,
+# 7 and 5, which at the default budgets share one pass up to 2 DOF, run in
+# two passes of two at 3 DOF and split by their leading fields from 4 DOF
+KERNEL_A_DEGREES = (5, 4, 4, 2)
+KERNEL_B_DEGREE = 3
+
+
+@pytest.mark.parametrize("pass_bins", [None, 50, 1])
+@pytest.mark.parametrize("max_bins", [None, 50, 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_kernel_sums_match_the_oracle_to_the_bit(n, max_bins, pass_bins,
+                                                  monkeypatch):
+    # a stacked left operand of several segments, as a Lie-series step
+    # passes it, against two right operands that add into the same bins
+    if max_bins:
+        monkeypatch.setattr(polyalg, "_MAX_BINS", max_bins)
+    if pass_bins:
+        monkeypatch.setattr(polyalg, "_PASS_BINS", pass_bins)
+    rng = np.random.default_rng(600 + n)
+    parts = [random_polynomial(rng, n, d, num_terms=15)._block
+             for d in KERNEL_A_DEGREES]
+    a = tuple(map(np.concatenate, zip(*parts)))
+    seg = np.repeat(np.arange(len(parts)), [len(c) for _, c in parts])
+    pairs = [(a, random_polynomial(rng, n, KERNEL_B_DEGREE,
+                                   num_terms=15)._block, seg)
+             for _ in range(2)]
+    _assert_kernel_sums(pairs, [d + KERNEL_B_DEGREE for d in
+                                KERNEL_A_DEGREES], 2 * n)
+
+
+def test_kernel_oracle_cases_split_and_share_passes():
+    degrees = [d + KERNEL_B_DEGREE for d in KERNEL_A_DEGREES]
+    assert polyalg._passes(degrees, 4) == [(0, [0, 1, 2, 3])]
+    assert polyalg._passes(degrees, 6) == [(0, [0, 1]), (0, [2, 3])]
+    assert [lead for lead, _ in polyalg._passes(degrees, 8)] == [1, 1, 1, 0]
+
+
+def test_kernel_drains_a_tail_of_no_fields(monkeypatch):
+    # at one bin a segment, a 1-DOF output splits by its one encoded
+    # field, leaving a tail of no fields; both segments share one pass,
+    # and the head x^8 of the first leaves the second, of degree 5, no
+    # room
+    monkeypatch.setattr(polyalg, "_MAX_BINS", 1)
+    assert polyalg._passes([8, 5], 2) == [(1, [0, 1])]
+    a = (np.array([[5, 0], [3, 2], [2, 0], [0, 2]], np.uint8),
+         np.array([1.5, -0.25, 3.0, 0.75]))
+    b = (np.array([[3, 0], [1, 2], [0, 3]], np.uint8),
+         np.array([2.0, 1.0 / 3.0, -5.0]))
+    pairs = [(a, b, np.array([0, 0, 1, 1])), (a, b, np.array([0, 0, 1, 1]))]
+    _assert_kernel_sums(pairs, [8, 5], 2)
+    (top, _), (low, _) = polyalg._products(pairs, [8, 5], 2)
+    assert top[:, 0].max() == 8 and len(low) == 5
+
+
 def _chain_alone(g, degree, p, chi, cap):
     """The terms of one Lie series computed one bracket at a time by
     poisson_bracket: each the pruned bracket of the term before with chi,

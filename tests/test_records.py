@@ -157,15 +157,23 @@ any_float = st.floats(allow_nan=False, allow_infinity=False) \
     | st.sampled_from(EDGE_VALUES)
 
 
+# exponents of one, two and three digits, each at its edges
+WIDE_EXPONENTS = [0, 1, 9, 10, 99, 100, 255]
+
+
 @st.composite
 def unpruned_polynomials(draw):
     """A Polynomial of any finite coefficients, homogeneous or of mixed
-    degrees, built without pruning."""
+    degrees, built without pruning: its exponents small, or each one of
+    WIDE_EXPONENTS."""
     n = draw(st.integers(1, 3))
-    degrees = draw(st.sampled_from([[3], [0, 1, 2, 4], [2, 5]]))
-    monomials = [e for d in degrees for e in _exponents(2 * n, d)]
-    exps = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=12,
-                         unique=True))
+    degrees = draw(st.sampled_from([[3], [0, 1, 2, 4], [2, 5], None]))
+    if degrees is None:
+        monomial = st.tuples(*[st.sampled_from(WIDE_EXPONENTS)] * (2 * n))
+    else:
+        monomial = st.sampled_from(
+            [e for d in degrees for e in _exponents(2 * n, d)])
+    exps = draw(st.lists(monomial, min_size=1, max_size=12, unique=True))
     return _unpruned(n, {e: draw(any_float) for e in exps})
 
 
@@ -180,6 +188,8 @@ def _unpruned(n, terms):
 
 @settings(PROPERTY)
 @given(unpruned_polynomials())
+# a degree column of four digits: every exponent 255 at 3 DOF
+@example(_unpruned(3, {(255,) * 6: 0.5, (9, 10, 99, 100, 255, 0): -1.5}))
 @example(_unpruned(2, {(1, 0, 0, 1): 5e-324, (1, 1, 0, 0): -0.0,
                        (0, 0, 2, 0): -1.7976931348623157e308}))
 def test_term_lines_match_the_per_term_writer(p):

@@ -13,11 +13,13 @@ An interpreter times, once each:
 
 - the `bnf` command on the fixed systems of the ROADMAP's north star,
   built by perfbench/systems.py with seed 1: 2-DOF even at order 18, 2-DOF
-  dense at order 14 and 3-DOF dense at order 10; and on a 4-DOF dense
-  system at order 8 (dense4-r8): the oscillator of DENSE4_OMEGA plus a
-  random cubic and then a random quartic block of 40 terms each, scale
-  0.3^(d-2), drawn by tests/util.random_polynomial from
-  numpy.random.default_rng(1), as perfbench/systems.py draws dense3;
+  dense at order 14 and 3-DOF dense at order 10; on 3-DOF dense at order
+  7, the `bnf` of the benchmark's dense3-r7 workload; and on a 4-DOF
+  dense system at orders 8 and 10 (dense4-r8, dense4-r10): the
+  oscillator of DENSE4_OMEGA plus a random cubic and then a random
+  quartic block of 40 terms each, scale 0.3^(d-2), drawn by
+  tests/util.random_polynomial from numpy.random.default_rng(1), as
+  perfbench/systems.py draws dense3;
 - the bracket alone on full blocks (tests/util.full_block: every
   monomial of the degree, seeded coefficients): 3 DOF degree 9 by degree
   9 (3dof-9x9-real), the shape of the normalization's chains, and 4 DOF
@@ -89,7 +91,8 @@ DENSE4_OMEGA = (1.0, 2.0 ** 0.5, 3.0 ** 0.5, 5.0 ** 0.5)
 # (name, system, bnf --order); dense4 is built here, the rest by
 # perfbench/systems.py
 SYSTEMS = (("even2-r18", "even2", 18), ("dense2-r14", "dense2", 14),
-           ("dense3-r10", "dense3", 10), ("dense4-r8", "dense4", 8))
+           ("dense3-r7", "dense3", 7), ("dense3-r10", "dense3", 10),
+           ("dense4-r8", "dense4", 8), ("dense4-r10", "dense4", 10))
 # (name, frequencies, k_max) of a divisor scan beyond the fixed systems'
 NONRES = (("dense4-k20", DENSE4_OMEGA, 20),)
 # (name, DOF, degree of f, degree of g)
