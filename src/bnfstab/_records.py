@@ -3,16 +3,15 @@
 Every record the package writes (HAM, NFSTATE, NONRESONANCE, POINCARE) is
 a header line ``MAGIC key=value ...``, body lines of whitespace-separated
 tokens, and, in every format except HAM, a closing ``END`` line after
-which nothing but comments may follow.  RecordReader reads HAM and
-POINCARE, and the header of NFSTATE; no command reads a NONRESONANCE
-certificate back.  ``#`` starts a comment and blank lines are skipped.
-Errors are FormatError, carrying the line number wherever a single line is
-at fault.
+which nothing but comments may follow.  RecordReader reads every record a
+command reads back, HAM, NFSTATE and POINCARE; no command reads a
+NONRESONANCE certificate back.  ``#`` starts a comment and blank lines are
+skipped.  Errors are FormatError, carrying the line number wherever a
+single line is at fault.
 
-RecordReader splits every line.  `body` gives the content lines of a
-record past its header line by their offsets in one text: a plain text
-as the package writes it, unsplit, and for any other text RecordReader's
-lines.  NormalFormState.from_text reads its ledgers from that body.
+RecordReader holds a record's body, its content lines past the header
+line, as one text: a text as the package writes it, neither split nor
+copied.
 
 `record` writes such a record and `number` renders every float the package
 prints, with 17 significant digits (the template NUMBER), so that it reads
@@ -58,48 +57,8 @@ def content_lines(text):
 # the line breaks other than \n, and the whitespace other than space and
 # tab, that str.splitlines, str.split and str.strip know in ASCII text
 _OTHER_SPACE = "\r\x0b\x0c\x1c\x1d\x1e\x1f"
-
-
-def body(text, magic, keys, path=None):
-    """(reader, text, numbers, starts) of a record: reader the
-    RecordReader of its header (end=False); the content lines past the
-    header line, line i the text from starts[i] to the \\n before
-    starts[i + 1]; numbers an array("l") of their line numbers; and starts
-    a numpy array of their offsets, then the end of the last.
-
-    A text is plain when it is ASCII, ends with \\n and holds no line
-    break but \\n and no whitespace but space and tab, and when past its
-    header line, the first that is not blank or a comment, it holds no #,
-    no blank line and no line with leading or trailing space or tab.  A
-    plain text holds its content lines as they are, so it is returned
-    itself, neither split nor copied, and its reader reads the text up to
-    the header line alone: reader.lines is empty.  Any other text is
-    replaced by its reader's lines, joined by \\n.
-    """
-    plain = (text.isascii() and text.endswith("\n")
-             and not any(c in text for c in _OTHER_SPACE))
-    # the header line, text[lo:hi]
-    lo = hi = 0
-    while plain:
-        hi = text.index("\n", lo)
-        if text[lo:hi].partition("#")[0].strip():
-            break
-        lo = hi + 1
-        plain = lo < len(text)
-    if plain and text.find("#", hi) < 0:
-        data, starts = _offsets(text, hi + 1)
-        # no line starts with \n, space or tab, and none ends with space or
-        # tab; the byte before a first line that is blank is data[hi], \n
-        if not (np.isin(data[starts[:-1]], list(b"\n \t")).any()
-                or np.isin(data[starts[1:] - 2], list(b" \t")).any()):
-            reader = RecordReader(text[:hi + 1], magic, keys, path=path,
-                                  end=False)
-            first = reader.lineno + 1
-            numbers = np.arange(first, first + len(starts) - 1, dtype="l")
-            return reader, text, array("l", numbers.tobytes()), starts
-    reader = RecordReader(text, magic, keys, path=path, end=False)
-    text = "\n".join([*reader.lines, ""])
-    return reader, text, reader.linenos, _offsets(text, 0)[1]
+# whether a byte is \n, space or tab
+_SPACE = np.isin(np.arange(256), list(b"\n \t"))
 
 
 def _offsets(text, lo):
@@ -122,25 +81,61 @@ def finite_floats(tokens, what, line=None, path=None):
 
 
 class RecordReader:
-    """One record, its content lines read in one pass.
+    """One record: its header read, and its body held as one text.
 
-    The constructor reads the header.  `keys` maps each header key to the
-    function that converts its value; a key that is missing, unknown,
-    repeated or does not convert is an error.  `lines` and `linenos` hold
-    the body's content lines and their numbers.  With end=True the body
-    stops before END, and a missing END or content after it is the fault
-    that `close` raises, once the caller has read the body for the faults
-    before it.  Iterating yields the tokens of each body line, then closes.
+    `keys` maps each header key to the function that converts its value;
+    a key that is missing, unknown, repeated or does not convert is an
+    error.  Body line i, line(i), is text[starts[i]:starts[i + 1] - 1]
+    (starts a numpy array), and lines(lo, hi) are lines lo..hi - 1;
+    numbers (an array("l")) holds their line numbers and lead (uint8)
+    their first bytes, ? for a character past ASCII.
+
+    A text is plain when it is ASCII, ends with \\n and holds no line
+    break but \\n and no whitespace but space and tab, and when past its
+    header line, the first that is not blank or a comment, it holds no #,
+    no blank line and no line with leading or trailing space or tab.  A
+    plain text is its own body, text; any other text's body is its
+    content lines past the header line, joined by \\n.
+
+    With end=True the body stops before END, and a missing END or content
+    after it is `fault`, which close() raises once the caller has read the
+    body for the faults before it.  Iterating yields the tokens of each
+    body line, then closes.
     """
 
     def __init__(self, text, magic, keys, path=None, end=True):
         self.path = path
-        linenos, lines = content_lines(text)
-        if not lines:
-            raise FormatError(f"empty input: no {magic} header", path=path)
-        self.lineno = linenos[0]
-        tokens = lines.pop(0).split()
-        del linenos[0]
+        plain = (text.isascii() and text.endswith("\n")
+                 and not any(c in text for c in _OTHER_SPACE))
+        # the header line, text[lo:hi]
+        lo = hi = 0
+        while plain:
+            hi = text.index("\n", lo)
+            if text[lo:hi].partition("#")[0].strip():
+                break
+            lo = hi + 1
+            plain = lo < len(text)
+        plain = plain and text.find("#", hi) < 0
+        if plain:
+            data, starts = _offsets(text, hi + 1)
+            # no line starts or ends with \n, space or tab; the byte before
+            # the \n of a blank line, which starts with \n, is \n
+            plain = not (_SPACE[data[starts[:-1]]].any()
+                         or _SPACE[data[starts[1:] - 2]].any())
+        if plain:
+            self.lineno = text.count("\n", 0, lo) + 1
+            head = text[lo:hi].partition("#")[0]
+            numbers = array("l", np.arange(self.lineno + 1, self.lineno
+                                           + len(starts), dtype="l").tobytes())
+        else:
+            numbers, lines = content_lines(text)
+            if not lines:
+                raise FormatError(f"empty input: no {magic} header",
+                                  path=path)
+            self.lineno, head = numbers.pop(0), lines[0]
+            text = "\n".join([*lines[1:], ""])
+            data, starts = _offsets(text, 0)
+        tokens = head.split()
         if tokens[0] != magic:
             raise self.error(f"expected {magic} header")
         try:
@@ -155,17 +150,30 @@ class RecordReader:
             raise self.error(f"bad {magic} header: {exc}") from None
         if kv:
             raise self.error(f"unknown {magic} header fields {sorted(kv)}")
-        self.linenos, self.lines = linenos, lines
-        self._fault = None
+        self.text, self.numbers, self.starts = text, numbers, starts
+        self.lead = data[starts[:-1]]
+        self.fault = None
         if end:
-            stop = next((i for i, line in enumerate(lines) if line[0] == "E"
-                         and line.split(None, 1)[0] == "END"), len(lines))
-            if stop == len(lines):
-                self._fault = FormatError("missing END", path=path)
-            elif stop + 1 < len(lines):
-                self._fault = FormatError(
-                    "content after END", line=linenos[stop + 1], path=path)
-            del linenos[stop:], lines[stop:]
+            total = len(numbers)
+            stop = next((i for i in np.flatnonzero(self.lead == ord("E"))
+                         .tolist() if self.line(i).split(None, 1)[0] == "END"),
+                        total)
+            if stop == total:
+                self.fault = FormatError("missing END", path=path)
+            elif stop + 1 < total:
+                self.fault = FormatError(
+                    "content after END", line=numbers[stop + 1], path=path)
+            del numbers[stop:]
+            self.starts, self.lead = starts[:stop + 1], self.lead[:stop]
+
+    def line(self, i):
+        """Body line i."""
+        return self.text[self.starts[i]:self.starts[i + 1] - 1]
+
+    def lines(self, lo, hi):
+        """Body lines lo..hi - 1."""
+        return (self.text[self.starts[lo]:self.starts[hi] - 1].split("\n")
+                if lo < hi else [])
 
     def error(self, message):
         """A FormatError located at the line read last."""
@@ -177,10 +185,10 @@ class RecordReader:
 
     def close(self):
         """Raise the fault at the end of the record, if there is one."""
-        if self._fault is not None:
-            raise self._fault
+        if self.fault is not None:
+            raise self.fault
 
     def __iter__(self):
-        for self.lineno, line in zip(self.linenos, self.lines):
-            yield line.split()
+        for i, self.lineno in enumerate(self.numbers):
+            yield self.line(i).split()
         self.close()

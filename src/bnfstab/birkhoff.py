@@ -387,36 +387,25 @@ class NormalFormState:
         checked by their headers alone: their term lines are never
         converted, and the state's chi is None.
 
-        The body is read from one text (_records.body), a ledger as `bnf`
-        writes it unsplit.  Its header lines and END are found by their
-        first byte, and each section's term lines are the text between two
-        of them."""
-        reader, body, numbers, starts = _records.body(
-            text, "NFSTATE", _HEADER_KEYS, path=path)
+        The body is read by one RecordReader, which holds a ledger as
+        `bnf` writes it unsplit and stops it before END.  Its header lines
+        are found by their first byte, each section's term lines are the
+        text between two of them, and the term lines of every CHI and F
+        section read convert in one batch (polyalg._read_terms)."""
+        reader = _records.RecordReader(text, "NFSTATE", _HEADER_KEYS,
+                                       path=path)
         n, r, r_max = _header(reader)
-
-        def line(i):
-            return body[starts[i]:starts[i + 1] - 1]
-
-        def lines(lo, hi):
-            """Body lines lo..hi - 1."""
-            return (body[starts[lo]:starts[hi] - 1].split("\n") if lo < hi
-                    else [])
-
-        # the first token of each line that may be a header line or END,
-        # found by its first byte
-        lead = np.frombuffer(body.encode("ascii", "replace"),
-                             np.uint8)[starts[:-1]]
-        firsts = [(i, line(i).split(None, 1)[0]) for i in
-                  np.flatnonzero(np.isin(lead, list(b"OZCFE"))).tolist()]
-        # the body stops before END, as RecordReader's does
-        count = len(numbers)
-        end = next((i for i, token in firsts if token == "END"), count)
-        # line 0, which must be OMEGA, and every section header
-        heads = [0, *(i for i, token in firsts if 0 < i < end and token
-                      in ("OMEGA", "Z", "CHI", "F"))] if end else []
-        layout = _layout(r, r_max)
-        expected = ["OMEGA", *_headers(layout)]
+        numbers, line, lines = reader.numbers, reader.line, reader.lines
+        # line 0, which must be OMEGA, and every section header, found by
+        # its first byte
+        firsts = np.flatnonzero(np.isin(reader.lead, list(b"OZCF"))).tolist()
+        heads = [0, *(i for i in firsts if i and line(i).split(None, 1)[0]
+                      in ("OMEGA", "Z", "CHI", "F"))] if numbers else []
+        # the sections, (label, s) each, in their order
+        layout = [(label, s) for label, top in (("Z", r), ("CHI", r),
+                                                ("F", r_max))
+                  for s in range(1, top + 1)]
+        expected = ["OMEGA", *(f"{label} s={s}" for label, s in layout)]
         good = 0  # the header lines in place, first to last
         for at, want in zip(heads, expected):
             tokens = line(at).split()
@@ -424,11 +413,13 @@ class NormalFormState:
                 break
             good += 1
         # the body is read up to its first line out of place
-        stop = heads[good] if good < len(heads) else end
+        stop = heads[good] if good < len(heads) else len(numbers)
         bounds = [*heads[:good], stop]
         if good:
             reader.lineno = numbers[0]
-            omega = _omega(reader, line(0), n)
+            omega = tuple(reader.finite(line(0).split()[1:], "OMEGA line"))
+            if len(omega) != n:
+                raise reader.error("OMEGA length disagrees with n")
             if bounds[1] > 1:
                 reader.lineno = numbers[1]
                 raise reader.error("term line outside any section")
@@ -447,32 +438,23 @@ class NormalFormState:
                 linenos += numbers[lo:hi]
                 counts.append(hi - lo)
         # the fault past the sections read, raised once they are read
-        fault = None
-        if stop < end:
+        fault = reader.fault
+        if stop < len(numbers):
             fault = FormatError(f"expected {[*expected, 'END'][good]}, got "
                                 f"{line(stop)!r}",
                                 line=numbers[stop], path=path)
-        elif end == count:
-            fault = FormatError("missing END", path=path)
-        elif end + 1 < count:
-            fault = FormatError("content after END", line=numbers[end + 1],
-                                path=path)
-        elif good < len(expected):
+        elif fault is None and good < len(expected):
             fault = FormatError(f"missing {expected[good]}", path=path)
-        # the body, its line offsets and its line numbers are not needed
-        # past here: release them before the batch conversion, which sets
-        # the read's peak memory
-        del body, numbers, starts
-        blocks = _blocks(sections, terms, linenos, counts, n, path)
+        # the reader holds the body's line offsets and numbers: release it
+        # before the batch conversion, which sets the read's peak memory
+        del reader, numbers, line, lines
+        blocks = poly._read_terms(
+            terms, linenos, counts, n, path,
+            [(s + 2, s + 2) for _, s in sections],
+            lambda k, d: f"term degree {d} in section of order "
+                         f"{sections[k][1]} (expected {sections[k][1] + 2})")
         if fault is not None:
             raise fault
-        return cls._built(omega, r, r_max, z, sections, blocks, generators)
-
-    @classmethod
-    def _built(cls, omega, r, r_max, z, sections, blocks, generators):
-        """The state of a ledger read: its CHI and F blocks, (label, s)
-        each of sections, and with generators=False no chi."""
-        n = len(omega)
         chi, f = {}, {}
         for (label, s), block in zip(sections, blocks):
             (chi if label == "CHI" else f)[s] = Polynomial._raw(n, block)
@@ -500,24 +482,6 @@ def _header(reader):
     return n, r, r_max
 
 
-def _layout(r, r_max):
-    """The sections of a ledger, (label, s) each, in their order."""
-    return [(label, s) for label, top in (("Z", r), ("CHI", r), ("F", r_max))
-            for s in range(1, top + 1)]
-
-
-def _headers(layout):
-    return [f"{label} s={s}" for label, s in layout]
-
-
-def _omega(reader, line, n):
-    """The frequencies of the OMEGA line, read at reader.lineno."""
-    omega = tuple(reader.finite(line.split()[1:], "OMEGA line"))
-    if len(omega) != n:
-        raise reader.error("OMEGA length disagrees with n")
-    return omega
-
-
 def _actions(reader, linenos, lines, n, s):
     """Z s, its term lines read one at a time."""
     terms = {}
@@ -538,15 +502,6 @@ def _actions(reader, linenos, lines, n, s):
             raise reader.error("duplicate action exponent")
         terms[p] = c
     return ActionPolynomial(n, terms)
-
-
-def _blocks(sections, body, linenos, counts, n, path):
-    """The blocks of the CHI and F sections read, (label, s) each, from
-    their term lines in one batch (polyalg._read_terms)."""
-    return poly._read_terms(
-        body, linenos, counts, n, path, [(s + 2, s + 2) for _, s in sections],
-        lambda k, d: f"term degree {d} in section of order "
-                     f"{sections[k][1]} (expected {sections[k][1] + 2})")
 
 
 # -- construction -------------------------------------------------------------

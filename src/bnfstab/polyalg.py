@@ -43,7 +43,7 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -1146,59 +1146,48 @@ def _loaded(lines, ints):
     return rows["i"], rows["c"]
 
 
-def _sound(table, coeffs, counts, low, high):
-    """Whether loaded term lines pass the checks of _read_terms but
-    repeats: section k holds the next counts[k] lines, of degrees within
-    [low[k], high[k]].  No check makes a per-line array but the sums."""
-    degree, exps = table[:, 0], table[:, 1:]
-    counts = np.asarray(counts)
-    held = counts > 0
-    starts = (np.cumsum(counts) - counts)[held]
-    return bool(np.isfinite(coeffs).all()
-                and 0 <= exps.min() and exps.max() <= _MAX_EXP
-                and (exps.sum(axis=1) == degree).all()
-                and (np.minimum.reduceat(degree, starts) >= low[held]).all()
-                and (np.maximum.reduceat(degree, starts) <= high[held]).all())
-
-
-def _line_pass(lines, linenos, num_dof, path, section, low, high,
-               degree_error):
-    """(int rows, floats) of term lines read one at a time by int() and
-    float() and checked in the order of _read_terms: line i is of section
-    k = section[i], of degrees [low[k], high[k]] (degree_error(k, d) is
-    the message otherwise).  The first line at fault is a FormatError."""
-    want = 2 + 2 * num_dof
-    table, coeffs, seen = [], [], set()
-    for i, line in enumerate(lines):
+def _converted(lines, want):
+    """(int rows, floats, fault) of term lines of `want` fields read by
+    int() and float() up to the first that does not convert, fault its
+    message (else None).  The ints stay exact, however large."""
+    rows, coeffs = [], []
+    for line in lines:
         tokens = line.split()
-        fault = None
         if len(tokens) != want:
-            fault = f"expected {want} fields on a term line, got {len(tokens)}"
-        else:
-            try:
-                degree, *exps = [int(t) for t in tokens[:-1]]
-                c = float(tokens[-1])
-            except ValueError as exc:
-                fault = f"bad numeric field: {exc}"
-        if fault is None:
-            key = (section[i], *exps)
-            if not math.isfinite(c):
-                fault = "non-finite coefficient"
-            elif not 0 <= min(exps) <= max(exps) <= _MAX_EXP:
-                fault = f"exponent outside [0, {_MAX_EXP}]"
-            elif sum(exps) != degree:
-                fault = (f"degree column {degree} disagrees with exponent "
-                         f"sum {sum(exps)}")
-            elif not low[section[i]] <= degree <= high[section[i]]:
-                fault = degree_error(section[i], degree)
-            elif key in seen:
-                fault = "duplicate exponent vector"
-        if fault is not None:
-            raise FormatError(fault, line=linenos[i], path=path)
-        seen.add(key)
-        table.append([degree, *exps])
+            return rows, coeffs, (f"expected {want} fields on a term line, "
+                                  f"got {len(tokens)}")
+        try:
+            row, c = [int(t) for t in tokens[:-1]], float(tokens[-1])
+        except ValueError as exc:
+            return rows, coeffs, f"bad numeric field: {exc}"
+        rows.append(row)
         coeffs.append(c)
-    return np.array(table, np.int64), np.array(coeffs)
+    return rows, coeffs, None
+
+
+def _faulty(table, coeffs, section, low, high, degree_error):
+    """(i, message) of the first converted term line at fault, repeats
+    aside, or None: line i is of section k = section[i], of degrees within
+    [low[k], high[k]].  Each check is one array over the lines, in the
+    order of _read_terms."""
+    # the exponents are reduced a column at a time, each an array over the
+    # lines: numpy reduces across a short row slowly
+    degree, exps = table[:, 0], table[:, 1:].T
+    sums = sum(exps, np.zeros(len(coeffs), np.int64))
+    k = section[:len(coeffs)]
+    checks = [~np.isfinite(coeffs),
+              (reduce(np.minimum, exps) < 0)
+              | (reduce(np.maximum, exps) > _MAX_EXP),
+              sums != degree,
+              (degree < low[k]) | (degree > high[k])]
+    at = np.flatnonzero(np.logical_or.reduce(checks))
+    if not len(at):
+        return None
+    i = int(at[0])
+    d = int(degree[i])
+    return i, ["non-finite coefficient", f"exponent outside [0, {_MAX_EXP}]",
+               f"degree column {d} disagrees with exponent sum {int(sums[i])}",
+               degree_error(int(k[i]), d)][[c[i] for c in checks].index(True)]
 
 
 def _read_terms(lines, linenos, counts, num_dof, path, degrees,
@@ -1213,32 +1202,42 @@ def _read_terms(lines, linenos, counts, num_dof, path, degrees,
     coefficient, exponents within [0, _MAX_EXP], the degree column against
     the exponent sum, a degree within the inclusive range degrees[k] of
     its section (degree_error(k, d) is the message otherwise), and no
-    exponent vector repeated in its section.  The lines convert at once
-    (_loaded) and are checked as arrays; where _loaded refuses them or a
-    check fails, they are read again one at a time (_line_pass), which
-    raises at the first line at fault.  Repeats are found by one stable
-    sort on (section, degree, exponents) (_runs) of otherwise sound lines,
-    so the first repeat in line order is the first fault.  Each degree
-    of a section is then pruned with one maximum (_kept).
+    exponent vector repeated in its section.  The first line at fault is
+    a FormatError with the message of its first failing check.
+
+    The lines convert at once (_loaded); where _loaded refuses them, a
+    pass of int() and float() converts them one at a time up to the first
+    line it cannot convert (_converted).  Each later check is one array
+    over the converted lines (_faulty).  Repeats are found by one stable
+    sort on (section, degree, exponents) (_runs) of the lines before the
+    first fault, so the first repeat in line order is reported when it
+    comes first.  Each degree of a section is then pruned with one
+    maximum (_kept).
     """
     width = 2 * num_dof
     if not lines:
         return [_empty(width) for _ in counts]
+    loaded = _loaded(lines, 1 + width)
+    fault = None
+    if loaded is None:
+        rows, coeffs, fault = _converted(lines, 2 + width)
+        if not rows:
+            # no line before the fault: no key is built, however large n
+            raise FormatError(fault, line=linenos[0], path=path)
+        loaded = np.array(rows, object), np.array(coeffs)
     hi = width * _MAX_EXP + 1
     section = np.repeat(np.arange(len(counts)), counts)
     # no sound line is of degree hi or more, however large a bound
     low, high = np.array([(d, min(t, hi)) for d, t in degrees], np.int64).T
-    loaded = _loaded(lines, 1 + width)
-    if loaded is None or not _sound(*loaded, counts, low, high):
-        loaded = _line_pass(lines, linenos, num_dof, path, section.tolist(),
-                            low.tolist(), high.tolist(), degree_error)
     table, coeffs = loaded
-    exps = table[:, 1:].astype(np.uint8)
-    # a degree of a sound line is at most hi - 1
-    group = section * hi + table[:, 0]
+    at, fault = (_faulty(table, coeffs, section, low, high, degree_error)
+                 or (len(coeffs), fault))
+    exps = table[:at, 1:].astype(np.uint8)
+    # a degree of a line before the first fault is at most hi - 1
+    group = section[:at] * hi + table[:at, 0].astype(np.int64)
     # -0.0 reads as 0.0, as a sum onto a 0.0 start would have it; the sum
     # is a new array, not a view of the loaded table
-    coeffs = coeffs + 0.0
+    coeffs = coeffs[:at] + 0.0
     # the loaded table is not needed past here: release it before the
     # sort, which sets the read's peak memory
     del table, loaded, section
@@ -1248,6 +1247,8 @@ def _read_terms(lines, linenos, counts, num_dof, path, degrees,
         # does not start it
         raise FormatError("duplicate exponent vector",
                           line=linenos[int(order[~first].min())], path=path)
+    if fault is not None:
+        raise FormatError(fault, line=linenos[at], path=path)
 
     exps, coeffs, group = exps[order], coeffs[order], group[order]
     # the (section, degree) groups, each a run of the sorted rows
@@ -1332,11 +1333,12 @@ class GradedSeries:
             raise reader.error("n must be >= 1 and dmax >= 0")
         # past _MAX_DOF, the first term line faults (it cannot hold 2 + 2n
         # fields); without one, the header does
-        if num_dof > _MAX_DOF and not reader.lines:
+        count = len(reader.numbers)
+        if num_dof > _MAX_DOF and not count:
             raise reader.error(f"n={num_dof} exceeds {_MAX_DOF}, the most "
                                "degrees of freedom an array holds")
         [block] = _read_terms(
-            reader.lines, reader.linenos, [len(reader.lines)], num_dof, path,
+            reader.lines(0, count), reader.numbers, [count], num_dof, path,
             [(0, d_max)],
             lambda k, degree: f"term degree {degree} exceeds dmax={d_max}")
         return cls(Polynomial._raw(num_dof, block), d_max)

@@ -906,6 +906,16 @@ def test_graded_series_text_errors():
     assert info.value.line == 2
 
 
+def test_a_huge_record_faults_at_its_first_term_line():
+    # n and dmax past the int64 range: the first term line's field count
+    # is the fault, raised before any degree bound or key is built
+    for n in (2 ** 62, 2 ** 70):
+        with pytest.raises(FormatError, match="fields on a term line") as info:
+            GradedSeries.from_text(
+                f"HAM n={n} dmax={2 ** 70} field=real\n2 2 0 1\n")
+        assert info.value.line == 2
+
+
 def test_graded_series_accepts_comments_and_blank_lines():
     src = "# leading comment\nHAM n=1 dmax=4 field=real\n\n2 2 0 0.5\n"
     series = GradedSeries.from_text(src)

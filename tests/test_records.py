@@ -18,6 +18,7 @@ from bnfstab.celestial import (
     BodyParameters,
     PoincareState,
     elements_text,
+    fixture_path,
     parse_elements,
 )
 from bnfstab.cli import main
@@ -561,6 +562,7 @@ def _read_result(read, text):
 
 
 NF_KEYS = {"n": int, "r": int, "rmax": int}
+FIXTURE = "sjs-jd2451220.5"
 # the first tokens of an NFSTATE ledger's header lines and END
 HEAD_TOKENS = ("NFSTATE", "OMEGA", "Z", "CHI", "F", "END")
 
@@ -578,14 +580,14 @@ def _chi_term_line(text, line):
 
 
 def _plain(text):
-    """Whether _records.body takes text as plain, whose reader holds none
-    of the body's lines; None for a text whose header is at fault or that
-    holds no body line, which read the same either way."""
+    """Whether RecordReader takes text as plain, its own body; None for a
+    text whose header is at fault or that holds no body line, which read
+    the same either way."""
     try:
-        reader, _, numbers, _ = _records.body(text, "NFSTATE", NF_KEYS)
+        reader = _records.RecordReader(text, "NFSTATE", NF_KEYS, end=False)
     except FormatError:
         return None
-    return not reader.lines if numbers else None
+    return reader.text is text if reader.numbers else None
 
 
 def test_ledger_reader_matches_the_oracle_on_edited_ledgers():
@@ -618,20 +620,52 @@ def test_ledger_reader_matches_the_oracle_on_edited_ledgers():
                     (False, "FormatError")}
 
 
+@st.composite
+def edited_poincare_texts(draw):
+    """The text of a POINCARE state after 0-3 provenance lines and one
+    edit: a comment or blank line inserted, a line indented, every line
+    break made \\r\\n, or none."""
+    lines = draw(poincare_states()).to_text().split("\n")[:-1]
+    lines[:0] = PROVENANCE[:draw(st.integers(0, len(PROVENANCE)))]
+    edit = draw(st.sampled_from(["none", "comment", "blank", "indent",
+                                 "crlf"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    if edit in ("comment", "blank"):
+        lines.insert(at, "# a note" if edit == "comment" else "  ")
+    elif edit == "indent":
+        lines[at] = "\t" + lines[at]
+    new = "\r\n" if edit == "crlf" else "\n"
+    return new.join(lines) + new
+
+
+HAM_KEYS = {"n": int, "dmax": int, "field": str}
+# (magic, keys, text) of a record of each format the package reads back
+RECORD_TEXTS = (
+    st.tuples(st.just("NFSTATE"), st.just(NF_KEYS), edited_ledgers()
+              | st.sampled_from(EDGE_TEXTS["NFSTATE"]))
+    | st.tuples(st.just("HAM"), st.just(HAM_KEYS),
+                ham_texts() | st.sampled_from(EDGE_TEXTS["HAM"]))
+    | st.tuples(st.just("POINCARE"), st.just({"n": int}),
+                edited_poincare_texts()))
+
+
 @settings(PROPERTY, max_examples=400)
-@given(edited_ledgers() | st.sampled_from(EDGE_TEXTS["NFSTATE"]))
-def test_ledger_body_is_the_content_lines_past_the_header(text):
+@given(RECORD_TEXTS)
+def test_ledger_body_is_the_content_lines_past_the_header(record):
+    magic, keys, text = record
+
     def package(text):
-        reader, body, numbers, starts = _records.body(text, "NFSTATE",
-                                                      NF_KEYS)
+        reader = _records.RecordReader(text, magic, keys, end=False)
+        body, numbers, starts = reader.text, reader.numbers, reader.starts
         assert starts[-1] == len(body)
         assert all(body[b - 1] == "\n" for b in starts[1:].tolist())
         lines = [body[a:b - 1] for a, b
                  in zip(starts.tolist(), starts[1:].tolist())]
+        assert reader.lines(0, len(numbers)) == lines
         return list(zip(numbers, lines))
 
     def oracle(text):
-        oracles.LineReader(text, "NFSTATE", NF_KEYS, end=False)
+        oracles.LineReader(text, magic, keys, end=False)
         return list(oracles.content_lines(text))[1:]
 
     assert _read_result(package, text) == _read_result(oracle, text), text
@@ -643,16 +677,22 @@ def test_written_ledgers_are_read_as_plain(tmp_path, monkeypatch):
     original = _records.content_lines
     monkeypatch.setattr(_records, "content_lines",
                         lambda text: texts.append(text) or original(text))
+    state = tmp_path / "state.txt"
+    assert main(["poincare", "--fixture", FIXTURE, "--out", str(state)]) == 0
     for system, order in (("dense2", 14), ("dense3", 7), ("even2", 18)):
         ham, nf = tmp_path / f"{system}.ham", tmp_path / f"{system}.nf"
         ham.write_text(systems.system_text(system, 1))
         assert main(["bnf", "--input", str(ham), "--order", str(order),
                      "--out", str(nf)]) == 0
-        radii = ",".join(["1"] * (3 if system == "dense3" else 2))
+        radii = [["--radii", ",".join(["1"] * (3 if system == "dense3"
+                                               else 2))]]
+        if system != "dense3":
+            radii.append(["--radii-from", str(state)])
         for argv in (["sweep", "--out", str(tmp_path / "sweep.csv")],
                      ["estimate", "--rho0", "0.3",
                       "--out", str(tmp_path / "estimate.txt")]):
-            assert main([*argv, "--input", str(nf), "--radii", radii]) == 0
+            for given_radii in radii:
+                assert main([*argv, "--input", str(nf), *given_radii]) == 0
         text = nf.read_text()
         assert _plain(text) is True
         assert NormalFormState.from_text(text) == NormalFormState.from_text(
@@ -660,6 +700,9 @@ def test_written_ledgers_are_read_as_plain(tmp_path, monkeypatch):
     # no ledger's body went through content_lines but the commented ones
     bodies = [text for text in texts if "\nOMEGA " in text]
     assert len(bodies) == 3 and all("# a note" in text for text in bodies)
+    # nor any HAM or POINCARE text: only the element fixture did
+    assert [text for text in texts if text not in bodies] == [
+        fixture_path(FIXTURE).read_text()]
 
 
 def test_block_reader_reports_the_first_fault_of_the_file():

@@ -9,7 +9,7 @@ the `bnfstab` package) whose `polyalg.complexify` and `realify` take and
 return blocks.  Each of ROUNDS rounds runs one fresh interpreter
 per tree, in alternating order, so that a drift in host speed falls on
 both sides.
-An interpreter times, once each:
+An interpreter times:
 
 - the `bnf` command on the fixed systems of the ROADMAP's north star,
   built by perfbench/systems.py with seed 1: 2-DOF even at order 18, 2-DOF
@@ -19,7 +19,9 @@ An interpreter times, once each:
   oscillator of DENSE4_OMEGA plus a random cubic and then a random
   quartic block of 40 terms each, scale 0.3^(d-2), drawn by
   tests/util.random_polynomial from numpy.random.default_rng(1), as
-  perfbench/systems.py draws dense3;
+  perfbench/systems.py draws dense3; bnf_s is the first call on each
+  system, which carries the interpreter's one-time set-up, and
+  bnf_warm_s the median of READ_REPEATS more calls after it;
 - the bracket alone on full blocks (tests/util.full_block: every
   monomial of the degree, seeded coefficients): 3 DOF degree 9 by degree
   9 (3dof-9x9-real), the shape of the normalization's chains, and 4 DOF
@@ -118,8 +120,8 @@ def measure(src):
                                       scale=0.3 ** (degree - 2))
         return polyalg.GradedSeries.from_polynomial(h, d_max=4).to_text()
 
-    out = {"bnf_s": {}, "bracket_s": {}, "bracket_peak_mib": {},
-           "pushforward_s": {}}
+    out = {"bnf_s": {}, "bnf_warm_s": {}, "bracket_s": {},
+           "bracket_peak_mib": {}, "pushforward_s": {}}
     texts = {name: system_text(system) for name, system, _ in SYSTEMS}
     series = {name: polyalg.GradedSeries.from_text(text)
               for name, text in texts.items()}
@@ -143,6 +145,12 @@ def measure(src):
             if cli.main(argv) != 0:
                 raise SystemExit(f"bnf failed on {name}")
             out["bnf_s"][name] = time.perf_counter() - start
+            runs = []
+            for _ in range(READ_REPEATS):
+                start = time.perf_counter()
+                cli.main(argv)
+                runs.append(time.perf_counter() - start)
+            out["bnf_warm_s"][name] = statistics.median(runs)
         ledgers = {name: (Path(tmp) / f"{name}.nf").read_text()
                    for name in READ_LEDGERS}
         commented, source, after = COMMENTED
@@ -314,7 +322,8 @@ def main():
                  "python": platform.python_version(),
                  "numpy": np.__version__},
         "read_repeats": READ_REPEATS,
-        "units": {"bnf_s": "s", "bracket_s": "s", "bracket_peak_mib": "MiB",
+        "units": {"bnf_s": "s", "bnf_warm_s": "s", "bracket_s": "s",
+                  "bracket_peak_mib": "MiB",
                   "pushforward_s": "s",
                   "read_ledger_s": "s", "load_state_s": "s",
                   "read_peak_mib": "MiB",

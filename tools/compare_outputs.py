@@ -23,6 +23,17 @@ matrix:
   grid, and `estimate` at two values of rho0, each with `--radii` and with
   `--radii-from`.
 
+A fault matrix follows.  Each faulty input is one edit of a good file
+the matrix wrote, run through the command that reads it:
+
+- the dense2-s1 ledger, read by `sweep`: an F coefficient set to `nan`;
+  an exponent 10 written `1_0`; a term line repeated; END dropped; a line
+  after END; `F s=3` dropped; a `# note` line after `F s=1`; `\\r\\n` line
+  ends;
+- the even2-s1 HAM, read by `bnf`: a degree column off by one; a term
+  line repeated; an exponent of 256;
+- the state, read by `sweep --radii-from`: END dropped; RADII repeated.
+
 The first tree is the reference.  For every command the exit code, stdout
 and stderr, and after the matrix every file of the working directory, are
 compared with the reference's.  Every difference is printed, and the exit
@@ -63,6 +74,59 @@ RESONANT = {((2, 0), (0, 0)): 0.5, ((0, 0), (2, 0)): 0.5,
 DIGEST = re.compile(r"^(# input: .* sha256:)[0-9a-f]{64}$", re.MULTILINE)
 STATE = "state.txt"
 RHO0 = ("0.5", "1.5")
+LEDGER, HAM = "dense2-s1.nf", "even2-s1.ham"
+
+
+def edited(text, head, change, skip=1):
+    """text with the line `skip` lines past its first line that starts
+    with head replaced by the lines change(line)."""
+    lines = text.split("\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith(head))
+    lines[at + skip:at + skip + 1] = change(lines[at + skip])
+    return "\n".join(lines)
+
+
+def token(line, i, value):
+    """[line] with its token i made value(token)."""
+    tokens = line.split()
+    tokens[i] = value(tokens[i])
+    return [" ".join(tokens)]
+
+
+def underscored(text):
+    """text with its first exponent 10 written 1_0."""
+    if " 10 " not in text:
+        raise SystemExit("no exponent 10 to write as 1_0")
+    return text.replace(" 10 ", " 1_0 ", 1)
+
+
+# the command that reads each good file the faults edit, and so each
+# faulty copy of it, whose name is appended
+READERS = {LEDGER: ["sweep", "--radii", "1,1", "--input"],
+           HAM: ["bnf", "--order", "18", "--out", "fault.nf", "--input"],
+           STATE: ["sweep", "--input", LEDGER, "--radii-from"]}
+# (faulty file, the good file it edits, the edit)
+FAULTS = (
+    ("nan.nf", LEDGER, lambda t: edited(
+        t, "F s=1", lambda line: token(line, -1, lambda _: "nan"))),
+    ("underscore.nf", LEDGER, underscored),
+    ("repeat.nf", LEDGER, lambda t: edited(t, "F s=1",
+                                           lambda line: [line] * 2)),
+    ("no-end.nf", LEDGER, lambda t: edited(t, "END", lambda _: [], skip=0)),
+    ("after-end.nf", LEDGER, lambda t: t + "F s=1\n"),
+    ("no-f3.nf", LEDGER, lambda t: edited(t, "F s=3", lambda _: [], skip=0)),
+    ("note.nf", LEDGER, lambda t: edited(
+        t, "F s=1", lambda line: [line, "# note"], skip=0)),
+    ("crlf.nf", LEDGER, lambda t: t.replace("\n", "\r\n")),
+    ("degree.ham", HAM, lambda t: edited(
+        t, "HAM", lambda line: token(line, 0, lambda d: str(int(d) + 1)))),
+    ("repeat.ham", HAM, lambda t: edited(t, "HAM", lambda line: [line] * 2)),
+    ("exponent.ham", HAM, lambda t: edited(
+        t, "HAM", lambda line: token(line, 1, lambda _: "256"))),
+    ("no-end.txt", STATE, lambda t: edited(t, "END", lambda _: [], skip=0)),
+    ("radii.txt", STATE, lambda t: edited(t, "RADII", lambda line: [line] * 2,
+                                          skip=0)),
+)
 
 
 def inputs():
@@ -108,7 +172,8 @@ def run_matrix(src, work):
     sys.path.insert(0, str(Path(src).resolve()))
     from bnfstab import cli
     results = []
-    for argv in matrix():
+
+    def run(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -118,6 +183,14 @@ def run_matrix(src, work):
             except Exception as exc:  # what cli.main does not map to a code
                 code = f"raised {type(exc).__name__}: {exc}"
         results.append([argv, code, out.getvalue(), err.getvalue()])
+
+    for argv in matrix():
+        run(argv)
+    # the fault matrix, on the good files just written
+    for name, good, edit in FAULTS:
+        (Path(work) / name).write_bytes(
+            edit((Path(work) / good).read_text()).encode())
+        run([*READERS[good], name])
     files = {p.name: p.read_bytes().decode("latin-1")
              for p in sorted(Path(work).iterdir())}
     return results, files
@@ -203,8 +276,8 @@ def main():
     status = 0
     for label, got in rest:
         lines = differences(want, got)
-        counts = (f"{len(got['commands'])} commands, "
-                  f"{len(got['files'])} files")
+        counts = (f"{len(got['commands'])} commands, {len(FAULTS)} of them "
+                  f"on faulty inputs, {len(got['files'])} files")
         if lines:
             status = 1
             print(f"{label} against {ref}: {len(lines)} differences "
