@@ -268,9 +268,9 @@ class NormalFormState:
     the not-yet-normalized blocks of the order-r Hamiltonian.  All
     polynomial data is real; index-s entries are homogeneous of degree
     s + 2.  The text (to_text, from_text) holds the sections Z and CHI
-    s = 1..r and F s = 1..r_max, each one present.  chi is None in a state
-    read without its generators (from_text with generators=False), whose
-    generator and to_text refuse.
+    s = 1..r and F s = 1..r_max, each one present.  z and chi are None in
+    a state read without its generators (from_text with generators=False),
+    whose z_action, generator and to_text refuse.
     """
 
     __slots__ = ("omega", "r", "r_max", "z", "chi", "f")
@@ -324,6 +324,7 @@ class NormalFormState:
         return poly.oscillator(self.omega)
 
     def z_action(self, s):
+        self._check_generators()
         if not 1 <= s <= self.r:
             raise OrderRangeError(f"Z index {s} outside 1..{self.r}")
         return self.z.get(s, ActionPolynomial.zero(self.num_dof))
@@ -383,9 +384,9 @@ class NormalFormState:
         empty for a zero block.  The body is read in file order up to its
         first line out of place, and the first fault is raised: a term
         line's, else `expected F s=3, got 'F s=4'`, else a fault at END,
-        else `missing F s=13`.  With generators=False the CHI sections are
-        checked by their headers alone: their term lines are never
-        converted, and the state's chi is None.
+        else `missing F s=13`.  With generators=False the Z and CHI
+        sections are checked by their headers alone: their term lines are
+        never converted, and the state's z and chi are None.
 
         The body is read by one RecordReader, which holds a ledger as
         `bnf` writes it unsplit and stops it before END.  Its header lines
@@ -423,8 +424,9 @@ class NormalFormState:
             if bounds[1] > 1:
                 reader.lineno = numbers[1]
                 raise reader.error("term line outside any section")
+        # the Z sections read, one line at a time; none without generators
         z = {}
-        for s in range(1, min(r + 1, good)):
+        for s in range(1, min(r + 1, good) if generators else 1):
             lo, hi = bounds[s] + 1, bounds[s + 1]
             z[s] = _actions(reader, numbers[lo:hi], lines(lo, hi), n, s)
         # the CHI and F sections read, (label, s) each, and their term
@@ -460,6 +462,7 @@ class NormalFormState:
             (chi if label == "CHI" else f)[s] = Polynomial._raw(n, block)
         state = cls(omega, r, r_max, z=z, chi=chi, f=f)
         if not generators:
+            object.__setattr__(state, "z", None)
             object.__setattr__(state, "chi", None)
         return state
 

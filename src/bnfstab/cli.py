@@ -24,6 +24,7 @@ import hashlib
 import io
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -303,9 +304,13 @@ def build_parser():
     return parser
 
 
+# one parser a process, built at the first call of main: parse_args
+# leaves it as it was
+_parser = cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:

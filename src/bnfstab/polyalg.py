@@ -111,6 +111,18 @@ def _kept(coeffs, degrees=None):
     return (a > 0.0) & (a >= floor)
 
 
+def _runs_kept(a, starts):
+    """The mask of the abs() values a that survive pruning, each run of
+    rows, from starts[i] to the next start (the last to the end), pruned
+    as _kept prunes a homogeneous block: one segmented maximum.  starts is
+    strictly increasing from 0, so no run is empty."""
+    if not len(a):
+        return np.zeros(0, bool)
+    top = np.maximum.reduceat(a, starts)
+    floor = np.repeat(PRUNE_REL * top, np.diff(starts, append=len(a)))
+    return (a > 0.0) & (a >= floor)
+
+
 def _canonical(exps, coeffs):
     """The storage of a Polynomial from a merged block in key order: the
     rows that survive pruning (_kept), stably sorted by degree."""
@@ -452,13 +464,13 @@ def _support(base, fields):
     digits = np.zeros((1, 0), small)
     sums = np.zeros(1, small)
     place = 1
+    room = base - 1 - np.arange(base)[:, None]
     for _ in range(fields):
         # a new leading digit d before every vector of sum base - 1 - d or
-        # less
-        rows = [np.flatnonzero(sums <= base - 1 - d) for d in range(base)]
-        lead = np.repeat(np.arange(base, dtype=small), [len(r) for r in rows])
-        rows = np.concatenate(rows)
-        index = lead.astype(np.intp) * place + index[rows]
+        # less, d by d and each in index order
+        lead, rows = np.nonzero(sums <= room)
+        index = lead * place + index[rows]
+        lead = lead.astype(small)
         digits = np.column_stack([lead, digits[rows]])
         sums = lead + sums[rows]
         place *= base
@@ -768,17 +780,26 @@ def _norm_terms(exps, coeffs, radii):
     """The terms |c| Theta(j, k) R^(j+k) of polydisc_norm, one a row of a
     block, inf or 0.0 where they leave the floats.  Each row's value
     depends on that row alone, so a block of many polynomials end to end
-    gives each of them its own terms."""
+    gives each of them its own terms.
+
+    Theta(j_l, k_l) comes from one table over the exponent pairs up to the
+    block's largest exponent, and R_l^(j_l+k_l) from one table of powers
+    per radius, each built by the expression a term would use, so that
+    every factor, and their order, is that of the term-by-term sum."""
     n = len(radii)
-    exps = exps.astype(np.int64)
-    j, k = exps[:, :n], exps[:, n:]
+    e = np.arange(int(exps.max(initial=0)) + 1, dtype=np.int64)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         # log Theta per pair; a pure power (j or k zero) gives exp(0) = 1
-        theta = np.exp(0.5 * (_xlogx(j) + _xlogx(k) - _xlogx(j + k)))
-        w = np.abs(coeffs)
-        w *= theta.prod(axis=1)
+        theta = np.exp(0.5 * (_xlogx(e[:, None]) + _xlogx(e)
+                              - _xlogx(e[:, None] + e)))
+        w = np.ones(len(coeffs))
+        for l in range(n):
+            w *= theta[exps[:, l], exps[:, n + l]]
+        w *= np.abs(coeffs)
+        degrees = np.arange(2 * len(e) - 1, dtype=np.int64)
         for l, R in enumerate(radii):
-            w *= np.power(R, j[:, l] + k[:, l], dtype=float)
+            w *= np.power(R, degrees, dtype=float)[
+                np.add(exps[:, l], exps[:, n + l], dtype=np.intp)]
     return w
 
 
@@ -1211,8 +1232,8 @@ def _read_terms(lines, linenos, counts, num_dof, path, degrees,
     over the converted lines (_faulty).  Repeats are found by one stable
     sort on (section, degree, exponents) (_runs) of the lines before the
     first fault, so the first repeat in line order is reported when it
-    comes first.  Each degree of a section is then pruned with one
-    maximum (_kept).
+    comes first.  Each degree of a section is then pruned against its own
+    maximum, all of them by one segmented maximum (_runs_kept).
     """
     width = 2 * num_dof
     if not lines:
@@ -1252,10 +1273,8 @@ def _read_terms(lines, linenos, counts, num_dof, path, degrees,
 
     exps, coeffs, group = exps[order], coeffs[order], group[order]
     # the (section, degree) groups, each a run of the sorted rows
-    starts = np.flatnonzero(np.diff(group, prepend=-1))
-    keep = np.empty(len(group), bool)
-    for lo, top in zip(starts.tolist(), [*starts[1:].tolist(), len(group)]):
-        keep[lo:top] = _kept(coeffs[lo:top])
+    keep = _runs_kept(np.abs(coeffs),
+                      np.flatnonzero(np.diff(group, prepend=-1)))
     # each section's rows are a run, in graded key order
     cuts = group.searchsorted(np.arange(len(counts) + 1) * hi).tolist()
     return [(exps[a:b].compress(keep[a:b], axis=0), coeffs[a:b][keep[a:b]])

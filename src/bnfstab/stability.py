@@ -15,7 +15,6 @@ order increases as rho0 shrinks.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -52,12 +51,15 @@ def _drift_bounds(state, orders, radii, c_const):
     """B[k, j] of the order orders[k] and the action j, in one pass.
 
     B = c_const |{I_j, F^(r+1)}|_R for every segment (r, j) at once: the
-    brackets of the concatenated F blocks (_action_brackets) and the
-    polydisc-norm terms of all their rows (poly._norm_terms).  Each segment
-    is then pruned (poly._kept) and summed (poly._norm_total) on its own,
-    so that each B is c_const * polydisc_norm(poisson_bracket(oscillator(e_j),
-    F^(r+1))) to the bit, and a fault is raised at the first segment in
-    (r, j) order that meets one.
+    brackets of the concatenated F blocks (_action_brackets), every
+    segment pruned against its own maximum by one segmented maximum
+    (poly._runs_kept), and the polydisc-norm terms of all the rows kept
+    (poly._norm_terms).  Each segment's terms are then summed
+    (poly._norm_total) on their own, so that each B is
+    c_const * polydisc_norm(poisson_bracket(oscillator(e_j), F^(r+1))) to
+    the bit, and a fault is raised at the first segment in (r, j) order
+    that meets one: an overflowed bracket coefficient, else a norm that
+    leaves the floats.
     """
     if not 1.0 < c_const < math.inf:
         raise ValueError("the safety constant must exceed 1 and be finite")
@@ -65,13 +67,21 @@ def _drift_bounds(state, orders, radii, c_const):
     radii = poly._check_radii(radii, n)
     exps, coeffs, segment = _action_brackets(
         [state.remainder_block(r + 1)._block for r in orders], n)
-    terms = poly._norm_terms(exps, coeffs, radii)
-    cuts = segment.searchsorted(np.arange(len(orders) * n + 1)).tolist()
+    a = np.abs(coeffs)
+    keep = poly._runs_kept(a, np.flatnonzero(np.diff(segment, prepend=-1)))
+    # the segments before the first that holds an overflowed coefficient
+    # are summed, and that one is refused after them
+    overflowed = np.flatnonzero(~np.isfinite(a))
+    last = int(segment[overflowed[0]]) if len(overflowed) else len(orders) * n
+    terms = poly._norm_terms(exps.compress(keep, axis=0), coeffs[keep],
+                             radii)
+    cuts = segment[keep].searchsorted(np.arange(last + 1)).tolist()
     B = np.zeros((len(orders), n))
     for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-        keep = poly._kept(coeffs[lo:hi])
-        if keep.any():
-            B.flat[i] = c_const * poly._norm_total(terms[lo:hi][keep], radii)
+        if lo < hi:
+            B.flat[i] = c_const * poly._norm_total(terms[lo:hi], radii)
+    if len(overflowed):
+        poly._sizes(coeffs[segment == last])  # raises its ValueError
     return B
 
 
@@ -103,22 +113,23 @@ def _action_brackets(blocks, n):
 
 
 def _power(v, e):
-    """v ** e by Python's float power (libm's pow), inf where that
-    overflows or divides by zero."""
+    """v ** e by math.pow, which calls libm's pow as Python's float power
+    does; inf where that overflows or v is zero (math.pow's OverflowError
+    and ValueError)."""
     try:
-        return v ** e
-    except (OverflowError, ZeroDivisionError):
+        return math.pow(v, e)
+    except (OverflowError, ValueError):
         return math.inf
 
 
 def _powers(values, e):
     """v ** e of each float of the list values, as an array: libm's pow
-    through Python's float power, one pass unless a point overflows or
-    divides by zero, where _power takes each point."""
+    through math.pow, one pass unless a point overflows or is zero, where
+    _power takes each point.  e goes to math.pow as a float, once."""
     try:
-        return np.fromiter(map(operator.pow, values, repeat(e)), float,
+        return np.fromiter(map(math.pow, values, repeat(float(e))), float,
                            len(values))
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ValueError):
         return np.array([_power(v, e) for v in values])
 
 

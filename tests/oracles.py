@@ -666,6 +666,27 @@ def theta_weight(j, k):
     return w
 
 
+def norm_terms(exps, coeffs, radii):
+    """The terms |c| Theta(j, k) R^(j+k) of the polydisc norm of each row
+    of a block, every Theta and power formed per term by exp, log and
+    numpy.power: the reference the package's table-driven terms must
+    equal to the bit."""
+    n = len(radii)
+    exps = exps.astype(np.int64)
+    j, k = exps[:, :n], exps[:, n:]
+
+    def xlogx(e):
+        return e * np.log(np.maximum(e, 1))
+
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        theta = np.exp(0.5 * (xlogx(j) + xlogx(k) - xlogx(j + k)))
+        w = np.abs(coeffs)
+        w *= theta.prod(axis=1)
+        for l, R in enumerate(radii):
+            w *= np.power(R, j[:, l] + k[:, l], dtype=float)
+    return w
+
+
 # -- escape time by quadrature ---------------------------------------------------
 
 def escape_time_quadrature(rho0, rho, r, b_values, radii):

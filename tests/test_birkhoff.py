@@ -372,15 +372,17 @@ def test_ledger_read_without_generators(build):
     full = NormalFormState.from_text(text)
     bare = NormalFormState.from_text(text, generators=False)
     assert full.chi and full.r >= 1
-    # no generator reads as zero: the state refuses them, and is not the
-    # full one
-    for refused in (lambda: bare.generator(1), bare.to_text):
+    # no generator or action part reads as zero: the state refuses them,
+    # and is not the full one
+    assert bare.z is None and bare.chi is None
+    for refused in (lambda: bare.generator(1), lambda: bare.z_action(1),
+                    bare.to_text):
         with pytest.raises(ValueError, match="without its generators"):
             refused()
     assert bare != full
     # the rest of the ledger is the full read's, bit for bit
-    assert (bare.omega, bare.r, bare.r_max, bare.z) == (
-        full.omega, full.r, full.r_max, full.z)
+    assert (bare.omega, bare.r, bare.r_max) == (full.omega, full.r,
+                                                full.r_max)
     for s in range(1, full.r_max + 1):
         got, want = bare.remainder_block(s), full.remainder_block(s)
         assert got.num_dof == want.num_dof

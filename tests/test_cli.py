@@ -192,17 +192,19 @@ def test_estimate_side_reads_no_generator_term(tmp_path, capsys):
     capsys.readouterr()
     intact = _estimate_side_runs(nf, capsys)
     assert [(code, err) for code, _, err in intact] == [(0, ""), (0, "")]
-    at = lines.index("CHI s=3\n") + 2
-    *exps, _ = lines[at].split()
-    for broken in ([" ".join(exps) + " nan\n"],
-                   [" ".join(["x", *exps[1:]]) + " 1\n"],
-                   [lines[at], lines[at]]):
-        nf.write_text("".join(lines[:at] + broken + lines[at + 1:]))
-        # the full read refuses the term line; sweep and estimate never
-        # convert it
-        with pytest.raises(FormatError):
-            NormalFormState.from_text(nf.read_text())
-        assert _estimate_side_runs(nf, capsys) == intact
+    # a term line of a generator and of an action part
+    for at in (lines.index("CHI s=3\n") + 2, lines.index("Z s=2\n") + 1):
+        *exps, _ = lines[at].split()
+        for broken in ([" ".join(exps) + " nan\n"],
+                       [" ".join(["x", *exps[1:]]) + " 1\n"],
+                       [lines[at], lines[at]]):
+            nf.write_text("".join(lines[:at] + broken + lines[at + 1:]))
+            # the full read refuses the term line, the last broken one;
+            # sweep and estimate never convert it
+            with pytest.raises(FormatError) as info:
+                NormalFormState.from_text(nf.read_text())
+            assert info.value.line == at + len(broken)
+            assert _estimate_side_runs(nf, capsys) == intact
 
 
 # a CHI header the layout refuses, and the fault it makes

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import theta_weight
@@ -502,6 +504,45 @@ def test_polydisc_norm_matches_the_term_by_term_sum():
             radii = tuple(rng.uniform(0.05, 4.0, size=n))
             want = _norm_term_by_term(f, radii)
             assert polydisc_norm(f, radii) == pytest.approx(want, rel=1e-13)
+
+
+@st.composite
+def norm_blocks(draw):
+    """(exps, coeffs, radii) of a block of 1-4 DOF: exponents up to 255,
+    finite coefficients, and radii from 1e-80 to 1e80, at which terms
+    overflow to inf and underflow to 0.  Small exponents, coefficients
+    and radii near 1 are drawn too, whose terms stay in range."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, 12))
+    exps = draw(st.lists(st.lists(st.integers(0, 9)
+                                  | st.integers(0, polyalg._MAX_EXP),
+                                  min_size=2 * n, max_size=2 * n),
+                         min_size=rows, max_size=rows))
+    coeffs = draw(st.lists(st.floats(-10.0, 10.0)
+                           | st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=rows, max_size=rows))
+    radii = draw(st.lists(st.floats(0.1, 10.0) | st.floats(1e-80, 1e80),
+                          min_size=n, max_size=n))
+    return (np.array(exps, np.uint8).reshape(rows, 2 * n), np.array(coeffs),
+            tuple(radii))
+
+
+def test_norm_terms_equal_the_per_term_reference_to_the_bit():
+    seen = set()
+
+    @settings(derandomize=True, max_examples=400, deadline=None,
+              database=None)
+    @given(norm_blocks())
+    def same(case):
+        got = polyalg._norm_terms(*case)
+        assert got.tobytes() == oracles.norm_terms(*case).tobytes()
+        nonzero = case[1] != 0.0
+        seen.update(kind for kind, hit in (
+            ("inf", np.isinf(got)), ("underflow", nonzero & (got == 0.0)),
+            ("finite", nonzero & (got > 0.0) & np.isfinite(got))) if hit.any())
+
+    same()
+    assert seen == {"inf", "underflow", "finite"}
 
 
 @pytest.mark.parametrize("f, radii, refusal", [

@@ -567,13 +567,14 @@ FIXTURE = "sjs-jd2451220.5"
 HEAD_TOKENS = ("NFSTATE", "OMEGA", "Z", "CHI", "F", "END")
 
 
-def _chi_term_line(text, line):
-    """Whether line `line` of text is a term line of a CHI section."""
+def _generator_term_line(text, line):
+    """Whether line `line` of text is a term line of a Z or CHI section,
+    which a read without generators never converts."""
     label = None
     for lineno, content in oracles.content_lines(text):
         token = content.split()[0]
         if lineno == line:
-            return label == "CHI" and token not in HEAD_TOKENS
+            return label in ("Z", "CHI") and token not in HEAD_TOKENS
         if token in HEAD_TOKENS:
             label = token
     return False
@@ -603,13 +604,14 @@ def test_ledger_reader_matches_the_oracle_on_edited_ledgers():
             t, generators=False), text)
         if full[0] == "read":
             a, b = full[1], bare[1]
-            assert b.chi is None, text
-            assert (a.omega, a.r, a.r_max, a.z, a.f) == (
-                b.omega, b.r, b.r_max, b.z, b.f), text
-        elif not _chi_term_line(text, full[1]):
+            assert b.z is None and b.chi is None, text
+            assert (a.omega, a.r, a.r_max, a.f) == (
+                b.omega, b.r, b.r_max, b.f), text
+        elif not _generator_term_line(text, full[1]):
             assert bare == full, text
-        # a CHI term line is never converted without generators
-        assert bare[0] == "read" or not _chi_term_line(text, bare[1]), text
+        # a Z or CHI term line is never converted without generators
+        assert (bare[0] == "read"
+                or not _generator_term_line(text, bare[1])), text
         seen.add((_plain(text), got[0]))
 
     for text in EDGE_TEXTS["NFSTATE"]:

@@ -45,8 +45,10 @@ An interpreter times:
   (`_per_order_bounds`, drift_bounds_s), and `stability.sweep` over the
   1 024-point grid 0.3:3.0:1024:log at those radii, its drift bounds
   computed beforehand (sweep_grid_s); and the `estimate` command in
-  process on that ledger at rho0 ESTIMATE_RHO0, its radii read from the
-  fixture's state file (estimate_s);
+  process on that ledger at rho0 ESTIMATE_RHO0, and the `sweep` command
+  in process on it over that grid, their radii read from the fixture's
+  state file (estimate_s, sweep_cmd_s); on PEAK_LEDGER, the tracemalloc
+  peak of one call of `_per_order_bounds` at radii 1 (bounds_peak_mib);
 - the write side on the dense3-r10 ledger that its `bnf` wrote, as the
   median of READ_REPEATS calls each: `polyalg.complexify` of the block of
   every CHI and F entry of the ledger (complexify_s), and `polyalg.realify`
@@ -175,10 +177,11 @@ def measure(src):
 
 def read_side(ledgers, birkhoff, celestial, cli, stability):
     """Medians of READ_REPEATS timed reads of each ledger, from its text and
-    from its file as the commands read it, the tracemalloc peak of one
-    read of PEAK_LEDGER, and, on the first ledger, medians of
-    the drift bounds of its every order, of the sweep over SWEEP_GRID
-    with those bounds given, and of the estimate command."""
+    from its file as the commands read it, the tracemalloc peaks of one
+    read of PEAK_LEDGER and of its drift bounds, and, on the first ledger,
+    medians of the drift bounds of its every order, of the sweep over
+    SWEEP_GRID with those bounds given, and of the estimate and sweep
+    commands."""
     bodies, m0 = celestial.load_fixture(FIXTURE)
     pstate = celestial.poincare_variables(bodies, m0)
     radii = celestial.secular_radii(pstate)
@@ -205,10 +208,18 @@ def read_side(ledgers, birkhoff, celestial, cli, stability):
     out["read_peak_mib"][PEAK_LEDGER] = (tracemalloc.get_traced_memory()[1]
                                          / 2 ** 20)
     tracemalloc.stop()
+    peak_state = birkhoff.NormalFormState.from_text(ledgers[PEAK_LEDGER])
+    tracemalloc.start()
+    stability._per_order_bounds(peak_state, (1.0,) * peak_state.num_dof,
+                                stability.DEFAULT_C)
+    out["bounds_peak_mib"] = {PEAK_LEDGER: tracemalloc.get_traced_memory()[1]
+                              / 2 ** 20}
+    tracemalloc.stop()
 
     state = birkhoff.NormalFormState.from_text(ledgers[name])
     per_order = stability._per_order_bounds
-    runs = {"drift_bounds_s": [], "sweep_grid_s": [], "estimate_s": []}
+    runs = {"drift_bounds_s": [], "sweep_grid_s": [], "estimate_s": [],
+            "sweep_cmd_s": []}
     for _ in range(READ_REPEATS):
         start = time.perf_counter()
         bounds = per_order(state, radii, stability.DEFAULT_C)
@@ -218,14 +229,18 @@ def read_side(ledgers, birkhoff, celestial, cli, stability):
         ledger, state_file = Path(tmp) / "nf.txt", Path(tmp) / "state.txt"
         ledger.write_text(ledgers[name])
         state_file.write_text(pstate.to_text())
-        argv = ["estimate", "--input", str(ledger), "--rho0", ESTIMATE_RHO0,
-                "--radii-from", str(state_file),
-                "--out", str(Path(tmp) / "estimate.txt")]
-        for _ in range(READ_REPEATS):
-            start = time.perf_counter()
-            if cli.main(argv) != 0:
-                raise SystemExit(f"estimate failed on {name}")
-            runs["estimate_s"].append(time.perf_counter() - start)
+        radii_from = ["--input", str(ledger), "--radii-from", str(state_file)]
+        commands = {
+            "estimate_s": ["estimate", *radii_from, "--rho0", ESTIMATE_RHO0,
+                           "--out", str(Path(tmp) / "estimate.txt")],
+            "sweep_cmd_s": ["sweep", *radii_from, "--grid", SWEEP_GRID,
+                            "--out", str(Path(tmp) / "sweep.csv")]}
+        for metric, argv in commands.items():
+            for _ in range(READ_REPEATS):
+                start = time.perf_counter()
+                if cli.main(argv) != 0:
+                    raise SystemExit(f"{argv[0]} failed on {name}")
+                runs[metric].append(time.perf_counter() - start)
 
     grid = cli._parse_grid(SWEEP_GRID)
     stability._per_order_bounds = lambda *args: bounds
@@ -326,9 +341,10 @@ def main():
                   "bracket_peak_mib": "MiB",
                   "pushforward_s": "s",
                   "read_ledger_s": "s", "load_state_s": "s",
-                  "read_peak_mib": "MiB",
+                  "read_peak_mib": "MiB", "bounds_peak_mib": "MiB",
                   "drift_bounds_s": "s",
-                  "sweep_grid_s": "s", "estimate_s": "s", "write_s": "s",
+                  "sweep_grid_s": "s", "estimate_s": "s", "sweep_cmd_s": "s",
+                  "write_s": "s",
                   "nonresonance_cold_s": "s", "nonresonance_warm_s": "s"},
         "sources": sources,
     }
